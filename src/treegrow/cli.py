@@ -15,11 +15,11 @@ from typing import Dict, List, Optional
 from . import __version__
 from ._rand import derive_rng
 from .compositions import as_fraction
-from .errors import DomainError, HorizonError, ParseError, Refused, TreegrowError
+from .errors import DomainError, ParseError, Refused, TreegrowError
 from .oracle import (enumerate_plane_trees, enumerate_subtrees, goodness_of_fit, sg_law,
                      st_law, kernel_interchange_check)
 from .sgtrees import (WeightSequence, check_ratio_chain, check_tp2_array, check_toeplitz_tp2,
-                      compute_tables, growth_kernel_row, is_log_concave, GrowthChain)
+                      compute_tables, forest_array, growth_kernel_row, is_log_concave, GrowthChain)
 from .subtree_model import (SubtreeChain, SummableTheta, bij_P, bij_P_inv, nested_coupling_law,
                             nested_thresholds, sigma_rule, subset_distribution,
                             shuffle_invariance_check)
@@ -35,6 +35,22 @@ def parse_rational_list(text: str) -> List[Fraction]:
         return [as_fraction(tok.strip()) for tok in text.split(",") if tok.strip()]
     except DomainError as exc:
         raise ParseError(str(exc)) from None
+
+
+def positive_int(text: str) -> int:
+    """An integer of at least 1: the cast of every size and count option, flag or config key."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+def _given(value, default):
+    """The option's value, or ``default`` when it was not given (0 is a value, not a default)."""
+    return default if value is None else value
 
 
 def parse_config_file(path: str) -> Dict[str, str]:
@@ -57,7 +73,10 @@ def _fill_from_config(args, casts: Dict[str, object]):
     cfg = parse_config_file(args.config)
     for key, cast in casts.items():
         if getattr(args, key, None) is None and key in cfg:
-            setattr(args, key, cast(cfg[key]))
+            try:
+                setattr(args, key, cast(cfg[key]))
+            except (ValueError, argparse.ArgumentTypeError):
+                raise ParseError(f"{args.config}: bad value for {key}: {cfg[key]!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,8 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     grow.add_argument("--model", choices=("sg", "sg-arith", "subtree"))
     grow.add_argument("--w", help="offspring weights, comma-separated exact rationals")
     grow.add_argument("--theta", help="type weights for the subtree model")
-    grow.add_argument("--d", type=int, help="bouquet size (sg-arith)")
-    grow.add_argument("--n", type=int, help="target number of vertices")
+    grow.add_argument("--d", type=positive_int, help="bouquet size (sg-arith)")
+    grow.add_argument("--n", type=positive_int, help="target number of vertices")
     grow.add_argument("--seed", type=int, help="master seed")
     grow.add_argument("--out", help="trace file (JSON lines)")
     grow.add_argument("--decimal", action="store_true", help="add lossy decimal probabilities to the trace")
@@ -81,10 +100,10 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--suite", choices=SUITES)
     verify.add_argument("--w")
     verify.add_argument("--theta")
-    verify.add_argument("--d", type=int)
-    verify.add_argument("--n-max", dest="n_max", type=int)
+    verify.add_argument("--d", type=positive_int)
+    verify.add_argument("--n-max", dest="n_max", type=positive_int)
     verify.add_argument("--seed", type=int)
-    verify.add_argument("--samples", type=int, help="sample count for the stats suite")
+    verify.add_argument("--samples", type=positive_int, help="sample count for the stats suite")
     verify.add_argument("--out", help="write the JSON report here as well")
     verify.add_argument("--config")
 
@@ -92,8 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     enum.add_argument("--plane-trees", dest="plane_trees", type=int)
     enum.add_argument("--subtrees", type=int)
     enum.add_argument("--arith-trees", dest="arith_trees", type=int)
-    enum.add_argument("--d", type=int, default=1)
-    enum.add_argument("--dmax", type=int, default=2)
+    enum.add_argument("--d", type=positive_int, default=1)
+    enum.add_argument("--dmax", type=positive_int, default=2)
     enum.add_argument("--dot", action="store_true", help="emit DOT per object")
     return parser
 
@@ -103,61 +122,54 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_grow(args) -> int:
-    _fill_from_config(args, {"model": str, "w": str, "theta": str, "d": int,
-                             "n": int, "seed": int, "out": str})
+    _fill_from_config(args, {"model": str, "w": str, "theta": str, "d": positive_int,
+                             "n": positive_int, "seed": int, "out": str})
     if args.model is None:
         print("error: --model is required", file=sys.stderr)
         return 1
     if args.n is None:
         print("error: --n is required", file=sys.stderr)
         return 1
-    seed = args.seed if args.seed is not None else 0
+    seed = _given(args.seed, 0)
+    d = _given(args.d, 1)
     records: List[dict] = []
-    try:
-        if args.model in ("sg", "sg-arith"):
-            if not args.w:
-                print("error: --w is required for tree models", file=sys.stderr)
-                return 1
-            d = args.d if args.d is not None else 1
-            if args.model == "sg" and d != 1:
-                print("error: the sg model has d = 1; use sg-arith", file=sys.stderr)
-                return 1
-            w = WeightSequence(parse_rational_list(args.w))
-            chain = GrowthChain(w, d=d, horizon=args.n, rng=derive_rng(seed, "chain"))
-            records.append({"step": 0, "n": 1, "new_vertices": ["e"], "tree": "e", "prob": "1"})
-            while chain.n + d <= args.n:
-                step = chain.step()
-                rec = {"step": step.index, "n": step.n,
-                       "new_vertices": [word_to_text(u) for u in step.new_vertices],
-                       "tree": format_tree(chain.tree()), "prob": str(step.prob)}
-                if args.decimal:
-                    rec["prob_decimal"] = float(step.prob)
-                records.append(rec)
-                print(f"step {step.index}: +{','.join(word_to_text(u) for u in step.new_vertices)}")
-        else:
-            if not args.theta:
-                print("error: --theta is required for the subtree model", file=sys.stderr)
-                return 1
-            theta = SummableTheta(parse_rational_list(args.theta))
-            chain = SubtreeChain(theta, horizon=args.n, seed=seed)
-            records.append({"step": 0, "n": 1, "new_vertex": "e", "subtree": "e"})
-            while chain.n < args.n:
-                new = chain.step()
-                records.append({"step": chain.n - 1, "n": chain.n,
-                                "new_vertex": word_to_text(new),
-                                "subtree": format_tree(chain.subtree())})
-                print(f"step {chain.n - 1}: +{word_to_text(new)}")
-    except Refused as exc:
-        print(f"refused: {exc} (index {exc.witness})", file=sys.stderr)
-        return 2
-    except (DomainError, HorizonError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.model in ("sg", "sg-arith"):
+        if not args.w:
+            print("error: --w is required for tree models", file=sys.stderr)
+            return 1
+        if args.model == "sg" and d != 1:
+            print("error: the sg model has d = 1; use sg-arith", file=sys.stderr)
+            return 1
+        w = WeightSequence(parse_rational_list(args.w))
+        chain = GrowthChain(w, d=d, horizon=args.n, rng=derive_rng(seed, "chain"))
+        records.append({"step": 0, "n": 1, "new_vertices": ["e"], "tree": "e", "prob": "1"})
+        while chain.n + d <= args.n:
+            step = chain.step()
+            rec = {"step": step.index, "n": step.n,
+                   "new_vertices": [word_to_text(u) for u in step.new_vertices],
+                   "tree": format_tree(chain.tree()), "prob": str(step.prob)}
+            if args.decimal:
+                rec["prob_decimal"] = float(step.prob)
+            records.append(rec)
+            print(f"step {step.index}: +{','.join(word_to_text(u) for u in step.new_vertices)}")
+    else:
+        if not args.theta:
+            print("error: --theta is required for the subtree model", file=sys.stderr)
+            return 1
+        theta = SummableTheta(parse_rational_list(args.theta))
+        chain = SubtreeChain(theta, horizon=args.n, seed=seed)
+        records.append({"step": 0, "n": 1, "new_vertex": "e", "subtree": "e"})
+        while chain.n < args.n:
+            new = chain.step()
+            records.append({"step": chain.n - 1, "n": chain.n,
+                            "new_vertex": word_to_text(new),
+                            "subtree": format_tree(chain.subtree())})
+            print(f"step {chain.n - 1}: +{word_to_text(new)}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             for rec in records:
                 handle.write(json.dumps(rec, sort_keys=True) + "\n")
-        validate_trace(args.out, args.model, args.d if args.d is not None else 1)
+        validate_trace(args.out, args.model, d)
     print(f"grew to {records[-1]['n']} vertices in {len(records) - 1} steps (seed {seed})")
     return 0
 
@@ -187,9 +199,9 @@ def validate_trace(path: str, model: str, d: int = 1):
 
 
 def _suite_tables(args) -> dict:
-    w = WeightSequence(parse_rational_list(args.w or "1,1,1,1,1,1,1,1"))
-    d = args.d or 1
-    n_max = args.n_max or 7
+    w = WeightSequence(parse_rational_list(_given(args.w, "1,1,1,1,1,1,1,1")))
+    d = _given(args.d, 1)
+    n_max = _given(args.n_max, 7)
     tables = compute_tables(w, d, N=n_max + d)
     failures = []
     checked = 0
@@ -202,11 +214,12 @@ def _suite_tables(args) -> dict:
             failures.append({"n": n, "recursion": str(tables.b_value(n)),
                              "enumeration": str(enumerated)})
     if d == 1:
-        arith = compute_tables(w, 1, N=n_max + 1, method="arithmetic")
-        for n in range(1, n_max + 2):
+        # b_{n+1} = sum_k w_k f(n, k), with f from the independent forest recursion
+        f = forest_array(w, n_max)
+        for n in range(0, n_max + 1):
             checked += 1
-            if arith.b_value(n) != tables.b_value(n):
-                failures.append({"n": n, "kind": "reduction-mismatch"})
+            if sum(w[k] * f[n][k] for k in range(n + 1)) != tables.b_value(n + 1):
+                failures.append({"n": n + 1, "kind": "forest-identity-mismatch"})
     return {"suite": "tables", "checked": checked, "ok": not failures, "failures": failures}
 
 
@@ -218,9 +231,9 @@ def _omega(w, tree) -> Fraction:
 
 
 def _suite_tp2(args) -> dict:
-    w = WeightSequence(parse_rational_list(args.w or "1,1,1,1,1,1,1,1"))
-    d = args.d or 1
-    n_max = args.n_max or 10
+    w = WeightSequence(parse_rational_list(_given(args.w, "1,1,1,1,1,1,1,1")))
+    d = _given(args.d, 1)
+    n_max = _given(args.n_max, 10)
     lc = is_log_concave(w.progression(d))
     toeplitz = check_toeplitz_tp2(w.progression(d), window=min(n_max, 8))
     tables = compute_tables(w, d, N=n_max + 1)
@@ -231,18 +244,18 @@ def _suite_tp2(args) -> dict:
 
 
 def _suite_ratio_chain(args) -> dict:
-    w = WeightSequence(parse_rational_list(args.w or "1,3,3,1"))
-    d = args.d or 1
-    n_max = args.n_max or 10
-    tables = compute_tables(w, d, N=(n_max + 2) * d + 1, method="arithmetic" if d > 1 else None)
+    w = WeightSequence(parse_rational_list(_given(args.w, "1,3,3,1")))
+    d = _given(args.d, 1)
+    n_max = _given(args.n_max, 10)
+    tables = compute_tables(w, d, N=(n_max + 2) * d + 1)
     report = check_ratio_chain(tables, n_max=n_max)
     return {"suite": "ratio-chain", **report.as_dict()}
 
 
 def _suite_kernel_interchange(args) -> dict:
-    w = WeightSequence(parse_rational_list(args.w or "1,1,1,1,1,1,1"))
-    d = args.d or 1
-    n_max = args.n_max or 6
+    w = WeightSequence(parse_rational_list(_given(args.w, "1,1,1,1,1,1,1")))
+    d = _given(args.d, 1)
+    n_max = _given(args.n_max, 6)
     tables = compute_tables(w, d, N=n_max + d)
     results = []
     ok = True
@@ -258,7 +271,7 @@ def _suite_kernel_interchange(args) -> dict:
 
 
 def _suite_bijection(args) -> dict:
-    n_max = args.n_max or 5
+    n_max = _given(args.n_max, 5)
     failures = []
     checked = 0
     for n in range(1, n_max + 1):
@@ -272,7 +285,7 @@ def _suite_bijection(args) -> dict:
 
 
 def _suite_subset_coupling(args) -> dict:
-    theta = SummableTheta(parse_rational_list(args.theta or "2,1"))
+    theta = SummableTheta(parse_rational_list(_given(args.theta, "2,1")))
     law = nested_coupling_law(theta)
     failures = []
     thresholds = nested_thresholds(theta)
@@ -291,8 +304,8 @@ def _suite_subset_coupling(args) -> dict:
 
 
 def _suite_shuffle_invariance(args) -> dict:
-    n_max = min(args.n_max or 4, 4)
-    w = WeightSequence(parse_rational_list(args.w or "1,2,1"))
+    n_max = min(_given(args.n_max, 4), 4)
+    w = WeightSequence(parse_rational_list(_given(args.w, "1,2,1")))
     nu = {(1, 2): Fraction(1, 2), (2, 1): Fraction(1, 2)}
 
     def rule(tree, x, u):
@@ -303,13 +316,13 @@ def _suite_shuffle_invariance(args) -> dict:
 
 
 def _suite_stats(args) -> dict:
-    seed = args.seed if args.seed is not None else 0
-    samples = args.samples or 10_000
+    seed = _given(args.seed, 0)
+    samples = _given(args.samples, 10_000)
     results = []
     ok = True
     if args.theta:
         theta = SummableTheta(parse_rational_list(args.theta))
-        target_n = args.n_max or 4
+        target_n = _given(args.n_max, 4)
         law = st_law(theta, target_n)
         counts: Dict[frozenset, int] = {}
         for i in range(samples):
@@ -322,9 +335,9 @@ def _suite_stats(args) -> dict:
         ok = report.tv < Fraction(5, 100) and (report.p_value is None or report.p_value > 0.001)
         results.append({"model": "subtree", "n": target_n, **report.as_dict()})
     else:
-        w = WeightSequence(parse_rational_list(args.w or "1,1,1,1,1,1"))
-        d = args.d or 1
-        target_n = args.n_max or (5 if d == 1 else d + 1)
+        w = WeightSequence(parse_rational_list(_given(args.w, "1,1,1,1,1,1")))
+        d = _given(args.d, 1)
+        target_n = _given(args.n_max, 5 if d == 1 else d + 1)
         law = sg_law(w, d, target_n)
         tables = compute_tables(w, d, N=target_n)
         counts: Dict[object, int] = {}
@@ -342,8 +355,8 @@ def _suite_stats(args) -> dict:
 
 
 def cmd_verify(args) -> int:
-    _fill_from_config(args, {"suite": str, "w": str, "theta": str, "d": int,
-                             "n_max": int, "seed": int, "samples": int})
+    _fill_from_config(args, {"suite": str, "w": str, "theta": str, "d": positive_int,
+                             "n_max": positive_int, "seed": int, "samples": positive_int})
     if args.suite is None:
         print("error: --suite is required", file=sys.stderr)
         return 1
@@ -357,14 +370,7 @@ def cmd_verify(args) -> int:
         "shuffle-invariance": _suite_shuffle_invariance,
         "stats": _suite_stats,
     }
-    try:
-        report = runners[args.suite](args)
-    except Refused as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return 2
-    except TreegrowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    report = runners[args.suite](args)
     text = json.dumps(report, indent=2, sort_keys=True, default=str)
     print(text)
     if args.out:
@@ -378,18 +384,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    try:
-        if args.plane_trees is not None:
-            trees = enumerate_plane_trees(args.plane_trees, 1)
-        elif args.arith_trees is not None:
-            trees = enumerate_plane_trees(args.arith_trees, args.d)
-        elif args.subtrees is not None:
-            trees = enumerate_subtrees(args.subtrees, dmax=args.dmax)
-        else:
-            print("error: pass --plane-trees, --subtrees or --arith-trees", file=sys.stderr)
-            return 1
-    except HorizonError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if args.plane_trees is not None:
+        trees = enumerate_plane_trees(args.plane_trees, 1)
+    elif args.arith_trees is not None:
+        trees = enumerate_plane_trees(args.arith_trees, args.d)
+    elif args.subtrees is not None:
+        trees = enumerate_subtrees(args.subtrees, dmax=args.dmax)
+    else:
+        print("error: pass --plane-trees, --subtrees or --arith-trees", file=sys.stderr)
         return 1
     for tree in trees:
         print(format_tree(tree))
@@ -407,17 +409,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         # argparse exits 2 on usage errors; exit code 2 is reserved here for
         # refused growth hypotheses, so usage problems map to 1
         return 1 if exc.code else 0
+    commands = {"grow": cmd_grow, "verify": cmd_verify, "enumerate": cmd_enumerate}
     try:
-        if args.command == "grow":
-            return cmd_grow(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "enumerate":
-            return cmd_enumerate(args)
-    except ParseError as exc:
+        return commands[args.command](args)
+    except Refused as exc:
+        print(f"refused: {exc} (index {exc.witness})", file=sys.stderr)
+        return 2
+    except (TreegrowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 1
 
 
 if __name__ == "__main__":

@@ -272,21 +272,56 @@ class StepLaw:
             raise DomainError("step law masses must sum to 1")
 
 
+def peel_partition_values(a: Sequence[Fraction], T: int,
+                          b: Optional[Callable[[int], Fraction]] = None) -> List[List[Fraction]]:
+    """Partition values ``z[ell][t] = Z_ell(t)`` of every shift of ``a``, for totals t <= T.
+
+    Peeling off the first part gives
+    ``Z_ell(t) = a_ell [t = 0] + sum_{m : b_m != 0} b_m Z_{ell+1}(t - m)``,
+    with ``Z_ell = 0`` past the last entry of ``a``.  ``b(m)`` is read once,
+    when the loop reaches total m; without it the part weights are the tree
+    masses ``b_m = Z_0(m - 1)``, known by then.
+    """
+    r = len(a)
+    z: List[List[Fraction]] = [[] for _ in range(r)]
+    parts: List[Tuple[int, Fraction]] = []
+    for t in range(T + 1):
+        if t:
+            bt = z[0][t - 1] if b is None else b(t)
+            if bt:
+                parts.append((t, bt))
+        for ell in range(r):
+            acc = a[ell] if t == 0 else ZERO
+            if ell + 1 < r:
+                nxt = z[ell + 1]
+                for m, bm in parts:
+                    v = nxt[t - m]
+                    if v:
+                        acc += bm * v
+            z[ell].append(acc)
+    return z
+
+
 class PartitionKernel:
     """Partition values of a pair and all its shifts, plus the step coupling.
 
-    Subclasses provide the raw weights and partition values; this base
+    Subclasses provide the part weights and partition values; this base
     class derives first-part laws, the monotone one-step move
     probabilities, full composition-kernel rows and the sampling walk
-    shared by every chain in the package.
+    shared by every chain in the package.  ``r`` is the largest index
+    with a non-zero count weight: the shift ladder ends there.
     """
 
-    d: int = 1
+    def __init__(self, d: int, r: int):
+        self.d = d
+        self.r = r
+        self._step_memo: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
+        self._law_memo: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
+
+    def max_a_index(self) -> int:
+        return self.r
 
     # -- abstract surface -------------------------------------------------
-
-    def a_weight(self, i: int) -> Fraction:
-        raise NotImplementedError
 
     def b_weight(self, m: int) -> Fraction:
         raise NotImplementedError
@@ -294,19 +329,10 @@ class PartitionKernel:
     def partition_value(self, ell: int, t: int) -> Fraction:
         raise NotImplementedError
 
-    def max_a_index(self) -> int:
-        raise NotImplementedError
-
     # -- derived machinery -------------------------------------------------
-
-    def _ensure_memos(self):
-        if not hasattr(self, "_step_memo"):
-            self._step_memo: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
-            self._law_memo: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
 
     def reindexed_first_part_law(self, ell: int, t: int) -> Dict[int, Fraction]:
         """Law of (first part - 1)/d at shift ``ell`` and total ``t``."""
-        self._ensure_memos()
         key = (ell, t)
         cached = self._law_memo.get(key)
         if cached is not None:
@@ -336,7 +362,6 @@ class PartitionKernel:
         inequalities between the two laws, otherwise NotCoupleable is
         raised with the failing support point.
         """
-        self._ensure_memos()
         key = (ell, t)
         cached = self._step_memo.get(key)
         if cached is not None:
@@ -354,7 +379,7 @@ class PartitionKernel:
             if t != 0:
                 raise DomainError("only the empty composition has total 0")
             return {(1,) * d: ONE}
-        if self.max_a_index() - ell <= 1:
+        if self.r - ell <= 1:
             # beyond this shift only single-part compositions carry mass
             if len(c) != 1:
                 raise DomainError(f"composition {c} carries no mass at shift {ell}")
@@ -389,7 +414,7 @@ class PartitionKernel:
                 if remaining != 0:
                     raise DomainError("parts do not sum to the stated total")
                 return ("append", j), prob
-            if self.max_a_index() - ell <= 1:
+            if self.r - ell <= 1:
                 if j != len(parts) - 1:
                     raise DomainError(f"state off support at shift {ell}")
                 return ("inc", j), prob
@@ -443,69 +468,30 @@ def _monotone_move_probs(low: Dict[int, Fraction], high: Dict[int, Fraction]) ->
 
 
 class PairTables(PartitionKernel):
-    """Partition values for a generic weight pair, from the part-count table.
-
-    ``f[t][k]`` sums the b-products over k-part compositions of t; the
-    partition value of any left shift of the count weights is then a
-    single weighted column sum.
-    """
+    """Partition values for a generic weight pair, from the peeling recursion."""
 
     def __init__(self, wp: WeightPair, cls: ArithClass = PLAIN, total_horizon: Optional[int] = None,
                  validate: bool = True):
         if validate:
             wp.check_nondegenerate(cls)
-        self.wp = wp
-        self.cls = cls
-        self.d = cls.d
         n = wp.b.horizon if total_horizon is None else total_horizon
         if n > wp.b.horizon:
             raise HorizonError(f"pair tables to total {n} need b up to {n}, have {wp.b.horizon}")
+        super().__init__(cls.d, wp.max_a_index)
+        self.wp = wp
+        self.cls = cls
         self.total_horizon = n
-        f = [[ZERO] * (n + 1) for _ in range(n + 1)]
-        f[0][0] = ONE
-        for t in range(1, n + 1):
-            row = f[t]
-            for m in range(1, t + 1):
-                bm = wp.b[m]
-                if bm == 0:
-                    continue
-                prev = f[t - m]
-                for k in range(1, t + 1):
-                    if prev[k - 1]:
-                        row[k] += bm * prev[k - 1]
-        self._f = f
-        self._z: Dict[Tuple[int, int], Fraction] = {}
-
-    def f_value(self, t: int, k: int) -> Fraction:
-        if t > self.total_horizon:
-            raise HorizonError(f"part-count table only reaches total {self.total_horizon}")
-        if k < 0 or k > t:
-            return ZERO
-        return self._f[t][k]
-
-    def a_weight(self, i: int) -> Fraction:
-        return self.wp.a_at(i)
+        self._z = peel_partition_values(wp.a[:self.r + 1], n, wp.b.__getitem__)
 
     def b_weight(self, m: int) -> Fraction:
         return self.wp.b[m]
 
-    def max_a_index(self) -> int:
-        return self.wp.max_a_index
-
     def partition_value(self, ell: int, t: int) -> Fraction:
-        key = (ell, t)
-        cached = self._z.get(key)
-        if cached is not None:
-            return cached
+        if ell < 0 or t < 0:
+            raise DomainError("partition values need a non-negative shift and total")
         if t > self.total_horizon:
             raise HorizonError(f"partition value at total {t} beyond horizon {self.total_horizon}")
-        row = self._f[t]
-        z = ZERO
-        for k in range(0, t + 1):
-            if row[k]:
-                z += self.wp.a_at(k + ell) * row[k]
-        self._z[key] = z
-        return z
+        return self._z[ell][t] if ell <= self.r else ZERO
 
 
 def partition_function(wp: WeightPair, n: int, cls: ArithClass = PLAIN) -> Fraction:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .compositions import PartitionKernel, ZERO, ONE, as_fraction
+from .compositions import PartitionKernel, ZERO, ONE, as_fraction, peel_partition_values
 from .errors import DomainError, HorizonError, Refused, ZeroMassError
 from .treespace import PlaneTree, ROOT, Word, decompose_root
 
@@ -167,16 +167,15 @@ def tilt(w, alpha, beta) -> WeightSequence:
 
 
 class PartitionTables(PartitionKernel):
-    """Exact tables for a weight sequence: tree masses and forest counts.
+    """Exact tables for a weight sequence: tree masses and shifted partition values.
 
-    ``b_n`` is the total mass of trees with n vertices, ``f`` the
-    weighted count of ordered forests by total size and tree count.  Two
-    storage layouts exist: the single array used in the plain case and
-    the per-residue arrays used in the arithmetic case; both expose the
-    same partition values and therefore the same kernels.
+    ``b_n`` is the total mass of trees with n vertices and
+    ``Z_ell(t) = sum_k w_{k+ell} f(t, k)``, where ``f(t, k)`` weighs the
+    ordered k-tree forests with t vertices.  One peeling recursion builds
+    both, for every d: ``b_n = Z_0(n - 1)``.
     """
 
-    def __init__(self, w: WeightSequence, d: int, N: int, method: str):
+    def __init__(self, w: WeightSequence, d: int, N: int):
         w = coerce_weights(w)
         if d < 1:
             raise DomainError("d must be >= 1")
@@ -193,155 +192,32 @@ class PartitionTables(PartitionKernel):
                 raise DomainError(f"weights must be supported on multiples of d={d}")
             if w[0] == 0 or w[d] == 0:
                 raise DomainError(f"need w_0 w_{d} > 0")
-        if method not in ("direct", "arithmetic"):
-            raise DomainError(f"unknown table method {method!r}")
-        if method == "direct" and d != 1:
-            raise DomainError("the direct recursion applies to d = 1 only")
+        super().__init__(d, w.radius)
         self.w = w
-        self.d = d
         self.N = N
-        self.method = method
-        self._z: Dict[Tuple[int, int], Fraction] = {}
         self._rows: Dict[frozenset, Dict] = {}
-        if method == "direct":
-            self._build_direct()
-        else:
-            self._build_arithmetic()
-
-    # -- construction ------------------------------------------------------
-
-    def _build_direct(self):
-        w, nt = self.w, self.N - 1
-        f = [[ZERO] * (nt + 1) for _ in range(nt + 1)]
-        f[0][0] = ONE
-        b = {1: w[0]}
-        if nt >= 1:
-            f[1][1] = b[1]
-        for t in range(2, nt + 1):
-            b[t] = self._column_sum(f[t - 1], 0)
-            f[t][1] = b[t]
-            prev = f[t - 1]
-            for k in range(2, t + 1):
-                acc = ZERO
-                for i in range(0, self.w.radius + 1):
-                    wi = w[i]
-                    if wi and k + i - 1 <= nt:
-                        acc += wi * prev[k + i - 1]
-                f[t][k] = acc
-        if nt >= 1:
-            b[nt + 1] = self._column_sum(f[nt], 0)
-        self._f = f
-        self.b = b
-
-    def _column_sum(self, row, ell):
-        w = self.w
-        acc = ZERO
-        for k, val in enumerate(row):
-            if val:
-                acc += w[k + ell] * val
-        return acc
-
-    def _build_arithmetic(self):
-        w, d, nt = self.w, self.d, self.N - 1
-        nmax = nt // d
-        big = [[[ZERO] * (nmax + 2) for _ in range(nmax + 2)] for _ in range(d)]
-        r = w.radius // d
-        wprog = [w[j * d] for j in range(r + 1)]
-        big[0][0][0] = ONE
-        # residue rows at level 0
-        for s in range(1, d):
-            for k in range(nmax + 2):
-                acc = ZERO
-                for j, wj in enumerate(wprog):
-                    if wj and k + j <= nmax + 1:
-                        acc += wj * big[s - 1][0][k + j]
-                big[s][0][k] = acc
-        for n in range(1, nmax + 2):
-            for k in range(1, nmax + 2):
-                acc = ZERO
-                for j, wj in enumerate(wprog):
-                    if wj and 0 <= k + j - 1 <= nmax + 1:
-                        acc += wj * big[d - 1][n - 1][k + j - 1]
-                big[0][n][k] = acc
-            for s in range(1, d):
-                for k in range(nmax + 2):
-                    acc = ZERO
-                    for j, wj in enumerate(wprog):
-                        if wj and k + j <= nmax + 1:
-                            acc += wj * big[s - 1][n][k + j]
-                    big[s][n][k] = acc
-        self._F = big
-        self._nmax = nmax
-        b = {}
-        for n in range(0, (self.N - 1) // d + 1):
-            total = n * d + 1
-            if total <= self.N:
-                acc = ZERO
-                for k, wk in enumerate(wprog):
-                    if wk:
-                        acc += wk * self.F_value(0, n, k)
-                b[total] = acc
-        self.b = b
-
-    # -- raw table access ----------------------------------------------------
-
-    def f_value(self, t: int, k: int) -> Fraction:
-        """Weighted number of k-tree forests with t vertices in total."""
-        if t < 0 or k < 0 or k > t:
-            return ZERO
-        if t > self.N - 1:
-            raise HorizonError(f"forest table only reaches total {self.N - 1}")
-        if self.method == "direct":
-            return self._f[t][k]
-        if k % self.d != t % self.d:
-            return ZERO
-        return self.F_value(t % self.d, t // self.d, (k - t % self.d) // self.d)
-
-    def F_value(self, s: int, n: int, k: int) -> Fraction:
-        if self.method == "direct":
-            if s != 0:
-                raise DomainError("direct tables have a single residue array")
-            return self._f[n][k] if 0 <= n <= self.N - 1 and 0 <= k <= self.N - 1 else ZERO
-        if n < 0 or k < 0 or n > self._nmax + 1 or k > self._nmax + 1:
-            return ZERO
-        return self._F[s][n][k]
+        self._z = peel_partition_values(w.entries[:self.r + 1], N - 1)
 
     def b_value(self, n: int) -> Fraction:
         if n < 1:
             raise DomainError("tree sizes start at 1")
         if n > self.N:
             raise HorizonError(f"b_{n} beyond the vertex horizon {self.N}")
-        return self.b.get(n, ZERO)
+        return self._z[0][n - 1]
 
     # -- PartitionKernel surface ----------------------------------------------
-
-    def a_weight(self, i: int) -> Fraction:
-        return self.w[i]
 
     def b_weight(self, m: int) -> Fraction:
         return self.b_value(m)
 
-    def max_a_index(self) -> int:
-        return self.w.radius
-
     def partition_value(self, ell: int, t: int) -> Fraction:
-        key = (ell, t)
-        cached = self._z.get(key)
-        if cached is not None:
-            return cached
-        if t < 0:
-            raise DomainError("partition values need a non-negative total")
+        if ell < 0 or t < 0:
+            raise DomainError("partition values need a non-negative shift and total")
         if t > self.N - 1:
             raise HorizonError(f"partition value at total {t} beyond horizon {self.N - 1}")
-        w, d = self.w, self.d
-        s = t % d
-        acc = ZERO
-        for k in range(0, t // d + 1):
-            fv = self.F_value(s, t // d, k) if self.method == "arithmetic" else self._f[t][k * d + s]
-            if fv:
-                acc += w[k * d + s + ell] * fv
-        self._z[key] = acc
-        return acc
+        if self.w.horizon is not None and ell + t > self.w.horizon:
+            raise HorizonError(f"w_{ell + t} requested beyond declared truncation horizon {self.w.horizon}")
+        return self._z[ell][t] if ell <= self.r else ZERO
 
     def ratio(self, n: int, q: int, s: int) -> Fraction:
         """Partition ratio of the (q*d+s)-shifted weights between adjacent levels."""
@@ -353,11 +229,9 @@ class PartitionTables(PartitionKernel):
         return num / den
 
 
-def compute_tables(w, d: int = 1, N: int = 10, method: Optional[str] = None) -> PartitionTables:
+def compute_tables(w, d: int = 1, N: int = 10) -> PartitionTables:
     """Build the exact tables needed for laws and kernels up to N vertices."""
-    if method is None:
-        method = "direct" if d == 1 else "arithmetic"
-    return PartitionTables(coerce_weights(w), d, N, method)
+    return PartitionTables(coerce_weights(w), d, N)
 
 
 def sg_distribution(w, d: int, n: int, tables: Optional[PartitionTables] = None) -> Dict[PlaneTree, Fraction]:
@@ -386,28 +260,51 @@ def sg_distribution(w, d: int, n: int, tables: Optional[PartitionTables] = None)
     return law
 
 
+def forest_array(w, T: int) -> List[List[Fraction]]:
+    """``f[t][k]``: weighted count of ordered k-tree forests with t vertices, for t, k <= T.
+
+    Lukasiewicz recursion on the first vertex, whose i children join the
+    remaining trees: ``f(t, k) = sum_i w_i f(t - 1, k + i - 1)``.
+    """
+    w = coerce_weights(w)
+    support = [(i, w[i]) for i in w.support()]
+    f = [[ZERO] * (T + 1) for _ in range(T + 1)]
+    f[0][0] = ONE
+    for t in range(1, T + 1):
+        prev = f[t - 1]
+        for k in range(1, t + 1):
+            acc = ZERO
+            for i, wi in support:
+                j = k + i - 1
+                if j < t and prev[j]:
+                    acc += wi * prev[j]
+            f[t][k] = acc
+    return f
+
+
 def check_tp2_array(tables: PartitionTables, N: Optional[int] = None) -> CheckReport:
-    """Exactly verify all 2x2 minors of the forest arrays are non-negative."""
+    """Exactly verify all 2x2 minors of the forest arrays are non-negative.
+
+    There is one array per residue s mod d, ``F_s(n, k) = f(nd + s, kd + s)``;
+    rows and columns run over 1..N when d = 1 and over 0..N otherwise, with
+    N capped by the tables' vertex horizon.
+    """
     report = CheckReport(name="tp2-array")
-    if tables.method == "direct":
-        top = min(N if N is not None else tables.N - 1, tables.N - 1)
-        for n in range(1, top + 1):
+    d = tables.d
+    cap = (tables.N - 1) // d
+    top = cap if N is None else min(N, cap)
+    low = 1 if d == 1 else 0
+    f = forest_array(tables.w, top * d + d - 1)
+    for s in range(d):
+        F = [[f[n * d + s][k * d + s] for k in range(top + 1)] for n in range(top + 1)]
+        where = {"s": s} if d > 1 else {}
+        for n in range(low, top + 1):
             for n2 in range(n, top + 1):
-                for k in range(1, top + 1):
+                for k in range(low, top + 1):
                     for k2 in range(k, top + 1):
-                        lhs = tables.f_value(n, k) * tables.f_value(n2, k2)
-                        rhs = tables.f_value(n, k2) * tables.f_value(n2, k)
-                        report.record(lhs >= rhs, n=n, n2=n2, k=k, k2=k2, lhs=lhs, rhs=rhs)
-        return report
-    top = min(N if N is not None else tables._nmax, tables._nmax)
-    for s in range(tables.d):
-        for n in range(0, top + 1):
-            for n2 in range(n, top + 1):
-                for k in range(0, top + 1):
-                    for k2 in range(k, top + 1):
-                        lhs = tables.F_value(s, n, k) * tables.F_value(s, n2, k2)
-                        rhs = tables.F_value(s, n, k2) * tables.F_value(s, n2, k)
-                        report.record(lhs >= rhs, s=s, n=n, n2=n2, k=k, k2=k2, lhs=lhs, rhs=rhs)
+                        lhs = F[n][k] * F[n2][k2]
+                        rhs = F[n][k2] * F[n2][k]
+                        report.record(lhs >= rhs, **where, n=n, n2=n2, k=k, k2=k2, lhs=lhs, rhs=rhs)
     return report
 
 
@@ -421,7 +318,7 @@ def check_ratio_chain(tables: PartitionTables, n_max: Optional[int] = None) -> C
     """
     report = CheckReport(name="ratio-chain")
     d = tables.d
-    r = tables.w.radius // d
+    r = tables.r // d
     if n_max is None:
         n_max = (tables.N - 1) // d - 1
     for n in range(0, n_max + 1):

@@ -7,16 +7,19 @@ common denominator against exact cumulative thresholds, so no rounding
 enters anywhere.  numpy only vectorizes the integer comparisons.
 """
 
+import hashlib
 import itertools
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 
+from treegrow.compositions import iter_compositions
 from treegrow.oracle import enumerate_plane_trees, enumerate_subtrees
 from treegrow.sgtrees import growth_kernel_row
 from treegrow.subtree_model import nested_coupling_law
-from treegrow.treespace import ROOT
+from treegrow.treespace import ROOT, format_tree
 
 
 def random_subtree(rng, n_max=5, positions=(1, 2, 3)):
@@ -32,6 +35,40 @@ def random_shuffle_for(tau, rng, span=9):
         images = rng.sample(range(1, span + 1), len(positions))
         g[u] = dict(zip(positions, images))
     return g
+
+
+def tree_mass_sum(w, n, d=1):
+    """Total mass of the n-vertex plane trees with out-degrees in dZ: the enumeration side of b_n."""
+    total = Fraction(0)
+    for tree in enumerate_plane_trees(n, d):
+        mass = Fraction(1)
+        for u in tree.vertices:
+            mass *= w[tree.children_count(u)]
+        total += mass
+    return total
+
+
+def composition_sum(w, b, ell, t):
+    """Raw partition value: sum over compositions c of t of w_{len(c)+ell} * prod b_{c_i}."""
+    total = Fraction(0)
+    for c in iter_compositions(t):
+        mass = w[len(c) + ell]
+        for p in c:
+            mass *= b(p)
+        total += mass
+    return total
+
+
+def kernel_rows_digest(tables, w, d, n_max):
+    """SHA-256 of every growth-kernel row from a tree of at most n_max vertices carrying mass."""
+    rows = []
+    for n in range(1, n_max + 1, d):
+        for tree in enumerate_plane_trees(n, d):
+            if any(w[tree.children_count(u)] == 0 for u in tree.vertices):
+                continue
+            row = growth_kernel_row(tables, tree)
+            rows.append([format_tree(tree), sorted([format_tree(t), str(p)] for t, p in row.items())])
+    return len(rows), hashlib.sha256(json.dumps(sorted(rows)).encode()).hexdigest()
 
 
 def integer_thresholds(masses):

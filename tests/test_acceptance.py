@@ -97,21 +97,30 @@ def test_c03_growth_shape_battery():
     report(3, True, f"10^4 chains per model, {checked} steps, all right-leaning additions")
 
 
-def test_c04_d1_reduction_bit_identical():
-    w = WeightSequence([1] * 9)
-    direct = compute_tables(w, 1, N=8, method="direct")
-    arith = compute_tables(w, 1, N=8, method="arithmetic")
-    for n in range(1, 9):
-        assert direct.b_value(n) == arith.b_value(n)
-    for t in range(0, 8):
-        for k in range(0, t + 1):
-            assert direct.f_value(t, k) == arith.f_value(t, k)
-    rows = 0
-    for n in range(1, 8):
-        for tree in enumerate_plane_trees(n):
-            assert growth_kernel_row(direct, tree) == growth_kernel_row(arith, tree)
-            rows += 1
-    report(4, True, f"direct and arithmetic paths agree bit-for-bit on tables and {rows} kernel rows")
+# (entries, d, kernel rows from trees of at most 7 vertices, their SHA-256 pinned from the
+# table builders that the peeling recursion replaced)
+PINNED_ROWS = (
+    ([1] * 9, 1, 197, "e841130f3ab64f56890407899de7a73d0dc47b87924f6bcd7fd7d33727120c53"),
+    ([1, 0, 1], 2, 9, "45eb908ae10283e167bc486a523e7d01be3f3d6c007693ee0e6da3729987b694"),
+    ([2, 0, 0, 1], 3, 5, "02b77657b68d2cbe3df2142de704b6f67b52b8a3edd201d2c683aa635a7c819c"),
+)
+
+
+def test_c04_peeling_recursion_exact():
+    checked = 0
+    for entries, d, n_rows, digest in PINNED_ROWS:
+        w = WeightSequence(entries)
+        tables = compute_tables(w, d, N=7 + d)
+        for n in range(1, 8 + d):
+            assert tables.b_value(n) == helpers.tree_mass_sum(w, n, d)
+            checked += 1
+        for ell in range(tables.r + 1):
+            for t in range(0, 7 + d):
+                assert tables.partition_value(ell, t) == helpers.composition_sum(w, tables.b_value, ell, t)
+                checked += 1
+        assert helpers.kernel_rows_digest(tables, w, d, 7) == (n_rows, digest)
+    report(4, True, f"peeling recursion equals enumeration on {checked} table values; "
+                    f"{sum(r[2] for r in PINNED_ROWS)} kernel rows match their pinned digests")
 
 
 LOG_CONCAVE_WEIGHTS = (
@@ -126,7 +135,7 @@ LOG_CONCAVE_WEIGHTS = (
 def test_c05_inequality_suites():
     for entries, d in LOG_CONCAVE_WEIGHTS:
         w = WeightSequence(entries)
-        tables = compute_tables(w, d, N=22 * d + 1, method="arithmetic" if d > 1 else None)
+        tables = compute_tables(w, d, N=22 * d + 1)
         chain_report = check_ratio_chain(tables, n_max=20)
         assert chain_report.ok, (entries, chain_report.failures[:2])
         tp2_report = check_tp2_array(tables, N=20)

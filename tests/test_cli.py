@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -93,6 +94,76 @@ class TestGrow:
         out.write_text("\n".join(lines) + "\n")
         with pytest.raises(DomainError):
             validate_trace(str(out), "sg")
+
+
+# (model flags, seed, SHA-256 of the trace) pinned from the table builders that the peeling
+# recursion replaced: a fixed seed must keep giving the same trace
+GOLDEN_TRACES = {
+    "sg": (["--model", "sg", "--w", "1,3,3,1", "--n", "40"], 11,
+           "1f634eb8e5504515c9804d3967a70bb052cf8b8eb4601dede890483787c55847"),
+    "sg-arith": (["--model", "sg-arith", "--w", "1,0,2,0,1", "--d", "2", "--n", "41"], 12,
+                 "33fab9a5d9b1998d0f773d9147ee04afff68009fbf898dc780fed89164b8d41b"),
+    "subtree": (["--model", "subtree", "--theta", "1/2,1/3,1/4", "--n", "40"], 13,
+                "2fb880cd0d47de4baec7302df04f18965e9545cef4411b8dc2608a40d40acff2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_TRACES))
+def test_golden_trace(case, tmp_path, capsys):
+    flags, seed, digest = GOLDEN_TRACES[case]
+    out = tmp_path / "trace.jsonl"
+    assert run("grow", *flags, "--seed", str(seed), "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+class TestErrorBoundary:
+    """Every user-facing failure ends in one line on stderr and a documented exit code."""
+
+    def assert_one_line_error(self, capsys, code, expected=1):
+        assert code == expected
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        return err[0]
+
+    def test_enumerate_zero_vertices(self, capsys):
+        self.assert_one_line_error(capsys, run("enumerate", "--plane-trees", "0"))
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        out = tmp_path / "missing-dir" / "trace.jsonl"
+        code = run("grow", "--model", "sg", "--w", "1,1,1", "--n", "4", "--out", str(out))
+        assert "missing-dir" in self.assert_one_line_error(capsys, code)
+
+    def test_missing_config(self, tmp_path, capsys):
+        code = run("grow", "--config", str(tmp_path / "absent.cfg"))
+        assert "absent.cfg" in self.assert_one_line_error(capsys, code)
+
+    def test_config_bad_int(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model = sg\nw = 1,1,1\nn = abc\n")
+        line = self.assert_one_line_error(capsys, run("grow", "--config", str(cfg)))
+        assert line.endswith("bad value for n: 'abc'")
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "stats", "--n-max", "0"],
+        ["verify", "--suite", "stats", "--samples", "0"],
+        ["verify", "--suite", "stats", "--d", "0"],
+        ["enumerate", "--arith-trees", "5", "--d", "0"],
+    ], ids=["verify-n-max", "verify-samples", "verify-d", "enumerate-d"])
+    def test_zero_refused(self, argv, capsys):
+        assert run(*argv) == 1
+        assert "expected a positive integer, got '0'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["n_max", "samples", "d"])
+    def test_zero_refused_in_config(self, key, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"suite = stats\n{key} = 0\n")
+        line = self.assert_one_line_error(capsys, run("verify", "--config", str(cfg)))
+        assert line.endswith(f"bad value for {key}: '0'")
+
+    def test_refused_keeps_witness(self, capsys):
+        assert run("verify", "--suite", "stats", "--w", "2/5,1/5,2/5", "--n-max", "3",
+                   "--samples", "10") == 2
+        assert "index 1" in capsys.readouterr().err
 
 
 class TestEnumerate:

@@ -2,13 +2,15 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import helpers
 from treegrow._rand import derive_rng
 from treegrow.compositions import iter_compositions
 from treegrow.errors import DomainError, HorizonError, Refused, ZeroMassError
 from treegrow.oracle import enumerate_plane_trees, sg_law, tv_distance
 from treegrow.sgtrees import (GrowthChain, WeightSequence, check_ratio_chain, check_toeplitz_tp2,
-                              check_tp2_array, compute_tables, grow_chain, growth_kernel_row,
+                              check_tp2_array, compute_tables, forest_array, grow_chain, growth_kernel_row,
                               is_log_concave, sg_distribution, tilt)
 from treegrow.treespace import (PlaneTree, is_bouquet_addition, is_right_leaning_leaf_addition)
 
@@ -92,13 +94,14 @@ class TestTables:
             assert tables.b_value(n) == total
 
     def test_forest_recursion_example(self):
-        tables = compute_tables(ONES8, 1, N=5)
-        assert tables.f_value(3, 2) == 2
-        assert tables.f_value(3, 2) == tables.f_value(2, 1) + tables.f_value(2, 2) + tables.f_value(2, 3)
+        f = forest_array(ONES8, 4)
+        assert f[3][2] == 2
+        assert f[3][2] == f[2][1] + f[2][2] + f[2][3]
 
     def test_forest_values_match_composition_sums(self):
         w = WeightSequence([1, 2, 1])
         tables = compute_tables(w, 1, N=9)
+        f = forest_array(w, 8)
         for t in range(1, 9):
             for k in range(1, t + 1):
                 direct = F(0)
@@ -109,18 +112,14 @@ class TestTables:
                     for p in c:
                         m *= tables.b_value(p)
                     direct += m
-                assert tables.f_value(t, k) == direct
+                assert f[t][k] == direct
 
     def test_b_consistency(self):
         w = WeightSequence([1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1])
         tables = compute_tables(w, 1, N=10)
-        for n in range(1, 10):
-            acc = F(0)
-            for k in range(1, n + 1):
-                acc += w[k] * tables.f_value(n, k)
-            if n == 0:
-                acc += w[0]
-            assert tables.b_value(n + 1) == acc if n >= 1 else True
+        f = forest_array(w, 9)
+        for n in range(0, 10):
+            assert tables.b_value(n + 1) == sum(w[k] * f[n][k] for k in range(n + 1))
 
     def test_arithmetic_binary(self):
         tables = compute_tables(WeightSequence([1, 0, 1]), 2, N=9)
@@ -138,24 +137,30 @@ class TestTables:
                 total += mass
             assert tables.b_value(n) == total
 
-    def test_d1_reduction_bit_identical(self):
-        w = ONES8
-        direct = compute_tables(w, 1, N=8, method="direct")
-        arith = compute_tables(w, 1, N=8, method="arithmetic")
-        for n in range(1, 9):
-            assert direct.b_value(n) == arith.b_value(n)
-        for t in range(0, 8):
-            for k in range(0, t + 1):
-                assert direct.f_value(t, k) == arith.f_value(t, k)
-        for n in range(1, 8):
-            for tree in enumerate_plane_trees(n):
-                assert growth_kernel_row(direct, tree) == growth_kernel_row(arith, tree)
+    @given(d=st.integers(1, 3), data=st.data(), N=st.integers(1, 9))
+    @settings(max_examples=40, deadline=None)
+    def test_recursion_matches_enumeration(self, d, data, N):
+        # random d-arithmetic weights of radius <= 4 with w_0 w_d > 0
+        positive = st.fractions(min_value=F(1, 3), max_value=4, max_denominator=3)
+        entries = [F(0)] * 5
+        for i in range(0, 5, d):
+            entries[i] = data.draw(positive if i in (0, d) else positive | st.just(F(0)))
+        w = WeightSequence(entries)
+        tables = compute_tables(w, d, N=N)
+        for n in range(1, N + 1):
+            assert tables.b_value(n) == helpers.tree_mass_sum(w, n, d)
+        for ell in range(tables.r + 2):
+            for t in range(N):
+                assert tables.partition_value(ell, t) == helpers.composition_sum(w, tables.b_value, ell, t)
 
     def test_horizon_exceeded(self):
         w = WeightSequence([1] * 6, horizon=5)
         with pytest.raises(HorizonError):
             compute_tables(w, 1, N=8)
-        compute_tables(w, 1, N=6)  # within the truncation
+        tables = compute_tables(w, 1, N=6)  # within the truncation
+        assert tables.partition_value(0, 5) == 42
+        with pytest.raises(HorizonError):
+            tables.partition_value(1, 5)  # needs w_6, past the truncation
 
     def test_degenerate_weights(self):
         with pytest.raises(DomainError):
@@ -197,7 +202,7 @@ class TestInequalitySuites:
     ])
     def test_ratio_chain_log_concave(self, entries, d, n_max):
         w = WeightSequence(entries)
-        tables = compute_tables(w, d, N=(n_max + 2) * d + 1, method="arithmetic" if d > 1 else None)
+        tables = compute_tables(w, d, N=(n_max + 2) * d + 1)
         report = check_ratio_chain(tables, n_max=n_max)
         assert report.ok, report.failures[:3]
 
@@ -216,9 +221,9 @@ class TestInequalitySuites:
         assert check_tp2_array(tables, N=10).ok
 
     def test_tp2_spot_value(self):
-        tables = compute_tables(ONES8, 1, N=5)
-        lhs = tables.f_value(2, 1) * tables.f_value(3, 2)
-        rhs = tables.f_value(2, 2) * tables.f_value(3, 1)
+        f = forest_array(ONES8, 4)
+        lhs = f[2][1] * f[3][2]
+        rhs = f[2][2] * f[3][1]
         assert lhs == rhs == 2
 
     def test_tp2_arithmetic(self):
