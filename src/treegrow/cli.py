@@ -14,20 +14,28 @@ from typing import Dict, List, Optional
 
 from . import __version__
 from ._rand import derive_rng
-from .compositions import as_fraction
-from .errors import DomainError, ParseError, Refused, TreegrowError
-from .oracle import (enumerate_plane_trees, enumerate_subtrees, goodness_of_fit, sg_law,
-                     st_law, kernel_interchange_check)
-from .sgtrees import (WeightSequence, check_ratio_chain, check_tp2_array, check_toeplitz_tp2,
-                      compute_tables, forest_array, growth_kernel_row, is_log_concave, GrowthChain)
+from .compositions import as_fraction, check_ratio_chain
+from .errors import DomainError, HorizonError, ParseError, Refused, TreegrowError
+from .oracle import (PLANE_TREE_CAP, SUBTREE_CAP, enumerate_plane_trees, enumerate_subtrees,
+                     goodness_of_fit, sg_law, st_law, subset_law, kernel_interchange_check)
+from .sgtrees import (WeightSequence, check_tp2_array, check_toeplitz_tp2, compute_tables,
+                      forest_array, growth_kernel_row, is_log_concave, GrowthChain)
 from .subtree_model import (SubtreeChain, SummableTheta, bij_P, bij_P_inv, nested_coupling_law,
-                            nested_thresholds, sigma_rule, subset_distribution,
-                            shuffle_invariance_check)
+                            nested_thresholds, sigma_rule, shuffle_invariance_check)
 from .treespace import (format_tree, is_bouquet_addition,
                         is_right_leaning_leaf_addition, parse_tree, to_dot, word_to_text)
 
 SUITES = ("tables", "tp2", "ratio-chain", "kernel-interchange", "bijection",
           "subset-coupling", "shuffle-invariance", "stats")
+
+# --n-max caps not set by the enumeration caps of oracle.  On a 2-CPU Xeon:
+# tp2 checks O(n^4) minors (n-max 24 takes about 1 s, 40 about 5 s);
+# ratio-chain builds O(n^2) ever longer rationals (1000 takes about 8 s for
+# w = 1,3,3,1); shuffle-invariance sums over every decorated plane tree, with
+# 2^n decorations each.
+TP2_CAP = 40
+RATIO_CHAIN_CAP = 1000
+SHUFFLE_CAP = 4
 
 
 def parse_rational_list(text: str) -> List[Fraction]:
@@ -51,6 +59,14 @@ def positive_int(text: str) -> int:
 def _given(value, default):
     """The option's value, or ``default`` when it was not given (0 is a value, not a default)."""
     return default if value is None else value
+
+
+def _n_max(args, default: int, cap: int) -> int:
+    """The suite's ``--n-max``, refused above the largest size the suite can honour."""
+    n_max = _given(args.n_max, default)
+    if n_max > cap:
+        raise HorizonError(f"--n-max {n_max} is above the cap {cap} of the {args.suite} suite")
+    return n_max
 
 
 def parse_config_file(path: str) -> Dict[str, str]:
@@ -101,7 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--w")
     verify.add_argument("--theta")
     verify.add_argument("--d", type=positive_int)
-    verify.add_argument("--n-max", dest="n_max", type=positive_int)
+    verify.add_argument("--n-max", dest="n_max", type=positive_int,
+                        help="largest size checked; refused above the suite's cap")
     verify.add_argument("--seed", type=int)
     verify.add_argument("--samples", type=positive_int, help="sample count for the stats suite")
     verify.add_argument("--out", help="write the JSON report here as well")
@@ -201,7 +218,7 @@ def validate_trace(path: str, model: str, d: int = 1):
 def _suite_tables(args) -> dict:
     w = WeightSequence(parse_rational_list(_given(args.w, "1,1,1,1,1,1,1,1")))
     d = _given(args.d, 1)
-    n_max = _given(args.n_max, 7)
+    n_max = _n_max(args, 7, PLANE_TREE_CAP)
     tables = compute_tables(w, d, N=n_max + d)
     failures = []
     checked = 0
@@ -233,7 +250,7 @@ def _omega(w, tree) -> Fraction:
 def _suite_tp2(args) -> dict:
     w = WeightSequence(parse_rational_list(_given(args.w, "1,1,1,1,1,1,1,1")))
     d = _given(args.d, 1)
-    n_max = _given(args.n_max, 10)
+    n_max = _n_max(args, 10, TP2_CAP)
     lc = is_log_concave(w.progression(d))
     toeplitz = check_toeplitz_tp2(w.progression(d), window=min(n_max, 8))
     tables = compute_tables(w, d, N=n_max + 1)
@@ -246,7 +263,7 @@ def _suite_tp2(args) -> dict:
 def _suite_ratio_chain(args) -> dict:
     w = WeightSequence(parse_rational_list(_given(args.w, "1,3,3,1")))
     d = _given(args.d, 1)
-    n_max = _given(args.n_max, 10)
+    n_max = _n_max(args, 10, RATIO_CHAIN_CAP)
     tables = compute_tables(w, d, N=(n_max + 2) * d + 1)
     report = check_ratio_chain(tables, n_max=n_max)
     return {"suite": "ratio-chain", **report.as_dict()}
@@ -255,7 +272,7 @@ def _suite_ratio_chain(args) -> dict:
 def _suite_kernel_interchange(args) -> dict:
     w = WeightSequence(parse_rational_list(_given(args.w, "1,1,1,1,1,1,1")))
     d = _given(args.d, 1)
-    n_max = _given(args.n_max, 6)
+    n_max = _n_max(args, 6, PLANE_TREE_CAP - d)  # the last level enumerates trees of size n + d
     tables = compute_tables(w, d, N=n_max + d)
     results = []
     ok = True
@@ -271,7 +288,7 @@ def _suite_kernel_interchange(args) -> dict:
 
 
 def _suite_bijection(args) -> dict:
-    n_max = _given(args.n_max, 5)
+    n_max = _n_max(args, 5, SUBTREE_CAP)
     failures = []
     checked = 0
     for n in range(1, n_max + 1):
@@ -285,6 +302,8 @@ def _suite_bijection(args) -> dict:
 
 
 def _suite_subset_coupling(args) -> dict:
+    if args.n_max is not None:
+        raise DomainError("the subset-coupling suite takes no --n-max: its size is the support of --theta")
     theta = SummableTheta(parse_rational_list(_given(args.theta, "2,1")))
     law = nested_coupling_law(theta)
     failures = []
@@ -297,14 +316,14 @@ def _suite_subset_coupling(args) -> dict:
         for seq, mass in law.items():
             key = frozenset(seq[:k])
             marginal[key] = marginal.get(key, Fraction(0)) + mass
-        target = subset_distribution(theta, k)
+        target = subset_law(theta, k)
         if marginal != target:
             failures.append({"kind": "marginal-mismatch", "k": k})
     return {"suite": "subset-coupling", "ok": not failures, "failures": failures}
 
 
 def _suite_shuffle_invariance(args) -> dict:
-    n_max = min(_given(args.n_max, 4), 4)
+    n_max = _n_max(args, 4, SHUFFLE_CAP)
     w = WeightSequence(parse_rational_list(_given(args.w, "1,2,1")))
     nu = {(1, 2): Fraction(1, 2), (2, 1): Fraction(1, 2)}
 
@@ -322,7 +341,7 @@ def _suite_stats(args) -> dict:
     ok = True
     if args.theta:
         theta = SummableTheta(parse_rational_list(args.theta))
-        target_n = _given(args.n_max, 4)
+        target_n = _n_max(args, 4, SUBTREE_CAP)
         law = st_law(theta, target_n)
         counts: Dict[frozenset, int] = {}
         for i in range(samples):
@@ -337,7 +356,7 @@ def _suite_stats(args) -> dict:
     else:
         w = WeightSequence(parse_rational_list(_given(args.w, "1,1,1,1,1,1")))
         d = _given(args.d, 1)
-        target_n = _given(args.n_max, 5 if d == 1 else d + 1)
+        target_n = _n_max(args, 5 if d == 1 else d + 1, PLANE_TREE_CAP)
         law = sg_law(w, d, target_n)
         tables = compute_tables(w, d, N=target_n)
         counts: Dict[object, int] = {}

@@ -216,11 +216,6 @@ class WeightPair:
                 if (self.b[m] != 0) != (m % d == 1):
                     raise DomainError(f"degenerate weight pair: b must be supported exactly on 1 mod d (b_{m})")
 
-    def shift_count(self, cls: ArithClass = PLAIN) -> int:
-        """Number of valid left shifts r: the length of the shift ladder."""
-        d, s = cls.d, cls.s
-        return (self.max_a_index - s) // d
-
     def total_has_mass(self, n: int, cls: ArithClass = PLAIN) -> bool:
         """Whether compositions of n carry mass (the residue matches s mod d)."""
         return n % cls.d == cls.s % cls.d
@@ -330,6 +325,15 @@ class PartitionKernel:
         raise NotImplementedError
 
     # -- derived machinery -------------------------------------------------
+
+    def ratio(self, n: int, q: int, s: int) -> Fraction:
+        """Partition ratio of the (q*d+s)-shifted weights between adjacent levels."""
+        d = self.d
+        num = self.partition_value(q * d + s, n * d + (d - s))
+        den = self.partition_value(q * d + s, (n - 1) * d + (d - s))
+        if den == 0:
+            raise ZeroMassError(f"vanishing partition value at n={n}, shift ({q},{s})")
+        return num / den
 
     def reindexed_first_part_law(self, ell: int, t: int) -> Dict[int, Fraction]:
         """Law of (first part - 1)/d at shift ``ell`` and total ``t``."""
@@ -502,26 +506,6 @@ def partition_function(wp: WeightPair, n: int, cls: ArithClass = PLAIN) -> Fract
     return PairTables(wp, cls, total_horizon=n, validate=False).partition_value(0, n)
 
 
-def comp_distribution(wp: WeightPair, n: int, cls: ArithClass = PLAIN) -> Dict[Composition, Fraction]:
-    """The exact law on compositions of n induced by the weight pair."""
-    wp.check_nondegenerate(cls)
-    z = partition_function(wp, n, cls)
-    if z == 0:
-        raise ZeroMassError(f"zero total mass at n={n} for class (d={cls.d}, s={cls.s})")
-    law: Dict[Composition, Fraction] = {}
-    for c in iter_compositions(n, cls if cls.d > 1 else None):
-        mass = wp.a_at(len(c))
-        if mass == 0:
-            continue
-        for p in c:
-            mass *= wp.b[p]
-            if mass == 0:
-                break
-        if mass:
-            law[c] = mass / z
-    return law
-
-
 def first_part_law(wp: WeightPair, n: int, cls: ArithClass = PLAIN) -> StepLaw:
     """Law of the first part under the composition law at total n.
 
@@ -567,102 +551,73 @@ def composition_kernel(wp: WeightPair, cls: ArithClass, n: int, c: Composition) 
     return tables.kernel_row(0, n, c)
 
 
-@dataclass(frozen=True)
-class InequalityFailure:
-    n: int
-    position: Tuple[int, int]  # (q, s) grid coordinates; (ell, 0) when d = 1
-    kind: str
-    lhs: Fraction
-    rhs: Fraction
-
-    def as_dict(self):
-        return {
-            "n": self.n,
-            "position": list(self.position),
-            "kind": self.kind,
-            "lhs": str(self.lhs),
-            "rhs": str(self.rhs),
-        }
-
-
 @dataclass
-class AdmissibilityReport:
-    horizon: int
+class CheckReport:
+    """Outcome of an exact verification suite: a count and a failure list."""
+
+    name: str
     checked: int = 0
-    failures: List[InequalityFailure] = field(default_factory=list)
-    note: str = ""
+    failures: List[dict] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
+    def record(self, ok: bool, **context):
+        self.checked += 1
+        if not ok:
+            self.failures.append({k: (str(v) if isinstance(v, Fraction) else v) for k, v in context.items()})
+
     def as_dict(self):
-        return {
-            "horizon": self.horizon,
-            "checked": self.checked,
-            "ok": self.ok,
-            "note": self.note,
-            "failures": [f.as_dict() for f in self.failures],
-        }
+        return {"name": self.name, "checked": self.checked, "ok": self.ok, "failures": self.failures}
 
 
-def check_admissibility_inequalities(wp: WeightPair, cls: ArithClass = PLAIN, N: int = 10) -> AdmissibilityReport:
-    """Verify the ratio inequalities that make the pair's chain coupleable.
+def check_ratio_chain(tables: PartitionKernel, n_max: int) -> CheckReport:
+    """Verify the descending chain of shifted partition ratios and its endpoints.
 
-    For each n <= N the shifted-pair partition ratios must decrease along
-    the shift ladder and stay between the consecutive b-ratios; every
-    exact failure is recorded with its grid position and both sides.
+    For each level n <= n_max the ratios ``tables.ratio(n, q, s)``, read
+    along the shift ladder, must be non-increasing.  The first may not
+    exceed the ratio of consecutive part weights one level up; the last
+    equals the ratio one level down, because at the last shift only
+    single-part compositions carry mass.  Failures carry the exact values
+    of both sides.
+    """
+    report = CheckReport(name="ratio-chain")
+    d = tables.d
+    r = tables.r // d
+    b = tables.b_weight
+    for n in range(0, n_max + 1):
+        grid = [(q, s) for s in range(d) for q in range(r)] if n >= 1 else [(q, 0) for q in range(r)]
+        values = [(q, s, tables.ratio(n, q, s)) for q, s in grid]
+        for (q1, s1, v1), (q2, s2, v2) in zip(values, values[1:]):
+            report.record(v1 >= v2, n=n, hi=(q1, s1), lo=(q2, s2), lhs=v1, rhs=v2)
+        upper = b((n + 1) * d + 1) / b(n * d + 1)
+        report.record(values[0][2] <= upper, n=n, kind="upper-endpoint", lhs=values[0][2], rhs=upper)
+        if n >= 1:
+            lower = b(n * d + 1) / b((n - 1) * d + 1)
+            report.record(values[-1][2] == lower, n=n, kind="lower-endpoint", lhs=values[-1][2], rhs=lower)
+    return report
+
+
+def check_admissibility_inequalities(wp: WeightPair, cls: ArithClass = PLAIN, N: int = 10) -> CheckReport:
+    """Verify the ratio inequalities that make the pair's chain coupleable, for levels n <= N.
+
+    Pairs whose count weights stop at index 1 (d = 1) only grow
+    single-part compositions: the chain is forced and no inequality is
+    involved, so the report holds no checks.
     """
     wp.check_nondegenerate(cls)
-    d, s0 = cls.d, cls.s
-    if s0 != 0:
+    d = cls.d
+    if cls.s != 0:
         raise DomainError("admissibility checks start from the class (d, 0)")
-    report = AdmissibilityReport(horizon=N)
     if d == 1 and wp.max_a_index <= 1:
-        # only single-part compositions carry mass: the chain is forced,
-        # no coupling inequalities are involved
-        report.note = "trivially admissible: single-part chains"
-        return report
-    r = wp.shift_count(cls)
-    if r < 1:
-        report.note = "trivially admissible: no shift ladder"
-        return report
+        return CheckReport(name="ratio-chain")
     total_horizon = (N + 1) * d + 1
     if total_horizon > wp.b.horizon:
         raise HorizonError(
             f"checking up to n={N} needs b up to {total_horizon}, have {wp.b.horizon}")
     tables = PairTables(wp, cls, total_horizon=total_horizon, validate=False)
-
-    def ratio(q, s, n):
-        ell = q * d + s
-        num = tables.partition_value(ell, n * d + (d - s))
-        den = tables.partition_value(ell, (n - 1) * d + (d - s))
-        return num, den
-
-    for n in range(0, N + 1):
-        grid = [(q, s) for s in range(d) for q in range(r)] if n >= 1 else [(q, 0) for q in range(r)]
-        values = []
-        for q, s in grid:
-            num, den = ratio(q, s, n)
-            if den == 0:
-                raise ZeroMassError(f"partition value vanished at n={n}, shift {(q, s)}")
-            values.append((q, s, Fraction(num, den)))
-        for (q1, s1, v1), (q2, s2, v2) in zip(values, values[1:]):
-            report.checked += 1
-            if not v1 >= v2:
-                report.failures.append(InequalityFailure(n, (q2, s2), "chain-decrease", v1, v2))
-        upper = Fraction(wp.b[(n + 1) * d + 1], wp.b[n * d + 1])
-        report.checked += 1
-        if not values[0][2] <= upper:
-            q, s, v = values[0]
-            report.failures.append(InequalityFailure(n, (q, s), "upper-b-ratio", v, upper))
-        if n >= 1:
-            lower = Fraction(wp.b[n * d + 1], wp.b[(n - 1) * d + 1])
-            report.checked += 1
-            if not values[-1][2] >= lower:
-                q, s, v = values[-1]
-                report.failures.append(InequalityFailure(n, (q, s), "lower-b-ratio", lower, v))
-    return report
+    return check_ratio_chain(tables, N)
 
 
 def apply_move(c: Composition, move: Tuple, d: int) -> Composition:

@@ -14,8 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .compositions import ONE, ZERO, ArithClass, Composition, as_fraction, iter_compositions
+from .compositions import (ONE, PLAIN, ZERO, ArithClass, Composition, WeightPair, as_fraction,
+                           iter_compositions)
 from .errors import DomainError, HorizonError, ZeroMassError
+from .sgtrees import coerce_weights
 from .treespace import PlaneTree, ROOT, RootedSubtree, compose_root
 
 PLANE_TREE_CAP = 10
@@ -187,12 +189,12 @@ def _normalized(masses: Dict) -> Dict:
 
 def sg_law(w, d: int, n: int, max_n: Optional[int] = None) -> Dict[PlaneTree, Fraction]:
     """Size-n tree law from raw weight products (independent of any recursion)."""
-    getter = w.__getitem__ if hasattr(w, "radius") else lambda i: as_fraction(w[i]) if i < len(w) else ZERO
+    w = coerce_weights(w)
     masses = {}
     for tree in enumerate_plane_trees(n, d, max_n=max_n):
         mass = ONE
         for u in tree.vertices:
-            mass *= getter(tree.children_count(u))
+            mass *= w[tree.children_count(u)]
             if mass == 0:
                 break
         if mass:
@@ -215,20 +217,15 @@ def st_law(theta, n: int, max_n: Optional[int] = None) -> Dict[RootedSubtree, Fr
     return _normalized(masses)
 
 
-def comp_law(a, b, n: int, cls: ArithClass = ArithClass(1, 0)) -> Dict[Composition, Fraction]:
-    """Composition law from raw products; ``b`` is indexed from 1."""
-    a = [as_fraction(v) for v in a]
-    b = [as_fraction(v) for v in b]
+def comp_law(wp: WeightPair, n: int, cls: ArithClass = PLAIN) -> Dict[Composition, Fraction]:
+    """Composition law from raw products; a part weight past the horizon of ``wp.b`` raises HorizonError."""
     masses = {}
     for c in iter_compositions(n, cls if cls.d > 1 else None):
-        if len(c) >= len(a):
-            continue
-        mass = a[len(c)]
+        mass = wp.a_at(len(c))
         for p in c:
-            if p > len(b):
-                mass = ZERO
+            if not mass:
                 break
-            mass *= b[p - 1]
+            mass *= wp.b[p]
         if mass:
             masses[c] = mass
     return _normalized(masses)

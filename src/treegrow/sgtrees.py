@@ -15,12 +15,13 @@ spaces, and samples the growth chains.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .compositions import PartitionKernel, ZERO, ONE, as_fraction, peel_partition_values
-from .errors import DomainError, HorizonError, Refused, ZeroMassError
+from .compositions import CheckReport, PartitionKernel, ZERO, ONE, as_fraction, peel_partition_values
+from .compositions import check_ratio_chain  # noqa: F401  (re-exported: it checks tree tables too)
+from .errors import DomainError, HorizonError, Refused
 from .treespace import PlaneTree, ROOT, Word, decompose_root
 
 
@@ -112,27 +113,6 @@ def is_log_concave(xs) -> LogConcavity:
     return LogConcavity(True, None)
 
 
-@dataclass
-class CheckReport:
-    """Outcome of an exact verification suite: a count and a failure list."""
-
-    name: str
-    checked: int = 0
-    failures: List[dict] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def record(self, ok: bool, **context):
-        self.checked += 1
-        if not ok:
-            self.failures.append({k: (str(v) if isinstance(v, Fraction) else v) for k, v in context.items()})
-
-    def as_dict(self):
-        return {"name": self.name, "checked": self.checked, "ok": self.ok, "failures": self.failures}
-
-
 def check_toeplitz_tp2(xs, window: int) -> CheckReport:
     """Verify every 2x2 minor of the Toeplitz matrix ``(x_{i-j})`` is non-negative.
 
@@ -219,45 +199,10 @@ class PartitionTables(PartitionKernel):
             raise HorizonError(f"w_{ell + t} requested beyond declared truncation horizon {self.w.horizon}")
         return self._z[ell][t] if ell <= self.r else ZERO
 
-    def ratio(self, n: int, q: int, s: int) -> Fraction:
-        """Partition ratio of the (q*d+s)-shifted weights between adjacent levels."""
-        d = self.d
-        num = self.partition_value(q * d + s, n * d + (d - s))
-        den = self.partition_value(q * d + s, (n - 1) * d + (d - s))
-        if den == 0:
-            raise ZeroMassError(f"vanishing partition value at n={n}, shift ({q},{s})")
-        return num / den
-
 
 def compute_tables(w, d: int = 1, N: int = 10) -> PartitionTables:
     """Build the exact tables needed for laws and kernels up to N vertices."""
     return PartitionTables(coerce_weights(w), d, N)
-
-
-def sg_distribution(w, d: int, n: int, tables: Optional[PartitionTables] = None) -> Dict[PlaneTree, Fraction]:
-    """The exact size-n tree law: mass of T proportional to the product of its offspring weights."""
-    from .oracle import enumerate_plane_trees
-
-    w = coerce_weights(w)
-    if n % d != 1 % d:
-        raise ZeroMassError(f"no trees of size {n} when offspring counts are multiples of {d}")
-    if tables is None:
-        tables = compute_tables(w, d, N=n)
-    bn = tables.b_value(n)
-    if bn == 0:
-        raise ZeroMassError(f"total tree mass vanishes at size {n}")
-    law: Dict[PlaneTree, Fraction] = {}
-    for tree in enumerate_plane_trees(n, d):
-        mass = ONE
-        for u in tree.vertices:
-            mass *= w[tree.children_count(u)]
-            if mass == 0:
-                break
-        if mass:
-            law[tree] = mass / bn
-    if sum(law.values()) != 1:
-        raise ZeroMassError("tree law does not normalize: table and enumeration disagree")
-    return law
 
 
 def forest_array(w, T: int) -> List[List[Fraction]]:
@@ -305,36 +250,6 @@ def check_tp2_array(tables: PartitionTables, N: Optional[int] = None) -> CheckRe
                         lhs = F[n][k] * F[n2][k2]
                         rhs = F[n][k2] * F[n2][k]
                         report.record(lhs >= rhs, **where, n=n, n2=n2, k=k, k2=k2, lhs=lhs, rhs=rhs)
-    return report
-
-
-def check_ratio_chain(tables: PartitionTables, n_max: Optional[int] = None) -> CheckReport:
-    """Verify the descending chain of shifted partition ratios and its endpoints.
-
-    For each level the ratios, read along the shift ladder, must be
-    non-increasing, start at the ratio of consecutive tree masses one
-    level up and end at the ratio one level down; failures carry the
-    exact values of both sides.
-    """
-    report = CheckReport(name="ratio-chain")
-    d = tables.d
-    r = tables.r // d
-    if n_max is None:
-        n_max = (tables.N - 1) // d - 1
-    for n in range(0, n_max + 1):
-        grid = [(q, s) for s in range(d) for q in range(r)] if n >= 1 else [(q, 0) for q in range(r)]
-        if not grid:
-            continue
-        values = [(q, s, tables.ratio(n, q, s)) for q, s in grid]
-        for (q1, s1, v1), (q2, s2, v2) in zip(values, values[1:]):
-            report.record(v1 >= v2, n=n, hi=(q1, s1), lo=(q2, s2), lhs=v1, rhs=v2)
-        upper = tables.b_value((n + 1) * d + 1) / tables.b_value(n * d + 1)
-        report.record(values[0][2] == upper, n=n, kind="upper-endpoint-identity",
-                      lhs=values[0][2], rhs=upper)
-        if n >= 1:
-            lower = tables.b_value(n * d + 1) / tables.b_value((n - 1) * d + 1)
-            report.record(values[-1][2] == lower, n=n, kind="lower-endpoint-identity",
-                          lhs=values[-1][2], rhs=lower)
     return report
 
 
@@ -401,6 +316,8 @@ class GrowthChain:
             raise Refused(lc.witness)
         if tables is None:
             tables = compute_tables(w, d, N=horizon)
+        elif tables.w != w or tables.d != d:
+            raise DomainError("supplied tables were built for other weights or another d")
         elif tables.N < horizon:
             raise HorizonError("supplied tables stop before the requested horizon")
         self.w = w

@@ -23,9 +23,9 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ._rand import LazyUniform, derive_rng
-from .compositions import ONE, ZERO, as_fraction
-from .errors import DomainError, ZeroMassError
-from .sgtrees import GrowthChain, PartitionTables, WeightSequence, is_log_concave, CheckReport
+from .compositions import ONE, ZERO, CheckReport, as_fraction
+from .errors import DomainError
+from .sgtrees import GrowthChain, PartitionTables, WeightSequence, is_log_concave
 from .treespace import PlaneTree, ROOT, RootedSubtree, Word
 
 PositionMap = Dict[int, int]
@@ -136,7 +136,7 @@ def bij_P_inv(tree: PlaneTree, decorations: Mapping[Word, Iterable[int]]) -> Roo
 
 
 # ---------------------------------------------------------------------------
-# type weights, subset laws, and the nested coupling of subsets
+# type weights and the nested coupling of subsets
 
 
 def elementary_symmetric(values: Sequence, kmax: Optional[int] = None) -> List[Fraction]:
@@ -191,21 +191,6 @@ class SummableTheta:
 
 def coerce_theta(theta) -> SummableTheta:
     return theta if isinstance(theta, SummableTheta) else SummableTheta(theta)
-
-
-def subset_distribution(theta, k: int) -> Dict[FrozenSet[int], Fraction]:
-    """Law on k-subsets of the support with mass proportional to the weight product."""
-    theta = coerce_theta(theta)
-    if k < 0 or k > theta.n_support:
-        raise ZeroMassError(f"no {k}-subsets of a support of size {theta.n_support}")
-    ek = theta.e[k]
-    law: Dict[FrozenSet[int], Fraction] = {}
-    for combo in itertools.combinations(theta.support, k):
-        mass = ONE
-        for i in combo:
-            mass *= theta.value(i)
-        law[frozenset(combo)] = mass / ek
-    return law
 
 
 def nested_thresholds(theta) -> List[Fraction]:
@@ -267,26 +252,6 @@ def nested_subset_coupling(theta, rng: random.Random) -> Tuple[int, ...]:
             break
     inner = nested_subset_coupling(theta.drop(pivot), rng)
     return inner[:rank - 1] + (pivot,) + inner[rank - 1:]
-
-
-def st_distribution(theta, n: int) -> Dict[RootedSubtree, Fraction]:
-    """Exact law on n-vertex subtrees with mass proportional to the type-weight product."""
-    from .oracle import enumerate_subtrees
-
-    theta = coerce_theta(theta)
-    masses: Dict[RootedSubtree, Fraction] = {}
-    total = ZERO
-    for tau in enumerate_subtrees(n, positions=theta.support):
-        mass = ONE
-        for u in tau.vertices:
-            if u:
-                mass *= theta.value(u[-1])
-        if mass:
-            masses[tau] = mass
-            total += mass
-    if total == 0:
-        raise ZeroMassError(f"no subtree of size {n} carries mass")
-    return {tau: m / total for tau, m in masses.items()}
 
 
 # ---------------------------------------------------------------------------

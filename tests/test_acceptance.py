@@ -16,14 +16,13 @@ import helpers
 from treegrow._rand import derive_rng
 from treegrow.cli import main as cli_main
 from treegrow.oracle import (enumerate_plane_trees, enumerate_subtrees, goodness_of_fit,
-                             janson_expectations, sg_law, st_law, tv_distance)
+                             janson_expectations, sg_law, st_law, subset_law, tv_distance)
 from treegrow.sgtrees import (GrowthChain, WeightSequence, check_ratio_chain, check_tp2_array,
-                              compute_tables, growth_kernel_row, is_log_concave, sg_distribution)
+                              compute_tables, growth_kernel_row, is_log_concave)
 from treegrow.subtree_model import (SubtreeChain, SummableTheta, apply_shuffle, bij_P, bij_P_inv,
                                     check_equivariance, inverse_shuffle, nested_coupling_law,
                                     nested_thresholds, pointwise_inverse, push_forward,
-                                    sigma_rule, shuffle_invariance_check, st_distribution,
-                                    subset_distribution)
+                                    sigma_rule, shuffle_invariance_check)
 from treegrow.treespace import is_bouquet_addition, is_right_leaning_leaf_addition
 
 
@@ -64,7 +63,7 @@ def test_c02_kernel_interchange_arithmetic():
         assert push_through(sg_law(w3, 3, n), tables3) == sg_law(w3, 3, n + 3)
     sizes = []
     for n in (1, 3, 5, 7, 9):
-        law = sg_distribution(w2, 2, n)
+        law = sg_law(w2, 2, n)
         assert len(set(law.values())) == 1  # uniform on its support
         sizes.append(len(law))
     assert sizes == [1, 1, 2, 5, 14]
@@ -188,13 +187,13 @@ def test_c08_subtree_model_exactness():
     theta = SummableTheta(["1/2", "1/3", "1/4"])
     w = WeightSequence(theta.e)
     for n in range(1, 6):
-        law = st_distribution(theta, n)
-        tree_law = sg_distribution(w, 1, n)
+        law = st_law(theta, n)
+        tree_law = sg_law(w, 1, n)
         for tau, mass in law.items():
             tree, decorations = bij_P(tau)
             rhs = tree_law[tree]
             for u in tree.vertices:
-                rhs *= subset_distribution(theta, tree.children_count(u))[decorations[u]]
+                rhs *= subset_law(theta, tree.children_count(u))[decorations[u]]
             assert rhs == mass
     tables = compute_tables(w, 1, N=6)
     for n in range(1, 7):
@@ -218,7 +217,7 @@ def test_c09_nested_subset_coupling():
             for seq, mass in law.items():
                 key = frozenset(seq[:k])
                 marginal[key] = marginal.get(key, F(0)) + mass
-            assert marginal == subset_distribution(theta, k)
+            assert marginal == subset_law(theta, k)
         thresholds = nested_thresholds(theta)
         assert all(a <= b for a, b in zip(thresholds, thresholds[1:]))
         for seq in law:

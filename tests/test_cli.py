@@ -160,6 +160,20 @@ class TestErrorBoundary:
         line = self.assert_one_line_error(capsys, run("verify", "--config", str(cfg)))
         assert line.endswith(f"bad value for {key}: '0'")
 
+    @pytest.mark.parametrize("argv", [
+        ["tables", "--n-max", "11"],
+        ["tp2", "--n-max", "41"],
+        ["ratio-chain", "--n-max", "1001"],
+        ["kernel-interchange", "--d", "2", "--n-max", "9"],
+        ["bijection", "--n-max", "8"],
+        ["subset-coupling", "--n-max", "1"],
+        ["shuffle-invariance", "--n-max", "9"],
+        ["stats", "--theta", "1,1", "--n-max", "8"],
+    ], ids=lambda argv: argv[0])
+    def test_n_max_above_cap_refused(self, argv, capsys):
+        line = self.assert_one_line_error(capsys, run("verify", "--suite", *argv))
+        assert argv[0] in line and "--n-max" in line
+
     def test_refused_keeps_witness(self, capsys):
         assert run("verify", "--suite", "stats", "--w", "2/5,1/5,2/5", "--n-max", "3",
                    "--samples", "10") == 2

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from treegrow._rand import derive_rng
 from treegrow.compositions import (PLAIN, ArithClass, BSequence, PairTables, WeightPair,
                                    apply_move, as_fraction, check_admissibility_inequalities,
-                                   comp_distribution, composition_kernel, covering_successors,
+                                   check_ratio_chain, composition_kernel, covering_successors,
                                    first_part_law, format_composition, is_covering,
                                    iter_compositions, monotone_step_kernel, parse_composition,
                                    partition_function, sample_composition_chain, satisfies_arith,
                                    shift, StepLaw)
 from treegrow.errors import DomainError, HorizonError, NotCoupleable, ZeroMassError
-from treegrow.oracle import tv_distance
+from treegrow.oracle import comp_law, tv_distance
 from treegrow.sgtrees import WeightSequence, compute_tables
 
 ONES = [F(1)] * 14
@@ -118,31 +118,26 @@ class TestPartitionFunction:
 class TestCompDistribution:
     def test_two_compositions(self):
         wp = WeightPair(ONES, ONES)
-        assert comp_distribution(wp, 2) == {(2,): F(1, 2), (1, 1): F(1, 2)}
+        assert comp_law(wp, 2) == {(2,): F(1, 2), (1, 1): F(1, 2)}
 
     def test_empty(self):
         wp = WeightPair(ONES, ONES)
-        assert comp_distribution(wp, 0) == {(): F(1)}
+        assert comp_law(wp, 0) == {(): F(1)}
 
     def test_single_part_support(self):
         wp = WeightPair([1, 1], [F(j, 7) for j in range(1, 9)])
-        assert comp_distribution(wp, 5) == {(5,): F(1)}
-
-    def test_sums_to_one(self):
-        wp = tree_pair([1, 3, 3, 1])
-        for n in range(0, 8):
-            assert sum(comp_distribution(wp, n).values()) == 1
+        assert comp_law(wp, 5) == {(5,): F(1)}
 
     def test_split_identity(self):
         # mass factorizes through the first part and the shifted remainder
         wp = tree_pair(ONES)
         for n in range(1, 9):
-            law = comp_distribution(wp, n)
+            law = comp_law(wp, n)
             mu = first_part_law(wp, n)
             wp_shift = shift(wp, 1)
             for c, mass in law.items():
                 first, rest = c[0], c[1:]
-                rest_law = comp_distribution(wp_shift, n - first)
+                rest_law = comp_law(wp_shift, n - first)
                 assert mass == mu.masses[first] * rest_law[rest]
 
 
@@ -160,7 +155,7 @@ class TestFirstPartLaw:
     def test_against_grouped_distribution(self):
         wp = tree_pair([1, 2, 1])
         for n in range(1, 9):
-            law = comp_distribution(wp, n)
+            law = comp_law(wp, n)
             grouped = {}
             for c, mass in law.items():
                 grouped[c[0]] = grouped.get(c[0], F(0)) + mass
@@ -234,7 +229,7 @@ class TestCompositionKernel:
     def test_rows_sum_to_one_and_cover(self):
         wp = tree_pair([1, 3, 3, 1])
         for n in range(0, 7):
-            for c in comp_distribution(wp, n):
+            for c in comp_law(wp, n):
                 row = composition_kernel(wp, PLAIN, n, c)
                 assert sum(row.values()) == 1
                 assert set(row) <= set(covering_successors(c, 1))
@@ -243,8 +238,8 @@ class TestCompositionKernel:
     def test_interchange_d1(self, entries):
         wp = tree_pair(entries)
         for n in range(0, 8):
-            law = comp_distribution(wp, n)
-            target = comp_distribution(wp, n + 1)
+            law = comp_law(wp, n)
+            target = comp_law(wp, n + 1)
             pushed = {}
             for c, mass in law.items():
                 for c2, p in composition_kernel(wp, PLAIN, n, c).items():
@@ -258,8 +253,8 @@ class TestCompositionKernel:
         wp = tree_pair(entries, d=d)
         n = 0
         while n + d <= 9:
-            law = comp_distribution(wp, n, cls)
-            target = comp_distribution(wp, n + d, cls)
+            law = comp_law(wp, n, cls)
+            target = comp_law(wp, n + d, cls)
             pushed = {}
             for c, mass in law.items():
                 for c2, p in composition_kernel(wp, cls, n, c).items():
@@ -321,17 +316,36 @@ class TestAdmissibility:
         report = check_admissibility_inequalities(wp, PLAIN, N=10)
         assert not report.ok
         first = report.failures[0]
-        assert first.n == 0  # the n = 0 chain already requires log-concavity of the weights
+        assert first["n"] == 0  # the n = 0 chain already requires log-concavity of the weights
 
     def test_single_part_vacuous(self):
         wp = WeightPair([1, 1], [F(j) for j in range(1, 30)])  # deliberately wild b
         report = check_admissibility_inequalities(wp, PLAIN, N=10)
-        assert report.ok and report.checked == 0 and "trivially admissible" in report.note
+        assert report.ok and report.checked == 0
 
     def test_arithmetic_holds(self):
         wp = tree_pair([1, 0, 1], d=2, n_total=24)
         report = check_admissibility_inequalities(wp, ArithClass(2, 0), N=5)
         assert report.ok
+
+    def test_lower_endpoint_identity(self):
+        # generic part weights, not tree masses: at the last shift only
+        # single-part compositions carry mass, so Z(t) = a_R b_t there
+        wp = WeightPair([2, 3, 1], [F(1), F(5, 2), F(1, 3), F(7), F(2, 9), F(4)])
+        tables = PairTables(wp, PLAIN, total_horizon=6)
+        for n in range(1, 5):
+            assert tables.ratio(n, 1, 0) == wp.b[n + 1] / wp.b[n]
+        report = check_ratio_chain(tables, 4)
+        assert not [f for f in report.failures if f.get("kind") == "lower-endpoint"]
+
+        class Skewed(PairTables):
+            # endpoints read b_2 doubled: the last ratio falls below the lower
+            # endpoint at n = 1 and exceeds it at n = 2
+            def b_weight(self, m):
+                return super().b_weight(m) * (2 if m == 2 else 1)
+
+        report = check_ratio_chain(Skewed(wp, PLAIN, total_horizon=6), 4)
+        assert [f["n"] for f in report.failures if f.get("kind") == "lower-endpoint"] == [1, 2]
 
 
 class TestShift:
@@ -380,7 +394,7 @@ class TestChainSampling:
             chain = sample_composition_chain(wp, PLAIN, 4, derive_rng(11, "tv", i), tables=tables)
             key = chain[-1]
             counts[key] = counts.get(key, 0) + 1
-        law = comp_distribution(wp, 4)
+        law = comp_law(wp, 4)
         assert tv_distance(counts, n_chains, law) < F(1, 100)
 
 
@@ -398,7 +412,7 @@ class TestHorizonsAndErrors:
         b = [F(1), F(0), F(1)]
         wp = WeightPair([0, 1], b)
         with pytest.raises(ZeroMassError):
-            comp_distribution(wp, 2, ArithClass(2, 1))
+            comp_law(wp, 2, ArithClass(2, 1))
 
     def test_kernel_requires_matching_total(self):
         wp = tree_pair(ONES)

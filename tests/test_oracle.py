@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from treegrow.compositions import WeightPair
 from treegrow.errors import DomainError, HorizonError
 from treegrow.oracle import (ExactLaw, enumerate_plane_trees, enumerate_subtrees, exact_law,
                              goodness_of_fit, janson_expectations, kernel_interchange_check,
@@ -89,8 +90,13 @@ class TestExactLaws:
         assert law.masses == {frozenset({1}): F(2, 3), frozenset({2}): F(1, 3)}
 
     def test_comp(self):
-        law = exact_law("comp", a=[1, 1, 1], b=[1, 1], n=2)
+        law = exact_law("comp", wp=WeightPair([1, 1, 1], [1, 1]), n=2)
         assert law.masses == {(2,): F(1, 2), (1, 1): F(1, 2)}
+
+    def test_comp_past_b_horizon(self):
+        # (6,), (1, 5) and (5, 1) need b_6 or b_5: refused, not dropped from the law
+        with pytest.raises(HorizonError):
+            exact_law("comp", wp=WeightPair([1, 2, 1], [1, 1, 1, 1]), n=6)
 
     def test_law_validation(self):
         with pytest.raises(DomainError):

@@ -11,7 +11,7 @@ from treegrow.errors import DomainError, HorizonError, Refused, ZeroMassError
 from treegrow.oracle import enumerate_plane_trees, sg_law, tv_distance
 from treegrow.sgtrees import (GrowthChain, WeightSequence, check_ratio_chain, check_toeplitz_tp2,
                               check_tp2_array, compute_tables, forest_array, grow_chain, growth_kernel_row,
-                              is_log_concave, sg_distribution, tilt)
+                              is_log_concave, tilt)
 from treegrow.treespace import (PlaneTree, is_bouquet_addition, is_right_leaning_leaf_addition)
 
 ONES8 = WeightSequence([1] * 9)
@@ -63,7 +63,7 @@ class TestTilt:
         w = WeightSequence([1, 1, 1, 1, 1, 1])
         w2 = tilt(w, F(2, 3), F(5, 7))
         for n in range(1, 7):
-            assert sg_distribution(w, 1, n) == sg_distribution(w2, 1, n)
+            assert sg_law(w, 1, n) == sg_law(w2, 1, n)
 
     def test_kernel_invariance(self):
         w = WeightSequence([1, 2, 1])
@@ -171,25 +171,20 @@ class TestTables:
 
 class TestSgDistribution:
     def test_two_trees(self):
-        law = sg_distribution(ONES8, 1, 3)
+        law = sg_law(ONES8, 1, 3)
         assert set(law.values()) == {F(1, 2)}
 
     def test_binary_uniform(self):
-        law = sg_distribution(WeightSequence([1, 0, 1]), 2, 5)
+        law = sg_law(WeightSequence([1, 0, 1]), 2, 5)
         assert len(law) == 2 and set(law.values()) == {F(1, 2)}
 
     def test_root_only(self):
-        law = sg_distribution(WeightSequence([1, 2]), 1, 1)
+        law = sg_law(WeightSequence([1, 2]), 1, 1)
         assert law == {PlaneTree([()]): F(1)}
 
     def test_wrong_residue(self):
         with pytest.raises(ZeroMassError):
-            sg_distribution(WeightSequence([1, 0, 1]), 2, 4)
-
-    def test_matches_oracle(self):
-        w = WeightSequence([1, 3, 3, 1])
-        for n in range(1, 7):
-            assert sg_distribution(w, 1, n) == sg_law(w, 1, n)
+            sg_law(WeightSequence([1, 0, 1]), 2, 4)
 
 
 class TestInequalitySuites:
@@ -314,6 +309,14 @@ class TestGrowthChain:
         assert [len(t) for t in trees] == [1, 3, 5, 7, 9, 11]
         for a, b in zip(trees, trees[1:]):
             assert is_bouquet_addition(a, b, 2)
+
+    @pytest.mark.parametrize("entries", [[1, 3, 3, 1], [1, 2, 1]])
+    def test_refuses_tables_of_other_weights(self, entries):
+        # the chain samples from its tables: tables for 1,3,3,1 would plant
+        # degree-3 vertices, which have no mass under 1,1,1
+        with pytest.raises(DomainError):
+            GrowthChain(WeightSequence([1, 1, 1]), horizon=5, rng=random.Random(0),
+                        tables=compute_tables(WeightSequence(entries), 1, N=5))
 
     def test_horizon_stop(self):
         chain = GrowthChain(ONES8, horizon=4, rng=random.Random(0))

@@ -7,14 +7,15 @@ import pytest
 
 from treegrow._rand import derive_rng
 from treegrow.errors import DomainError, ZeroMassError
-from treegrow.oracle import enumerate_plane_trees, enumerate_subtrees, st_law, tv_distance
-from treegrow.sgtrees import WeightSequence, compute_tables, is_log_concave, sg_distribution
+from treegrow.oracle import (enumerate_plane_trees, enumerate_subtrees, sg_law, st_law, subset_law,
+                             tv_distance)
+from treegrow.sgtrees import WeightSequence, compute_tables, is_log_concave
 from treegrow.subtree_model import (SubtreeChain, SummableTheta, apply_shuffle, bij_P, bij_P_inv,
                                     check_equivariance, elementary_symmetric, inverse_shuffle,
                                     naive_subtree_chain, nested_coupling_law,
                                     nested_subset_coupling, nested_thresholds, pointwise_inverse,
                                     push, push_forward, sigma_rule, shuffle_invariance_check,
-                                    st_distribution, subset_distribution, subtree_grow_chain)
+                                    subtree_grow_chain)
 from treegrow.treespace import PlaneTree, RootedSubtree
 
 from helpers import random_shuffle_for, random_subtree
@@ -178,17 +179,17 @@ class TestElementarySymmetric:
 
 class TestSubsetDistribution:
     def test_one_of_two(self):
-        assert subset_distribution(["2", "1"], 1) == {frozenset({1}): F(2, 3), frozenset({2}): F(1, 3)}
+        assert subset_law(["2", "1"], 1) == {frozenset({1}): F(2, 3), frozenset({2}): F(1, 3)}
 
     def test_full_set(self):
-        assert subset_distribution(["2", "1"], 2) == {frozenset({1, 2}): F(1)}
+        assert subset_law(["2", "1"], 2) == {frozenset({1, 2}): F(1)}
 
     def test_empty(self):
-        assert subset_distribution(["2", "1"], 0) == {frozenset(): F(1)}
+        assert subset_law(["2", "1"], 0) == {frozenset(): F(1)}
 
     def test_too_many(self):
         with pytest.raises(ZeroMassError):
-            subset_distribution(["2", "1"], 3)
+            subset_law(["2", "1"], 3)
 
 
 THETAS = (["2", "1"], ["1", "1", "1"], ["1/2", "1/3", "1/4", "1/5"])
@@ -209,7 +210,7 @@ class TestNestedCoupling:
             for seq, mass in law.items():
                 key = frozenset(seq[:k])
                 marginal[key] = marginal.get(key, F(0)) + mass
-            assert marginal == subset_distribution(theta, k)
+            assert marginal == subset_law(theta, k)
 
     @pytest.mark.parametrize("values", THETAS)
     def test_threshold_monotone(self, values):
@@ -257,31 +258,26 @@ class TestNestedCoupling:
 class TestStDistribution:
     def test_uniform_binary_counts(self):
         for n, count in ((1, 1), (2, 2), (3, 5), (4, 14)):
-            law = st_distribution(["1", "1"], n)
+            law = st_law(["1", "1"], n)
             assert len(law) == count
             assert set(law.values()) == {F(1, count)}
 
     def test_three_singletons(self):
-        law = st_distribution(["1", "1", "1"], 2)
+        law = st_law(["1", "1", "1"], 2)
         assert len(law) == 3 and set(law.values()) == {F(1, 3)}
-
-    def test_matches_oracle(self):
-        theta = ["1/2", "1/3", "1/4"]
-        for n in range(1, 5):
-            assert st_distribution(theta, n) == st_law(theta, n)
 
     def test_factorization_identity(self):
         # the subtree mass splits into the plane-tree mass times the subset masses
         theta = SummableTheta(["1/2", "1/3", "1/4"])
         w = WeightSequence(theta.e)
         for n in range(1, 6):
-            law = st_distribution(theta, n)
-            tree_law = sg_distribution(w, 1, n)
+            law = st_law(theta, n)
+            tree_law = sg_law(w, 1, n)
             for tau, mass in law.items():
                 tree, decorations = bij_P(tau)
                 rhs = tree_law[tree]
                 for u in tree.vertices:
-                    rhs *= subset_distribution(theta, tree.children_count(u))[decorations[u]]
+                    rhs *= subset_law(theta, tree.children_count(u))[decorations[u]]
                 assert rhs == mass
 
     def test_normalization_matches_tree_masses(self):
@@ -373,7 +369,7 @@ class TestSubtreeChain:
         # 1e5 sampled chains; the law of the third state over the 5 subtrees
         theta = ["1", "1"]
         tables = compute_tables(WeightSequence(SummableTheta(theta).e), 1, N=3)
-        law = {tau.vertices: m for tau, m in st_distribution(theta, 3).items()}
+        law = {tau.vertices: m for tau, m in st_law(theta, 3).items()}
         assert len(law) == 5
         counts = {}
         n = 100_000
