@@ -4,16 +4,16 @@ All randomness in the package flows from a 64-bit master seed through a
 counter-based derivation keyed by purpose tokens, so runs are reproducible
 across platforms and independent streams can be handed to parallel chains.
 
-Random decisions against exact rational thresholds are made by lazily
-extending the binary expansion of a uniform variate until the comparison
-is decided, so no floating point ever enters a sampled trajectory.
+Random decisions against exact rational thresholds, given as integer
+pairs ``(num, den)``, are made by lazily extending the binary expansion of
+a uniform variate until the comparison is decided, so no floating point
+ever enters a sampled trajectory.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from fractions import Fraction
 
 _CHUNK = 32  # bits appended per refinement of a lazy uniform
 
@@ -56,9 +56,13 @@ class LazyUniform:
         self._bits = (self._bits << _CHUNK) | self._rng.getrandbits(_CHUNK)
         self._k += _CHUNK
 
-    def is_below(self, threshold: Fraction) -> bool:
-        """Decide ``U <= threshold`` exactly (the boundary has measure zero)."""
-        num, den = threshold.numerator, threshold.denominator
+    def is_below(self, num: int, den: int) -> bool:
+        """Decide ``U <= num/den`` exactly (the boundary has measure zero).
+
+        Every comparison is a cross-multiplication, so the answer and the
+        bits drawn depend only on the value of ``num/den``: an unreduced
+        pair decides exactly as its reduced form does.
+        """
         if num <= 0:
             return False
         if num >= den:
@@ -73,10 +77,10 @@ class LazyUniform:
             self._refine()
 
 
-def bernoulli(rng: random.Random, p: Fraction) -> bool:
-    """Exact Bernoulli(p) draw using a fresh lazily-expanded uniform."""
-    if p <= 0:
+def bernoulli(rng: random.Random, num: int, den: int) -> bool:
+    """Exact Bernoulli(num/den) draw using a fresh lazily-expanded uniform; ``den > 0``."""
+    if num <= 0:
         return False
-    if p >= 1:
+    if num >= den:
         return True
-    return LazyUniform(rng).is_below(p)
+    return LazyUniform(rng).is_below(num, den)

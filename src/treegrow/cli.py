@@ -29,13 +29,20 @@ SUITES = ("tables", "tp2", "ratio-chain", "kernel-interchange", "bijection",
           "subset-coupling", "shuffle-invariance", "stats")
 
 # --n-max caps not set by the enumeration caps of oracle.  On a 2-CPU Xeon:
-# tp2 checks O(n^4) minors (n-max 24 takes about 1 s, 40 about 5 s);
-# ratio-chain builds O(n^2) ever longer rationals (1000 takes about 8 s for
-# w = 1,3,3,1); shuffle-invariance sums over every decorated plane tree, with
-# 2^n decorations each.
+# tp2 checks O(n^4) minors (n-max 24 takes about 0.6 s, 40 about 5 s);
+# ratio-chain compares O(n) ratios of ever longer integers (1000 takes about
+# 1.3 s for w = 1,3,3,1); shuffle-invariance sums over every decorated plane
+# tree, with 2^n decorations each.
 TP2_CAP = 40
 RATIO_CHAIN_CAP = 1000
 SHUFFLE_CAP = 4
+
+# --n cap of grow.  The compiled step laws hold O(n^2) integer pairs of O(n)
+# bits each, so memory grows like n^3 (and with the bit length of the
+# weights).  On a 2-CPU Xeon, n = 600 peaks at 358 MB in 6.6 s for
+# w = 1,3,3,1, at 386 MB for w = 1,1,1,1,1,1,1,1 and at 488 MB in 22 s for the
+# subtree model with theta = 1/2,1/3,1/4; n = 800 reaches 758 MB and 1.1 GB.
+GROW_CAP = 600
 
 
 def parse_rational_list(text: str) -> List[Fraction]:
@@ -106,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     grow.add_argument("--w", help="offspring weights, comma-separated exact rationals")
     grow.add_argument("--theta", help="type weights for the subtree model")
     grow.add_argument("--d", type=positive_int, help="bouquet size (sg-arith)")
-    grow.add_argument("--n", type=positive_int, help="target number of vertices")
+    grow.add_argument("--n", type=positive_int, help=f"target number of vertices, at most {GROW_CAP}")
     grow.add_argument("--seed", type=int, help="master seed")
     grow.add_argument("--out", help="trace file (JSON lines)")
     grow.add_argument("--decimal", action="store_true", help="add lossy decimal probabilities to the trace")
@@ -147,6 +154,8 @@ def cmd_grow(args) -> int:
     if args.n is None:
         print("error: --n is required", file=sys.stderr)
         return 1
+    if args.n > GROW_CAP:
+        raise HorizonError(f"--n {args.n} is above the cap {GROW_CAP} of grow")
     seed = _given(args.seed, 0)
     d = _given(args.d, 1)
     records: List[dict] = []
@@ -164,7 +173,7 @@ def cmd_grow(args) -> int:
             step = chain.step()
             rec = {"step": step.index, "n": step.n,
                    "new_vertices": [word_to_text(u) for u in step.new_vertices],
-                   "tree": format_tree(chain.tree()), "prob": str(step.prob)}
+                   "tree": format_tree(chain.tree()), "prob": exact_text(step.prob)}
             if args.decimal:
                 rec["prob_decimal"] = float(step.prob)
             records.append(rec)
@@ -189,6 +198,24 @@ def cmd_grow(args) -> int:
         validate_trace(args.out, args.model, d)
     print(f"grew to {records[-1]['n']} vertices in {len(records) - 1} steps (seed {seed})")
     return 0
+
+
+def exact_text(q: Fraction) -> str:
+    """``str(q)``, also past the interpreter's limit on the decimal digits of an int.
+
+    The limit (4300 digits by default) guards the parsing of untrusted
+    text; the exact probability of a deep descent at a few hundred
+    vertices can exceed it, and ``GROW_CAP`` bounds its length.
+    """
+    try:
+        return str(q)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(q)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def validate_trace(path: str, model: str, d: int = 1):

@@ -8,13 +8,15 @@ is a covering move (increment one part by d, or append d parts equal
 to 1), and checks the ratio inequalities under which such couplings
 exist.
 
-Everything is computed in exact rational arithmetic: the one-step kernels
-produced here are verified elsewhere by exact interchange against the
-target laws, which is only meaningful without rounding.
+Everything is exact: the tables clear denominators once and run over
+Python ints, and the laws and kernels handed out are exact rationals.  The
+one-step kernels produced here are verified elsewhere by exact interchange
+against the target laws, which is only meaningful without rounding.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -267,26 +269,27 @@ class StepLaw:
             raise DomainError("step law masses must sum to 1")
 
 
-def peel_partition_values(a: Sequence[Fraction], T: int,
-                          b: Optional[Callable[[int], Fraction]] = None) -> List[List[Fraction]]:
+def peel_partition_values(a: Sequence[int], T: int,
+                          b: Optional[Callable[[int], int]] = None) -> List[List[int]]:
     """Partition values ``z[ell][t] = Z_ell(t)`` of every shift of ``a``, for totals t <= T.
 
     Peeling off the first part gives
     ``Z_ell(t) = a_ell [t = 0] + sum_{m : b_m != 0} b_m Z_{ell+1}(t - m)``,
     with ``Z_ell = 0`` past the last entry of ``a``.  ``b(m)`` is read once,
     when the loop reaches total m; without it the part weights are the tree
-    masses ``b_m = Z_0(m - 1)``, known by then.
+    masses ``b_m = Z_0(m - 1)``, known by then.  The tables pass integer
+    weights, so the recursion never leaves Python ints.
     """
     r = len(a)
-    z: List[List[Fraction]] = [[] for _ in range(r)]
-    parts: List[Tuple[int, Fraction]] = []
+    z: List[List[int]] = [[] for _ in range(r)]
+    parts: List[Tuple[int, int]] = []
     for t in range(T + 1):
         if t:
             bt = z[0][t - 1] if b is None else b(t)
             if bt:
                 parts.append((t, bt))
         for ell in range(r):
-            acc = a[ell] if t == 0 else ZERO
+            acc = a[ell] if t == 0 else 0
             if ell + 1 < r:
                 nxt = z[ell + 1]
                 for m, bm in parts:
@@ -297,21 +300,38 @@ def peel_partition_values(a: Sequence[Fraction], T: int,
     return z
 
 
+def cleared(values: Sequence[Fraction]) -> Tuple[int, List[int]]:
+    """The least common denominator ``L`` of exact rationals and the integers ``L * v``."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
+StepRow = Dict[int, Tuple[int, int]]
+
+
 class PartitionKernel:
     """Partition values of a pair and all its shifts, plus the step coupling.
 
-    Subclasses provide the part weights and partition values; this base
-    class derives first-part laws, the monotone one-step move
-    probabilities, full composition-kernel rows and the sampling walk
-    shared by every chain in the package.  ``r`` is the largest index
-    with a non-zero count weight: the shift ladder ends there.
+    Subclasses keep the partition values as Python ints after clearing
+    denominators once: count weights ``a -> A a`` and part weights
+    ``b_m -> D^m b_m``, so that ``_z[ell][t] = A D^t Z_ell(t)`` and
+    ``_b[m] = D^m b_m``.  Every first-part law is a ratio of values at one
+    total, whose common scale ``A D^t`` cancels, so laws and move
+    probabilities are computed from integers alone.  This base class
+    derives first-part laws, the monotone one-step move probabilities,
+    full composition-kernel rows and the sampling walk shared by every
+    chain in the package.  ``r`` is the largest index with a non-zero
+    count weight: the shift ladder ends there.
     """
 
-    def __init__(self, d: int, r: int):
+    def __init__(self, d: int, r: int, a_scale: int, b_scale: int):
         self.d = d
         self.r = r
-        self._step_memo: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
-        self._law_memo: Dict[Tuple[int, int], Dict[int, Fraction]] = {}
+        self.a_scale = a_scale
+        self.b_scale = b_scale
+        self._z: List[List[int]] = []
+        self._b: List[int] = []
+        self._step_memo: Dict[Tuple[int, int], StepRow] = {}
 
     def max_a_index(self) -> int:
         return self.r
@@ -324,57 +344,68 @@ class PartitionKernel:
     def partition_value(self, ell: int, t: int) -> Fraction:
         raise NotImplementedError
 
+    def partition_int(self, ell: int, t: int) -> int:
+        """``A D^t Z_ell(t)``, bounds-checked like ``partition_value``."""
+        raise NotImplementedError
+
     # -- derived machinery -------------------------------------------------
+
+    def scale(self, t: int) -> int:
+        """The factor ``A D^t`` between the integer and the exact partition values at total t."""
+        return self.a_scale * self.b_scale ** t
 
     def ratio(self, n: int, q: int, s: int) -> Fraction:
         """Partition ratio of the (q*d+s)-shifted weights between adjacent levels."""
         d = self.d
-        num = self.partition_value(q * d + s, n * d + (d - s))
-        den = self.partition_value(q * d + s, (n - 1) * d + (d - s))
+        num = self.partition_int(q * d + s, n * d + (d - s))
+        den = self.partition_int(q * d + s, (n - 1) * d + (d - s))
         if den == 0:
             raise ZeroMassError(f"vanishing partition value at n={n}, shift ({q},{s})")
-        return num / den
+        return Fraction(num, den * self.b_scale ** d)
+
+    def first_part_masses(self, ell: int, t: int) -> Tuple[Dict[int, int], int]:
+        """Integer masses of (first part - 1)/d at shift ``ell`` and total ``t``, and their total.
+
+        The mass of first part m is ``b_m Z_{ell+1}(t - m)`` at the common
+        scale of ``Z_ell(t)``, which is the total; zero masses are left out.
+        """
+        if t < 1:
+            raise DomainError("first-part laws need a positive total")
+        z = self.partition_int(ell, t)
+        if z == 0:
+            raise ZeroMassError(f"no mass at total {t} for shift {ell}")
+        # z != 0 at t >= 1 puts ell + 1 on the shift ladder, and every read below inside the bounds
+        nxt, b, d = self._z[ell + 1], self._b, self.d
+        masses: Dict[int, int] = {}
+        for mt in range((t - 1) // d + 1):
+            m = mt * d + 1
+            mass = b[m] * nxt[t - m]
+            if mass:
+                masses[mt] = mass
+        return masses, z
 
     def reindexed_first_part_law(self, ell: int, t: int) -> Dict[int, Fraction]:
         """Law of (first part - 1)/d at shift ``ell`` and total ``t``."""
-        key = (ell, t)
-        cached = self._law_memo.get(key)
-        if cached is not None:
-            return cached
-        if t < 1:
-            raise DomainError("first-part laws need a positive total")
-        z = self.partition_value(ell, t)
-        if z == 0:
-            raise ZeroMassError(f"no mass at total {t} for shift {ell}")
-        law: Dict[int, Fraction] = {}
-        mt = 0
-        d = self.d
-        while mt * d + 1 <= t:
-            rest = t - (mt * d + 1)
-            mass = self.b_weight(mt * d + 1) * self.partition_value(ell + 1, rest)
-            if mass:
-                law[mt] = mass / z
-            mt += 1
-        self._law_memo[key] = law
-        return law
+        masses, z = self.first_part_masses(ell, t)
+        return {mt: Fraction(mass, z) for mt, mass in masses.items()}
 
-    def step_probs(self, ell: int, t: int) -> Dict[int, Fraction]:
+    def step_probs(self, ell: int, t: int) -> StepRow:
         """Probability that the reindexed first part increments between totals t and t+d.
 
-        Derived from the coupling that feeds one shared uniform through
-        both inverse cumulative functions; requires the interleaving
-        inequalities between the two laws, otherwise NotCoupleable is
-        raised with the failing support point.
+        Maps each support point of the law at total t to an integer pair
+        ``(num, den)`` with value ``num/den``, not reduced.  Derived from the
+        coupling that feeds one shared uniform through both inverse
+        cumulative functions; requires the interleaving inequalities
+        between the two laws, otherwise NotCoupleable is raised with the
+        failing support point.
         """
         key = (ell, t)
-        cached = self._step_memo.get(key)
-        if cached is not None:
-            return cached
-        low = self.reindexed_first_part_law(ell, t)
-        high = self.reindexed_first_part_law(ell, t + self.d)
-        probs = _monotone_move_probs(low, high)
-        self._step_memo[key] = probs
-        return probs
+        row = self._step_memo.get(key)
+        if row is None:
+            low, zl = self.first_part_masses(ell, t)
+            high, zh = self.first_part_masses(ell, t + self.d)
+            row = self._step_memo[key] = move_rows(low, zl, high, zh)
+        return row
 
     def kernel_row(self, ell: int, t: int, c: Composition) -> Dict[Composition, Fraction]:
         """Exact one-step law on compositions of t+d given the current composition."""
@@ -390,9 +421,9 @@ class PartitionKernel:
             return {(c[0] + d,): ONE}
         mt = (c[0] - 1) // d
         steps = self.step_probs(ell, t)
-        if mt not in self.reindexed_first_part_law(ell, t):
+        if mt not in steps:
             raise DomainError(f"composition {c} carries no mass at total {t}, shift {ell}")
-        q = steps.get(mt, ZERO)
+        q = Fraction(*steps[mt])
         row: Dict[Composition, Fraction] = {}
         if q:
             row[(c[0] + d,) + c[1:]] = q
@@ -402,77 +433,77 @@ class PartitionKernel:
                 row[(c[0],) + tail] = keep * p
         return row
 
-    def sample_move(self, t: int, parts: Sequence[int], rng) -> Tuple[Tuple, Fraction]:
-        """Walk the peeling recursion once; returns (move, exact probability).
+    def sample_move(self, t: int, parts: Sequence[int], rng) -> Tuple[Tuple, int, int]:
+        """Walk the peeling recursion once; returns (move, num, den).
 
         The move is ``("inc", j)`` to increment part j by d, or
-        ``("append", len(parts))`` to append d parts equal to 1.
+        ``("append", len(parts))`` to append d parts equal to 1; it was
+        chosen with probability ``num/den`` (not reduced).
         """
         d = self.d
         ell = 0
         j = 0
-        prob = ONE
+        num = den = 1
         remaining = t
         while True:
             if j == len(parts):
                 if remaining != 0:
                     raise DomainError("parts do not sum to the stated total")
-                return ("append", j), prob
+                return ("append", j), num, den
             if self.r - ell <= 1:
                 if j != len(parts) - 1:
                     raise DomainError(f"state off support at shift {ell}")
-                return ("inc", j), prob
+                return ("inc", j), num, den
             mt = (parts[j] - 1) // d
-            q = self.step_probs(ell, remaining).get(mt, ZERO)
-            if q == 1 or (q != 0 and bernoulli(rng, q)):
-                return ("inc", j), prob * q
-            prob *= ONE - q
+            qn, qd = self.step_probs(ell, remaining).get(mt, (0, 1))
+            if qn == qd:
+                return ("inc", j), num, den
+            if qn:
+                if bernoulli(rng, qn, qd):
+                    return ("inc", j), num * qn, den * qd
+                num *= qd - qn
+                den *= qd
             remaining -= parts[j]
             ell += 1
             j += 1
 
 
-def _monotone_move_probs(low: Dict[int, Fraction], high: Dict[int, Fraction]) -> Dict[int, Fraction]:
-    """Move probabilities of the shared-uniform coupling of two step laws.
+def move_rows(low: Dict[int, int], zl: int, high: Dict[int, int], zh: int) -> StepRow:
+    """Move probabilities of the shared-uniform coupling of two step laws, as integer pairs.
 
-    ``low`` and ``high`` are laws on consecutive integer ranges (the
-    support of ``high`` extends one point further right).  Verifies the
-    interleaving inequalities high(m) <= low(m) >= high(m+1) and returns,
-    for every m in the support of ``low``, the conditional probability
-    that the coupled pair moves from m to m+1.
+    The laws are ``low[m]/zl`` and ``high[m]/zh`` on consecutive integer
+    ranges (the support of ``high`` extends one point further right).
+    Verifies the interleaving inequalities high(m) <= low(m) >= high(m+1)
+    by cross-multiplying, and returns, for every m in the support of
+    ``low``, the conditional probability that the coupled pair moves from
+    m to m+1: with running sums ``CL``, ``CH`` it is
+    ``max(0, CL_m zh - max(CL_{m-1} zh, CH_m zl)) / (low[m] zh)``.
     """
     top = max(low) if low else -1
+    rows: StepRow = {}
+    cum_low = cum_high = 0  # CL_m zh and CH_m zl
+    high_next = high.get(0, 0) * zl
     for m in range(0, top + 1):
-        lo_m = low.get(m, ZERO)
-        if high.get(m, ZERO) > lo_m:
+        high_m, high_next = high_next, high.get(m + 1, 0) * zl
+        mass = low.get(m, 0)
+        low_m = mass * zh
+        if high_m > low_m or high_next > low_m:
             raise NotCoupleable(m)
-        if high.get(m + 1, ZERO) > lo_m:
-            raise NotCoupleable(m)
+        cum_high += high_m
+        if not mass:
+            continue
+        below = cum_low
+        cum_low += low_m
+        overlap = cum_low - max(below, cum_high)
+        rows[m] = (overlap if overlap > 0 else 0, low_m)
     for m in high:
         if m > top + 1:
             raise NotCoupleable(m, f"upper law reaches {m}, beyond the lower support {top}")
-    probs: Dict[int, Fraction] = {}
-    f_low = ZERO
-    cum_high: Dict[int, Fraction] = {}
-    acc = ZERO
-    for m in range(0, top + 2):
-        acc += high.get(m, ZERO)
-        cum_high[m] = acc
-    for m in range(0, top + 1):
-        mass = low.get(m, ZERO)
-        if mass == 0:
-            continue
-        f_prev = f_low
-        f_low += mass
-        overlap = f_low - max(f_prev, cum_high.get(m, ZERO))
-        if overlap < 0:
-            overlap = ZERO
-        probs[m] = overlap / mass
-    return probs
+    return rows
 
 
 class PairTables(PartitionKernel):
-    """Partition values for a generic weight pair, from the peeling recursion."""
+    """Integer partition values for a generic weight pair, from the peeling recursion."""
 
     def __init__(self, wp: WeightPair, cls: ArithClass = PLAIN, total_horizon: Optional[int] = None,
                  validate: bool = True):
@@ -481,21 +512,28 @@ class PairTables(PartitionKernel):
         n = wp.b.horizon if total_horizon is None else total_horizon
         if n > wp.b.horizon:
             raise HorizonError(f"pair tables to total {n} need b up to {n}, have {wp.b.horizon}")
-        super().__init__(cls.d, wp.max_a_index)
+        r = wp.max_a_index
+        a_scale, a = cleared(wp.a[:r + 1])
+        b_scale, b = cleared([wp.b[m] for m in range(1, n + 1)])
+        super().__init__(cls.d, r, a_scale, b_scale)
         self.wp = wp
         self.cls = cls
         self.total_horizon = n
-        self._z = peel_partition_values(wp.a[:self.r + 1], n, wp.b.__getitem__)
+        self._b = [0] + [bm * b_scale ** (m - 1) for m, bm in enumerate(b, 1)]  # D^m b_m
+        self._z = peel_partition_values(a, n, self._b.__getitem__)
 
     def b_weight(self, m: int) -> Fraction:
         return self.wp.b[m]
 
-    def partition_value(self, ell: int, t: int) -> Fraction:
+    def partition_int(self, ell: int, t: int) -> int:
         if ell < 0 or t < 0:
             raise DomainError("partition values need a non-negative shift and total")
         if t > self.total_horizon:
             raise HorizonError(f"partition value at total {t} beyond horizon {self.total_horizon}")
-        return self._z[ell][t] if ell <= self.r else ZERO
+        return self._z[ell][t] if ell <= self.r else 0
+
+    def partition_value(self, ell: int, t: int) -> Fraction:
+        return Fraction(self.partition_int(ell, t), self.scale(t))
 
 
 def partition_function(wp: WeightPair, n: int, cls: ArithClass = PLAIN) -> Fraction:
@@ -530,12 +568,15 @@ def monotone_step_kernel(mu_n: StepLaw, mu_next: StepLaw) -> Dict[int, Tuple[Fra
         raise DomainError("step laws use different increments")
     if mu_next.total != mu_n.total + mu_n.step:
         raise DomainError("step laws are not at consecutive totals")
-    probs = _monotone_move_probs(mu_n.reindexed(), mu_next.reindexed())
+    low, high = mu_n.reindexed(), mu_next.reindexed()
+    zl, low_ints = cleared(list(low.values()))
+    zh, high_ints = cleared(list(high.values()))
+    rows = move_rows(dict(zip(low, low_ints)), zl, dict(zip(high, high_ints)), zh)
     out: Dict[int, Tuple[Fraction, Fraction]] = {}
-    for mt, p in mu_n.reindexed().items():
+    for mt, p in low.items():
         if p == 0:
             continue
-        q = probs.get(mt, ZERO)
+        q = Fraction(*rows[mt])
         out[mt * mu_n.step + 1] = (ONE - q, q)
     return out
 
@@ -647,7 +688,7 @@ def sample_composition_chain(wp: WeightPair, cls: ArithClass, N: int, rng,
     total = s
     out = [c]
     while total + d <= N:
-        move, _ = tables.sample_move(total, c, rng)
+        move = tables.sample_move(total, c, rng)[0]
         c = apply_move(c, move, d)
         total += d
         out.append(c)

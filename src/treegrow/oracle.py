@@ -18,6 +18,7 @@ from .compositions import (ONE, PLAIN, ZERO, ArithClass, Composition, WeightPair
                            iter_compositions)
 from .errors import DomainError, HorizonError, ZeroMassError
 from .sgtrees import coerce_weights
+from .subtree_model import coerce_theta
 from .treespace import PlaneTree, ROOT, RootedSubtree, compose_root
 
 PLANE_TREE_CAP = 10
@@ -204,14 +205,13 @@ def sg_law(w, d: int, n: int, max_n: Optional[int] = None) -> Dict[PlaneTree, Fr
 
 def st_law(theta, n: int, max_n: Optional[int] = None) -> Dict[RootedSubtree, Fraction]:
     """Size-n subtree law from raw type-weight products."""
-    values = [as_fraction(v) for v in getattr(theta, "values", theta)]
-    positions = [i + 1 for i, v in enumerate(values) if v > 0]
+    theta = coerce_theta(theta)
     masses = {}
-    for tau in enumerate_subtrees(n, positions=positions, max_n=max_n):
+    for tau in enumerate_subtrees(n, positions=theta.support, max_n=max_n):
         mass = ONE
         for u in tau.vertices:
             if u:
-                mass *= values[u[-1] - 1]
+                mass *= theta.value(u[-1])
         if mass:
             masses[tau] = mass
     return _normalized(masses)
@@ -234,15 +234,14 @@ def comp_law(wp: WeightPair, n: int, cls: ArithClass = PLAIN) -> Dict[Compositio
 def subset_law(theta, k: int) -> Dict[frozenset, Fraction]:
     """k-subset law from raw products."""
     import itertools
-    values = [as_fraction(v) for v in getattr(theta, "values", theta)]
-    positions = [i + 1 for i, v in enumerate(values) if v > 0]
-    if k < 0 or k > len(positions):
+    theta = coerce_theta(theta)
+    if k < 0 or k > theta.n_support:
         raise ZeroMassError(f"no {k}-subsets available")
     masses = {}
-    for combo in itertools.combinations(positions, k):
+    for combo in itertools.combinations(theta.support, k):
         mass = ONE
         for i in combo:
-            mass *= values[i - 1]
+            mass *= theta.value(i)
         masses[frozenset(combo)] = mass
     return _normalized(masses)
 

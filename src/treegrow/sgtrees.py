@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from .compositions import CheckReport, PartitionKernel, ZERO, ONE, as_fraction, peel_partition_values
+from .compositions import CheckReport, PartitionKernel, ZERO, ONE, as_fraction, cleared, peel_partition_values
 from .compositions import check_ratio_chain  # noqa: F401  (re-exported: it checks tree tables too)
 from .errors import DomainError, HorizonError, Refused
 from .treespace import PlaneTree, ROOT, Word, decompose_root
@@ -152,7 +152,10 @@ class PartitionTables(PartitionKernel):
     ``b_n`` is the total mass of trees with n vertices and
     ``Z_ell(t) = sum_k w_{k+ell} f(t, k)``, where ``f(t, k)`` weighs the
     ordered k-tree forests with t vertices.  One peeling recursion builds
-    both, for every d: ``b_n = Z_0(n - 1)``.
+    both, for every d: ``b_n = Z_0(n - 1)``.  It runs on the integer
+    weights ``L w``, where ``L`` clears the denominators of ``w``; every
+    law is unchanged (see ``tilt``), and the tables hold
+    ``L^(t+1) Z_ell(t)`` and ``L^n b_n``.
     """
 
     def __init__(self, w: WeightSequence, d: int, N: int):
@@ -172,32 +175,38 @@ class PartitionTables(PartitionKernel):
                 raise DomainError(f"weights must be supported on multiples of d={d}")
             if w[0] == 0 or w[d] == 0:
                 raise DomainError(f"need w_0 w_{d} > 0")
-        super().__init__(d, w.radius)
+        r = w.radius
+        scale, entries = cleared(w.entries[:r + 1])
+        super().__init__(d, r, scale, scale)
         self.w = w
         self.N = N
         self._rows: Dict[frozenset, Dict] = {}
-        self._z = peel_partition_values(w.entries[:self.r + 1], N - 1)
+        self._z = peel_partition_values(entries, N - 1)
+        self._b = [0] + self._z[0]
 
     def b_value(self, n: int) -> Fraction:
         if n < 1:
             raise DomainError("tree sizes start at 1")
         if n > self.N:
             raise HorizonError(f"b_{n} beyond the vertex horizon {self.N}")
-        return self._z[0][n - 1]
+        return Fraction(self._b[n], self.b_scale ** n)
 
     # -- PartitionKernel surface ----------------------------------------------
 
     def b_weight(self, m: int) -> Fraction:
         return self.b_value(m)
 
-    def partition_value(self, ell: int, t: int) -> Fraction:
+    def partition_int(self, ell: int, t: int) -> int:
         if ell < 0 or t < 0:
             raise DomainError("partition values need a non-negative shift and total")
         if t > self.N - 1:
             raise HorizonError(f"partition value at total {t} beyond horizon {self.N - 1}")
         if self.w.horizon is not None and ell + t > self.w.horizon:
             raise HorizonError(f"w_{ell + t} requested beyond declared truncation horizon {self.w.horizon}")
-        return self._z[ell][t] if ell <= self.r else ZERO
+        return self._z[ell][t] if ell <= self.r else 0
+
+    def partition_value(self, ell: int, t: int) -> Fraction:
+        return Fraction(self.partition_int(ell, t), self.scale(t))
 
 
 def compute_tables(w, d: int = 1, N: int = 10) -> PartitionTables:
@@ -345,12 +354,13 @@ class GrowthChain:
         d = self.d
         v: Word = ROOT
         path = [ROOT]
-        prob = ONE
+        num = den = 1
         while True:
             k = self._kids[v]
             parts = tuple(self._size[v + (j,)] for j in range(1, k + 1))
-            move, p = self.tables.sample_move(self._size[v] - 1, parts, self.rng)
-            prob *= p
+            move, p, q = self.tables.sample_move(self._size[v] - 1, parts, self.rng)
+            num *= p
+            den *= q
             kind, j = move
             if kind == "append":
                 new = tuple(v + (k + i,) for i in range(1, d + 1))
@@ -362,7 +372,7 @@ class GrowthChain:
                     self._size[u] += d
                 self.n += d
                 self.step_index += 1
-                return GrowthStep(self.step_index, self.n, v, new, prob)
+                return GrowthStep(self.step_index, self.n, v, new, Fraction(num, den))
             v = v + (j + 1,)
             path.append(v)
 

@@ -160,7 +160,7 @@ class SummableTheta:
     tree model.
     """
 
-    __slots__ = ("values", "support", "e")
+    __slots__ = ("values", "support", "e", "_ladder")
 
     def __init__(self, values: Iterable):
         self.values = tuple(as_fraction(v) for v in values)
@@ -170,6 +170,7 @@ class SummableTheta:
         if not self.support:
             raise DomainError("type weights must have positive total mass")
         self.e = tuple(elementary_symmetric([self.values[i - 1] for i in self.support]))
+        self._ladder = None
 
     @property
     def n_support(self) -> int:
@@ -184,6 +185,26 @@ class SummableTheta:
         vals = list(self.values)
         vals[i - 1] = ZERO
         return SummableTheta(vals)
+
+    @property
+    def ladder(self) -> Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...]:
+        """Per level of the nested coupling, the pivot and its thresholds as ``(num, den)``.
+
+        Level 0 is theta itself and each later level drops the pivot before
+        it; the last level holds the one remaining support point and no
+        thresholds.  Built on first use, once per theta.
+        """
+        if self._ladder is None:
+            levels = []
+            theta = self
+            while theta.n_support > 1:
+                pivot = theta.support[0]
+                thresholds = tuple((p.numerator, p.denominator) for p in nested_thresholds(theta))
+                levels.append((pivot, thresholds))
+                theta = theta.drop(pivot)
+            levels.append((theta.support[0], ()))
+            self._ladder = tuple(levels)
+        return self._ladder
 
     def __repr__(self):
         return f"SummableTheta({[str(v) for v in self.values]})"
@@ -238,20 +259,25 @@ def nested_coupling_law(theta) -> Dict[Tuple[int, ...], Fraction]:
 
 
 def nested_subset_coupling(theta, rng: random.Random) -> Tuple[int, ...]:
-    """Sample the insertion ordering; prefix sets follow the subset laws."""
-    theta = coerce_theta(theta)
-    if theta.n_support == 1:
-        return (theta.support[0],)
-    pivot = theta.support[0]
-    ps = nested_thresholds(theta)
-    u = LazyUniform(rng)
-    rank = theta.n_support
-    for k, pk in enumerate(ps, start=1):
-        if u.is_below(pk):
-            rank = k
-            break
-    inner = nested_subset_coupling(theta.drop(pivot), rng)
-    return inner[:rank - 1] + (pivot,) + inner[rank - 1:]
+    """Sample the insertion ordering; prefix sets follow the subset laws.
+
+    Each level of the threshold ladder draws one uniform and inserts its
+    pivot at the first rank whose threshold the uniform lies below.
+    """
+    levels = coerce_theta(theta).ladder
+    ranks = []
+    for _, thresholds in levels[:-1]:
+        u = LazyUniform(rng)
+        rank = len(thresholds)
+        for k, (num, den) in enumerate(thresholds, start=1):
+            if u.is_below(num, den):
+                rank = k
+                break
+        ranks.append(rank)
+    seq: Tuple[int, ...] = (levels[-1][0],)
+    for (pivot, _), rank in zip(levels[-2::-1], reversed(ranks)):
+        seq = seq[:rank - 1] + (pivot,) + seq[rank - 1:]
+    return seq
 
 
 # ---------------------------------------------------------------------------

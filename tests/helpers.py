@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from treegrow.compositions import iter_compositions
+from treegrow.errors import NotCoupleable
 from treegrow.oracle import enumerate_plane_trees, enumerate_subtrees
 from treegrow.sgtrees import growth_kernel_row
 from treegrow.subtree_model import nested_coupling_law
@@ -57,6 +58,47 @@ def composition_sum(w, b, ell, t):
             mass *= b(p)
         total += mass
     return total
+
+
+def monotone_move_probs(low, high):
+    """Move probabilities of the shared-uniform coupling of two step laws, in Fractions.
+
+    The independent oracle for ``compositions.move_rows``: ``low`` and
+    ``high`` are laws on consecutive integer ranges (the support of ``high``
+    extends one point further right).  Verifies the interleaving
+    inequalities high(m) <= low(m) >= high(m+1) and returns, for every m in
+    the support of ``low``, the conditional probability that the coupled
+    pair moves from m to m+1.
+    """
+    zero = Fraction(0)
+    top = max(low) if low else -1
+    for m in range(0, top + 1):
+        lo_m = low.get(m, zero)
+        if high.get(m, zero) > lo_m:
+            raise NotCoupleable(m)
+        if high.get(m + 1, zero) > lo_m:
+            raise NotCoupleable(m)
+    for m in high:
+        if m > top + 1:
+            raise NotCoupleable(m, f"upper law reaches {m}, beyond the lower support {top}")
+    probs = {}
+    f_low = zero
+    cum_high = {}
+    acc = zero
+    for m in range(0, top + 2):
+        acc += high.get(m, zero)
+        cum_high[m] = acc
+    for m in range(0, top + 1):
+        mass = low.get(m, zero)
+        if mass == 0:
+            continue
+        f_prev = f_low
+        f_low += mass
+        overlap = f_low - max(f_prev, cum_high.get(m, zero))
+        if overlap < 0:
+            overlap = zero
+        probs[m] = overlap / mass
+    return probs
 
 
 def kernel_rows_digest(tables, w, d, n_max):

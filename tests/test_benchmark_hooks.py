@@ -7,6 +7,8 @@ renames a wrapped name fails here and not only in a benchmark run.
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -36,3 +38,16 @@ def test_every_traced_target_resolves():
         if not found:
             missing.append(f"{module_name}.{attr}")
     assert not missing, missing
+
+
+def test_benchmark_self_test_passes():
+    """``perfbench/run.py --self-test`` runs traced ops end to end, so it needs the hooks to behave.
+
+    It fails when a wrapped function changes what the tracer reads from it,
+    for example ``GrowthStep.prob`` ceasing to be a Fraction or ``step_probs``
+    changing its arguments, which resolving the names alone cannot see.
+    """
+    root = TRACING.parent.parent
+    done = subprocess.run([sys.executable, str(root / "perfbench" / "run.py"), "--self-test"],
+                          cwd=root, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]

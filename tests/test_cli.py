@@ -1,9 +1,12 @@
 import hashlib
 import json
+import sys
+from fractions import Fraction as F
 
 import pytest
 
-from treegrow.cli import main, validate_trace
+import treegrow.cli
+from treegrow.cli import GROW_CAP, exact_text, main, validate_trace
 from treegrow.errors import DomainError
 
 
@@ -174,10 +177,31 @@ class TestErrorBoundary:
         line = self.assert_one_line_error(capsys, run("verify", "--suite", *argv))
         assert argv[0] in line and "--n-max" in line
 
+    @pytest.mark.parametrize("model", [["sg", "--w", "1,1,1"], ["subtree", "--theta", "1,1"]],
+                             ids=lambda m: m[0])
+    def test_grow_n_above_cap_refused(self, model, monkeypatch, capsys):
+        def no_chain(*args, **kwargs):
+            raise AssertionError("a chain was built for a refused --n")
+
+        monkeypatch.setattr(treegrow.cli, "GrowthChain", no_chain)
+        monkeypatch.setattr(treegrow.cli, "SubtreeChain", no_chain)
+        code = run("grow", "--model", *model, "--n", str(GROW_CAP + 1))
+        line = self.assert_one_line_error(capsys, code)
+        assert "--n" in line and str(GROW_CAP) in line
+
     def test_refused_keeps_witness(self, capsys):
         assert run("verify", "--suite", "stats", "--w", "2/5,1/5,2/5", "--n-max", "3",
                    "--samples", "10") == 2
         assert "index 1" in capsys.readouterr().err
+
+
+def test_exact_text_past_the_int_digit_limit():
+    q = F(1, 10 ** 5000 + 1)
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    assert exact_text(q) == "1/1" + "0" * 4999 + "1"
+    assert exact_text(F(3, 7)) == "3/7"
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
 
 
 class TestEnumerate:

@@ -8,7 +8,7 @@ from treegrow.compositions import WeightPair
 from treegrow.errors import DomainError, HorizonError
 from treegrow.oracle import (ExactLaw, enumerate_plane_trees, enumerate_subtrees, exact_law,
                              goodness_of_fit, janson_expectations, kernel_interchange_check,
-                             sg_law, tv_distance)
+                             sg_law, st_law, subset_law, tv_distance)
 from treegrow.sgtrees import WeightSequence, compute_tables, growth_kernel_row
 from treegrow.treespace import ROOT
 
@@ -97,6 +97,15 @@ class TestExactLaws:
         # (6,), (1, 5) and (5, 1) need b_6 or b_5: refused, not dropped from the law
         with pytest.raises(HorizonError):
             exact_law("comp", wp=WeightPair([1, 2, 1], [1, 1, 1, 1]), n=6)
+
+    def test_st_refuses_negative_weights(self):
+        # read through coerce_theta like SummableTheta: a negative weight is an error, not a zero
+        with pytest.raises(DomainError):
+            st_law(["-1", "1"], 2)
+
+    def test_subsets_refuse_negative_weights(self):
+        with pytest.raises(DomainError):
+            subset_law(["-1", "1"], 1)
 
     def test_law_validation(self):
         with pytest.raises(DomainError):
