@@ -24,7 +24,7 @@ from .sgtrees import (GrowthChain, PartitionTables, WeightSequence, check_toepli
                       is_log_concave, tilt)
 from .subtree_model import (SubtreeChain, SummableTheta, apply_shuffle, bij_P, bij_P_inv,
                             check_equivariance, elementary_symmetric, inverse_shuffle,
-                            naive_subtree_chain, nested_coupling_law, nested_subset_coupling,
+                            nested_coupling_law, nested_subset_coupling,
                             push, push_forward, sigma_rule, shuffle_invariance_check,
                             subtree_grow_chain)
 from .oracle import (ExactLaw, GofReport, comp_law, enumerate_plane_trees, enumerate_subtrees,

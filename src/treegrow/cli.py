@@ -22,8 +22,8 @@ from .sgtrees import (WeightSequence, check_tp2_array, check_toeplitz_tp2, compu
                       forest_array, growth_kernel_row, is_log_concave, GrowthChain)
 from .subtree_model import (SubtreeChain, SummableTheta, bij_P, bij_P_inv, nested_coupling_law,
                             nested_thresholds, sigma_rule, shuffle_invariance_check)
-from .treespace import (format_tree, is_bouquet_addition,
-                        is_right_leaning_leaf_addition, parse_tree, to_dot, word_to_text)
+from .treespace import (GrowingText, Word, adds_bouquet, format_tree, parse_tree, to_dot,
+                        word_from_text, word_to_text)
 
 SUITES = ("tables", "tp2", "ratio-chain", "kernel-interchange", "bijection",
           "subset-coupling", "shuffle-invariance", "stats")
@@ -39,9 +39,10 @@ SHUFFLE_CAP = 4
 
 # --n cap of grow.  The compiled step laws hold O(n^2) integer pairs of O(n)
 # bits each, so memory grows like n^3 (and with the bit length of the
-# weights).  On a 2-CPU Xeon, n = 600 peaks at 358 MB in 6.6 s for
-# w = 1,3,3,1, at 386 MB for w = 1,1,1,1,1,1,1,1 and at 488 MB in 22 s for the
-# subtree model with theta = 1/2,1/3,1/4; n = 800 reaches 758 MB and 1.1 GB.
+# weights).  On a 2-CPU Xeon, n = 600 with --out peaks at 283 MB in about 5 s
+# for w = 1,3,3,1, at 324 MB for w = 1,1,1,1,1,1,1,1 and at 420 MB in 12 s for
+# the subtree model with theta = 1/2,1/3,1/4; n = 800 reached 758 MB and 1.1 GB
+# before the trace writer and reader became incremental.
 GROW_CAP = 600
 
 
@@ -158,7 +159,6 @@ def cmd_grow(args) -> int:
         raise HorizonError(f"--n {args.n} is above the cap {GROW_CAP} of grow")
     seed = _given(args.seed, 0)
     d = _given(args.d, 1)
-    records: List[dict] = []
     if args.model in ("sg", "sg-arith"):
         if not args.w:
             print("error: --w is required for tree models", file=sys.stderr)
@@ -168,36 +168,61 @@ def cmd_grow(args) -> int:
             return 1
         w = WeightSequence(parse_rational_list(args.w))
         chain = GrowthChain(w, d=d, horizon=args.n, rng=derive_rng(seed, "chain"))
-        records.append({"step": 0, "n": 1, "new_vertices": ["e"], "tree": "e", "prob": "1"})
-        while chain.n + d <= args.n:
-            step = chain.step()
-            rec = {"step": step.index, "n": step.n,
-                   "new_vertices": [word_to_text(u) for u in step.new_vertices],
-                   "tree": format_tree(chain.tree()), "prob": exact_text(step.prob)}
-            if args.decimal:
-                rec["prob_decimal"] = float(step.prob)
-            records.append(rec)
-            print(f"step {step.index}: +{','.join(word_to_text(u) for u in step.new_vertices)}")
     else:
         if not args.theta:
             print("error: --theta is required for the subtree model", file=sys.stderr)
             return 1
         theta = SummableTheta(parse_rational_list(args.theta))
         chain = SubtreeChain(theta, horizon=args.n, seed=seed)
-        records.append({"step": 0, "n": 1, "new_vertex": "e", "subtree": "e"})
-        while chain.n < args.n:
-            new = chain.step()
-            records.append({"step": chain.n - 1, "n": chain.n,
-                            "new_vertex": word_to_text(new),
-                            "subtree": format_tree(chain.subtree())})
-            print(f"step {chain.n - 1}: +{word_to_text(new)}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            for rec in records:
-                handle.write(json.dumps(rec, sort_keys=True) + "\n")
+            steps = _grow(chain, args, d, handle)
         validate_trace(args.out, args.model, d)
-    print(f"grew to {records[-1]['n']} vertices in {len(records) - 1} steps (seed {seed})")
+    else:
+        steps = _grow(chain, args, d, None)
+    print(f"grew to {chain.n} vertices in {steps} steps (seed {seed})")
     return 0
+
+
+def _grow(chain, args, d: int, handle) -> int:
+    """Run the chain to ``--n``, printing each step and, given a handle, writing its trace.
+
+    Each trace line carries the whole tree: its text is kept up to date by
+    inserting the new words, so no step rebuilds or re-sorts the tree.
+    Returns the number of steps.
+    """
+    text = GrowingText() if handle else None
+
+    def write(rec):
+        handle.write(json.dumps(rec, sort_keys=True) + "\n")
+
+    if args.model == "subtree":
+        if handle:
+            write({"step": 0, "n": 1, "new_vertex": "e", "subtree": "e"})
+        while chain.n < args.n:
+            new = chain.step()
+            label = word_to_text(new)
+            if handle:
+                text.add(new)
+                write({"step": chain.n - 1, "n": chain.n, "new_vertex": label, "subtree": str(text)})
+            print(f"step {chain.n - 1}: +{label}")
+        return chain.n - 1
+    if handle:
+        write({"step": 0, "n": 1, "new_vertices": ["e"], "tree": "e", "prob": "1"})
+    while chain.n + d <= args.n:
+        step = chain.step()
+        labels = [word_to_text(u) for u in step.new_vertices]
+        if handle:
+            for u in step.new_vertices:
+                text.add(u)
+            prob = step.prob
+            rec = {"step": step.index, "n": step.n, "new_vertices": labels,
+                   "tree": str(text), "prob": exact_text(prob)}
+            if args.decimal:
+                rec["prob_decimal"] = float(prob)
+            write(rec)
+        print(f"step {step.index}: +{','.join(labels)}")
+    return chain.step_index
 
 
 def exact_text(q: Fraction) -> str:
@@ -219,23 +244,51 @@ def exact_text(q: Fraction) -> str:
 
 
 def validate_trace(path: str, model: str, d: int = 1):
-    """Re-validate a trace file: consecutive inclusions plus the growth-shape predicate."""
-    with open(path, "r", encoding="utf-8") as handle:
-        records = [json.loads(line) for line in handle if line.strip()]
-    if not records:
-        raise ParseError(f"{path}: empty trace")
+    """Re-validate a trace file: the first tree in full, then each line as a step from the one before.
+
+    A step must add a right-leaning bouquet of ``d`` leaves (one leaf for
+    sg) or, for the subtree model, one leaf under a present vertex.  From a
+    valid first tree, such a step always gives a valid tree, so no later
+    tree is rebuilt: each line is read as a set of words, every distinct
+    token text is parsed once, and child counts carry over from line to line.
+    """
     if model in ("sg", "sg-arith"):
-        trees = [parse_tree(rec["tree"], kind="plane") for rec in records]
-        for before, after in zip(trees, trees[1:]):
-            ok = (is_right_leaning_leaf_addition(before, after) if d == 1
-                  else is_bouquet_addition(before, after, d))
-            if not ok:
-                raise DomainError(f"{path}: consecutive trees are not a right-leaning addition")
+        field, kind = "tree", "plane"
+    elif model == "subtree":
+        field, kind = "subtree", "subtree"
     else:
-        subs = [parse_tree(rec["subtree"], kind="subtree") for rec in records]
-        for before, after in zip(subs, subs[1:]):
-            if not (before.vertices < after.vertices and len(after) == len(before) + 1):
-                raise DomainError(f"{path}: consecutive subtrees are not one-leaf inclusions")
+        raise DomainError(f"unknown model {model!r}: expected sg, sg-arith or subtree")
+    words: Dict[str, Optional[Word]] = {}   # token text -> word; blank tokens are skipped
+    vertices = kids = None
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            text = json.loads(line)[field]
+            if vertices is None:
+                first = parse_tree(text, kind=kind)
+                vertices = set(first.vertices)
+                kids = {u: first.children_count(u) for u in vertices}
+                continue
+            tokens = set(text.split(","))
+            for token in tokens.difference(words):
+                words[token] = word_from_text(token) if token.strip() else None
+            after = set(map(words.__getitem__, tokens))
+            after.discard(None)
+            added = after - vertices
+            if kind == "plane":
+                ok = vertices < after and adds_bouquet(kids, added, d)
+            else:
+                ok = vertices < after and len(added) == 1 and next(iter(added))[:-1] in vertices
+            if not ok:
+                raise DomainError(f"{path}:{lineno}: the {field} is not a {model} growth step "
+                                  f"from the line before")
+            for u in added:
+                kids[u] = 0
+            kids[next(iter(added))[:-1]] += len(added)
+            vertices = after
+    if vertices is None:
+        raise ParseError(f"{path}: empty trace")
 
 
 # ---------------------------------------------------------------------------

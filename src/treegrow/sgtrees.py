@@ -301,11 +301,19 @@ def growth_kernel_row(tables: PartitionTables, tree: PlaneTree) -> Dict[PlaneTre
 
 @dataclass(frozen=True)
 class GrowthStep:
+    """One step of a growth chain; its probability is kept as the unreduced pair ``num/den``."""
+
     index: int
     n: int
     parent: Word
     new_vertices: Tuple[Word, ...]
-    prob: Fraction
+    num: int
+    den: int
+
+    @property
+    def prob(self) -> Fraction:
+        """The exact probability of the step, reduced on each read."""
+        return Fraction(self.num, self.den)
 
 
 class GrowthChain:
@@ -372,7 +380,7 @@ class GrowthChain:
                     self._size[u] += d
                 self.n += d
                 self.step_index += 1
-                return GrowthStep(self.step_index, self.n, v, new, Fraction(num, den))
+                return GrowthStep(self.step_index, self.n, v, new, num, den)
             v = v + (j + 1,)
             path.append(v)
 

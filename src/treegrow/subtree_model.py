@@ -348,26 +348,6 @@ class SubtreeChain:
     def plane_tree(self) -> PlaneTree:
         return self.inner.tree()
 
-    def literal_image(self) -> RootedSubtree:
-        """The same subtree computed the long way, by shuffling and unpacking.
-
-        Builds the per-vertex rank permutations from the orderings,
-        shuffles the decorated plane tree with them and inverts the
-        left-packing; kept as a cross-check against the direct embedding.
-        """
-        tree = self.inner.tree()
-        sigma: Shuffle = {}
-        decorations: Dict[Word, FrozenSet[int]] = {}
-        for u in tree.vertices:
-            k = tree.children_count(u)
-            seq = self.ordering(u)
-            perm = sigma_rule(k, seq)
-            sigma[u] = {j + 1: perm[j] for j in range(k)}
-            decorations[u] = frozenset(seq[:k])
-        shuffled_tree = apply_shuffle(tree, sigma)
-        shuffled_dec = push_forward(sigma, tree, decorations)
-        return bij_P_inv(PlaneTree(shuffled_tree.vertices), shuffled_dec)
-
 
 def subtree_grow_chain(theta, N: int, seed: int,
                        tables: Optional[PartitionTables] = None) -> List[RootedSubtree]:
@@ -378,26 +358,6 @@ def subtree_grow_chain(theta, N: int, seed: int,
         chain.step()
         out.append(chain.subtree())
     return out
-
-
-def naive_subtree_chain(theta, N: int, seed: int,
-                        tables: Optional[PartitionTables] = None) -> List[RootedSubtree]:
-    """Reference sampler without the shuffling step.
-
-    Uses the same tree chain and the same per-vertex orderings but
-    unpacks the raw decorated tree at every size.  Each term has the
-    right law, yet the sequence is generally not nested; it documents why
-    the rank permutations are needed.
-    """
-    chain = SubtreeChain(theta, horizon=N, seed=seed, tables=tables)
-    out = []
-    while True:
-        tree = chain.plane_tree()
-        decorations = {u: frozenset(chain.ordering(u)[:tree.children_count(u)]) for u in tree.vertices}
-        out.append(bij_P_inv(tree, decorations))
-        if chain.n >= N:
-            return out
-        chain.step()
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ vertex set and are safe to share between threads.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from bisect import bisect_left
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Set, Tuple
 
 from .errors import DomainError, ParseError
 
@@ -161,14 +162,7 @@ def children_count(tree: _WordSet, u: Word) -> int:
 
 def is_right_leaning_leaf_addition(tree: PlaneTree, bigger: PlaneTree) -> bool:
     """True iff ``bigger`` is ``tree`` plus one new rightmost child of some vertex."""
-    small, big = tree.vertices, bigger.vertices
-    if len(big) != len(small) + 1 or not small < big:
-        return False
-    (new,) = big - small
-    if not new:
-        return False
-    v = new[:-1]
-    return v in small and new[-1] == tree.children_count(v) + 1
+    return is_bouquet_addition(tree, bigger, 1)
 
 
 def is_bouquet_addition(tree: PlaneTree, bigger: PlaneTree, d: int) -> bool:
@@ -176,19 +170,24 @@ def is_bouquet_addition(tree: PlaneTree, bigger: PlaneTree, d: int) -> bool:
     if d < 1:
         raise DomainError("d must be a positive integer")
     small, big = tree.vertices, bigger.vertices
-    if not small < big:
-        return False
-    added = big - small
+    return small < big and adds_bouquet(tree._kids, big - small, d)
+
+
+def adds_bouquet(kids: Mapping[Word, int], added: Set[Word], d: int) -> bool:
+    """True iff the words ``added`` are d new rightmost sibling leaves of one vertex.
+
+    ``kids`` maps every vertex of a plane tree to its number of children,
+    and ``added`` holds words outside that tree.  With ``d = 1`` this is a
+    right-leaning leaf addition.
+    """
     if len(added) != d:
         return False
     parents = {u[:-1] for u in added if u}
     if len(parents) != 1:
         return False
     (v,) = parents
-    if v not in small:
-        return False
-    k = tree.children_count(v)
-    return {u[-1] for u in added} == set(range(k + 1, k + d + 1))
+    k = kids.get(v)
+    return k is not None and {u[-1] for u in added} == set(range(k + 1, k + d + 1))
 
 
 def decompose_root(tree: PlaneTree) -> Tuple[List[PlaneTree], Tuple[int, ...]]:
@@ -237,6 +236,30 @@ def complete_d_ary(tau: RootedSubtree, d: int) -> PlaneTree:
 def format_tree(tree: _WordSet) -> str:
     """Comma-separated canonical word list, e.g. ``e,1,2,1.1``."""
     return ",".join(word_to_text(u) for u in tree.sorted_vertices())
+
+
+class GrowingText:
+    """The canonical text of a growing word set, kept up to date one word at a time.
+
+    ``str()`` equals :func:`format_tree` of the words added so far.  Words
+    stay sorted as tuples, which is not the order of their texts: ``(2,)``
+    comes before ``(10,)``, while ``"10"`` sorts before ``"2"``.
+    """
+
+    __slots__ = ("_words", "_texts")
+
+    def __init__(self):
+        self._words: List[Word] = [ROOT]
+        self._texts: List[str] = ["e"]
+
+    def add(self, u: Word):
+        """Insert a word that is not present yet."""
+        i = bisect_left(self._words, u)
+        self._words.insert(i, u)
+        self._texts.insert(i, word_to_text(u))
+
+    def __str__(self) -> str:
+        return ",".join(self._texts)
 
 
 def parse_tree(text: str, kind: str = "plane"):

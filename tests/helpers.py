@@ -12,15 +12,18 @@ import itertools
 import json
 import math
 from fractions import Fraction
+from typing import Dict, FrozenSet
 
 import numpy as np
 
 from treegrow.compositions import iter_compositions
-from treegrow.errors import NotCoupleable
+from treegrow.errors import DomainError, NotCoupleable, ParseError
 from treegrow.oracle import enumerate_plane_trees, enumerate_subtrees
 from treegrow.sgtrees import growth_kernel_row
-from treegrow.subtree_model import nested_coupling_law
-from treegrow.treespace import ROOT, format_tree
+from treegrow.subtree_model import (SubtreeChain, apply_shuffle, bij_P_inv, nested_coupling_law,
+                                    push_forward, sigma_rule)
+from treegrow.treespace import (ROOT, PlaneTree, format_tree, is_bouquet_addition,
+                                is_right_leaning_leaf_addition, parse_tree)
 
 
 def random_subtree(rng, n_max=5, positions=(1, 2, 3)):
@@ -239,3 +242,67 @@ def draw_embeddings(tree_counts, cond_laws, n_subtree_states, rng):
         idx = np.searchsorted(cum, draws, side="right")
         counts += np.bincount(targets[idx], minlength=n_subtree_states)
     return counts
+
+
+def whole_tree_validate_trace(path, model, d=1):
+    """Validate a grow trace by parsing every tree in full and comparing consecutive trees.
+
+    The independent oracle for ``cli.validate_trace``, which checks the
+    first tree in full and every later line as a step from the one before.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        records = [json.loads(line) for line in handle if line.strip()]
+    if not records:
+        raise ParseError(f"{path}: empty trace")
+    if model in ("sg", "sg-arith"):
+        trees = [parse_tree(rec["tree"], kind="plane") for rec in records]
+        for before, after in zip(trees, trees[1:]):
+            ok = (is_right_leaning_leaf_addition(before, after) if d == 1
+                  else is_bouquet_addition(before, after, d))
+            if not ok:
+                raise DomainError(f"{path}: consecutive trees are not a right-leaning addition")
+    else:
+        subs = [parse_tree(rec["subtree"], kind="subtree") for rec in records]
+        for before, after in zip(subs, subs[1:]):
+            if not (before.vertices < after.vertices and len(after) == len(before) + 1):
+                raise DomainError(f"{path}: consecutive subtrees are not one-leaf inclusions")
+
+
+def literal_image(chain):
+    """The subtree of a ``SubtreeChain`` computed the long way, by shuffling and unpacking.
+
+    Builds the per-vertex rank permutations from the orderings, shuffles
+    the decorated plane tree with them and inverts the left-packing: a
+    cross-check against the chain's direct embedding.
+    """
+    tree = chain.plane_tree()
+    sigma = {}
+    decorations: Dict[tuple, FrozenSet[int]] = {}
+    for u in tree.vertices:
+        k = tree.children_count(u)
+        seq = chain.ordering(u)
+        perm = sigma_rule(k, seq)
+        sigma[u] = {j + 1: perm[j] for j in range(k)}
+        decorations[u] = frozenset(seq[:k])
+    shuffled_tree = apply_shuffle(tree, sigma)
+    shuffled_dec = push_forward(sigma, tree, decorations)
+    return bij_P_inv(PlaneTree(shuffled_tree.vertices), shuffled_dec)
+
+
+def naive_subtree_chain(theta, N, seed, tables=None):
+    """Reference sampler without the shuffling step.
+
+    Uses the same tree chain and the same per-vertex orderings but
+    unpacks the raw decorated tree at every size.  Each term has the
+    right law, yet the sequence is generally not nested; it documents why
+    the rank permutations are needed.
+    """
+    chain = SubtreeChain(theta, horizon=N, seed=seed, tables=tables)
+    out = []
+    while True:
+        tree = chain.plane_tree()
+        decorations = {u: frozenset(chain.ordering(u)[:tree.children_count(u)]) for u in tree.vertices}
+        out.append(bij_P_inv(tree, decorations))
+        if chain.n >= N:
+            return out
+        chain.step()

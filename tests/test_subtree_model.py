@@ -12,13 +12,13 @@ from treegrow.oracle import (enumerate_plane_trees, enumerate_subtrees, sg_law, 
 from treegrow.sgtrees import WeightSequence, compute_tables, is_log_concave
 from treegrow.subtree_model import (SubtreeChain, SummableTheta, apply_shuffle, bij_P, bij_P_inv,
                                     check_equivariance, elementary_symmetric, inverse_shuffle,
-                                    naive_subtree_chain, nested_coupling_law,
+                                    nested_coupling_law,
                                     nested_subset_coupling, nested_thresholds, pointwise_inverse,
                                     push, push_forward, sigma_rule, shuffle_invariance_check,
                                     subtree_grow_chain)
 from treegrow.treespace import PlaneTree, RootedSubtree
 
-from helpers import random_shuffle_for, random_subtree
+from helpers import literal_image, naive_subtree_chain, random_shuffle_for, random_subtree
 
 
 class TestShuffleGroupoid:
@@ -363,7 +363,7 @@ class TestSubtreeChain:
             chain = SubtreeChain(["2", "1"], horizon=7, seed=seed)
             while chain.n < 7:
                 chain.step()
-                assert chain.literal_image() == chain.subtree()
+                assert literal_image(chain) == chain.subtree()
 
     def test_marginal_three_vertices(self):
         # 1e5 sampled chains; the law of the third state over the 5 subtrees
