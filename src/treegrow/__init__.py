@@ -14,10 +14,9 @@ from .errors import (DomainError, HorizonError, NotCoupleable, ParseError, Refus
 from .treespace import (PlaneTree, RootedSubtree, Word, children_count, complete_d_ary,
                         compose_root, decompose_root, format_tree, is_bouquet_addition,
                         is_right_leaning_leaf_addition, parse_tree, to_dot)
-from .compositions import (ArithClass, BSequence, Composition, StepLaw, WeightPair,
+from .compositions import (ArithClass, BSequence, Composition, PairTables, WeightPair,
                            check_admissibility_inequalities, check_ratio_chain,
-                           composition_kernel, covering_successors, first_part_law,
-                           monotone_step_kernel, partition_function,
+                           composition_kernel, covering_successors, move_rows,
                            sample_composition_chain, satisfies_arith, shift)
 from .sgtrees import (GrowthChain, PartitionTables, WeightSequence, check_toeplitz_tp2,
                       check_tp2_array, compute_tables, grow_chain, growth_kernel_row,
@@ -27,6 +26,6 @@ from .subtree_model import (SubtreeChain, SummableTheta, apply_shuffle, bij_P, b
                             nested_coupling_law, nested_subset_coupling,
                             push, push_forward, sigma_rule, shuffle_invariance_check,
                             subtree_grow_chain)
-from .oracle import (ExactLaw, GofReport, comp_law, enumerate_plane_trees, enumerate_subtrees,
-                     exact_law, goodness_of_fit, janson_expectations,
+from .oracle import (GofReport, comp_law, enumerate_plane_trees, enumerate_subtrees,
+                     goodness_of_fit, janson_expectations,
                      kernel_interchange_check, sg_law, st_law, subset_law, tv_distance)

@@ -37,6 +37,12 @@ TP2_CAP = 40
 RATIO_CHAIN_CAP = 1000
 SHUFFLE_CAP = 4
 
+# Largest --theta support of the subset-coupling suite, whose nested coupling
+# law holds one entry per insertion ordering: factorially many.  With all-ones
+# theta on a 2-CPU Xeon, the suite takes about 0.03 s at a support of 6, 0.2 s
+# at 7 and 1.8 s at 8, and each further entry multiplies that again.
+SUBSET_SUPPORT_CAP = 8
+
 # --n cap of grow.  The compiled step laws hold O(n^2) integer pairs of O(n)
 # bits each, so memory grows like n^3 (and with the bit length of the
 # weights).  On a 2-CPU Xeon, n = 600 with --out peaks at 283 MB in about 5 s
@@ -150,28 +156,23 @@ def cmd_grow(args) -> int:
     _fill_from_config(args, {"model": str, "w": str, "theta": str, "d": positive_int,
                              "n": positive_int, "seed": int, "out": str})
     if args.model is None:
-        print("error: --model is required", file=sys.stderr)
-        return 1
+        raise ParseError("--model is required")
     if args.n is None:
-        print("error: --n is required", file=sys.stderr)
-        return 1
+        raise ParseError("--n is required")
     if args.n > GROW_CAP:
         raise HorizonError(f"--n {args.n} is above the cap {GROW_CAP} of grow")
     seed = _given(args.seed, 0)
     d = _given(args.d, 1)
     if args.model in ("sg", "sg-arith"):
         if not args.w:
-            print("error: --w is required for tree models", file=sys.stderr)
-            return 1
+            raise ParseError("--w is required for tree models")
         if args.model == "sg" and d != 1:
-            print("error: the sg model has d = 1; use sg-arith", file=sys.stderr)
-            return 1
+            raise ParseError("the sg model has d = 1; use sg-arith")
         w = WeightSequence(parse_rational_list(args.w))
         chain = GrowthChain(w, d=d, horizon=args.n, rng=derive_rng(seed, "chain"))
     else:
         if not args.theta:
-            print("error: --theta is required for the subtree model", file=sys.stderr)
-            return 1
+            raise ParseError("--theta is required for the subtree model")
         theta = SummableTheta(parse_rational_list(args.theta))
         chain = SubtreeChain(theta, horizon=args.n, seed=seed)
     if args.out:
@@ -246,11 +247,13 @@ def exact_text(q: Fraction) -> str:
 def validate_trace(path: str, model: str, d: int = 1):
     """Re-validate a trace file: the first tree in full, then each line as a step from the one before.
 
-    A step must add a right-leaning bouquet of ``d`` leaves (one leaf for
-    sg) or, for the subtree model, one leaf under a present vertex.  From a
-    valid first tree, such a step always gives a valid tree, so no later
-    tree is rebuilt: each line is read as a set of words, every distinct
-    token text is parsed once, and child counts carry over from line to line.
+    Every line must be the canonical text (:func:`format_tree`) of its
+    words, as ``grow`` writes it.  A step must add a right-leaning bouquet
+    of ``d`` leaves (one leaf for sg) or, for the subtree model, one leaf
+    under a present vertex.  From a valid first tree, such a step always
+    gives a valid tree, so no later tree is rebuilt: each line is read as a
+    set of words, every distinct token text is parsed once, and the child
+    counts and the canonical text carry over from line to line.
     """
     if model in ("sg", "sg-arith"):
         field, kind = "tree", "plane"
@@ -258,8 +261,8 @@ def validate_trace(path: str, model: str, d: int = 1):
         field, kind = "subtree", "subtree"
     else:
         raise DomainError(f"unknown model {model!r}: expected sg, sg-arith or subtree")
-    words: Dict[str, Optional[Word]] = {}   # token text -> word; blank tokens are skipped
-    vertices = kids = None
+    words: Dict[str, Word] = {}   # token text -> word
+    vertices = kids = canon = None
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
@@ -269,24 +272,29 @@ def validate_trace(path: str, model: str, d: int = 1):
                 first = parse_tree(text, kind=kind)
                 vertices = set(first.vertices)
                 kids = {u: first.children_count(u) for u in vertices}
-                continue
-            tokens = set(text.split(","))
-            for token in tokens.difference(words):
-                words[token] = word_from_text(token) if token.strip() else None
-            after = set(map(words.__getitem__, tokens))
-            after.discard(None)
-            added = after - vertices
-            if kind == "plane":
-                ok = vertices < after and adds_bouquet(kids, added, d)
+                canon = GrowingText()
+                for u in first.sorted_vertices()[1:]:
+                    canon.add(u)
             else:
-                ok = vertices < after and len(added) == 1 and next(iter(added))[:-1] in vertices
-            if not ok:
-                raise DomainError(f"{path}:{lineno}: the {field} is not a {model} growth step "
-                                  f"from the line before")
-            for u in added:
-                kids[u] = 0
-            kids[next(iter(added))[:-1]] += len(added)
-            vertices = after
+                tokens = set(text.split(","))
+                for token in tokens.difference(words):
+                    words[token] = word_from_text(token)
+                after = set(map(words.__getitem__, tokens))
+                added = after - vertices
+                if kind == "plane":
+                    ok = vertices < after and adds_bouquet(kids, added, d)
+                else:
+                    ok = vertices < after and len(added) == 1 and next(iter(added))[:-1] in vertices
+                if not ok:
+                    raise DomainError(f"{path}:{lineno}: the {field} is not a {model} growth step "
+                                      f"from the line before")
+                for u in added:
+                    kids[u] = 0
+                    canon.add(u)
+                kids[next(iter(added))[:-1]] += len(added)
+                vertices = after
+            if str(canon) != text:
+                raise DomainError(f"{path}:{lineno}: the {field} is not the canonical text of its words")
     if vertices is None:
         raise ParseError(f"{path}: empty trace")
 
@@ -385,6 +393,9 @@ def _suite_subset_coupling(args) -> dict:
     if args.n_max is not None:
         raise DomainError("the subset-coupling suite takes no --n-max: its size is the support of --theta")
     theta = SummableTheta(parse_rational_list(_given(args.theta, "2,1")))
+    if theta.n_support > SUBSET_SUPPORT_CAP:
+        raise HorizonError(f"--theta has support {theta.n_support}, above the cap {SUBSET_SUPPORT_CAP} "
+                           f"of the subset-coupling suite")
     law = nested_coupling_law(theta)
     failures = []
     thresholds = nested_thresholds(theta)
@@ -457,8 +468,7 @@ def cmd_verify(args) -> int:
     _fill_from_config(args, {"suite": str, "w": str, "theta": str, "d": positive_int,
                              "n_max": positive_int, "seed": int, "samples": positive_int})
     if args.suite is None:
-        print("error: --suite is required", file=sys.stderr)
-        return 1
+        raise ParseError("--suite is required")
     runners = {
         "tables": _suite_tables,
         "tp2": _suite_tp2,
@@ -490,8 +500,7 @@ def cmd_enumerate(args) -> int:
     elif args.subtrees is not None:
         trees = enumerate_subtrees(args.subtrees, dmax=args.dmax)
     else:
-        print("error: pass --plane-trees, --subtrees or --arith-trees", file=sys.stderr)
-        return 1
+        raise ParseError("pass --plane-trees, --subtrees or --arith-trees")
     for tree in trees:
         print(format_tree(tree))
         if args.dot:

@@ -19,14 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ._rand import bernoulli
-from .errors import DomainError, HorizonError, NotCoupleable, ParseError, ZeroMassError
+from .errors import DomainError, HorizonError, NotCoupleable, ZeroMassError
 
 Composition = Tuple[int, ...]
-
-EMPTY: Composition = ()
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -50,27 +48,6 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, float):
         raise DomainError(f"refusing float {value!r}: pass a string or Fraction for exactness")
     raise DomainError(f"cannot interpret {value!r} as an exact rational")
-
-
-def format_composition(c: Composition) -> str:
-    """Space-separated parts; the empty composition prints as ``-``."""
-    return "-" if not c else " ".join(str(p) for p in c)
-
-
-def parse_composition(text: str) -> Composition:
-    text = text.strip()
-    if text == "-" or not text:
-        return EMPTY
-    parts = []
-    for token in text.split():
-        try:
-            p = int(token)
-        except ValueError:
-            raise ParseError(f"bad composition part {token!r}") from None
-        if p < 1:
-            raise ParseError(f"composition parts must be positive, got {p}")
-        parts.append(p)
-    return tuple(parts)
 
 
 @dataclass(frozen=True)
@@ -99,10 +76,6 @@ def covering_successors(c: Composition, d: int = 1) -> List[Composition]:
     return out
 
 
-def is_covering(c: Composition, c2: Composition, d: int = 1) -> bool:
-    return c2 in covering_successors(c, d)
-
-
 def satisfies_arith(c: Composition, cls: ArithClass) -> bool:
     """True iff the part count is s mod d and every part is 1 mod d."""
     if len(c) % cls.d != cls.s:
@@ -128,10 +101,9 @@ def iter_compositions(n: int, cls: Optional[ArithClass] = None) -> Iterator[Comp
 
 
 class BSequence:
-    """Part weights ``b_1, b_2, ...`` materialized up to a declared horizon.
+    """Part weights ``b_1, ..., b_H`` up to a declared horizon ``H``.
 
-    Infinite families are supplied as a callable and cut off at the
-    horizon; asking for an index beyond it fails loudly rather than
+    Asking for an index beyond the horizon fails loudly rather than
     silently returning a wrong value.
     """
 
@@ -140,10 +112,6 @@ class BSequence:
     def __init__(self, values: Iterable):
         self._values = tuple(as_fraction(v) for v in values)
         self.horizon = len(self._values)
-
-    @classmethod
-    def from_callable(cls, fn: Callable[[int], object], horizon: int) -> "BSequence":
-        return cls(fn(m) for m in range(1, horizon + 1))
 
     def __getitem__(self, m: int) -> Fraction:
         if m < 1:
@@ -218,10 +186,6 @@ class WeightPair:
                 if (self.b[m] != 0) != (m % d == 1):
                     raise DomainError(f"degenerate weight pair: b must be supported exactly on 1 mod d (b_{m})")
 
-    def total_has_mass(self, n: int, cls: ArithClass = PLAIN) -> bool:
-        """Whether compositions of n carry mass (the residue matches s mod d)."""
-        return n % cls.d == cls.s % cls.d
-
     def __eq__(self, other):
         return isinstance(other, WeightPair) and self.a == other.a and self.b == other.b
 
@@ -246,27 +210,6 @@ def shift(wp: WeightPair, ell: int, cls: ArithClass = PLAIN) -> WeightPair:
     new_cls = ArithClass(cls.d, (cls.s - ell) % cls.d)
     shifted.check_nondegenerate(new_cls)
     return shifted
-
-
-@dataclass(frozen=True)
-class StepLaw:
-    """Law of the first part of a weighted random composition.
-
-    ``masses`` is keyed by the first-part value; consecutive support
-    points differ by ``step`` (= d), so the reindexed law lives on
-    0, 1, 2, ...
-    """
-
-    total: int
-    step: int
-    masses: Mapping[int, Fraction]
-
-    def reindexed(self) -> Dict[int, Fraction]:
-        return {(m - 1) // self.step: p for m, p in self.masses.items()}
-
-    def check(self):
-        if sum(self.masses.values()) != 1:
-            raise DomainError("step law masses must sum to 1")
 
 
 def peel_partition_values(a: Sequence[int], T: int,
@@ -505,10 +448,8 @@ def move_rows(low: Dict[int, int], zl: int, high: Dict[int, int], zh: int) -> St
 class PairTables(PartitionKernel):
     """Integer partition values for a generic weight pair, from the peeling recursion."""
 
-    def __init__(self, wp: WeightPair, cls: ArithClass = PLAIN, total_horizon: Optional[int] = None,
-                 validate: bool = True):
-        if validate:
-            wp.check_nondegenerate(cls)
+    def __init__(self, wp: WeightPair, cls: ArithClass = PLAIN, total_horizon: Optional[int] = None):
+        wp.check_nondegenerate(cls)
         n = wp.b.horizon if total_horizon is None else total_horizon
         if n > wp.b.horizon:
             raise HorizonError(f"pair tables to total {n} need b up to {n}, have {wp.b.horizon}")
@@ -536,59 +477,13 @@ class PairTables(PartitionKernel):
         return Fraction(self.partition_int(ell, t), self.scale(t))
 
 
-def partition_function(wp: WeightPair, n: int, cls: ArithClass = PLAIN) -> Fraction:
-    """Exact partition value Z_n; zero (with no mass) when the residue of n is wrong."""
-    wp.check_nondegenerate(cls)
-    if not wp.total_has_mass(n, cls):
-        return ZERO
-    return PairTables(wp, cls, total_horizon=n, validate=False).partition_value(0, n)
-
-
-def first_part_law(wp: WeightPair, n: int, cls: ArithClass = PLAIN) -> StepLaw:
-    """Law of the first part under the composition law at total n.
-
-    Well-defined whenever the total carries mass; with count weights
-    supported on {0, 1} it degenerates to the point mass at n.
-    """
-    wp.check_nondegenerate(cls)
-    tables = PairTables(wp, cls, total_horizon=n, validate=False)
-    law = tables.reindexed_first_part_law(0, n)
-    masses = {mt * cls.d + 1: p for mt, p in law.items()}
-    return StepLaw(total=n, step=cls.d, masses=masses)
-
-
-def monotone_step_kernel(mu_n: StepLaw, mu_next: StepLaw) -> Dict[int, Tuple[Fraction, Fraction]]:
-    """Conditional transition of the shared-uniform monotone coupling.
-
-    Maps each first-part value m in the support of ``mu_n`` to the pair
-    (probability of staying at m, probability of moving to m+step).
-    Pushing ``mu_n`` through this kernel reproduces ``mu_next`` exactly.
-    """
-    if mu_n.step != mu_next.step:
-        raise DomainError("step laws use different increments")
-    if mu_next.total != mu_n.total + mu_n.step:
-        raise DomainError("step laws are not at consecutive totals")
-    low, high = mu_n.reindexed(), mu_next.reindexed()
-    zl, low_ints = cleared(list(low.values()))
-    zh, high_ints = cleared(list(high.values()))
-    rows = move_rows(dict(zip(low, low_ints)), zl, dict(zip(high, high_ints)), zh)
-    out: Dict[int, Tuple[Fraction, Fraction]] = {}
-    for mt, p in low.items():
-        if p == 0:
-            continue
-        q = Fraction(*rows[mt])
-        out[mt * mu_n.step + 1] = (ONE - q, q)
-    return out
-
-
 def composition_kernel(wp: WeightPair, cls: ArithClass, n: int, c: Composition) -> Dict[Composition, Fraction]:
     """Exact one-step law on compositions of n+d given the current composition c of n."""
-    wp.check_nondegenerate(cls)
     if sum(c) != n:
         raise DomainError(f"composition {c} does not sum to {n}")
     if cls.d > 1 and not satisfies_arith(c, cls):
         raise DomainError(f"composition {c} violates the (d={cls.d}, s={cls.s}) condition")
-    tables = PairTables(wp, cls, total_horizon=n + cls.d, validate=False)
+    tables = PairTables(wp, cls, total_horizon=n + cls.d)
     return tables.kernel_row(0, n, c)
 
 
@@ -657,7 +552,7 @@ def check_admissibility_inequalities(wp: WeightPair, cls: ArithClass = PLAIN, N:
     if total_horizon > wp.b.horizon:
         raise HorizonError(
             f"checking up to n={N} needs b up to {total_horizon}, have {wp.b.horizon}")
-    tables = PairTables(wp, cls, total_horizon=total_horizon, validate=False)
+    tables = PairTables(wp, cls, total_horizon=total_horizon)
     return check_ratio_chain(tables, N)
 
 
@@ -683,7 +578,7 @@ def sample_composition_chain(wp: WeightPair, cls: ArithClass, N: int, rng,
     if N < s:
         raise DomainError("horizon below the starting total")
     if tables is None:
-        tables = PairTables(wp, cls, total_horizon=min(wp.b.horizon, N + d), validate=False)
+        tables = PairTables(wp, cls, total_horizon=min(wp.b.horizon, N + d))
     c: Composition = (1,) * s
     total = s
     out = [c]

@@ -158,29 +158,6 @@ def _subtree_choices(parts: Sequence[int], pos: Tuple[int, ...]):
 # reference laws straight from the product formulas
 
 
-@dataclass(frozen=True)
-class ExactLaw:
-    """A finite law with exact rational masses summing to one."""
-
-    masses: Mapping[object, Fraction]
-
-    def __post_init__(self):
-        total = sum(self.masses.values())
-        if total != 1:
-            raise DomainError(f"law masses sum to {total}, not 1")
-        if any(m < 0 for m in self.masses.values()):
-            raise DomainError("law masses must be non-negative")
-
-    def support(self):
-        return list(self.masses.keys())
-
-    def __getitem__(self, key):
-        return self.masses.get(key, ZERO)
-
-    def items(self):
-        return self.masses.items()
-
-
 def _normalized(masses: Dict) -> Dict:
     total = sum(masses.values())
     if total == 0:
@@ -246,14 +223,6 @@ def subset_law(theta, k: int) -> Dict[frozenset, Fraction]:
     return _normalized(masses)
 
 
-def exact_law(kind: str, **params) -> ExactLaw:
-    """Dispatch to the reference law builders; kinds: sg, st, comp, subsets."""
-    builders = {"sg": sg_law, "st": st_law, "comp": comp_law, "subsets": subset_law}
-    if kind not in builders:
-        raise DomainError(f"unknown model kind {kind!r}")
-    return ExactLaw(builders[kind](**params))
-
-
 def janson_expectations(eps) -> Tuple[Fraction, Fraction]:
     """Expected root degree at sizes 3 and 4 for the symmetric three-point offspring law.
 
@@ -298,7 +267,7 @@ def kernel_interchange_check(row_fn: Callable, law_lo: Mapping, law_hi: Mapping)
     keys = set(pushed) | set(law_hi.keys())
     for key in sorted(keys, key=repr):
         got = pushed.get(key, ZERO)
-        want = law_hi.get(key, ZERO) if hasattr(law_hi, "get") else law_hi[key]
+        want = law_hi.get(key, ZERO)
         if got != want:
             return InterchangeReport(False, len(keys), {
                 "state": repr(key), "pushed": str(got), "target": str(want)})
@@ -327,12 +296,11 @@ def tv_distance(counts: Mapping, total: int, law: Mapping) -> Fraction:
     """Exact total-variation distance between empirical frequencies and a law."""
     if total <= 0:
         raise DomainError("need a positive sample size")
-    law_masses = getattr(law, "masses", law)
-    keys = set(counts) | set(law_masses)
+    keys = set(counts) | set(law)
     acc = ZERO
     for key in keys:
         emp = Fraction(counts.get(key, 0), total)
-        diff = emp - law_masses.get(key, ZERO)
+        diff = emp - law.get(key, ZERO)
         acc += diff if diff >= 0 else -diff
     return acc / 2
 
@@ -345,20 +313,19 @@ def goodness_of_fit(counts: Mapping, law: Mapping, min_expected_factor: int = 5)
     distance is reported and the undersampled flag is set.  Mass observed
     outside the law's support makes the test fail outright.
     """
-    law_masses = getattr(law, "masses", law)
     total = sum(counts.values())
-    categories = len(law_masses)
-    tv = tv_distance(counts, total, law_masses) if total > 0 else ONE
+    categories = len(law)
+    tv = tv_distance(counts, total, law) if total > 0 else ONE
     undersampled = total < min_expected_factor * categories
     if undersampled:
         return GofReport(total, categories, None, None, None, tv, True)
-    outside = sum(c for key, c in counts.items() if key not in law_masses)
+    outside = sum(c for key, c in counts.items() if key not in law)
     if outside:
         return GofReport(total, categories, float("inf"), categories - 1, 0.0, tv, False)
     from scipy.stats import chi2
 
     stat = 0.0
-    for key, mass in law_masses.items():
+    for key, mass in law.items():
         expected = float(mass) * total
         observed = counts.get(key, 0)
         stat += (observed - expected) ** 2 / expected

@@ -25,7 +25,7 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
 from ._rand import LazyUniform, derive_rng
 from .compositions import ONE, ZERO, CheckReport, as_fraction
 from .errors import DomainError
-from .sgtrees import GrowthChain, PartitionTables, WeightSequence, is_log_concave
+from .sgtrees import GrowthChain, PartitionTables, WeightSequence
 from .treespace import PlaneTree, ROOT, RootedSubtree, Word
 
 PositionMap = Dict[int, int]
@@ -308,9 +308,6 @@ class SubtreeChain:
                  tables: Optional[PartitionTables] = None):
         self.theta = coerce_theta(theta)
         self.w = WeightSequence(self.theta.e)
-        lc = is_log_concave(self.theta.e)
-        if not lc.ok:
-            raise AssertionError(f"elementary symmetric values must be log-concave, failed at {lc.witness}")
         self.seed = seed
         self.inner = GrowthChain(self.w, d=1, horizon=horizon,
                                  rng=derive_rng(seed, "tree-growth"), tables=tables)

@@ -22,16 +22,6 @@ Word = Tuple[int, ...]
 ROOT: Word = ()
 
 
-def parent(u: Word) -> Word:
-    if not u:
-        raise DomainError("the root has no parent")
-    return u[:-1]
-
-
-def height(u: Word) -> int:
-    return len(u)
-
-
 def word_to_text(u: Word) -> str:
     """Render a word, the root as ``e`` and e.g. ``(1, 2)`` as ``1.2``."""
     return "e" if not u else ".".join(str(i) for i in u)

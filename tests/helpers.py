@@ -249,21 +249,25 @@ def whole_tree_validate_trace(path, model, d=1):
 
     The independent oracle for ``cli.validate_trace``, which checks the
     first tree in full and every later line as a step from the one before.
+    Every line must be the canonical text of the tree it parses to.
     """
     with open(path, "r", encoding="utf-8") as handle:
         records = [json.loads(line) for line in handle if line.strip()]
     if not records:
         raise ParseError(f"{path}: empty trace")
-    if model in ("sg", "sg-arith"):
-        trees = [parse_tree(rec["tree"], kind="plane") for rec in records]
+    field, kind = ("tree", "plane") if model in ("sg", "sg-arith") else ("subtree", "subtree")
+    trees = [parse_tree(rec[field], kind=kind) for rec in records]
+    for rec, tree in zip(records, trees):
+        if format_tree(tree) != rec[field]:
+            raise DomainError(f"{path}: {rec[field]!r} is not the canonical text of its tree")
+    if kind == "plane":
         for before, after in zip(trees, trees[1:]):
             ok = (is_right_leaning_leaf_addition(before, after) if d == 1
                   else is_bouquet_addition(before, after, d))
             if not ok:
                 raise DomainError(f"{path}: consecutive trees are not a right-leaning addition")
     else:
-        subs = [parse_tree(rec["subtree"], kind="subtree") for rec in records]
-        for before, after in zip(subs, subs[1:]):
+        for before, after in zip(trees, trees[1:]):
             if not (before.vertices < after.vertices and len(after) == len(before) + 1):
                 raise DomainError(f"{path}: consecutive subtrees are not one-leaf inclusions")
 

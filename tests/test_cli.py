@@ -189,6 +189,28 @@ class TestErrorBoundary:
         line = self.assert_one_line_error(capsys, code)
         assert "--n" in line and str(GROW_CAP) in line
 
+    @pytest.mark.parametrize("argv, message", [
+        (["grow", "--n", "5"], "--model is required"),
+        (["grow", "--model", "sg", "--w", "1,1"], "--n is required"),
+        (["grow", "--model", "sg", "--n", "5"], "--w is required for tree models"),
+        (["grow", "--model", "sg", "--w", "1,1", "--d", "2", "--n", "5"],
+         "the sg model has d = 1; use sg-arith"),
+        (["grow", "--model", "subtree", "--n", "5"], "--theta is required for the subtree model"),
+        (["verify"], "--suite is required"),
+        (["enumerate"], "pass --plane-trees, --subtrees or --arith-trees"),
+    ], ids=["grow-model", "grow-n", "sg-w", "sg-d", "subtree-theta", "verify-suite", "enumerate-kind"])
+    def test_missing_argument(self, argv, message, capsys):
+        assert self.assert_one_line_error(capsys, run(*argv)) == f"error: {message}"
+
+    def test_subset_coupling_support_above_cap_refused(self, monkeypatch, capsys):
+        def no_law(theta):
+            raise AssertionError("the coupling law was built for a refused --theta")
+
+        monkeypatch.setattr(treegrow.cli, "nested_coupling_law", no_law)
+        code = run("verify", "--suite", "subset-coupling", "--theta", ",".join(["1"] * 9))
+        line = self.assert_one_line_error(capsys, code)
+        assert "subset-coupling" in line and "support 9" in line and "cap 8" in line
+
     def test_refused_keeps_witness(self, capsys):
         assert run("verify", "--suite", "stats", "--w", "2/5,1/5,2/5", "--n-max", "3",
                    "--samples", "10") == 2

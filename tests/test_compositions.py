@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from treegrow._rand import derive_rng
 from treegrow.compositions import (PLAIN, ArithClass, BSequence, PairTables, WeightPair,
                                    apply_move, as_fraction, check_admissibility_inequalities,
                                    check_ratio_chain, composition_kernel, covering_successors,
-                                   first_part_law, format_composition, is_covering,
-                                   iter_compositions, monotone_step_kernel, parse_composition,
-                                   partition_function, sample_composition_chain, satisfies_arith,
-                                   shift, StepLaw)
+                                   iter_compositions, move_rows, sample_composition_chain,
+                                   satisfies_arith, shift)
 from treegrow.errors import DomainError, HorizonError, NotCoupleable, ZeroMassError
 from treegrow.oracle import comp_law, tv_distance
 from treegrow.sgtrees import WeightSequence, compute_tables
@@ -39,6 +38,16 @@ def brute_law(wp, n, cls=PLAIN):
             masses[c] = m
     total = sum(masses.values())
     return {c: m / total for c, m in masses.items()}
+
+
+def coupled(low, high):
+    """``move_rows`` of two integer step laws as Fractions, checked against the Fraction oracle."""
+    zl, zh = sum(low.values()), sum(high.values())
+    rows = {m: F(num, den) for m, (num, den) in move_rows(low, zl, high, zh).items()}
+    oracle = helpers.monotone_move_probs({m: F(v, zl) for m, v in low.items()},
+                                         {m: F(v, zh) for m, v in high.items()})
+    assert rows == oracle
+    return rows
 
 
 class TestCoveringAndArith:
@@ -68,24 +77,15 @@ class TestCoveringAndArith:
             for c2 in covering_successors(c, 3):
                 assert satisfies_arith(c2, cls)
 
-    def test_format_parse(self):
-        assert format_composition(()) == "-"
-        assert parse_composition("2 1") == (2, 1)
-        assert parse_composition("-") == ()
-
 
 class TestPartitionFunction:
     def test_z0_is_one_for_unit_a0(self):
         wp = WeightPair(ONES, ONES)
-        assert partition_function(wp, 0) == 1
+        assert PairTables(wp, total_horizon=0).partition_value(0, 0) == 1
 
     def test_catalan_b_example(self):
         # oracle: direct sum over the four compositions of 3
         wp = WeightPair(ONES, [1, 1, 2, 5, 14])
-        oracle = sum(
-            wp.a_at(len(c)) * F(1) * [F(1), *map(F, [1, 1, 2])][0]  # placeholder, replaced below
-            for c in ()
-        )
         direct = F(0)
         for c in iter_compositions(3):
             m = wp.a_at(len(c))
@@ -93,18 +93,18 @@ class TestPartitionFunction:
                 m *= wp.b[p]
             direct += m
         assert direct == 5
-        assert partition_function(wp, 3) == direct
+        assert PairTables(wp, total_horizon=3).partition_value(0, 3) == direct
 
     def test_zero_mass_residue(self):
         b = [F(1), F(0), F(1), F(0), F(1)]  # supported on 1, 3, 5
         wp = WeightPair([0, 1], b)
-        cls = ArithClass(2, 1)
-        assert partition_function(wp, 2, cls) == 0
-        assert not wp.total_has_mass(2, cls)
-        assert wp.total_has_mass(3, cls)
+        tables = PairTables(wp, ArithClass(2, 1), total_horizon=3)
+        assert tables.partition_value(0, 2) == 0
+        assert tables.partition_value(0, 3) == 1
 
     def test_matches_enumeration(self):
         wp = tree_pair(ONES)
+        tables = PairTables(wp, total_horizon=8)
         for n in range(0, 9):
             direct = F(0)
             for c in iter_compositions(n):
@@ -112,7 +112,7 @@ class TestPartitionFunction:
                 for p in c:
                     m *= wp.b[p]
                 direct += m
-            assert partition_function(wp, n) == direct
+            assert tables.partition_value(0, n) == direct
 
 
 class TestCompDistribution:
@@ -131,85 +131,81 @@ class TestCompDistribution:
     def test_split_identity(self):
         # mass factorizes through the first part and the shifted remainder
         wp = tree_pair(ONES)
+        tables = PairTables(wp, total_horizon=8)
+        wp_shift = shift(wp, 1)
         for n in range(1, 9):
             law = comp_law(wp, n)
-            mu = first_part_law(wp, n)
-            wp_shift = shift(wp, 1)
+            mu = tables.reindexed_first_part_law(0, n)
             for c, mass in law.items():
                 first, rest = c[0], c[1:]
                 rest_law = comp_law(wp_shift, n - first)
-                assert mass == mu.masses[first] * rest_law[rest]
+                assert mass == mu[first - 1] * rest_law[rest]
 
 
 class TestFirstPartLaw:
+    # laws of the first part minus 1, at shift 0
     def test_mu3(self):
-        wp = tree_pair(ONES)
-        mu = first_part_law(wp, 3)
-        assert mu.masses == {1: F(2, 5), 2: F(1, 5), 3: F(2, 5)}
+        tables = PairTables(tree_pair(ONES), total_horizon=3)
+        assert tables.reindexed_first_part_law(0, 3) == {0: F(2, 5), 1: F(1, 5), 2: F(2, 5)}
 
     def test_mu4(self):
-        wp = tree_pair(ONES)
-        mu = first_part_law(wp, 4)
-        assert mu.masses == {1: F(5, 14), 2: F(1, 7), 3: F(1, 7), 4: F(5, 14)}
+        tables = PairTables(tree_pair(ONES), total_horizon=4)
+        assert tables.reindexed_first_part_law(0, 4) == {0: F(5, 14), 1: F(1, 7), 2: F(1, 7), 3: F(5, 14)}
 
     def test_against_grouped_distribution(self):
         wp = tree_pair([1, 2, 1])
+        tables = PairTables(wp, total_horizon=8)
         for n in range(1, 9):
             law = comp_law(wp, n)
             grouped = {}
             for c, mass in law.items():
-                grouped[c[0]] = grouped.get(c[0], F(0)) + mass
-            assert first_part_law(wp, n).masses == grouped
+                grouped[c[0] - 1] = grouped.get(c[0] - 1, F(0)) + mass
+            assert tables.reindexed_first_part_law(0, n) == grouped
 
     def test_single_part_support(self):
         wp = WeightPair([1, 1], [F(1)] * 10)
-        assert first_part_law(wp, 7).masses == {7: F(1)}
+        assert PairTables(wp, total_horizon=7).reindexed_first_part_law(0, 7) == {6: F(1)}
 
     def test_no_mass_at_total(self):
         wp = WeightPair([0, 1], [F(1), F(0), F(1)])
+        tables = PairTables(wp, ArithClass(2, 1), total_horizon=2)
         with pytest.raises(ZeroMassError):
-            first_part_law(wp, 2, ArithClass(2, 1))
+            tables.reindexed_first_part_law(0, 2)
 
 
 class TestMonotoneStepKernel:
     def test_spec_overlap_value(self):
-        wp = tree_pair(ONES)
-        mu3 = first_part_law(wp, 3)
-        mu4 = first_part_law(wp, 4)
-        kernel = monotone_step_kernel(mu3, mu4)
-        stay, step = kernel[1]
-        assert step == F(3, 28)
-        assert stay == 1 - step
+        tables = PairTables(tree_pair(ONES), total_horizon=4)
+        assert F(*tables.step_probs(0, 3)[0]) == F(3, 28)
 
     def test_deterministic_shift(self):
-        mu_n = StepLaw(1, 1, {1: F(1)})
-        mu_n1 = StepLaw(2, 1, {2: F(1)})
-        assert monotone_step_kernel(mu_n, mu_n1)[1] == (F(0), F(1))
+        assert coupled({0: 1}, {1: 1}) == {0: F(1)}
 
     def test_identity_case(self):
-        mu_n = StepLaw(1, 1, {1: F(1)})
-        mu_n1 = StepLaw(2, 1, {1: F(1)})
-        assert monotone_step_kernel(mu_n, mu_n1)[1] == (F(1), F(0))
+        assert coupled({0: 1}, {0: 1}) == {0: F(0)}
 
     def test_pushforward_recovers_target(self):
-        wp = tree_pair(ONES)
+        tables = PairTables(tree_pair(ONES), total_horizon=9)
         for n in range(1, 9):
-            mu_n = first_part_law(wp, n)
-            mu_n1 = first_part_law(wp, n + 1)
-            kernel = monotone_step_kernel(mu_n, mu_n1)
+            mu_n = tables.reindexed_first_part_law(0, n)
+            mu_n1 = tables.reindexed_first_part_law(0, n + 1)
+            row = tables.step_probs(0, n)
             pushed = {}
-            for m, mass in mu_n.masses.items():
-                stay, step = kernel[m]
-                pushed[m] = pushed.get(m, F(0)) + mass * stay
-                pushed[m + 1] = pushed.get(m + 1, F(0)) + mass * step
+            for m, mass in mu_n.items():
+                q = F(*row[m])
+                pushed[m] = pushed.get(m, F(0)) + mass * (1 - q)
+                pushed[m + 1] = pushed.get(m + 1, F(0)) + mass * q
             pushed = {m: p for m, p in pushed.items() if p}
-            assert pushed == dict(mu_n1.masses)
+            assert pushed == mu_n1
 
     def test_not_coupleable(self):
-        mu_n = StepLaw(2, 1, {1: F(1, 2), 2: F(1, 2)})
-        mu_n1 = StepLaw(3, 1, {1: F(9, 10), 2: F(1, 20), 3: F(1, 20)})
+        # 1/2, 1/2 against 9/10, 1/20, 1/20: the upper law outweighs the lower at 0
+        low, high = {0: 1, 1: 1}, {0: 18, 1: 1, 2: 1}
         with pytest.raises(NotCoupleable) as err:
-            monotone_step_kernel(mu_n, mu_n1)
+            move_rows(low, 2, high, 20)
+        assert err.value.witness == 0
+        with pytest.raises(NotCoupleable) as err:
+            helpers.monotone_move_probs({0: F(1, 2), 1: F(1, 2)}, {0: F(9, 10), 1: F(1, 20), 2: F(1, 20)})
         assert err.value.witness == 0
 
 
@@ -221,9 +217,9 @@ class TestCompositionKernel:
     def test_row_at_one(self):
         wp = tree_pair(ONES)
         row = composition_kernel(wp, PLAIN, 1, (1,))
-        mu1 = first_part_law(wp, 1)
-        mu2 = first_part_law(wp, 2)
-        q = monotone_step_kernel(mu1, mu2)[1][1]
+        tables = PairTables(wp, total_horizon=2)
+        q = helpers.monotone_move_probs(tables.reindexed_first_part_law(0, 1),
+                                        tables.reindexed_first_part_law(0, 2))[0]
         assert row == {(2,): q, (1, 1): 1 - q}
 
     def test_rows_sum_to_one_and_cover(self):
@@ -369,14 +365,14 @@ class TestChainSampling:
         chain = sample_composition_chain(wp, PLAIN, 3, derive_rng(0, "chain"))
         assert chain[0] == () and chain[1] == (1,)
         for a, b in zip(chain, chain[1:]):
-            assert is_covering(a, b, 1)
+            assert b in covering_successors(a, 1)
 
     def test_d2_forced_start(self):
         wp = tree_pair([1, 0, 1], d=2)
         chain = sample_composition_chain(wp, ArithClass(2, 0), 6, derive_rng(0, "chain"))
         assert chain[0] == () and chain[1] == (1, 1)
         for a, b in zip(chain, chain[1:]):
-            assert is_covering(a, b, 2)
+            assert b in covering_successors(a, 2)
 
     def test_deterministic(self):
         wp = tree_pair([1, 3, 3, 1])

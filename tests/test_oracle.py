@@ -6,9 +6,9 @@ import pytest
 
 from treegrow.compositions import WeightPair
 from treegrow.errors import DomainError, HorizonError
-from treegrow.oracle import (ExactLaw, enumerate_plane_trees, enumerate_subtrees, exact_law,
-                             goodness_of_fit, janson_expectations, kernel_interchange_check,
-                             sg_law, st_law, subset_law, tv_distance)
+from treegrow.oracle import (comp_law, enumerate_plane_trees, enumerate_subtrees, goodness_of_fit,
+                             janson_expectations, kernel_interchange_check, sg_law, st_law,
+                             subset_law, tv_distance)
 from treegrow.sgtrees import WeightSequence, compute_tables, growth_kernel_row
 from treegrow.treespace import ROOT
 
@@ -78,25 +78,25 @@ class TestEnumeration:
 
 class TestExactLaws:
     def test_sg_uniform(self):
-        law = exact_law("sg", w=[1, 1, 1, 1], d=1, n=3)
-        assert set(law.masses.values()) == {F(1, 2)}
+        law = sg_law([1, 1, 1, 1], 1, 3)
+        assert set(law.values()) == {F(1, 2)}
 
     def test_st_uniform(self):
-        law = exact_law("st", theta=["1", "1"], n=3)
-        assert len(law.masses) == 5 and set(law.masses.values()) == {F(1, 5)}
+        law = st_law(["1", "1"], 3)
+        assert len(law) == 5 and set(law.values()) == {F(1, 5)}
 
     def test_subsets(self):
-        law = exact_law("subsets", theta=["2", "1"], k=1)
-        assert law.masses == {frozenset({1}): F(2, 3), frozenset({2}): F(1, 3)}
+        law = subset_law(["2", "1"], 1)
+        assert law == {frozenset({1}): F(2, 3), frozenset({2}): F(1, 3)}
 
     def test_comp(self):
-        law = exact_law("comp", wp=WeightPair([1, 1, 1], [1, 1]), n=2)
-        assert law.masses == {(2,): F(1, 2), (1, 1): F(1, 2)}
+        law = comp_law(WeightPair([1, 1, 1], [1, 1]), 2)
+        assert law == {(2,): F(1, 2), (1, 1): F(1, 2)}
 
     def test_comp_past_b_horizon(self):
         # (6,), (1, 5) and (5, 1) need b_6 or b_5: refused, not dropped from the law
         with pytest.raises(HorizonError):
-            exact_law("comp", wp=WeightPair([1, 2, 1], [1, 1, 1, 1]), n=6)
+            comp_law(WeightPair([1, 2, 1], [1, 1, 1, 1]), 6)
 
     def test_st_refuses_negative_weights(self):
         # read through coerce_theta like SummableTheta: a negative weight is an error, not a zero
@@ -106,14 +106,6 @@ class TestExactLaws:
     def test_subsets_refuse_negative_weights(self):
         with pytest.raises(DomainError):
             subset_law(["-1", "1"], 1)
-
-    def test_law_validation(self):
-        with pytest.raises(DomainError):
-            ExactLaw({"x": F(1, 2)})
-
-    def test_unknown_kind(self):
-        with pytest.raises(DomainError):
-            exact_law("nope")
 
 
 class TestJanson:

@@ -193,6 +193,35 @@ def mutate(data, records, other, field, model):
         records[i][field] = ",".join(t for t in tokens if t != "e")
 
 
+# rewrites of one line that keep its word set but not its canonical text
+SAME_WORDS = {
+    "swap": lambda tokens: tokens[1:2] + tokens[:1] + tokens[2:],
+    "duplicate": lambda tokens: tokens + tokens[-1:],
+    "empty-token": lambda tokens: tokens[:1] + [""] + tokens[1:],
+    "zero-padded": lambda tokens: [t if t == "e" else "0" + t for t in tokens],
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(SAME_WORDS))
+@pytest.mark.parametrize("model", sorted(MUTATION_BASES))
+def test_non_canonical_line_refused(traces, model, mutation):
+    base, path = traces
+    _, d, field = MUTATION_BASES[model]
+    mutated = 0
+    for i in (0, 2, -1):
+        records = copy.deepcopy(base[model][0])
+        text = ",".join(SAME_WORDS[mutation](records[i][field].split(",")))
+        if text == records[i][field]:
+            continue  # the root line has one token
+        records[i][field] = text
+        path.write_text("".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records))
+        for validate in (validate_trace, whole_tree_validate_trace):
+            with pytest.raises(DomainError):
+                validate(str(path), model, d)
+        mutated += 1
+    assert mutated >= 2
+
+
 def rejection(validate, path, model, d):
     try:
         validate(path, model, d)
