@@ -17,7 +17,7 @@ from ._rand import derive_rng
 from .compositions import as_fraction, check_ratio_chain
 from .errors import DomainError, HorizonError, ParseError, Refused, TreegrowError
 from .oracle import (PLANE_TREE_CAP, SUBTREE_CAP, enumerate_plane_trees, enumerate_subtrees,
-                     goodness_of_fit, sg_law, st_law, subset_law, kernel_interchange_check)
+                     goodness_of_fit, sg_law, st_law, subset_law, kernel_interchange_check, tree_mass)
 from .sgtrees import (WeightSequence, check_tp2_array, check_toeplitz_tp2, compute_tables,
                       forest_array, growth_kernel_row, is_log_concave, GrowthChain)
 from .subtree_model import (SubtreeChain, SummableTheta, bij_P, bij_P_inv, nested_coupling_law,
@@ -314,7 +314,7 @@ def _suite_tables(args) -> dict:
         if n % d != 1 % d:
             continue
         checked += 1
-        enumerated = sum(_omega(w, tree) for tree in enumerate_plane_trees(n, d))
+        enumerated = sum(tree_mass(w, tree) for tree in enumerate_plane_trees(n, d))
         if enumerated != tables.b_value(n):
             failures.append({"n": n, "recursion": str(tables.b_value(n)),
                              "enumeration": str(enumerated)})
@@ -326,13 +326,6 @@ def _suite_tables(args) -> dict:
             if sum(w[k] * f[n][k] for k in range(n + 1)) != tables.b_value(n + 1):
                 failures.append({"n": n + 1, "kind": "forest-identity-mismatch"})
     return {"suite": "tables", "checked": checked, "ok": not failures, "failures": failures}
-
-
-def _omega(w, tree) -> Fraction:
-    mass = Fraction(1)
-    for u in tree.vertices:
-        mass *= w[tree.children_count(u)]
-    return mass
 
 
 def _suite_tp2(args) -> dict:
@@ -364,14 +357,12 @@ def _suite_kernel_interchange(args) -> dict:
     tables = compute_tables(w, d, N=n_max + d)
     results = []
     ok = True
-    n = 1
-    while n + d <= n_max + d and n <= n_max:
-        law_lo = sg_law(w, d, n)
-        law_hi = sg_law(w, d, n + d)
+    law_hi = sg_law(w, d, 1)
+    for n in range(1, n_max + 1, d):
+        law_lo, law_hi = law_hi, sg_law(w, d, n + d)
         report = kernel_interchange_check(lambda t: growth_kernel_row(tables, t), law_lo, law_hi)
         ok = ok and report.ok
         results.append({"n": n, **report.as_dict()})
-        n += d
     return {"suite": "kernel-interchange", "ok": ok, "levels": results}
 
 

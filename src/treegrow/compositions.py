@@ -83,21 +83,25 @@ def satisfies_arith(c: Composition, cls: ArithClass) -> bool:
     return all(p % cls.d == 1 % cls.d for p in c)
 
 
-def iter_compositions(n: int, cls: Optional[ArithClass] = None) -> Iterator[Composition]:
-    """All compositions of n, optionally filtered by an arithmetic class."""
+def iter_compositions(n: int, cls: ArithClass = PLAIN) -> Iterator[Composition]:
+    """All compositions of n in the class, in lexicographic order.
+
+    Every part is 1 mod d, so parts step by d; a composition is kept when
+    its part count is s mod d.
+    """
     if n < 0:
         raise DomainError("n must be >= 0")
+    d, s = cls.d, cls.s
 
     def rec(remaining, prefix):
         if remaining == 0:
-            yield prefix
+            if len(prefix) % d == s:
+                yield prefix
             return
-        for first in range(1, remaining + 1):
+        for first in range(1, remaining + 1, d):
             yield from rec(remaining - first, prefix + (first,))
 
-    for c in rec(n, ()):
-        if cls is None or satisfies_arith(c, cls):
-            yield c
+    yield from rec(n, ())
 
 
 class BSequence:
@@ -477,14 +481,16 @@ class PairTables(PartitionKernel):
         return Fraction(self.partition_int(ell, t), self.scale(t))
 
 
-def composition_kernel(wp: WeightPair, cls: ArithClass, n: int, c: Composition) -> Dict[Composition, Fraction]:
-    """Exact one-step law on compositions of n+d given the current composition c of n."""
-    if sum(c) != n:
-        raise DomainError(f"composition {c} does not sum to {n}")
-    if cls.d > 1 and not satisfies_arith(c, cls):
+def composition_kernel(tables: PairTables, c: Composition) -> Dict[Composition, Fraction]:
+    """Exact one-step law on compositions of ``sum(c) + d`` given the current composition c.
+
+    The tables must reach total ``sum(c) + d``; share one ``PairTables``
+    across the rows of a pair.
+    """
+    cls = tables.cls
+    if not satisfies_arith(c, cls):
         raise DomainError(f"composition {c} violates the (d={cls.d}, s={cls.s}) condition")
-    tables = PairTables(wp, cls, total_horizon=n + cls.d)
-    return tables.kernel_row(0, n, c)
+    return tables.kernel_row(0, sum(c), c)
 
 
 @dataclass
@@ -579,6 +585,8 @@ def sample_composition_chain(wp: WeightPair, cls: ArithClass, N: int, rng,
         raise DomainError("horizon below the starting total")
     if tables is None:
         tables = PairTables(wp, cls, total_horizon=min(wp.b.horizon, N + d))
+    elif tables.wp != wp or tables.cls != cls:
+        raise DomainError("supplied tables were built for another weight pair or class")
     c: Composition = (1,) * s
     total = s
     out = [c]

@@ -9,10 +9,12 @@ package; total-variation distances stay exact.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .compositions import (ONE, PLAIN, ZERO, ArithClass, Composition, WeightPair, as_fraction,
                            iter_compositions)
@@ -24,9 +26,6 @@ from .treespace import PlaneTree, ROOT, RootedSubtree, compose_root
 PLANE_TREE_CAP = 10
 SUBTREE_CAP = 7
 SUBTREE_POSITION_CAP = 3
-
-_plane_cache: Dict[Tuple[int, int], Tuple[PlaneTree, ...]] = {}
-_subtree_cache: Dict[Tuple[int, Tuple[int, ...]], Tuple[RootedSubtree, ...]] = {}
 
 
 def _catalan(k: int) -> int:
@@ -50,46 +49,15 @@ def enumerate_plane_trees(n: int, d: int = 1, max_n: Optional[int] = None) -> Li
     return list(_plane_trees(n, d))
 
 
+@functools.lru_cache(maxsize=None)
 def _plane_trees(n: int, d: int) -> Tuple[PlaneTree, ...]:
-    key = (n, d)
-    cached = _plane_cache.get(key)
-    if cached is not None:
-        return cached
+    """The trees below the root read children sizes from the compositions of n - 1 in class (d, 0)."""
     if n == 1:
-        out: Tuple[PlaneTree, ...] = (PlaneTree([ROOT]),)
-    else:
-        trees: List[PlaneTree] = []
-        for degree in range(d, n, d):
-            for parts in _sized_compositions(n - 1, degree, d):
-                for subtrees in _forest_choices(parts, d):
-                    trees.append(compose_root(subtrees))
-        out = tuple(sorted(trees, key=lambda t: sorted(t.vertices)))
-    _plane_cache[key] = out
-    return out
-
-
-def _sized_compositions(total: int, parts: int, d: int):
-    """Compositions of ``total`` into ``parts`` parts, each congruent to 1 mod d."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    first = 1
-    while first <= total - (parts - 1):
-        if first % d == 1 % d:
-            for rest in _sized_compositions(total - first, parts - 1, d):
-                yield (first,) + rest
-        first += d
-    return
-
-
-def _forest_choices(parts: Sequence[int], d: int):
-    if not parts:
-        yield ()
-        return
-    for head in _plane_trees(parts[0], d):
-        for tail in _forest_choices(parts[1:], d):
-            yield (head,) + tail
+        return (PlaneTree([ROOT]),)
+    trees = [compose_root(subtrees)
+             for parts in iter_compositions(n - 1, ArithClass(d, 0))
+             for subtrees in itertools.product(*(_plane_trees(p, d) for p in parts))]
+    return tuple(sorted(trees, key=lambda t: sorted(t.vertices)))
 
 
 def enumerate_subtrees(n: int, dmax: Optional[int] = None,
@@ -112,46 +80,23 @@ def enumerate_subtrees(n: int, dmax: Optional[int] = None,
     return list(_subtrees(n, pos))
 
 
+@functools.lru_cache(maxsize=None)
 def _subtrees(n: int, pos: Tuple[int, ...]) -> Tuple[RootedSubtree, ...]:
-    key = (n, pos)
-    cached = _subtree_cache.get(key)
-    if cached is not None:
-        return cached
+    """Children sizes come from the compositions of n - 1 with at most ``len(pos)`` parts."""
     if n == 1:
-        out: Tuple[RootedSubtree, ...] = (RootedSubtree([ROOT]),)
-    else:
-        found: List[RootedSubtree] = []
-        import itertools
-        for k in range(1, min(len(pos), n - 1) + 1):
-            for chosen in itertools.combinations(pos, k):
-                for parts in _any_compositions(n - 1, k):
-                    for subtrees in _subtree_choices(parts, pos):
-                        vertices = [ROOT]
-                        for position, sub in zip(chosen, subtrees):
-                            vertices.extend((position,) + u for u in sub.vertices)
-                        found.append(RootedSubtree(vertices))
-        out = tuple(sorted(found, key=lambda t: sorted(t.vertices)))
-    _subtree_cache[key] = out
-    return out
-
-
-def _any_compositions(total: int, parts: int):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _any_compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _subtree_choices(parts: Sequence[int], pos: Tuple[int, ...]):
-    if not parts:
-        yield ()
-        return
-    for head in _subtrees(parts[0], pos):
-        for tail in _subtree_choices(parts[1:], pos):
-            yield (head,) + tail
+        return (RootedSubtree([ROOT]),)
+    found: List[RootedSubtree] = []
+    for parts in iter_compositions(n - 1):
+        if len(parts) > len(pos):
+            continue
+        forests = list(itertools.product(*(_subtrees(p, pos) for p in parts)))
+        for chosen in itertools.combinations(pos, len(parts)):
+            for subtrees in forests:
+                vertices = [ROOT]
+                for position, sub in zip(chosen, subtrees):
+                    vertices.extend((position,) + u for u in sub.vertices)
+                found.append(RootedSubtree(vertices))
+    return tuple(sorted(found, key=lambda t: sorted(t.vertices)))
 
 
 # ---------------------------------------------------------------------------
@@ -165,18 +110,20 @@ def _normalized(masses: Dict) -> Dict:
     return {key: m / total for key, m in masses.items() if m != 0}
 
 
+def tree_mass(w, tree: PlaneTree) -> Fraction:
+    """The product of ``w_k`` over the vertices, k the vertex's child count; stops at the first zero."""
+    mass = ONE
+    for u in tree.vertices:
+        mass *= w[tree.children_count(u)]
+        if not mass:
+            break
+    return mass
+
+
 def sg_law(w, d: int, n: int, max_n: Optional[int] = None) -> Dict[PlaneTree, Fraction]:
     """Size-n tree law from raw weight products (independent of any recursion)."""
     w = coerce_weights(w)
-    masses = {}
-    for tree in enumerate_plane_trees(n, d, max_n=max_n):
-        mass = ONE
-        for u in tree.vertices:
-            mass *= w[tree.children_count(u)]
-            if mass == 0:
-                break
-        if mass:
-            masses[tree] = mass
+    masses = {tree: tree_mass(w, tree) for tree in enumerate_plane_trees(n, d, max_n=max_n)}
     return _normalized(masses)
 
 
@@ -197,7 +144,7 @@ def st_law(theta, n: int, max_n: Optional[int] = None) -> Dict[RootedSubtree, Fr
 def comp_law(wp: WeightPair, n: int, cls: ArithClass = PLAIN) -> Dict[Composition, Fraction]:
     """Composition law from raw products; a part weight past the horizon of ``wp.b`` raises HorizonError."""
     masses = {}
-    for c in iter_compositions(n, cls if cls.d > 1 else None):
+    for c in iter_compositions(n, cls):
         mass = wp.a_at(len(c))
         for p in c:
             if not mass:
@@ -210,7 +157,6 @@ def comp_law(wp: WeightPair, n: int, cls: ArithClass = PLAIN) -> Dict[Compositio
 
 def subset_law(theta, k: int) -> Dict[frozenset, Fraction]:
     """k-subset law from raw products."""
-    import itertools
     theta = coerce_theta(theta)
     if k < 0 or k > theta.n_support:
         raise ZeroMassError(f"no {k}-subsets available")

@@ -179,31 +179,28 @@ class SummableTheta:
     def value(self, i: int) -> Fraction:
         return self.values[i - 1] if 1 <= i <= len(self.values) else ZERO
 
-    def drop(self, i: int) -> "SummableTheta":
-        if self.value(i) == 0:
-            raise DomainError(f"position {i} is not in the support")
-        vals = list(self.values)
-        vals[i - 1] = ZERO
-        return SummableTheta(vals)
-
     @property
     def ladder(self) -> Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...]:
         """Per level of the nested coupling, the pivot and its thresholds as ``(num, den)``.
 
-        Level 0 is theta itself and each later level drops the pivot before
-        it; the last level holds the one remaining support point and no
-        thresholds.  Built on first use, once per theta.
+        Level m pivots on the m-th support point.  With ``S_m`` the support
+        from that point on, its k-th threshold is
+        ``theta_pivot e_{k-1}(S_{m+1}) / e_k(S_m)``, reduced; the last level
+        holds the one remaining support point and no thresholds.  Built on
+        first use, once per theta, in one backward pass over the support:
+        the elementary symmetric values of ``S_m`` are those of ``S_{m+1}``
+        times ``1 + theta_pivot x``.
         """
         if self._ladder is None:
-            levels = []
-            theta = self
-            while theta.n_support > 1:
-                pivot = theta.support[0]
-                thresholds = tuple((p.numerator, p.denominator) for p in nested_thresholds(theta))
-                levels.append((pivot, thresholds))
-                theta = theta.drop(pivot)
-            levels.append((theta.support[0], ()))
-            self._ladder = tuple(levels)
+            *pivots, last = self.support
+            levels = [(last, ())]
+            e = [ONE, self.value(last)]
+            for pivot in reversed(pivots):
+                x, inner = self.value(pivot), e
+                e = [hi + x * lo for hi, lo in zip(inner + [ZERO], [ZERO] + inner)]
+                thresholds = (x * inner[k - 1] / e[k] for k in range(1, len(e)))
+                levels.append((pivot, tuple((p.numerator, p.denominator) for p in thresholds)))
+            self._ladder = tuple(reversed(levels))
         return self._ladder
 
     def __repr__(self):
@@ -216,45 +213,29 @@ def coerce_theta(theta) -> SummableTheta:
 
 def nested_thresholds(theta) -> List[Fraction]:
     """Pivot inclusion probabilities p_1 <= ... <= p_N for the smallest support index."""
-    theta = coerce_theta(theta)
-    pivot = theta.support[0]
-    reduced = theta.drop(pivot) if theta.n_support > 1 else None
-    out = []
-    tp = theta.value(pivot)
-    for k in range(1, theta.n_support + 1):
-        if reduced is None:
-            out.append(ONE)
-            continue
-        e_red = reduced.e
-        num = tp * (e_red[k - 1] if k - 1 < len(e_red) else ZERO)
-        out.append(num / theta.e[k])
-    return out
+    thresholds = coerce_theta(theta).ladder[0][1]
+    return [Fraction(num, den) for num, den in thresholds] or [ONE]
 
 
 def nested_coupling_law(theta) -> Dict[Tuple[int, ...], Fraction]:
     """Exact joint law of the insertion ordering built by the nested coupling.
 
-    The pivot (smallest support index) is inserted at a random rank whose
-    law is read from the threshold increments, independently of the
-    recursive ordering of the remaining weights.  Prefix sets of the
-    resulting sequence realize every subset law simultaneously.
+    Built level by level from the last one up the threshold ladder: each
+    pivot is inserted at a random rank whose law is read from the
+    threshold increments, independently of the ordering of the later
+    support points.  Prefix sets of the resulting sequence realize every
+    subset law simultaneously.
     """
-    theta = coerce_theta(theta)
-    if theta.n_support == 1:
-        return {(theta.support[0],): ONE}
-    pivot = theta.support[0]
-    ps = nested_thresholds(theta)
-    inner = nested_coupling_law(theta.drop(pivot))
-    law: Dict[Tuple[int, ...], Fraction] = {}
-    prev = ZERO
-    for k, pk in enumerate(ps, start=1):
-        weight = pk - prev
-        prev = pk
-        if weight == 0:
-            continue
-        for seq, mass in inner.items():
-            newseq = seq[:k - 1] + (pivot,) + seq[k - 1:]
-            law[newseq] = law.get(newseq, ZERO) + weight * mass
+    levels = coerce_theta(theta).ladder
+    law: Dict[Tuple[int, ...], Fraction] = {(levels[-1][0],): ONE}
+    for pivot, thresholds in levels[-2::-1]:
+        inner, law, prev = law, {}, ZERO
+        for k, (num, den) in enumerate(thresholds, start=1):
+            pk = Fraction(num, den)
+            weight, prev = pk - prev, pk
+            if weight:
+                for seq, mass in inner.items():
+                    law[seq[:k - 1] + (pivot,) + seq[k - 1:]] = weight * mass
     return law
 
 

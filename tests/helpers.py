@@ -18,7 +18,7 @@ import numpy as np
 
 from treegrow.compositions import iter_compositions
 from treegrow.errors import DomainError, NotCoupleable, ParseError
-from treegrow.oracle import enumerate_plane_trees, enumerate_subtrees
+from treegrow.oracle import enumerate_plane_trees, enumerate_subtrees, tree_mass
 from treegrow.sgtrees import growth_kernel_row
 from treegrow.subtree_model import (SubtreeChain, apply_shuffle, bij_P_inv, nested_coupling_law,
                                     push_forward, sigma_rule)
@@ -43,13 +43,7 @@ def random_shuffle_for(tau, rng, span=9):
 
 def tree_mass_sum(w, n, d=1):
     """Total mass of the n-vertex plane trees with out-degrees in dZ: the enumeration side of b_n."""
-    total = Fraction(0)
-    for tree in enumerate_plane_trees(n, d):
-        mass = Fraction(1)
-        for u in tree.vertices:
-            mass *= w[tree.children_count(u)]
-        total += mass
-    return total
+    return sum((tree_mass(w, tree) for tree in enumerate_plane_trees(n, d)), Fraction(0))
 
 
 def composition_sum(w, b, ell, t):

@@ -27,19 +27,6 @@ def tree_pair(w_entries, d=1, n_total=16):
     return WeightPair(w.entries, b)
 
 
-def brute_law(wp, n, cls=PLAIN):
-    """Composition law by raw enumeration, independent of the table recursions."""
-    masses = {}
-    for c in iter_compositions(n, cls if cls.d > 1 else None):
-        m = wp.a_at(len(c))
-        for p in c:
-            m *= wp.b[p]
-        if m:
-            masses[c] = m
-    total = sum(masses.values())
-    return {c: m / total for c, m in masses.items()}
-
-
 def coupled(low, high):
     """``move_rows`` of two integer step laws as Fractions, checked against the Fraction oracle."""
     zl, zh = sum(low.values()), sum(high.values())
@@ -211,34 +198,35 @@ class TestMonotoneStepKernel:
 
 class TestCompositionKernel:
     def test_base_case(self):
-        wp = tree_pair(ONES)
-        assert composition_kernel(wp, PLAIN, 0, ()) == {(1,): F(1)}
+        tables = PairTables(tree_pair(ONES), total_horizon=1)
+        assert composition_kernel(tables, ()) == {(1,): F(1)}
 
     def test_row_at_one(self):
-        wp = tree_pair(ONES)
-        row = composition_kernel(wp, PLAIN, 1, (1,))
-        tables = PairTables(wp, total_horizon=2)
+        tables = PairTables(tree_pair(ONES), total_horizon=2)
+        row = composition_kernel(tables, (1,))
         q = helpers.monotone_move_probs(tables.reindexed_first_part_law(0, 1),
                                         tables.reindexed_first_part_law(0, 2))[0]
         assert row == {(2,): q, (1, 1): 1 - q}
 
     def test_rows_sum_to_one_and_cover(self):
         wp = tree_pair([1, 3, 3, 1])
+        tables = PairTables(wp, total_horizon=7)
         for n in range(0, 7):
             for c in comp_law(wp, n):
-                row = composition_kernel(wp, PLAIN, n, c)
+                row = composition_kernel(tables, c)
                 assert sum(row.values()) == 1
                 assert set(row) <= set(covering_successors(c, 1))
 
     @pytest.mark.parametrize("entries", [ONES, [1, 3, 3, 1], [1, 1, 1, 1, 1]])
     def test_interchange_d1(self, entries):
         wp = tree_pair(entries)
+        tables = PairTables(wp, total_horizon=8)
         for n in range(0, 8):
             law = comp_law(wp, n)
             target = comp_law(wp, n + 1)
             pushed = {}
             for c, mass in law.items():
-                for c2, p in composition_kernel(wp, PLAIN, n, c).items():
+                for c2, p in composition_kernel(tables, c).items():
                     pushed[c2] = pushed.get(c2, F(0)) + mass * p
             pushed = {c: m for c, m in pushed.items() if m}
             assert pushed == target
@@ -247,13 +235,14 @@ class TestCompositionKernel:
     def test_interchange_arithmetic(self, entries, d):
         cls = ArithClass(d, 0)
         wp = tree_pair(entries, d=d)
+        tables = PairTables(wp, cls, total_horizon=9)
         n = 0
         while n + d <= 9:
             law = comp_law(wp, n, cls)
             target = comp_law(wp, n + d, cls)
             pushed = {}
             for c, mass in law.items():
-                for c2, p in composition_kernel(wp, cls, n, c).items():
+                for c2, p in composition_kernel(tables, c).items():
                     pushed[c2] = pushed.get(c2, F(0)) + mass * p
             pushed = {c: m for c, m in pushed.items() if m}
             assert pushed == target
@@ -261,8 +250,8 @@ class TestCompositionKernel:
 
     def test_arith_row_support(self):
         cls = ArithClass(2, 0)
-        wp = tree_pair([1, 0, 1], d=2)
-        row = composition_kernel(wp, cls, 2, (1, 1))
+        tables = PairTables(tree_pair([1, 0, 1], d=2), cls, total_horizon=4)
+        row = composition_kernel(tables, (1, 1))
         assert set(row) <= {(3, 1), (1, 3), (1, 1, 1, 1)}
         assert sum(row.values()) == 1
 
@@ -380,6 +369,19 @@ class TestChainSampling:
         two = sample_composition_chain(wp, PLAIN, 9, derive_rng(7, "chain"))
         assert one == two
 
+    def test_refuses_tables_of_another_pair_or_class(self):
+        # on b's tables, a's chain would end at (6, 2), b's end state; its own ends at (7, 1)
+        a, b = WeightPair([1, 1, 1], [1] * 9), WeightPair([1, 3, 1], [1] * 9)
+        assert sample_composition_chain(a, PLAIN, 8, random.Random(3))[-1] == (7, 1)
+        assert sample_composition_chain(a, PLAIN, 8, random.Random(3), tables=PairTables(a))[-1] == (7, 1)
+        with pytest.raises(DomainError):
+            sample_composition_chain(a, PLAIN, 8, random.Random(3), tables=PairTables(b))
+        wp = WeightPair([0, 1], [1, 0])  # non-degenerate for (d, s) = (2, 1) and (3, 1)
+        assert sample_composition_chain(wp, ArithClass(2, 1), 1, random.Random(3)) == [(1,)]
+        with pytest.raises(DomainError):
+            sample_composition_chain(wp, ArithClass(2, 1), 1, random.Random(3),
+                                     tables=PairTables(wp, ArithClass(3, 1)))
+
     def test_marginal_tv(self):
         # empirical law of the total-4 state over 1e5 chains vs the exact law
         wp = tree_pair(ONES)
@@ -411,9 +413,15 @@ class TestHorizonsAndErrors:
             comp_law(wp, 2, ArithClass(2, 1))
 
     def test_kernel_requires_matching_total(self):
+        # the total is read from c: the tables must reach it, and c must lie in their class
         wp = tree_pair(ONES)
-        with pytest.raises(DomainError):
-            composition_kernel(wp, PLAIN, 4, (2, 1))
+        with pytest.raises(HorizonError):
+            composition_kernel(PairTables(wp, total_horizon=4), (2, 2))
+        cls = ArithClass(2, 0)
+        tables = PairTables(tree_pair([1, 0, 1], d=2), cls, total_horizon=6)
+        for c in [(2, 1), (1, 1, 1)]:
+            with pytest.raises(DomainError):
+                composition_kernel(tables, c)
 
     @given(st.integers(0, 6))
     @settings(max_examples=20, deadline=None)

@@ -1,20 +1,38 @@
+import hashlib
 import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from treegrow.compositions import WeightPair
+from treegrow.compositions import ArithClass, WeightPair, iter_compositions
 from treegrow.errors import DomainError, HorizonError
 from treegrow.oracle import (comp_law, enumerate_plane_trees, enumerate_subtrees, goodness_of_fit,
                              janson_expectations, kernel_interchange_check, sg_law, st_law,
                              subset_law, tv_distance)
 from treegrow.sgtrees import WeightSequence, compute_tables, growth_kernel_row
-from treegrow.treespace import ROOT
+from treegrow.treespace import ROOT, format_tree
 
 
 def catalan(k):
     return math.comb(2 * k, k) // (k + 1)
+
+
+# SHA-256 of the canonical text of each enumeration, one line per size and class, in enumeration order
+PINNED_ENUMERATIONS = {
+    "plane-trees": (
+        lambda: [f"{n} {d}: " + ";".join(format_tree(t) for t in enumerate_plane_trees(n, d))
+                 for n in range(1, 11) for d in range(1, 4)],
+        "2d7ae086f7ce5b956b4743ef8a9a3070b5b647e352e37c1a5fe4a281c0243a62"),
+    "subtrees": (
+        lambda: [f"{n} {k}: " + ";".join(format_tree(t) for t in enumerate_subtrees(n, dmax=k))
+                 for n in range(1, 8) for k in range(1, 4)],
+        "bf0b363c0442a8ff644482778e1f78c7b4a8fa5a997b204d1adb547f5280534c"),
+    "compositions": (
+        lambda: [f"{n} {d} {s}: " + ";".join(",".join(map(str, c)) for c in iter_compositions(n, ArithClass(d, s)))
+                 for n in range(13) for d in range(1, 4) for s in range(d)],
+        "6a1e500a36cc2084f43c68e59b8286c9b6ce64f8c9a96f101d6376e1aeda1cc3"),
+}
 
 
 class TestEnumeration:
@@ -47,6 +65,11 @@ class TestEnumeration:
             support = [t for t in trees
                        if all(t.children_count(u) <= 2 for u in t.vertices)]
             assert degree_two.b_value(n) == len(support)
+
+    @pytest.mark.parametrize("name", sorted(PINNED_ENUMERATIONS))
+    def test_pinned_enumerations(self, name):
+        lines, digest = PINNED_ENUMERATIONS[name]
+        assert hashlib.sha256("\n".join(lines()).encode()).hexdigest() == digest
 
     def test_wrong_residue_empty(self):
         assert enumerate_plane_trees(3, 3) == []

@@ -159,7 +159,7 @@ class TestElementarySymmetric:
     def test_split_identity(self):
         theta = SummableTheta(["1/2", "1/3", "1/4"])
         for i in theta.support:
-            reduced = theta.drop(i)
+            reduced = SummableTheta([0 if j == i else v for j, v in enumerate(theta.values, start=1)])
             for k in range(1, theta.n_support + 1):
                 e_red = lambda j: reduced.e[j] if j < len(reduced.e) else F(0)
                 assert theta.e[k] == e_red(k) + theta.value(i) * e_red(k - 1)
@@ -237,6 +237,21 @@ class TestNestedCoupling:
                 key = frozenset(seq[:k])
                 marginal[key] = marginal.get(key, F(0)) + mass
             assert set(marginal.values()) == {F(1, math.comb(3, k))}
+
+    @pytest.mark.parametrize("values", THETAS + (["0", "2", "0", "1/3", "1"], ["3"], ["0", "0", "7", "0"],
+                                                 ["1/2", "1/3", "1/4", "0", "5"]))
+    def test_ladder_matches_defining_formula(self, values):
+        # level m pivots on the m-th support point; with S_m the support from it on,
+        # its k-th threshold is theta_pivot e_{k-1}(S_{m+1}) / e_k(S_m), reduced
+        theta = SummableTheta(values)
+        support = theta.support
+        assert [pivot for pivot, _ in theta.ladder] == list(support)
+        assert theta.ladder[-1][1] == ()
+        for m, (pivot, thresholds) in enumerate(theta.ladder[:-1]):
+            e_m = elementary_symmetric([theta.value(i) for i in support[m:]])
+            e_next = elementary_symmetric([theta.value(i) for i in support[m + 1:]])
+            want = [theta.value(pivot) * e_next[k - 1] / e_m[k] for k in range(1, len(support) - m + 1)]
+            assert thresholds == tuple((p.numerator, p.denominator) for p in want)
 
     def test_sampler_matches_joint_law(self):
         theta = SummableTheta(["2", "1", "1"])

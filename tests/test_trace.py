@@ -168,6 +168,8 @@ def mutate(data, records, other, field, model):
             words = [word_from_text(t) for t in tokens if t.strip()]
         except ParseError:
             return
+        if not words:
+            return  # a no-root mutation can leave the line without words
         grafted = []
         for _ in range(data.draw(st.integers(1, 2))):
             v = data.draw(st.sampled_from(words))
