@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .errors import (DomainError, HorizonError, NotCoupleable, ParseError, Refused,
                      TreegrowError, ZeroMassError)
 from .treespace import (PlaneTree, RootedSubtree, Word, children_count, complete_d_ary,
-                        compose_root, decompose_root, format_tree, is_bouquet_addition,
+                        compose_root, format_tree, is_bouquet_addition,
                         is_right_leaning_leaf_addition, parse_tree, to_dot)
 from .compositions import (ArithClass, BSequence, Composition, PairTables, WeightPair,
                            check_admissibility_inequalities, check_ratio_chain,

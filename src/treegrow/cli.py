@@ -19,7 +19,7 @@ from .errors import DomainError, HorizonError, ParseError, Refused, TreegrowErro
 from .oracle import (PLANE_TREE_CAP, SUBTREE_CAP, enumerate_plane_trees, enumerate_subtrees,
                      goodness_of_fit, sg_law, st_law, subset_law, kernel_interchange_check, tree_mass)
 from .sgtrees import (WeightSequence, check_tp2_array, check_toeplitz_tp2, compute_tables,
-                      forest_array, growth_kernel_row, is_log_concave, GrowthChain)
+                      forest_array, growth_kernel_row, is_log_concave, require_log_concave, GrowthChain)
 from .subtree_model import (SubtreeChain, SummableTheta, bij_P, bij_P_inv, nested_coupling_law,
                             nested_thresholds, sigma_rule, shuffle_invariance_check)
 from .treespace import (GrowingText, Word, adds_bouquet, format_tree, parse_tree, to_dot,
@@ -173,6 +173,8 @@ def cmd_grow(args) -> int:
     else:
         if not args.theta:
             raise ParseError("--theta is required for the subtree model")
+        if d != 1:
+            raise ParseError("the subtree model has d = 1")
         theta = SummableTheta(parse_rational_list(args.theta))
         chain = SubtreeChain(theta, horizon=args.n, seed=seed)
     if args.out:
@@ -354,6 +356,7 @@ def _suite_kernel_interchange(args) -> dict:
     w = WeightSequence(parse_rational_list(_given(args.w, "1,1,1,1,1,1,1")))
     d = _given(args.d, 1)
     n_max = _n_max(args, 6, PLANE_TREE_CAP - d)  # the last level enumerates trees of size n + d
+    require_log_concave(w, d)
     tables = compute_tables(w, d, N=n_max + d)
     results = []
     ok = True
@@ -425,9 +428,11 @@ def _suite_stats(args) -> dict:
         theta = SummableTheta(parse_rational_list(args.theta))
         target_n = _n_max(args, 4, SUBTREE_CAP)
         law = st_law(theta, target_n)
+        tables = compute_tables(WeightSequence(theta.e), 1, N=target_n)
         counts: Dict[frozenset, int] = {}
         for i in range(samples):
-            chain = SubtreeChain(theta, horizon=target_n, seed=derive_rng(seed, "battery", i).getrandbits(63))
+            chain = SubtreeChain(theta, horizon=target_n, seed=derive_rng(seed, "battery", i).getrandbits(63),
+                                 tables=tables)
             while chain.n < target_n:
                 chain.step()
             key = chain.subtree()
@@ -512,7 +517,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return commands[args.command](args)
     except Refused as exc:
-        print(f"refused: {exc} (index {exc.witness})", file=sys.stderr)
+        print(f"refused: {exc}", file=sys.stderr)
         return 2
     except (TreegrowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -266,7 +266,7 @@ class PartitionKernel:
     total, whose common scale ``A D^t`` cancels, so laws and move
     probabilities are computed from integers alone.  This base class
     derives first-part laws, the monotone one-step move probabilities,
-    full composition-kernel rows and the sampling walk shared by every
+    the exact law of one move and the sampling walk shared by every
     chain in the package.  ``r`` is the largest index with a non-zero
     count weight: the shift ladder ends there.
     """
@@ -354,30 +354,38 @@ class PartitionKernel:
             row = self._step_memo[key] = move_rows(low, zl, high, zh)
         return row
 
-    def kernel_row(self, ell: int, t: int, c: Composition) -> Dict[Composition, Fraction]:
-        """Exact one-step law on compositions of t+d given the current composition."""
-        d = self.d
-        if not c:
-            if t != 0:
-                raise DomainError("only the empty composition has total 0")
-            return {(1,) * d: ONE}
-        if self.r - ell <= 1:
-            # beyond this shift only single-part compositions carry mass
-            if len(c) != 1:
-                raise DomainError(f"composition {c} carries no mass at shift {ell}")
-            return {(c[0] + d,): ONE}
-        mt = (c[0] - 1) // d
-        steps = self.step_probs(ell, t)
-        if mt not in steps:
-            raise DomainError(f"composition {c} carries no mass at total {t}, shift {ell}")
-        q = Fraction(*steps[mt])
-        row: Dict[Composition, Fraction] = {}
-        if q:
-            row[(c[0] + d,) + c[1:]] = q
-        keep = ONE - q
-        if keep:
-            for tail, p in self.kernel_row(ell + 1, t - c[0], c[1:]).items():
-                row[(c[0],) + tail] = keep * p
+    def kernel_row(self, t: int, parts: Sequence[int]) -> Dict[Tuple, Fraction]:
+        """Exact law of the move that ``sample_move`` draws from these parts at total t.
+
+        Part j is incremented with probability ``stay * q_j``, where ``q_j``
+        is its step probability at shift j and ``stay`` the probability that
+        no earlier part moved; the append move takes what is left.  Moves
+        are keyed as in ``sample_move``, and only moves with mass appear.
+        """
+        if sum(parts) != t:
+            raise DomainError("parts do not sum to the stated total")
+        row: Dict[Tuple, Fraction] = {}
+        stay = ONE
+        remaining = t
+        for j, part in enumerate(parts):
+            if self.r - j <= 1:
+                # beyond this shift only single-part compositions carry mass
+                if j != len(parts) - 1:
+                    raise DomainError(f"parts {tuple(parts)} carry no mass past shift {j}")
+                row[("inc", j)] = stay
+                return row
+            steps = self.step_probs(j, remaining)
+            mt = (part - 1) // self.d
+            if mt not in steps:
+                raise DomainError(f"part {part} carries no mass at total {remaining}, shift {j}")
+            q = Fraction(*steps[mt])
+            if q:
+                row[("inc", j)] = stay * q
+            stay *= 1 - q
+            if not stay:
+                return row
+            remaining -= part
+        row[("append", len(parts))] = stay
         return row
 
     def sample_move(self, t: int, parts: Sequence[int], rng) -> Tuple[Tuple, int, int]:
@@ -388,7 +396,6 @@ class PartitionKernel:
         chosen with probability ``num/den`` (not reduced).
         """
         d = self.d
-        ell = 0
         j = 0
         num = den = 1
         remaining = t
@@ -397,12 +404,12 @@ class PartitionKernel:
                 if remaining != 0:
                     raise DomainError("parts do not sum to the stated total")
                 return ("append", j), num, den
-            if self.r - ell <= 1:
+            if self.r - j <= 1:
                 if j != len(parts) - 1:
-                    raise DomainError(f"state off support at shift {ell}")
+                    raise DomainError(f"state off support at shift {j}")
                 return ("inc", j), num, den
             mt = (parts[j] - 1) // d
-            qn, qd = self.step_probs(ell, remaining).get(mt, (0, 1))
+            qn, qd = self.step_probs(j, remaining).get(mt, (0, 1))
             if qn == qd:
                 return ("inc", j), num, den
             if qn:
@@ -411,7 +418,6 @@ class PartitionKernel:
                 num *= qd - qn
                 den *= qd
             remaining -= parts[j]
-            ell += 1
             j += 1
 
 
@@ -490,7 +496,7 @@ def composition_kernel(tables: PairTables, c: Composition) -> Dict[Composition, 
     cls = tables.cls
     if not satisfies_arith(c, cls):
         raise DomainError(f"composition {c} violates the (d={cls.d}, s={cls.s}) condition")
-    return tables.kernel_row(0, sum(c), c)
+    return {apply_move(c, move, tables.d): p for move, p in tables.kernel_row(sum(c), c).items()}
 
 
 @dataclass

@@ -40,6 +40,6 @@ class Refused(TreegrowError):
     log-concavity.
     """
 
-    def __init__(self, witness, message=None):
+    def __init__(self, witness):
         self.witness = witness
-        super().__init__(message or f"offspring weights are not log-concave (first violation at index {witness})")
+        super().__init__(f"offspring weights are not log-concave (first violation at index {witness})")

@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from .compositions import CheckReport, PartitionKernel, ZERO, ONE, as_fraction, cleared, peel_partition_values
 from .compositions import check_ratio_chain  # noqa: F401  (re-exported: it checks tree tables too)
 from .errors import DomainError, HorizonError, Refused
-from .treespace import PlaneTree, ROOT, Word, decompose_root
+from .treespace import PlaneTree, ROOT, Word
 
 
 class WeightSequence:
@@ -113,6 +113,13 @@ def is_log_concave(xs) -> LogConcavity:
     return LogConcavity(True, None)
 
 
+def require_log_concave(w, d: int):
+    """Refuse growth (``Refused``, with the witness) unless ``w_0, w_d, w_2d, ...`` is log-concave."""
+    lc = is_log_concave(coerce_weights(w).progression(d))
+    if not lc.ok:
+        raise Refused(lc.witness)
+
+
 def check_toeplitz_tp2(xs, window: int) -> CheckReport:
     """Verify every 2x2 minor of the Toeplitz matrix ``(x_{i-j})`` is non-negative.
 
@@ -180,7 +187,6 @@ class PartitionTables(PartitionKernel):
         super().__init__(d, r, scale, scale)
         self.w = w
         self.N = N
-        self._rows: Dict[frozenset, Dict] = {}
         self._z = peel_partition_values(entries, N - 1)
         self._b = [0] + self._z[0]
 
@@ -265,37 +271,28 @@ def check_tp2_array(tables: PartitionTables, N: Optional[int] = None) -> CheckRe
 def growth_kernel_row(tables: PartitionTables, tree: PlaneTree) -> Dict[PlaneTree, Fraction]:
     """Exact one-step law of the growth chain from the given tree.
 
-    The root composition takes one covering move; an incremented part
-    sends the corresponding child subtree through its own kernel row,
-    an appended run of parts creates the new bouquet at the root.  Rows
-    sum to one and are supported on right-leaning bouquet additions.
+    Walks the tree from the root as ``GrowthChain.step`` does: the
+    children's subtree sizes at a vertex take one move from ``kernel_row``;
+    an increment continues the walk at that child with the product so far,
+    an append plants the bouquet there.  Rows sum to one and are supported
+    on right-leaning bouquet additions.
     """
-    key = tree.vertices
-    cached = tables._rows.get(key)
-    if cached is not None:
-        return cached
     d = tables.d
-    subtrees, parts = decompose_root(tree)
-    row_c = tables.kernel_row(0, len(tree) - 1, parts)
+    size = dict.fromkeys(tree.vertices, 1)
+    for u in sorted(tree.vertices, key=len, reverse=True):
+        if u:
+            size[u[:-1]] += size[u]
     out: Dict[PlaneTree, Fraction] = {}
-    base = tree.vertices
-    for c2, p in row_c.items():
-        if len(c2) > len(parts):
-            k = len(parts)
-            grown = PlaneTree(base | {(k + i,) for i in range(1, d + 1)})
-            if grown in out:
-                raise DomainError("two covering moves produced the same tree")
-            out[grown] = p
-        else:
-            j = next(i for i in range(len(parts)) if c2[i] != parts[i])
-            prefix = j + 1
-            kept = {u for u in base if not u or u[0] != prefix}
-            for sub2, q in growth_kernel_row(tables, subtrees[j]).items():
-                grown = PlaneTree(kept | {(prefix,) + u for u in sub2.vertices})
-                if grown in out:
-                    raise DomainError("two covering moves produced the same tree")
-                out[grown] = p * q
-    tables._rows[key] = out
+    stack = [(ROOT, ONE)]
+    while stack:
+        v, p = stack.pop()
+        k = tree.children_count(v)
+        parts = tuple(size[v + (j,)] for j in range(1, k + 1))
+        for (kind, j), q in tables.kernel_row(size[v] - 1, parts).items():
+            if kind == "inc":
+                stack.append((v + (j + 1,), p * q))
+            else:
+                out[PlaneTree(tree.vertices | {v + (k + i,) for i in range(1, d + 1)})] = p * q
     return out
 
 
@@ -328,9 +325,7 @@ class GrowthChain:
     def __init__(self, w, d: int = 1, horizon: int = 10, rng: Optional[random.Random] = None,
                  tables: Optional[PartitionTables] = None):
         w = coerce_weights(w)
-        lc = is_log_concave(w.progression(d))
-        if not lc.ok:
-            raise Refused(lc.witness)
+        require_log_concave(w, d)
         if tables is None:
             tables = compute_tables(w, d, N=horizon)
         elif tables.w != w or tables.d != d:
@@ -352,9 +347,6 @@ class GrowthChain:
 
     def tree_key(self) -> frozenset:
         return frozenset(self._size.keys())
-
-    def children_count(self, u: Word) -> int:
-        return self._kids[u]
 
     def step(self) -> GrowthStep:
         if self.n + self.d > self.horizon:

@@ -101,9 +101,6 @@ class _WordSet:
             raise DomainError(f"vertex {word_to_text(u)} is not in the {self.kind}")
         return tuple(sorted(v[-1] for v in self._vertices if len(v) == len(u) + 1 and v[:-1] == u))
 
-    def leaves(self) -> List[Word]:
-        return [u for u, k in self._kids.items() if k == 0]
-
     def __len__(self) -> int:
         return len(self._vertices)
 
@@ -180,24 +177,8 @@ def adds_bouquet(kids: Mapping[Word, int], added: Set[Word], d: int) -> bool:
     return k is not None and {u[-1] for u in added} == set(range(k + 1, k + d + 1))
 
 
-def decompose_root(tree: PlaneTree) -> Tuple[List[PlaneTree], Tuple[int, ...]]:
-    """Split a plane tree at the root.
-
-    Returns the ordered list of subtrees hanging from the root's children
-    (re-rooted at the empty word) together with the composition of their
-    sizes, which sums to ``len(tree) - 1``.
-    """
-    k = tree.children_count(ROOT)
-    buckets: List[List[Word]] = [[] for _ in range(k)]
-    for u in tree.vertices:
-        if u:
-            buckets[u[0] - 1].append(u[1:])
-    subtrees = [PlaneTree(b) for b in buckets]
-    return subtrees, tuple(len(b) for b in buckets)
-
-
 def compose_root(subtrees: Sequence[PlaneTree]) -> PlaneTree:
-    """Inverse of :func:`decompose_root`: graft the given trees below a new root."""
+    """Graft the given trees, in order, below a new root."""
     vertices = [ROOT]
     for j, sub in enumerate(subtrees, start=1):
         vertices.extend((j,) + u for u in sub.vertices)

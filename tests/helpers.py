@@ -16,10 +16,10 @@ from typing import Dict, FrozenSet
 
 import numpy as np
 
-from treegrow.compositions import iter_compositions
-from treegrow.errors import DomainError, NotCoupleable, ParseError
+from treegrow.compositions import WeightPair, composition_kernel, iter_compositions
+from treegrow.errors import DomainError, NotCoupleable, ParseError, TreegrowError
 from treegrow.oracle import enumerate_plane_trees, enumerate_subtrees, tree_mass
-from treegrow.sgtrees import growth_kernel_row
+from treegrow.sgtrees import WeightSequence, compute_tables, growth_kernel_row
 from treegrow.subtree_model import (SubtreeChain, apply_shuffle, bij_P_inv, nested_coupling_law,
                                     push_forward, sigma_rule)
 from treegrow.treespace import (ROOT, PlaneTree, format_tree, is_bouquet_addition,
@@ -108,6 +108,30 @@ def kernel_rows_digest(tables, w, d, n_max):
             row = growth_kernel_row(tables, tree)
             rows.append([format_tree(tree), sorted([format_tree(t), str(p)] for t, p in row.items())])
     return len(rows), hashlib.sha256(json.dumps(sorted(rows)).encode()).hexdigest()
+
+
+def composition_rows_digest(tables, n_max):
+    """SHA-256 of ``composition_kernel`` at every composition of the tables' class with total <= n_max.
+
+    A composition without mass contributes the name of the error its row raises.
+    """
+    rows = []
+    for n in range(n_max + 1):
+        for c in iter_compositions(n, tables.cls):
+            try:
+                row = sorted([list(c2), str(p)] for c2, p in composition_kernel(tables, c).items())
+            except TreegrowError as exc:
+                row = type(exc).__name__
+            rows.append([list(c), row])
+    return len(rows), hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+def tilted_tree_pair(w_entries, d, c, beta, horizon=40):
+    """A pair with the laws of a tree pair and neither a nor b a tree sequence: a_r c^r, b_m beta^m / c."""
+    tables = compute_tables(WeightSequence(w_entries), d, N=horizon + 1)
+    a = [Fraction(x) * c ** r for r, x in enumerate(w_entries)]
+    b = [tables.b_value(m) * beta ** m / c for m in range(1, horizon + 1)]
+    return WeightPair(a, b)
 
 
 def integer_thresholds(masses):

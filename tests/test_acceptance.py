@@ -15,6 +15,7 @@ import numpy as np
 import helpers
 from treegrow._rand import derive_rng
 from treegrow.cli import main as cli_main
+from treegrow.compositions import ArithClass, PairTables, shift
 from treegrow.oracle import (enumerate_plane_trees, enumerate_subtrees, goodness_of_fit,
                              janson_expectations, sg_law, st_law, subset_law, tv_distance)
 from treegrow.sgtrees import (GrowthChain, WeightSequence, check_ratio_chain, check_tp2_array,
@@ -105,6 +106,18 @@ PINNED_ROWS = (
 )
 
 
+# (w, d, s) of a tilted tree pair shifted into the class (d, s), composition_kernel rows from
+# every composition of the class with total <= 10, their SHA-256 pinned from the recursive rows
+PINNED_COMPOSITION_ROWS = (
+    (["1/2", "1", "1", "1/3"], 1, 0, 1024,
+     "46922259ddff36ae2953320d278059392cb9f4cbd7ac13d4a75c101e8340e8a1"),
+    (["1/2", "0", "1", "0", "1", "0", "1/3"], 2, 1, 55,
+     "5deefe1bbc13d0fe7aaaa8d19ae7b04fe01e07a30a5cc7b98684deac77897e0e"),
+    (["1", "0", "0", "2", "0", "0", "1"], 3, 0, 19,
+     "747ff6f9c2e646e7c6f3bf02219e4e2d4178c59f7bf224376da84aa60350ab2c"),
+)
+
+
 def test_c04_peeling_recursion_exact():
     checked = 0
     for entries, d, n_rows, digest in PINNED_ROWS:
@@ -118,8 +131,15 @@ def test_c04_peeling_recursion_exact():
                 assert tables.partition_value(ell, t) == helpers.composition_sum(w, tables.b_value, ell, t)
                 checked += 1
         assert helpers.kernel_rows_digest(tables, w, d, 7) == (n_rows, digest)
+    for entries, d, s, n_rows, digest in PINNED_COMPOSITION_ROWS:
+        tree_pair = helpers.tilted_tree_pair(entries, d, F(2, 3), F(3, 5), horizon=10 + d)
+        wp = shift(tree_pair, -s % d, ArithClass(d, 0))
+        tables = PairTables(wp, ArithClass(d, s), total_horizon=10 + d)
+        assert helpers.composition_rows_digest(tables, 10) == (n_rows, digest)
     report(4, True, f"peeling recursion equals enumeration on {checked} table values; "
-                    f"{sum(r[2] for r in PINNED_ROWS)} kernel rows match their pinned digests")
+                    f"{sum(r[2] for r in PINNED_ROWS)} tree and "
+                    f"{sum(r[3] for r in PINNED_COMPOSITION_ROWS)} composition kernel rows "
+                    f"match their pinned digests")
 
 
 LOG_CONCAVE_WEIGHTS = (

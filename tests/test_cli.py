@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 import treegrow.cli
+import treegrow.sgtrees
 from treegrow.cli import GROW_CAP, exact_text, main, validate_trace
 from treegrow.errors import DomainError
 
@@ -196,9 +197,12 @@ class TestErrorBoundary:
         (["grow", "--model", "sg", "--w", "1,1", "--d", "2", "--n", "5"],
          "the sg model has d = 1; use sg-arith"),
         (["grow", "--model", "subtree", "--n", "5"], "--theta is required for the subtree model"),
+        (["grow", "--model", "subtree", "--theta", "1,1", "--d", "3", "--n", "5"],
+         "the subtree model has d = 1"),
         (["verify"], "--suite is required"),
         (["enumerate"], "pass --plane-trees, --subtrees or --arith-trees"),
-    ], ids=["grow-model", "grow-n", "sg-w", "sg-d", "subtree-theta", "verify-suite", "enumerate-kind"])
+    ], ids=["grow-model", "grow-n", "sg-w", "sg-d", "subtree-theta", "subtree-d", "verify-suite",
+            "enumerate-kind"])
     def test_missing_argument(self, argv, message, capsys):
         assert self.assert_one_line_error(capsys, run(*argv)) == f"error: {message}"
 
@@ -210,6 +214,17 @@ class TestErrorBoundary:
         code = run("verify", "--suite", "subset-coupling", "--theta", ",".join(["1"] * 9))
         line = self.assert_one_line_error(capsys, code)
         assert "subset-coupling" in line and "support 9" in line and "cap 8" in line
+
+    @pytest.mark.parametrize("argv", [["--w", "2/5,1/5,2/5"], ["--w", "1,0,1/10,0,1", "--d", "2"]],
+                             ids=["janson", "arithmetic"])
+    def test_kernel_interchange_refuses_non_log_concave(self, argv, monkeypatch, capsys):
+        def no_tables(*args, **kwargs):
+            raise AssertionError("tables were built for refused weights")
+
+        monkeypatch.setattr(treegrow.cli, "compute_tables", no_tables)
+        assert run("verify", "--suite", "kernel-interchange", *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("refused:") and err.count("index 1") == 1
 
     def test_refused_keeps_witness(self, capsys):
         assert run("verify", "--suite", "stats", "--w", "2/5,1/5,2/5", "--n-max", "3",
@@ -275,6 +290,19 @@ class TestVerify:
         assert code == 0
         report = json.loads(out.read_text())
         assert report["ok"] is True
+
+    def test_stats_theta_builds_one_table_set(self, monkeypatch, capsys):
+        built = []
+
+        def counting(*args, build=treegrow.sgtrees.compute_tables, **kwargs):
+            built.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(treegrow.cli, "compute_tables", counting)
+        monkeypatch.setattr(treegrow.sgtrees, "compute_tables", counting)
+        assert run("verify", "--suite", "stats", "--theta", "1,1", "--n-max", "3",
+                   "--samples", "2000") == 0
+        assert len(built) == 1
 
     def test_unknown_suite_is_usage_error(self, capsys):
         assert run("verify", "--suite", "bogus") == 1

@@ -248,6 +248,15 @@ class TestCompositionKernel:
             assert pushed == target
             n += d
 
+    def test_move_law(self):
+        tables = PairTables(tree_pair([1, 3, 3, 1]), total_horizon=8)
+        law = tables.kernel_row(4, (1, 3))
+        assert set(law) <= {("inc", 0), ("inc", 1), ("append", 2)} and sum(law.values()) == 1
+        # parts that do not sum to the total, and a fourth part past the end of the shift ladder
+        for t, parts in [(3, (1, 1)), (4, (1, 1, 1, 1))]:
+            with pytest.raises(DomainError):
+                tables.kernel_row(t, parts)
+
     def test_arith_row_support(self):
         cls = ArithClass(2, 0)
         tables = PairTables(tree_pair([1, 0, 1], d=2), cls, total_horizon=4)

@@ -140,14 +140,6 @@ def test_unreduced_threshold_decides_alike():
     assert rng.getstate() == state  # certain outcomes draw no bits
 
 
-def tilted_tree_pair(w_entries, d, c, beta, horizon=40):
-    """A pair with the laws of a tree pair and neither a nor b a tree sequence: a_r c^r, b_m beta^m / c."""
-    tables = compute_tables(WeightSequence(w_entries), d, N=horizon + 1)
-    a = [F(x) * c ** r for r, x in enumerate(w_entries)]
-    b = [tables.b_value(m) * beta ** m / c for m in range(1, horizon + 1)]
-    return WeightPair(a, b)
-
-
 # (w, d) of the tree pair, SHA-256 of four sampled chains to total 36; pinned from the
 # Fraction tables, before the pair tables cleared denominators
 GOLDEN_PAIR_CHAINS = {
@@ -159,7 +151,7 @@ GOLDEN_PAIR_CHAINS = {
 @pytest.mark.parametrize("d", sorted(GOLDEN_PAIR_CHAINS))
 def test_golden_pair_chains(d):
     w_entries, digest = GOLDEN_PAIR_CHAINS[d]
-    wp = tilted_tree_pair(w_entries, d, F(2, 3), F(3, 5))
+    wp = helpers.tilted_tree_pair(w_entries, d, F(2, 3), F(3, 5))
     cls = ArithClass(d, 0)
     assert all(v.denominator > 1 for v in wp.a if v) and wp.b[3].denominator > 1
     assert check_admissibility_inequalities(wp, cls, N=36 // d).ok

@@ -244,6 +244,20 @@ class TestGrowthKernel:
         assert row == {PlaneTree([(), (1,), (2,), (1, 1), (1, 2)]): F(1, 2),
                        PlaneTree([(), (1,), (2,), (2, 1), (2, 2)]): F(1, 2)}
 
+    def test_rows_leave_no_state_on_the_tables(self):
+        # only the step rows compiled on first use may grow
+        tables = compute_tables(ONES8, 1, N=9)
+
+        def sizes():
+            return {name: len(value) for name, value in vars(tables).items()
+                    if hasattr(value, "__len__") and name != "_step_memo"}
+
+        built = sizes()
+        for n in range(1, 9):
+            for tree in enumerate_plane_trees(n):
+                growth_kernel_row(tables, tree)
+        assert tables._step_memo and sizes() == built
+
     @pytest.mark.parametrize("entries,d,top", [
         ([1] * 8, 1, 6), ([1, 3, 3, 1], 1, 6), ([1, 0, 1], 2, 7), ([2, 0, 0, 1], 3, 7),
     ])

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from treegrow.errors import DomainError, ParseError
 from treegrow.oracle import enumerate_plane_trees, enumerate_subtrees
 from treegrow.treespace import (PlaneTree, RootedSubtree, children_count,
-                                complete_d_ary, compose_root, decompose_root, format_tree,
+                                complete_d_ary, compose_root, format_tree,
                                 is_bouquet_addition, is_right_leaning_leaf_addition,
                                 parse_tree, to_dot, word_from_text, word_to_text)
 
@@ -112,21 +112,6 @@ class TestGrowthPredicates:
 
 
 class TestRootDecomposition:
-    def test_single_vertex(self):
-        subtrees, parts = decompose_root(pt(()))
-        assert subtrees == [] and parts == ()
-
-    def test_two_children(self):
-        subtrees, parts = decompose_root(pt((), (1,), (2,), (1, 1)))
-        assert parts == (2, 1)
-        assert subtrees[0] == pt((), (1,))
-        assert subtrees[1] == pt(())
-
-    def test_path(self):
-        subtrees, parts = decompose_root(pt((), (1,), (1, 1), (1, 1, 1)))
-        assert parts == (3,)
-        assert subtrees[0] == pt((), (1,), (1, 1))
-
     def test_compose_empty(self):
         assert compose_root([]) == pt(())
 
@@ -135,13 +120,6 @@ class TestRootDecomposition:
 
     def test_compose_path(self):
         assert compose_root([pt((), (1,))]) == pt((), (1,), (1, 1))
-
-    def test_round_trip_enumerated(self):
-        for n in range(1, 7):
-            for tree in enumerate_plane_trees(n):
-                subtrees, parts = decompose_root(tree)
-                assert sum(parts) == len(tree) - 1
-                assert compose_root(subtrees) == tree
 
 
 class TestCompletion:
