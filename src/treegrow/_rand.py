@@ -79,8 +79,4 @@ class LazyUniform:
 
 def bernoulli(rng: random.Random, num: int, den: int) -> bool:
     """Exact Bernoulli(num/den) draw using a fresh lazily-expanded uniform; ``den > 0``."""
-    if num <= 0:
-        return False
-    if num >= den:
-        return True
     return LazyUniform(rng).is_below(num, den)

@@ -25,9 +25,6 @@ from .subtree_model import (SubtreeChain, SummableTheta, bij_P, bij_P_inv, neste
 from .treespace import (GrowingText, Word, adds_bouquet, format_tree, parse_tree, to_dot,
                         word_from_text, word_to_text)
 
-SUITES = ("tables", "tp2", "ratio-chain", "kernel-interchange", "bijection",
-          "subset-coupling", "shuffle-invariance", "stats")
-
 # --n-max caps not set by the enumeration caps of oracle.  On a 2-CPU Xeon:
 # tp2 checks O(n^4) minors (n-max 24 takes about 0.6 s, 40 about 5 s);
 # ratio-chain compares O(n) ratios of ever longer integers (1000 takes about
@@ -444,6 +441,7 @@ def _suite_stats(args) -> dict:
         w = WeightSequence(parse_rational_list(_given(args.w, "1,1,1,1,1,1")))
         d = _given(args.d, 1)
         target_n = _n_max(args, 5 if d == 1 else d + 1, PLANE_TREE_CAP)
+        require_log_concave(w, d)
         law = sg_law(w, d, target_n)
         tables = compute_tables(w, d, N=target_n)
         counts: Dict[object, int] = {}
@@ -460,22 +458,24 @@ def _suite_stats(args) -> dict:
     return {"suite": "stats", "ok": ok, "runs": results}
 
 
+SUITES = {
+    "tables": _suite_tables,
+    "tp2": _suite_tp2,
+    "ratio-chain": _suite_ratio_chain,
+    "kernel-interchange": _suite_kernel_interchange,
+    "bijection": _suite_bijection,
+    "subset-coupling": _suite_subset_coupling,
+    "shuffle-invariance": _suite_shuffle_invariance,
+    "stats": _suite_stats,
+}
+
+
 def cmd_verify(args) -> int:
     _fill_from_config(args, {"suite": str, "w": str, "theta": str, "d": positive_int,
                              "n_max": positive_int, "seed": int, "samples": positive_int})
     if args.suite is None:
         raise ParseError("--suite is required")
-    runners = {
-        "tables": _suite_tables,
-        "tp2": _suite_tp2,
-        "ratio-chain": _suite_ratio_chain,
-        "kernel-interchange": _suite_kernel_interchange,
-        "bijection": _suite_bijection,
-        "subset-coupling": _suite_subset_coupling,
-        "shuffle-invariance": _suite_shuffle_invariance,
-        "stats": _suite_stats,
-    }
-    report = runners[args.suite](args)
+    report = SUITES[args.suite](args)
     text = json.dumps(report, indent=2, sort_keys=True, default=str)
     print(text)
     if args.out:

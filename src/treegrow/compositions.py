@@ -170,25 +170,16 @@ class WeightPair:
         if not support:
             raise DomainError("degenerate weight pair: a is identically zero")
         d, s = cls.d, cls.s
-        if d == 1:
-            if self.a_at(0) == 0 or self.a_at(1) == 0:
-                raise DomainError("degenerate weight pair: need a_0 a_1 > 0")
-            if support != list(range(support[-1] + 1)):
-                raise DomainError("degenerate weight pair: a has internal zeros")
-            for m in range(1, self.b.horizon + 1):
-                if self.b[m] == 0:
-                    raise DomainError(f"degenerate weight pair: b_{m} = 0")
-        else:
-            if self.a_at(s) == 0:
-                raise DomainError(f"degenerate weight pair: a_{s} must be positive")
-            expected = list(range(s, support[-1] + 1, d))
-            if support != expected:
-                raise DomainError(f"degenerate weight pair: support of a must be {{s, s+d, ...}}, got {support}")
-            if s == 0 and len(support) < 2:
-                raise DomainError("degenerate weight pair: with s = 0 the support of a cannot be {0}")
-            for m in range(1, self.b.horizon + 1):
-                if (self.b[m] != 0) != (m % d == 1):
-                    raise DomainError(f"degenerate weight pair: b must be supported exactly on 1 mod d (b_{m})")
+        if self.a_at(s) == 0:
+            raise DomainError(f"degenerate weight pair: a_{s} must be positive")
+        expected = list(range(s, support[-1] + 1, d))
+        if support != expected:
+            raise DomainError(f"degenerate weight pair: support of a must be {{s, s+d, ...}}, got {support}")
+        if s == 0 and len(support) < 2:
+            raise DomainError("degenerate weight pair: with s = 0 the support of a cannot be {0}")
+        for m in range(1, self.b.horizon + 1):
+            if (self.b[m] != 0) != (m % d == 1 % d):
+                raise DomainError(f"degenerate weight pair: b must be supported exactly on 1 mod d (b_{m})")
 
     def __eq__(self, other):
         return isinstance(other, WeightPair) and self.a == other.a and self.b == other.b
@@ -262,20 +253,23 @@ class PartitionKernel:
     Subclasses keep the partition values as Python ints after clearing
     denominators once: count weights ``a -> A a`` and part weights
     ``b_m -> D^m b_m``, so that ``_z[ell][t] = A D^t Z_ell(t)`` and
-    ``_b[m] = D^m b_m``.  Every first-part law is a ratio of values at one
-    total, whose common scale ``A D^t`` cancels, so laws and move
-    probabilities are computed from integers alone.  This base class
-    derives first-part laws, the monotone one-step move probabilities,
-    the exact law of one move and the sampling walk shared by every
-    chain in the package.  ``r`` is the largest index with a non-zero
-    count weight: the shift ladder ends there.
+    ``_b[m] = D^m b_m``, for totals up to ``total_horizon``, and define
+    ``b_weight`` and ``partition_value``.  Every first-part law is a ratio
+    of values at one total, whose common scale ``A D^t`` cancels, so laws
+    and move probabilities are computed from integers alone.  This base
+    class owns the bounds-checked integer accessor and derives first-part
+    laws, the monotone one-step move probabilities, the exact law of one
+    move and the sampling walk shared by every chain in the package.
+    ``r`` is the largest index with a non-zero count weight: the shift
+    ladder ends there.
     """
 
-    def __init__(self, d: int, r: int, a_scale: int, b_scale: int):
+    def __init__(self, d: int, r: int, a_scale: int, b_scale: int, total_horizon: int):
         self.d = d
         self.r = r
         self.a_scale = a_scale
         self.b_scale = b_scale
+        self.total_horizon = total_horizon
         self._z: List[List[int]] = []
         self._b: List[int] = []
         self._step_memo: Dict[Tuple[int, int], StepRow] = {}
@@ -283,19 +277,13 @@ class PartitionKernel:
     def max_a_index(self) -> int:
         return self.r
 
-    # -- abstract surface -------------------------------------------------
-
-    def b_weight(self, m: int) -> Fraction:
-        raise NotImplementedError
-
-    def partition_value(self, ell: int, t: int) -> Fraction:
-        raise NotImplementedError
-
     def partition_int(self, ell: int, t: int) -> int:
         """``A D^t Z_ell(t)``, bounds-checked like ``partition_value``."""
-        raise NotImplementedError
-
-    # -- derived machinery -------------------------------------------------
+        if ell < 0 or t < 0:
+            raise DomainError("partition values need a non-negative shift and total")
+        if t > self.total_horizon:
+            raise HorizonError(f"partition value at total {t} beyond horizon {self.total_horizon}")
+        return self._z[ell][t] if ell <= self.r else 0
 
     def scale(self, t: int) -> int:
         """The factor ``A D^t`` between the integer and the exact partition values at total t."""
@@ -466,22 +454,14 @@ class PairTables(PartitionKernel):
         r = wp.max_a_index
         a_scale, a = cleared(wp.a[:r + 1])
         b_scale, b = cleared([wp.b[m] for m in range(1, n + 1)])
-        super().__init__(cls.d, r, a_scale, b_scale)
+        super().__init__(cls.d, r, a_scale, b_scale, n)
         self.wp = wp
         self.cls = cls
-        self.total_horizon = n
         self._b = [0] + [bm * b_scale ** (m - 1) for m, bm in enumerate(b, 1)]  # D^m b_m
         self._z = peel_partition_values(a, n, self._b.__getitem__)
 
     def b_weight(self, m: int) -> Fraction:
         return self.wp.b[m]
-
-    def partition_int(self, ell: int, t: int) -> int:
-        if ell < 0 or t < 0:
-            raise DomainError("partition values need a non-negative shift and total")
-        if t > self.total_horizon:
-            raise HorizonError(f"partition value at total {t} beyond horizon {self.total_horizon}")
-        return self._z[ell][t] if ell <= self.r else 0
 
     def partition_value(self, ell: int, t: int) -> Fraction:
         return Fraction(self.partition_int(ell, t), self.scale(t))
@@ -585,7 +565,6 @@ def sample_composition_chain(wp: WeightPair, cls: ArithClass, N: int, rng,
     composition of total s (the empty one when s = 0).  Pass precomputed
     ``tables`` when sampling many chains from the same pair.
     """
-    wp.check_nondegenerate(cls)
     d, s = cls.d, cls.s
     if N < s:
         raise DomainError("horizon below the starting total")

@@ -120,18 +120,18 @@ def tree_mass(w, tree: PlaneTree) -> Fraction:
     return mass
 
 
-def sg_law(w, d: int, n: int, max_n: Optional[int] = None) -> Dict[PlaneTree, Fraction]:
+def sg_law(w, d: int, n: int) -> Dict[PlaneTree, Fraction]:
     """Size-n tree law from raw weight products (independent of any recursion)."""
     w = coerce_weights(w)
-    masses = {tree: tree_mass(w, tree) for tree in enumerate_plane_trees(n, d, max_n=max_n)}
+    masses = {tree: tree_mass(w, tree) for tree in enumerate_plane_trees(n, d)}
     return _normalized(masses)
 
 
-def st_law(theta, n: int, max_n: Optional[int] = None) -> Dict[RootedSubtree, Fraction]:
+def st_law(theta, n: int) -> Dict[RootedSubtree, Fraction]:
     """Size-n subtree law from raw type-weight products."""
     theta = coerce_theta(theta)
     masses = {}
-    for tau in enumerate_subtrees(n, positions=theta.support, max_n=max_n):
+    for tau in enumerate_subtrees(n, positions=theta.support):
         mass = ONE
         for u in tau.vertices:
             if u:

@@ -174,17 +174,13 @@ class PartitionTables(PartitionKernel):
         if w.horizon is not None and N - 1 > w.horizon:
             raise HorizonError(
                 f"tables to {N} vertices need w up to index {N - 1}, truncation horizon is {w.horizon}")
-        if d == 1:
-            if w[0] == 0 or w[1] == 0:
-                raise DomainError("need w_0 w_1 > 0 for trees of every size to carry mass")
-        else:
-            if not w.is_d_arithmetic(d):
-                raise DomainError(f"weights must be supported on multiples of d={d}")
-            if w[0] == 0 or w[d] == 0:
-                raise DomainError(f"need w_0 w_{d} > 0")
+        if not w.is_d_arithmetic(d):
+            raise DomainError(f"weights must be supported on multiples of d={d}")
+        if w[0] == 0 or w[d] == 0:
+            raise DomainError(f"need w_0 w_{d} > 0 for trees of every size to carry mass")
         r = w.radius
         scale, entries = cleared(w.entries[:r + 1])
-        super().__init__(d, r, scale, scale)
+        super().__init__(d, r, scale, scale, N - 1)
         self.w = w
         self.N = N
         self._z = peel_partition_values(entries, N - 1)
@@ -203,13 +199,10 @@ class PartitionTables(PartitionKernel):
         return self.b_value(m)
 
     def partition_int(self, ell: int, t: int) -> int:
-        if ell < 0 or t < 0:
-            raise DomainError("partition values need a non-negative shift and total")
-        if t > self.N - 1:
-            raise HorizonError(f"partition value at total {t} beyond horizon {self.N - 1}")
+        z = super().partition_int(ell, t)
         if self.w.horizon is not None and ell + t > self.w.horizon:
             raise HorizonError(f"w_{ell + t} requested beyond declared truncation horizon {self.w.horizon}")
-        return self._z[ell][t] if ell <= self.r else 0
+        return z
 
     def partition_value(self, ell: int, t: int) -> Fraction:
         return Fraction(self.partition_int(ell, t), self.scale(t))
@@ -316,9 +309,11 @@ class GrowthStep:
 class GrowthChain:
     """Single-owner sampler of the increasing tree process.
 
-    The state is the tree alone; each step descends from the root,
-    deciding at every level whether the current first part of the local
-    composition grows, and finally plants a right-leaning bouquet.
+    The state is the tree, kept as one map from each vertex to its
+    children's subtree sizes: the local composition of that vertex.  Each
+    step descends from the root, deciding at every level whether the
+    current first part of the local composition grows, and finally plants
+    a right-leaning bouquet.
     Deterministic given the rng stream.
     """
 
@@ -337,44 +332,43 @@ class GrowthChain:
         self.horizon = horizon
         self.rng = rng if rng is not None else random.Random()
         self.tables = tables
-        self._kids: Dict[Word, int] = {ROOT: 0}
-        self._size: Dict[Word, int] = {ROOT: 1}
+        self._parts: Dict[Word, List[int]] = {ROOT: []}
         self.n = 1
         self.step_index = 0
 
     def tree(self) -> PlaneTree:
-        return PlaneTree(self._size.keys())
+        return PlaneTree(self._parts.keys())
 
     def tree_key(self) -> frozenset:
-        return frozenset(self._size.keys())
+        return frozenset(self._parts.keys())
 
     def step(self) -> GrowthStep:
         if self.n + self.d > self.horizon:
             raise HorizonError(f"chain at {self.n} vertices cannot grow past horizon {self.horizon}")
         d = self.d
+        sample_move, rng, parts_of = self.tables.sample_move, self.rng, self._parts
         v: Word = ROOT
-        path = [ROOT]
+        t = self.n - 1
+        path = []  # (children's sizes, index of the child descended into) above v
         num = den = 1
         while True:
-            k = self._kids[v]
-            parts = tuple(self._size[v + (j,)] for j in range(1, k + 1))
-            move, p, q = self.tables.sample_move(self._size[v] - 1, parts, self.rng)
+            parts = parts_of[v]
+            (kind, j), p, q = sample_move(t, parts, rng)
             num *= p
             den *= q
-            kind, j = move
             if kind == "append":
-                new = tuple(v + (k + i,) for i in range(1, d + 1))
+                new = tuple(v + (j + i,) for i in range(1, d + 1))
                 for u in new:
-                    self._kids[u] = 0
-                    self._size[u] = 1
-                self._kids[v] += d
-                for u in path:
-                    self._size[u] += d
+                    parts_of[u] = []
+                parts += [1] * d
+                for above, i in path:
+                    above[i] += d
                 self.n += d
                 self.step_index += 1
                 return GrowthStep(self.step_index, self.n, v, new, num, den)
+            path.append((parts, j))
+            t = parts[j] - 1
             v = v + (j + 1,)
-            path.append(v)
 
     def run(self) -> List[GrowthStep]:
         steps = []

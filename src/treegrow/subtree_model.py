@@ -93,14 +93,9 @@ def left_packing(positions: Iterable[int]) -> PositionMap:
     return {pos: rank for rank, pos in enumerate(sorted(positions), start=1)}
 
 
-def packing_shuffle(tau: RootedSubtree) -> Shuffle:
-    return {u: left_packing(tau.children_positions(u)) for u in tau.vertices}
-
-
 def push(tau: RootedSubtree) -> PlaneTree:
     """Left-pack all children positions, producing the underlying plane tree."""
-    image = _image_map(tau, packing_shuffle(tau))
-    return PlaneTree(image.values())
+    return bij_P(tau)[0]
 
 
 def bij_P(tau: RootedSubtree) -> Tuple[PlaneTree, Dict[Word, FrozenSet[int]]]:
@@ -109,15 +104,14 @@ def bij_P(tau: RootedSubtree) -> Tuple[PlaneTree, Dict[Word, FrozenSet[int]]]:
     Returns the plane tree together with per-vertex position subsets whose
     sizes match the vertex degrees (grading-compatibility).
     """
-    pack = packing_shuffle(tau)
-    image = _image_map(tau, pack)
+    image = _image_map(tau, {u: left_packing(tau.children_positions(u)) for u in tau.vertices})
     decorations = {image[u]: frozenset(tau.children_positions(u)) for u in tau.vertices}
     return PlaneTree(image.values()), decorations
 
 
 def bij_P_inv(tree: PlaneTree, decorations: Mapping[Word, Iterable[int]]) -> RootedSubtree:
     """Rebuild the subtree whose left-packing produced the decorated tree."""
-    sets = {}
+    unpack: Shuffle = {}
     for u in tree.vertices:
         if u not in decorations:
             raise DomainError(f"missing decoration at vertex {u!r}")
@@ -126,27 +120,19 @@ def bij_P_inv(tree: PlaneTree, decorations: Mapping[Word, Iterable[int]]) -> Roo
             raise DomainError(
                 f"decoration at {u!r} has {len(s)} elements for a vertex with "
                 f"{tree.children_count(u)} children (not grading-compatible)")
-        sets[u] = s
-    image: Dict[Word, Word] = {ROOT: ROOT}
-    for u in tree.sorted_vertices():
-        if u:
-            p = u[:-1]
-            image[u] = image[p] + (sets[p][u[-1] - 1],)
-    return RootedSubtree(image.values())
+        unpack[u] = dict(enumerate(s, 1))
+    return RootedSubtree(_image_map(tree, unpack).values())
 
 
 # ---------------------------------------------------------------------------
 # type weights and the nested coupling of subsets
 
 
-def elementary_symmetric(values: Sequence, kmax: Optional[int] = None) -> List[Fraction]:
-    """Elementary symmetric functions e_0..e_kmax of the given values."""
+def elementary_symmetric(values: Sequence) -> List[Fraction]:
+    """Elementary symmetric functions e_0..e_n of the n given values."""
     vals = [as_fraction(v) for v in values]
-    top = len(vals) if kmax is None else min(kmax, len(vals))
-    e = [ONE] + [ZERO] * top
-    size = 0
-    for v in vals:
-        size = min(size + 1, top)
+    e = [ONE] + [ZERO] * len(vals)
+    for size, v in enumerate(vals, 1):
         for k in range(size, 0, -1):
             e[k] += v * e[k - 1]
     return e

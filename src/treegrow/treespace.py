@@ -142,11 +142,6 @@ class PlaneTree(_WordSet):
                     )
 
 
-def children_count(tree: _WordSet, u: Word) -> int:
-    """Number of children of ``u`` in the tree; ``u`` must be a vertex."""
-    return tree.children_count(u)
-
-
 def is_right_leaning_leaf_addition(tree: PlaneTree, bigger: PlaneTree) -> bool:
     """True iff ``bigger`` is ``tree`` plus one new rightmost child of some vertex."""
     return is_bouquet_addition(tree, bigger, 1)

@@ -100,8 +100,10 @@ class TestGrow:
             validate_trace(str(out), "sg")
 
 
-# (model flags, seed, SHA-256 of the trace) pinned from the table builders that the peeling
-# recursion replaced: a fixed seed must keep giving the same trace
+# (model flags, seed, SHA-256 of the trace) pinned from earlier implementations: the first
+# three from the table builders that the peeling recursion replaced, the last two from the
+# chain that kept child counts and subtree sizes in two maps.  A fixed seed must keep giving
+# the same trace.
 GOLDEN_TRACES = {
     "sg": (["--model", "sg", "--w", "1,3,3,1", "--n", "40"], 11,
            "1f634eb8e5504515c9804d3967a70bb052cf8b8eb4601dede890483787c55847"),
@@ -109,6 +111,10 @@ GOLDEN_TRACES = {
                  "33fab9a5d9b1998d0f773d9147ee04afff68009fbf898dc780fed89164b8d41b"),
     "subtree": (["--model", "subtree", "--theta", "1/2,1/3,1/4", "--n", "40"], 13,
                 "2fb880cd0d47de4baec7302df04f18965e9545cef4411b8dc2608a40d40acff2"),
+    "sg-arith-d3": (["--model", "sg-arith", "--w", "2,0,0,1", "--d", "3", "--n", "40"], 14,
+                    "1aac140aeb53ce8856ae388dbe463d3282c166bb0253a8fed9c0d4e67a168d09"),
+    "sg-ones8": (["--model", "sg", "--w", "1,1,1,1,1,1,1,1", "--n", "40"], 15,
+                 "a32f647f742fb6eb365dea113a768efe605896643a4bcf7f6e7d29add86dce03"),
 }
 
 
@@ -225,6 +231,28 @@ class TestErrorBoundary:
         assert run("verify", "--suite", "kernel-interchange", *argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("refused:") and err.count("index 1") == 1
+
+    def test_stats_refuses_before_enumerating(self, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the law or the tables were built for refused weights")
+
+        monkeypatch.setattr(treegrow.cli, "sg_law", no_work)
+        monkeypatch.setattr(treegrow.cli, "compute_tables", no_work)
+        assert run("verify", "--suite", "stats", "--w", "2/5,1/5,2/5", "--n-max", "10") == 2
+        assert capsys.readouterr().err.count("index 1") == 1
+
+    @pytest.mark.parametrize("argv, code, line", [
+        (["sg", "--w", "2/5,1/5,2/5"], 2,
+         "refused: offspring weights are not log-concave (first violation at index 1)"),
+        (["sg", "--w", "1,0,1"], 2,
+         "refused: offspring weights are not log-concave (first violation at index 1)"),
+        (["sg", "--w", "0,1"], 1, "error: need w_0 w_1 > 0 for trees of every size to carry mass"),
+        (["sg-arith", "--w", "0,0,1", "--d", "2"], 1,
+         "error: need w_0 w_2 > 0 for trees of every size to carry mass"),
+    ], ids=["janson", "internal-zero", "no-leaves", "arith-no-leaves"])
+    def test_grow_refused_weights_message(self, argv, code, line, capsys):
+        assert run("grow", "--model", *argv, "--n", "10") == code
+        assert capsys.readouterr().err.splitlines() == [line]
 
     def test_refused_keeps_witness(self, capsys):
         assert run("verify", "--suite", "stats", "--w", "2/5,1/5,2/5", "--n-max", "3",

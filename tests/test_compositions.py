@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -340,6 +340,34 @@ class TestAdmissibility:
 
         report = check_ratio_chain(Skewed(wp, PLAIN, total_horizon=6), 4)
         assert [f["n"] for f in report.failures if f.get("kind") == "lower-endpoint"] == [1, 2]
+
+
+def refused_by_the_d1_rule(wp):
+    """The separate d = 1 rule that ``check_nondegenerate`` kept before its general rule served d = 1."""
+    support = wp.a_support
+    return (not support or wp.a_at(0) == 0 or wp.a_at(1) == 0
+            or support != list(range(support[-1] + 1))
+            or any(wp.b[m] == 0 for m in range(1, wp.b.horizon + 1)))
+
+
+class TestNondegenerate:
+    @given(st.lists(st.sampled_from([0, 0, 1, F(1, 2), 3]), min_size=1, max_size=6),
+           st.lists(st.sampled_from([0, 1, F(2, 3)]), max_size=6))
+    @example([1, 0, 1], [1, 1])     # internal zero in a
+    @example([1, 1, 0, 2], [1])     # internal zero past a_1
+    @example([1, 1], [1, 0, 1])     # b_2 = 0
+    @example([0, 1], [1])           # a_0 = 0
+    @example([1], [1])              # support {0}
+    @example([0, 0], [1])           # a identically zero
+    @settings(max_examples=300, deadline=None)
+    def test_plain_class_refuses_as_the_d1_rule(self, a, b):
+        wp = WeightPair(a, b)
+        try:
+            wp.check_nondegenerate(PLAIN)
+        except DomainError:
+            assert refused_by_the_d1_rule(wp)
+        else:
+            assert not refused_by_the_d1_rule(wp)
 
 
 class TestShift:

@@ -4,8 +4,7 @@ from hypothesis import strategies as st
 
 from treegrow.errors import DomainError, ParseError
 from treegrow.oracle import enumerate_plane_trees, enumerate_subtrees
-from treegrow.treespace import (PlaneTree, RootedSubtree, children_count,
-                                complete_d_ary, compose_root, format_tree,
+from treegrow.treespace import (PlaneTree, RootedSubtree, complete_d_ary, compose_root, format_tree,
                                 is_bouquet_addition, is_right_leaning_leaf_addition,
                                 parse_tree, to_dot, word_from_text, word_to_text)
 
@@ -52,17 +51,17 @@ class TestConstruction:
 
 class TestChildrenCount:
     def test_single_vertex(self):
-        assert children_count(pt(()), ()) == 0
+        assert pt(()).children_count(()) == 0
 
     def test_direct_count(self):
-        assert children_count(pt((), (1,), (2,), (1, 1)), ()) == 2
+        assert pt((), (1,), (2,), (1, 1)).children_count(()) == 2
 
     def test_subtree_count(self):
-        assert children_count(rs((), (2,), (5,), (2, 3)), ()) == 2
+        assert rs((), (2,), (5,), (2, 3)).children_count(()) == 2
 
     def test_missing_vertex(self):
         with pytest.raises(DomainError):
-            children_count(pt(()), (1,))
+            pt(()).children_count((1,))
 
 
 class TestGrowthPredicates:
