@@ -35,6 +35,16 @@ def derive_rng(master_seed, *tokens) -> random.Random:
     return random.Random(derive_seed(master_seed, *tokens))
 
 
+def _side(bits: int, k: int, num: int, den: int):
+    """Where ``[bits/2^k, (bits+1)/2^k)`` lies against ``num/den``: True below, False above, None across."""
+    scaled = num << k
+    if (bits + 1) * den <= scaled:
+        return True
+    if bits * den >= scaled:
+        return False
+    return None
+
+
 class LazyUniform:
     """A uniform variate on [0, 1) revealed one block of bits at a time.
 
@@ -42,15 +52,16 @@ class LazyUniform:
     ``[bits/2^k, (bits+1)/2^k)`` containing the variate until the answer
     is determined. Repeated queries against the same instance are
     consistent: they all refer to one realized uniform, which is what a
-    shared-threshold coupling needs.
+    shared-threshold coupling needs.  A variate may start from bits
+    already drawn (``bits``, ``k``).
     """
 
     __slots__ = ("_rng", "_bits", "_k")
 
-    def __init__(self, rng: random.Random):
+    def __init__(self, rng: random.Random, bits: int = 0, k: int = 0):
         self._rng = rng
-        self._bits = 0
-        self._k = 0
+        self._bits = bits
+        self._k = k
 
     def _refine(self):
         self._bits = (self._bits << _CHUNK) | self._rng.getrandbits(_CHUNK)
@@ -67,16 +78,23 @@ class LazyUniform:
             return False
         if num >= den:
             return True
-        while True:
-            # U lies in [bits/2^k, (bits+1)/2^k)
-            scaled = num << self._k
-            if (self._bits + 1) * den <= scaled:
-                return True
-            if self._bits * den >= scaled:
-                return False
+        while (side := _side(self._bits, self._k, num, den)) is None:
             self._refine()
+        return side
 
 
 def bernoulli(rng: random.Random, num: int, den: int) -> bool:
-    """Exact Bernoulli(num/den) draw using a fresh lazily-expanded uniform; ``den > 0``."""
-    return LazyUniform(rng).is_below(num, den)
+    """Exact Bernoulli(num/den) draw on a fresh uniform; ``den > 0``.
+
+    It draws the bits ``LazyUniform(rng).is_below(num, den)`` would, since
+    that refines at least once when ``0 < num < den``; the first chunk
+    almost always decides, and only when it does not is a ``LazyUniform``
+    made to refine it.
+    """
+    if num <= 0:
+        return False
+    if num >= den:
+        return True
+    bits = rng.getrandbits(_CHUNK)
+    side = _side(bits, _CHUNK, num, den)
+    return LazyUniform(rng, bits, _CHUNK).is_below(num, den) if side is None else side

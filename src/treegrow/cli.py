@@ -48,6 +48,8 @@ SUBSET_SUPPORT_CAP = 8
 # before the trace writer and reader became incremental.
 GROW_CAP = 600
 
+MODELS = ("sg", "sg-arith", "subtree")
+
 
 def parse_rational_list(text: str) -> List[Fraction]:
     try:
@@ -65,6 +67,15 @@ def positive_int(text: str) -> int:
     if value is None or value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
+
+
+def one_of(options):
+    """The cast of a config key whose flag the parser limits to ``options``."""
+    def cast(text: str) -> str:
+        if text not in options:
+            raise ValueError(text)
+        return text
+    return cast
 
 
 def _given(value, default):
@@ -113,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     grow = sub.add_parser("grow", help="sample one nested growth trace")
-    grow.add_argument("--model", choices=("sg", "sg-arith", "subtree"))
+    grow.add_argument("--model", choices=MODELS)
     grow.add_argument("--w", help="offspring weights, comma-separated exact rationals")
     grow.add_argument("--theta", help="type weights for the subtree model")
     grow.add_argument("--d", type=positive_int, help="bouquet size (sg-arith)")
@@ -150,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_grow(args) -> int:
-    _fill_from_config(args, {"model": str, "w": str, "theta": str, "d": positive_int,
+    _fill_from_config(args, {"model": one_of(MODELS), "w": str, "theta": str, "d": positive_int,
                              "n": positive_int, "seed": int, "out": str})
     if args.model is None:
         raise ParseError("--model is required")
@@ -471,7 +482,7 @@ SUITES = {
 
 
 def cmd_verify(args) -> int:
-    _fill_from_config(args, {"suite": str, "w": str, "theta": str, "d": positive_int,
+    _fill_from_config(args, {"suite": one_of(SUITES), "w": str, "theta": str, "d": positive_int,
                              "n_max": positive_int, "seed": int, "samples": positive_int})
     if args.suite is None:
         raise ParseError("--suite is required")

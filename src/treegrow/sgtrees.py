@@ -162,7 +162,10 @@ class PartitionTables(PartitionKernel):
     both, for every d: ``b_n = Z_0(n - 1)``.  It runs on the integer
     weights ``L w``, where ``L`` clears the denominators of ``w``; every
     law is unchanged (see ``tilt``), and the tables hold
-    ``L^(t+1) Z_ell(t)`` and ``L^n b_n``.
+    ``L^(t+1) Z_ell(t)`` and ``L^n b_n``.  ``log_concave`` is the verdict
+    of ``is_log_concave`` on ``w_0, w_d, w_2d, ...``: a ``GrowthChain`` on
+    these tables refuses from it, while the inequality suites build tables
+    for any weights.
     """
 
     def __init__(self, w: WeightSequence, d: int, N: int):
@@ -183,6 +186,7 @@ class PartitionTables(PartitionKernel):
         super().__init__(d, r, scale, scale, N - 1)
         self.w = w
         self.N = N
+        self.log_concave = is_log_concave(w.progression(d))
         self._z = peel_partition_values(entries, N - 1)
         self._b = [0] + self._z[0]
 
@@ -320,13 +324,17 @@ class GrowthChain:
     def __init__(self, w, d: int = 1, horizon: int = 10, rng: Optional[random.Random] = None,
                  tables: Optional[PartitionTables] = None):
         w = coerce_weights(w)
-        require_log_concave(w, d)
         if tables is None:
+            require_log_concave(w, d)
             tables = compute_tables(w, d, N=horizon)
-        elif tables.w != w or tables.d != d:
-            raise DomainError("supplied tables were built for other weights or another d")
-        elif tables.N < horizon:
-            raise HorizonError("supplied tables stop before the requested horizon")
+        else:
+            if (tables.w is not w and tables.w != w) or tables.d != d:
+                require_log_concave(w, d)   # a refusal of w comes first, as without tables
+                raise DomainError("supplied tables were built for other weights or another d")
+            if not tables.log_concave:
+                raise Refused(tables.log_concave.witness)
+            if tables.N < horizon:
+                raise HorizonError("supplied tables stop before the requested horizon")
         self.w = w
         self.d = d
         self.horizon = horizon

@@ -274,7 +274,11 @@ class SubtreeChain:
     def __init__(self, theta, horizon: int, seed: int,
                  tables: Optional[PartitionTables] = None):
         self.theta = coerce_theta(theta)
-        self.w = WeightSequence(self.theta.e)
+        # tables of this theta carry its weights; GrowthChain refuses any others
+        if tables is not None and tables.w.entries == self.theta.e and tables.w.horizon is None:
+            self.w = tables.w
+        else:
+            self.w = WeightSequence(self.theta.e)
         self.seed = seed
         self.inner = GrowthChain(self.w, d=1, horizon=horizon,
                                  rng=derive_rng(seed, "tree-growth"), tables=tables)

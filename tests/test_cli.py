@@ -153,6 +153,17 @@ class TestErrorBoundary:
         line = self.assert_one_line_error(capsys, run("grow", "--config", str(cfg)))
         assert line.endswith("bad value for n: 'abc'")
 
+    @pytest.mark.parametrize("command, text, key, value", [
+        ("verify", "suite = nope\n", "suite", "nope"),
+        ("grow", "model = tree\nw = 1,1,1\nn = 6\n", "model", "tree"),
+    ], ids=["verify-suite", "grow-model"])
+    def test_config_bad_choice(self, command, text, key, value, tmp_path, capsys):
+        # a config value obeys the choices of its flag
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        line = self.assert_one_line_error(capsys, run(command, "--config", str(cfg)))
+        assert line.endswith(f"bad value for {key}: {value!r}")
+
     @pytest.mark.parametrize("argv", [
         ["verify", "--suite", "stats", "--n-max", "0"],
         ["verify", "--suite", "stats", "--samples", "0"],

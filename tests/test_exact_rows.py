@@ -140,6 +140,46 @@ def test_unreduced_threshold_decides_alike():
     assert rng.getstate() == state  # certain outcomes draw no bits
 
 
+def assert_bernoulli_is_lazy_uniform(seed, num, den):
+    """Same answer and same bits drawn as a fresh ``LazyUniform``; returns the 32-bit chunks drawn."""
+    rng_a, rng_b, rng_c = (derive_rng(seed, "bernoulli") for _ in range(3))
+    assert bernoulli(rng_a, num, den) == LazyUniform(rng_b).is_below(num, den)
+    assert rng_a.getstate() == rng_b.getstate()
+    chunks = 0
+    while rng_c.getstate() != rng_a.getstate():
+        rng_c.getrandbits(32)
+        chunks += 1
+    return chunks
+
+
+@st.composite
+def thresholds(draw):
+    """``(seed, num, den)`` with ``0 <= num <= den``; some within 2^-40 of the seed's first 32-bit chunk."""
+    seed = draw(st.integers(0, 1 << 32))
+    if draw(st.booleans()):
+        den = draw(st.integers(1, 1 << 70))
+        return seed, draw(st.integers(0, den)), den
+    chunk = derive_rng(seed, "bernoulli").getrandbits(32)
+    scale = draw(st.sampled_from([1, 3, 1 << 20]))
+    num = max(0, (chunk << 8) + draw(st.integers(-255, 255)))
+    return seed, num * scale, (1 << 40) * scale
+
+
+@settings(max_examples=400, deadline=None)
+@given(thresholds())
+def test_bernoulli_draws_as_a_lazy_uniform(case):
+    assert_bernoulli_is_lazy_uniform(*case)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_bernoulli_refines_past_an_open_first_chunk(seed):
+    # num/den inside the dyadic interval of the first chunk: only a second chunk decides
+    chunk = derive_rng(seed, "bernoulli").getrandbits(32)
+    for offset in (1, 128, 255):
+        assert assert_bernoulli_is_lazy_uniform(seed, (chunk << 8) + offset, 1 << 40) >= 2
+    assert assert_bernoulli_is_lazy_uniform(seed, chunk << 8, 1 << 40) == 1
+
+
 # (w, d) of the tree pair, SHA-256 of four sampled chains to total 36; pinned from the
 # Fraction tables, before the pair tables cleared denominators
 GOLDEN_PAIR_CHAINS = {

@@ -302,6 +302,19 @@ class TestGrowthChain:
             GrowthChain(JANSON, horizon=5, rng=random.Random(0))
         assert err.value.witness == 1
 
+    @pytest.mark.parametrize("w, d, witness", [
+        (JANSON, 1, 1),
+        (WeightSequence(["1", "0", "1/10", "0", "1"]), 2, 1),
+    ], ids=["janson", "arithmetic"])
+    def test_supplied_tables_refuse_alike(self, w, d, witness):
+        # the tables carry the verdict; a chain on them refuses as one without them
+        tables = compute_tables(w, d, N=5)
+        assert not tables.log_concave
+        for supplied in (None, tables):
+            with pytest.raises(Refused) as err:
+                GrowthChain(w, d, horizon=5, rng=random.Random(0), tables=supplied)
+            assert err.value.witness == witness
+
     def test_deterministic_per_seed(self):
         w = WeightSequence([1] * 10)
         one = grow_chain(w, 1, 9, derive_rng(3, "chain"))

@@ -380,6 +380,12 @@ class TestSubtreeChain:
                 chain.step()
                 assert literal_image(chain) == chain.subtree()
 
+    def test_refuses_tables_of_another_theta(self):
+        tables = compute_tables(WeightSequence(SummableTheta(["1", "1"]).e), 1, N=5)
+        with pytest.raises(DomainError):
+            SubtreeChain(["2", "1"], horizon=5, seed=0, tables=tables)
+        assert SubtreeChain(["1", "1"], horizon=5, seed=0, tables=tables).w is tables.w
+
     def test_marginal_three_vertices(self):
         # 1e5 sampled chains; the law of the third state over the 5 subtrees
         theta = ["1", "1"]

@@ -16,8 +16,8 @@ import treegrow.sgtrees
 from treegrow._rand import derive_rng
 from treegrow.cli import main, parse_rational_list, validate_trace
 from treegrow.errors import DomainError, ParseError
-from treegrow.sgtrees import GrowthChain, grow_chain
-from treegrow.subtree_model import SubtreeChain, subtree_grow_chain
+from treegrow.sgtrees import GrowthChain, WeightSequence, compute_tables, grow_chain
+from treegrow.subtree_model import SubtreeChain, SummableTheta, subtree_grow_chain
 from treegrow.treespace import (ROOT, GrowingText, PlaneTree, format_tree, word_from_text,
                                 word_to_text)
 
@@ -89,6 +89,53 @@ def test_golden_trace_150(case, tmp_path):
     out = tmp_path / "trace.jsonl"
     grow_records(out, flags, seed)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def warm_step_laws(tables):
+    for ell in range(tables.max_a_index() - 1):
+        for t in range(1, tables.N - tables.d):
+            tables.step_probs(ell, t)
+
+
+def sg8_steps(count):
+    """Steps of sg8 chains (w = 1 x 9, n = 8) on one warm table set, seeded as the benchmark seeds them."""
+    w = WeightSequence([1] * 9)
+    tables = compute_tables(w, 1, N=8)
+    warm_step_laws(tables)
+    for i in range(count):
+        chain = GrowthChain(w, horizon=8, rng=derive_rng(0, "sg8", i), tables=tables)
+        while chain.n < 8:
+            step = chain.step()
+            yield step.parent, step.new_vertices, step.num, step.den
+
+
+def subtree20_steps(count):
+    """New vertices of subtree20 chains (theta = 2,1,1, n = 20) on one warm table set, seeded likewise."""
+    theta = SummableTheta(["2", "1", "1"])
+    tables = compute_tables(WeightSequence(theta.e), 1, N=20)
+    warm_step_laws(tables)
+    for i in range(count):
+        chain = SubtreeChain(theta, horizon=20, seed=derive_rng(0, "subtree20", i).getrandbits(63),
+                             tables=tables)
+        while chain.n < 20:
+            yield chain.step()
+
+
+# (step source, chains, SHA-256 of the steps' reprs); pinned before chains on supplied
+# tables stopped re-checking log-concavity and bernoulli stopped building a LazyUniform
+GOLDEN_SUPPLIED_TABLES = {
+    "sg8": (sg8_steps, 200, "73cbdd28d596e733a23f9355ac54a80f9b49adf1fd3be692e8e78b7cc056ae19"),
+    "subtree20": (subtree20_steps, 50, "8e1a6adff2693c43dbbc180e3223566a33d0ee9c2009e0e6f742cb3f2ec93e7f"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_SUPPLIED_TABLES))
+def test_golden_chains_on_supplied_tables(case):
+    steps, count, digest = GOLDEN_SUPPLIED_TABLES[case]
+    h = hashlib.sha256()
+    for step in steps(count):
+        h.update(repr(step).encode())
+    assert h.hexdigest() == digest
 
 
 def test_no_trace_text_without_out(monkeypatch, capsys):
