@@ -18,9 +18,8 @@ from .compositions import (ArithClass, BSequence, Composition, PairTables, Weigh
                            check_admissibility_inequalities, check_ratio_chain,
                            composition_kernel, covering_successors, move_rows,
                            sample_composition_chain, satisfies_arith, shift)
-from .sgtrees import (GrowthChain, PartitionTables, WeightSequence, check_toeplitz_tp2,
-                      check_tp2_array, compute_tables, grow_chain, growth_kernel_row,
-                      is_log_concave, tilt)
+from .sgtrees import (GrowthChain, PartitionTables, WeightSequence, check_tp2_array,
+                      compute_tables, grow_chain, growth_kernel_row, is_log_concave, tilt)
 from .subtree_model import (SubtreeChain, SummableTheta, apply_shuffle, bij_P, bij_P_inv,
                             check_equivariance, elementary_symmetric, inverse_shuffle,
                             nested_coupling_law, nested_subset_coupling,

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 from typing import Dict, List, Optional
 
@@ -18,8 +19,8 @@ from .compositions import as_fraction, check_ratio_chain
 from .errors import DomainError, HorizonError, ParseError, Refused, TreegrowError
 from .oracle import (PLANE_TREE_CAP, SUBTREE_CAP, enumerate_plane_trees, enumerate_subtrees,
                      goodness_of_fit, sg_law, st_law, subset_law, kernel_interchange_check, tree_mass)
-from .sgtrees import (WeightSequence, check_tp2_array, check_toeplitz_tp2, compute_tables,
-                      forest_array, growth_kernel_row, is_log_concave, require_log_concave, GrowthChain)
+from .sgtrees import (WeightSequence, check_tp2_array, compute_tables, forest_array, growth_kernel_row,
+                      is_log_concave, require_log_concave, GrowthChain)
 from .subtree_model import (SubtreeChain, SummableTheta, bij_P, bij_P_inv, nested_coupling_law,
                             nested_thresholds, sigma_rule, shuffle_invariance_check)
 from .treespace import (GrowingText, Word, adds_bouquet, format_tree, parse_tree, to_dot,
@@ -84,11 +85,23 @@ def _given(value, default):
 
 
 def _n_max(args, default: int, cap: int) -> int:
-    """The suite's ``--n-max``, refused above the largest size the suite can honour."""
-    n_max = _given(args.n_max, default)
-    if n_max > cap:
-        raise HorizonError(f"--n-max {n_max} is above the cap {cap} of the {args.suite} suite")
-    return n_max
+    """The suite's ``--n-max``, refused above the largest size the suite can honour.
+
+    A default above that cap is lowered to it.  Only ``--d`` lowers a cap
+    below 1 (kernel-interchange enumerates trees of size n + d).
+    """
+    if cap < 1:
+        raise HorizonError(f"--d {args.d} leaves the {args.suite} suite no size to check")
+    if args.n_max is None:
+        return min(default, cap)
+    if args.n_max > cap:
+        raise HorizonError(f"--n-max {args.n_max} is above the cap {cap} of the {args.suite} suite")
+    return args.n_max
+
+
+def _weights(args, default: str):
+    """The suite's ``--w`` (``default`` when not given) as a weight sequence, and its ``--d``."""
+    return WeightSequence(parse_rational_list(_given(args.w, default))), _given(args.d, 1)
 
 
 def parse_config_file(path: str) -> Dict[str, str]:
@@ -314,8 +327,7 @@ def validate_trace(path: str, model: str, d: int = 1):
 
 
 def _suite_tables(args) -> dict:
-    w = WeightSequence(parse_rational_list(_given(args.w, "1,1,1,1,1,1,1,1")))
-    d = _given(args.d, 1)
+    w, d = _weights(args, "1,1,1,1,1,1,1,1")
     n_max = _n_max(args, 7, PLANE_TREE_CAP)
     tables = compute_tables(w, d, N=n_max + d)
     failures = []
@@ -339,21 +351,17 @@ def _suite_tables(args) -> dict:
 
 
 def _suite_tp2(args) -> dict:
-    w = WeightSequence(parse_rational_list(_given(args.w, "1,1,1,1,1,1,1,1")))
-    d = _given(args.d, 1)
+    w, d = _weights(args, "1,1,1,1,1,1,1,1")
     n_max = _n_max(args, 10, TP2_CAP)
+    # log-concavity of w_0, w_d, ... is TP2 of its Toeplitz matrix (Karlin), so no minor of it is checked
     lc = is_log_concave(w.progression(d))
-    toeplitz = check_toeplitz_tp2(w.progression(d), window=min(n_max, 8))
-    tables = compute_tables(w, d, N=n_max + 1)
-    array_report = check_tp2_array(tables)
-    ok = lc.ok and toeplitz.ok and array_report.ok
-    return {"suite": "tp2", "ok": ok, "log_concave": lc.ok, "witness": lc.witness,
-            "toeplitz": toeplitz.as_dict(), "array": array_report.as_dict()}
+    array_report = check_tp2_array(compute_tables(w, d, N=n_max + 1))
+    return {"suite": "tp2", "ok": lc.ok and array_report.ok, "log_concave": lc.ok, "witness": lc.witness,
+            "array": array_report.as_dict()}
 
 
 def _suite_ratio_chain(args) -> dict:
-    w = WeightSequence(parse_rational_list(_given(args.w, "1,3,3,1")))
-    d = _given(args.d, 1)
+    w, d = _weights(args, "1,3,3,1")
     n_max = _n_max(args, 10, RATIO_CHAIN_CAP)
     tables = compute_tables(w, d, N=(n_max + 2) * d + 1)
     report = check_ratio_chain(tables, n_max=n_max)
@@ -361,8 +369,7 @@ def _suite_ratio_chain(args) -> dict:
 
 
 def _suite_kernel_interchange(args) -> dict:
-    w = WeightSequence(parse_rational_list(_given(args.w, "1,1,1,1,1,1,1")))
-    d = _given(args.d, 1)
+    w, d = _weights(args, "1,1,1,1,1,1,1")
     n_max = _n_max(args, 6, PLANE_TREE_CAP - d)  # the last level enumerates trees of size n + d
     require_log_concave(w, d)
     tables = compute_tables(w, d, N=n_max + d)
@@ -417,7 +424,7 @@ def _suite_subset_coupling(args) -> dict:
 
 def _suite_shuffle_invariance(args) -> dict:
     n_max = _n_max(args, 4, SHUFFLE_CAP)
-    w = WeightSequence(parse_rational_list(_given(args.w, "1,2,1")))
+    w, _ = _weights(args, "1,2,1")
     nu = {(1, 2): Fraction(1, 2), (2, 1): Fraction(1, 2)}
 
     def rule(tree, x, u):
@@ -428,45 +435,33 @@ def _suite_shuffle_invariance(args) -> dict:
 
 
 def _suite_stats(args) -> dict:
-    seed = _given(args.seed, 0)
-    samples = _given(args.samples, 10_000)
-    results = []
-    ok = True
+    """Fit the final states of independent chains on shared tables to the model's exact law at n."""
     if args.theta:
         theta = SummableTheta(parse_rational_list(args.theta))
-        target_n = _n_max(args, 4, SUBTREE_CAP)
-        law = st_law(theta, target_n)
-        tables = compute_tables(WeightSequence(theta.e), 1, N=target_n)
-        counts: Dict[frozenset, int] = {}
-        for i in range(samples):
-            chain = SubtreeChain(theta, horizon=target_n, seed=derive_rng(seed, "battery", i).getrandbits(63),
-                                 tables=tables)
-            while chain.n < target_n:
-                chain.step()
-            key = chain.subtree()
-            counts[key] = counts.get(key, 0) + 1
-        report = goodness_of_fit(counts, law)
-        ok = report.tv < Fraction(5, 100) and (report.p_value is None or report.p_value > 0.001)
-        results.append({"model": "subtree", "n": target_n, **report.as_dict()})
+        model, d, n = "subtree", 1, _n_max(args, 4, SUBTREE_CAP)
+        law, tables = st_law(theta, n), compute_tables(WeightSequence(theta.e), 1, N=n)
+
+        def make(rng):
+            return SubtreeChain(theta, horizon=n, seed=rng.getrandbits(63), tables=tables)
+        read = SubtreeChain.subtree
     else:
-        w = WeightSequence(parse_rational_list(_given(args.w, "1,1,1,1,1,1")))
-        d = _given(args.d, 1)
-        target_n = _n_max(args, 5 if d == 1 else d + 1, PLANE_TREE_CAP)
+        w, d = _weights(args, "1,1,1,1,1,1")
+        model, n = "sg" if d == 1 else "sg-arith", _n_max(args, 5 if d == 1 else d + 1, PLANE_TREE_CAP)
         require_log_concave(w, d)
-        law = sg_law(w, d, target_n)
-        tables = compute_tables(w, d, N=target_n)
-        counts: Dict[object, int] = {}
-        for i in range(samples):
-            chain = GrowthChain(w, d=d, horizon=target_n, rng=derive_rng(seed, "battery", i),
-                                tables=tables)
-            while chain.n + d <= target_n:
-                chain.step()
-            key = chain.tree()
-            counts[key] = counts.get(key, 0) + 1
-        report = goodness_of_fit(counts, law)
-        ok = report.tv < Fraction(5, 100) and (report.p_value is None or report.p_value > 0.001)
-        results.append({"model": "sg" if d == 1 else "sg-arith", "n": target_n, **report.as_dict()})
-    return {"suite": "stats", "ok": ok, "runs": results}
+        law, tables = sg_law(w, d, n), compute_tables(w, d, N=n)
+
+        def make(rng):
+            return GrowthChain(w, d=d, horizon=n, rng=rng, tables=tables)
+        read = GrowthChain.tree
+    seed, counts = _given(args.seed, 0), Counter()
+    for i in range(_given(args.samples, 10_000)):
+        chain = make(derive_rng(seed, "battery", i))
+        while chain.n + d <= n:
+            chain.step()
+        counts[read(chain)] += 1
+    report = goodness_of_fit(counts, law)
+    ok = report.tv < Fraction(5, 100) and (report.p_value is None or report.p_value > 0.001)
+    return {"suite": "stats", "ok": ok, "runs": [{"model": model, "n": n, **report.as_dict()}]}
 
 
 SUITES = {

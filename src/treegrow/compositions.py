@@ -30,17 +30,28 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+# Largest decimal exponent read from text, as the interpreter's default int-digit limit bounds a
+# mantissa (sys.get_int_max_str_digits is new in 3.11): Fraction('1e-10000000') computes 10**10000000.
+MAX_DECIMAL_EXPONENT = 4300
+
+
 def as_fraction(value) -> Fraction:
-    """Coerce ints, Fractions and exact strings like ``3/4`` or ``0.25``.
+    """Coerce ints, Fractions and exact strings like ``3/4``, ``0.25`` or ``1e-3``.
 
     Floats are rejected: their binary value is almost never the decimal
     the caller had in mind, and every table in this package must be exact.
+    So are decimal exponents beyond ``MAX_DECIMAL_EXPONENT`` in magnitude.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        exponent = value.lower().partition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
+        if exponent.isdigit() and (len(exponent) > len(str(MAX_DECIMAL_EXPONENT))
+                                   or int(exponent) > MAX_DECIMAL_EXPONENT):
+            raise DomainError(f"refusing {value!r}: its decimal exponent exceeds "
+                              f"{MAX_DECIMAL_EXPONENT} in magnitude")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
@@ -318,11 +329,6 @@ class PartitionKernel:
             if mass:
                 masses[mt] = mass
         return masses, z
-
-    def reindexed_first_part_law(self, ell: int, t: int) -> Dict[int, Fraction]:
-        """Law of (first part - 1)/d at shift ``ell`` and total ``t``."""
-        masses, z = self.first_part_masses(ell, t)
-        return {mt: Fraction(mass, z) for mt, mass in masses.items()}
 
     def step_probs(self, ell: int, t: int) -> StepRow:
         """Probability that the reindexed first part increments between totals t and t+d.

@@ -120,28 +120,6 @@ def require_log_concave(w, d: int):
         raise Refused(lc.witness)
 
 
-def check_toeplitz_tp2(xs, window: int) -> CheckReport:
-    """Verify every 2x2 minor of the Toeplitz matrix ``(x_{i-j})`` is non-negative.
-
-    Indices below zero read as zero.  All index quadruples i <= i',
-    j <= j' inside the window are checked exactly.
-    """
-    x = [as_fraction(v) for v in xs]
-
-    def at(i):
-        return x[i] if 0 <= i < len(x) else ZERO
-
-    report = CheckReport(name="toeplitz-tp2")
-    for i in range(window):
-        for i2 in range(i, window):
-            for j in range(window):
-                for j2 in range(j, window):
-                    lhs = at(i - j) * at(i2 - j2)
-                    rhs = at(i - j2) * at(i2 - j)
-                    report.record(lhs >= rhs, i=i, i2=i2, j=j, j2=j2, lhs=lhs, rhs=rhs)
-    return report
-
-
 def tilt(w, alpha, beta) -> WeightSequence:
     """Reweight ``w_i`` to ``alpha * beta^i * w_i`` (exponential tilt)."""
     w = coerce_weights(w)

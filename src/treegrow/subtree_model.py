@@ -17,6 +17,7 @@ for shuffling rules that leave product-decorated tree laws invariant.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -194,7 +195,19 @@ class SummableTheta:
 
 
 def coerce_theta(theta) -> SummableTheta:
-    return theta if isinstance(theta, SummableTheta) else SummableTheta(theta)
+    """``theta``, or the ``SummableTheta``, ladder included, shared by every caller listing its values."""
+    if isinstance(theta, SummableTheta):
+        return theta
+    values = tuple(theta)
+    try:
+        return _prepared_theta(*values)
+    except TypeError:  # an unhashable entry, which SummableTheta refuses
+        return SummableTheta(values)
+
+
+@functools.lru_cache(maxsize=16, typed=True)  # typed: 1.0 is refused, not read as the cached 1
+def _prepared_theta(*values) -> SummableTheta:
+    return SummableTheta(values)
 
 
 def nested_thresholds(theta) -> List[Fraction]:

@@ -57,6 +57,30 @@ def composition_sum(w, b, ell, t):
     return total
 
 
+def toeplitz_tp2(xs, window):
+    """Whether every 2x2 minor of the Toeplitz matrix ``(x_{i-j})``, 0 <= i, j < window, is non-negative.
+
+    Indices outside the sequence read as zero.  The brute-force oracle
+    of ``is_log_concave``: a non-negative sequence without internal zeros
+    is log-concave exactly when its Toeplitz matrix is TP2 (Karlin), and a
+    window of ``len(xs) + 1`` reaches every minor that can fail.
+    """
+    x = [Fraction(v) for v in xs]
+
+    def at(i):
+        return x[i] if 0 <= i < len(x) else Fraction(0)
+
+    return all(at(i - j) * at(i2 - j2) >= at(i - j2) * at(i2 - j)
+               for i in range(window) for i2 in range(i, window)
+               for j in range(window) for j2 in range(j, window))
+
+
+def first_part_law(tables, ell, t):
+    """Law of (first part - 1)/d at shift ``ell`` and total ``t``, read from ``first_part_masses``."""
+    masses, z = tables.first_part_masses(ell, t)
+    return {mt: Fraction(mass, z) for mt, mass in masses.items()}
+
+
 def monotone_move_probs(low, high):
     """Move probabilities of the shared-uniform coupling of two step laws, in Fractions.
 

@@ -223,6 +223,31 @@ class TestErrorBoundary:
     def test_missing_argument(self, argv, message, capsys):
         assert self.assert_one_line_error(capsys, run(*argv)) == f"error: {message}"
 
+    @pytest.mark.parametrize("argv", [
+        ["grow", "--model", "sg", "--w", "1,1e-100000000,1", "--n", "3"],
+        ["grow", "--model", "subtree", "--theta", "1,2E+4301", "--n", "3"],
+        ["verify", "--suite", "tp2", "--w", "1,1e-1_0000"],
+    ], ids=["grow-w", "grow-theta", "verify-w"])
+    def test_huge_decimal_exponent_refused(self, argv, capsys):
+        line = self.assert_one_line_error(capsys, run(*argv))
+        assert "decimal exponent exceeds 4300" in line
+
+    def test_huge_decimal_exponent_refused_in_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model = sg\nw = 1,1e-4301\nn = 3\n")
+        line = self.assert_one_line_error(capsys, run("grow", "--config", str(cfg)))
+        assert "'1e-4301'" in line and "decimal exponent exceeds 4300" in line
+
+    def test_decimal_exponent_at_the_bound_parses(self, capsys):
+        assert run("grow", "--model", "sg", "--w", "1,1e-4300", "--n", "3") == 0
+        assert run("grow", "--model", "subtree", "--theta", "1,1E+4300", "--n", "3") == 0
+
+    @pytest.mark.parametrize("n_max", [[], ["--n-max", "3"]], ids=["default", "given"])
+    def test_d_leaving_no_size_refused(self, n_max, capsys):
+        code = run("verify", "--suite", "kernel-interchange", "--w", "1" + ",0" * 9 + ",1", "--d", "10",
+                   *n_max)
+        assert "--d 10" in self.assert_one_line_error(capsys, code)
+
     def test_subset_coupling_support_above_cap_refused(self, monkeypatch, capsys):
         def no_law(theta):
             raise AssertionError("the coupling law was built for a refused --theta")
@@ -314,6 +339,13 @@ class TestVerify:
     def test_kernel_interchange(self, capsys):
         assert run("verify", "--suite", "kernel-interchange", "--w", "1,1,1,1",
                    "--n-max", "5") == 0
+
+    @pytest.mark.parametrize("d, levels", [(4, [1, 5]), (5, [1]), (9, [1])])
+    def test_default_n_max_lowered_to_the_cap(self, d, levels, capsys):
+        # the default 6 is above the cap 10 - d from d = 5 on
+        assert run("verify", "--suite", "kernel-interchange", "--w", "1" + ",0" * (d - 1) + ",1",
+                   "--d", str(d)) == 0
+        assert [level["n"] for level in json.loads(capsys.readouterr().out)["levels"]] == levels
 
     def test_ratio_chain_binomial(self, capsys):
         assert run("verify", "--suite", "ratio-chain", "--w", "1,3,3,1", "--n-max", "20") == 0

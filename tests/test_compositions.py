@@ -122,7 +122,7 @@ class TestCompDistribution:
         wp_shift = shift(wp, 1)
         for n in range(1, 9):
             law = comp_law(wp, n)
-            mu = tables.reindexed_first_part_law(0, n)
+            mu = helpers.first_part_law(tables, 0, n)
             for c, mass in law.items():
                 first, rest = c[0], c[1:]
                 rest_law = comp_law(wp_shift, n - first)
@@ -133,11 +133,11 @@ class TestFirstPartLaw:
     # laws of the first part minus 1, at shift 0
     def test_mu3(self):
         tables = PairTables(tree_pair(ONES), total_horizon=3)
-        assert tables.reindexed_first_part_law(0, 3) == {0: F(2, 5), 1: F(1, 5), 2: F(2, 5)}
+        assert helpers.first_part_law(tables, 0, 3) == {0: F(2, 5), 1: F(1, 5), 2: F(2, 5)}
 
     def test_mu4(self):
         tables = PairTables(tree_pair(ONES), total_horizon=4)
-        assert tables.reindexed_first_part_law(0, 4) == {0: F(5, 14), 1: F(1, 7), 2: F(1, 7), 3: F(5, 14)}
+        assert helpers.first_part_law(tables, 0, 4) == {0: F(5, 14), 1: F(1, 7), 2: F(1, 7), 3: F(5, 14)}
 
     def test_against_grouped_distribution(self):
         wp = tree_pair([1, 2, 1])
@@ -147,17 +147,17 @@ class TestFirstPartLaw:
             grouped = {}
             for c, mass in law.items():
                 grouped[c[0] - 1] = grouped.get(c[0] - 1, F(0)) + mass
-            assert tables.reindexed_first_part_law(0, n) == grouped
+            assert helpers.first_part_law(tables, 0, n) == grouped
 
     def test_single_part_support(self):
         wp = WeightPair([1, 1], [F(1)] * 10)
-        assert PairTables(wp, total_horizon=7).reindexed_first_part_law(0, 7) == {6: F(1)}
+        assert helpers.first_part_law(PairTables(wp, total_horizon=7), 0, 7) == {6: F(1)}
 
     def test_no_mass_at_total(self):
         wp = WeightPair([0, 1], [F(1), F(0), F(1)])
         tables = PairTables(wp, ArithClass(2, 1), total_horizon=2)
         with pytest.raises(ZeroMassError):
-            tables.reindexed_first_part_law(0, 2)
+            helpers.first_part_law(tables, 0, 2)
 
 
 class TestMonotoneStepKernel:
@@ -174,8 +174,8 @@ class TestMonotoneStepKernel:
     def test_pushforward_recovers_target(self):
         tables = PairTables(tree_pair(ONES), total_horizon=9)
         for n in range(1, 9):
-            mu_n = tables.reindexed_first_part_law(0, n)
-            mu_n1 = tables.reindexed_first_part_law(0, n + 1)
+            mu_n = helpers.first_part_law(tables, 0, n)
+            mu_n1 = helpers.first_part_law(tables, 0, n + 1)
             row = tables.step_probs(0, n)
             pushed = {}
             for m, mass in mu_n.items():
@@ -204,8 +204,8 @@ class TestCompositionKernel:
     def test_row_at_one(self):
         tables = PairTables(tree_pair(ONES), total_horizon=2)
         row = composition_kernel(tables, (1,))
-        q = helpers.monotone_move_probs(tables.reindexed_first_part_law(0, 1),
-                                        tables.reindexed_first_part_law(0, 2))[0]
+        q = helpers.monotone_move_probs(helpers.first_part_law(tables, 0, 1),
+                                        helpers.first_part_law(tables, 0, 2))[0]
         assert row == {(2,): q, (1, 1): 1 - q}
 
     def test_rows_sum_to_one_and_cover(self):

@@ -9,9 +9,9 @@ from treegrow._rand import derive_rng
 from treegrow.compositions import iter_compositions
 from treegrow.errors import DomainError, HorizonError, Refused, ZeroMassError
 from treegrow.oracle import enumerate_plane_trees, sg_law, tv_distance
-from treegrow.sgtrees import (GrowthChain, WeightSequence, check_ratio_chain, check_toeplitz_tp2,
-                              check_tp2_array, compute_tables, forest_array, grow_chain, growth_kernel_row,
-                              is_log_concave, tilt)
+from treegrow.sgtrees import (GrowthChain, WeightSequence, check_ratio_chain, check_tp2_array,
+                              compute_tables, forest_array, grow_chain, growth_kernel_row, is_log_concave,
+                              tilt)
 from treegrow.treespace import (PlaneTree, is_bouquet_addition, is_right_leaning_leaf_addition)
 
 ONES8 = WeightSequence([1] * 9)
@@ -39,16 +39,33 @@ class TestLogConcavity:
 
 
 class TestToeplitz:
+    # the brute-force Toeplitz oracle of is_log_concave, on explicit sequences
     def test_all_ones(self):
-        assert check_toeplitz_tp2([1] * 6, window=5).ok
+        assert helpers.toeplitz_tp2([1] * 6, window=5)
 
     def test_binomial(self):
-        # oracle is the same brute force over all index quadruples
-        assert check_toeplitz_tp2([1, 2, 1], window=4).ok
+        assert helpers.toeplitz_tp2([1, 2, 1], window=4)
 
     def test_internal_zeros_fail(self):
-        report = check_toeplitz_tp2([1, 0, 0, 1], window=4)
-        assert not report.ok
+        assert not helpers.toeplitz_tp2([1, 0, 0, 1], window=4)
+
+    def test_short_window_misses_a_late_violation(self):
+        # x_8^2 < x_7 x_9: no minor inside a window of 8 reaches index 9
+        x = [1] * 9 + [2, 1]
+        assert helpers.toeplitz_tp2(x, window=8)
+        assert not helpers.toeplitz_tp2(x, window=len(x) + 1)
+        assert is_log_concave(x).witness == 8
+
+
+sequence_entry = st.just(F(0)) | st.integers(1, 3).map(F) | st.fractions(min_value=F(1, 4), max_value=4,
+                                                                         max_denominator=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(sequence_entry, min_size=1, max_size=8))
+def test_log_concave_iff_toeplitz_tp2(x):
+    # Karlin: a non-negative sequence is log-concave without internal zeros iff its Toeplitz matrix is TP2
+    assert is_log_concave(x).ok == helpers.toeplitz_tp2(x, window=len(x) + 1)
 
 
 class TestTilt:

@@ -386,6 +386,26 @@ class TestSubtreeChain:
             SubtreeChain(["2", "1"], horizon=5, seed=0, tables=tables)
         assert SubtreeChain(["1", "1"], horizon=5, seed=0, tables=tables).w is tables.w
 
+    def test_chains_of_one_theta_share_its_preparation(self, monkeypatch):
+        # type weights given as a list are prepared once, not once per chain
+        built = []
+        init = SummableTheta.__init__
+
+        def counting(self, values):
+            built.append(values)
+            init(self, values)
+
+        monkeypatch.setattr(SummableTheta, "__init__", counting)
+        theta = ["5/7", "2/9", "1/11"]
+        tables = compute_tables(WeightSequence(elementary_symmetric(theta)), 1, N=6)
+        for seed in range(100):
+            chain = SubtreeChain(theta, horizon=6, seed=seed, tables=tables)
+            while chain.n < 6:
+                chain.step()
+        assert len(built) <= 1
+        with pytest.raises(DomainError):
+            SubtreeChain(["1", "-1"], horizon=3, seed=0)
+
     def test_marginal_three_vertices(self):
         # 1e5 sampled chains; the law of the third state over the 5 subtrees
         theta = ["1", "1"]
