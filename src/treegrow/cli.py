@@ -88,7 +88,8 @@ def _n_max(args, default: int, cap: int) -> int:
     """The suite's ``--n-max``, refused above the largest size the suite can honour.
 
     A default above that cap is lowered to it.  Only ``--d`` lowers a cap
-    below 1 (kernel-interchange enumerates trees of size n + d).
+    below 1 (kernel-interchange enumerates trees of size n + d); the stats
+    suite refuses a lowered default that holds no tree for its ``--d``.
     """
     if cap < 1:
         raise HorizonError(f"--d {args.d} leaves the {args.suite} suite no size to check")
@@ -447,6 +448,8 @@ def _suite_stats(args) -> dict:
     else:
         w, d = _weights(args, "1,1,1,1,1,1")
         model, n = "sg" if d == 1 else "sg-arith", _n_max(args, 5 if d == 1 else d + 1, PLANE_TREE_CAP)
+        if args.n_max is None and (n - 1) % d:  # the default d + 1, lowered to the cap, holds no tree
+            raise HorizonError(f"--d {d} leaves the stats suite no size to check")
         require_log_concave(w, d)
         law, tables = sg_law(w, d, n), compute_tables(w, d, N=n)
 

@@ -17,6 +17,7 @@ against the target laws, which is only meaningful without rounding.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -30,9 +31,11 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-# Largest decimal exponent read from text, as the interpreter's default int-digit limit bounds a
-# mantissa (sys.get_int_max_str_digits is new in 3.11): Fraction('1e-10000000') computes 10**10000000.
+# Largest decimal exponent, and longest run of digits, read from text: Fraction('1e-10000000')
+# computes 10**10000000.  The interpreter's default int-digit limit refuses such runs from 3.11 on;
+# this fixed bound refuses them on 3.10 as well (sys.get_int_max_str_digits is new in 3.11).
 MAX_DECIMAL_EXPONENT = 4300
+_LONG_DIGIT_RUN = re.compile(rf"\d{{{MAX_DECIMAL_EXPONENT + 1}}}")
 
 
 def as_fraction(value) -> Fraction:
@@ -40,19 +43,24 @@ def as_fraction(value) -> Fraction:
 
     Floats are rejected: their binary value is almost never the decimal
     the caller had in mind, and every table in this package must be exact.
-    So are decimal exponents beyond ``MAX_DECIMAL_EXPONENT`` in magnitude.
+    So are decimal exponents beyond ``MAX_DECIMAL_EXPONENT`` in magnitude,
+    and runs of more than that many digits.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        exponent = value.lower().partition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
-        if exponent.isdigit() and (len(exponent) > len(str(MAX_DECIMAL_EXPONENT))
-                                   or int(exponent) > MAX_DECIMAL_EXPONENT):
+        digits = value.replace("_", "")
+        exponent = digits.lower().partition("e")[2].strip().lstrip("+-")
+        # a longer exponent is a long digit run, refused below
+        if (exponent.isdecimal() and len(exponent) <= MAX_DECIMAL_EXPONENT
+                and int(exponent) > MAX_DECIMAL_EXPONENT):
             raise DomainError(f"refusing {value!r}: its decimal exponent exceeds "
                               f"{MAX_DECIMAL_EXPONENT} in magnitude")
         try:
+            if _LONG_DIGIT_RUN.search(digits):
+                raise ValueError(value)
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
             raise DomainError(f"cannot parse {value!r} as an exact rational") from None

@@ -198,15 +198,11 @@ def coerce_theta(theta) -> SummableTheta:
     """``theta``, or the ``SummableTheta``, ladder included, shared by every caller listing its values."""
     if isinstance(theta, SummableTheta):
         return theta
-    values = tuple(theta)
-    try:
-        return _prepared_theta(*values)
-    except TypeError:  # an unhashable entry, which SummableTheta refuses
-        return SummableTheta(values)
+    return _prepared_theta(tuple(as_fraction(v) for v in theta))
 
 
-@functools.lru_cache(maxsize=16, typed=True)  # typed: 1.0 is refused, not read as the cached 1
-def _prepared_theta(*values) -> SummableTheta:
+@functools.lru_cache(maxsize=16)
+def _prepared_theta(values: Tuple[Fraction, ...]) -> SummableTheta:
     return SummableTheta(values)
 
 

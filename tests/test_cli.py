@@ -8,6 +8,7 @@ import pytest
 import treegrow.cli
 import treegrow.sgtrees
 from treegrow.cli import GROW_CAP, exact_text, main, validate_trace
+from treegrow.compositions import as_fraction
 from treegrow.errors import DomainError
 
 
@@ -232,6 +233,26 @@ class TestErrorBoundary:
         line = self.assert_one_line_error(capsys, run(*argv))
         assert "decimal exponent exceeds 4300" in line
 
+    @pytest.mark.parametrize("entry", ["1e\u00b2", "1" * 4301, "1/1" + "0" * 4300, "0." + "0" * 4300 + "1"],
+                             ids=["superscript-exponent", "long-integer", "long-denominator", "long-decimal"])
+    def test_unreadable_rational_refused(self, entry, capsys):
+        line = self.assert_one_line_error(capsys, run("grow", "--model", "sg", "--w", "1," + entry, "--n", "3"))
+        assert line.startswith("error: cannot parse")
+
+    def test_long_digit_run_refused_without_the_int_digit_limit(self):
+        # Python 3.10 has no int-digit limit; the bound of as_fraction stands in for it
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this interpreter has no int-digit limit to lift")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            with pytest.raises(DomainError, match="cannot parse"):
+                as_fraction("1" * 4301)
+            with pytest.raises(DomainError, match="exceeds 4300"):
+                as_fraction("1e-4301")
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_huge_decimal_exponent_refused_in_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("model = sg\nw = 1,1e-4301\nn = 3\n")
@@ -247,6 +268,12 @@ class TestErrorBoundary:
         code = run("verify", "--suite", "kernel-interchange", "--w", "1" + ",0" * 9 + ",1", "--d", "10",
                    *n_max)
         assert "--d 10" in self.assert_one_line_error(capsys, code)
+
+    def test_stats_default_without_a_tree_refused(self, monkeypatch, capsys):
+        # from d = 10 on the default d + 1 is lowered to the cap 10, which holds no tree
+        monkeypatch.setattr(treegrow.cli, "compute_tables", lambda *a, **k: pytest.fail("tables built"))
+        code = run("verify", "--suite", "stats", "--w", "1" + ",0" * 9 + ",1", "--d", "10")
+        assert self.assert_one_line_error(capsys, code) == "error: --d 10 leaves the stats suite no size to check"
 
     def test_subset_coupling_support_above_cap_refused(self, monkeypatch, capsys):
         def no_law(theta):

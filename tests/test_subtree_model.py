@@ -11,7 +11,7 @@ from treegrow.oracle import (enumerate_plane_trees, enumerate_subtrees, sg_law, 
                              tv_distance)
 from treegrow.sgtrees import WeightSequence, compute_tables, is_log_concave
 from treegrow.subtree_model import (SubtreeChain, SummableTheta, apply_shuffle, bij_P, bij_P_inv,
-                                    check_equivariance, elementary_symmetric, inverse_shuffle,
+                                    check_equivariance, coerce_theta, elementary_symmetric, inverse_shuffle,
                                     nested_coupling_law,
                                     nested_subset_coupling, nested_thresholds, pointwise_inverse,
                                     push, push_forward, sigma_rule, shuffle_invariance_check,
@@ -403,8 +403,10 @@ class TestSubtreeChain:
             while chain.n < 6:
                 chain.step()
         assert len(built) <= 1
-        with pytest.raises(DomainError):
-            SubtreeChain(["1", "-1"], horizon=3, seed=0)
+        assert coerce_theta(["1/2", 1]) is coerce_theta([F(1, 2), "1"])
+        for bad in (["1", "-1"], [1.0, 1], [[1], 1]):
+            with pytest.raises(DomainError):
+                SubtreeChain(bad, horizon=3, seed=0)
 
     def test_marginal_three_vertices(self):
         # 1e5 sampled chains; the law of the third state over the 5 subtrees
