@@ -41,10 +41,10 @@ SHUFFLE_CAP = 4
 # at 7 and 1.8 s at 8, and each further entry multiplies that again.
 SUBSET_SUPPORT_CAP = 8
 
-# --n cap of grow.  The compiled step laws hold O(n^2) integer pairs of O(n)
+# --n cap of grow.  The compiled step laws hold O(n^2) running sums of O(n)
 # bits each, so memory grows like n^3 (and with the bit length of the
-# weights).  On a 2-CPU Xeon, n = 600 with --out peaks at 283 MB in about 5 s
-# for w = 1,3,3,1, at 324 MB for w = 1,1,1,1,1,1,1,1 and at 420 MB in 12 s for
+# weights).  On a 2-CPU Xeon, n = 600 with --out peaks at 233 MB in about 3.4 s
+# for w = 1,3,3,1, at 272 MB for w = 1,1,1,1,1,1,1,1 and at 337 MB in 3.3 s for
 # the subtree model with theta = 1/2,1/3,1/4; n = 800 reached 758 MB and 1.1 GB
 # before the trace writer and reader became incremental.
 GROW_CAP = 600
@@ -448,8 +448,10 @@ def _suite_stats(args) -> dict:
     else:
         w, d = _weights(args, "1,1,1,1,1,1")
         model, n = "sg" if d == 1 else "sg-arith", _n_max(args, 5 if d == 1 else d + 1, PLANE_TREE_CAP)
-        if args.n_max is None and (n - 1) % d:  # the default d + 1, lowered to the cap, holds no tree
-            raise HorizonError(f"--d {d} leaves the stats suite no size to check")
+        if (n - 1) % d:  # trees of d-arithmetic weights have 1 mod d vertices
+            if args.n_max is None:  # the default d + 1, lowered to the cap
+                raise HorizonError(f"--d {d} leaves the stats suite no size to check")
+            raise HorizonError(f"--n-max {n} holds no tree for --d {d}: tree sizes are 1 mod {d}")
         require_log_concave(w, d)
         law, tables = sg_law(w, d, n), compute_tables(w, d, N=n)
 

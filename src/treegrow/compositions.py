@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, repeat
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ._rand import bernoulli
@@ -263,7 +265,43 @@ def cleared(values: Sequence[Fraction]) -> Tuple[int, List[int]]:
     return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
-StepRow = Dict[int, Tuple[int, int]]
+Pairs = Dict[int, Tuple[int, int]]
+
+
+class StepRow(Mapping):
+    """The move probabilities of one step law, ``m -> (num, den)`` unreduced, formed on first read.
+
+    Keeps the lower law's masses and the running sums ``CL`` and ``CH`` of
+    both laws' masses.  Once the interleaving inequalities hold, the pair of
+    support point m is ``(CL_m zh - CH_m zl, low_m zh)``, exactly the pair
+    ``move_rows`` returns; ``formed`` holds the pairs read so far.  ``ymax``
+    and ``bmax`` are the ratio maxima that certified the row, which the row
+    at total ``t + d`` extends.
+    """
+
+    __slots__ = ("formed", "low", "cl", "ch", "zl", "zh", "ymax", "bmax")
+
+    def __init__(self, low: Dict[int, int], high: Dict[int, int], zl: int, zh: int,
+                 ymax: Tuple[int, int], bmax: Tuple[int, int]):
+        span, zeros = range(max(low) + 1), repeat(0)
+        self.formed: Pairs = {}
+        self.low = low
+        self.cl = list(accumulate(map(low.get, span, zeros)))
+        self.ch = list(accumulate(map(high.get, span, zeros)))
+        self.zl, self.zh, self.ymax, self.bmax = zl, zh, ymax, bmax
+
+    def __getitem__(self, m: int) -> Tuple[int, int]:
+        pair = self.formed.get(m)
+        if pair is None:
+            mass = self.low[m]  # KeyError off the support, before any other read
+            pair = self.formed[m] = (self.cl[m] * self.zh - self.ch[m] * self.zl, mass * self.zh)
+        return pair
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.low)
+
+    def __len__(self) -> int:
+        return len(self.low)
 
 
 class PartitionKernel:
@@ -342,18 +380,45 @@ class PartitionKernel:
         """Probability that the reindexed first part increments between totals t and t+d.
 
         Maps each support point of the law at total t to an integer pair
-        ``(num, den)`` with value ``num/den``, not reduced.  Derived from the
-        coupling that feeds one shared uniform through both inverse
-        cumulative functions; requires the interleaving inequalities
-        between the two laws, otherwise NotCoupleable is raised with the
-        failing support point.
+        ``(num, den)`` with value ``num/den``, not reduced, formed on first
+        read.  Derived from the coupling that feeds one shared uniform
+        through both inverse cumulative functions; requires the
+        interleaving inequalities between the two laws, otherwise
+        NotCoupleable is raised with the failing support point.
+
+        With ``Y = Z_{ell+1}`` and ``s = t - 1 - m d``, the inequalities at
+        m read ``Y(s+d)/Y(s) <= zh/zl`` and, where ``Y(s) > 0``,
+        ``b_{(m+1)d+1}/b_{md+1} <= zh/zl``.  The row checks the running
+        maximum of each ratio against ``zh/zl`` by one cross-multiplication,
+        extending the maxima of the row at ``t - d`` when it was compiled.
+        When a maximum exceeds the bound (the b maximum may also count
+        points with ``Y(s) = 0``), ``move_rows`` decides the row exactly.
         """
         key = (ell, t)
         row = self._step_memo.get(key)
         if row is None:
+            d = self.d
             low, zl = self.first_part_masses(ell, t)
-            high, zh = self.first_part_masses(ell, t + self.d)
-            row = self._step_memo[key] = move_rows(low, zl, high, zh)
+            high, zh = self.first_part_masses(ell, t + d)
+            # b > 0 on 1 mod d, so Y is zero below s = t - 1 - top d in this residue class,
+            # and the upper law has no mass beyond top + 1
+            top = max(low)
+            prev = self._step_memo.get((ell, t - d))
+            if prev is None:
+                (yp, yq), (bp, bq), s0, m0 = (0, 1), (0, 1), t - 1 - top * d, 0
+            else:
+                (yp, yq), (bp, bq), s0, m0 = prev.ymax, prev.bmax, t - 1, top
+            y, b = self._z[ell + 1], self._b
+            for s in range(s0, t, d):
+                # Y(s) = 0 < Y(s+d) is the infinite ratio (p, 0); 0/0 never wins
+                if y[s + d] * yq > yp * y[s]:
+                    yp, yq = y[s + d], y[s]
+            for i in range(m0 * d + 1, top * d + 2, d):
+                if b[i + d] * bq > bp * b[i]:
+                    bp, bq = b[i + d], b[i]
+            if yp * zl > yq * zh or bp * zl > bq * zh:
+                move_rows(low, zl, high, zh)  # raises NotCoupleable unless the b bound was loose
+            row = self._step_memo[key] = StepRow(low, high, zl, zh, (yp, yq), (bp, bq))
         return row
 
     def kernel_row(self, t: int, parts: Sequence[int]) -> Dict[Tuple, Fraction]:
@@ -377,10 +442,10 @@ class PartitionKernel:
                 row[("inc", j)] = stay
                 return row
             steps = self.step_probs(j, remaining)
-            mt = (part - 1) // self.d
-            if mt not in steps:
-                raise DomainError(f"part {part} carries no mass at total {remaining}, shift {j}")
-            q = Fraction(*steps[mt])
+            try:
+                q = Fraction(*steps[(part - 1) // self.d])
+            except KeyError:
+                raise DomainError(f"part {part} carries no mass at total {remaining}, shift {j}") from None
             if q:
                 row[("inc", j)] = stay * q
             stay *= 1 - q
@@ -390,40 +455,42 @@ class PartitionKernel:
         row[("append", len(parts))] = stay
         return row
 
-    def sample_move(self, t: int, parts: Sequence[int], rng) -> Tuple[Tuple, int, int]:
-        """Walk the peeling recursion once; returns (move, num, den).
+    def sample_move(self, t: int, parts: Sequence[int], rng, factors: List[Tuple[int, int]]) -> Tuple:
+        """Walk the peeling recursion once and return the move.
 
         The move is ``("inc", j)`` to increment part j by d, or
-        ``("append", len(parts))`` to append d parts equal to 1; it was
-        chosen with probability ``num/den`` (not reduced).
+        ``("append", len(parts))`` to append d parts equal to 1.  The
+        probability ``num/den`` (not reduced) of each decision that was not
+        certain is appended to ``factors``; their product is the probability
+        of the move.
         """
         d = self.d
         j = 0
-        num = den = 1
         remaining = t
         while True:
             if j == len(parts):
                 if remaining != 0:
                     raise DomainError("parts do not sum to the stated total")
-                return ("append", j), num, den
+                return ("append", j)
             if self.r - j <= 1:
                 if j != len(parts) - 1:
                     raise DomainError(f"state off support at shift {j}")
-                return ("inc", j), num, den
+                return ("inc", j)
             mt = (parts[j] - 1) // d
-            qn, qd = self.step_probs(j, remaining).get(mt, (0, 1))
+            row = self.step_probs(j, remaining)
+            qn, qd = row.formed.get(mt) or row.get(mt, (0, 1))
             if qn == qd:
-                return ("inc", j), num, den
+                return ("inc", j)
             if qn:
                 if bernoulli(rng, qn, qd):
-                    return ("inc", j), num * qn, den * qd
-                num *= qd - qn
-                den *= qd
+                    factors.append((qn, qd))
+                    return ("inc", j)
+                factors.append((qd - qn, qd))
             remaining -= parts[j]
             j += 1
 
 
-def move_rows(low: Dict[int, int], zl: int, high: Dict[int, int], zh: int) -> StepRow:
+def move_rows(low: Dict[int, int], zl: int, high: Dict[int, int], zh: int) -> Pairs:
     """Move probabilities of the shared-uniform coupling of two step laws, as integer pairs.
 
     The laws are ``low[m]/zl`` and ``high[m]/zh`` on consecutive integer
@@ -435,7 +502,7 @@ def move_rows(low: Dict[int, int], zl: int, high: Dict[int, int], zh: int) -> St
     ``max(0, CL_m zh - max(CL_{m-1} zh, CH_m zl)) / (low[m] zh)``.
     """
     top = max(low) if low else -1
-    rows: StepRow = {}
+    rows: Pairs = {}
     cum_low = cum_high = 0  # CL_m zh and CH_m zl
     high_next = high.get(0, 0) * zl
     for m in range(0, top + 1):
@@ -590,7 +657,7 @@ def sample_composition_chain(wp: WeightPair, cls: ArithClass, N: int, rng,
     total = s
     out = [c]
     while total + d <= N:
-        move = tables.sample_move(total, c, rng)[0]
+        move = tables.sample_move(total, c, rng, [])
         c = apply_move(c, move, d)
         total += d
         out.append(c)

@@ -234,7 +234,8 @@ class GofReport:
 
     def as_dict(self):
         return {"sample_size": self.sample_size, "categories": self.categories,
-                "chi_square": self.chi_square, "dof": self.dof, "p_value": self.p_value,
+                "chi_square": "inf" if self.chi_square == float("inf") else self.chi_square,
+                "dof": self.dof, "p_value": self.p_value,
                 "tv": str(self.tv), "undersampled": self.undersampled}
 
 
@@ -276,5 +277,6 @@ def goodness_of_fit(counts: Mapping, law: Mapping, min_expected_factor: int = 5)
         observed = counts.get(key, 0)
         stat += (observed - expected) ** 2 / expected
     dof = categories - 1
-    p_value = float(chi2.sf(stat, dof))
+    # one category leaves nothing to test: every sample inside the support fits
+    p_value = float(chi2.sf(stat, dof)) if dof else 1.0
     return GofReport(total, categories, stat, dof, p_value, tv, False)

@@ -271,21 +271,45 @@ def growth_kernel_row(tables: PartitionTables, tree: PlaneTree) -> Dict[PlaneTre
     return out
 
 
-@dataclass(frozen=True)
 class GrowthStep:
-    """One step of a growth chain; its probability is kept as the unreduced pair ``num/den``."""
+    """One step of a growth chain; its probability is kept as the unreduced pair ``num/den``.
 
-    index: int
-    n: int
-    parent: Word
-    new_vertices: Tuple[Word, ...]
-    num: int
-    den: int
+    The pair is the product of the probabilities of the step's decisions,
+    multiplied left to right on the first read of ``num``, ``den`` or ``prob``.
+    """
+
+    __slots__ = ("index", "n", "parent", "new_vertices", "_factors", "_pair")
+
+    def __init__(self, index: int, n: int, parent: Word, new_vertices: Tuple[Word, ...],
+                 factors: List[Tuple[int, int]]):
+        self.index = index
+        self.n = n
+        self.parent = parent
+        self.new_vertices = new_vertices
+        self._factors = factors
+        self._pair: Optional[Tuple[int, int]] = None
+
+    def _product(self) -> Tuple[int, int]:
+        if self._pair is None:
+            num = den = 1
+            for p, q in self._factors:
+                num *= p
+                den *= q
+            self._pair = (num, den)
+        return self._pair
+
+    @property
+    def num(self) -> int:
+        return self._product()[0]
+
+    @property
+    def den(self) -> int:
+        return self._product()[1]
 
     @property
     def prob(self) -> Fraction:
         """The exact probability of the step, reduced on each read."""
-        return Fraction(self.num, self.den)
+        return Fraction(*self._product())
 
 
 class GrowthChain:
@@ -336,12 +360,10 @@ class GrowthChain:
         v: Word = ROOT
         t = self.n - 1
         path = []  # (children's sizes, index of the child descended into) above v
-        num = den = 1
+        factors = []
         while True:
             parts = parts_of[v]
-            (kind, j), p, q = sample_move(t, parts, rng)
-            num *= p
-            den *= q
+            kind, j = sample_move(t, parts, rng, factors)
             if kind == "append":
                 new = tuple(v + (j + i,) for i in range(1, d + 1))
                 for u in new:
@@ -351,7 +373,7 @@ class GrowthChain:
                     above[i] += d
                 self.n += d
                 self.step_index += 1
-                return GrowthStep(self.step_index, self.n, v, new, num, den)
+                return GrowthStep(self.step_index, self.n, v, new, factors)
             path.append((parts, j))
             t = parts[j] - 1
             v = v + (j + 1,)

@@ -275,6 +275,14 @@ class TestErrorBoundary:
         code = run("verify", "--suite", "stats", "--w", "1" + ",0" * 9 + ",1", "--d", "10")
         assert self.assert_one_line_error(capsys, code) == "error: --d 10 leaves the stats suite no size to check"
 
+    def test_stats_n_max_without_a_tree_refused(self, monkeypatch, capsys):
+        # trees of 1,0,1 at d = 2 have an odd number of vertices
+        monkeypatch.setattr(treegrow.cli, "compute_tables", lambda *a, **k: pytest.fail("tables built"))
+        monkeypatch.setattr(treegrow.cli, "sg_law", lambda *a, **k: pytest.fail("law built"))
+        code = run("verify", "--suite", "stats", "--w", "1,0,1", "--d", "2", "--n-max", "4")
+        line = self.assert_one_line_error(capsys, code)
+        assert line == "error: --n-max 4 holds no tree for --d 2: tree sizes are 1 mod 2"
+
     def test_subset_coupling_support_above_cap_refused(self, monkeypatch, capsys):
         def no_law(theta):
             raise AssertionError("the coupling law was built for a refused --theta")
@@ -388,6 +396,14 @@ class TestVerify:
         assert code == 0
         report = json.loads(out.read_text())
         assert report["ok"] is True
+
+    def test_stats_single_tree_is_a_vacuous_fit(self, capsys):
+        # n = d + 1 = 10 holds one tree: no chi-square degree of freedom, every sample on it
+        code = run("verify", "--suite", "stats", "--w", "1" + ",0" * 8 + ",1", "--d", "9", "--samples", "10")
+        report = json.loads(capsys.readouterr().out, parse_constant=lambda c: pytest.fail(f"{c} in the JSON"))
+        assert code == 0 and report["ok"] is True
+        (fit,) = report["runs"]
+        assert (fit["categories"], fit["dof"], fit["chi_square"], fit["p_value"], fit["tv"]) == (1, 0, 0.0, 1.0, "0")
 
     def test_stats_theta_builds_one_table_set(self, monkeypatch, capsys):
         built = []

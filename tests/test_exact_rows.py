@@ -19,9 +19,10 @@ from hypothesis import strategies as st
 
 import helpers
 from treegrow._rand import LazyUniform, bernoulli, derive_rng
+import treegrow.compositions
 from treegrow.compositions import (ArithClass, PairTables, WeightPair, check_admissibility_inequalities,
-                                   sample_composition_chain)
-from treegrow.errors import NotCoupleable, ZeroMassError
+                                   move_rows, sample_composition_chain)
+from treegrow.errors import DomainError, NotCoupleable, ZeroMassError
 from treegrow.sgtrees import GrowthChain, WeightSequence, compute_tables, growth_kernel_row, tilt
 
 small_fraction = st.builds(F, st.integers(1, 9), st.integers(1, 9))
@@ -123,6 +124,77 @@ def test_pair_rows_match_fraction_oracle(case):
     wp, cls = case
     tables = PairTables(wp, cls)
     assert_rows_match_oracle(tables, tables.total_horizon)
+
+
+@st.composite
+def any_weights(draw):
+    """Weights on multiples of d in {1, 2, 3} with radius <= 4 and w_0 w_d > 0, log-concave or not, and N."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    progression = [draw(small_fraction), draw(small_fraction)]
+    progression += draw(st.lists(st.sampled_from([F(0), F(1, 9), F(1), F(9)]), max_size=4 // d - 1))
+    entries = [F(0)] * ((len(progression) - 1) * d + 1)
+    entries[::d] = progression
+    return WeightSequence(entries), d, draw(st.integers(d + 2, 12))
+
+
+def exact_scan(tables, ell, t):
+    """``move_rows`` on the two first-part laws: the exact scan of every interleaving inequality."""
+    return move_rows(*tables.first_part_masses(ell, t), *tables.first_part_masses(ell, t + tables.d))
+
+
+def verdict(fn):
+    """The value of ``fn()``, or the type, arguments and message of what it raised."""
+    try:
+        return "value", fn()
+    except (NotCoupleable, ZeroMassError) as exc:
+        return type(exc).__name__, exc.args, str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_weights(), st.randoms(use_true_random=False))
+def test_rows_read_lazily_match_the_exact_scan(case, rnd):
+    """Every row, compiled in any order and read in any order, is ``move_rows`` pair for pair."""
+    w, d, N = case
+    tables = compute_tables(w, d, N)
+    keys = [(ell, t) for ell in range(tables.r) for t in range(1, N - d)]
+    rnd.shuffle(keys)  # rows compiled with and without the row d below them
+    for ell, t in keys:
+        got = verdict(lambda: tables.step_probs(ell, t))
+        expected = verdict(lambda: exact_scan(tables, ell, t))
+        if got[0] == "value":
+            row = got[1]
+            for m in rnd.sample(sorted(row), rnd.randint(0, len(row))):
+                assert row[m] == expected[1][m]
+            got = "value", dict(row.items())
+        assert got == expected, (ell, t)
+
+
+def test_loose_b_bound_falls_back_to_the_exact_scan(monkeypatch):
+    # at the last shift only m = top carries mass, so b_3/b_2 > zh/zl at m = 1 does not bind
+    tables = compute_tables(WeightSequence([1, 1, 0, 0, 1]), 1, N=10)
+    scans = []
+    monkeypatch.setattr(treegrow.compositions, "move_rows", lambda *a: scans.append(a) or move_rows(*a))
+    row = tables.step_probs(3, 6)
+    assert len(scans) == 1 and dict(row.items()) == move_rows(*scans[0]) == {5: (96, 96)}
+
+
+def test_full_iteration_forms_the_whole_row():
+    tables = compute_tables(WeightSequence([1, 3, 3, 1]), 1, N=12)
+    row = tables.step_probs(0, 9)
+    assert not row.formed and len(row) == 9
+    assert dict(row.items()) == exact_scan(tables, 0, 9) and len(row.formed) == 9
+
+
+def test_kernel_row_reads_no_mass_from_the_masses():
+    # w_2 = 0: a root with two children carries no mass, whichever entries of its row were read
+    tables = compute_tables(WeightSequence([1, 1, 0, 0, 1]), 1, N=6)
+    row = tables.step_probs(0, 2)
+    for _ in range(2):
+        with pytest.raises(DomainError, match="part 1 carries no mass at total 2, shift 0"):
+            tables.kernel_row(2, (1, 1))
+        assert 0 not in row and 0 not in row.formed
+        assert tables.kernel_row(2, (2,)) == {("inc", 0): F(1)}
+        dict(row.items())
 
 
 def test_unreduced_threshold_decides_alike():

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 from fractions import Fraction as F
 
@@ -198,6 +199,15 @@ class TestGoodnessOfFit:
         counts = {0: 300, 1: 290, 2: 10}
         report = goodness_of_fit(counts, law)
         assert report.p_value == 0.0
+
+    def test_one_category_passes_vacuously(self):
+        report = goodness_of_fit({"a": 40}, {"a": F(1)})
+        assert (report.chi_square, report.dof, report.p_value) == (0.0, 0, 1.0)
+
+    def test_outside_support_reports_valid_json(self):
+        report = goodness_of_fit({"a": 40, "b": 1}, {"a": F(1)})
+        text = json.dumps(report.as_dict())
+        assert json.loads(text, parse_constant=lambda c: pytest.fail(f"{c} in the JSON"))["chi_square"] == "inf"
 
     def test_calibration_battery(self):
         # 100 seeds of 1e5 exact-threshold draws from a 14-category law:

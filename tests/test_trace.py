@@ -162,6 +162,16 @@ def test_chains_never_reduce_the_step_probability(monkeypatch):
     assert all(step.prob == Fraction(step.num, step.den) and 0 < step.prob <= 1 for step in steps)
 
 
+def test_subtree_chains_leave_the_step_products_unformed(monkeypatch):
+    def no_product(step):
+        raise AssertionError("a subtree chain multiplied its step probability")
+
+    monkeypatch.setattr(treegrow.sgtrees.GrowthStep, "_product", no_product)
+    sub = SubtreeChain(["1/2", "1/3", "1/4"], horizon=60, seed=0)
+    while sub.n < 60:
+        sub.step()
+
+
 def test_unknown_model_refused(tmp_path):
     out = tmp_path / "t.jsonl"
     grow_records(out, ["--model", "subtree", "--theta", "1,1", "--n", "6"], 0)
