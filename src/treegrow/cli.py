@@ -17,7 +17,7 @@ from . import __version__
 from ._rand import derive_rng
 from .compositions import as_fraction, check_ratio_chain
 from .errors import DomainError, HorizonError, ParseError, Refused, TreegrowError
-from .oracle import (PLANE_TREE_CAP, SUBTREE_CAP, enumerate_plane_trees, enumerate_subtrees,
+from .oracle import (PLANE_TREE_CAP, SUBTREE_CAP, cleared_weights, enumerate_plane_trees, enumerate_subtrees,
                      goodness_of_fit, sg_law, st_law, subset_law, kernel_interchange_check, tree_mass)
 from .sgtrees import (WeightSequence, check_tp2_array, compute_tables, forest_array, growth_kernel_row,
                       is_log_concave, require_log_concave, GrowthChain)
@@ -27,7 +27,8 @@ from .treespace import (GrowingText, Word, adds_bouquet, format_tree, parse_tree
                         word_from_text, word_to_text)
 
 # --n-max caps not set by the enumeration caps of oracle.  On a 2-CPU Xeon:
-# tp2 checks O(n^4) minors (n-max 24 takes about 0.6 s, 40 about 5 s);
+# tp2 checks O(n^4) integer minors (n-max 24 takes about 0.13 s, 40 about
+# 0.25 s, interpreter start included);
 # ratio-chain compares O(n) ratios of ever longer integers (1000 takes about
 # 1.3 s for w = 1,3,3,1); shuffle-invariance sums over every decorated plane
 # tree, with 2^n decorations each.
@@ -331,22 +332,25 @@ def _suite_tables(args) -> dict:
     w, d = _weights(args, "1,1,1,1,1,1,1,1")
     n_max = _n_max(args, 7, PLANE_TREE_CAP)
     tables = compute_tables(w, d, N=n_max + d)
+    # the trees of size n weigh L^n b_n on the integer weights L w_k
+    scale, ints = cleared_weights(w, n_max + 1)
     failures = []
     checked = 0
     for n in range(1, n_max + 1):
         if n % d != 1 % d:
             continue
         checked += 1
-        enumerated = sum(tree_mass(w, tree) for tree in enumerate_plane_trees(n, d))
+        enumerated = Fraction(sum(tree_mass(ints, tree) for tree in enumerate_plane_trees(n, d)), scale ** n)
         if enumerated != tables.b_value(n):
             failures.append({"n": n, "recursion": str(tables.b_value(n)),
                              "enumeration": str(enumerated)})
     if d == 1:
-        # b_{n+1} = sum_k w_k f(n, k), with f from the independent forest recursion
+        # L^(n+1) b_{n+1} = sum_k (L w_k) (L^n f(n, k)), with f from the independent forest recursion
         f = forest_array(w, n_max)
         for n in range(0, n_max + 1):
             checked += 1
-            if sum(w[k] * f[n][k] for k in range(n + 1)) != tables.b_value(n + 1):
+            forest_sum = sum(ints[k] * f[n][k] for k in range(n + 1))
+            if Fraction(forest_sum, scale ** (n + 1)) != tables.b_value(n + 1):
                 failures.append({"n": n + 1, "kind": "forest-identity-mismatch"})
     return {"suite": "tables", "checked": checked, "ok": not failures, "failures": failures}
 

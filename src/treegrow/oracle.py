@@ -3,8 +3,11 @@
 Everything here is computed from first principles: laws come from raw
 product formulas normalized by their own sums, never from the recursions
 used by the production modules, so agreement between the two is a real
-check.  Chi-square p-values are the only floating-point numbers in the
-package; total-variation distances stay exact.
+check.  The products run on cleared integer weights, so every state of
+one size carries the same scale: a law is integer masses, each divided
+once by their integer total.  Chi-square p-values are the only
+floating-point numbers in the package; total-variation distances stay
+exact.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from .compositions import (ONE, PLAIN, ZERO, ArithClass, Composition, WeightPair, as_fraction,
+from .compositions import (ONE, PLAIN, ZERO, ArithClass, Composition, WeightPair, as_fraction, cleared,
                            iter_compositions)
 from .errors import DomainError, HorizonError, ZeroMassError
 from .sgtrees import coerce_weights
@@ -103,16 +106,32 @@ def _subtrees(n: int, pos: Tuple[int, ...]) -> Tuple[RootedSubtree, ...]:
 # reference laws straight from the product formulas
 
 
-def _normalized(masses: Dict) -> Dict:
+def _normalized(masses: Dict[object, int]) -> Dict:
+    """Integer masses, all at one scale, divided once each by their total."""
     total = sum(masses.values())
     if total == 0:
         raise ZeroMassError("all enumerated states have zero mass")
-    return {key: m / total for key, m in masses.items() if m != 0}
+    return {key: Fraction(m, total) for key, m in masses.items() if m != 0}
 
 
-def tree_mass(w, tree: PlaneTree) -> Fraction:
-    """The product of ``w_k`` over the vertices, k the vertex's child count; stops at the first zero."""
-    mass = ONE
+def cleared_weights(w, n: int) -> Tuple[int, List[int]]:
+    """``L`` and the integers ``L w_k`` for the child counts k < n of an n-vertex tree.
+
+    ``L`` clears the denominators of ``w``.  The list stops at a declared
+    horizon, so a read past it is an IndexError.
+    """
+    w = coerce_weights(w)
+    scale, entries = cleared(w.entries)
+    width = n if w.horizon is None else min(n, w.horizon + 1)
+    return scale, (entries + [0] * n)[:width]
+
+
+def tree_mass(w, tree: PlaneTree):
+    """The product of ``w_k`` over the vertices, k the vertex's child count; stops at the first zero.
+
+    ``w`` is a ``WeightSequence`` or the integer list of ``cleared_weights``.
+    """
+    mass = 1
     for u in tree.vertices:
         mass *= w[tree.children_count(u)]
         if not mass:
@@ -121,51 +140,73 @@ def tree_mass(w, tree: PlaneTree) -> Fraction:
 
 
 def sg_law(w, d: int, n: int) -> Dict[PlaneTree, Fraction]:
-    """Size-n tree law from raw weight products (independent of any recursion)."""
+    """Size-n tree law from raw weight products (independent of any recursion).
+
+    Every tree of size n carries the scale ``L^n`` of ``cleared_weights``,
+    so the products stay integers.
+    """
     w = coerce_weights(w)
-    masses = {tree: tree_mass(w, tree) for tree in enumerate_plane_trees(n, d)}
+    _, ints = cleared_weights(w, n)
+    masses = {}
+    for tree in enumerate_plane_trees(n, d):
+        try:
+            masses[tree] = tree_mass(ints, tree)
+        except IndexError:  # the tree reads w past its declared horizon: fail as w does
+            tree_mass(w, tree)
+            raise
     return _normalized(masses)
 
 
 def st_law(theta, n: int) -> Dict[RootedSubtree, Fraction]:
-    """Size-n subtree law from raw type-weight products."""
+    """Size-n subtree law from raw type-weight products, at the scale ``L^(n-1)``."""
     theta = coerce_theta(theta)
+    _, ints = cleared([theta.value(i) for i in theta.support])
+    weight = dict(zip(theta.support, ints))
     masses = {}
     for tau in enumerate_subtrees(n, positions=theta.support):
-        mass = ONE
+        mass = 1
         for u in tau.vertices:
             if u:
-                mass *= theta.value(u[-1])
-        if mass:
-            masses[tau] = mass
+                mass *= weight[u[-1]]
+        masses[tau] = mass
     return _normalized(masses)
 
 
 def comp_law(wp: WeightPair, n: int, cls: ArithClass = PLAIN) -> Dict[Composition, Fraction]:
-    """Composition law from raw products; a part weight past the horizon of ``wp.b`` raises HorizonError."""
+    """Composition law from raw products; a part weight past the horizon of ``wp.b`` raises HorizonError.
+
+    The count weights are cleared by ``La`` and each part weight ``b_p`` by
+    ``Lb^p``, so every composition of n carries the scale ``La Lb^n``.
+    """
+    _, a = cleared(wp.a)
+    lb, b = cleared(wp.b.values())
+    b = [0] + [v * lb ** (p - 1) for p, v in enumerate(b, 1)]
     masses = {}
     for c in iter_compositions(n, cls):
-        mass = wp.a_at(len(c))
+        mass = a[len(c)] if len(c) < len(a) else 0
         for p in c:
             if not mass:
                 break
-            mass *= wp.b[p]
+            if p >= len(b):
+                wp.b[p]  # past the declared horizon: raises HorizonError
+            mass *= b[p]
         if mass:
             masses[c] = mass
     return _normalized(masses)
 
 
 def subset_law(theta, k: int) -> Dict[frozenset, Fraction]:
-    """k-subset law from raw products."""
+    """k-subset law from raw products, at the scale ``L^k``."""
     theta = coerce_theta(theta)
     if k < 0 or k > theta.n_support:
         raise ZeroMassError(f"no {k}-subsets available")
+    _, ints = cleared([theta.value(i) for i in theta.support])
     masses = {}
-    for combo in itertools.combinations(theta.support, k):
-        mass = ONE
+    for combo in itertools.combinations(range(theta.n_support), k):
+        mass = 1
         for i in combo:
-            mass *= theta.value(i)
-        masses[frozenset(combo)] = mass
+            mass *= ints[i]
+        masses[frozenset(theta.support[i] for i in combo)] = mass
     return _normalized(masses)
 
 
@@ -205,19 +246,21 @@ class InterchangeReport:
 
 
 def kernel_interchange_check(row_fn: Callable, law_lo: Mapping, law_hi: Mapping) -> InterchangeReport:
-    """Verify that pushing the lower law through the kernel gives the upper law exactly."""
+    """Verify that pushing the lower law through the kernel gives the upper law exactly.
+
+    The first discrepancy reported is the mismatching state with the least ``repr``.
+    """
     pushed: Dict[object, Fraction] = {}
     for state, mass in law_lo.items():
         for target, p in row_fn(state).items():
             pushed[target] = pushed.get(target, ZERO) + mass * p
     keys = set(pushed) | set(law_hi.keys())
-    for key in sorted(keys, key=repr):
-        got = pushed.get(key, ZERO)
-        want = law_hi.get(key, ZERO)
-        if got != want:
-            return InterchangeReport(False, len(keys), {
-                "state": repr(key), "pushed": str(got), "target": str(want)})
-    return InterchangeReport(True, len(keys))
+    bad = [key for key in keys if pushed.get(key, ZERO) != law_hi.get(key, ZERO)]
+    if not bad:
+        return InterchangeReport(True, len(keys))
+    key = min(bad, key=repr)
+    return InterchangeReport(False, len(keys), {
+        "state": repr(key), "pushed": str(pushed.get(key, ZERO)), "target": str(law_hi.get(key, ZERO))})
 
 
 @dataclass

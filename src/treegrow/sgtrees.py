@@ -195,20 +195,23 @@ def compute_tables(w, d: int = 1, N: int = 10) -> PartitionTables:
     return PartitionTables(coerce_weights(w), d, N)
 
 
-def forest_array(w, T: int) -> List[List[Fraction]]:
-    """``f[t][k]``: weighted count of ordered k-tree forests with t vertices, for t, k <= T.
+def forest_array(w, T: int) -> List[List[int]]:
+    """``f[t][k] = L^t f(t, k)`` for t, k <= T, ``L`` the least common denominator of ``w``.
 
+    ``f(t, k)`` weighs the ordered k-tree forests with t vertices.  The
     Lukasiewicz recursion on the first vertex, whose i children join the
-    remaining trees: ``f(t, k) = sum_i w_i f(t - 1, k + i - 1)``.
+    remaining trees, ``f(t, k) = sum_i w_i f(t - 1, k + i - 1)``, runs on
+    the integer weights ``L w_i``, so the array holds Python ints.
     """
     w = coerce_weights(w)
-    support = [(i, w[i]) for i in w.support()]
-    f = [[ZERO] * (T + 1) for _ in range(T + 1)]
-    f[0][0] = ONE
+    _, entries = cleared(w.entries)
+    support = [(i, entries[i]) for i in w.support()]
+    f = [[0] * (T + 1) for _ in range(T + 1)]
+    f[0][0] = 1
     for t in range(1, T + 1):
         prev = f[t - 1]
         for k in range(1, t + 1):
-            acc = ZERO
+            acc = 0
             for i, wi in support:
                 j = k + i - 1
                 if j < t and prev[j]:
@@ -222,24 +225,36 @@ def check_tp2_array(tables: PartitionTables, N: Optional[int] = None) -> CheckRe
 
     There is one array per residue s mod d, ``F_s(n, k) = f(nd + s, kd + s)``;
     rows and columns run over 1..N when d = 1 and over 0..N otherwise, with
-    N capped by the tables' vertex horizon.
+    N capped by the tables' vertex horizon.  Both products of the minor at
+    rows n, n2 carry the scale ``L^((n + n2) d + 2s)`` of ``forest_array``,
+    so they are compared as integers; a failing minor reports both sides
+    divided by it.
     """
     report = CheckReport(name="tp2-array")
     d = tables.d
     cap = (tables.N - 1) // d
     top = cap if N is None else min(N, cap)
     low = 1 if d == 1 else 0
+    cols = range(low, top + 1)
+    minors_per_row_pair = len(cols) * (len(cols) + 1) // 2
     f = forest_array(tables.w, top * d + d - 1)
     for s in range(d):
         F = [[f[n * d + s][k * d + s] for k in range(top + 1)] for n in range(top + 1)]
         where = {"s": s} if d > 1 else {}
-        for n in range(low, top + 1):
+        for n in cols:
+            row = F[n]
             for n2 in range(n, top + 1):
-                for k in range(low, top + 1):
+                row2 = F[n2]
+                report.checked += minors_per_row_pair
+                for k in cols:
+                    a, c = row[k], row2[k]
                     for k2 in range(k, top + 1):
-                        lhs = F[n][k] * F[n2][k2]
-                        rhs = F[n][k2] * F[n2][k]
-                        report.record(lhs >= rhs, **where, n=n, n2=n2, k=k, k2=k2, lhs=lhs, rhs=rhs)
+                        lhs, rhs = a * row2[k2], row[k2] * c
+                        if lhs < rhs:
+                            scale = tables.b_scale ** ((n + n2) * d + 2 * s)
+                            report.failures.append({**where, "n": n, "n2": n2, "k": k, "k2": k2,
+                                                    "lhs": str(Fraction(lhs, scale)),
+                                                    "rhs": str(Fraction(rhs, scale))})
     return report
 
 

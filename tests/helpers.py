@@ -16,7 +16,7 @@ from typing import Dict, FrozenSet
 
 import numpy as np
 
-from treegrow.compositions import WeightPair, composition_kernel, iter_compositions
+from treegrow.compositions import CheckReport, WeightPair, composition_kernel, iter_compositions
 from treegrow.errors import DomainError, NotCoupleable, ParseError, TreegrowError
 from treegrow.oracle import enumerate_plane_trees, enumerate_subtrees, tree_mass
 from treegrow.sgtrees import WeightSequence, compute_tables, growth_kernel_row
@@ -73,6 +73,34 @@ def toeplitz_tp2(xs, window):
     return all(at(i - j) * at(i2 - j2) >= at(i - j2) * at(i2 - j)
                for i in range(window) for i2 in range(i, window)
                for j in range(window) for j2 in range(j, window))
+
+
+def tp2_brute_force(tables, N=None):
+    """``check_tp2_array(tables, N).as_dict()`` from the Fraction forest recursion and every minor.
+
+    ``f(t, k) = sum_i w_i f(t - 1, k + i - 1)`` on the rational weights,
+    then each minor of ``F_s(n, k) = f(nd + s, kd + s)`` compared and
+    recorded, failures with both exact sides, in row-major order.
+    """
+    w, d = tables.w, tables.d
+    cap = (tables.N - 1) // d
+    top = cap if N is None else min(N, cap)
+    low = 1 if d == 1 else 0
+    T = top * d + d - 1
+    f = [[Fraction(0)] * (T + 1) for _ in range(T + 1)]
+    f[0][0] = Fraction(1)
+    for t in range(1, T + 1):
+        for k in range(1, t + 1):
+            f[t][k] = sum((w[i] * f[t - 1][k + i - 1] for i in range(t - k + 1)), Fraction(0))
+    report = CheckReport(name="tp2-array")
+    for s in range(d):
+        where = {"s": s} if d > 1 else {}
+        for n, n2, k, k2 in itertools.product(range(low, top + 1), repeat=4):
+            if n <= n2 and k <= k2:
+                lhs = f[n * d + s][k * d + s] * f[n2 * d + s][k2 * d + s]
+                rhs = f[n * d + s][k2 * d + s] * f[n2 * d + s][k * d + s]
+                report.record(lhs >= rhs, **where, n=n, n2=n2, k=k, k2=k2, lhs=lhs, rhs=rhs)
+    return report.as_dict()
 
 
 def first_part_law(tables, ell, t):

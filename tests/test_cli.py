@@ -127,6 +127,39 @@ def test_golden_trace(case, tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# (verify flags, exit code, SHA-256 of stdout) pinned from the implementation that compared
+# Fraction minors and normalized Fraction tree masses: the four verify-exact benchmark configs,
+# tp2 runs that fail (so failure order and both exact sides are pinned) and the tables suite
+# on fractional weights.
+GOLDEN_VERIFY = {
+    "kernel-interchange-1111": (["--suite", "kernel-interchange", "--w", "1,1,1,1", "--n-max", "9"], 0,
+                                "3aeb8cb55a429a92ec999456dc34b86c1f1824b874b75657d51fd3d1c8a56ed0"),
+    "ratio-chain-1331": (["--suite", "ratio-chain", "--w", "1,3,3,1", "--n-max", "200"], 0,
+                         "f997b96d0caf0a4c3bc70d3cf65129c2405770c654ecb503a1132124176555ec"),
+    "ratio-chain-10201": (["--suite", "ratio-chain", "--w", "1,0,2,0,1", "--d", "2", "--n-max", "150"], 0,
+                          "15aa67ff4f09f8419a3706301ccfc0a017f6b6eca043d621c1dab59daa40065c"),
+    "tp2-1331": (["--suite", "tp2", "--w", "1,3,3,1", "--n-max", "24"], 0,
+                 "6330ce9194121dd5cdc74a8c3af3ecddc6974b08967ca29146ec3e50731ef506"),
+    "tp2-1131": (["--suite", "tp2", "--w", "1,1,3,1"], 3,
+                 "5a0c7617b3461605b5aa6b2e48270a3aa0418419d343a07082743b85e007f41e"),
+    "tp2-2/5,1/5,2/5": (["--suite", "tp2", "--w", "2/5,1/5,2/5"], 3,
+                        "d1e8191ede41d1f4507edd015c2e807aa230f7b9c5a5fb9c547465f918d56e95"),
+    "tp2-1,0,1/10,0,1-d2": (["--suite", "tp2", "--w", "1,0,1/10,0,1", "--d", "2"], 3,
+                            "bc4b6bf9ce9f4db5631e8e7d8266ec2d47e0d189032a239018c19965219f554a"),
+    "tp2-1/2,1/3,1/7,1/11": (["--suite", "tp2", "--w", "1/2,1/3,1/7,1/11"], 3,
+                             "b933ea6e78042c818d94afb0110d131a7987fcd830b86db66c3ead1ed0c9a8e7"),
+    "tables-2/5,1/5,2/5": (["--suite", "tables", "--w", "2/5,1/5,2/5", "--n-max", "10"], 0,
+                           "2615e5ef5c835555cc9cc9a6a170cd7b844e66f2715080f69f2f21ff864efa12"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_VERIFY))
+def test_golden_verify(case, capsys):
+    flags, code, digest = GOLDEN_VERIFY[case]
+    assert run("verify", *flags) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 class TestErrorBoundary:
     """Every user-facing failure ends in one line on stderr and a documented exit code."""
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 from fractions import Fraction as F
@@ -12,7 +13,7 @@ from treegrow.oracle import (comp_law, enumerate_plane_trees, enumerate_subtrees
                              janson_expectations, kernel_interchange_check, sg_law, st_law,
                              subset_law, tv_distance)
 from treegrow.sgtrees import WeightSequence, compute_tables, growth_kernel_row
-from treegrow.treespace import ROOT, format_tree
+from treegrow.treespace import ROOT, PlaneTree, format_tree
 
 
 def catalan(k):
@@ -132,6 +133,63 @@ class TestExactLaws:
             subset_law(["-1", "1"], 1)
 
 
+def divided(masses):
+    """The reference normalization: Fraction masses, each divided by their Fraction total."""
+    total = sum(masses.values(), F(0))
+    return {key: m / total for key, m in masses.items() if m}
+
+
+def product(values):
+    out = F(1)
+    for v in values:
+        out *= v
+    return out
+
+
+class TestIntegerLawsMatchFractionProducts:
+    @pytest.mark.parametrize("w, d, n", [(["1/2", "1/3", "0", "2/7", "1/11"], 1, 6),
+                                         (["3/4", 0, "1/6", 0, "2/5"], 2, 7),
+                                         (["5/3", 0, 0, "1/9"], 3, 7)])
+    def test_sg_law(self, w, d, n):
+        w = WeightSequence(w)
+        trees = enumerate_plane_trees(n, d)
+        reference = divided({t: product(w[t.children_count(u)] for u in t.vertices) for t in trees})
+        law = sg_law(w, d, n)
+        assert law == reference and list(law) == list(reference)
+
+    @pytest.mark.parametrize("theta, n", [(["1/2", "1/3", "1/5"], 4), (["2/3", "0", "3/7"], 5)])
+    def test_st_law(self, theta, n):
+        values = [F(v) for v in theta]
+        support = [i + 1 for i, v in enumerate(values) if v]
+        reference = divided({tau: product(values[u[-1] - 1] for u in tau.vertices if u)
+                             for tau in enumerate_subtrees(n, positions=support)})
+        law = st_law(theta, n)
+        assert law == reference and list(law) == list(reference)
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_subset_law(self, k):
+        theta = ["1/2", "0", "2/3", "1/7"]
+        reference = divided({frozenset(c): product(F(theta[i - 1]) for i in c)
+                             for c in itertools.combinations((1, 3, 4), k)})
+        law = subset_law(theta, k)
+        assert law == reference and list(law) == list(reference)
+
+    @pytest.mark.parametrize("cls, n", [(ArithClass(1, 0), 5), (ArithClass(2, 1), 7), (ArithClass(2, 0), 6)])
+    def test_comp_law(self, cls, n):
+        wp = WeightPair(["1/2", "1/3", "2/5", "0", "3/4"], ["1/3", "3/4", "1/6", "2/9", "5/7", "1/2", "4/11"])
+        reference = divided({c: wp.a_at(len(c)) * product(wp.b[p] for p in c)
+                             for c in iter_compositions(n, cls)})
+        law = comp_law(wp, n, cls)
+        assert law == reference and list(law) == list(reference)
+
+    def test_sg_law_past_a_declared_horizon(self):
+        # trees of 6 vertices read w_4 and w_5, beyond the truncation at 3
+        with pytest.raises(HorizonError, match="beyond declared truncation horizon 3"):
+            sg_law(WeightSequence(["1/2", "1/3", "1/5"], horizon=3), 1, 6)
+        truncated = sg_law(WeightSequence(["1/2", "1/3", "1/5"], horizon=5), 1, 6)
+        assert truncated == sg_law(WeightSequence(["1/2", "1/3", "1/5"]), 1, 6)
+
+
 class TestJanson:
     def test_obstruction_values(self):
         e3, e4 = janson_expectations(F(1, 5))
@@ -175,6 +233,34 @@ class TestInterchangeHarness:
         assert not report.ok
         assert report.first_discrepancy is not None
         assert "pushed" in report.first_discrepancy
+
+    def test_reports_the_least_mismatching_state(self):
+        w = WeightSequence(["1/2", "1/3", "1/5", "1/9"])
+        tables = compute_tables(w, 1, N=7)
+        law_lo, law_hi = sg_law(w, 1, 6), sg_law(w, 1, 7)
+        stray = PlaneTree([ROOT, (1,)])  # carries no mass at size 7
+
+        def corrupted(tree):
+            row = dict(growth_kernel_row(tables, tree))
+            if tree.children_count(ROOT) == 2:
+                for target in sorted(row, key=repr)[:2]:
+                    row[target] = row[target] * F(3, 4)  # break two entries of each such row
+                row[stray] = F(1, 9)
+            return row
+
+        pushed = {}
+        for state, mass in law_lo.items():
+            for target, p in corrupted(state).items():
+                pushed[target] = pushed.get(target, F(0)) + mass * p
+        keys = set(pushed) | set(law_hi)
+        bad = [key for key in keys if pushed.get(key, F(0)) != law_hi.get(key, F(0))]
+        assert len(bad) > 2 and stray in bad
+        first = sorted(bad, key=repr)[0]
+        report = kernel_interchange_check(corrupted, law_lo, law_hi)
+        assert not report.ok
+        assert report.states_checked == len(keys) == len(law_hi) + 1
+        assert report.first_discrepancy == {"state": repr(first), "pushed": str(pushed[first]),
+                                            "target": str(law_hi.get(first, F(0)))}
 
 
 class TestGoodnessOfFit:

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import helpers
 from treegrow._rand import derive_rng
@@ -241,6 +241,33 @@ class TestInequalitySuites:
     def test_tp2_arithmetic(self):
         tables = compute_tables(WeightSequence([1, 0, 1]), 2, N=21)
         assert check_tp2_array(tables).ok
+
+
+tp2_entry = st.sampled_from([F(1, 10), F(1, 7), F(1, 3), F(2, 5), F(1, 2), F(1), F(3, 2), F(3), F(4)])
+
+
+@st.composite
+def tp2_weights(draw):
+    """d-arithmetic weights of radius <= 4 with w_0 w_d > 0, fractional, log-concave or not."""
+    d = draw(st.integers(1, 3))
+    entries = [F(0)] * 5
+    for i in range(0, 5, d):
+        entries[i] = draw(tp2_entry if i in (0, d) else tp2_entry | st.just(F(0)))
+    return entries, d
+
+
+@settings(max_examples=150, deadline=None)
+@given(wd=tp2_weights(), horizon=st.integers(1, 11), N=st.none() | st.integers(0, 6))
+# the failing inputs of the verify tp2 suite, at its default --n-max 10
+@example(wd=([1, 1, 3, 1], 1), horizon=11, N=None)
+@example(wd=(["2/5", "1/5", "2/5"], 1), horizon=11, N=None)
+@example(wd=([1, 0, "1/10", 0, 1], 2), horizon=11, N=None)
+@example(wd=(["1/2", "1/3", "1/7", "1/11"], 1), horizon=11, N=None)
+def test_tp2_minors_match_the_fraction_brute_force(wd, horizon, N):
+    # integer minors at a common scale: same count, same failures in the same order, same exact sides
+    w, d = wd
+    tables = compute_tables(WeightSequence(w), d, N=horizon)
+    assert check_tp2_array(tables, N).as_dict() == helpers.tp2_brute_force(tables, N)
 
 
 class TestGrowthKernel:
