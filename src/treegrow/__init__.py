@@ -14,7 +14,7 @@ from .errors import (DomainError, HorizonError, NotCoupleable, ParseError, Refus
 from .treespace import (PlaneTree, RootedSubtree, Word, complete_d_ary,
                         compose_root, format_tree, is_bouquet_addition,
                         is_right_leaning_leaf_addition, parse_tree, to_dot)
-from .compositions import (ArithClass, BSequence, Composition, PairTables, WeightPair,
+from .compositions import (ArithClass, Composition, PairTables, WeightPair,
                            check_admissibility_inequalities, check_ratio_chain,
                            composition_kernel, covering_successors, move_rows,
                            sample_composition_chain, satisfies_arith, shift)

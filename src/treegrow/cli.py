@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -442,6 +443,8 @@ def _suite_shuffle_invariance(args) -> dict:
 def _suite_stats(args) -> dict:
     """Fit the final states of independent chains on shared tables to the model's exact law at n."""
     if args.theta:
+        if _given(args.d, 1) != 1:
+            raise ParseError("the subtree model has d = 1")
         theta = SummableTheta(parse_rational_list(args.theta))
         model, d, n = "subtree", 1, _n_max(args, 4, SUBTREE_CAP)
         law, tables = st_law(theta, n), compute_tables(WeightSequence(theta.e), 1, N=n)
@@ -469,7 +472,9 @@ def _suite_stats(args) -> dict:
             chain.step()
         counts[read(chain)] += 1
     report = goodness_of_fit(counts, law)
-    ok = report.tv < Fraction(5, 100) and (report.p_value is None or report.p_value > 0.001)
+    # Weissman et al. (2003): the TV of an exact sampler reaches this bound with probability below 0.001
+    tv_bound = math.sqrt((report.categories * math.log(2) + math.log(1000)) / (2 * report.sample_size))
+    ok = report.tv < tv_bound and (report.p_value is None or report.p_value > 0.001)
     return {"suite": "stats", "ok": ok, "runs": [{"model": model, "n": n, **report.as_dict()}]}
 
 

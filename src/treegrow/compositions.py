@@ -125,73 +125,93 @@ def iter_compositions(n: int, cls: ArithClass = PLAIN) -> Iterator[Composition]:
     yield from rec(n, ())
 
 
-class BSequence:
-    """Part weights ``b_1, ..., b_H`` up to a declared horizon ``H``.
+class WeightSequence:
+    """Exact weights ``w_0, w_1, ...`` (offspring, count or part) with an optional truncation horizon.
 
-    Asking for an index beyond the horizon fails loudly rather than
-    silently returning a wrong value.
+    A sequence with ``horizon=None`` is exactly what it says: zero beyond
+    its entries.  A declared horizon marks a user-side truncation of an
+    infinite family; reads past it raise instead of silently treating the
+    unknown tail as zero.
     """
 
-    __slots__ = ("_values", "horizon")
+    __slots__ = ("entries", "horizon")
 
-    def __init__(self, values: Iterable):
-        self._values = tuple(as_fraction(v) for v in values)
-        self.horizon = len(self._values)
+    def __init__(self, entries: Iterable, horizon: Optional[int] = None):
+        if horizon is None and isinstance(entries, WeightSequence):
+            horizon = entries.horizon  # a copy keeps its truncation
+        self.entries = tuple(as_fraction(v) for v in entries)
+        if any(v < 0 for v in self.entries):
+            raise DomainError("offspring weights must be non-negative")
+        if not any(self.entries):
+            raise DomainError("offspring weights are identically zero")
+        if horizon is not None and horizon < len(self.entries) - 1:
+            raise DomainError("declared horizon shorter than the supplied entries")
+        self.horizon = horizon
 
-    def __getitem__(self, m: int) -> Fraction:
-        if m < 1:
-            raise DomainError(f"b is indexed from 1, got {m}")
-        if m > self.horizon:
-            raise HorizonError(f"b_{m} requested beyond declared horizon {self.horizon}")
-        return self._values[m - 1]
+    def __getitem__(self, i: int) -> Fraction:
+        if i < 0:
+            raise DomainError("offspring weights are indexed from 0")
+        if self.horizon is not None and i > self.horizon:
+            raise HorizonError(f"w_{i} requested beyond declared truncation horizon {self.horizon}")
+        return self.entries[i] if i < len(self.entries) else ZERO
 
-    def values(self) -> Tuple[Fraction, ...]:
-        return self._values
+    def __iter__(self) -> Iterator[Fraction]:
+        return iter(self.entries)
+
+    @property
+    def radius(self) -> int:
+        return max(i for i, v in enumerate(self.entries) if v != 0)
+
+    def support(self) -> List[int]:
+        return [i for i, v in enumerate(self.entries) if v != 0]
+
+    def is_d_arithmetic(self, d: int) -> bool:
+        return all(i % d == 0 for i in self.support())
+
+    def progression(self, d: int) -> Tuple[Fraction, ...]:
+        """The subsequence ``w_0, w_d, w_2d, ...`` up to the radius."""
+        if d < 1:
+            raise DomainError("d must be >= 1")
+        if not self.is_d_arithmetic(d):
+            bad = next(i for i in self.support() if i % d != 0)
+            raise DomainError(f"weights are not supported on multiples of {d} (w_{bad} != 0)")
+        return tuple(self.entries[i] for i in range(0, self.radius + 1, d))
 
     def __eq__(self, other):
-        return isinstance(other, BSequence) and self._values == other._values
+        return (isinstance(other, WeightSequence)
+                and self.entries == other.entries and self.horizon == other.horizon)
 
     def __hash__(self):
-        return hash(self._values)
+        return hash((self.entries, self.horizon))
 
     def __repr__(self):
-        return f"BSequence({list(self._values)!r})"
+        return f"WeightSequence({list(self.entries)!r}, horizon={self.horizon!r})"
+
+
+def coerce_weights(w) -> WeightSequence:
+    return w if isinstance(w, WeightSequence) else WeightSequence(w)
 
 
 class WeightPair:
-    """A pair of count weights ``a`` (indexed from 0) and part weights ``b``."""
+    """Count weights ``a`` and part weights ``b``, each a ``WeightSequence``.
+
+    ``b`` holds ``b_0 = 0`` before the given part weights ``b_1, ..., b_H``
+    and declares the horizon ``H``, so a read past the last part weight
+    raises ``HorizonError``.
+    """
 
     __slots__ = ("a", "b")
 
-    def __init__(self, a: Iterable, b):
-        self.a = tuple(as_fraction(v) for v in a)
-        self.b = b if isinstance(b, BSequence) else BSequence(b)
-        if any(v < 0 for v in self.a):
-            raise DomainError("count weights must be non-negative")
-        if any(v < 0 for v in self.b.values()):
-            raise DomainError("part weights must be non-negative")
-
-    def a_at(self, i: int) -> Fraction:
-        return self.a[i] if 0 <= i < len(self.a) else ZERO
-
-    @property
-    def a_support(self) -> List[int]:
-        return [i for i, v in enumerate(self.a) if v != 0]
-
-    @property
-    def max_a_index(self) -> int:
-        support = self.a_support
-        if not support:
-            raise DomainError("count weights are identically zero")
-        return support[-1]
+    def __init__(self, a: Iterable, b: Iterable):
+        self.a = WeightSequence(a)
+        b = tuple(b)
+        self.b = WeightSequence((0, *b), horizon=len(b))
 
     def check_nondegenerate(self, cls: ArithClass = PLAIN):
         """Raise unless the pair is non-degenerate for the given class."""
-        support = self.a_support
-        if not support:
-            raise DomainError("degenerate weight pair: a is identically zero")
+        support = self.a.support()
         d, s = cls.d, cls.s
-        if self.a_at(s) == 0:
+        if self.a[s] == 0:
             raise DomainError(f"degenerate weight pair: a_{s} must be positive")
         expected = list(range(s, support[-1] + 1, d))
         if support != expected:
@@ -209,7 +229,7 @@ class WeightPair:
         return hash((self.a, self.b))
 
     def __repr__(self):
-        return f"WeightPair(a={list(self.a)!r}, b={self.b!r})"
+        return f"WeightPair(a={list(self.a)!r}, b={list(self.b)[1:]!r})"
 
 
 def shift(wp: WeightPair, ell: int, cls: ArithClass = PLAIN) -> WeightPair:
@@ -222,7 +242,7 @@ def shift(wp: WeightPair, ell: int, cls: ArithClass = PLAIN) -> WeightPair:
         raise DomainError("shift must be non-negative")
     if ell == 0:
         return wp
-    shifted = WeightPair(wp.a[ell:], wp.b)
+    shifted = WeightPair(wp.a.entries[ell:], wp.b.entries[1:])
     new_cls = ArithClass(cls.d, (cls.s - ell) % cls.d)
     shifted.check_nondegenerate(new_cls)
     return shifted
@@ -532,9 +552,9 @@ class PairTables(PartitionKernel):
         n = wp.b.horizon if total_horizon is None else total_horizon
         if n > wp.b.horizon:
             raise HorizonError(f"pair tables to total {n} need b up to {n}, have {wp.b.horizon}")
-        r = wp.max_a_index
-        a_scale, a = cleared(wp.a[:r + 1])
-        b_scale, b = cleared([wp.b[m] for m in range(1, n + 1)])
+        r = wp.a.radius
+        a_scale, a = cleared(wp.a.entries[:r + 1])
+        b_scale, b = cleared(wp.b.entries[1:n + 1])
         super().__init__(cls.d, r, a_scale, b_scale, n)
         self.wp = wp
         self.cls = cls
@@ -619,7 +639,7 @@ def check_admissibility_inequalities(wp: WeightPair, cls: ArithClass = PLAIN, N:
     d = cls.d
     if cls.s != 0:
         raise DomainError("admissibility checks start from the class (d, 0)")
-    if d == 1 and wp.max_a_index <= 1:
+    if d == 1 and wp.a.radius <= 1:
         return CheckReport(name="ratio-chain")
     total_horizon = (N + 1) * d + 1
     if total_horizon > wp.b.horizon:

@@ -20,9 +20,8 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .compositions import (ONE, PLAIN, ZERO, ArithClass, Composition, WeightPair, as_fraction, cleared,
-                           iter_compositions)
+                           coerce_weights, iter_compositions)
 from .errors import DomainError, HorizonError, ZeroMassError
-from .sgtrees import coerce_weights
 from .subtree_model import coerce_theta
 from .treespace import PlaneTree, ROOT, RootedSubtree, compose_root
 
@@ -178,8 +177,8 @@ def comp_law(wp: WeightPair, n: int, cls: ArithClass = PLAIN) -> Dict[Compositio
     The count weights are cleared by ``La`` and each part weight ``b_p`` by
     ``Lb^p``, so every composition of n carries the scale ``La Lb^n``.
     """
-    _, a = cleared(wp.a)
-    lb, b = cleared(wp.b.values())
+    _, a = cleared(wp.a.entries)
+    lb, b = cleared(wp.b.entries[1:])
     b = [0] + [v * lb ** (p - 1) for p, v in enumerate(b, 1)]
     masses = {}
     for c in iter_compositions(n, cls):

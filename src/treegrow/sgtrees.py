@@ -17,74 +17,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .compositions import CheckReport, PartitionKernel, ZERO, ONE, as_fraction, cleared, peel_partition_values
+from .compositions import (ONE, CheckReport, PartitionKernel, WeightSequence, as_fraction, cleared,
+                           coerce_weights, peel_partition_values)
 from .compositions import check_ratio_chain  # noqa: F401  (re-exported: it checks tree tables too)
 from .errors import DomainError, HorizonError, Refused
 from .treespace import PlaneTree, ROOT, Word
-
-
-class WeightSequence:
-    """Offspring weights ``w_0, w_1, ...`` with an optional truncation horizon.
-
-    A sequence with ``horizon=None`` is exactly what it says: zero beyond
-    its entries.  A declared horizon marks a user-side truncation of an
-    infinite family; reads past it raise instead of silently treating the
-    unknown tail as zero.
-    """
-
-    __slots__ = ("entries", "horizon")
-
-    def __init__(self, entries: Iterable, horizon: Optional[int] = None):
-        self.entries = tuple(as_fraction(v) for v in entries)
-        if any(v < 0 for v in self.entries):
-            raise DomainError("offspring weights must be non-negative")
-        if not any(self.entries):
-            raise DomainError("offspring weights are identically zero")
-        if horizon is not None and horizon < len(self.entries) - 1:
-            raise DomainError("declared horizon shorter than the supplied entries")
-        self.horizon = horizon
-
-    def __getitem__(self, i: int) -> Fraction:
-        if i < 0:
-            raise DomainError("offspring weights are indexed from 0")
-        if self.horizon is not None and i > self.horizon:
-            raise HorizonError(f"w_{i} requested beyond declared truncation horizon {self.horizon}")
-        return self.entries[i] if i < len(self.entries) else ZERO
-
-    @property
-    def radius(self) -> int:
-        return max(i for i, v in enumerate(self.entries) if v != 0)
-
-    def support(self) -> List[int]:
-        return [i for i, v in enumerate(self.entries) if v != 0]
-
-    def is_d_arithmetic(self, d: int) -> bool:
-        return all(i % d == 0 for i in self.support())
-
-    def progression(self, d: int) -> Tuple[Fraction, ...]:
-        """The subsequence ``w_0, w_d, w_2d, ...`` up to the radius."""
-        if d < 1:
-            raise DomainError("d must be >= 1")
-        if not self.is_d_arithmetic(d):
-            bad = next(i for i in self.support() if i % d != 0)
-            raise DomainError(f"weights are not supported on multiples of {d} (w_{bad} != 0)")
-        return tuple(self.entries[i] for i in range(0, self.radius + 1, d))
-
-    def __eq__(self, other):
-        return (isinstance(other, WeightSequence)
-                and self.entries == other.entries and self.horizon == other.horizon)
-
-    def __hash__(self):
-        return hash((self.entries, self.horizon))
-
-    def __repr__(self):
-        return f"WeightSequence({list(self.entries)!r}, horizon={self.horizon!r})"
-
-
-def coerce_weights(w) -> WeightSequence:
-    return w if isinstance(w, WeightSequence) else WeightSequence(w)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,8 @@ import treegrow.sgtrees
 from treegrow.cli import GROW_CAP, exact_text, main, validate_trace
 from treegrow.compositions import as_fraction
 from treegrow.errors import DomainError
+from treegrow.oracle import sg_law
+from treegrow.sgtrees import WeightSequence
 
 
 def run(*argv):
@@ -250,10 +252,11 @@ class TestErrorBoundary:
         (["grow", "--model", "subtree", "--n", "5"], "--theta is required for the subtree model"),
         (["grow", "--model", "subtree", "--theta", "1,1", "--d", "3", "--n", "5"],
          "the subtree model has d = 1"),
+        (["verify", "--suite", "stats", "--theta", "1,1", "--d", "2"], "the subtree model has d = 1"),
         (["verify"], "--suite is required"),
         (["enumerate"], "pass --plane-trees, --subtrees or --arith-trees"),
-    ], ids=["grow-model", "grow-n", "sg-w", "sg-d", "subtree-theta", "subtree-d", "verify-suite",
-            "enumerate-kind"])
+    ], ids=["grow-model", "grow-n", "sg-w", "sg-d", "subtree-theta", "subtree-d", "stats-subtree-d",
+            "verify-suite", "enumerate-kind"])
     def test_missing_argument(self, argv, message, capsys):
         assert self.assert_one_line_error(capsys, run(*argv)) == f"error: {message}"
 
@@ -429,6 +432,26 @@ class TestVerify:
         assert code == 0
         report = json.loads(out.read_text())
         assert report["ok"] is True
+
+    @pytest.mark.parametrize("argv", [
+        ["--theta", "1/2,1/3,1/4", "--n-max", "4", "--samples", "2000", "--seed", "0"],
+        ["--theta", "1/2,1/3,1/4", "--n-max", "4", "--samples", "2000", "--seed", "1"],
+        ["--theta", "1/2,1/3,1/4", "--n-max", "4", "--samples", "2000", "--seed", "2"],
+        ["--n-max", "8"],
+        ["--theta", "1,1", "--n-max", "3", "--samples", "200"],
+    ], ids=["theta-seed0", "theta-seed1", "theta-seed2", "sg-421-trees", "theta-200-samples"])
+    def test_stats_tv_gate_scales_with_the_sample(self, argv, capsys):
+        # each run's TV is above 5/100 and below sqrt((K ln 2 + ln 1000) / 2N)
+        assert run("verify", "--suite", "stats", *argv) == 0
+        (fit,) = json.loads(capsys.readouterr().out)["runs"]
+        assert F(5, 100) < F(fit["tv"]) and fit["p_value"] > 0.001
+
+    def test_stats_refuses_a_mis_fitted_law(self, monkeypatch, capsys):
+        # the default chains grow 1,1,1,1,1,1 trees; fitted to the law of 1,11/10,1,1,1,1 they fail
+        monkeypatch.setattr(treegrow.cli, "sg_law",
+                            lambda w, d, n: sg_law(WeightSequence([1, "11/10", 1, 1, 1, 1]), d, n))
+        assert run("verify", "--suite", "stats") == 3
+        assert json.loads(capsys.readouterr().out)["ok"] is False
 
     def test_stats_single_tree_is_a_vacuous_fit(self, capsys):
         # n = d + 1 = 10 holds one tree: no chi-square degree of freedom, every sample on it

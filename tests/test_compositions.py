@@ -6,15 +6,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
+import treegrow
+import treegrow.compositions
 from treegrow._rand import derive_rng
-from treegrow.compositions import (PLAIN, ArithClass, BSequence, PairTables, WeightPair,
+from treegrow.compositions import (PLAIN, ArithClass, PairTables, WeightPair,
                                    apply_move, as_fraction, check_admissibility_inequalities,
                                    check_ratio_chain, composition_kernel, covering_successors,
                                    iter_compositions, move_rows, sample_composition_chain,
                                    satisfies_arith, shift)
 from treegrow.errors import DomainError, HorizonError, NotCoupleable, ZeroMassError
 from treegrow.oracle import comp_law, tv_distance
-from treegrow.sgtrees import WeightSequence, compute_tables
+from treegrow.sgtrees import WeightSequence, compute_tables, is_log_concave
 
 ONES = [F(1)] * 14
 
@@ -23,7 +25,7 @@ def tree_pair(w_entries, d=1, n_total=16):
     """The weight pair whose count weights are w and part weights the tree masses."""
     w = WeightSequence(w_entries)
     tables = compute_tables(w, d, N=n_total + 1)
-    b = BSequence(tables.b_value(m) for m in range(1, n_total + 1))
+    b = [tables.b_value(m) for m in range(1, n_total + 1)]
     return WeightPair(w.entries, b)
 
 
@@ -75,7 +77,7 @@ class TestPartitionFunction:
         wp = WeightPair(ONES, [1, 1, 2, 5, 14])
         direct = F(0)
         for c in iter_compositions(3):
-            m = wp.a_at(len(c))
+            m = wp.a[len(c)]
             for p in c:
                 m *= wp.b[p]
             direct += m
@@ -95,7 +97,7 @@ class TestPartitionFunction:
         for n in range(0, 9):
             direct = F(0)
             for c in iter_compositions(n):
-                m = wp.a_at(len(c))
+                m = wp.a[len(c)]
                 for p in c:
                     m *= wp.b[p]
                 direct += m
@@ -344,8 +346,8 @@ class TestAdmissibility:
 
 def refused_by_the_d1_rule(wp):
     """The separate d = 1 rule that ``check_nondegenerate`` kept before its general rule served d = 1."""
-    support = wp.a_support
-    return (not support or wp.a_at(0) == 0 or wp.a_at(1) == 0
+    support = wp.a.support()
+    return (wp.a[0] == 0 or wp.a[1] == 0
             or support != list(range(support[-1] + 1))
             or any(wp.b[m] == 0 for m in range(1, wp.b.horizon + 1)))
 
@@ -359,9 +361,18 @@ class TestNondegenerate:
     @example([0, 1], [1])           # a_0 = 0
     @example([1], [1])              # support {0}
     @example([0, 0], [1])           # a identically zero
+    @example([1, 1], [])            # no part weights
     @settings(max_examples=300, deadline=None)
     def test_plain_class_refuses_as_the_d1_rule(self, a, b):
-        wp = WeightPair(a, b)
+        try:
+            wp = WeightPair(a, b)
+        except DomainError:
+            assert not any(a) or not any(b)
+            return
+        assert any(a) and any(b)
+        assert wp.b[0] == 0 and [wp.b[m] for m in range(1, len(b) + 1)] == b
+        with pytest.raises(HorizonError):
+            wp.b[len(b) + 1]
         try:
             wp.check_nondegenerate(PLAIN)
         except DomainError:
@@ -373,7 +384,7 @@ class TestNondegenerate:
 class TestShift:
     def test_basic(self):
         wp = WeightPair([1, 2, 3], ONES)
-        assert shift(wp, 1).a == (F(2), F(3))
+        assert shift(wp, 1).a.entries == (F(2), F(3))
 
     def test_identity(self):
         wp = WeightPair([1, 2, 3], ONES)
@@ -435,9 +446,21 @@ class TestChainSampling:
 
 class TestHorizonsAndErrors:
     def test_b_horizon(self):
-        b = BSequence([1, 1, 2])
+        b = WeightPair([1, 1], [1, 1, 2]).b
+        assert b[3] == 2
         with pytest.raises(HorizonError):
             b[4]
+
+    def test_one_weight_sequence_type(self):
+        assert treegrow.WeightSequence is WeightSequence is treegrow.compositions.WeightSequence
+
+    def test_weight_sequence_iterates_its_entries(self):
+        # iterated by index, a sequence would read zeros past its entries forever
+        ws = WeightSequence([1, 2, 1], horizon=4)
+        assert list(ws) == list(ws.entries)
+        assert is_log_concave(ws) == is_log_concave(ws.entries)
+        assert WeightSequence(ws) == ws  # a copy keeps the truncation
+        assert WeightPair(WeightSequence([1, 1]), [1, 1]) == WeightPair([1, 1], [1, 1])
 
     def test_float_rejected(self):
         with pytest.raises(DomainError):

@@ -177,7 +177,7 @@ class TestIntegerLawsMatchFractionProducts:
     @pytest.mark.parametrize("cls, n", [(ArithClass(1, 0), 5), (ArithClass(2, 1), 7), (ArithClass(2, 0), 6)])
     def test_comp_law(self, cls, n):
         wp = WeightPair(["1/2", "1/3", "2/5", "0", "3/4"], ["1/3", "3/4", "1/6", "2/9", "5/7", "1/2", "4/11"])
-        reference = divided({c: wp.a_at(len(c)) * product(wp.b[p] for p in c)
+        reference = divided({c: wp.a[len(c)] * product(wp.b[p] for p in c)
                              for c in iter_compositions(n, cls)})
         law = comp_law(wp, n, cls)
         assert law == reference and list(law) == list(reference)
