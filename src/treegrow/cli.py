@@ -45,10 +45,10 @@ SUBSET_SUPPORT_CAP = 8
 
 # --n cap of grow.  The compiled step laws hold O(n^2) running sums of O(n)
 # bits each, so memory grows like n^3 (and with the bit length of the
-# weights).  On a 2-CPU Xeon, n = 600 with --out peaks at 233 MB in about 3.4 s
-# for w = 1,3,3,1, at 272 MB for w = 1,1,1,1,1,1,1,1 and at 337 MB in 3.3 s for
-# the subtree model with theta = 1/2,1/3,1/4; n = 800 reached 758 MB and 1.1 GB
-# before the trace writer and reader became incremental.
+# weights).  On a 2-CPU Xeon, n = 600 with --out peaks at 90 MB in 3.3-4.4 s
+# for w = 1,3,3,1, 101 MB in 2.6-2.9 s for w = 1 x 8 and 128 MB in 2.2-2.5 s
+# for the subtree model with theta = 1/2,1/3,1/4; n = 800 reached 758 MB and
+# 1.1 GB before the trace writer and reader became incremental.
 GROW_CAP = 600
 
 MODELS = ("sg", "sg-arith", "subtree")

@@ -141,18 +141,18 @@ class WeightSequence:
             horizon = entries.horizon  # a copy keeps its truncation
         self.entries = tuple(as_fraction(v) for v in entries)
         if any(v < 0 for v in self.entries):
-            raise DomainError("offspring weights must be non-negative")
+            raise DomainError("weights must be non-negative")
         if not any(self.entries):
-            raise DomainError("offspring weights are identically zero")
+            raise DomainError("weights are identically zero")
         if horizon is not None and horizon < len(self.entries) - 1:
             raise DomainError("declared horizon shorter than the supplied entries")
         self.horizon = horizon
 
     def __getitem__(self, i: int) -> Fraction:
         if i < 0:
-            raise DomainError("offspring weights are indexed from 0")
+            raise DomainError("weights are indexed from 0")
         if self.horizon is not None and i > self.horizon:
-            raise HorizonError(f"w_{i} requested beyond declared truncation horizon {self.horizon}")
+            raise HorizonError(f"weight {i} requested beyond declared truncation horizon {self.horizon}")
         return self.entries[i] if i < len(self.entries) else ZERO
 
     def __iter__(self) -> Iterator[Fraction]:
@@ -291,37 +291,38 @@ Pairs = Dict[int, Tuple[int, int]]
 class StepRow(Mapping):
     """The move probabilities of one step law, ``m -> (num, den)`` unreduced, formed on first read.
 
-    Keeps the lower law's masses and the running sums ``CL`` and ``CH`` of
-    both laws' masses.  Once the interleaving inequalities hold, the pair of
-    support point m is ``(CL_m zh - CH_m zl, low_m zh)``, exactly the pair
+    Keeps the running sums ``cl`` and ``ch`` of both laws' masses, which end
+    at their totals ``zl`` and ``zh``; the mass of support point m is
+    ``cl[m] - cl[m-1]``.  The row at total ``t + d`` takes ``ch`` as its
+    ``cl``.  Once the interleaving inequalities hold, the pair of support
+    point m is ``(cl[m] zh - ch[m] zl, low_m zh)``, exactly the pair
     ``move_rows`` returns; ``formed`` holds the pairs read so far.  ``ymax``
     and ``bmax`` are the ratio maxima that certified the row, which the row
     at total ``t + d`` extends.
     """
 
-    __slots__ = ("formed", "low", "cl", "ch", "zl", "zh", "ymax", "bmax")
+    __slots__ = ("formed", "cl", "ch", "ymax", "bmax")
 
-    def __init__(self, low: Dict[int, int], high: Dict[int, int], zl: int, zh: int,
-                 ymax: Tuple[int, int], bmax: Tuple[int, int]):
-        span, zeros = range(max(low) + 1), repeat(0)
+    def __init__(self, cl: List[int], ch: List[int], ymax: Tuple[int, int], bmax: Tuple[int, int]):
         self.formed: Pairs = {}
-        self.low = low
-        self.cl = list(accumulate(map(low.get, span, zeros)))
-        self.ch = list(accumulate(map(high.get, span, zeros)))
-        self.zl, self.zh, self.ymax, self.bmax = zl, zh, ymax, bmax
+        self.cl, self.ch, self.ymax, self.bmax = cl, ch, ymax, bmax
 
     def __getitem__(self, m: int) -> Tuple[int, int]:
         pair = self.formed.get(m)
         if pair is None:
-            mass = self.low[m]  # KeyError off the support, before any other read
-            pair = self.formed[m] = (self.cl[m] * self.zh - self.ch[m] * self.zl, mass * self.zh)
+            cl, ch = self.cl, self.ch
+            mass = m in range(len(cl)) and cl[m] - (cl[m - 1] if m else 0)
+            if not mass:
+                raise KeyError(m)  # off the support, before any other read
+            zl, zh = cl[-1], ch[-1]
+            pair = self.formed[m] = (cl[m] * zh - ch[m] * zl, mass * zh)
         return pair
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.low)
+        return (m for m, (below, c) in enumerate(zip([0, *self.cl], self.cl)) if c != below)
 
     def __len__(self) -> int:
-        return len(self.low)
+        return sum(1 for _ in self)
 
 
 class PartitionKernel:
@@ -375,11 +376,12 @@ class PartitionKernel:
             raise ZeroMassError(f"vanishing partition value at n={n}, shift ({q},{s})")
         return Fraction(num, den * self.b_scale ** d)
 
-    def first_part_masses(self, ell: int, t: int) -> Tuple[Dict[int, int], int]:
-        """Integer masses of (first part - 1)/d at shift ``ell`` and total ``t``, and their total.
+    def first_part_sums(self, ell: int, t: int) -> List[int]:
+        """Running sums ``C_0, ..., C_top`` of the law of (first part - 1)/d at shift ``ell``, total ``t``.
 
         The mass of first part m is ``b_m Z_{ell+1}(t - m)`` at the common
-        scale of ``Z_ell(t)``, which is the total; zero masses are left out.
+        scale of ``Z_ell(t)``.  The sums stop at the last point with mass,
+        so ``C_top`` is ``Z_ell(t)`` at that scale.
         """
         if t < 1:
             raise DomainError("first-part laws need a positive total")
@@ -388,13 +390,10 @@ class PartitionKernel:
             raise ZeroMassError(f"no mass at total {t} for shift {ell}")
         # z != 0 at t >= 1 puts ell + 1 on the shift ladder, and every read below inside the bounds
         nxt, b, d = self._z[ell + 1], self._b, self.d
-        masses: Dict[int, int] = {}
-        for mt in range((t - 1) // d + 1):
-            m = mt * d + 1
-            mass = b[m] * nxt[t - m]
-            if mass:
-                masses[mt] = mass
-        return masses, z
+        sums = list(accumulate(b[m] * nxt[t - m] for m in range(1, t + 1, d)))
+        while len(sums) > 1 and sums[-2] == sums[-1]:
+            sums.pop()
+        return sums
 
     def step_probs(self, ell: int, t: int) -> StepRow:
         """Probability that the reindexed first part increments between totals t and t+d.
@@ -418,12 +417,13 @@ class PartitionKernel:
         row = self._step_memo.get(key)
         if row is None:
             d = self.d
-            low, zl = self.first_part_masses(ell, t)
-            high, zh = self.first_part_masses(ell, t + d)
+            prev = self._step_memo.get((ell, t - d))
+            cl = self.first_part_sums(ell, t) if prev is None else prev.ch
+            ch = self.first_part_sums(ell, t + d)
+            zl, zh = cl[-1], ch[-1]
             # b > 0 on 1 mod d, so Y is zero below s = t - 1 - top d in this residue class,
             # and the upper law has no mass beyond top + 1
-            top = max(low)
-            prev = self._step_memo.get((ell, t - d))
+            top = len(cl) - 1
             if prev is None:
                 (yp, yq), (bp, bq), s0, m0 = (0, 1), (0, 1), t - 1 - top * d, 0
             else:
@@ -437,8 +437,8 @@ class PartitionKernel:
                 if b[i + d] * bq > bp * b[i]:
                     bp, bq = b[i + d], b[i]
             if yp * zl > yq * zh or bp * zl > bq * zh:
-                move_rows(low, zl, high, zh)  # raises NotCoupleable unless the b bound was loose
-            row = self._step_memo[key] = StepRow(low, high, zl, zh, (yp, yq), (bp, bq))
+                move_rows(cl, ch)  # raises NotCoupleable unless the b bound was loose
+            row = self._step_memo[key] = StepRow(cl, ch, (yp, yq), (bp, bq))
         return row
 
     def kernel_row(self, t: int, parts: Sequence[int]) -> Dict[Tuple, Fraction]:
@@ -510,36 +510,32 @@ class PartitionKernel:
             j += 1
 
 
-def move_rows(low: Dict[int, int], zl: int, high: Dict[int, int], zh: int) -> Pairs:
+def move_rows(cl: Sequence[int], ch: Sequence[int]) -> Pairs:
     """Move probabilities of the shared-uniform coupling of two step laws, as integer pairs.
 
-    The laws are ``low[m]/zl`` and ``high[m]/zh`` on consecutive integer
-    ranges (the support of ``high`` extends one point further right).
-    Verifies the interleaving inequalities high(m) <= low(m) >= high(m+1)
-    by cross-multiplying, and returns, for every m in the support of
-    ``low``, the conditional probability that the coupled pair moves from
-    m to m+1: with running sums ``CL``, ``CH`` it is
-    ``max(0, CL_m zh - max(CL_{m-1} zh, CH_m zl)) / (low[m] zh)``.
+    ``cl`` and ``ch`` are the running sums of the integer masses of the two
+    laws on 0, 1, ..., each ending at its total ``zl`` or ``zh`` (the
+    support of the upper law extends one point further right).  Verifies
+    the interleaving inequalities high(m) <= low(m) >= high(m+1) by
+    cross-multiplying, and returns, for every m in the support of the lower
+    law, the conditional probability that the coupled pair moves from m to
+    m+1: ``max(0, CL_m zh - max(CL_{m-1} zh, CH_m zl)) / (low_m zh)``.
     """
-    top = max(low) if low else -1
+    zl, zh = cl[-1], ch[-1]
+    top = len(cl) - 1
     rows: Pairs = {}
-    cum_low = cum_high = 0  # CL_m zh and CH_m zl
-    high_next = high.get(0, 0) * zl
-    for m in range(0, top + 1):
-        high_m, high_next = high_next, high.get(m + 1, 0) * zl
-        mass = low.get(m, 0)
-        low_m = mass * zh
-        if high_m > low_m or high_next > low_m:
+    upper = [*ch[:top + 2], *repeat(zh, top + 2 - len(ch))]  # CH_0, ..., CH_{top+1}
+    below_low = below_high = 0  # CL_{m-1} and CH_{m-1}
+    for m in range(top + 1):
+        low_m = (cl[m] - below_low) * zh
+        if (upper[m] - below_high) * zl > low_m or (upper[m + 1] - upper[m]) * zl > low_m:
             raise NotCoupleable(m)
-        cum_high += high_m
-        if not mass:
-            continue
-        below = cum_low
-        cum_low += low_m
-        overlap = cum_low - max(below, cum_high)
-        rows[m] = (overlap if overlap > 0 else 0, low_m)
-    for m in high:
-        if m > top + 1:
+        if low_m:
+            overlap = cl[m] * zh - max(below_low * zh, upper[m] * zl)
+            rows[m] = (overlap if overlap > 0 else 0, low_m)
+        below_low, below_high = cl[m], upper[m]
+    for m in range(top + 2, len(ch)):
+        if ch[m] != ch[m - 1]:
             raise NotCoupleable(m, f"upper law reaches {m}, beyond the lower support {top}")
     return rows
 

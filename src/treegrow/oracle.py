@@ -28,6 +28,7 @@ from .treespace import PlaneTree, ROOT, RootedSubtree, compose_root
 PLANE_TREE_CAP = 10
 SUBTREE_CAP = 7
 SUBTREE_POSITION_CAP = 3
+MIN_SAMPLES_PER_CATEGORY = 5
 
 
 def _catalan(k: int) -> int:
@@ -294,18 +295,18 @@ def tv_distance(counts: Mapping, total: int, law: Mapping) -> Fraction:
     return acc / 2
 
 
-def goodness_of_fit(counts: Mapping, law: Mapping, min_expected_factor: int = 5) -> GofReport:
+def goodness_of_fit(counts: Mapping, law: Mapping) -> GofReport:
     """Chi-square test of counts against an exact law, plus the exact TV distance.
 
     When the sample is too small for the chi-square approximation (fewer
-    than ``min_expected_factor`` samples per category) only the TV
+    than ``MIN_SAMPLES_PER_CATEGORY`` samples per category) only the TV
     distance is reported and the undersampled flag is set.  Mass observed
     outside the law's support makes the test fail outright.
     """
     total = sum(counts.values())
     categories = len(law)
     tv = tv_distance(counts, total, law) if total > 0 else ONE
-    undersampled = total < min_expected_factor * categories
+    undersampled = total < MIN_SAMPLES_PER_CATEGORY * categories
     if undersampled:
         return GofReport(total, categories, None, None, None, tv, True)
     outside = sum(c for key, c in counts.items() if key not in law)

@@ -103,10 +103,16 @@ def tp2_brute_force(tables, N=None):
     return report.as_dict()
 
 
+def running_sums(masses):
+    """Running sums of integer masses ``{m: mass}`` on 0, 1, ..., up to the last point with mass."""
+    top = max(m for m, mass in masses.items() if mass)
+    return list(itertools.accumulate(masses.get(m, 0) for m in range(top + 1)))
+
+
 def first_part_law(tables, ell, t):
-    """Law of (first part - 1)/d at shift ``ell`` and total ``t``, read from ``first_part_masses``."""
-    masses, z = tables.first_part_masses(ell, t)
-    return {mt: Fraction(mass, z) for mt, mass in masses.items()}
+    """Law of (first part - 1)/d at shift ``ell`` and total ``t``, read from ``first_part_sums``."""
+    sums = tables.first_part_sums(ell, t)
+    return {m: Fraction(c - below, sums[-1]) for m, (below, c) in enumerate(zip([0, *sums], sums)) if c != below}
 
 
 def monotone_move_probs(low, high):

@@ -356,7 +356,8 @@ class TestErrorBoundary:
         (["sg", "--w", "0,1"], 1, "error: need w_0 w_1 > 0 for trees of every size to carry mass"),
         (["sg-arith", "--w", "0,0,1", "--d", "2"], 1,
          "error: need w_0 w_2 > 0 for trees of every size to carry mass"),
-    ], ids=["janson", "internal-zero", "no-leaves", "arith-no-leaves"])
+        (["sg", "--w", "1,-1,1"], 1, "error: weights must be non-negative"),
+    ], ids=["janson", "internal-zero", "no-leaves", "arith-no-leaves", "negative"])
     def test_grow_refused_weights_message(self, argv, code, line, capsys):
         assert run("grow", "--model", *argv, "--n", "10") == code
         assert capsys.readouterr().err.splitlines() == [line]

@@ -32,7 +32,8 @@ def tree_pair(w_entries, d=1, n_total=16):
 def coupled(low, high):
     """``move_rows`` of two integer step laws as Fractions, checked against the Fraction oracle."""
     zl, zh = sum(low.values()), sum(high.values())
-    rows = {m: F(num, den) for m, (num, den) in move_rows(low, zl, high, zh).items()}
+    rows = {m: F(num, den) for m, (num, den) in move_rows(helpers.running_sums(low),
+                                                          helpers.running_sums(high)).items()}
     oracle = helpers.monotone_move_probs({m: F(v, zl) for m, v in low.items()},
                                          {m: F(v, zh) for m, v in high.items()})
     assert rows == oracle
@@ -189,9 +190,8 @@ class TestMonotoneStepKernel:
 
     def test_not_coupleable(self):
         # 1/2, 1/2 against 9/10, 1/20, 1/20: the upper law outweighs the lower at 0
-        low, high = {0: 1, 1: 1}, {0: 18, 1: 1, 2: 1}
         with pytest.raises(NotCoupleable) as err:
-            move_rows(low, 2, high, 20)
+            move_rows([1, 2], [18, 19, 20])
         assert err.value.witness == 0
         with pytest.raises(NotCoupleable) as err:
             helpers.monotone_move_probs({0: F(1, 2), 1: F(1, 2)}, {0: F(9, 10), 1: F(1, 20), 2: F(1, 20)})
@@ -448,8 +448,13 @@ class TestHorizonsAndErrors:
     def test_b_horizon(self):
         b = WeightPair([1, 1], [1, 1, 2]).b
         assert b[3] == 2
-        with pytest.raises(HorizonError):
+        with pytest.raises(HorizonError, match="^weight 4 requested beyond declared truncation horizon 3$"):
             b[4]
+
+    @pytest.mark.parametrize("a, b", [([1, 1], [-1]), ([1, -1], [1])], ids=["part", "count"])
+    def test_pair_refusals_name_no_offspring(self, a, b):
+        with pytest.raises(DomainError, match="^weights must be non-negative$"):
+            WeightPair(a, b)
 
     def test_one_weight_sequence_type(self):
         assert treegrow.WeightSequence is WeightSequence is treegrow.compositions.WeightSequence

@@ -12,6 +12,7 @@ the pair scaling ``b_m -> D^m b_m``, which no CLI trace goes through.
 import hashlib
 import json
 from fractions import Fraction as F
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -139,7 +140,7 @@ def any_weights(draw):
 
 def exact_scan(tables, ell, t):
     """``move_rows`` on the two first-part laws: the exact scan of every interleaving inequality."""
-    return move_rows(*tables.first_part_masses(ell, t), *tables.first_part_masses(ell, t + tables.d))
+    return move_rows(tables.first_part_sums(ell, t), tables.first_part_sums(ell, t + tables.d))
 
 
 def verdict(fn):
@@ -167,6 +168,65 @@ def test_rows_read_lazily_match_the_exact_scan(case, rnd):
                 assert row[m] == expected[1][m]
             got = "value", dict(row.items())
         assert got == expected, (ell, t)
+
+
+@st.composite
+def integer_law_pairs(draw):
+    """Integer masses of a lower law on at most 6 points and an upper law 0-3 points longer.
+
+    Internal zeros are allowed.  Half the upper laws are random; the other
+    half push the lower law up by one point with non-decreasing
+    probabilities ``p_m / den``, which often interleaves with it.
+    """
+    mass = st.integers(0, 4)
+    low = draw(st.lists(mass, max_size=5)) + [draw(st.integers(1, 4))]
+    if draw(st.booleans()):
+        high = draw(st.lists(mass, min_size=len(low) - 1, max_size=len(low) + 2)) + [draw(st.integers(1, 4))]
+    else:
+        den = draw(st.integers(1, 4))
+        p = sorted(draw(st.lists(st.integers(0, den), min_size=len(low), max_size=len(low))))
+        high = [v * (den - q) for v, q in zip(low, p)] + [0]
+        for m in range(len(low)):
+            high[m + 1] += low[m] * p[m]
+        while not high[-1]:
+            high.pop()
+    return low, high
+
+
+@settings(max_examples=400, deadline=None)
+@given(integer_law_pairs())
+def test_move_rows_meets_the_fraction_oracle(laws):
+    """``move_rows`` on running sums is the Fraction oracle, or refuses at the oracle's witness."""
+    low, high = laws
+    cl, ch = list(accumulate(low)), list(accumulate(high))
+
+    def law(masses, z):
+        return {m: F(v, z) for m, v in enumerate(masses) if v}
+
+    try:
+        expected = helpers.monotone_move_probs(law(low, cl[-1]), law(high, ch[-1]))
+    except NotCoupleable as exc:
+        with pytest.raises(NotCoupleable) as err:
+            move_rows(cl, ch)
+        assert err.value.witness == exc.witness
+        if exc.witness >= len(low):
+            assert str(err.value) == str(exc)
+    else:
+        assert {m: F(num, den) for m, (num, den) in move_rows(cl, ch).items()} == expected
+
+
+@pytest.mark.parametrize("entries, d", [([1, 3, 3, 1], 1), ([1, 0, 2, 0, 1], 2)])
+def test_consecutive_rows_share_one_list_of_sums(entries, d):
+    # the upper law of row (ell, t) is the lower law of row (ell, t + d): one list holds both
+    tables = compute_tables(WeightSequence(entries), d, N=20)
+    checked = 0
+    for ell in range(tables.r - 1):
+        for t in range(1, 20 - 2 * d):
+            if tables.partition_int(ell, t):  # for d = 2 one total in two carries mass
+                row = tables.step_probs(ell, t)
+                assert tables.step_probs(ell, t + d).cl is row.ch
+                checked += 1
+    assert checked >= 12
 
 
 def test_loose_b_bound_falls_back_to_the_exact_scan(monkeypatch):
