@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .errors import (DomainError, HorizonError, NotCoupleable, ParseError, Refused,
                      TreegrowError, ZeroMassError)
-from .treespace import (PlaneTree, RootedSubtree, Word, complete_d_ary,
+from .treespace import (PlaneTree, RootedSubtree, Word,
                         compose_root, format_tree, is_bouquet_addition,
                         is_right_leaning_leaf_addition, parse_tree, to_dot)
 from .compositions import (ArithClass, Composition, PairTables, WeightPair,

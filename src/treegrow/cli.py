@@ -51,12 +51,19 @@ SUBSET_SUPPORT_CAP = 8
 # 1.1 GB before the trace writer and reader became incremental.
 GROW_CAP = 600
 
-MODELS = ("sg", "sg-arith", "subtree")
+ALWAYS_READ = {"command", "model", "suite", "out", "config"}   # by every model, suite and listing
+# The flags each model of grow reads; a subtree trace has no probability for --decimal to render
+MODELS = {"sg": {"w", "d", "n", "seed", "decimal"}, "sg-arith": {"w", "d", "n", "seed", "decimal"},
+          "subtree": {"theta", "d", "n", "seed"}}
 
 
 def parse_rational_list(text: str) -> List[Fraction]:
+    """Comma-separated exact rationals; an empty entry, a trailing comma's included, is refused."""
+    tokens = [tok.strip() for tok in text.split(",")]
+    if "" in tokens:
+        raise ParseError(f"entry {tokens.index('') + 1} of {text!r} is empty")
     try:
-        return [as_fraction(tok.strip()) for tok in text.split(",") if tok.strip()]
+        return [as_fraction(tok) for tok in tokens]
     except DomainError as exc:
         raise ParseError(str(exc)) from None
 
@@ -121,6 +128,17 @@ def parse_config_file(path: str) -> Dict[str, str]:
     return values
 
 
+def _refuse_unread(given: Dict[str, object], reads, what: str):
+    """Refuse a flag that ``what`` does not read, if the command line gave it.
+
+    ``given`` holds the command line's values, copied before a config file
+    fills in defaults.  ``--d 1`` passes wherever d is fixed at 1.
+    """
+    for key, value in given.items():
+        if value is not None and key not in reads | ALWAYS_READ and (key != "d" or value != 1):
+            raise ParseError(f"{what} does not read --{key.replace('_', '-')}")
+
+
 def _fill_from_config(args, casts: Dict[str, object]):
     if not getattr(args, "config", None):
         return
@@ -147,7 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     grow.add_argument("--n", type=positive_int, help=f"target number of vertices, at most {GROW_CAP}")
     grow.add_argument("--seed", type=int, help="master seed")
     grow.add_argument("--out", help="trace file (JSON lines)")
-    grow.add_argument("--decimal", action="store_true", help="add lossy decimal probabilities to the trace")
+    grow.add_argument("--decimal", action="store_true", default=None,
+                      help="add lossy decimal probabilities to the trace")
     grow.add_argument("--config", help="key=value config file; flags win")
 
     verify = sub.add_parser("verify", help="run an exact or statistical verification suite")
@@ -166,8 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
     enum.add_argument("--plane-trees", dest="plane_trees", type=int)
     enum.add_argument("--subtrees", type=int)
     enum.add_argument("--arith-trees", dest="arith_trees", type=int)
-    enum.add_argument("--d", type=positive_int, default=1)
-    enum.add_argument("--dmax", type=positive_int, default=2)
+    enum.add_argument("--d", type=positive_int)
+    enum.add_argument("--dmax", type=positive_int)
     enum.add_argument("--dot", action="store_true", help="emit DOT per object")
     return parser
 
@@ -177,10 +196,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_grow(args) -> int:
+    given = dict(vars(args))
     _fill_from_config(args, {"model": one_of(MODELS), "w": str, "theta": str, "d": positive_int,
                              "n": positive_int, "seed": int, "out": str})
     if args.model is None:
         raise ParseError("--model is required")
+    _refuse_unread(given, MODELS[args.model], f"the {args.model} model")
     if args.n is None:
         raise ParseError("--n is required")
     if args.n > GROW_CAP:
@@ -405,8 +426,6 @@ def _suite_bijection(args) -> dict:
 
 
 def _suite_subset_coupling(args) -> dict:
-    if args.n_max is not None:
-        raise DomainError("the subset-coupling suite takes no --n-max: its size is the support of --theta")
     theta = SummableTheta(parse_rational_list(_given(args.theta, "2,1")))
     if theta.n_support > SUBSET_SUPPORT_CAP:
         raise HorizonError(f"--theta has support {theta.n_support}, above the cap {SUBSET_SUPPORT_CAP} "
@@ -478,24 +497,31 @@ def _suite_stats(args) -> dict:
     return {"suite": "stats", "ok": ok, "runs": [{"model": model, "n": n, **report.as_dict()}]}
 
 
+# Each suite and the flags it reads; the size of subset-coupling is the support of --theta, not --n-max
 SUITES = {
-    "tables": _suite_tables,
-    "tp2": _suite_tp2,
-    "ratio-chain": _suite_ratio_chain,
-    "kernel-interchange": _suite_kernel_interchange,
-    "bijection": _suite_bijection,
-    "subset-coupling": _suite_subset_coupling,
-    "shuffle-invariance": _suite_shuffle_invariance,
-    "stats": _suite_stats,
+    "tables": (_suite_tables, {"w", "d", "n_max"}),
+    "tp2": (_suite_tp2, {"w", "d", "n_max"}),
+    "ratio-chain": (_suite_ratio_chain, {"w", "d", "n_max"}),
+    "kernel-interchange": (_suite_kernel_interchange, {"w", "d", "n_max"}),
+    "bijection": (_suite_bijection, {"n_max"}),
+    "subset-coupling": (_suite_subset_coupling, {"theta"}),
+    "shuffle-invariance": (_suite_shuffle_invariance, {"w", "n_max"}),
+    "stats": (_suite_stats, {"w", "theta", "d", "n_max", "seed", "samples"}),
 }
 
 
 def cmd_verify(args) -> int:
+    given = dict(vars(args))
     _fill_from_config(args, {"suite": one_of(SUITES), "w": str, "theta": str, "d": positive_int,
                              "n_max": positive_int, "seed": int, "samples": positive_int})
     if args.suite is None:
         raise ParseError("--suite is required")
-    report = SUITES[args.suite](args)
+    suite, reads = SUITES[args.suite]
+    what = f"the {args.suite} suite"
+    if args.suite == "stats" and args.theta:
+        reads, what = reads - {"w"}, f"{what} with --theta"   # the subtree model reads theta for w
+    _refuse_unread(given, reads, what)
+    report = suite(args)
     text = json.dumps(report, indent=2, sort_keys=True, default=str)
     print(text)
     if args.out:
@@ -508,15 +534,21 @@ def cmd_verify(args) -> int:
 # enumerate
 
 
+# Each listing of enumerate, in the order one is chosen, and the flags it reads
+LISTINGS = {"plane_trees": {"dot"}, "arith_trees": {"d", "dot"}, "subtrees": {"dmax", "dot"}}
+
+
 def cmd_enumerate(args) -> int:
-    if args.plane_trees is not None:
-        trees = enumerate_plane_trees(args.plane_trees, 1)
-    elif args.arith_trees is not None:
-        trees = enumerate_plane_trees(args.arith_trees, args.d)
-    elif args.subtrees is not None:
-        trees = enumerate_subtrees(args.subtrees, dmax=args.dmax)
-    else:
+    listing = next((key for key in LISTINGS if getattr(args, key) is not None), None)
+    if listing is None:
         raise ParseError("pass --plane-trees, --subtrees or --arith-trees")
+    _refuse_unread(vars(args), LISTINGS[listing] | {listing},
+                   f"enumerate --{listing.replace('_', '-')}")
+    size = getattr(args, listing)
+    if listing == "subtrees":
+        trees = enumerate_subtrees(size, dmax=_given(args.dmax, 2))
+    else:   # plane trees have d = 1, and --plane-trees reads --d only as 1
+        trees = enumerate_plane_trees(size, _given(args.d, 1))
     for tree in trees:
         print(format_tree(tree))
         if args.dot:

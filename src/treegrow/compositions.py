@@ -22,6 +22,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, repeat
+from operator import eq, ge, le
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ._rand import bernoulli
@@ -332,14 +333,13 @@ class PartitionKernel:
     denominators once: count weights ``a -> A a`` and part weights
     ``b_m -> D^m b_m``, so that ``_z[ell][t] = A D^t Z_ell(t)`` and
     ``_b[m] = D^m b_m``, for totals up to ``total_horizon``, and define
-    ``b_weight`` and ``partition_value``.  Every first-part law is a ratio
-    of values at one total, whose common scale ``A D^t`` cancels, so laws
-    and move probabilities are computed from integers alone.  This base
-    class owns the bounds-checked integer accessor and derives first-part
-    laws, the monotone one-step move probabilities, the exact law of one
-    move and the sampling walk shared by every chain in the package.
-    ``r`` is the largest index with a non-zero count weight: the shift
-    ladder ends there.
+    ``partition_value``.  Every first-part law is a ratio of values at one
+    total, whose common scale ``A D^t`` cancels, so laws and move
+    probabilities are computed from integers alone.  This base class owns
+    the bounds-checked integer accessor and derives first-part laws, the
+    monotone one-step move probabilities, the exact law of one move and
+    the sampling walk shared by every chain in the package.  ``r`` is the
+    largest index with a non-zero count weight: the shift ladder ends there.
     """
 
     def __init__(self, d: int, r: int, a_scale: int, b_scale: int, total_horizon: int):
@@ -366,15 +366,6 @@ class PartitionKernel:
     def scale(self, t: int) -> int:
         """The factor ``A D^t`` between the integer and the exact partition values at total t."""
         return self.a_scale * self.b_scale ** t
-
-    def ratio(self, n: int, q: int, s: int) -> Fraction:
-        """Partition ratio of the (q*d+s)-shifted weights between adjacent levels."""
-        d = self.d
-        num = self.partition_int(q * d + s, n * d + (d - s))
-        den = self.partition_int(q * d + s, (n - 1) * d + (d - s))
-        if den == 0:
-            raise ZeroMassError(f"vanishing partition value at n={n}, shift ({q},{s})")
-        return Fraction(num, den * self.b_scale ** d)
 
     def first_part_sums(self, ell: int, t: int) -> List[int]:
         """Running sums ``C_0, ..., C_top`` of the law of (first part - 1)/d at shift ``ell``, total ``t``.
@@ -557,9 +548,6 @@ class PairTables(PartitionKernel):
         self._b = [0] + [bm * b_scale ** (m - 1) for m, bm in enumerate(b, 1)]  # D^m b_m
         self._z = peel_partition_values(a, n, self._b.__getitem__)
 
-    def b_weight(self, m: int) -> Fraction:
-        return self.wp.b[m]
-
     def partition_value(self, ell: int, t: int) -> Fraction:
         return Fraction(self.partition_int(ell, t), self.scale(t))
 
@@ -600,27 +588,41 @@ class CheckReport:
 def check_ratio_chain(tables: PartitionKernel, n_max: int) -> CheckReport:
     """Verify the descending chain of shifted partition ratios and its endpoints.
 
-    For each level n <= n_max the ratios ``tables.ratio(n, q, s)``, read
-    along the shift ladder, must be non-increasing.  The first may not
-    exceed the ratio of consecutive part weights one level up; the last
-    equals the ratio one level down, because at the last shift only
-    single-part compositions carry mass.  Failures carry the exact values
-    of both sides.
+    For each level n <= n_max the ratios ``Z_ell((n+1)d - s) / Z_ell(nd - s)``
+    at the shifts ``ell = qd + s``, read along the shift ladder, must be
+    non-increasing.  The first may not exceed ``b_{(n+1)d+1} / b_{nd+1}``,
+    the ratio of part weights one level up; the last equals the ratio one
+    level down, because at the last shift only single-part compositions
+    carry mass.  Every side is a quotient of table integers times the
+    common factor ``D^-d``, so each check is one cross-multiplication, and
+    only a failure forms the exact values of both sides.
     """
     report = CheckReport(name="ratio-chain")
-    d = tables.d
+    d, z, b = tables.d, tables.partition_int, tables._b
+    scale = tables.b_scale ** d
+    if (n_max + 1) * d + 1 >= len(b):
+        raise HorizonError(f"the ratio chain to n={n_max} reads b_{(n_max + 1) * d + 1}, past the tables")
+
+    def check(holds: Callable[[int, int], bool], lhs: Tuple[int, int], rhs: Tuple[int, int], **where):
+        # each side is an integer pair (p, q) standing for p / (q D^d); holds compares them cross-multiplied
+        report.checked += 1
+        if not holds(lhs[0] * rhs[1], rhs[0] * lhs[1]):
+            report.failures.append({**where, "lhs": str(Fraction(lhs[0], lhs[1] * scale)),
+                                    "rhs": str(Fraction(rhs[0], rhs[1] * scale))})
+
     r = tables.r // d
-    b = tables.b_weight
-    for n in range(0, n_max + 1):
-        grid = [(q, s) for s in range(d) for q in range(r)] if n >= 1 else [(q, 0) for q in range(r)]
-        values = [(q, s, tables.ratio(n, q, s)) for q, s in grid]
-        for (q1, s1, v1), (q2, s2, v2) in zip(values, values[1:]):
-            report.record(v1 >= v2, n=n, hi=(q1, s1), lo=(q2, s2), lhs=v1, rhs=v2)
-        upper = b((n + 1) * d + 1) / b(n * d + 1)
-        report.record(values[0][2] <= upper, n=n, kind="upper-endpoint", lhs=values[0][2], rhs=upper)
+    for n in range(n_max + 1):
+        ratios = []
+        for q, s in [(q, s) for s in range(d) for q in range(r)] if n >= 1 else [(q, 0) for q in range(r)]:
+            num, den = z(q * d + s, (n + 1) * d - s), z(q * d + s, n * d - s)
+            if den == 0:
+                raise ZeroMassError(f"vanishing partition value at n={n}, shift ({q},{s})")
+            ratios.append(((q, s), (num, den)))
+        for (hi, lhs), (lo, rhs) in zip(ratios, ratios[1:]):
+            check(ge, lhs, rhs, n=n, hi=hi, lo=lo)
+        check(le, ratios[0][1], (b[(n + 1) * d + 1], b[n * d + 1]), n=n, kind="upper-endpoint")
         if n >= 1:
-            lower = b(n * d + 1) / b((n - 1) * d + 1)
-            report.record(values[-1][2] == lower, n=n, kind="lower-endpoint", lhs=values[-1][2], rhs=lower)
+            check(eq, ratios[-1][1], (b[n * d + 1], b[(n - 1) * d + 1]), n=n, kind="lower-endpoint")
     return report
 
 

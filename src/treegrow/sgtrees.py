@@ -116,9 +116,6 @@ class PartitionTables(PartitionKernel):
 
     # -- PartitionKernel surface ----------------------------------------------
 
-    def b_weight(self, m: int) -> Fraction:
-        return self.b_value(m)
-
     def partition_int(self, ell: int, t: int) -> int:
         z = super().partition_int(ell, t)
         if self.w.horizon is not None and ell + t > self.w.horizon:
@@ -226,13 +223,14 @@ def growth_kernel_row(tables: PartitionTables, tree: PlaneTree) -> Dict[PlaneTre
 
 
 class GrowthStep:
-    """One step of a growth chain; its probability is kept as the unreduced pair ``num/den``.
+    """One step of a growth chain; ``factors`` holds the integer pairs ``(p, q)`` of its decisions.
 
-    The pair is the product of the probabilities of the step's decisions,
-    multiplied left to right on the first read of ``num``, ``den`` or ``prob``.
+    Each pair is the probability ``p/q`` of one decision that was not
+    certain, so their product is the probability of the step.  ``prob``
+    multiplies them left to right on its first read and reduces once.
     """
 
-    __slots__ = ("index", "n", "parent", "new_vertices", "_factors", "_pair")
+    __slots__ = ("index", "n", "parent", "new_vertices", "factors", "_prob")
 
     def __init__(self, index: int, n: int, parent: Word, new_vertices: Tuple[Word, ...],
                  factors: List[Tuple[int, int]]):
@@ -240,30 +238,19 @@ class GrowthStep:
         self.n = n
         self.parent = parent
         self.new_vertices = new_vertices
-        self._factors = factors
-        self._pair: Optional[Tuple[int, int]] = None
-
-    def _product(self) -> Tuple[int, int]:
-        if self._pair is None:
-            num = den = 1
-            for p, q in self._factors:
-                num *= p
-                den *= q
-            self._pair = (num, den)
-        return self._pair
-
-    @property
-    def num(self) -> int:
-        return self._product()[0]
-
-    @property
-    def den(self) -> int:
-        return self._product()[1]
+        self.factors = factors
+        self._prob: Optional[Fraction] = None
 
     @property
     def prob(self) -> Fraction:
-        """The exact probability of the step, reduced on each read."""
-        return Fraction(*self._product())
+        """The exact probability of the step, formed on the first read."""
+        if self._prob is None:
+            num = den = 1
+            for p, q in self.factors:
+                num *= p
+                den *= q
+            self._prob = Fraction(num, den)
+        return self._prob
 
 
 class GrowthChain:

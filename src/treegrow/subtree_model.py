@@ -322,9 +322,6 @@ class SubtreeChain:
     def subtree_key(self) -> frozenset:
         return frozenset(self._embed.values())
 
-    def plane_tree(self) -> PlaneTree:
-        return self.inner.tree()
-
 
 def subtree_grow_chain(theta, N: int, seed: int,
                        tables: Optional[PartitionTables] = None) -> List[RootedSubtree]:

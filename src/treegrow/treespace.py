@@ -180,25 +180,6 @@ def compose_root(subtrees: Sequence[PlaneTree]) -> PlaneTree:
     return PlaneTree(vertices)
 
 
-def complete_d_ary(tau: RootedSubtree, d: int) -> PlaneTree:
-    """Complete a subtree of the d-ary tree by giving every vertex d children.
-
-    Every letter of ``tau`` must be at most ``d``; the result has
-    ``d * len(tau) + 1`` vertices and every vertex has d or 0 children.
-    """
-    if d < 1:
-        raise DomainError("d must be a positive integer")
-    for u in tau.vertices:
-        if u and u[-1] > d:
-            raise DomainError(f"vertex {word_to_text(u)} has a letter larger than d={d}")
-    vertices = set(tau.vertices)
-    for u in tau.vertices:
-        vertices.update(u + (i,) for i in range(1, d + 1))
-    tree = PlaneTree(vertices)
-    assert len(tree) == d * len(tau) + 1
-    return tree
-
-
 def format_tree(tree: _WordSet) -> str:
     """Comma-separated canonical word list, e.g. ``e,1,2,1.1``."""
     return ",".join(word_to_text(u) for u in tree.sorted_vertices())

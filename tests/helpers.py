@@ -16,8 +16,8 @@ from typing import Dict, FrozenSet
 
 import numpy as np
 
-from treegrow.compositions import CheckReport, WeightPair, composition_kernel, iter_compositions
-from treegrow.errors import DomainError, NotCoupleable, ParseError, TreegrowError
+from treegrow.compositions import CheckReport, PairTables, WeightPair, composition_kernel, iter_compositions
+from treegrow.errors import DomainError, NotCoupleable, ParseError, TreegrowError, ZeroMassError
 from treegrow.oracle import enumerate_plane_trees, enumerate_subtrees, tree_mass
 from treegrow.sgtrees import WeightSequence, compute_tables, growth_kernel_row
 from treegrow.subtree_model import (SubtreeChain, apply_shuffle, bij_P_inv, nested_coupling_law,
@@ -154,6 +154,42 @@ def monotone_move_probs(low, high):
             overlap = zero
         probs[m] = overlap / mass
     return probs
+
+
+def part_weights(tables):
+    """The exact part weight ``b_m`` as a function of m: ``wp.b`` of pair tables, ``b_value`` of tree tables."""
+    return tables.wp.b.__getitem__ if isinstance(tables, PairTables) else tables.b_value
+
+
+def ratio_chain_reference(tables, n_max):
+    """The report of ``check_ratio_chain`` from reduced Fractions: every ratio formed, then compared.
+
+    The independent oracle for the integer checker: each ratio is a quotient
+    of two ``partition_value`` reads and each endpoint a quotient of exact
+    part weights, read in the order the checker reads them.
+    """
+    report = CheckReport(name="ratio-chain")
+    d, b = tables.d, part_weights(tables)
+    r = tables.r // d
+
+    def ratio(n, q, s):
+        num = tables.partition_value(q * d + s, (n + 1) * d - s)
+        den = tables.partition_value(q * d + s, n * d - s)
+        if den == 0:
+            raise ZeroMassError(f"vanishing partition value at n={n}, shift ({q},{s})")
+        return num / den
+
+    for n in range(n_max + 1):
+        grid = [(q, s) for s in range(d) for q in range(r)] if n >= 1 else [(q, 0) for q in range(r)]
+        values = [(q, s, ratio(n, q, s)) for q, s in grid]
+        for (q1, s1, v1), (q2, s2, v2) in zip(values, values[1:]):
+            report.record(v1 >= v2, n=n, hi=(q1, s1), lo=(q2, s2), lhs=v1, rhs=v2)
+        upper = b((n + 1) * d + 1) / b(n * d + 1)
+        report.record(values[0][2] <= upper, n=n, kind="upper-endpoint", lhs=values[0][2], rhs=upper)
+        if n >= 1:
+            lower = b(n * d + 1) / b((n - 1) * d + 1)
+            report.record(values[-1][2] == lower, n=n, kind="lower-endpoint", lhs=values[-1][2], rhs=lower)
+    return report.as_dict()
 
 
 def kernel_rows_digest(tables, w, d, n_max):
@@ -355,7 +391,7 @@ def literal_image(chain):
     the decorated plane tree with them and inverts the left-packing: a
     cross-check against the chain's direct embedding.
     """
-    tree = chain.plane_tree()
+    tree = chain.inner.tree()
     sigma = {}
     decorations: Dict[tuple, FrozenSet[int]] = {}
     for u in tree.vertices:
@@ -380,7 +416,7 @@ def naive_subtree_chain(theta, N, seed, tables=None):
     chain = SubtreeChain(theta, horizon=N, seed=seed, tables=tables)
     out = []
     while True:
-        tree = chain.plane_tree()
+        tree = chain.inner.tree()
         decorations = {u: frozenset(chain.ordering(u)[:tree.children_count(u)]) for u in tree.vertices}
         out.append(bij_P_inv(tree, decorations))
         if chain.n >= N:

@@ -255,10 +255,79 @@ class TestErrorBoundary:
         (["verify", "--suite", "stats", "--theta", "1,1", "--d", "2"], "the subtree model has d = 1"),
         (["verify"], "--suite is required"),
         (["enumerate"], "pass --plane-trees, --subtrees or --arith-trees"),
+        # a flag given on the command line that the command does not read
+        (["grow", "--model", "sg", "--w", "1,1", "--theta", "1,2", "--n", "5"],
+         "the sg model does not read --theta"),
+        (["grow", "--model", "sg-arith", "--w", "1,0,1", "--d", "2", "--theta", "1", "--n", "5"],
+         "the sg-arith model does not read --theta"),
+        (["grow", "--model", "subtree", "--theta", "1,1", "--w", "1,3,3,1", "--n", "5"],
+         "the subtree model does not read --w"),
+        (["grow", "--model", "subtree", "--theta", "1,1", "--decimal", "--n", "5"],
+         "the subtree model does not read --decimal"),
+        (["verify", "--suite", "tp2", "--theta", "1,2"], "the tp2 suite does not read --theta"),
+        (["verify", "--suite", "tables", "--seed", "0"], "the tables suite does not read --seed"),
+        (["verify", "--suite", "ratio-chain", "--samples", "5"],
+         "the ratio-chain suite does not read --samples"),
+        (["verify", "--suite", "kernel-interchange", "--theta", "1,1"],
+         "the kernel-interchange suite does not read --theta"),
+        (["verify", "--suite", "bijection", "--w", "1,1"], "the bijection suite does not read --w"),
+        (["verify", "--suite", "subset-coupling", "--n-max", "3"],
+         "the subset-coupling suite does not read --n-max"),
+        (["verify", "--suite", "shuffle-invariance", "--d", "2"],
+         "the shuffle-invariance suite does not read --d"),
+        (["verify", "--suite", "stats", "--theta", "1,1", "--w", "1,1"],
+         "the stats suite with --theta does not read --w"),
+        (["enumerate", "--plane-trees", "3", "--d", "2"], "enumerate --plane-trees does not read --d"),
+        (["enumerate", "--plane-trees", "3", "--subtrees", "2"],
+         "enumerate --plane-trees does not read --subtrees"),
+        (["enumerate", "--arith-trees", "5", "--d", "2", "--dmax", "3"],
+         "enumerate --arith-trees does not read --dmax"),
+        (["enumerate", "--subtrees", "3", "--d", "2"], "enumerate --subtrees does not read --d"),
     ], ids=["grow-model", "grow-n", "sg-w", "sg-d", "subtree-theta", "subtree-d", "stats-subtree-d",
-            "verify-suite", "enumerate-kind"])
+            "verify-suite", "enumerate-kind", "unread-sg-theta", "unread-sg-arith-theta", "unread-subtree-w",
+            "unread-subtree-decimal", "unread-tp2-theta", "unread-tables-seed", "unread-ratio-chain-samples",
+            "unread-kernel-interchange-theta", "unread-bijection-w", "unread-subset-coupling-n-max",
+            "unread-shuffle-invariance-d", "unread-stats-theta-w", "unread-plane-trees-d",
+            "unread-plane-trees-subtrees", "unread-arith-trees-dmax", "unread-subtrees-d"])
     def test_missing_argument(self, argv, message, capsys):
         assert self.assert_one_line_error(capsys, run(*argv)) == f"error: {message}"
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "bijection", "--d", "1", "--n-max", "3"],
+        ["verify", "--suite", "subset-coupling", "--d", "1"],
+        ["verify", "--suite", "shuffle-invariance", "--d", "1", "--n-max", "3"],
+        ["enumerate", "--plane-trees", "3", "--d", "1"],
+        ["enumerate", "--subtrees", "3", "--d", "1"],
+    ], ids=["bijection", "subset-coupling", "shuffle-invariance", "plane-trees", "subtrees"])
+    def test_d_1_accepted_where_d_is_fixed_at_1(self, argv, capsys):
+        assert run(*argv) == 0
+
+    @pytest.mark.parametrize("command", [["grow", "--model", "sg", "--n", "4"],
+                                         ["grow", "--model", "subtree", "--n", "4"],
+                                         ["verify", "--suite", "subset-coupling"],
+                                         ["verify", "--suite", "bijection", "--n-max", "3"]],
+                             ids=["sg", "subtree", "subset-coupling", "bijection"])
+    def test_config_values_stay_defaults(self, command, tmp_path, capsys):
+        # a config file shared by several commands: the values one does not read are not refused
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("w = 1,1\ntheta = 1,2\nseed = 3\nsamples = 5\nn_max = 4\n")
+        assert run(*command, "--config", str(cfg)) == 0, capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, line", [
+        (["grow", "--model", "sg", "--w", "1,,1", "--n", "4"], "error: entry 2 of '1,,1' is empty"),
+        (["grow", "--model", "sg", "--w", "1,1,", "--n", "4"], "error: entry 3 of '1,1,' is empty"),
+        (["verify", "--suite", "tp2", "--w", ",1,1"], "error: entry 1 of ',1,1' is empty"),
+        (["grow", "--model", "subtree", "--theta", "1, ,1", "--n", "4"], "error: entry 2 of '1, ,1' is empty"),
+        (["verify", "--suite", "stats", "--theta", "1,1,"], "error: entry 3 of '1,1,' is empty"),
+    ], ids=["grow-w", "grow-w-trailing", "verify-w-leading", "grow-theta", "stats-theta-trailing"])
+    def test_empty_weight_entry_refused(self, argv, line, capsys):
+        assert self.assert_one_line_error(capsys, run(*argv)) == line
+
+    def test_empty_weight_entry_refused_in_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model = sg\nw = 1,,1\nn = 4\n")
+        assert self.assert_one_line_error(capsys, run("grow", "--config", str(cfg))) == \
+            "error: entry 2 of '1,,1' is empty"
 
     @pytest.mark.parametrize("argv", [
         ["grow", "--model", "sg", "--w", "1,1e-100000000,1", "--n", "3"],

@@ -330,18 +330,73 @@ class TestAdmissibility:
         wp = WeightPair([2, 3, 1], [F(1), F(5, 2), F(1, 3), F(7), F(2, 9), F(4)])
         tables = PairTables(wp, PLAIN, total_horizon=6)
         for n in range(1, 5):
-            assert tables.ratio(n, 1, 0) == wp.b[n + 1] / wp.b[n]
+            # the ratio at the last shift, ell = 1
+            assert tables.partition_value(1, n + 1) / tables.partition_value(1, n) == wp.b[n + 1] / wp.b[n]
         report = check_ratio_chain(tables, 4)
         assert not [f for f in report.failures if f.get("kind") == "lower-endpoint"]
-
-        class Skewed(PairTables):
-            # endpoints read b_2 doubled: the last ratio falls below the lower
-            # endpoint at n = 1 and exceeds it at n = 2
-            def b_weight(self, m):
-                return super().b_weight(m) * (2 if m == 2 else 1)
-
-        report = check_ratio_chain(Skewed(wp, PLAIN, total_horizon=6), 4)
+        # the partition values are built; from here the endpoints read b_2 doubled, so the
+        # last ratio falls below the lower endpoint at n = 1 and exceeds it at n = 2
+        tables._b[2] *= 2
+        report = check_ratio_chain(tables, 4)
         assert [f["n"] for f in report.failures if f.get("kind") == "lower-endpoint"] == [1, 2]
+
+
+WEIGHT = st.sampled_from([0, 1, 2, 3, 7, F(1, 2), F(2, 3), F(5, 7)])
+POSITIVE = st.sampled_from([1, 2, 3, 7, F(1, 2), F(2, 3), F(5, 7)])
+
+
+def on_multiples(progression, d):
+    """Weights ``w`` with ``w_{id}`` the i-th entry of the progression and zeros between."""
+    w = [0] * ((len(progression) - 1) * d + 1)
+    w[::d] = progression
+    return w
+
+
+def assert_ratio_chain_matches_reference(tables, n_max):
+    """``check_ratio_chain`` gives the report of the Fraction reference, or raises the error it raises."""
+    try:
+        want = helpers.ratio_chain_reference(tables, n_max)
+    except ZeroMassError as exc:
+        with pytest.raises(ZeroMassError) as got:
+            check_ratio_chain(tables, n_max)
+        assert got.value.args == exc.args
+        return
+    assert check_ratio_chain(tables, n_max).as_dict() == want
+
+
+class TestRatioChainOnIntegers:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3), POSITIVE, POSITIVE, st.lists(WEIGHT, max_size=3), st.integers(1, 8),
+           st.integers(0, 2))
+    @example(1, 1, 1, [1], 6, 0)              # geometric: consecutive ratios tie
+    @example(1, F(2, 5), F(1, 5), [F(2, 5)], 6, 0)  # Janson's law: the chain fails at n = 0
+    @example(2, 1, 1, [0, 1], 4, 0)           # an internal zero: a vanishing partition value
+    def test_tree_tables_match_the_fraction_reference(self, d, w0, wd, rest, n_max, extra):
+        # tables reaching exactly total (n_max + 1) d + 1, or a little further
+        w = on_multiples([w0, wd, *rest], d)
+        assert_ratio_chain_matches_reference(compute_tables(w, d, N=(n_max + 1) * d + 1 + extra), n_max)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 2), st.lists(POSITIVE, min_size=2, max_size=5),
+           st.lists(POSITIVE, min_size=16, max_size=16), st.integers(1, 6))
+    def test_pair_tables_match_the_fraction_reference(self, d, a, b_entries, n_max):
+        top = (n_max + 1) * d + 1
+        b = [b_entries[m % 16] if m % d == 1 % d else 0 for m in range(1, top + 1)]
+        tables = PairTables(WeightPair(on_multiples(a, d), b), ArithClass(d, 0), total_horizon=top)
+        assert_ratio_chain_matches_reference(tables, n_max)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_tables_short_of_the_last_part_weight_raise_horizon_error(self, d):
+        # the chain to n_max reads b up to total (n_max + 1) d + 1; tables one total short
+        # hold every ratio but not that part weight
+        n_max, w = 3, on_multiples([1, 2, 1], d)
+        short = (n_max + 1) * d
+        b = [1 if m % d == 1 % d else 0 for m in range(1, short + 3)]
+        for tables in (compute_tables(w, d, N=short),
+                       PairTables(WeightPair(w, b), ArithClass(d, 0), total_horizon=short)):
+            with pytest.raises(HorizonError, match="past the tables"):
+                check_ratio_chain(tables, n_max)
+            assert check_ratio_chain(tables, n_max - 1).checked > 0
 
 
 def refused_by_the_d1_rule(wp):

@@ -66,8 +66,8 @@ def outcome(fn):
 
 
 def oracle_row(tables, ell, t):
-    """Move probabilities from Fraction laws built out of ``partition_value`` and ``b_weight``."""
-    d = tables.d
+    """Move probabilities from Fraction laws built out of ``partition_value`` and the exact part weights."""
+    d, b = tables.d, helpers.part_weights(tables)
 
     def law(total):
         z = tables.partition_value(ell, total)
@@ -75,7 +75,7 @@ def oracle_row(tables, ell, t):
             raise ZeroMassError(f"no mass at total {total} for shift {ell}")
         masses = {}
         for mt in range((total - 1) // d + 1):
-            mass = tables.b_weight(mt * d + 1) * tables.partition_value(ell + 1, total - mt * d - 1)
+            mass = b(mt * d + 1) * tables.partition_value(ell + 1, total - mt * d - 1)
             if mass:
                 masses[mt] = mass / z
         return masses

@@ -5,6 +5,7 @@ import copy
 import hashlib
 import io
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -106,7 +107,10 @@ def sg8_steps(count):
         chain = GrowthChain(w, horizon=8, rng=derive_rng(0, "sg8", i), tables=tables)
         while chain.n < 8:
             step = chain.step()
-            yield step.parent, step.new_vertices, step.num, step.den
+            num = den = 1
+            for p, q in step.factors:
+                num, den = num * p, den * q
+            yield step.parent, step.new_vertices, num, den
 
 
 def subtree20_steps(count):
@@ -159,17 +163,8 @@ def test_chains_never_reduce_the_step_probability(monkeypatch):
     while sub.n < 30:
         sub.step()
     monkeypatch.undo()
-    assert all(step.prob == Fraction(step.num, step.den) and 0 < step.prob <= 1 for step in steps)
-
-
-def test_subtree_chains_leave_the_step_products_unformed(monkeypatch):
-    def no_product(step):
-        raise AssertionError("a subtree chain multiplied its step probability")
-
-    monkeypatch.setattr(treegrow.sgtrees.GrowthStep, "_product", no_product)
-    sub = SubtreeChain(["1/2", "1/3", "1/4"], horizon=60, seed=0)
-    while sub.n < 60:
-        sub.step()
+    assert all(step.prob == math.prod(Fraction(p, q) for p, q in step.factors) and 0 < step.prob <= 1
+               for step in steps)
 
 
 def test_unknown_model_refused(tmp_path):

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from treegrow.errors import DomainError, ParseError
 from treegrow.oracle import enumerate_plane_trees, enumerate_subtrees
-from treegrow.treespace import (PlaneTree, RootedSubtree, complete_d_ary, compose_root, format_tree,
+from treegrow.treespace import (PlaneTree, RootedSubtree, compose_root, format_tree,
                                 is_bouquet_addition, is_right_leaning_leaf_addition,
                                 parse_tree, to_dot, word_from_text, word_to_text)
 
@@ -119,31 +119,6 @@ class TestRootDecomposition:
 
     def test_compose_path(self):
         assert compose_root([pt((), (1,))]) == pt((), (1,), (1, 1))
-
-
-class TestCompletion:
-    def test_root_only(self):
-        assert complete_d_ary(rs(()), 2) == pt((), (1,), (2,))
-
-    def test_one_child(self):
-        assert complete_d_ary(rs((), (1,)), 2) == pt((), (1,), (2,), (1, 1), (1, 2))
-
-    def test_ternary(self):
-        got = complete_d_ary(rs((), (2,)), 3)
-        assert got == pt((), (1,), (2,), (3,), (2, 1), (2, 2), (2, 3))
-
-    def test_letter_too_big(self):
-        with pytest.raises(DomainError):
-            complete_d_ary(rs((), (3,)), 2)
-
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_all_degrees_full_or_zero(self, d):
-        for n in range(1, 6):
-            for tau in enumerate_subtrees(n, dmax=d):
-                tree = complete_d_ary(tau, d)
-                assert len(tree) == d * len(tau) + 1
-                for u in tree.vertices:
-                    assert tree.children_count(u) in (0, d)
 
 
 class TestSerialization:
