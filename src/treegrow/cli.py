@@ -37,6 +37,12 @@ TP2_CAP = 40
 RATIO_CHAIN_CAP = 1000
 SHUFFLE_CAP = 4
 
+# --samples cap of the stats suite, which grows a chain per sample.  On a 2-CPU
+# Xeon a chain takes about 45 us at the defaults (10,000 samples run in 2.0 s,
+# 40,000 in 3.4 s, interpreter start included), 0.17 ms at --n-max 10 and
+# 0.28 ms with --theta 1/2,1/3,1/4 --n-max 7: the cap holds runs under 30 s.
+STATS_SAMPLES_CAP = 100_000
+
 # Largest --theta support of the subset-coupling suite, whose nested coupling
 # law holds one entry per insertion ordering: factorially many.  With all-ones
 # theta on a 2-CPU Xeon, the suite takes about 0.03 s at a support of 6, 0.2 s
@@ -202,6 +208,8 @@ def cmd_grow(args) -> int:
     if args.model is None:
         raise ParseError("--model is required")
     _refuse_unread(given, MODELS[args.model], f"the {args.model} model")
+    if args.decimal and not args.out:
+        raise ParseError("--decimal needs --out: it renders the probabilities of the trace file")
     if args.n is None:
         raise ParseError("--n is required")
     if args.n > GROW_CAP:
@@ -461,6 +469,9 @@ def _suite_shuffle_invariance(args) -> dict:
 
 def _suite_stats(args) -> dict:
     """Fit the final states of independent chains on shared tables to the model's exact law at n."""
+    samples = _given(args.samples, 10_000)
+    if samples > STATS_SAMPLES_CAP:
+        raise HorizonError(f"--samples {samples} is above the cap {STATS_SAMPLES_CAP} of the stats suite")
     if args.theta:
         if _given(args.d, 1) != 1:
             raise ParseError("the subtree model has d = 1")
@@ -485,7 +496,7 @@ def _suite_stats(args) -> dict:
             return GrowthChain(w, d=d, horizon=n, rng=rng, tables=tables)
         read = GrowthChain.tree
     seed, counts = _given(args.seed, 0), Counter()
-    for i in range(_given(args.samples, 10_000)):
+    for i in range(samples):
         chain = make(derive_rng(seed, "battery", i))
         while chain.n + d <= n:
             chain.step()

@@ -45,41 +45,36 @@ def word_from_text(text: str) -> Word:
     return tuple(letters)
 
 
-def _checked_vertices(vertices: Iterable[Word]) -> frozenset:
-    vs = set()
-    for u in vertices:
-        word = tuple(u)
-        for letter in word:
-            if not isinstance(letter, int) or letter < 1:
-                raise DomainError(f"invalid word {word!r}: letters must be positive integers")
-        vs.add(word)
-    if ROOT not in vs:
-        raise DomainError("a tree must contain the root (empty word)")
-    return frozenset(vs)
-
-
 class _WordSet:
-    """Common storage and behaviour of plane trees and rooted subtrees."""
+    """Common storage and behaviour of plane trees and rooted subtrees.
+
+    One pass checks each word's last letter, its parent and, in a plane tree, its left
+    sibling; the parent is checked alike, so by induction every letter is checked.
+    """
 
     __slots__ = ("_vertices", "_kids")
 
     kind = "tree"
+    closed_under_left_siblings = False
 
     def __init__(self, vertices: Iterable[Word]):
-        vs = _checked_vertices(vertices)
-        kids: Dict[Word, int] = {u: 0 for u in vs}
+        vs = frozenset(map(tuple, vertices))
+        if ROOT not in vs:
+            raise DomainError("a tree must contain the root (empty word)")
+        kids: Dict[Word, int] = dict.fromkeys(vs, 0)
         for u in vs:
             if u:
-                p = u[:-1]
-                if p not in vs:
+                last, p = u[-1], u[:-1]
+                if not isinstance(last, int) or last < 1:
+                    raise DomainError(f"invalid word {u!r}: letters must be positive integers")
+                if p not in kids:
                     raise DomainError(f"{self.kind} not closed under parents: {word_to_text(u)} present, parent missing")
+                if last > 1 and self.closed_under_left_siblings and p + (last - 1,) not in kids:
+                    raise DomainError(f"{self.kind} not closed under left siblings: {word_to_text(u)} present, "
+                                      f"{word_to_text(p + (last - 1,))} missing")
                 kids[p] += 1
         self._vertices = vs
         self._kids = kids
-        self._validate()
-
-    def _validate(self):
-        pass
 
     @property
     def vertices(self) -> frozenset:
@@ -130,16 +125,7 @@ class PlaneTree(_WordSet):
     """A finite parent- and left-sibling-closed set of Ulam-Harris words."""
 
     kind = "plane tree"
-
-    def _validate(self):
-        for u in self._vertices:
-            if u and u[-1] > 1:
-                sibling = u[:-1] + (u[-1] - 1,)
-                if sibling not in self._vertices:
-                    raise DomainError(
-                        f"plane tree not closed under left siblings: {word_to_text(u)} present, "
-                        f"{word_to_text(sibling)} missing"
-                    )
+    closed_under_left_siblings = True
 
 
 def is_right_leaning_leaf_addition(tree: PlaneTree, bigger: PlaneTree) -> bool:

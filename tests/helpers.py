@@ -23,7 +23,7 @@ from treegrow.sgtrees import WeightSequence, compute_tables, growth_kernel_row
 from treegrow.subtree_model import (SubtreeChain, apply_shuffle, bij_P_inv, nested_coupling_law,
                                     push_forward, sigma_rule)
 from treegrow.treespace import (ROOT, PlaneTree, format_tree, is_bouquet_addition,
-                                is_right_leaning_leaf_addition, parse_tree)
+                                is_right_leaning_leaf_addition, parse_tree, word_to_text)
 
 
 def random_subtree(rng, n_max=5, positions=(1, 2, 3)):
@@ -422,3 +422,49 @@ def naive_subtree_chain(theta, N, seed, tables=None):
         if chain.n >= N:
             return out
         chain.step()
+
+
+def three_pass_tree_check(words, plane):
+    """The vertex set and child counts of a word set, checked in three passes over it, or a ``DomainError``.
+
+    The reference for the one-pass check of ``PlaneTree`` (``plane``) and
+    ``RootedSubtree``: first every letter of every word, then the root,
+    then each word's parent, then, in a plane tree, each left sibling.
+    """
+    kind = "plane tree" if plane else "rooted subtree"
+    vs = set()
+    for u in words:
+        word = tuple(u)
+        for letter in word:
+            if not isinstance(letter, int) or letter < 1:
+                raise DomainError(f"invalid word {word!r}: letters must be positive integers")
+        vs.add(word)
+    if ROOT not in vs:
+        raise DomainError("a tree must contain the root (empty word)")
+    kids = {u: 0 for u in vs}
+    for u in vs:
+        if u:
+            if u[:-1] not in vs:
+                raise DomainError(f"{kind} not closed under parents: {word_to_text(u)} present, parent missing")
+            kids[u[:-1]] += 1
+    for u in vs if plane else ():
+        if u and u[-1] > 1:
+            sibling = u[:-1] + (u[-1] - 1,)
+            if sibling not in vs:
+                raise DomainError(f"plane tree not closed under left siblings: {word_to_text(u)} present, "
+                                  f"{word_to_text(sibling)} missing")
+    return frozenset(vs), kids
+
+
+def tree_rule_breaks(words, plane):
+    """Every (word, rule) that a word set breaks; the rules are the checks of ``three_pass_tree_check``."""
+    vs = {tuple(u) for u in words}
+    breaks = [((), "root")] if ROOT not in vs else []
+    for u in vs:
+        if not all(isinstance(letter, int) and letter >= 1 for letter in u):
+            breaks.append((u, "letters"))
+        if u and u[:-1] not in vs:
+            breaks.append((u, "parent"))
+        if plane and u and isinstance(u[-1], int) and u[-1] > 1 and u[:-1] + (u[-1] - 1,) not in vs:
+            breaks.append((u, "left sibling"))
+    return breaks

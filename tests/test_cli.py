@@ -7,7 +7,7 @@ import pytest
 
 import treegrow.cli
 import treegrow.sgtrees
-from treegrow.cli import GROW_CAP, exact_text, main, validate_trace
+from treegrow.cli import GROW_CAP, STATS_SAMPLES_CAP, exact_text, main, validate_trace
 from treegrow.compositions import as_fraction
 from treegrow.errors import DomainError
 from treegrow.oracle import sg_law
@@ -243,6 +243,17 @@ class TestErrorBoundary:
         line = self.assert_one_line_error(capsys, code)
         assert "--n" in line and str(GROW_CAP) in line
 
+    @pytest.mark.parametrize("model", [[], ["--theta", "1,1"]], ids=["sg", "subtree"])
+    def test_stats_samples_above_cap_refused(self, model, monkeypatch, capsys):
+        def nothing_built(*args, **kwargs):
+            raise AssertionError("a law or table was built for a refused --samples")
+
+        for name in ("sg_law", "st_law", "compute_tables"):
+            monkeypatch.setattr(treegrow.cli, name, nothing_built)
+        code = run("verify", "--suite", "stats", *model, "--samples", str(STATS_SAMPLES_CAP + 1))
+        assert self.assert_one_line_error(capsys, code) == \
+            f"error: --samples {STATS_SAMPLES_CAP + 1} is above the cap {STATS_SAMPLES_CAP} of the stats suite"
+
     @pytest.mark.parametrize("argv, message", [
         (["grow", "--n", "5"], "--model is required"),
         (["grow", "--model", "sg", "--w", "1,1"], "--n is required"),
@@ -264,6 +275,8 @@ class TestErrorBoundary:
          "the subtree model does not read --w"),
         (["grow", "--model", "subtree", "--theta", "1,1", "--decimal", "--n", "5"],
          "the subtree model does not read --decimal"),
+        (["grow", "--model", "sg", "--w", "1,1", "--n", "4", "--decimal"],
+         "--decimal needs --out: it renders the probabilities of the trace file"),
         (["verify", "--suite", "tp2", "--theta", "1,2"], "the tp2 suite does not read --theta"),
         (["verify", "--suite", "tables", "--seed", "0"], "the tables suite does not read --seed"),
         (["verify", "--suite", "ratio-chain", "--samples", "5"],
@@ -285,8 +298,9 @@ class TestErrorBoundary:
         (["enumerate", "--subtrees", "3", "--d", "2"], "enumerate --subtrees does not read --d"),
     ], ids=["grow-model", "grow-n", "sg-w", "sg-d", "subtree-theta", "subtree-d", "stats-subtree-d",
             "verify-suite", "enumerate-kind", "unread-sg-theta", "unread-sg-arith-theta", "unread-subtree-w",
-            "unread-subtree-decimal", "unread-tp2-theta", "unread-tables-seed", "unread-ratio-chain-samples",
-            "unread-kernel-interchange-theta", "unread-bijection-w", "unread-subset-coupling-n-max",
+            "unread-subtree-decimal", "decimal-without-out", "unread-tp2-theta", "unread-tables-seed",
+            "unread-ratio-chain-samples", "unread-kernel-interchange-theta", "unread-bijection-w",
+            "unread-subset-coupling-n-max",
             "unread-shuffle-invariance-d", "unread-stats-theta-w", "unread-plane-trees-d",
             "unread-plane-trees-subtrees", "unread-arith-trees-dmax", "unread-subtrees-d"])
     def test_missing_argument(self, argv, message, capsys):
@@ -312,6 +326,13 @@ class TestErrorBoundary:
         cfg = tmp_path / "shared.cfg"
         cfg.write_text("w = 1,1\ntheta = 1,2\nseed = 3\nsamples = 5\nn_max = 4\n")
         assert run(*command, "--config", str(cfg)) == 0, capsys.readouterr().err
+
+    def test_decimal_reads_out_from_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"out = {tmp_path / 'trace.jsonl'}\n")
+        assert run("grow", "--model", "sg", "--w", "1,1", "--n", "4", "--decimal", "--config", str(cfg)) == 0
+        steps = (tmp_path / "trace.jsonl").read_text().splitlines()[1:]
+        assert steps and all("prob_decimal" in json.loads(line) for line in steps)
 
     @pytest.mark.parametrize("argv, line", [
         (["grow", "--model", "sg", "--w", "1,,1", "--n", "4"], "error: entry 2 of '1,,1' is empty"),

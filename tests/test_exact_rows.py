@@ -12,7 +12,8 @@ the pair scaling ``b_m -> D^m b_m``, which no CLI trace goes through.
 import hashlib
 import json
 from fractions import Fraction as F
-from itertools import accumulate
+from itertools import accumulate, count
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -22,9 +23,11 @@ import helpers
 from treegrow._rand import LazyUniform, bernoulli, derive_rng
 import treegrow.compositions
 from treegrow.compositions import (ArithClass, PairTables, WeightPair, check_admissibility_inequalities,
-                                   move_rows, sample_composition_chain)
+                                   iter_compositions, move_rows, sample_composition_chain)
 from treegrow.errors import DomainError, NotCoupleable, ZeroMassError
+from treegrow.oracle import sg_law
 from treegrow.sgtrees import GrowthChain, WeightSequence, compute_tables, growth_kernel_row, tilt
+from treegrow.subtree_model import SummableTheta
 
 small_fraction = st.builds(F, st.integers(1, 9), st.integers(1, 9))
 
@@ -346,3 +349,56 @@ def test_step_prob_is_the_kernel_row_entry(entries, d, horizon):
             step = chain.step()
             assert isinstance(step.prob, F)
             assert step.prob == growth_kernel_row(tables, before)[chain.tree()]
+
+
+def walk_law(tables, t, parts, monkeypatch):
+    """Every move ``sample_move`` can draw from ``parts`` at total t, with the product of its ``factors``.
+
+    A scripted ``bernoulli`` says no to the first k uncertain decisions and
+    yes to the next one.  k runs up from 0 until a walk makes k decisions or
+    fewer, so each outcome of the walk is reached once.
+    """
+    law = {}
+    for k in count():
+        calls = []
+        monkeypatch.setattr(treegrow.compositions, "bernoulli",
+                            lambda rng, num, den: calls.append(num) or len(calls) > k)
+        factors = []
+        move = tables.sample_move(t, parts, None, factors)
+        assert move not in law
+        law[move] = prod((F(p, q) for p, q in factors), start=F(1))
+        if len(calls) <= k:
+            return law
+
+
+def vertex_states(tree):
+    """``(t, parts)`` at every vertex: its subtree size less one and its children's subtree sizes."""
+    size = dict.fromkeys(tree.vertices, 1)
+    for u in sorted(tree.vertices, key=len, reverse=True):
+        if u:
+            size[u[:-1]] += size[u]
+    return {(size[v] - 1, tuple(size[v + (j,)] for j in range(1, tree.children_count(v) + 1)))
+            for v in tree.vertices}
+
+
+@pytest.mark.parametrize("entries, d, n_max", [
+    ([1, 3, 3, 1], 1, 8),
+    ([1, 0, 2, 0, 1], 2, 9),
+    (SummableTheta(["1/2", "1/3", "1/4"]).e, 1, 8),
+], ids=["sg-1331", "sg-arith-10201", "e-theta"])
+def test_sampler_walk_is_the_kernel_row(entries, d, n_max, monkeypatch):
+    # kernel_row is what interchange proves; the chains run sample_move, a separate walk over the same rows
+    w = WeightSequence(entries)
+    tables = compute_tables(w, d, N=n_max + d)
+    states = {state for n in range(1, n_max + 1, d) for tree in sg_law(w, d, n) for state in vertex_states(tree)}
+    for t, parts in sorted(states):
+        assert walk_law(tables, t, parts, monkeypatch) == tables.kernel_row(t, parts)
+
+
+def test_sampler_walk_is_the_kernel_row_on_compositions(monkeypatch):
+    wp = WeightPair([1, 3, 3, 1], [1, 1, 2, 5, 14, 42, 132, 429, 1430])
+    tables = PairTables(wp)
+    for t in range(wp.b.horizon):
+        for c in iter_compositions(t):
+            if wp.a[len(c)]:
+                assert walk_law(tables, t, c, monkeypatch) == tables.kernel_row(t, c)

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from treegrow.errors import DomainError, ParseError
 from treegrow.oracle import enumerate_plane_trees, enumerate_subtrees
 from treegrow.treespace import (PlaneTree, RootedSubtree, compose_root, format_tree,
@@ -47,6 +48,50 @@ class TestConstruction:
         b = pt((1,), ())
         assert a == b and hash(a) == hash(b)
         assert a != rs((), (1,))
+
+
+@st.composite
+def word_lists(draw):
+    """Words of length 0-3 over {0, 1, 2, 3} and a non-int letter, often closed under parents and siblings.
+
+    Words over {1, 2, 3} are closed under prefixes (and left siblings) or
+    not; then a few letters turn into 0 or "x", and the root may go.
+    """
+    words = draw(st.lists(st.lists(st.sampled_from([1, 2, 3]), max_size=3).map(tuple), max_size=8))
+    closure = draw(st.sampled_from(["none", "parents", "parents and siblings"]))
+    if closure != "none":
+        words += [u[:i] for u in words for i in range(len(u))]
+    if closure == "parents and siblings":
+        words += [u[:-1] + (j,) for u in words if u for j in range(1, u[-1])]
+    for _ in range(draw(st.integers(0, 2)) if words else 0):
+        i = draw(st.integers(0, len(words) - 1))
+        if words[i]:
+            k = draw(st.integers(0, len(words[i]) - 1))
+            words[i] = words[i][:k] + (draw(st.sampled_from([0, "x"])),) + words[i][k + 1:]
+    if draw(st.integers(0, 3)) == 0:
+        words = [u for u in words if u]
+    return words
+
+
+class TestOnePassCheck:
+    """One pass over the words accepts and refuses what the three-pass reference does."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(word_lists(), st.booleans())
+    def test_same_trees_as_three_passes(self, words, plane):
+        cls = PlaneTree if plane else RootedSubtree
+        try:
+            vertices, kids = helpers.three_pass_tree_check(words, plane)
+        except DomainError as exc:
+            with pytest.raises(DomainError) as refused:
+                cls(words)
+            assert type(refused.value) is type(exc)
+            if len(helpers.tree_rule_breaks(words, plane)) == 1:
+                assert str(refused.value) == str(exc)
+            return
+        tree = cls(words)
+        assert tree.vertices == vertices
+        assert {u: tree.children_count(u) for u in vertices} == kids
 
 
 class TestChildrenCount:
