@@ -20,7 +20,7 @@ from .compositions import as_fraction, check_ratio_chain
 from .errors import DomainError, HorizonError, ParseError, Refused, TreegrowError
 from .oracle import (PLANE_TREE_CAP, SUBTREE_CAP, cleared_weights, enumerate_plane_trees, enumerate_subtrees,
                      goodness_of_fit, sg_law, st_law, subset_law, kernel_interchange_check, tree_mass)
-from .sgtrees import (WeightSequence, check_tp2_array, compute_tables, forest_array, growth_kernel_row,
+from .sgtrees import (WeightSequence, check_tp2_array, compute_tables, growth_kernel_row,
                       is_log_concave, require_log_concave, GrowthChain)
 from .subtree_model import (SubtreeChain, SummableTheta, bij_P, bij_P_inv, nested_coupling_law,
                             nested_thresholds, sigma_rule, shuffle_invariance_check)
@@ -366,22 +366,20 @@ def _suite_tables(args) -> dict:
     scale, ints = cleared_weights(w, n_max + 1)
     failures = []
     checked = 0
-    for n in range(1, n_max + 1):
-        if n % d != 1 % d:
-            continue
+    for n in range(1, n_max + 1, d):
         checked += 1
         enumerated = Fraction(sum(tree_mass(ints, tree) for tree in enumerate_plane_trees(n, d)), scale ** n)
         if enumerated != tables.b_value(n):
             failures.append({"n": n, "recursion": str(tables.b_value(n)),
                              "enumeration": str(enumerated)})
-    if d == 1:
-        # L^(n+1) b_{n+1} = sum_k (L w_k) (L^n f(n, k)), with f from the independent forest recursion
-        f = forest_array(w, n_max)
-        for n in range(0, n_max + 1):
+    # Lagrange inversion, n b_n = [x^(n-1)] w(x)^n, uses neither the peel nor the enumeration
+    power = [1] + [0] * n_max  # (L w)(x)^n up to x^n_max
+    for n in range(1, n_max + 2):
+        power = [sum(power[i] * ints[j - i] for i in range(j + 1)) for j in range(n_max + 1)]
+        if n % d == 1 % d:
             checked += 1
-            forest_sum = sum(ints[k] * f[n][k] for k in range(n + 1))
-            if Fraction(forest_sum, scale ** (n + 1)) != tables.b_value(n + 1):
-                failures.append({"n": n + 1, "kind": "forest-identity-mismatch"})
+            if Fraction(power[n - 1], n * scale ** n) != tables.b_value(n):
+                failures.append({"n": n, "kind": "lagrange-identity-mismatch"})
     return {"suite": "tables", "checked": checked, "ok": not failures, "failures": failures}
 
 

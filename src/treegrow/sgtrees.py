@@ -131,51 +131,29 @@ def compute_tables(w, d: int = 1, N: int = 10) -> PartitionTables:
     return PartitionTables(coerce_weights(w), d, N)
 
 
-def forest_array(w, T: int) -> List[List[int]]:
-    """``f[t][k] = L^t f(t, k)`` for t, k <= T, ``L`` the least common denominator of ``w``.
-
-    ``f(t, k)`` weighs the ordered k-tree forests with t vertices.  The
-    Lukasiewicz recursion on the first vertex, whose i children join the
-    remaining trees, ``f(t, k) = sum_i w_i f(t - 1, k + i - 1)``, runs on
-    the integer weights ``L w_i``, so the array holds Python ints.
-    """
-    w = coerce_weights(w)
-    _, entries = cleared(w.entries)
-    support = [(i, entries[i]) for i in w.support()]
-    f = [[0] * (T + 1) for _ in range(T + 1)]
-    f[0][0] = 1
-    for t in range(1, T + 1):
-        prev = f[t - 1]
-        for k in range(1, t + 1):
-            acc = 0
-            for i, wi in support:
-                j = k + i - 1
-                if j < t and prev[j]:
-                    acc += wi * prev[j]
-            f[t][k] = acc
-    return f
-
-
-def check_tp2_array(tables: PartitionTables, N: Optional[int] = None) -> CheckReport:
+def check_tp2_array(tables: PartitionTables) -> CheckReport:
     """Exactly verify all 2x2 minors of the forest arrays are non-negative.
 
-    There is one array per residue s mod d, ``F_s(n, k) = f(nd + s, kd + s)``;
-    rows and columns run over 1..N when d = 1 and over 0..N otherwise, with
-    N capped by the tables' vertex horizon.  Both products of the minor at
-    rows n, n2 carry the scale ``L^((n + n2) d + 2s)`` of ``forest_array``,
-    so they are compared as integers; a failing minor reports both sides
-    divided by it.
+    ``f(t, k)`` weighs the ordered k-tree forests with t vertices: the peel
+    with count weights ``e_T`` and the tree masses as part weights gives
+    ``z[T - k][t] = L^t f(t, k)``.  There is one array per residue s mod d,
+    ``F_s(n, k) = f(nd + s, kd + s)``; rows and columns run over 1..N when
+    d = 1 and over 0..N otherwise, N the largest the vertex horizon allows.
+    Both products of the minor at rows n, n2 carry the scale
+    ``L^((n + n2) d + 2s)``, so they are compared as integers; a failing
+    minor reports both sides divided by it.
     """
     report = CheckReport(name="tp2-array")
     d = tables.d
-    cap = (tables.N - 1) // d
-    top = cap if N is None else min(N, cap)
+    top = (tables.N - 1) // d
     low = 1 if d == 1 else 0
     cols = range(low, top + 1)
     minors_per_row_pair = len(cols) * (len(cols) + 1) // 2
-    f = forest_array(tables.w, top * d + d - 1)
+    T = top * d + d - 1
+    b = tables._b + [0] * d  # T passes the horizon only at sizes off 1 mod d, where no tree has mass
+    z = peel_partition_values([0] * T + [1], T, b.__getitem__)
     for s in range(d):
-        F = [[f[n * d + s][k * d + s] for k in range(top + 1)] for n in range(top + 1)]
+        F = [[z[T - k * d - s][n * d + s] for k in range(top + 1)] for n in range(top + 1)]
         where = {"s": s} if d > 1 else {}
         for n in cols:
             row = F[n]

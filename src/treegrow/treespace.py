@@ -48,8 +48,9 @@ def word_from_text(text: str) -> Word:
 class _WordSet:
     """Common storage and behaviour of plane trees and rooted subtrees.
 
-    One pass checks each word's last letter, its parent and, in a plane tree, its left
-    sibling; the parent is checked alike, so by induction every letter is checked.
+    Every letter is checked before the words are hashed, so ``1.0`` or
+    ``True`` cannot stand in for ``1``.  Then one pass checks each word's
+    parent and, in a plane tree, its left sibling.
     """
 
     __slots__ = ("_vertices", "_kids")
@@ -58,15 +59,18 @@ class _WordSet:
     closed_under_left_siblings = False
 
     def __init__(self, vertices: Iterable[Word]):
-        vs = frozenset(map(tuple, vertices))
+        words = [tuple(u) for u in vertices]
+        for u in words:
+            for letter in u:
+                if type(letter) is not int or letter < 1:
+                    raise DomainError(f"invalid word {u!r}: letters must be positive integers")
+        vs = frozenset(words)
         if ROOT not in vs:
             raise DomainError("a tree must contain the root (empty word)")
         kids: Dict[Word, int] = dict.fromkeys(vs, 0)
         for u in vs:
             if u:
                 last, p = u[-1], u[:-1]
-                if not isinstance(last, int) or last < 1:
-                    raise DomainError(f"invalid word {u!r}: letters must be positive integers")
                 if p not in kids:
                     raise DomainError(f"{self.kind} not closed under parents: {word_to_text(u)} present, parent missing")
                 if last > 1 and self.closed_under_left_siblings and p + (last - 1,) not in kids:

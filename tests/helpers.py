@@ -75,23 +75,32 @@ def toeplitz_tp2(xs, window):
                for j in range(window) for j2 in range(j, window))
 
 
-def tp2_brute_force(tables, N=None):
-    """``check_tp2_array(tables, N).as_dict()`` from the Fraction forest recursion and every minor.
+def forest_fractions(w, T):
+    """``f[t][k] = f(t, k)`` for t, k <= T, the weight of the ordered k-tree forests with t vertices.
 
-    ``f(t, k) = sum_i w_i f(t - 1, k + i - 1)`` on the rational weights,
-    then each minor of ``F_s(n, k) = f(nd + s, kd + s)`` compared and
-    recorded, failures with both exact sides, in row-major order.
+    The Lukasiewicz recursion on the first vertex, whose i children join
+    the remaining trees, ``f(t, k) = sum_i w_i f(t - 1, k + i - 1)``, on
+    the rational weights: the oracle of the peel-built forest arrays of
+    ``check_tp2_array``.
     """
-    w, d = tables.w, tables.d
-    cap = (tables.N - 1) // d
-    top = cap if N is None else min(N, cap)
-    low = 1 if d == 1 else 0
-    T = top * d + d - 1
     f = [[Fraction(0)] * (T + 1) for _ in range(T + 1)]
     f[0][0] = Fraction(1)
     for t in range(1, T + 1):
         for k in range(1, t + 1):
             f[t][k] = sum((w[i] * f[t - 1][k + i - 1] for i in range(t - k + 1)), Fraction(0))
+    return f
+
+
+def tp2_brute_force(tables):
+    """``check_tp2_array(tables).as_dict()`` from ``forest_fractions`` and every minor.
+
+    Each minor of ``F_s(n, k) = f(nd + s, kd + s)`` is compared and
+    recorded, failures with both exact sides, in row-major order.
+    """
+    w, d = tables.w, tables.d
+    top = (tables.N - 1) // d
+    low = 1 if d == 1 else 0
+    f = forest_fractions(w, top * d + d - 1)
     report = CheckReport(name="tp2-array")
     for s in range(d):
         where = {"s": s} if d > 1 else {}
@@ -424,10 +433,15 @@ def naive_subtree_chain(theta, N, seed, tables=None):
         chain.step()
 
 
+def is_letter(x):
+    """Whether x is a letter of an Ulam-Harris word: a positive int, and not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 1
+
+
 def three_pass_tree_check(words, plane):
     """The vertex set and child counts of a word set, checked in three passes over it, or a ``DomainError``.
 
-    The reference for the one-pass check of ``PlaneTree`` (``plane``) and
+    The reference for the check in ``PlaneTree`` (``plane``) and
     ``RootedSubtree``: first every letter of every word, then the root,
     then each word's parent, then, in a plane tree, each left sibling.
     """
@@ -436,7 +450,7 @@ def three_pass_tree_check(words, plane):
     for u in words:
         word = tuple(u)
         for letter in word:
-            if not isinstance(letter, int) or letter < 1:
+            if not is_letter(letter):
                 raise DomainError(f"invalid word {word!r}: letters must be positive integers")
         vs.add(word)
     if ROOT not in vs:
@@ -457,14 +471,20 @@ def three_pass_tree_check(words, plane):
 
 
 def tree_rule_breaks(words, plane):
-    """Every (word, rule) that a word set breaks; the rules are the checks of ``three_pass_tree_check``."""
-    vs = {tuple(u) for u in words}
-    breaks = [((), "root")] if ROOT not in vs else []
+    """Every (word, rule) that a word set breaks; the rules are the checks of ``three_pass_tree_check``.
+
+    A word with a bad letter breaks the letter rule and is left out of the
+    set, so an unhashable letter is never hashed.
+    """
+    words = [tuple(u) for u in words]
+    breaks = [(u, "letters") for u in words if not all(map(is_letter, u))]
+    vs = {u for u in words if all(map(is_letter, u))}
+    if ROOT not in vs:
+        breaks.append(((), "root"))
     for u in vs:
-        if not all(isinstance(letter, int) and letter >= 1 for letter in u):
-            breaks.append((u, "letters"))
         if u and u[:-1] not in vs:
             breaks.append((u, "parent"))
-        if plane and u and isinstance(u[-1], int) and u[-1] > 1 and u[:-1] + (u[-1] - 1,) not in vs:
+        if plane and u and u[-1] > 1 and u[:-1] + (u[-1] - 1,) not in vs:
             breaks.append((u, "left sibling"))
     return breaks
+

@@ -9,7 +9,7 @@ import treegrow.cli
 import treegrow.sgtrees
 from treegrow.cli import GROW_CAP, STATS_SAMPLES_CAP, exact_text, main, validate_trace
 from treegrow.compositions import as_fraction
-from treegrow.errors import DomainError
+from treegrow.errors import DomainError, ParseError
 from treegrow.oracle import sg_law
 from treegrow.sgtrees import WeightSequence
 
@@ -188,6 +188,18 @@ class TestErrorBoundary:
         cfg.write_text("model = sg\nw = 1,1,1\nn = abc\n")
         line = self.assert_one_line_error(capsys, run("grow", "--config", str(cfg)))
         assert line.endswith("bad value for n: 'abc'")
+
+    def test_config_line_without_equals(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model = sg\nw 1,1,1\n")
+        line = self.assert_one_line_error(capsys, run("grow", "--config", str(cfg)))
+        assert line == f"error: {cfg}:2: expected key = value"
+
+    def test_validate_empty_trace(self, tmp_path):
+        out = tmp_path / "trace.jsonl"
+        out.write_text("")
+        with pytest.raises(ParseError, match="empty trace"):
+            validate_trace(str(out), "sg")
 
     @pytest.mark.parametrize("command, text, key, value", [
         ("verify", "suite = nope\n", "suite", "nope"),
@@ -497,6 +509,30 @@ class TestVerify:
         assert run("verify", "--suite", suite) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["ok"] is True
+
+    @pytest.mark.parametrize("argv, checked", [
+        (["--w", "1,3,3,1"], 15), (["--w", "1,0,1", "--d", "2"], 8), (["--w", "1,0,0,2", "--d", "3"], 6),
+    ], ids=["d1", "d2", "d3"])
+    def test_tables_suite_checks_lagrange_at_every_d(self, argv, checked, capsys):
+        # the enumeration at sizes 1 mod d up to 7, then Lagrange inversion up to 8
+        assert run("verify", "--suite", "tables", *argv) == 0
+        assert json.loads(capsys.readouterr().out)["checked"] == checked
+
+    @pytest.mark.parametrize("argv, n, enumerated", [
+        (["--w", "1,3,3,1"], 5, True), (["--w", "1,3,3,1"], 8, False),
+        (["--w", "1,0,1", "--d", "2"], 5, True), (["--w", "1,0,0,2", "--d", "3"], 7, True),
+    ], ids=["d1", "d1-past-the-enumeration", "d2", "d3"])
+    def test_skewed_tree_mass_fails_lagrange(self, argv, n, enumerated, monkeypatch, capsys):
+        def skewed(*args, build=treegrow.sgtrees.compute_tables, **kwargs):
+            tables = build(*args, **kwargs)
+            tables._b[n] += 1
+            return tables
+
+        monkeypatch.setattr(treegrow.cli, "compute_tables", skewed)
+        assert run("verify", "--suite", "tables", *argv) == 3
+        failures = json.loads(capsys.readouterr().out)["failures"]
+        assert failures[-1] == {"n": n, "kind": "lagrange-identity-mismatch"}
+        assert len(failures) == 1 + enumerated
 
     def test_kernel_interchange(self, capsys):
         assert run("verify", "--suite", "kernel-interchange", "--w", "1,1,1,1",

@@ -41,6 +41,15 @@ class TestEnumeration:
     def test_single_tree(self):
         assert len(enumerate_plane_trees(1)) == 1
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n": 0, "dmax": 2}, "subtrees have at least one vertex"),
+        ({"n": 3}, "pass dmax or an explicit position set"),
+        ({"n": 3, "positions": [2, 0]}, "positions must be positive"),
+    ], ids=["no-vertex", "no-positions", "position-0"])
+    def test_subtree_enumeration_refusals(self, kwargs, message):
+        with pytest.raises(DomainError, match=message):
+            enumerate_subtrees(**kwargs)
+
     def test_catalan_counts(self):
         for n in range(1, 8):
             assert len(enumerate_plane_trees(n)) == catalan(n - 1)

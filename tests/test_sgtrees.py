@@ -5,12 +5,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import helpers
+import treegrow.sgtrees
 from treegrow._rand import derive_rng
 from treegrow.compositions import iter_compositions
 from treegrow.errors import DomainError, HorizonError, Refused, ZeroMassError
 from treegrow.oracle import enumerate_plane_trees, sg_law, tv_distance
 from treegrow.sgtrees import (GrowthChain, WeightSequence, check_ratio_chain, check_tp2_array,
-                              compute_tables, forest_array, grow_chain, growth_kernel_row, is_log_concave,
+                              compute_tables, grow_chain, growth_kernel_row, is_log_concave,
                               tilt)
 from treegrow.treespace import (PlaneTree, is_bouquet_addition, is_right_leaning_leaf_addition)
 
@@ -111,14 +112,14 @@ class TestTables:
             assert tables.b_value(n) == total
 
     def test_forest_recursion_example(self):
-        f = forest_array(ONES8, 4)
+        f = helpers.forest_fractions(ONES8, 4)
         assert f[3][2] == 2
         assert f[3][2] == f[2][1] + f[2][2] + f[2][3]
 
     def test_forest_values_match_composition_sums(self):
         w = WeightSequence([1, 2, 1])
         tables = compute_tables(w, 1, N=9)
-        f = forest_array(w, 8)
+        f = helpers.forest_fractions(w, 8)
         for t in range(1, 9):
             for k in range(1, t + 1):
                 direct = F(0)
@@ -134,7 +135,7 @@ class TestTables:
     def test_b_consistency(self):
         w = WeightSequence([1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1])
         tables = compute_tables(w, 1, N=10)
-        f = forest_array(w, 9)
+        f = helpers.forest_fractions(w, 9)
         for n in range(0, 10):
             assert tables.b_value(n + 1) == sum(w[k] * f[n][k] for k in range(n + 1))
 
@@ -178,6 +179,13 @@ class TestTables:
         assert tables.partition_value(0, 5) == 42
         with pytest.raises(HorizonError):
             tables.partition_value(1, 5)  # needs w_6, past the truncation
+
+    def test_b_value_outside_the_sizes_refused(self):
+        tables = compute_tables(WeightSequence([1, 3, 3, 1]), 1, N=6)
+        with pytest.raises(DomainError, match="tree sizes start at 1"):
+            tables.b_value(0)
+        with pytest.raises(HorizonError, match="b_7 beyond the vertex horizon 6"):
+            tables.b_value(7)
 
     def test_degenerate_weights(self):
         with pytest.raises(DomainError):
@@ -226,14 +234,14 @@ class TestInequalitySuites:
 
     def test_tp2_all_ones(self):
         tables = compute_tables(WeightSequence([1] * 12), 1, N=11)
-        assert check_tp2_array(tables, N=10).ok
+        assert check_tp2_array(tables).ok
 
     def test_tp2_binomial(self):
         tables = compute_tables(WeightSequence([1, 3, 3, 1]), 1, N=11)
-        assert check_tp2_array(tables, N=10).ok
+        assert check_tp2_array(tables).ok
 
     def test_tp2_spot_value(self):
-        f = forest_array(ONES8, 4)
+        f = helpers.forest_fractions(ONES8, 4)
         lhs = f[2][1] * f[3][2]
         rhs = f[2][2] * f[3][1]
         assert lhs == rhs == 2
@@ -257,17 +265,40 @@ def tp2_weights(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(wd=tp2_weights(), horizon=st.integers(1, 11), N=st.none() | st.integers(0, 6))
+@given(wd=tp2_weights(), horizon=st.integers(1, 11))
 # the failing inputs of the verify tp2 suite, at its default --n-max 10
-@example(wd=([1, 1, 3, 1], 1), horizon=11, N=None)
-@example(wd=(["2/5", "1/5", "2/5"], 1), horizon=11, N=None)
-@example(wd=([1, 0, "1/10", 0, 1], 2), horizon=11, N=None)
-@example(wd=(["1/2", "1/3", "1/7", "1/11"], 1), horizon=11, N=None)
-def test_tp2_minors_match_the_fraction_brute_force(wd, horizon, N):
+@example(wd=([1, 1, 3, 1], 1), horizon=11)
+@example(wd=(["2/5", "1/5", "2/5"], 1), horizon=11)
+@example(wd=([1, 0, "1/10", 0, 1], 2), horizon=11)
+@example(wd=(["1/2", "1/3", "1/7", "1/11"], 1), horizon=11)
+def test_tp2_minors_match_the_fraction_brute_force(wd, horizon):
     # integer minors at a common scale: same count, same failures in the same order, same exact sides
     w, d = wd
     tables = compute_tables(WeightSequence(w), d, N=horizon)
-    assert check_tp2_array(tables, N).as_dict() == helpers.tp2_brute_force(tables, N)
+    assert check_tp2_array(tables).as_dict() == helpers.tp2_brute_force(tables)
+
+
+@pytest.mark.parametrize("w, d", [([1, 3, 3, 1], 1), (["1/2", "1/3", "1/7"], 1), ([1, 0, "2/3", 0, "1/5"], 2),
+                                  ([2, 0, 0, 1], 3), (["1/3", 0, 0, "1/2", 0, 0, 1], 3)])
+@pytest.mark.parametrize("horizon", [1, 2, 7, 13])
+def test_tp2_arrays_are_the_scaled_forest_fractions(w, d, horizon, monkeypatch):
+    # the peel run inside check_tp2_array holds z[T - k][t] = L^t f(t, k) for every t, k <= T,
+    # also where T passes the vertex horizon (horizon 1 with d = 3 reads b_2)
+    peel, runs = treegrow.sgtrees.peel_partition_values, []
+
+    def recording(*args):
+        runs.append(peel(*args))
+        return runs[-1]
+
+    tables = compute_tables(WeightSequence(w), d, N=horizon)
+    monkeypatch.setattr(treegrow.sgtrees, "peel_partition_values", recording)
+    check_tp2_array(tables)
+    (z,) = runs
+    T = len(z) - 1
+    f = helpers.forest_fractions(tables.w, T)
+    assert T == (horizon - 1) // d * d + d - 1
+    assert [[z[T - k][t] for k in range(T + 1)] for t in range(T + 1)] == \
+        [[f[t][k] * tables.b_scale ** t for k in range(T + 1)] for t in range(T + 1)]
 
 
 class TestGrowthKernel:
@@ -358,6 +389,13 @@ class TestGrowthChain:
             with pytest.raises(Refused) as err:
                 GrowthChain(w, d, horizon=5, rng=random.Random(0), tables=supplied)
             assert err.value.witness == witness
+
+    def test_supplied_tables_shorter_than_the_horizon_refused(self):
+        w = WeightSequence([1, 3, 3, 1])
+        tables = compute_tables(w, 1, N=5)
+        assert GrowthChain(w, horizon=5, rng=random.Random(0), tables=tables).horizon == 5
+        with pytest.raises(HorizonError, match="supplied tables stop before the requested horizon"):
+            GrowthChain(w, horizon=6, rng=random.Random(0), tables=tables)
 
     def test_deterministic_per_seed(self):
         w = WeightSequence([1] * 10)

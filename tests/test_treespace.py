@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -52,10 +52,12 @@ class TestConstruction:
 
 @st.composite
 def word_lists(draw):
-    """Words of length 0-3 over {0, 1, 2, 3} and a non-int letter, often closed under parents and siblings.
+    """Words of length 0-3 over {0, 1, 2, 3} and bad letters, often closed under parents and siblings.
 
     Words over {1, 2, 3} are closed under prefixes (and left siblings) or
-    not; then a few letters turn into 0 or "x", and the root may go.
+    not; then a word may gain a twin, placed before or after it, with one
+    letter turned into a float, a bool or a list; then a few letters turn
+    into 0 or "x", and the root may go.
     """
     words = draw(st.lists(st.lists(st.sampled_from([1, 2, 3]), max_size=3).map(tuple), max_size=8))
     closure = draw(st.sampled_from(["none", "parents", "parents and siblings"]))
@@ -63,6 +65,12 @@ def word_lists(draw):
         words += [u[:i] for u in words for i in range(len(u))]
     if closure == "parents and siblings":
         words += [u[:-1] + (j,) for u in words if u for j in range(1, u[-1])]
+    twins = [u for u in words if u]
+    if twins and draw(st.booleans()):
+        u = draw(st.sampled_from(twins))
+        k = draw(st.integers(0, len(u) - 1))
+        letter = draw(st.sampled_from([float, bool, lambda x: [x]]))(u[k])
+        words.insert(draw(st.integers(0, len(words))), u[:k] + (letter,) + u[k + 1:])
     for _ in range(draw(st.integers(0, 2)) if words else 0):
         i = draw(st.integers(0, len(words) - 1))
         if words[i]:
@@ -74,10 +82,16 @@ def word_lists(draw):
 
 
 class TestOnePassCheck:
-    """One pass over the words accepts and refuses what the three-pass reference does."""
+    """The letter pass and the word pass accept and refuse what the three-pass reference does."""
 
     @settings(max_examples=400, deadline=None)
     @given(word_lists(), st.booleans())
+    # an equal float or bool letter must not merge into an int word, and a list letter is never hashed
+    @example([(), (1,), (1.0,)], True)
+    @example([(), (1.0,), (1,)], False)
+    @example([(), (1,), (1.0, 1)], True)
+    @example([(), (True,)], False)
+    @example([(), ([1],)], True)
     def test_same_trees_as_three_passes(self, words, plane):
         cls = PlaneTree if plane else RootedSubtree
         try:
