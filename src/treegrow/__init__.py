@@ -27,4 +27,4 @@ from .subtree_model import (SubtreeChain, SummableTheta, apply_shuffle, bij_P, b
                             subtree_grow_chain)
 from .oracle import (GofReport, comp_law, enumerate_plane_trees, enumerate_subtrees,
                      goodness_of_fit, janson_expectations,
-                     kernel_interchange_check, sg_law, st_law, subset_law, tv_distance)
+                     kernel_interchange_check, sg_law, sg_masses, st_law, subset_law, tv_distance)

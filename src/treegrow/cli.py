@@ -12,19 +12,19 @@ import math
 import sys
 from collections import Counter
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from . import __version__
 from ._rand import derive_rng
 from .compositions import as_fraction, check_ratio_chain
 from .errors import DomainError, HorizonError, ParseError, Refused, TreegrowError
 from .oracle import (PLANE_TREE_CAP, SUBTREE_CAP, cleared_weights, enumerate_plane_trees, enumerate_subtrees,
-                     goodness_of_fit, sg_law, st_law, subset_law, kernel_interchange_check, tree_mass)
+                     goodness_of_fit, sg_law, sg_masses, st_law, subset_law, kernel_interchange_check)
 from .sgtrees import (WeightSequence, check_tp2_array, compute_tables, growth_kernel_row,
                       is_log_concave, require_log_concave, GrowthChain)
 from .subtree_model import (SubtreeChain, SummableTheta, bij_P, bij_P_inv, nested_coupling_law,
                             nested_thresholds, sigma_rule, shuffle_invariance_check)
-from .treespace import (GrowingText, Word, adds_bouquet, format_tree, parse_tree, to_dot,
+from .treespace import (GrowingText, PlaneTree, Word, adds_bouquet, format_tree, parse_tree, to_dot,
                         word_from_text, word_to_text)
 
 # --n-max caps not set by the enumeration caps of oracle.  On a 2-CPU Xeon:
@@ -115,9 +115,18 @@ def _n_max(args, default: int, cap: int) -> int:
     return args.n_max
 
 
-def _weights(args, default: str):
-    """The suite's ``--w`` (``default`` when not given) as a weight sequence, and its ``--d``."""
-    return WeightSequence(parse_rational_list(_given(args.w, default))), _given(args.d, 1)
+def _weights(args, default: Tuple[int, ...]):
+    """The suite's ``--w`` as a weight sequence, and its ``--d``.
+
+    Without ``--w`` the entries of ``default`` sit on the multiples of d,
+    with zeros between them, so that every ``--d`` has weights to check.
+    """
+    d = _given(args.d, 1)
+    if args.w is not None:
+        return WeightSequence(parse_rational_list(args.w)), d
+    spread = [0] * ((len(default) - 1) * d + 1)
+    spread[::d] = default
+    return WeightSequence(spread), d
 
 
 def parse_config_file(path: str) -> Dict[str, str]:
@@ -359,7 +368,7 @@ def validate_trace(path: str, model: str, d: int = 1):
 
 
 def _suite_tables(args) -> dict:
-    w, d = _weights(args, "1,1,1,1,1,1,1,1")
+    w, d = _weights(args, (1,) * 8)
     n_max = _n_max(args, 7, PLANE_TREE_CAP)
     tables = compute_tables(w, d, N=n_max + d)
     # the trees of size n weigh L^n b_n on the integer weights L w_k
@@ -368,7 +377,7 @@ def _suite_tables(args) -> dict:
     checked = 0
     for n in range(1, n_max + 1, d):
         checked += 1
-        enumerated = Fraction(sum(tree_mass(ints, tree) for tree in enumerate_plane_trees(n, d)), scale ** n)
+        enumerated = Fraction(sum(sg_masses(w, d, n).values()), scale ** n)
         if enumerated != tables.b_value(n):
             failures.append({"n": n, "recursion": str(tables.b_value(n)),
                              "enumeration": str(enumerated)})
@@ -384,7 +393,7 @@ def _suite_tables(args) -> dict:
 
 
 def _suite_tp2(args) -> dict:
-    w, d = _weights(args, "1,1,1,1,1,1,1,1")
+    w, d = _weights(args, (1,) * 8)
     n_max = _n_max(args, 10, TP2_CAP)
     # log-concavity of w_0, w_d, ... is TP2 of its Toeplitz matrix (Karlin), so no minor of it is checked
     lc = is_log_concave(w.progression(d))
@@ -394,7 +403,7 @@ def _suite_tp2(args) -> dict:
 
 
 def _suite_ratio_chain(args) -> dict:
-    w, d = _weights(args, "1,3,3,1")
+    w, d = _weights(args, (1, 3, 3, 1))
     n_max = _n_max(args, 10, RATIO_CHAIN_CAP)
     tables = compute_tables(w, d, N=(n_max + 2) * d + 1)
     report = check_ratio_chain(tables, n_max=n_max)
@@ -402,16 +411,17 @@ def _suite_ratio_chain(args) -> dict:
 
 
 def _suite_kernel_interchange(args) -> dict:
-    w, d = _weights(args, "1,1,1,1,1,1,1")
+    w, d = _weights(args, (1,) * 7)
     n_max = _n_max(args, 6, PLANE_TREE_CAP - d)  # the last level enumerates trees of size n + d
     require_log_concave(w, d)
     tables = compute_tables(w, d, N=n_max + d)
     results = []
     ok = True
-    law_hi = sg_law(w, d, 1)
+    masses_hi = sg_masses(w, d, 1)
     for n in range(1, n_max + 1, d):
-        law_lo, law_hi = law_hi, sg_law(w, d, n + d)
-        report = kernel_interchange_check(lambda t: growth_kernel_row(tables, t), law_lo, law_hi)
+        masses_lo, masses_hi = masses_hi, sg_masses(w, d, n + d)
+        report = kernel_interchange_check(lambda t: growth_kernel_row(tables, t), masses_lo,
+                                          {t.vertices: m for t, m in masses_hi.items()}, PlaneTree)
         ok = ok and report.ok
         results.append({"n": n, **report.as_dict()})
     return {"suite": "kernel-interchange", "ok": ok, "levels": results}
@@ -455,7 +465,7 @@ def _suite_subset_coupling(args) -> dict:
 
 def _suite_shuffle_invariance(args) -> dict:
     n_max = _n_max(args, 4, SHUFFLE_CAP)
-    w, _ = _weights(args, "1,2,1")
+    w, _ = _weights(args, (1, 2, 1))
     nu = {(1, 2): Fraction(1, 2), (2, 1): Fraction(1, 2)}
 
     def rule(tree, x, u):
@@ -481,7 +491,7 @@ def _suite_stats(args) -> dict:
             return SubtreeChain(theta, horizon=n, seed=rng.getrandbits(63), tables=tables)
         read = SubtreeChain.subtree
     else:
-        w, d = _weights(args, "1,1,1,1,1,1")
+        w, d = _weights(args, (1,) * 6)
         model, n = "sg" if d == 1 else "sg-arith", _n_max(args, 5 if d == 1 else d + 1, PLANE_TREE_CAP)
         if (n - 1) % d:  # trees of d-arithmetic weights have 1 mod d vertices
             if args.n_max is None:  # the default d + 1, lowered to the cap

@@ -432,38 +432,41 @@ class PartitionKernel:
             row = self._step_memo[key] = StepRow(cl, ch, (yp, yq), (bp, bq))
         return row
 
-    def kernel_row(self, t: int, parts: Sequence[int]) -> Dict[Tuple, Fraction]:
+    def kernel_row(self, t: int, parts: Sequence[int]) -> Dict[Tuple, Tuple[int, int]]:
         """Exact law of the move that ``sample_move`` draws from these parts at total t.
 
         Part j is incremented with probability ``stay * q_j``, where ``q_j``
         is its step probability at shift j and ``stay`` the probability that
         no earlier part moved; the append move takes what is left.  Moves
         are keyed as in ``sample_move``, and only moves with mass appear.
+        Each probability is the unreduced integer pair ``(num, den)`` that
+        multiplies the pairs ``sample_move`` appends to its ``factors`` on
+        the way to that move.
         """
         if sum(parts) != t:
             raise DomainError("parts do not sum to the stated total")
-        row: Dict[Tuple, Fraction] = {}
-        stay = ONE
+        row: Dict[Tuple, Tuple[int, int]] = {}
+        sn = sd = 1  # the pair of stay
         remaining = t
         for j, part in enumerate(parts):
             if self.r - j <= 1:
                 # beyond this shift only single-part compositions carry mass
                 if j != len(parts) - 1:
                     raise DomainError(f"parts {tuple(parts)} carry no mass past shift {j}")
-                row[("inc", j)] = stay
+                row[("inc", j)] = (sn, sd)
                 return row
-            steps = self.step_probs(j, remaining)
             try:
-                q = Fraction(*steps[(part - 1) // self.d])
+                qn, qd = self.step_probs(j, remaining)[(part - 1) // self.d]
             except KeyError:
                 raise DomainError(f"part {part} carries no mass at total {remaining}, shift {j}") from None
-            if q:
-                row[("inc", j)] = stay * q
-            stay *= 1 - q
-            if not stay:
+            if qn == qd:
+                row[("inc", j)] = (sn, sd)
                 return row
+            if qn:
+                row[("inc", j)] = (sn * qn, sd * qd)
+                sn, sd = sn * (qd - qn), sd * qd
             remaining -= part
-        row[("append", len(parts))] = stay
+        row[("append", len(parts))] = (sn, sd)
         return row
 
     def sample_move(self, t: int, parts: Sequence[int], rng, factors: List[Tuple[int, int]]) -> Tuple:
@@ -561,7 +564,7 @@ def composition_kernel(tables: PairTables, c: Composition) -> Dict[Composition, 
     cls = tables.cls
     if not satisfies_arith(c, cls):
         raise DomainError(f"composition {c} violates the (d={cls.d}, s={cls.s}) condition")
-    return {apply_move(c, move, tables.d): p for move, p in tables.kernel_row(sum(c), c).items()}
+    return {apply_move(c, move, tables.d): Fraction(*p) for move, p in tables.kernel_row(sum(c), c).items()}
 
 
 @dataclass

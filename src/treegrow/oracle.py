@@ -41,25 +41,34 @@ def enumerate_plane_trees(n: int, d: int = 1, max_n: Optional[int] = None) -> Li
     Counts grow like Catalan numbers, so sizes beyond the cap are refused
     with an estimate instead of silently melting the machine.
     """
+    _check_plane_tree_size(n, d, max_n)
+    return list(_plane_trees(n, d, None))
+
+
+def _check_plane_tree_size(n: int, d: int, max_n: Optional[int]):
     if n < 1:
         raise DomainError("trees have at least one vertex")
     cap = PLANE_TREE_CAP if max_n is None else max_n
     if n > cap:
         estimate = _catalan((n - 1) // d) if (n - 1) % d == 0 else 0
         raise HorizonError(f"enumerating size {n} exceeds the cap {cap} (roughly {estimate} trees)")
-    if (n - 1) % d != 0:
-        return []
-    return list(_plane_trees(n, d))
 
 
 @functools.lru_cache(maxsize=None)
-def _plane_trees(n: int, d: int) -> Tuple[PlaneTree, ...]:
-    """The trees below the root read children sizes from the compositions of n - 1 in class (d, 0)."""
+def _plane_trees(n: int, d: int, degree: Optional[int]) -> Tuple[PlaneTree, ...]:
+    """The trees of ``enumerate_plane_trees`` with no degree above ``degree`` (None bounds nothing), in its order.
+
+    Children sizes come from the compositions of n - 1 in class (d, 0).  A
+    bound of n - 1 or more bounds nothing, so it reads the unbounded entry.
+    """
+    if degree is not None and degree >= n - 1:
+        return _plane_trees(n, d, None)
     if n == 1:
         return (PlaneTree([ROOT]),)
     trees = [compose_root(subtrees)
              for parts in iter_compositions(n - 1, ArithClass(d, 0))
-             for subtrees in itertools.product(*(_plane_trees(p, d) for p in parts))]
+             if degree is None or len(parts) <= degree
+             for subtrees in itertools.product(*(_plane_trees(p, d, degree) for p in parts))]
     return tuple(sorted(trees, key=lambda t: sorted(t.vertices)))
 
 
@@ -139,22 +148,34 @@ def tree_mass(w, tree: PlaneTree):
     return mass
 
 
-def sg_law(w, d: int, n: int) -> Dict[PlaneTree, Fraction]:
-    """Size-n tree law from raw weight products (independent of any recursion).
+def sg_masses(w, d: int, n: int) -> Dict[PlaneTree, int]:
+    """The size-n trees with mass, in canonical order, each with its raw weight product.
 
-    Every tree of size n carries the scale ``L^n`` of ``cleared_weights``,
-    so the products stay integers.
+    The products run on the integers of ``cleared_weights``, so every tree
+    carries the scale ``L^n``.  A tree with a degree above the radius of
+    ``w`` has no mass, so only trees within it are enumerated.  Under a
+    declared horizon below n - 1 every tree is, and a tree that reads ``w``
+    past the horizon fails as ``w`` does.
     """
     w = coerce_weights(w)
+    _check_plane_tree_size(n, d, None)
     _, ints = cleared_weights(w, n)
+    short = w.horizon is not None and w.horizon < n - 1
     masses = {}
-    for tree in enumerate_plane_trees(n, d):
+    for tree in _plane_trees(n, d, None if short else w.radius):
         try:
-            masses[tree] = tree_mass(ints, tree)
+            mass = tree_mass(ints, tree)
         except IndexError:  # the tree reads w past its declared horizon: fail as w does
             tree_mass(w, tree)
             raise
-    return _normalized(masses)
+        if mass:
+            masses[tree] = mass
+    return masses
+
+
+def sg_law(w, d: int, n: int) -> Dict[PlaneTree, Fraction]:
+    """Size-n tree law from raw weight products (independent of any recursion): ``sg_masses`` normalized."""
+    return _normalized(sg_masses(w, d, n))
 
 
 def st_law(theta, n: int) -> Dict[RootedSubtree, Fraction]:
@@ -245,22 +266,44 @@ class InterchangeReport:
                 "first_discrepancy": self.first_discrepancy}
 
 
-def kernel_interchange_check(row_fn: Callable, law_lo: Mapping, law_hi: Mapping) -> InterchangeReport:
+def kernel_interchange_check(row_fn: Callable, masses_lo: Mapping, masses_hi: Mapping,
+                             state: Callable = lambda key: key) -> InterchangeReport:
     """Verify that pushing the lower law through the kernel gives the upper law exactly.
 
-    The first discrepancy reported is the mismatching state with the least ``repr``.
+    ``masses_lo`` maps each state of the lower size to its mass, and
+    ``masses_hi`` each target key of the upper size to its; the masses of
+    one map share one scale, so each law is its masses divided by their
+    total, ``Z_lo`` or ``Z_hi``.  ``row_fn(s)`` maps the target keys of
+    state s to unreduced integer pairs ``(num, den)``, as
+    ``growth_kernel_row`` and ``kernel_row`` do.  The masses pushed to a
+    target add up as an unreduced pair ``(N, D)``, and the target passes
+    when ``N Z_hi == m D Z_lo``, m its own mass.  The first discrepancy
+    reported is the mismatching ``state(key)`` with the least ``repr``,
+    with both probabilities as Fractions.
     """
-    pushed: Dict[object, Fraction] = {}
-    for state, mass in law_lo.items():
-        for target, p in row_fn(state).items():
-            pushed[target] = pushed.get(target, ZERO) + mass * p
-    keys = set(pushed) | set(law_hi.keys())
-    bad = [key for key in keys if pushed.get(key, ZERO) != law_hi.get(key, ZERO)]
+    pushed: Dict[object, Tuple[int, int]] = {}
+    for key, mass in masses_lo.items():
+        for target, (num, den) in row_fn(key).items():
+            acc, scale = pushed.get(target, (0, den))
+            pushed[target] = ((acc + mass * num, den) if scale == den
+                              else (acc * den + mass * num * scale, scale * den))
+    z_lo, z_hi = sum(masses_lo.values()), sum(masses_hi.values())
+    if not z_lo or not z_hi:
+        raise ZeroMassError("the lower or the upper states carry no mass")
+
+    def matches(key) -> bool:
+        num, den = pushed.get(key, (0, 1))
+        return num * z_hi == masses_hi.get(key, 0) * den * z_lo
+
+    keys = pushed.keys() | masses_hi.keys()
+    bad = [key for key in keys if not matches(key)]
     if not bad:
         return InterchangeReport(True, len(keys))
-    key = min(bad, key=repr)
+    first, key = min(((state(key), key) for key in bad), key=lambda pair: repr(pair[0]))
+    num, den = pushed.get(key, (0, 1))
     return InterchangeReport(False, len(keys), {
-        "state": repr(key), "pushed": str(pushed.get(key, ZERO)), "target": str(law_hi.get(key, ZERO))})
+        "state": repr(first), "pushed": str(Fraction(num, den * z_lo)),
+        "target": str(Fraction(masses_hi.get(key, 0), z_hi))})
 
 
 @dataclass

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .compositions import (ONE, CheckReport, PartitionKernel, WeightSequence, as_fraction, cleared,
+from .compositions import (CheckReport, PartitionKernel, WeightSequence, as_fraction, cleared,
                            coerce_weights, peel_partition_values)
 from .compositions import check_ratio_chain  # noqa: F401  (re-exported: it checks tree tables too)
 from .errors import DomainError, HorizonError, Refused
@@ -172,31 +172,35 @@ def check_tp2_array(tables: PartitionTables) -> CheckReport:
     return report
 
 
-def growth_kernel_row(tables: PartitionTables, tree: PlaneTree) -> Dict[PlaneTree, Fraction]:
+def growth_kernel_row(tables: PartitionTables, tree: PlaneTree) -> Dict[frozenset, Tuple[int, int]]:
     """Exact one-step law of the growth chain from the given tree.
 
     Walks the tree from the root as ``GrowthChain.step`` does: the
     children's subtree sizes at a vertex take one move from ``kernel_row``;
     an increment continues the walk at that child with the product so far,
-    an append plants the bouquet there.  Rows sum to one and are supported
-    on right-leaning bouquet additions.
+    an append plants the bouquet there.  Each target is keyed by its word
+    set, ``tree.vertices`` and the bouquet (``PlaneTree(key)`` is the
+    tree), and its probability is the unreduced integer pair ``(num, den)``
+    that multiplies the ``factors`` of the step to it.  Rows sum to one and
+    are supported on right-leaning bouquet additions.
     """
     d = tables.d
-    size = dict.fromkeys(tree.vertices, 1)
-    for u in sorted(tree.vertices, key=len, reverse=True):
+    vertices = tree.vertices
+    size = dict.fromkeys(vertices, 1)
+    for u in sorted(vertices, key=len, reverse=True):
         if u:
             size[u[:-1]] += size[u]
-    out: Dict[PlaneTree, Fraction] = {}
-    stack = [(ROOT, ONE)]
+    out: Dict[frozenset, Tuple[int, int]] = {}
+    stack = [(ROOT, 1, 1)]
     while stack:
-        v, p = stack.pop()
+        v, pn, pd = stack.pop()
         k = tree.children_count(v)
         parts = tuple(size[v + (j,)] for j in range(1, k + 1))
-        for (kind, j), q in tables.kernel_row(size[v] - 1, parts).items():
+        for (kind, j), (qn, qd) in tables.kernel_row(size[v] - 1, parts).items():
             if kind == "inc":
-                stack.append((v + (j + 1,), p * q))
+                stack.append((v + (j + 1,), pn * qn, pd * qd))
             else:
-                out[PlaneTree(tree.vertices | {v + (k + i,) for i in range(1, d + 1)})] = p * q
+                out[vertices.union([v + (k + i,) for i in range(1, d + 1)])] = (pn * qn, pd * qd)
     return out
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from treegrow.compositions import CheckReport, PairTables, WeightPair, composition_kernel, iter_compositions
 from treegrow.errors import DomainError, NotCoupleable, ParseError, TreegrowError, ZeroMassError
-from treegrow.oracle import enumerate_plane_trees, enumerate_subtrees, tree_mass
+from treegrow.oracle import InterchangeReport, enumerate_plane_trees, enumerate_subtrees, tree_mass
 from treegrow.sgtrees import WeightSequence, compute_tables, growth_kernel_row
 from treegrow.subtree_model import (SubtreeChain, apply_shuffle, bij_P_inv, nested_coupling_law,
                                     push_forward, sigma_rule)
@@ -201,6 +201,31 @@ def ratio_chain_reference(tables, n_max):
     return report.as_dict()
 
 
+def growth_law(tables, tree):
+    """``growth_kernel_row`` read as Fractions keyed by the target trees."""
+    return {PlaneTree(key): Fraction(*pair) for key, pair in growth_kernel_row(tables, tree).items()}
+
+
+def fraction_interchange(row_fn, law_lo, law_hi):
+    """The interchange report computed on Fractions: the reference of ``kernel_interchange_check``.
+
+    ``law_lo`` and ``law_hi`` are Fraction laws, and ``row_fn`` maps a state
+    to Fractions keyed by the target states; each pushed probability is a
+    reduced Fraction sum, compared with the target law state by state.
+    """
+    pushed = {}
+    for state, mass in law_lo.items():
+        for target, p in row_fn(state).items():
+            pushed[target] = pushed.get(target, Fraction(0)) + mass * p
+    keys = set(pushed) | set(law_hi)
+    bad = [key for key in keys if pushed.get(key, Fraction(0)) != law_hi.get(key, Fraction(0))]
+    if not bad:
+        return InterchangeReport(True, len(keys))
+    key = min(bad, key=repr)
+    return InterchangeReport(False, len(keys), {"state": repr(key), "pushed": str(pushed.get(key, Fraction(0))),
+                                                "target": str(law_hi.get(key, Fraction(0)))})
+
+
 def kernel_rows_digest(tables, w, d, n_max):
     """SHA-256 of every growth-kernel row from a tree of at most n_max vertices carrying mass."""
     rows = []
@@ -208,7 +233,7 @@ def kernel_rows_digest(tables, w, d, n_max):
         for tree in enumerate_plane_trees(n, d):
             if any(w[tree.children_count(u)] == 0 for u in tree.vertices):
                 continue
-            row = growth_kernel_row(tables, tree)
+            row = growth_law(tables, tree)
             rows.append([format_tree(tree), sorted([format_tree(t), str(p)] for t, p in row.items())])
     return len(rows), hashlib.sha256(json.dumps(sorted(rows)).encode()).hexdigest()
 
@@ -267,7 +292,7 @@ class LevelKernels:
             nxt_index = self.index[n + d]
             rows = []
             for tree in self.states[n]:
-                row = growth_kernel_row(tables, tree)
+                row = growth_law(tables, tree)
                 items = sorted(row.items(), key=lambda kv: sorted(kv[0].vertices))
                 den, cum = integer_thresholds([m for _, m in items])
                 targets = np.array([nxt_index[t.vertices] for t, _ in items], dtype=np.int64)

@@ -19,7 +19,7 @@ from treegrow.compositions import ArithClass, PairTables, shift
 from treegrow.oracle import (enumerate_plane_trees, enumerate_subtrees, goodness_of_fit,
                              janson_expectations, sg_law, st_law, subset_law, tv_distance)
 from treegrow.sgtrees import (GrowthChain, WeightSequence, check_ratio_chain, check_tp2_array,
-                              compute_tables, growth_kernel_row, is_log_concave)
+                              compute_tables, is_log_concave)
 from treegrow.subtree_model import (SubtreeChain, SummableTheta, apply_shuffle, bij_P, bij_P_inv,
                                     check_equivariance, inverse_shuffle, nested_coupling_law,
                                     nested_thresholds, pointwise_inverse, push_forward,
@@ -35,7 +35,7 @@ def report(number, ok, detail):
 def push_through(law, tables):
     pushed = {}
     for tree, mass in law.items():
-        for tree2, p in growth_kernel_row(tables, tree).items():
+        for tree2, p in helpers.growth_law(tables, tree).items():
             pushed[tree2] = pushed.get(tree2, F(0)) + mass * p
     return {t: m for t, m in pushed.items() if m}
 

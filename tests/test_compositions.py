@@ -253,7 +253,7 @@ class TestCompositionKernel:
     def test_move_law(self):
         tables = PairTables(tree_pair([1, 3, 3, 1]), total_horizon=8)
         law = tables.kernel_row(4, (1, 3))
-        assert set(law) <= {("inc", 0), ("inc", 1), ("append", 2)} and sum(law.values()) == 1
+        assert set(law) <= {("inc", 0), ("inc", 1), ("append", 2)} and sum(F(*p) for p in law.values()) == 1
         # parts that do not sum to the total, and a fourth part past the end of the shift ladder
         for t, parts in [(3, (1, 1)), (4, (1, 1, 1, 1))]:
             with pytest.raises(DomainError):

@@ -256,7 +256,7 @@ def test_kernel_row_reads_no_mass_from_the_masses():
         with pytest.raises(DomainError, match="part 1 carries no mass at total 2, shift 0"):
             tables.kernel_row(2, (1, 1))
         assert 0 not in row and 0 not in row.formed
-        assert tables.kernel_row(2, (2,)) == {("inc", 0): F(1)}
+        assert tables.kernel_row(2, (2,)) == {("inc", 0): (1, 1)}
         dict(row.items())
 
 
@@ -348,11 +348,13 @@ def test_step_prob_is_the_kernel_row_entry(entries, d, horizon):
             before = chain.tree()
             step = chain.step()
             assert isinstance(step.prob, F)
-            assert step.prob == growth_kernel_row(tables, before)[chain.tree()]
+            pair = growth_kernel_row(tables, before)[chain.tree_key()]
+            assert pair == (prod(p for p, _ in step.factors), prod(q for _, q in step.factors))
+            assert step.prob == F(*pair)
 
 
 def walk_law(tables, t, parts, monkeypatch):
-    """Every move ``sample_move`` can draw from ``parts`` at total t, with the product of its ``factors``.
+    """Every move ``sample_move`` can draw from ``parts`` at total t, with the unreduced product of its ``factors``.
 
     A scripted ``bernoulli`` says no to the first k uncertain decisions and
     yes to the next one.  k runs up from 0 until a walk makes k decisions or
@@ -366,7 +368,7 @@ def walk_law(tables, t, parts, monkeypatch):
         factors = []
         move = tables.sample_move(t, parts, None, factors)
         assert move not in law
-        law[move] = prod((F(p, q) for p, q in factors), start=F(1))
+        law[move] = (prod(p for p, _ in factors), prod(q for _, q in factors))
         if len(calls) <= k:
             return law
 

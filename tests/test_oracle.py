@@ -6,18 +6,24 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import helpers
 from treegrow.compositions import ArithClass, WeightPair, iter_compositions
-from treegrow.errors import DomainError, HorizonError
-from treegrow.oracle import (comp_law, enumerate_plane_trees, enumerate_subtrees, goodness_of_fit,
-                             janson_expectations, kernel_interchange_check, sg_law, st_law,
-                             subset_law, tv_distance)
+from treegrow.errors import DomainError, HorizonError, ZeroMassError
+from treegrow.oracle import (_plane_trees, comp_law, enumerate_plane_trees, enumerate_subtrees, goodness_of_fit,
+                             janson_expectations, kernel_interchange_check, sg_law, sg_masses, st_law,
+                             subset_law, tree_mass, tv_distance)
 from treegrow.sgtrees import WeightSequence, compute_tables, growth_kernel_row
 from treegrow.treespace import ROOT, PlaneTree, format_tree
 
 
 def catalan(k):
     return math.comb(2 * k, k) // (k + 1)
+
+
+small_fraction = st.builds(F, st.integers(1, 9), st.integers(1, 9))
 
 
 # SHA-256 of the canonical text of each enumeration, one line per size and class, in enumeration order
@@ -219,13 +225,23 @@ class TestJanson:
             assert (e3 > e4) == expect_obstruction
 
 
+def upper_masses(w, d, n):
+    """``sg_masses`` keyed by word sets, as ``growth_kernel_row`` keys its targets."""
+    return {tree.vertices: mass for tree, mass in sg_masses(w, d, n).items()}
+
+
+def fraction_rows(row_fn):
+    """A pair row function read as Fractions keyed by trees: the row form of ``helpers.fraction_interchange``."""
+    return lambda tree: {PlaneTree(key): F(*pair) for key, pair in row_fn(tree).items()}
+
+
 class TestInterchangeHarness:
     def test_passes_on_true_kernel(self):
         w = WeightSequence([1] * 7)
         tables = compute_tables(w, 1, N=6)
         report = kernel_interchange_check(lambda t: growth_kernel_row(tables, t),
-                                          sg_law(w, 1, 5), sg_law(w, 1, 6))
-        assert report.ok
+                                          sg_masses(w, 1, 5), upper_masses(w, 1, 6), PlaneTree)
+        assert report.ok and report.states_checked == catalan(5)
 
     def test_catches_corruption(self):
         w = WeightSequence([1] * 7)
@@ -234,14 +250,30 @@ class TestInterchangeHarness:
         def corrupted(tree):
             row = dict(growth_kernel_row(tables, tree))
             if len(tree) == 5 and tree.children_count(ROOT) == 1:
-                (first, *_rest) = sorted(row, key=lambda t: sorted(t.vertices))
-                row[first] = row[first] / 2  # break one entry
+                first = min(row, key=sorted)
+                num, den = row[first]
+                row[first] = (num, 2 * den)  # halve one entry
             return row
 
-        report = kernel_interchange_check(corrupted, sg_law(w, 1, 5), sg_law(w, 1, 6))
-        assert not report.ok
-        assert report.first_discrepancy is not None
-        assert "pushed" in report.first_discrepancy
+        report = kernel_interchange_check(corrupted, sg_masses(w, 1, 5), upper_masses(w, 1, 6), PlaneTree)
+        assert not report.ok and report.states_checked == catalan(5)
+        assert report.as_dict() == helpers.fraction_interchange(fraction_rows(corrupted), sg_law(w, 1, 5),
+                                                                sg_law(w, 1, 6)).as_dict()
+
+    def test_catches_a_stray_key(self):
+        w = WeightSequence([1] * 7)
+        tables = compute_tables(w, 1, N=6)
+        stray = frozenset({ROOT, (1,)})  # a tree of size 2 among the targets of size 6
+
+        def corrupted(tree):
+            row = dict(growth_kernel_row(tables, tree))
+            if tree.vertices == frozenset({ROOT, (1,), (2,), (3,), (4,)}):
+                row[stray] = (1, 9)
+            return row
+
+        report = kernel_interchange_check(corrupted, sg_masses(w, 1, 5), upper_masses(w, 1, 6), PlaneTree)
+        assert not report.ok and report.states_checked == catalan(5) + 1
+        assert report.first_discrepancy == {"state": "PlaneTree('e,1')", "pushed": "1/126", "target": "0"}
 
     def test_reports_the_least_mismatching_state(self):
         w = WeightSequence(["1/2", "1/3", "1/5", "1/9"])
@@ -252,75 +284,118 @@ class TestInterchangeHarness:
         def corrupted(tree):
             row = dict(growth_kernel_row(tables, tree))
             if tree.children_count(ROOT) == 2:
-                for target in sorted(row, key=repr)[:2]:
-                    row[target] = row[target] * F(3, 4)  # break two entries of each such row
-                row[stray] = F(1, 9)
+                for target in sorted(row, key=lambda key: repr(PlaneTree(key)))[:2]:
+                    num, den = row[target]
+                    row[target] = (3 * num, 4 * den)  # break two entries of each such row
+                row[stray.vertices] = (1, 9)
             return row
 
         pushed = {}
         for state, mass in law_lo.items():
-            for target, p in corrupted(state).items():
+            for target, p in fraction_rows(corrupted)(state).items():
                 pushed[target] = pushed.get(target, F(0)) + mass * p
         keys = set(pushed) | set(law_hi)
         bad = [key for key in keys if pushed.get(key, F(0)) != law_hi.get(key, F(0))]
         assert len(bad) > 2 and stray in bad
         first = sorted(bad, key=repr)[0]
-        report = kernel_interchange_check(corrupted, law_lo, law_hi)
+        report = kernel_interchange_check(corrupted, sg_masses(w, 1, 6), upper_masses(w, 1, 7), PlaneTree)
         assert not report.ok
         assert report.states_checked == len(keys) == len(law_hi) + 1
         assert report.first_discrepancy == {"state": repr(first), "pushed": str(pushed[first]),
                                             "target": str(law_hi.get(first, F(0)))}
 
+    def test_refuses_laws_without_mass(self):
+        with pytest.raises(ZeroMassError):
+            kernel_interchange_check(lambda state: {}, {"a": 0}, {"b": 1})
 
-class TestGoodnessOfFit:
-    def test_constant_samples_vs_uniform(self):
-        law = {k: F(1, 5) for k in range(5)}
-        counts = {0: 1000}
-        report = goodness_of_fit(counts, law)
-        assert report.tv == F(4, 5)
 
-    def test_disjoint_support(self):
-        law = {"a": F(1)}
-        counts = {"b": 50}
-        assert tv_distance(counts, 50, law) == 1
+@st.composite
+def interchange_cases(draw):
+    """Log-concave weights of radius <= 4 with d in {1, 2, 3}, a level n + d <= 8, and a row corruption."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    length = draw(st.integers(2, 4 // d + 1))
+    ratios = sorted(draw(st.lists(small_fraction, min_size=length - 1, max_size=length - 1)), reverse=True)
+    progression = [draw(small_fraction)]
+    for ratio in ratios:
+        progression.append(progression[-1] * ratio)
+    entries = [F(0)] * ((length - 1) * d + 1)
+    entries[::d] = progression
+    n = draw(st.sampled_from(range(1, 9 - d, d)))
+    return WeightSequence(entries), d, n, draw(st.sampled_from(["none", "halve", "stray"])), draw(st.integers(0, 999))
 
-    def test_undersampled_flag(self):
-        law = {k: F(1, 100) for k in range(100)}
-        report = goodness_of_fit({0: 10}, law)
-        assert report.undersampled and report.p_value is None
 
-    def test_outside_support_fails(self):
-        law = {0: F(1, 2), 1: F(1, 2)}
-        counts = {0: 300, 1: 290, 2: 10}
-        report = goodness_of_fit(counts, law)
-        assert report.p_value == 0.0
+@settings(max_examples=80, deadline=None)
+@given(interchange_cases())
+def test_integer_decision_reports_as_the_fraction_push(case):
+    w, d, n, corruption, pick = case
+    tables = compute_tables(w, d, N=n + d)
+    lo = sorted(sg_masses(w, d, n), key=lambda tree: sorted(tree.vertices))
+    victim = lo[pick % len(lo)]
+    stray = frozenset([ROOT] + [(i,) for i in range(1, n + d + 1)])  # a star one vertex too big
 
-    def test_one_category_passes_vacuously(self):
-        report = goodness_of_fit({"a": 40}, {"a": F(1)})
-        assert (report.chi_square, report.dof, report.p_value) == (0.0, 0, 1.0)
+    def rows(tree):
+        row = dict(growth_kernel_row(tables, tree))
+        if tree == victim and corruption == "halve":
+            target = sorted(row, key=sorted)[pick % len(row)]
+            num, den = row[target]
+            row[target] = (num, 2 * den)
+        elif tree == victim and corruption == "stray":
+            row[stray] = (1, 7)
+        return row
 
-    def test_outside_support_reports_valid_json(self):
-        report = goodness_of_fit({"a": 40, "b": 1}, {"a": F(1)})
-        text = json.dumps(report.as_dict())
-        assert json.loads(text, parse_constant=lambda c: pytest.fail(f"{c} in the JSON"))["chi_square"] == "inf"
+    report = kernel_interchange_check(rows, sg_masses(w, d, n), upper_masses(w, d, n + d), PlaneTree)
+    reference = helpers.fraction_interchange(fraction_rows(rows), sg_law(w, d, n), sg_law(w, d, n + d))
+    assert report.as_dict() == reference.as_dict()
+    assert report.ok == (corruption == "none")
 
-    def test_calibration_battery(self):
-        # 100 seeds of 1e5 exact-threshold draws from a 14-category law:
-        # nearly every seed must clear the 0.001 p-value bar
-        law = sg_law(WeightSequence([1] * 6), 1, 5)
-        keys = sorted(law, key=lambda t: sorted(t.vertices))
-        masses = [law[k] for k in keys]
-        den = math.lcm(*[m.denominator for m in masses])
-        cum = np.cumsum([int(m * den) for m in masses], dtype=np.int64)
-        passes = 0
-        n = 100_000
-        for seed in range(100):
-            rng = np.random.default_rng(987_000 + seed)
-            draws = rng.integers(0, den, size=n)
-            idx = np.searchsorted(cum, draws, side="right")
-            binned = np.bincount(idx, minlength=len(keys))
-            counts = {keys[i]: int(binned[i]) for i in range(len(keys))}
-            report = goodness_of_fit(counts, law)
-            if report.p_value > 0.001:
-                passes += 1
-        assert passes >= 99
+
+@st.composite
+def enumeration_cases(draw):
+    """Weights on the multiples of d, internal zeros allowed, maybe a declared horizon, and a size n <= 9."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    count = draw(st.integers(1, 8 // d + 1))
+    entries = [F(0)] * ((count - 1) * d + 1)
+    entries[::d] = draw(st.lists(st.sampled_from([F(0), F(1), F(2, 3), F(5)]), min_size=count, max_size=count))
+    if not any(entries):
+        entries[0] = F(1)
+    n = draw(st.integers(1, 9))
+    horizon = draw(st.one_of(st.none(), st.integers(len(entries) - 1, 9)))
+    return WeightSequence(entries, horizon=horizon), d, n
+
+
+def full_enumeration_law(w, d, n):
+    """The law over every tree of ``enumerate_plane_trees``, zero masses dropped.
+
+    ``tree_mass`` on the Fraction weights stops at a tree's first zero
+    weight, so a tree reads past a declared horizon only before it.
+    """
+    masses = {tree: tree_mass(w, tree) for tree in enumerate_plane_trees(n, d)}
+    masses = {tree: mass for tree, mass in masses.items() if mass}
+    if not masses:
+        raise ZeroMassError("no mass")
+    total = sum(masses.values())
+    return {tree: mass / total for tree, mass in masses.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(enumeration_cases())
+def test_degree_bounded_law_is_the_full_enumeration_law(case):
+    w, d, n = case
+    try:
+        reference = full_enumeration_law(w, d, n)
+    except (HorizonError, ZeroMassError) as exc:
+        with pytest.raises(type(exc)):
+            sg_law(w, d, n)
+        return
+    law = sg_law(w, d, n)
+    assert law == reference and list(law) == list(reference)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_bounded_enumeration_keeps_the_order_and_shares_the_cache(d):
+    for n in range(1, 11):
+        full = _plane_trees(n, d, None)
+        assert _plane_trees(n, d, n - 1) is full and _plane_trees(n, d, 99) is full
+        for degree in range(n - 1):
+            assert list(_plane_trees(n, d, degree)) == [
+                tree for tree in full if all(tree.children_count(u) <= degree for u in tree.vertices)]
