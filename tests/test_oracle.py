@@ -309,6 +309,60 @@ class TestInterchangeHarness:
             kernel_interchange_check(lambda state: {}, {"a": 0}, {"b": 1})
 
 
+class TestGoodnessOfFit:
+    def test_constant_samples_vs_uniform(self):
+        law = {k: F(1, 5) for k in range(5)}
+        counts = {0: 1000}
+        report = goodness_of_fit(counts, law)
+        assert report.tv == F(4, 5)
+
+    def test_disjoint_support(self):
+        law = {"a": F(1)}
+        counts = {"b": 50}
+        assert tv_distance(counts, 50, law) == 1
+
+    def test_undersampled_flag(self):
+        law = {k: F(1, 100) for k in range(100)}
+        report = goodness_of_fit({0: 10}, law)
+        assert report.undersampled and report.p_value is None
+
+    def test_outside_support_fails(self):
+        law = {0: F(1, 2), 1: F(1, 2)}
+        counts = {0: 300, 1: 290, 2: 10}
+        report = goodness_of_fit(counts, law)
+        assert report.p_value == 0.0
+
+    def test_one_category_passes_vacuously(self):
+        report = goodness_of_fit({"a": 40}, {"a": F(1)})
+        assert (report.chi_square, report.dof, report.p_value) == (0.0, 0, 1.0)
+
+    def test_outside_support_reports_valid_json(self):
+        report = goodness_of_fit({"a": 40, "b": 1}, {"a": F(1)})
+        text = json.dumps(report.as_dict())
+        assert json.loads(text, parse_constant=lambda c: pytest.fail(f"{c} in the JSON"))["chi_square"] == "inf"
+
+    def test_calibration_battery(self):
+        # 100 seeds of 1e5 exact-threshold draws from a 14-category law:
+        # nearly every seed must clear the 0.001 p-value bar
+        law = sg_law(WeightSequence([1] * 6), 1, 5)
+        keys = sorted(law, key=lambda t: sorted(t.vertices))
+        masses = [law[k] for k in keys]
+        den = math.lcm(*[m.denominator for m in masses])
+        cum = np.cumsum([int(m * den) for m in masses], dtype=np.int64)
+        passes = 0
+        n = 100_000
+        for seed in range(100):
+            rng = np.random.default_rng(987_000 + seed)
+            draws = rng.integers(0, den, size=n)
+            idx = np.searchsorted(cum, draws, side="right")
+            binned = np.bincount(idx, minlength=len(keys))
+            counts = {keys[i]: int(binned[i]) for i in range(len(keys))}
+            report = goodness_of_fit(counts, law)
+            if report.p_value > 0.001:
+                passes += 1
+        assert passes >= 99
+
+
 @st.composite
 def interchange_cases(draw):
     """Log-concave weights of radius <= 4 with d in {1, 2, 3}, a level n + d <= 8, and a row corruption."""
