@@ -24,7 +24,7 @@ from .sgtrees import (WeightSequence, check_tp2_array, compute_tables, growth_ke
                       is_log_concave, require_log_concave, GrowthChain)
 from .subtree_model import (SubtreeChain, SummableTheta, bij_P, bij_P_inv, nested_coupling_law,
                             nested_thresholds, sigma_rule, shuffle_invariance_check)
-from .treespace import (GrowingText, PlaneTree, Word, adds_bouquet, format_tree, parse_tree, to_dot,
+from .treespace import (GrowingText, Word, adds_bouquet, format_tree, parse_tree, to_dot,
                         word_from_text, word_to_text)
 
 # --n-max caps not set by the enumeration caps of oracle.  On a 2-CPU Xeon:
@@ -420,8 +420,7 @@ def _suite_kernel_interchange(args) -> dict:
     masses_hi = sg_masses(w, d, 1)
     for n in range(1, n_max + 1, d):
         masses_lo, masses_hi = masses_hi, sg_masses(w, d, n + d)
-        report = kernel_interchange_check(lambda t: growth_kernel_row(tables, t), masses_lo,
-                                          {t.vertices: m for t, m in masses_hi.items()}, PlaneTree)
+        report = kernel_interchange_check(lambda t: growth_kernel_row(tables, t), masses_lo, masses_hi)
         ok = ok and report.ok
         results.append({"n": n, **report.as_dict()})
     return {"suite": "kernel-interchange", "ok": ok, "levels": results}

@@ -266,44 +266,44 @@ class InterchangeReport:
                 "first_discrepancy": self.first_discrepancy}
 
 
-def kernel_interchange_check(row_fn: Callable, masses_lo: Mapping, masses_hi: Mapping,
-                             state: Callable = lambda key: key) -> InterchangeReport:
-    """Verify that pushing the lower law through the kernel gives the upper law exactly.
+def kernel_interchange_check(row_fn: Callable, masses_lo: Mapping, masses_hi: Mapping) -> InterchangeReport:
+    """Verify that pushing the lower tree law through the kernel gives the upper law exactly.
 
-    ``masses_lo`` maps each state of the lower size to its mass, and
-    ``masses_hi`` each target key of the upper size to its; the masses of
-    one map share one scale, so each law is its masses divided by their
-    total, ``Z_lo`` or ``Z_hi``.  ``row_fn(s)`` maps the target keys of
-    state s to unreduced integer pairs ``(num, den)``, as
-    ``growth_kernel_row`` and ``kernel_row`` do.  The masses pushed to a
-    target add up as an unreduced pair ``(N, D)``, and the target passes
-    when ``N Z_hi == m D Z_lo``, m its own mass.  The first discrepancy
-    reported is the mismatching ``state(key)`` with the least ``repr``,
-    with both probabilities as Fractions.
+    ``masses_lo`` and ``masses_hi`` map the trees of the lower and the upper
+    size to their masses, as ``sg_masses`` returns them; the masses of one
+    map share one scale, so each law is its masses divided by their total,
+    ``Z_lo`` or ``Z_hi``.  ``row_fn(tree)`` maps the word sets of its
+    targets to unreduced integer pairs ``(num, den)``, as
+    ``growth_kernel_row`` does.  The masses pushed to a target add up as an
+    unreduced pair ``(N, D)``, and the target passes when
+    ``N Z_hi == m D Z_lo``, m its own mass.  The first discrepancy reported
+    is the mismatching tree with the least ``repr``, with both
+    probabilities as Fractions.
     """
-    pushed: Dict[object, Tuple[int, int]] = {}
-    for key, mass in masses_lo.items():
-        for target, (num, den) in row_fn(key).items():
-            acc, scale = pushed.get(target, (0, den))
-            pushed[target] = ((acc + mass * num, den) if scale == den
-                              else (acc * den + mass * num * scale, scale * den))
     z_lo, z_hi = sum(masses_lo.values()), sum(masses_hi.values())
     if not z_lo or not z_hi:
         raise ZeroMassError("the lower or the upper states carry no mass")
+    pushed: Dict[frozenset, Tuple[int, int]] = {}
+    for tree, mass in masses_lo.items():
+        for target, (num, den) in row_fn(tree).items():
+            acc, scale = pushed.get(target, (0, den))
+            pushed[target] = ((acc + mass * num, den) if scale == den
+                              else (acc * den + mass * num * scale, scale * den))
+    upper = {tree.vertices: mass for tree, mass in masses_hi.items()}
 
     def matches(key) -> bool:
         num, den = pushed.get(key, (0, 1))
-        return num * z_hi == masses_hi.get(key, 0) * den * z_lo
+        return num * z_hi == upper.get(key, 0) * den * z_lo
 
-    keys = pushed.keys() | masses_hi.keys()
+    keys = pushed.keys() | upper.keys()
     bad = [key for key in keys if not matches(key)]
     if not bad:
         return InterchangeReport(True, len(keys))
-    first, key = min(((state(key), key) for key in bad), key=lambda pair: repr(pair[0]))
+    first, key = min(((PlaneTree(key), key) for key in bad), key=lambda pair: repr(pair[0]))
     num, den = pushed.get(key, (0, 1))
     return InterchangeReport(False, len(keys), {
         "state": repr(first), "pushed": str(Fraction(num, den * z_lo)),
-        "target": str(Fraction(masses_hi.get(key, 0), z_hi))})
+        "target": str(Fraction(upper.get(key, 0), z_hi))})
 
 
 @dataclass

@@ -534,14 +534,16 @@ class TestVerify:
         assert failures[-1] == {"n": n, "kind": "lagrange-identity-mismatch"}
         assert len(failures) == 1 + enumerated
 
-    @pytest.mark.parametrize("suite, ones", [("tables", 8), ("tp2", 8), ("kernel-interchange", 7)])
+    @pytest.mark.parametrize("suite, default, extra", [
+        ("tables", (1,) * 8, ()), ("tp2", (1,) * 8, ()), ("kernel-interchange", (1,) * 7, ()),
+        ("ratio-chain", (1, 3, 3, 1), ()), ("stats", (1,) * 6, ("--samples", "500"))])
     @pytest.mark.parametrize("d", [2, 3])
-    def test_default_weights_spread_over_multiples_of_d(self, suite, ones, d, capsys):
-        # without --w the suite's all-ones default sits on 0, d, 2d, ...
-        assert run("verify", "--suite", suite, "--d", str(d)) == 0
+    def test_default_weights_spread_over_multiples_of_d(self, suite, default, extra, d, capsys):
+        # without --w the suite's default sits on 0, d, 2d, ... with zeros between
+        assert run("verify", "--suite", suite, "--d", str(d), *extra) == 0
         report = json.loads(capsys.readouterr().out)
-        spread = ",".join("1" if i % d == 0 else "0" for i in range((ones - 1) * d + 1))
-        assert run("verify", "--suite", suite, "--d", str(d), "--w", spread) == 0
+        spread = ",".join(str(default[i // d]) if i % d == 0 else "0" for i in range((len(default) - 1) * d + 1))
+        assert run("verify", "--suite", suite, "--d", str(d), "--w", spread, *extra) == 0
         assert report["ok"] is True and json.loads(capsys.readouterr().out) == report
 
     def test_kernel_interchange(self, capsys):

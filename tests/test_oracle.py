@@ -225,11 +225,6 @@ class TestJanson:
             assert (e3 > e4) == expect_obstruction
 
 
-def upper_masses(w, d, n):
-    """``sg_masses`` keyed by word sets, as ``growth_kernel_row`` keys its targets."""
-    return {tree.vertices: mass for tree, mass in sg_masses(w, d, n).items()}
-
-
 def fraction_rows(row_fn):
     """A pair row function read as Fractions keyed by trees: the row form of ``helpers.fraction_interchange``."""
     return lambda tree: {PlaneTree(key): F(*pair) for key, pair in row_fn(tree).items()}
@@ -240,7 +235,7 @@ class TestInterchangeHarness:
         w = WeightSequence([1] * 7)
         tables = compute_tables(w, 1, N=6)
         report = kernel_interchange_check(lambda t: growth_kernel_row(tables, t),
-                                          sg_masses(w, 1, 5), upper_masses(w, 1, 6), PlaneTree)
+                                          sg_masses(w, 1, 5), sg_masses(w, 1, 6))
         assert report.ok and report.states_checked == catalan(5)
 
     def test_catches_corruption(self):
@@ -255,7 +250,7 @@ class TestInterchangeHarness:
                 row[first] = (num, 2 * den)  # halve one entry
             return row
 
-        report = kernel_interchange_check(corrupted, sg_masses(w, 1, 5), upper_masses(w, 1, 6), PlaneTree)
+        report = kernel_interchange_check(corrupted, sg_masses(w, 1, 5), sg_masses(w, 1, 6))
         assert not report.ok and report.states_checked == catalan(5)
         assert report.as_dict() == helpers.fraction_interchange(fraction_rows(corrupted), sg_law(w, 1, 5),
                                                                 sg_law(w, 1, 6)).as_dict()
@@ -271,7 +266,7 @@ class TestInterchangeHarness:
                 row[stray] = (1, 9)
             return row
 
-        report = kernel_interchange_check(corrupted, sg_masses(w, 1, 5), upper_masses(w, 1, 6), PlaneTree)
+        report = kernel_interchange_check(corrupted, sg_masses(w, 1, 5), sg_masses(w, 1, 6))
         assert not report.ok and report.states_checked == catalan(5) + 1
         assert report.first_discrepancy == {"state": "PlaneTree('e,1')", "pushed": "1/126", "target": "0"}
 
@@ -298,7 +293,7 @@ class TestInterchangeHarness:
         bad = [key for key in keys if pushed.get(key, F(0)) != law_hi.get(key, F(0))]
         assert len(bad) > 2 and stray in bad
         first = sorted(bad, key=repr)[0]
-        report = kernel_interchange_check(corrupted, sg_masses(w, 1, 6), upper_masses(w, 1, 7), PlaneTree)
+        report = kernel_interchange_check(corrupted, sg_masses(w, 1, 6), sg_masses(w, 1, 7))
         assert not report.ok
         assert report.states_checked == len(keys) == len(law_hi) + 1
         assert report.first_discrepancy == {"state": repr(first), "pushed": str(pushed[first]),
@@ -306,7 +301,7 @@ class TestInterchangeHarness:
 
     def test_refuses_laws_without_mass(self):
         with pytest.raises(ZeroMassError):
-            kernel_interchange_check(lambda state: {}, {"a": 0}, {"b": 1})
+            kernel_interchange_check(lambda tree: {}, {PlaneTree([ROOT]): 0}, {PlaneTree([ROOT, (1,)]): 1})
 
 
 class TestGoodnessOfFit:
@@ -397,7 +392,7 @@ def test_integer_decision_reports_as_the_fraction_push(case):
             row[stray] = (1, 7)
         return row
 
-    report = kernel_interchange_check(rows, sg_masses(w, d, n), upper_masses(w, d, n + d), PlaneTree)
+    report = kernel_interchange_check(rows, sg_masses(w, d, n), sg_masses(w, d, n + d))
     reference = helpers.fraction_interchange(fraction_rows(rows), sg_law(w, d, n), sg_law(w, d, n + d))
     assert report.as_dict() == reference.as_dict()
     assert report.ok == (corruption == "none")
