@@ -131,15 +131,18 @@ def _weights(args, default: Tuple[int, ...]):
 
 def parse_config_file(path: str) -> Dict[str, str]:
     values: Dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError(f"{path}:{lineno}: expected key = value")
-            key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = value.strip()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            for lineno, raw in enumerate(handle, start=1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise ParseError(f"{path}:{lineno}: expected key = value")
+                key, value = line.split("=", 1)
+                values[key.strip().replace("-", "_")] = value.strip()
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not valid UTF-8 text") from None
     return values
 
 

@@ -435,73 +435,68 @@ class PartitionKernel:
     def kernel_row(self, t: int, parts: Sequence[int]) -> Dict[Tuple, Tuple[int, int]]:
         """Exact law of the move that ``sample_move`` draws from these parts at total t.
 
-        Part j is incremented with probability ``stay * q_j``, where ``q_j``
-        is its step probability at shift j and ``stay`` the probability that
-        no earlier part moved; the append move takes what is left.  Moves
-        are keyed as in ``sample_move``, and only moves with mass appear.
-        Each probability is the unreduced integer pair ``(num, den)`` that
-        multiplies the pairs ``sample_move`` appends to its ``factors`` on
-        the way to that move.
+        Read off one walk of ``sample_move`` that records and declines each
+        decision: decision j is the step probability ``q_j`` of part j, which
+        moves with probability ``stay * q_j``, ``stay`` being the probability
+        that no earlier part moved; the move the walk ends at takes what is
+        left.  Only moves with mass appear, each as the unreduced pair
+        ``(num, den)`` that multiplies the ``factors`` of the walk to it.
         """
         if sum(parts) != t:
             raise DomainError("parts do not sum to the stated total")
+        asked: List[Tuple[int, int]] = []
+        last = self.sample_move(t, parts, _decline, asked, [])
         row: Dict[Tuple, Tuple[int, int]] = {}
         sn = sd = 1  # the pair of stay
-        remaining = t
-        for j, part in enumerate(parts):
-            if self.r - j <= 1:
-                # beyond this shift only single-part compositions carry mass
-                if j != len(parts) - 1:
-                    raise DomainError(f"parts {tuple(parts)} carry no mass past shift {j}")
-                row[("inc", j)] = (sn, sd)
-                return row
-            try:
-                qn, qd = self.step_probs(j, remaining)[(part - 1) // self.d]
-            except KeyError:
-                raise DomainError(f"part {part} carries no mass at total {remaining}, shift {j}") from None
-            if qn == qd:
-                row[("inc", j)] = (sn, sd)
-                return row
+        for j, (qn, qd) in enumerate(asked):
             if qn:
                 row[("inc", j)] = (sn * qn, sd * qd)
                 sn, sd = sn * (qd - qn), sd * qd
-            remaining -= part
-        row[("append", len(parts))] = (sn, sd)
+        row[last] = (sn, sd)
         return row
 
-    def sample_move(self, t: int, parts: Sequence[int], rng, factors: List[Tuple[int, int]]) -> Tuple:
+    def sample_move(self, t: int, parts: Sequence[int], decide, rng, factors: List[Tuple[int, int]]) -> Tuple:
         """Walk the peeling recursion once and return the move.
 
         The move is ``("inc", j)`` to increment part j by d, or
-        ``("append", len(parts))`` to append d parts equal to 1.  The
-        probability ``num/den`` (not reduced) of each decision that was not
-        certain is appended to ``factors``; their product is the probability
-        of the move.
+        ``("append", len(parts))`` to append d parts equal to 1.  Part j
+        moves if ``decide(rng, num, den)`` says so, asked wherever its step
+        probability ``num/den`` (not reduced) is below 1; the chains pass
+        ``bernoulli``.  The pair of each decision that was not certain is
+        appended to ``factors``; their product is the probability of the
+        move.  A part off its step row's support is refused.
         """
-        d = self.d
-        j = 0
-        remaining = t
+        d, j, remaining = self.d, 0, t
         while True:
             if j == len(parts):
                 if remaining != 0:
                     raise DomainError("parts do not sum to the stated total")
                 return ("append", j)
             if self.r - j <= 1:
+                # beyond this shift only single-part compositions carry mass
                 if j != len(parts) - 1:
-                    raise DomainError(f"state off support at shift {j}")
+                    raise DomainError(f"parts {tuple(parts)} carry no mass past shift {j}")
                 return ("inc", j)
-            mt = (parts[j] - 1) // d
+            part = parts[j]
+            mt = (part - 1) // d
             row = self.step_probs(j, remaining)
-            qn, qd = row.formed.get(mt) or row.get(mt, (0, 1))
+            try:
+                qn, qd = row.formed.get(mt) or row[mt]
+            except KeyError:
+                raise DomainError(f"part {part} carries no mass at total {remaining}, shift {j}") from None
             if qn == qd:
                 return ("inc", j)
+            if decide(rng, qn, qd):
+                factors.append((qn, qd))
+                return ("inc", j)
             if qn:
-                if bernoulli(rng, qn, qd):
-                    factors.append((qn, qd))
-                    return ("inc", j)
                 factors.append((qd - qn, qd))
-            remaining -= parts[j]
+            remaining -= part
             j += 1
+
+
+def _decline(asked: List[Tuple[int, int]], num: int, den: int) -> None:
+    asked.append((num, den))  # the decide of kernel_row: it records each decision, and None says no
 
 
 def move_rows(cl: Sequence[int], ch: Sequence[int]) -> Pairs:
@@ -678,7 +673,7 @@ def sample_composition_chain(wp: WeightPair, cls: ArithClass, N: int, rng,
     total = s
     out = [c]
     while total + d <= N:
-        move = tables.sample_move(total, c, rng, [])
+        move = tables.sample_move(total, c, bernoulli, rng, [])
         c = apply_move(c, move, d)
         total += d
         out.append(c)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
+from ._rand import bernoulli
 from .compositions import (CheckReport, PartitionKernel, WeightSequence, as_fraction, cleared,
                            coerce_weights, peel_partition_values)
 from .compositions import check_ratio_chain  # noqa: F401  (re-exported: it checks tree tables too)
@@ -186,21 +187,21 @@ def growth_kernel_row(tables: PartitionTables, tree: PlaneTree) -> Dict[frozense
     """
     d = tables.d
     vertices = tree.vertices
-    size = dict.fromkeys(vertices, 1)
-    for u in sorted(vertices, key=len, reverse=True):
-        if u:
-            size[u[:-1]] += size[u]
+    order = sorted(vertices)  # each vertex before its descendants and its right siblings
+    size = dict.fromkeys(order, 1)
+    parts_of: Dict[Word, List[int]] = {u: [] for u in order}  # children's subtree sizes
+    for u in reversed(order[1:]):  # a subtree is complete when its root is reached; siblings come right to left
+        size[u[:-1]] += size[u]
+        parts_of[u[:-1]].insert(0, size[u])
     out: Dict[frozenset, Tuple[int, int]] = {}
     stack = [(ROOT, 1, 1)]
     while stack:
         v, pn, pd = stack.pop()
-        k = tree.children_count(v)
-        parts = tuple(size[v + (j,)] for j in range(1, k + 1))
-        for (kind, j), (qn, qd) in tables.kernel_row(size[v] - 1, parts).items():
+        for (kind, j), (qn, qd) in tables.kernel_row(size[v] - 1, parts_of[v]).items():
             if kind == "inc":
                 stack.append((v + (j + 1,), pn * qn, pd * qd))
             else:
-                out[vertices.union([v + (k + i,) for i in range(1, d + 1)])] = (pn * qn, pd * qd)
+                out[vertices.union([v + (j + i,) for i in range(1, d + 1)])] = (pn * qn, pd * qd)
     return out
 
 
@@ -286,7 +287,7 @@ class GrowthChain:
         factors = []
         while True:
             parts = parts_of[v]
-            kind, j = sample_move(t, parts, rng, factors)
+            kind, j = sample_move(t, parts, bernoulli, rng, factors)
             if kind == "append":
                 new = tuple(v + (j + i,) for i in range(1, d + 1))
                 for u in new:

@@ -201,6 +201,40 @@ def ratio_chain_reference(tables, n_max):
     return report.as_dict()
 
 
+def reference_kernel_row(tables, t, parts):
+    """An independent per-part walk over the step rows: the oracle of ``PartitionKernel.kernel_row``.
+
+    ``kernel_row`` reads its row off one walk of ``sample_move``; this loop
+    reads each part's step probability itself and must give the same
+    unreduced pairs, in the same order, with the same refusals.
+    """
+    if sum(parts) != t:
+        raise DomainError("parts do not sum to the stated total")
+    row = {}
+    sn = sd = 1  # the pair of stay
+    remaining = t
+    for j, part in enumerate(parts):
+        if tables.r - j <= 1:
+            # beyond this shift only single-part compositions carry mass
+            if j != len(parts) - 1:
+                raise DomainError(f"parts {tuple(parts)} carry no mass past shift {j}")
+            row[("inc", j)] = (sn, sd)
+            return row
+        try:
+            qn, qd = tables.step_probs(j, remaining)[(part - 1) // tables.d]
+        except KeyError:
+            raise DomainError(f"part {part} carries no mass at total {remaining}, shift {j}") from None
+        if qn == qd:
+            row[("inc", j)] = (sn, sd)
+            return row
+        if qn:
+            row[("inc", j)] = (sn * qn, sd * qd)
+            sn, sd = sn * (qd - qn), sd * qd
+        remaining -= part
+    row[("append", len(parts))] = (sn, sd)
+    return row
+
+
 def growth_law(tables, tree):
     """``growth_kernel_row`` read as Fractions keyed by the target trees."""
     return {PlaneTree(key): Fraction(*pair) for key, pair in growth_kernel_row(tables, tree).items()}

@@ -183,6 +183,12 @@ class TestErrorBoundary:
         code = run("grow", "--config", str(tmp_path / "absent.cfg"))
         assert "absent.cfg" in self.assert_one_line_error(capsys, code)
 
+    def test_config_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"model = sg\nw = 1,1\xff\n")
+        line = self.assert_one_line_error(capsys, run("grow", "--config", str(cfg), "--n", "5"))
+        assert line == f"error: {cfg}: not valid UTF-8 text"
+
     def test_config_bad_int(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("model = sg\nw = 1,1,1\nn = abc\n")

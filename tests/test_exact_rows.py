@@ -24,7 +24,7 @@ from treegrow._rand import LazyUniform, bernoulli, derive_rng
 import treegrow.compositions
 from treegrow.compositions import (ArithClass, PairTables, WeightPair, check_admissibility_inequalities,
                                    iter_compositions, move_rows, sample_composition_chain)
-from treegrow.errors import DomainError, NotCoupleable, ZeroMassError
+from treegrow.errors import DomainError, NotCoupleable, TreegrowError, ZeroMassError
 from treegrow.oracle import sg_law
 from treegrow.sgtrees import GrowthChain, WeightSequence, compute_tables, growth_kernel_row, tilt
 from treegrow.subtree_model import SummableTheta
@@ -353,24 +353,47 @@ def test_step_prob_is_the_kernel_row_entry(entries, d, horizon):
             assert step.prob == F(*pair)
 
 
-def walk_law(tables, t, parts, monkeypatch):
+def walk_law(tables, t, parts):
     """Every move ``sample_move`` can draw from ``parts`` at total t, with the unreduced product of its ``factors``.
 
-    A scripted ``bernoulli`` says no to the first k uncertain decisions and
-    yes to the next one.  k runs up from 0 until a walk makes k decisions or
-    fewer, so each outcome of the walk is reached once.
+    A scripted ``decide`` says no to the first k uncertain decisions and
+    yes to the next one; like ``bernoulli``, it never says yes where num is
+    0.  k runs up from 0 until a walk makes k decisions or fewer, so each
+    outcome of the walk is reached once.
     """
     law = {}
     for k in count():
         calls = []
-        monkeypatch.setattr(treegrow.compositions, "bernoulli",
-                            lambda rng, num, den: calls.append(num) or len(calls) > k)
+
+        def decide(rng, num, den):
+            if num:
+                calls.append(num)
+            return num > 0 and len(calls) > k
+
         factors = []
-        move = tables.sample_move(t, parts, None, factors)
+        move = tables.sample_move(t, parts, decide, None, factors)
         assert move not in law
         law[move] = (prod(p for p, _ in factors), prod(q for _, q in factors))
         if len(calls) <= k:
             return law
+
+
+def row_or_refusal(row_fn, *args):
+    """The row's pairs in order, or the type and message of its refusal."""
+    try:
+        return list(row_fn(*args).items())
+    except TreegrowError as exc:
+        return type(exc), str(exc)
+
+
+def assert_kernel_row_is_the_reference(tables, t, parts):
+    """``kernel_row`` against ``helpers.reference_kernel_row``, at the state and at states it refuses."""
+    variants = [(t, parts), (t + 1, parts), (t + 1, (*parts[:-1], parts[-1] + 1))] if parts else [(t, parts)]
+    if len(parts) >= 2:
+        variants.append((t, (parts[0] + 1, parts[1] - 1, *parts[2:])))  # same total, a part off the support
+    for state in variants:
+        assert row_or_refusal(tables.kernel_row, *state) == row_or_refusal(helpers.reference_kernel_row,
+                                                                             tables, *state)
 
 
 def vertex_states(tree):
@@ -388,19 +411,45 @@ def vertex_states(tree):
     ([1, 0, 2, 0, 1], 2, 9),
     (SummableTheta(["1/2", "1/3", "1/4"]).e, 1, 8),
 ], ids=["sg-1331", "sg-arith-10201", "e-theta"])
-def test_sampler_walk_is_the_kernel_row(entries, d, n_max, monkeypatch):
-    # kernel_row is what interchange proves; the chains run sample_move, a separate walk over the same rows
+def test_sampler_walk_is_the_kernel_row(entries, d, n_max):
+    # kernel_row reads its row off the walk the chains run; the reference reads the step rows itself
     w = WeightSequence(entries)
     tables = compute_tables(w, d, N=n_max + d)
     states = {state for n in range(1, n_max + 1, d) for tree in sg_law(w, d, n) for state in vertex_states(tree)}
     for t, parts in sorted(states):
-        assert walk_law(tables, t, parts, monkeypatch) == tables.kernel_row(t, parts)
+        assert list(walk_law(tables, t, parts).items()) == list(tables.kernel_row(t, parts).items())
+        assert_kernel_row_is_the_reference(tables, t, parts)
 
 
-def test_sampler_walk_is_the_kernel_row_on_compositions(monkeypatch):
-    wp = WeightPair([1, 3, 3, 1], [1, 1, 2, 5, 14, 42, 132, 429, 1430])
-    tables = PairTables(wp)
-    for t in range(wp.b.horizon):
-        for c in iter_compositions(t):
-            if wp.a[len(c)]:
-                assert walk_law(tables, t, c, monkeypatch) == tables.kernel_row(t, c)
+def test_sampler_walk_is_the_kernel_row_on_compositions():
+    # all weights 1: the first of the parts (1, 1) at total 2 moves with probability 0, most rows are refused
+    for wp in (WeightPair([1, 3, 3, 1], [1, 1, 2, 5, 14, 42, 132, 429, 1430]), WeightPair([1, 1, 1, 1], [1] * 9)):
+        tables = PairTables(wp)
+        for t in range(wp.b.horizon):
+            for c in iter_compositions(t):
+                if wp.a[len(c)]:
+                    assert row_or_refusal(walk_law, tables, t, c) == row_or_refusal(tables.kernel_row, t, c)
+                assert_kernel_row_is_the_reference(tables, t, c)
+
+
+def test_sample_move_refuses_a_part_without_mass():
+    # w_2 = 0: the first of two parts at total 2 is off its step row's support, and no bit is drawn
+    tables = compute_tables(WeightSequence([1, 1, 0, 0, 1]), 1, N=6)
+    row = tables.step_probs(0, 2)
+    rng = derive_rng(0, "off-support")
+    state = rng.getstate()
+    with pytest.raises(DomainError, match="part 1 carries no mass at total 2, shift 0"):
+        tables.sample_move(2, [1, 1], bernoulli, rng, [])
+    assert 0 not in row.formed and rng.getstate() == state
+
+
+def test_a_decision_of_probability_zero_is_asked_without_a_factor():
+    tables = PairTables(WeightPair([1, 1, 1, 1], [1] * 9))
+    asked, factors = [], []
+    move = tables.sample_move(2, (1, 1), lambda rng, num, den: asked.append((num, den)), None, factors)
+    assert move == ("append", 2) and asked == [(0, 4), (1, 2)] and factors == [(1, 2)]
+    # bernoulli says no to the first decision without a bit, then draws one for the second
+    rng, factors = derive_rng(0, "zero"), []
+    state = rng.getstate()
+    assert tables.sample_move(2, (1, 1), bernoulli, rng, factors) in {("inc", 1), ("append", 2)}
+    assert factors == [(1, 2)] and rng.getstate() != state
