@@ -442,8 +442,6 @@ class PartitionKernel:
         left.  Only moves with mass appear, each as the unreduced pair
         ``(num, den)`` that multiplies the ``factors`` of the walk to it.
         """
-        if sum(parts) != t:
-            raise DomainError("parts do not sum to the stated total")
         asked: List[Tuple[int, int]] = []
         last = self.sample_move(t, parts, _decline, asked, [])
         row: Dict[Tuple, Tuple[int, int]] = {}
@@ -464,13 +462,14 @@ class PartitionKernel:
         probability ``num/den`` (not reduced) is below 1; the chains pass
         ``bernoulli``.  The pair of each decision that was not certain is
         appended to ``factors``; their product is the probability of the
-        move.  A part off its step row's support is refused.
+        move.  Parts that do not sum to t, or a part off its step row's
+        support, are refused.
         """
+        if sum(parts) != t:
+            raise DomainError("parts do not sum to the stated total")
         d, j, remaining = self.d, 0, t
         while True:
             if j == len(parts):
-                if remaining != 0:
-                    raise DomainError("parts do not sum to the stated total")
                 return ("append", j)
             if self.r - j <= 1:
                 # beyond this shift only single-part compositions carry mass

@@ -5,14 +5,15 @@ A type-weight sequence theta gives a vertex at position i weight
 the product of the type weights.  Left-packing a subtree into a plane
 tree, while recording the original children positions as subset
 decorations, identifies this model with a weighted plane tree whose
-offspring weights are the elementary symmetric functions of theta.  The
-growth of the plane tree and the growth of the decorations are coupled
-separately and matched by decoration-dependent shuffles, yielding a
-nested sequence of subtrees with the right marginals.
+offspring weights are the elementary symmetric functions of theta.
+``SubtreeChain`` grows that plane tree and sends plane child j of u to
+the j-th inserted letter of an independent insertion ordering of u; it
+applies no shuffle, and the subtrees it grows are nested.
 
 The shuffle calculus (per-vertex injective position maps, their inverses
-and push-forwards) is implemented here together with an exact verifier
-for shuffling rules that leave product-decorated tree laws invariant.
+and push-forwards) and an exact verifier for shuffling rules that leave
+product-decorated tree laws invariant stay as the check of a lemma the
+chain does not call: its embedding is the shuffled, unpacked plane tree.
 """
 
 from __future__ import annotations

@@ -11,6 +11,9 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from typing import Dict, FrozenSet
 
@@ -547,3 +550,19 @@ def tree_rule_breaks(words, plane):
             breaks.append((u, "left sibling"))
     return breaks
 
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def run_without_scipy(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter on this checkout's src, where ``import scipy`` raises ImportError.
+
+    The interpreter first confirms that scipy is blocked, so a pass cannot
+    come from a scipy it still reached.
+    """
+    prelude = ("import sys\nsys.modules['scipy'] = None\n"
+               "try:\n    import scipy.stats\nexcept ImportError:\n    pass\n"
+               "else:\n    sys.exit('scipy is not blocked')\n")
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", prelude + code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=300)

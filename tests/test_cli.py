@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import helpers
 import treegrow.cli
 import treegrow.sgtrees
 from treegrow.cli import GROW_CAP, STATS_SAMPLES_CAP, exact_text, main, validate_trace
@@ -590,6 +591,14 @@ class TestVerify:
         assert run("verify", "--suite", "stats", *argv) == 0
         (fit,) = json.loads(capsys.readouterr().out)["runs"]
         assert F(5, 100) < F(fit["tv"]) and fit["p_value"] > 0.001
+
+    @pytest.mark.parametrize("model", [[], ["--theta", "1/2,1/3,1/4"]], ids=["sg", "theta"])
+    def test_stats_runs_without_scipy(self, model):
+        argv = ["verify", "--suite", "stats", "--samples", "2000", *model]
+        done = helpers.run_without_scipy(f"from treegrow.cli import main\nsys.exit(main({argv!r}))")
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout, parse_constant=lambda c: pytest.fail(f"{c} in the JSON"))
+        assert report["ok"] is True and all(isinstance(fit["p_value"], float) for fit in report["runs"])
 
     def test_stats_refuses_a_mis_fitted_law(self, monkeypatch, capsys):
         # the default chains grow 1,1,1,1,1,1 trees; fitted to the law of 1,11/10,1,1,1,1 they fail

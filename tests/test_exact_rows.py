@@ -11,6 +11,7 @@ the pair scaling ``b_m -> D^m b_m``, which no CLI trace goes through.
 
 import hashlib
 import json
+import random
 from fractions import Fraction as F
 from itertools import accumulate, count
 from math import prod
@@ -441,6 +442,14 @@ def test_sample_move_refuses_a_part_without_mass():
     with pytest.raises(DomainError, match="part 1 carries no mass at total 2, shift 0"):
         tables.sample_move(2, [1, 1], bernoulli, rng, [])
     assert 0 not in row.formed and rng.getstate() == state
+
+
+def test_sample_move_refuses_parts_off_the_total_before_any_decision():
+    # the parts (1, 1) sum to 2, not 5: every seed is refused, none walks to an increment
+    tables = compute_tables(WeightSequence([1, 3, 3, 1]), 1, N=10)
+    for seed in range(200):
+        with pytest.raises(DomainError, match="parts do not sum to the stated total"):
+            tables.sample_move(5, [1, 1], bernoulli, random.Random(seed), [])
 
 
 def test_a_decision_of_probability_zero_is_asked_without_a_factor():

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 import helpers
 from treegrow.compositions import ArithClass, WeightPair, iter_compositions
 from treegrow.errors import DomainError, HorizonError, ZeroMassError
-from treegrow.oracle import (_plane_trees, comp_law, enumerate_plane_trees, enumerate_subtrees, goodness_of_fit,
-                             janson_expectations, kernel_interchange_check, sg_law, sg_masses, st_law,
-                             subset_law, tree_mass, tv_distance)
+from treegrow.oracle import (_chi2_tail, _plane_trees, comp_law, enumerate_plane_trees, enumerate_subtrees,
+                             goodness_of_fit, janson_expectations, kernel_interchange_check, sg_law, sg_masses,
+                             st_law, subset_law, tree_mass, tv_distance)
 from treegrow.sgtrees import WeightSequence, compute_tables, growth_kernel_row
 from treegrow.treespace import ROOT, PlaneTree, format_tree
 
@@ -356,6 +356,57 @@ class TestGoodnessOfFit:
             if report.p_value > 0.001:
                 passes += 1
         assert passes >= 99
+
+
+# scipy.stats.chi2.sf(x, k), scipy 1.17.1, at x = 0, 1e-9, k/2, k, 3k/2 and 3k
+CHI2_TAIL_PINS = {
+    1: (1.0, 0.999974768674784, 0.47950012218695337, 0.31731050786291115, 0.22067136191984324, 0.08326451666355042),
+    2: (1.0, 0.9999999995, 0.6065306597126334, 0.36787944117144245, 0.22313016014842982, 0.04978706836786395),
+    3: (1.0, 0.9999999999999916, 0.6822703303362125, 0.3916251762710877, 0.2122902873601327, 0.02929088653488826),
+    4: (1.0, 1.0, 0.7357588823428847, 0.40600584970983794, 0.1991482734714558, 0.01735126523666451),
+    13: (1.0, 1.0, 0.9260508432938139, 0.4478116743194914, 0.10839812900948437, 0.00019994356161353788),
+    54: (1.0, 1.0, 0.9992169195454657, 0.4744030126508324, 0.010135829534845866, 1.0039802152402618e-12),
+    420: (1.0, 1.0, 1.0, 0.49082321555426406, 1.27991189070062e-10, 8.488640631124459e-85),
+    7751: (1.0, 1.0, 1.0, 0.497863880410918, 9.877314581612642e-162, 0.0),
+}
+
+
+class TestChiSquareTail:
+    @pytest.mark.parametrize("k", sorted(CHI2_TAIL_PINS))
+    def test_matches_scipy(self, k):
+        for x, want in zip((0, 1e-9, k / 2, k, 1.5 * k, 3 * k), CHI2_TAIL_PINS[k]):
+            assert math.isclose(_chi2_tail(x, k), want, rel_tol=1e-10, abs_tol=0), (x, k)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7751])
+    def test_far_tail_underflows_to_zero(self, k):
+        assert _chi2_tail(1e6, k) == _chi2_tail(1e308, k) == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 1000), st.floats(0, 5000), st.floats(0, 5000))
+    def test_a_tail_in_x_and_a_recurrence_in_k(self, k, x, y):
+        x, y = sorted((x, y))
+        q = _chi2_tail(x, k)
+        # the tail is accurate to a relative 1e-10, so it may rise by no more than that
+        assert 0 <= q <= 1 and _chi2_tail(y, k) <= q * (1 + 1e-10)
+        # Q(x, k + 2) - Q(x, k) = e^-h h^(k/2) / Gamma(k/2 + 1), h = x/2
+        h = x / 2
+        step = math.exp(-h + k / 2 * math.log(h) - math.lgamma(k / 2 + 1)) if h else 0.0
+        assert math.isclose(_chi2_tail(x, k + 2), q + step, rel_tol=1e-10, abs_tol=0)
+
+    def test_goodness_of_fit_runs_without_scipy(self):
+        code = """if True:
+            from fractions import Fraction
+            from treegrow.oracle import goodness_of_fit
+            law = {0: Fraction(1, 2), 1: Fraction(1, 2)}
+            for counts in ({0: 52, 1: 48}, {0: 90, 1: 10}):
+                print(repr(goodness_of_fit(counts, law).p_value))
+        """
+        done = helpers.run_without_scipy(code)
+        assert done.returncode == 0, done.stderr
+        passing, failing = (float(line) for line in done.stdout.split())
+        # chi-square 0.16 and 64 on one degree of freedom
+        assert math.isclose(passing, math.erfc(math.sqrt(0.08)), rel_tol=1e-12) and passing > 0.001
+        assert math.isclose(failing, math.erfc(math.sqrt(32)), rel_tol=1e-12) and failing < 0.001
 
 
 @st.composite
