@@ -37,10 +37,10 @@ TP2_CAP = 40
 RATIO_CHAIN_CAP = 1000
 SHUFFLE_CAP = 4
 
-# --samples cap of the stats suite, which grows a chain per sample.  On a 2-CPU
-# Xeon a chain takes about 45 us at the defaults (10,000 samples run in 2.0 s,
-# 40,000 in 3.4 s, interpreter start included), 0.17 ms at --n-max 10 and
-# 0.28 ms with --theta 1/2,1/3,1/4 --n-max 7: the cap holds runs under 30 s.
+# --samples cap of the stats suite, which grows a chain per sample.  On a 2-CPU Xeon, medians
+# of 3 runs with interpreter start: 10,000 samples at the defaults take 0.42 s, 40,000 1.6 s and
+# 100,000 4.1 s (about 40 us a chain); 10,000 take 1.4 s at --n-max 10 and 2.1 s with --theta
+# 1/2,1/3,1/4 --n-max 7 (0.14 and 0.21 ms a chain): the cap holds runs under 30 s.
 STATS_SAMPLES_CAP = 100_000
 
 # Largest --theta support of the subset-coupling suite, whose nested coupling
@@ -83,15 +83,6 @@ def positive_int(text: str) -> int:
     if value is None or value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
-
-
-def one_of(options):
-    """The cast of a config key whose flag the parser limits to ``options``."""
-    def cast(text: str) -> str:
-        if text not in options:
-            raise ValueError(text)
-        return text
-    return cast
 
 
 def _given(value, default):
@@ -157,16 +148,27 @@ def _refuse_unread(given: Dict[str, object], reads, what: str):
             raise ParseError(f"{what} does not read --{key.replace('_', '-')}")
 
 
-def _fill_from_config(args, casts: Dict[str, object]):
-    if not getattr(args, "config", None):
+def _fill_from_config(args):
+    """Give each flag of the command left unset by the command line its ``--config`` value.
+
+    A key that no value flag in ``FLAGS`` takes is refused; one the command has no flag for stays unread.
+    """
+    if not args.config:
         return
     cfg = parse_config_file(args.config)
-    for key, cast in casts.items():
-        if getattr(args, key, None) is None and key in cfg:
-            try:
-                setattr(args, key, cast(cfg[key]))
+    for key in cfg:
+        if key not in FLAGS or "action" in FLAGS[key]:   # a switch is set on the command line only
+            raise ParseError(f"{args.config}: {key!r} is not a flag a config file can set")
+    values = vars(args)
+    for key, spec in FLAGS.items():
+        if key in cfg and key in values and values[key] is None:
+            try:   # the checks of the parser
+                value = spec.get("type", str)(cfg[key])
+                if "choices" in spec and value not in spec["choices"]:
+                    raise ValueError(value)
             except (ValueError, argparse.ArgumentTypeError):
                 raise ParseError(f"{args.config}: bad value for {key}: {cfg[key]!r}") from None
+            values[key] = value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -175,35 +177,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"treegrow {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    grow = sub.add_parser("grow", help="sample one nested growth trace")
-    grow.add_argument("--model", choices=MODELS)
-    grow.add_argument("--w", help="offspring weights, comma-separated exact rationals")
-    grow.add_argument("--theta", help="type weights for the subtree model")
-    grow.add_argument("--d", type=positive_int, help="bouquet size (sg-arith)")
-    grow.add_argument("--n", type=positive_int, help=f"target number of vertices, at most {GROW_CAP}")
-    grow.add_argument("--seed", type=int, help="master seed")
-    grow.add_argument("--out", help="trace file (JSON lines)")
-    grow.add_argument("--decimal", action="store_true", default=None,
-                      help="add lossy decimal probabilities to the trace")
-    grow.add_argument("--config", help="key=value config file; flags win")
-
-    verify = sub.add_parser("verify", help="run an exact or statistical verification suite")
-    verify.add_argument("--suite", choices=SUITES)
-    verify.add_argument("--w")
-    verify.add_argument("--theta")
-    verify.add_argument("--d", type=positive_int)
-    verify.add_argument("--n-max", dest="n_max", type=positive_int,
-                        help="largest size checked; refused above the suite's cap")
-    verify.add_argument("--seed", type=int)
-    verify.add_argument("--samples", type=positive_int, help="sample count for the stats suite")
-    verify.add_argument("--out", help="write the JSON report here as well")
-    verify.add_argument("--config")
+    for name, text, keys in (
+            ("grow", "sample one nested growth trace", {"model", "out"}.union(*MODELS.values())),
+            ("verify", "run an exact or statistical verification suite",
+             {"suite", "out"}.union(*(reads for _, reads in SUITES.values())))):
+        command = sub.add_parser(name, help=text)
+        for key, spec in FLAGS.items():
+            if key in keys:
+                command.add_argument("--" + key.replace("_", "-"), **spec)
+        command.add_argument("--config", help="key=value config file; flags win")
 
     enum = sub.add_parser("enumerate", help="list small trees exhaustively")
     enum.add_argument("--plane-trees", dest="plane_trees", type=int)
     enum.add_argument("--subtrees", type=int)
     enum.add_argument("--arith-trees", dest="arith_trees", type=int)
-    enum.add_argument("--d", type=positive_int)
+    enum.add_argument("--d", **FLAGS["d"])
     enum.add_argument("--dmax", type=positive_int)
     enum.add_argument("--dot", action="store_true", help="emit DOT per object")
     return parser
@@ -215,8 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_grow(args) -> int:
     given = dict(vars(args))
-    _fill_from_config(args, {"model": one_of(MODELS), "w": str, "theta": str, "d": positive_int,
-                             "n": positive_int, "seed": int, "out": str})
+    _fill_from_config(args)
     if args.model is None:
         raise ParseError("--model is required")
     _refuse_unread(given, MODELS[args.model], f"the {args.model} model")
@@ -530,11 +517,26 @@ SUITES = {
     "stats": (_suite_stats, {"w", "theta", "d", "n_max", "seed", "samples"}),
 }
 
+# Each flag of grow and verify but --config, in parser order.  A command takes the entries that its
+# selector, the read sets of its models or suites, or --out name; its config values go through them.
+FLAGS = {
+    "model": {"choices": MODELS, "help": "the chain to grow"},
+    "suite": {"choices": SUITES, "help": "the suite to run"},
+    "w": {"help": "offspring weights, comma-separated exact rationals"},
+    "theta": {"help": "type weights of the subtree model, comma-separated exact rationals"},
+    "d": {"type": positive_int, "help": "bouquet size: the span of d-arithmetic weights"},
+    "n": {"type": positive_int, "help": f"target number of vertices, at most {GROW_CAP}"},
+    "n_max": {"type": positive_int, "help": "largest size checked; refused above the suite's cap"},
+    "seed": {"type": int, "help": "master seed"},
+    "samples": {"type": positive_int, "help": "sample count for the stats suite"},
+    "out": {"help": "grow's trace file (JSON lines), or a copy of verify's JSON report"},
+    "decimal": {"action": "store_true", "default": None, "help": "add lossy decimal probabilities to the trace"},
+}
+
 
 def cmd_verify(args) -> int:
     given = dict(vars(args))
-    _fill_from_config(args, {"suite": one_of(SUITES), "w": str, "theta": str, "d": positive_int,
-                             "n_max": positive_int, "seed": int, "samples": positive_int})
+    _fill_from_config(args)
     if args.suite is None:
         raise ParseError("--suite is required")
     suite, reads = SUITES[args.suite]

@@ -143,12 +143,21 @@ def elementary_symmetric(values: Sequence) -> List[Fraction]:
 class SummableTheta:
     """Finitely supported non-negative type weights theta_1, theta_2, ...
 
-    Carries the support, its size, and the elementary symmetric values of
-    the weights, which are the offspring weights of the matching plane
-    tree model.
+    Carries the support, its size, the elementary symmetric values ``e``
+    of the weights, which are the offspring weights of the matching plane
+    tree model, and the threshold ``ladder`` of the nested coupling.
+
+    ``ladder`` holds, per level, the pivot and its thresholds as
+    ``(num, den)``.  Level m pivots on the m-th support point.  With
+    ``S_m`` the support from that point on, its k-th threshold is
+    ``theta_pivot e_{k-1}(S_{m+1}) / e_k(S_m)``, reduced; the last level
+    holds the one remaining support point and no thresholds.  One backward
+    pass over the support builds it: the elementary symmetric values of
+    ``S_m`` are those of ``S_{m+1}`` times ``1 + theta_pivot x``, and those
+    of ``S_1``, the whole support, are ``e``.
     """
 
-    __slots__ = ("values", "support", "e", "_ladder")
+    __slots__ = ("values", "support", "e", "ladder")
 
     def __init__(self, values: Iterable):
         self.values = tuple(as_fraction(v) for v in values)
@@ -157,8 +166,16 @@ class SummableTheta:
         self.support = tuple(i + 1 for i, v in enumerate(self.values) if v > 0)
         if not self.support:
             raise DomainError("type weights must have positive total mass")
-        self.e = tuple(elementary_symmetric([self.values[i - 1] for i in self.support]))
-        self._ladder = None
+        *pivots, last = self.support
+        levels = [(last, ())]
+        e = [ONE, self.value(last)]
+        for pivot in reversed(pivots):
+            x, inner = self.value(pivot), e
+            e = [hi + x * lo for hi, lo in zip(inner + [ZERO], [ZERO] + inner)]
+            thresholds = (x * inner[k - 1] / e[k] for k in range(1, len(e)))
+            levels.append((pivot, tuple((p.numerator, p.denominator) for p in thresholds)))
+        self.ladder = tuple(reversed(levels))
+        self.e = tuple(e)
 
     @property
     def n_support(self) -> int:
@@ -166,30 +183,6 @@ class SummableTheta:
 
     def value(self, i: int) -> Fraction:
         return self.values[i - 1] if 1 <= i <= len(self.values) else ZERO
-
-    @property
-    def ladder(self) -> Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...]:
-        """Per level of the nested coupling, the pivot and its thresholds as ``(num, den)``.
-
-        Level m pivots on the m-th support point.  With ``S_m`` the support
-        from that point on, its k-th threshold is
-        ``theta_pivot e_{k-1}(S_{m+1}) / e_k(S_m)``, reduced; the last level
-        holds the one remaining support point and no thresholds.  Built on
-        first use, once per theta, in one backward pass over the support:
-        the elementary symmetric values of ``S_m`` are those of ``S_{m+1}``
-        times ``1 + theta_pivot x``.
-        """
-        if self._ladder is None:
-            *pivots, last = self.support
-            levels = [(last, ())]
-            e = [ONE, self.value(last)]
-            for pivot in reversed(pivots):
-                x, inner = self.value(pivot), e
-                e = [hi + x * lo for hi, lo in zip(inner + [ZERO], [ZERO] + inner)]
-                thresholds = (x * inner[k - 1] / e[k] for k in range(1, len(e)))
-                levels.append((pivot, tuple((p.numerator, p.denominator) for p in thresholds)))
-            self._ladder = tuple(reversed(levels))
-        return self._ladder
 
     def __repr__(self):
         return f"SummableTheta({[str(v) for v in self.values]})"

@@ -346,6 +346,23 @@ class TestErrorBoundary:
         cfg.write_text("w = 1,1\ntheta = 1,2\nseed = 3\nsamples = 5\nn_max = 4\n")
         assert run(*command, "--config", str(cfg)) == 0, capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, text, key", [
+        (["verify"], "suite = tables\nn_mx = 3\n", "n_mx"),
+        (["grow"], "model = sg\nw = 1,1\nn = 4\nout = t.jsonl\ndecimal = 1\n", "decimal"),
+    ], ids=["typo", "switch"])
+    def test_config_key_no_flag_takes_refused(self, command, text, key, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        line = self.assert_one_line_error(capsys, run(*command, "--config", str(cfg)))
+        assert line == f"error: {cfg}: {key!r} is not a flag a config file can set"
+
+    def test_verify_reads_out_from_config(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"suite = tables\nout = {report}\n")
+        assert run("verify", "--config", str(cfg)) == 0
+        assert report.read_text() == capsys.readouterr().out
+
     def test_decimal_reads_out_from_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"out = {tmp_path / 'trace.jsonl'}\n")
@@ -475,6 +492,11 @@ class TestErrorBoundary:
         assert run("verify", "--suite", "stats", "--w", "2/5,1/5,2/5", "--n-max", "3",
                    "--samples", "10") == 2
         assert "index 1" in capsys.readouterr().err
+
+
+def test_every_flag_a_model_or_suite_reads_has_a_flags_entry():
+    read = set().union(*treegrow.cli.MODELS.values(), *(reads for _, reads in treegrow.cli.SUITES.values()))
+    assert read <= set(treegrow.cli.FLAGS)
 
 
 def test_exact_text_past_the_int_digit_limit():

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import treegrow.subtree_model
 from treegrow._rand import derive_rng
 from treegrow.errors import DomainError, ZeroMassError
 from treegrow.oracle import (enumerate_plane_trees, enumerate_subtrees, sg_law, st_law, subset_law,
@@ -193,6 +194,41 @@ class TestSubsetDistribution:
 
 
 THETAS = (["2", "1"], ["1", "1", "1"], ["1/2", "1/3", "1/4", "1/5"])
+ZERO_ENTRY_THETAS = (["0", "2", "0", "1/3", "1"], ["3"], ["0", "0", "7", "0"], ["1/2", "1/3", "1/4", "0", "5"])
+
+
+def scripted_coupling_law(theta, monkeypatch):
+    """The exact law of ``nested_subset_coupling``, read off every run of its uniforms.
+
+    A scripted uniform keeps the interval ``(lo, hi]`` its answers leave
+    it.  It answers what that interval decides, and takes each undecided
+    answer from the script, then False.  Every script that differs from a
+    run's answers after its own end is run next, so each run is reached
+    once.  A run weighs the product of its uniforms' interval widths.
+    """
+    law, scripts = {}, [[]]
+
+    class ScriptedUniform:
+        def __init__(self, rng):
+            self.lo, self.hi = F(0), F(1)
+            uniforms.append(self)
+
+        def is_below(self, num, den):
+            p = F(num, den)
+            if not self.lo < p < self.hi:
+                return self.hi <= p
+            below = script[len(answers)] if len(answers) < len(script) else False
+            answers.append(below)
+            self.lo, self.hi = (self.lo, p) if below else (p, self.hi)
+            return below
+
+    monkeypatch.setattr(treegrow.subtree_model, "LazyUniform", ScriptedUniform)
+    while scripts:
+        script, answers, uniforms = scripts.pop(), [], []
+        seq = nested_subset_coupling(theta, None)
+        scripts.extend(answers[:i] + [True] for i in range(len(script), len(answers)))
+        law[seq] = law.get(seq, F(0)) + math.prod(u.hi - u.lo for u in uniforms)
+    return law
 
 
 class TestNestedCoupling:
@@ -238,13 +274,13 @@ class TestNestedCoupling:
                 marginal[key] = marginal.get(key, F(0)) + mass
             assert set(marginal.values()) == {F(1, math.comb(3, k))}
 
-    @pytest.mark.parametrize("values", THETAS + (["0", "2", "0", "1/3", "1"], ["3"], ["0", "0", "7", "0"],
-                                                 ["1/2", "1/3", "1/4", "0", "5"]))
+    @pytest.mark.parametrize("values", THETAS + ZERO_ENTRY_THETAS)
     def test_ladder_matches_defining_formula(self, values):
         # level m pivots on the m-th support point; with S_m the support from it on,
         # its k-th threshold is theta_pivot e_{k-1}(S_{m+1}) / e_k(S_m), reduced
         theta = SummableTheta(values)
         support = theta.support
+        assert theta.e == tuple(elementary_symmetric([theta.value(i) for i in support]))
         assert [pivot for pivot, _ in theta.ladder] == list(support)
         assert theta.ladder[-1][1] == ()
         for m, (pivot, thresholds) in enumerate(theta.ladder[:-1]):
@@ -252,6 +288,11 @@ class TestNestedCoupling:
             e_next = elementary_symmetric([theta.value(i) for i in support[m + 1:]])
             want = [theta.value(pivot) * e_next[k - 1] / e_m[k] for k in range(1, len(support) - m + 1)]
             assert thresholds == tuple((p.numerator, p.denominator) for p in want)
+
+    @pytest.mark.parametrize("values", THETAS + ZERO_ENTRY_THETAS + (["2", "1", "1"],))
+    def test_sampler_law_is_the_joint_law_exactly(self, values, monkeypatch):
+        theta = SummableTheta(values)
+        assert scripted_coupling_law(theta, monkeypatch) == nested_coupling_law(theta)
 
     def test_sampler_matches_joint_law(self):
         theta = SummableTheta(["2", "1", "1"])
