@@ -19,7 +19,7 @@ from .compositions import (ArithClass, Composition, PairTables, WeightPair,
                            composition_kernel, covering_successors, move_rows,
                            sample_composition_chain, satisfies_arith, shift)
 from .sgtrees import (GrowthChain, PartitionTables, WeightSequence, check_tp2_array,
-                      compute_tables, grow_chain, growth_kernel_row, is_log_concave, tilt)
+                      compute_tables, grow_chain, growth_kernel, growth_kernel_row, is_log_concave, tilt)
 from .subtree_model import (SubtreeChain, SummableTheta, apply_shuffle, bij_P, bij_P_inv,
                             check_equivariance, elementary_symmetric, inverse_shuffle,
                             nested_coupling_law, nested_subset_coupling,

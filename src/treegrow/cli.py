@@ -20,7 +20,7 @@ from .compositions import as_fraction, check_ratio_chain
 from .errors import DomainError, HorizonError, ParseError, Refused, TreegrowError
 from .oracle import (PLANE_TREE_CAP, SUBTREE_CAP, cleared_weights, enumerate_plane_trees, enumerate_subtrees,
                      goodness_of_fit, sg_law, sg_masses, st_law, subset_law, kernel_interchange_check)
-from .sgtrees import (WeightSequence, check_tp2_array, compute_tables, growth_kernel_row,
+from .sgtrees import (WeightSequence, check_tp2_array, compute_tables, growth_kernel,
                       is_log_concave, require_log_concave, GrowthChain)
 from .subtree_model import (SubtreeChain, SummableTheta, bij_P, bij_P_inv, nested_coupling_law,
                             nested_thresholds, sigma_rule, shuffle_invariance_check)
@@ -405,12 +405,13 @@ def _suite_kernel_interchange(args) -> dict:
     n_max = _n_max(args, 6, PLANE_TREE_CAP - d)  # the last level enumerates trees of size n + d
     require_log_concave(w, d)
     tables = compute_tables(w, d, N=n_max + d)
+    rows = growth_kernel(tables)
     results = []
     ok = True
     masses_hi = sg_masses(w, d, 1)
     for n in range(1, n_max + 1, d):
         masses_lo, masses_hi = masses_hi, sg_masses(w, d, n + d)
-        report = kernel_interchange_check(lambda t: growth_kernel_row(tables, t), masses_lo, masses_hi)
+        report = kernel_interchange_check(rows, masses_lo, masses_hi)
         ok = ok and report.ok
         results.append({"n": n, **report.as_dict()})
     return {"suite": "kernel-interchange", "ok": ok, "levels": results}

@@ -69,7 +69,7 @@ def _plane_trees(n: int, d: int, degree: Optional[int]) -> Tuple[PlaneTree, ...]
              for parts in iter_compositions(n - 1, ArithClass(d, 0))
              if degree is None or len(parts) <= degree
              for subtrees in itertools.product(*(_plane_trees(p, d, degree) for p in parts))]
-    return tuple(sorted(trees, key=lambda t: sorted(t.vertices)))
+    return tuple(sorted(trees, key=PlaneTree.sorted_vertices))
 
 
 def enumerate_subtrees(n: int, dmax: Optional[int] = None,
@@ -136,16 +136,13 @@ def cleared_weights(w, n: int) -> Tuple[int, List[int]]:
 
 
 def tree_mass(w, tree: PlaneTree):
-    """The product of ``w_k`` over the vertices, k the vertex's child count; stops at the first zero.
+    """The product of ``w_k`` over the vertices, k the vertex's child count.
 
     ``w`` is a ``WeightSequence`` or the integer list of ``cleared_weights``.
+    Every child count is read, past a zero weight too, so a tree that reads
+    ``w`` past a declared horizon fails whatever the order of its vertices.
     """
-    mass = 1
-    for u in tree.vertices:
-        mass *= w[tree.children_count(u)]
-        if not mass:
-            break
-    return mass
+    return math.prod(map(w.__getitem__, tree.child_counts()))
 
 
 def sg_masses(w, d: int, n: int) -> Dict[PlaneTree, int]:
@@ -290,18 +287,15 @@ def kernel_interchange_check(row_fn: Callable, masses_lo: Mapping, masses_hi: Ma
             pushed[target] = ((acc + mass * num, den) if scale == den
                               else (acc * den + mass * num * scale, scale * den))
     upper = {tree.vertices: mass for tree, mass in masses_hi.items()}
-
-    def matches(key) -> bool:
-        num, den = pushed.get(key, (0, 1))
-        return num * z_hi == upper.get(key, 0) * den * z_lo
-
-    keys = pushed.keys() | upper.keys()
-    bad = [key for key in keys if not matches(key)]
+    unreached = upper.keys() - pushed.keys()  # pushed nothing: they match when they carry no mass
+    bad = [key for key, (num, den) in pushed.items() if num * z_hi != upper.get(key, 0) * den * z_lo]
+    bad += [key for key in unreached if upper[key]]
+    checked = len(pushed) + len(unreached)
     if not bad:
-        return InterchangeReport(True, len(keys))
+        return InterchangeReport(True, checked)
     first, key = min(((PlaneTree(key), key) for key in bad), key=lambda pair: repr(pair[0]))
     num, den = pushed.get(key, (0, 1))
-    return InterchangeReport(False, len(keys), {
+    return InterchangeReport(False, checked, {
         "state": repr(first), "pushed": str(Fraction(num, den * z_lo)),
         "target": str(Fraction(upper.get(key, 0), z_hi))})
 

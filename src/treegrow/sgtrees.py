@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ._rand import bernoulli
 from .compositions import (CheckReport, PartitionKernel, WeightSequence, as_fraction, cleared,
@@ -173,36 +173,57 @@ def check_tp2_array(tables: PartitionTables) -> CheckReport:
     return report
 
 
-def growth_kernel_row(tables: PartitionTables, tree: PlaneTree) -> Dict[frozenset, Tuple[int, int]]:
+def growth_kernel_row(tables: PartitionTables, tree: PlaneTree,
+                      moves: Optional[Callable] = None) -> Dict[frozenset, Tuple[int, int]]:
     """Exact one-step law of the growth chain from the given tree.
 
     Walks the tree from the root as ``GrowthChain.step`` does: the
-    children's subtree sizes at a vertex take one move from ``kernel_row``;
-    an increment continues the walk at that child with the product so far,
-    an append plants the bouquet there.  Each target is keyed by its word
-    set, ``tree.vertices`` and the bouquet (``PlaneTree(key)`` is the
-    tree), and its probability is the unreduced integer pair ``(num, den)``
-    that multiplies the ``factors`` of the step to it.  Rows sum to one and
-    are supported on right-leaning bouquet additions.
+    children's subtree sizes at a vertex take one move from
+    ``moves(t, parts)``, by default ``tables.kernel_row``; an increment
+    continues the walk at that child with the product so far, an append
+    plants the bouquet there.  Each target is keyed by its word set,
+    ``tree.vertices`` and the bouquet (``PlaneTree(key)`` is the tree), and
+    its probability is the unreduced integer pair ``(num, den)`` that
+    multiplies the ``factors`` of the step to it.  Rows sum to one and are
+    supported on right-leaning bouquet additions.
     """
     d = tables.d
+    moves = tables.kernel_row if moves is None else moves
     vertices = tree.vertices
-    order = sorted(vertices)  # each vertex before its descendants and its right siblings
-    size = dict.fromkeys(order, 1)
-    parts_of: Dict[Word, List[int]] = {u: [] for u in order}  # children's subtree sizes
-    for u in reversed(order[1:]):  # a subtree is complete when its root is reached; siblings come right to left
+    size = dict.fromkeys(vertices, 1)
+    backwards: Dict[Word, List[int]] = {}  # children's subtree sizes, right to left
+    for u in sorted(vertices, reverse=True)[:-1]:  # each vertex after its descendants and right siblings
         size[u[:-1]] += size[u]
-        parts_of[u[:-1]].insert(0, size[u])
+        backwards.setdefault(u[:-1], []).append(size[u])
     out: Dict[frozenset, Tuple[int, int]] = {}
     stack = [(ROOT, 1, 1)]
     while stack:
         v, pn, pd = stack.pop()
-        for (kind, j), (qn, qd) in tables.kernel_row(size[v] - 1, parts_of[v]).items():
+        for (kind, j), (qn, qd) in moves(size[v] - 1, backwards.get(v, [])[::-1]).items():
             if kind == "inc":
                 stack.append((v + (j + 1,), pn * qn, pd * qd))
             else:
                 out[vertices.union([v + (j + i,) for i in range(1, d + 1)])] = (pn * qn, pd * qd)
     return out
+
+
+def growth_kernel(tables: PartitionTables) -> Callable[[PlaneTree], Dict[frozenset, Tuple[int, int]]]:
+    """``tree -> growth_kernel_row(tables, tree)``, compiling each vertex's move law once per ``(t, parts)``.
+
+    The memo lives in the returned function, so the tables keep no rows and
+    two row functions share nothing.  Each law is still read off one
+    ``sample_move`` walk by ``kernel_row``.
+    """
+    laws: Dict[Tuple[int, Tuple[int, ...]], Dict[Tuple, Tuple[int, int]]] = {}
+
+    def moves(t: int, parts: List[int]) -> Dict[Tuple, Tuple[int, int]]:
+        key = (t, tuple(parts))
+        law = laws.get(key)
+        if law is None:
+            law = laws[key] = tables.kernel_row(t, parts)
+        return law
+
+    return lambda tree: growth_kernel_row(tables, tree, moves)
 
 
 class GrowthStep:

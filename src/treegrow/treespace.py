@@ -94,6 +94,10 @@ class _WordSet:
             raise DomainError(f"vertex {word_to_text(u)} is not in the {self.kind}")
         return self._kids[u]
 
+    def child_counts(self):
+        """The child count of every vertex, in no particular order."""
+        return self._kids.values()
+
     def children_positions(self, u: Word) -> Tuple[int, ...]:
         u = tuple(u)
         if u not in self._vertices:
@@ -163,7 +167,18 @@ def adds_bouquet(kids: Mapping[Word, int], added: Set[Word], d: int) -> bool:
 
 
 def compose_root(subtrees: Sequence[PlaneTree]) -> PlaneTree:
-    """Graft the given trees, in order, below a new root."""
+    """Graft the given trees, in order, below a new root.
+
+    Plane trees are grafted as they are, unchecked: the root gets one child
+    per subtree, and ``(j,) + u`` the child count of u in subtree j.  Any
+    other word set goes through the checked constructor.
+    """
+    if all(type(sub) is PlaneTree for sub in subtrees):
+        kids = {(j,) + u: k for j, sub in enumerate(subtrees, start=1) for u, k in sub._kids.items()}
+        kids[ROOT] = len(subtrees)
+        tree = object.__new__(PlaneTree)
+        tree._vertices, tree._kids = frozenset(kids), kids
+        return tree
     vertices = [ROOT]
     for j, sub in enumerate(subtrees, start=1):
         vertices.extend((j,) + u for u in sub.vertices)

@@ -22,7 +22,7 @@ import numpy as np
 from treegrow.compositions import CheckReport, PairTables, WeightPair, composition_kernel, iter_compositions
 from treegrow.errors import DomainError, NotCoupleable, ParseError, TreegrowError, ZeroMassError
 from treegrow.oracle import InterchangeReport, enumerate_plane_trees, enumerate_subtrees, tree_mass
-from treegrow.sgtrees import WeightSequence, compute_tables, growth_kernel_row
+from treegrow.sgtrees import WeightSequence, compute_tables, growth_kernel
 from treegrow.subtree_model import (SubtreeChain, apply_shuffle, bij_P_inv, nested_coupling_law,
                                     push_forward, sigma_rule)
 from treegrow.treespace import (ROOT, PlaneTree, format_tree, is_bouquet_addition,
@@ -238,9 +238,9 @@ def reference_kernel_row(tables, t, parts):
     return row
 
 
-def growth_law(tables, tree):
-    """``growth_kernel_row`` read as Fractions keyed by the target trees."""
-    return {PlaneTree(key): Fraction(*pair) for key, pair in growth_kernel_row(tables, tree).items()}
+def growth_law(rows, tree):
+    """The row of a row function such as ``growth_kernel(tables)``, read as Fractions keyed by the target trees."""
+    return {PlaneTree(key): Fraction(*pair) for key, pair in rows(tree).items()}
 
 
 def fraction_interchange(row_fn, law_lo, law_hi):
@@ -265,12 +265,13 @@ def fraction_interchange(row_fn, law_lo, law_hi):
 
 def kernel_rows_digest(tables, w, d, n_max):
     """SHA-256 of every growth-kernel row from a tree of at most n_max vertices carrying mass."""
+    kernel = growth_kernel(tables)
     rows = []
     for n in range(1, n_max + 1, d):
         for tree in enumerate_plane_trees(n, d):
             if any(w[tree.children_count(u)] == 0 for u in tree.vertices):
                 continue
-            row = growth_law(tables, tree)
+            row = growth_law(kernel, tree)
             rows.append([format_tree(tree), sorted([format_tree(t), str(p)] for t, p in row.items())])
     return len(rows), hashlib.sha256(json.dumps(sorted(rows)).encode()).hexdigest()
 
@@ -325,11 +326,12 @@ class LevelKernels:
             self.states[n] = trees
             self.index[n] = {t.vertices: i for i, t in enumerate(trees)}
         self.trans = {}
+        kernel = growth_kernel(tables)
         for n in self.levels[:-1]:
             nxt_index = self.index[n + d]
             rows = []
             for tree in self.states[n]:
-                row = growth_law(tables, tree)
+                row = growth_law(kernel, tree)
                 items = sorted(row.items(), key=lambda kv: sorted(kv[0].vertices))
                 den, cum = integer_thresholds([m for _, m in items])
                 targets = np.array([nxt_index[t.vertices] for t, _ in items], dtype=np.int64)

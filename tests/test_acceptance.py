@@ -19,7 +19,7 @@ from treegrow.compositions import ArithClass, PairTables, shift
 from treegrow.oracle import (enumerate_plane_trees, enumerate_subtrees, goodness_of_fit,
                              janson_expectations, sg_law, st_law, subset_law, tv_distance)
 from treegrow.sgtrees import (GrowthChain, WeightSequence, check_ratio_chain, check_tp2_array,
-                              compute_tables, is_log_concave)
+                              compute_tables, growth_kernel, is_log_concave)
 from treegrow.subtree_model import (SubtreeChain, SummableTheta, apply_shuffle, bij_P, bij_P_inv,
                                     check_equivariance, inverse_shuffle, nested_coupling_law,
                                     nested_thresholds, pointwise_inverse, push_forward,
@@ -32,10 +32,10 @@ def report(number, ok, detail):
     assert ok, detail
 
 
-def push_through(law, tables):
+def push_through(law, rows):
     pushed = {}
     for tree, mass in law.items():
-        for tree2, p in helpers.growth_law(tables, tree).items():
+        for tree2, p in helpers.growth_law(rows, tree).items():
             pushed[tree2] = pushed.get(tree2, F(0)) + mass * p
     return {t: m for t, m in pushed.items() if m}
 
@@ -45,9 +45,9 @@ def test_c01_kernel_interchange_plain():
     weights = ([1] * 8, [1, 3, 3, 1], [1, 1, 1, 1, 1])
     for entries in weights:
         w = WeightSequence(entries)
-        tables = compute_tables(w, 1, N=7)
+        rows = growth_kernel(compute_tables(w, 1, N=7))
         for n in range(1, 7):
-            assert push_through(sg_law(w, 1, n), tables) == sg_law(w, 1, n + 1)
+            assert push_through(sg_law(w, 1, n), rows) == sg_law(w, 1, n + 1)
     elapsed = time.time() - started
     report(1, elapsed < 60,
            f"exact interchange for 3 weight sequences, n <= 6 (42 trees at n=6), {elapsed:.1f}s")
@@ -55,13 +55,13 @@ def test_c01_kernel_interchange_plain():
 
 def test_c02_kernel_interchange_arithmetic():
     w2 = WeightSequence([1, 0, 1])
-    tables2 = compute_tables(w2, 2, N=9)
+    rows2 = growth_kernel(compute_tables(w2, 2, N=9))
     for n in (1, 3, 5, 7):
-        assert push_through(sg_law(w2, 2, n), tables2) == sg_law(w2, 2, n + 2)
+        assert push_through(sg_law(w2, 2, n), rows2) == sg_law(w2, 2, n + 2)
     w3 = WeightSequence([2, 0, 0, 1])
-    tables3 = compute_tables(w3, 3, N=9)
+    rows3 = growth_kernel(compute_tables(w3, 3, N=9))
     for n in (1, 4):
-        assert push_through(sg_law(w3, 3, n), tables3) == sg_law(w3, 3, n + 3)
+        assert push_through(sg_law(w3, 3, n), rows3) == sg_law(w3, 3, n + 3)
     sizes = []
     for n in (1, 3, 5, 7, 9):
         law = sg_law(w2, 2, n)

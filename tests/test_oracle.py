@@ -204,6 +204,20 @@ class TestIntegerLawsMatchFractionProducts:
         truncated = sg_law(WeightSequence(["1/2", "1/3", "1/5"], horizon=5), 1, 6)
         assert truncated == sg_law(WeightSequence(["1/2", "1/3", "1/5"]), 1, 6)
 
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_horizon_read_before_a_zero_weight(self, n):
+        # every tree has a leaf of weight 0, and some tree has 3 children at a vertex, past the horizon
+        with pytest.raises(HorizonError, match="beyond declared truncation horizon 2"):
+            sg_law(WeightSequence([0, 1, 1], horizon=2), 1, n)
+
+    def test_tree_mass_reads_every_degree(self):
+        star = PlaneTree([ROOT, (1,), (2,), (3,)])
+        with pytest.raises(HorizonError):
+            tree_mass(WeightSequence([0, 1, 1], horizon=2), star)
+        with pytest.raises(IndexError):
+            tree_mass([0, 1, 1], star)
+        assert tree_mass(WeightSequence([0, 1, 1, 1], horizon=3), star) == 0
+
 
 class TestJanson:
     def test_obstruction_values(self):
@@ -466,8 +480,9 @@ def enumeration_cases(draw):
 def full_enumeration_law(w, d, n):
     """The law over every tree of ``enumerate_plane_trees``, zero masses dropped.
 
-    ``tree_mass`` on the Fraction weights stops at a tree's first zero
-    weight, so a tree reads past a declared horizon only before it.
+    ``tree_mass`` on the Fraction weights reads every child count, so a
+    tree with a degree past a declared horizon fails whatever zero weights
+    it holds.
     """
     masses = {tree: tree_mass(w, tree) for tree in enumerate_plane_trees(n, d)}
     masses = {tree: mass for tree, mass in masses.items() if mass}

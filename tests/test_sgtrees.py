@@ -11,7 +11,7 @@ from treegrow.compositions import iter_compositions
 from treegrow.errors import DomainError, HorizonError, Refused, ZeroMassError
 from treegrow.oracle import enumerate_plane_trees, sg_law, tv_distance
 from treegrow.sgtrees import (GrowthChain, WeightSequence, check_ratio_chain, check_tp2_array,
-                              compute_tables, grow_chain, growth_kernel_row, is_log_concave,
+                              compute_tables, grow_chain, growth_kernel, growth_kernel_row, is_log_concave,
                               tilt)
 from treegrow.treespace import (PlaneTree, is_bouquet_addition, is_right_leaning_leaf_addition)
 
@@ -86,12 +86,12 @@ class TestTilt:
     def test_kernel_invariance(self):
         w = WeightSequence([1, 2, 1])
         w2 = tilt(w, F(3), F(1, 2))
-        t1 = compute_tables(w, 1, N=6)
-        t2 = compute_tables(w2, 1, N=6)
+        rows1 = growth_kernel(compute_tables(w, 1, N=6))
+        rows2 = growth_kernel(compute_tables(w2, 1, N=6))
         for n in range(1, 6):
             for tree in enumerate_plane_trees(n):
                 if all(tree.children_count(u) <= 2 for u in tree.vertices):
-                    assert helpers.growth_law(t1, tree) == helpers.growth_law(t2, tree)
+                    assert helpers.growth_law(rows1, tree) == helpers.growth_law(rows2, tree)
 
 
 class TestTables:
@@ -308,14 +308,14 @@ class TestGrowthKernel:
         assert row == {frozenset({(), (1,)}): (1, 1)}  # a certain move multiplies no pair
 
     def test_two_vertex_row(self):
-        tables = compute_tables(ONES8, 1, N=3)
-        row = helpers.growth_law(tables, PlaneTree([(), (1,)]))
+        rows = growth_kernel(compute_tables(ONES8, 1, N=3))
+        row = helpers.growth_law(rows, PlaneTree([(), (1,)]))
         assert row == {PlaneTree([(), (1,), (1, 1)]): F(1, 2),
                        PlaneTree([(), (1,), (2,)]): F(1, 2)}
 
     def test_binary_cherry_row(self):
-        tables = compute_tables(WeightSequence([1, 0, 1]), 2, N=5)
-        row = helpers.growth_law(tables, PlaneTree([(), (1,), (2,)]))
+        rows = growth_kernel(compute_tables(WeightSequence([1, 0, 1]), 2, N=5))
+        row = helpers.growth_law(rows, PlaneTree([(), (1,), (2,)]))
         assert row == {PlaneTree([(), (1,), (2,), (1, 1), (1, 2)]): F(1, 2),
                        PlaneTree([(), (1,), (2,), (2, 1), (2, 2)]): F(1, 2)}
 
@@ -333,40 +333,61 @@ class TestGrowthKernel:
                 growth_kernel_row(tables, tree)
         assert tables._step_memo and sizes() == built
 
+    @pytest.mark.parametrize("entries,d", [([1] * 9, 1), ([1, 0, 1, 0, 1, 0, 1, 0, 1], 2), ([1, 0, 0, 1, 0, 0, 1], 3)])
+    def test_row_function_gives_the_rows(self, entries, d):
+        """The memo of ``growth_kernel`` changes no row, nor the order of its targets."""
+        tables = compute_tables(WeightSequence(entries), d, N=9 + d)
+        rows = growth_kernel(tables)
+        for n in range(1, 10, d):
+            for tree in enumerate_plane_trees(n, d):
+                assert list(rows(tree).items()) == list(growth_kernel_row(tables, tree).items())
+
+    def test_row_functions_share_no_memo(self, monkeypatch):
+        tables = compute_tables(ONES8, 1, N=9)
+        compiled = []
+        kernel_row = tables.kernel_row
+        monkeypatch.setattr(tables, "kernel_row", lambda t, parts: compiled.append(t) or kernel_row(t, parts))
+        first, second = growth_kernel(tables), growth_kernel(tables)
+        tree = PlaneTree([(), (1,), (2,), (1, 1), (2, 1), (2, 2)])
+        row = first(tree)
+        once = len(compiled)
+        assert once > 0 and first(tree) == row and len(compiled) == once  # first compiled every law it reads
+        assert second(tree) == row and len(compiled) == 2 * once  # second compiles them again
+
     @pytest.mark.parametrize("entries,d,top", [
         ([1] * 8, 1, 6), ([1, 3, 3, 1], 1, 6), ([1, 0, 1], 2, 7), ([2, 0, 0, 1], 3, 7),
     ])
     def test_interchange(self, entries, d, top):
         w = WeightSequence(entries)
-        tables = compute_tables(w, d, N=top + d)
+        rows = growth_kernel(compute_tables(w, d, N=top + d))
         n = 1
         while n + d <= top + d:
             law_lo = sg_law(w, d, n)
             law_hi = sg_law(w, d, n + d)
             pushed = {}
             for tree, mass in law_lo.items():
-                for tree2, p in helpers.growth_law(tables, tree).items():
+                for tree2, p in helpers.growth_law(rows, tree).items():
                     pushed[tree2] = pushed.get(tree2, F(0)) + mass * p
             pushed = {t: m for t, m in pushed.items() if m}
             assert pushed == law_hi
             n += d
 
     def test_kernel_support_is_right_leaning(self):
-        tables = compute_tables(ONES8, 1, N=7)
+        rows = growth_kernel(compute_tables(ONES8, 1, N=7))
         for n in range(1, 6):
             for tree in enumerate_plane_trees(n):
-                for tree2, p in helpers.growth_law(tables, tree).items():
+                for tree2, p in helpers.growth_law(rows, tree).items():
                     if p:
                         assert is_right_leaning_leaf_addition(tree, tree2)
 
     def test_bouquet_support(self):
         w = WeightSequence([1, 0, 1])
-        tables = compute_tables(w, 2, N=9)
+        rows = growth_kernel(compute_tables(w, 2, N=9))
         for n in (1, 3, 5):
             for tree in enumerate_plane_trees(n, 2):
                 if any(w[tree.children_count(u)] == 0 for u in tree.vertices):
                     continue  # outside the support of the law
-                for tree2, p in helpers.growth_law(tables, tree).items():
+                for tree2, p in helpers.growth_law(rows, tree).items():
                     if p:
                         assert is_bouquet_addition(tree, tree2, 2)
 

@@ -179,6 +179,24 @@ class TestRootDecomposition:
     def test_compose_path(self):
         assert compose_root([pt((), (1,))]) == pt((), (1,), (1, 1))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 5), st.integers(0, 41)), max_size=4))
+    def test_graft_is_the_checked_tree(self, picks):
+        """Plane trees grafted as they are give the tree the checked constructor builds from their words."""
+        subtrees = [enumerate_plane_trees(n)[i % len(enumerate_plane_trees(n))] for n, i in picks]
+        grafted = compose_root(subtrees)
+        words = [()] + [(j,) + u for j, sub in enumerate(subtrees, start=1) for u in sub.vertices]
+        checked = PlaneTree(words)
+        assert type(grafted) is PlaneTree
+        assert grafted == checked and hash(grafted) == hash(checked) and repr(grafted) == repr(checked)
+        assert {u: grafted.children_count(u) for u in checked.vertices} == \
+            {u: checked.children_count(u) for u in checked.vertices}
+        assert sorted(grafted.child_counts()) == sorted(checked.child_counts())
+
+    def test_other_word_sets_are_checked(self):
+        with pytest.raises(DomainError, match="not closed under left siblings"):
+            compose_root([RootedSubtree([(), (2,)])])
+
 
 class TestSerialization:
     def test_root_text(self):
