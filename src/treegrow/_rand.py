@@ -13,7 +13,10 @@ ever enters a sampled trajectory.
 from __future__ import annotations
 
 import hashlib
+import operator
 import random
+
+from .errors import DomainError
 
 _CHUNK = 32  # bits appended per refinement of a lazy uniform
 
@@ -23,9 +26,15 @@ def derive_seed(master_seed, *tokens) -> int:
 
     Tokens may be strings, ints, or (nested) tuples of those, e.g. an
     Ulam-Harris word. The derivation is a hash of the canonical repr, so
-    it is stable across platforms and process invocations.
+    it is stable across platforms and process invocations.  The master
+    seed must be an integer: a float or a string would be truncated or
+    parsed into the stream of some other seed.
     """
-    payload = repr((int(master_seed),) + tokens).encode("ascii")
+    try:
+        seed = operator.index(master_seed)
+    except TypeError:
+        raise DomainError(f"a seed must be an integer, got {master_seed!r}") from None
+    payload = repr((seed,) + tokens).encode("ascii")
     digest = hashlib.sha256(payload).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -33,16 +42,6 @@ def derive_seed(master_seed, *tokens) -> int:
 def derive_rng(master_seed, *tokens) -> random.Random:
     """A private ``random.Random`` stream for the given purpose tokens."""
     return random.Random(derive_seed(master_seed, *tokens))
-
-
-def _side(bits: int, k: int, num: int, den: int):
-    """Where ``[bits/2^k, (bits+1)/2^k)`` lies against ``num/den``: True below, False above, None across."""
-    scaled = num << k
-    if (bits + 1) * den <= scaled:
-        return True
-    if bits * den >= scaled:
-        return False
-    return None
 
 
 class LazyUniform:
@@ -63,10 +62,6 @@ class LazyUniform:
         self._bits = bits
         self._k = k
 
-    def _refine(self):
-        self._bits = (self._bits << _CHUNK) | self._rng.getrandbits(_CHUNK)
-        self._k += _CHUNK
-
     def is_below(self, num: int, den: int) -> bool:
         """Decide ``U <= num/den`` exactly (the boundary has measure zero).
 
@@ -78,9 +73,16 @@ class LazyUniform:
             return False
         if num >= den:
             return True
-        while (side := _side(self._bits, self._k, num, den)) is None:
-            self._refine()
-        return side
+        bits, k = self._bits, self._k
+        while True:
+            # [bits/2^k, (bits+1)/2^k) lies below num/den, above it, or across it and is refined
+            scaled = num << k
+            if (bits + 1) * den <= scaled:
+                return True
+            if bits * den >= scaled:
+                return False
+            self._bits = bits = (bits << _CHUNK) | self._rng.getrandbits(_CHUNK)
+            self._k = k = k + _CHUNK
 
 
 def bernoulli(rng: random.Random, num: int, den: int) -> bool:
@@ -88,13 +90,16 @@ def bernoulli(rng: random.Random, num: int, den: int) -> bool:
 
     It draws the bits ``LazyUniform(rng).is_below(num, den)`` would, since
     that refines at least once when ``0 < num < den``; the first chunk
-    almost always decides, and only when it does not is a ``LazyUniform``
-    made to refine it.
+    almost always decides, and only when it straddles ``num/den`` is a
+    ``LazyUniform`` made to refine it.
     """
     if num <= 0:
         return False
     if num >= den:
         return True
-    bits = rng.getrandbits(_CHUNK)
-    side = _side(bits, _CHUNK, num, den)
-    return LazyUniform(rng, bits, _CHUNK).is_below(num, den) if side is None else side
+    bits, scaled = rng.getrandbits(_CHUNK), num << _CHUNK
+    if (bits + 1) * den <= scaled:
+        return True
+    if bits * den >= scaled:
+        return False
+    return LazyUniform(rng, bits, _CHUNK).is_below(num, den)

@@ -22,7 +22,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, repeat
-from operator import eq, ge, le
+from operator import eq, ge, le, mul
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ._rand import bernoulli
@@ -381,7 +381,7 @@ class PartitionKernel:
             raise ZeroMassError(f"no mass at total {t} for shift {ell}")
         # z != 0 at t >= 1 puts ell + 1 on the shift ladder, and every read below inside the bounds
         nxt, b, d = self._z[ell + 1], self._b, self.d
-        sums = list(accumulate(b[m] * nxt[t - m] for m in range(1, t + 1, d)))
+        sums = list(accumulate(map(mul, b[1:t + 1:d], nxt[t - 1::-d])))
         while len(sums) > 1 and sums[-2] == sums[-1]:
             sums.pop()
         return sums
@@ -404,8 +404,7 @@ class PartitionKernel:
         When a maximum exceeds the bound (the b maximum may also count
         points with ``Y(s) = 0``), ``move_rows`` decides the row exactly.
         """
-        key = (ell, t)
-        row = self._step_memo.get(key)
+        row = self._step_memo.get((ell, t))
         if row is None:
             d = self.d
             prev = self._step_memo.get((ell, t - d))
@@ -429,7 +428,7 @@ class PartitionKernel:
                     bp, bq = b[i + d], b[i]
             if yp * zl > yq * zh or bp * zl > bq * zh:
                 move_rows(cl, ch)  # raises NotCoupleable unless the b bound was loose
-            row = self._step_memo[key] = StepRow(cl, ch, (yp, yq), (bp, bq))
+            row = self._step_memo[ell, t] = StepRow(cl, ch, (yp, yq), (bp, bq))
         return row
 
     def kernel_row(self, t: int, parts: Sequence[int]) -> Dict[Tuple, Tuple[int, int]]:
@@ -467,22 +466,23 @@ class PartitionKernel:
         """
         if sum(parts) != t:
             raise DomainError("parts do not sum to the stated total")
-        d, j, remaining = self.d, 0, t
-        while True:
-            if j == len(parts):
-                return ("append", j)
-            if self.r - j <= 1:
+        d, r, step_probs = self.d, self.r, self.step_probs
+        j, remaining = 0, t
+        for part in parts:
+            if r - j <= 1:
                 # beyond this shift only single-part compositions carry mass
                 if j != len(parts) - 1:
                     raise DomainError(f"parts {tuple(parts)} carry no mass past shift {j}")
                 return ("inc", j)
-            part = parts[j]
             mt = (part - 1) // d
-            row = self.step_probs(j, remaining)
-            try:
-                qn, qd = row.formed.get(mt) or row[mt]
-            except KeyError:
-                raise DomainError(f"part {part} carries no mass at total {remaining}, shift {j}") from None
+            row = step_probs(j, remaining)
+            pair = row.formed.get(mt)
+            if pair is None:
+                try:
+                    pair = row[mt]
+                except KeyError:
+                    raise DomainError(f"part {part} carries no mass at total {remaining}, shift {j}") from None
+            qn, qd = pair
             if qn == qd:
                 return ("inc", j)
             if decide(rng, qn, qd):
@@ -492,6 +492,7 @@ class PartitionKernel:
                 factors.append((qd - qn, qd))
             remaining -= part
             j += 1
+        return ("append", j)
 
 
 def _decline(asked: List[Tuple[int, int]], num: int, den: int) -> None:

@@ -304,23 +304,21 @@ class GrowthChain:
         sample_move, rng, parts_of = self.tables.sample_move, self.rng, self._parts
         v: Word = ROOT
         t = self.n - 1
-        path = []  # (children's sizes, index of the child descended into) above v
         factors = []
         while True:
             parts = parts_of[v]
             kind, j = sample_move(t, parts, bernoulli, rng, factors)
             if kind == "append":
-                new = tuple(v + (j + i,) for i in range(1, d + 1))
+                new = tuple([v + (i,) for i in range(j + 1, j + d + 1)])
                 for u in new:
                     parts_of[u] = []
                 parts += [1] * d
-                for above, i in path:
-                    above[i] += d
                 self.n += d
                 self.step_index += 1
                 return GrowthStep(self.step_index, self.n, v, new, factors)
-            path.append((parts, j))
+            # every walk ends in an append below, so the child descended into gains d vertices
             t = parts[j] - 1
+            parts[j] += d
             v = v + (j + 1,)
 
     def run(self) -> List[GrowthStep]:

@@ -237,17 +237,16 @@ def nested_subset_coupling(theta, rng: random.Random) -> Tuple[int, ...]:
     levels = coerce_theta(theta).ladder
     ranks = []
     for _, thresholds in levels[:-1]:
-        u = LazyUniform(rng)
-        rank = len(thresholds)
-        for k, (num, den) in enumerate(thresholds, start=1):
-            if u.is_below(num, den):
-                rank = k
+        is_below = LazyUniform(rng).is_below
+        # every level but the last has thresholds: when none says yes, rank ends at the last
+        for rank, (num, den) in enumerate(thresholds, start=1):
+            if is_below(num, den):
                 break
         ranks.append(rank)
-    seq: Tuple[int, ...] = (levels[-1][0],)
+    seq = [levels[-1][0]]
     for (pivot, _), rank in zip(levels[-2::-1], reversed(ranks)):
-        seq = seq[:rank - 1] + (pivot,) + seq[rank - 1:]
-    return seq
+        seq.insert(rank - 1, pivot)
+    return tuple(seq)
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,33 @@ def ratio_chain_reference(tables, n_max):
     return report.as_dict()
 
 
+def interval_side(bits, k, num, den):
+    """Where ``[bits/2^k, (bits+1)/2^k)`` lies against ``num/den``: True below, False above, None across."""
+    scaled = num << k
+    if (bits + 1) * den <= scaled:
+        return True
+    if bits * den >= scaled:
+        return False
+    return None
+
+
+class OracleUniform:
+    """The lazy-bits decision spelled out (Knuth & Yao 1976): 32-bit chunks until ``interval_side`` decides."""
+
+    def __init__(self, rng):
+        self.rng, self.bits, self.k = rng, 0, 0
+
+    def is_below(self, num, den):
+        if num <= 0:
+            return False
+        if num >= den:
+            return True
+        while (side := interval_side(self.bits, self.k, num, den)) is None:
+            self.bits = (self.bits << 32) | self.rng.getrandbits(32)
+            self.k += 32
+        return side
+
+
 def reference_kernel_row(tables, t, parts):
     """An independent per-part walk over the step rows: the oracle of ``PartitionKernel.kernel_row``.
 

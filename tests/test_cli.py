@@ -107,7 +107,8 @@ class TestGrow:
 # (model flags, seed, SHA-256 of the trace) pinned from earlier implementations: the first
 # three from the table builders that the peeling recursion replaced, the last two from the
 # chain that kept child counts and subtree sizes in two maps.  A fixed seed must keep giving
-# the same trace.
+# the same trace.  The CI smoke step checks the "sg" and "subtree" digests on the installed
+# script too, so a re-pin changes .github/workflows/tests.yml as well.
 GOLDEN_TRACES = {
     "sg": (["--model", "sg", "--w", "1,3,3,1", "--n", "40"], 11,
            "1f634eb8e5504515c9804d3967a70bb052cf8b8eb4601dede890483787c55847"),

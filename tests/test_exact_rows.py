@@ -16,19 +16,20 @@ from fractions import Fraction as F
 from itertools import accumulate, count
 from math import prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
-from treegrow._rand import LazyUniform, bernoulli, derive_rng
+from treegrow._rand import LazyUniform, bernoulli, derive_rng, derive_seed
 import treegrow.compositions
 from treegrow.compositions import (ArithClass, PairTables, WeightPair, check_admissibility_inequalities,
                                    iter_compositions, move_rows, sample_composition_chain)
 from treegrow.errors import DomainError, NotCoupleable, TreegrowError, ZeroMassError
 from treegrow.oracle import sg_law
 from treegrow.sgtrees import GrowthChain, WeightSequence, compute_tables, growth_kernel_row, tilt
-from treegrow.subtree_model import SummableTheta
+from treegrow.subtree_model import SubtreeChain, SummableTheta
 
 small_fraction = st.builds(F, st.integers(1, 9), st.integers(1, 9))
 
@@ -314,6 +315,79 @@ def test_bernoulli_refines_past_an_open_first_chunk(seed):
     for offset in (1, 128, 255):
         assert assert_bernoulli_is_lazy_uniform(seed, (chunk << 8) + offset, 1 << 40) >= 2
     assert assert_bernoulli_is_lazy_uniform(seed, chunk << 8, 1 << 40) == 1
+
+
+@st.composite
+def decision_pairs(draw, seed):
+    """``(num, den)`` of thousands of bits, on an exact dyadic boundary near the seed's first
+    chunk, straddling the seed's first chunks, or certain (``num <= 0`` or ``num >= den``)."""
+    kind = draw(st.sampled_from(["wide", "dyadic", "straddle", "certain"]))
+    if kind == "wide":
+        den = draw(st.integers(1, 1 << 4000))
+        return draw(st.integers(1, den)), den
+    scale = draw(st.sampled_from([1, 3, (1 << 2000) + 1, 7 ** 1500]))
+    rng, prefix = random.Random(seed), 0
+    chunks = draw(st.integers(1, 4))
+    for _ in range(chunks):
+        prefix = (prefix << 32) | rng.getrandbits(32)
+    if kind == "dyadic":
+        # num << 32 divisible by den: the first chunk's interval ends exactly at num/den
+        offset = draw(st.integers(-1, 2))
+        return max(0, (prefix >> 32 * (chunks - 1)) + offset) * scale, scale << 32
+    if kind == "straddle":
+        offset = draw(st.integers(-255, 255))
+        return max(0, (prefix << 8) + offset) * scale, scale << (32 * chunks + 8)
+    den = draw(st.integers(1, 1 << 3000))
+    return draw(st.one_of(st.integers(-den, 0), st.integers(den, 2 * den))), den
+
+
+@st.composite
+def decision_cases(draw):
+    seed = draw(st.integers(0, 1 << 32))
+    return seed, draw(st.lists(decision_pairs(seed), min_size=1, max_size=3))
+
+
+@settings(max_examples=500, deadline=None)
+@given(decision_cases())
+def test_decisions_match_the_interval_oracle(case):
+    """``bernoulli`` and ``is_below`` answer as the interval test does and leave the stream where it does."""
+    seed, pairs = case
+    oracle_rng, lazy_rng = random.Random(seed), random.Random(seed)
+    oracle, lazy = helpers.OracleUniform(oracle_rng), LazyUniform(lazy_rng)
+    for num, den in pairs:  # one uniform asked again and again, as the subset coupling asks it
+        assert lazy.is_below(num, den) == oracle.is_below(num, den)
+        assert lazy_rng.getstate() == oracle_rng.getstate()
+    num, den = pairs[0]
+    oracle_rng, fresh_rng = random.Random(seed), random.Random(seed)
+    assert bernoulli(fresh_rng, num, den) == helpers.OracleUniform(oracle_rng).is_below(num, den)
+    assert fresh_rng.getstate() == oracle_rng.getstate()
+    if num <= 0 or num >= den:
+        assert fresh_rng.getstate() == random.Random(seed).getstate()  # certain: nothing drawn
+
+
+@pytest.mark.parametrize("seed", [2.7, 2.0, "7", None, F(2)], ids=repr)
+def test_non_integer_seeds_refused(seed):
+    with pytest.raises(DomainError, match="a seed must be an integer"):
+        derive_seed(seed, "chain")
+    with pytest.raises(DomainError, match="a seed must be an integer"):
+        SubtreeChain(["1", "1"], 10, seed=seed)
+
+
+# (master seed and tokens, derived seed); pinned before non-integer seeds were refused
+INT_SEED_STREAMS = [
+    ((0,), 10508590740508340579),
+    ((7, "chain"), 8467171884535280709),
+    ((-3, "positions", (1, 2)), 8948289690682446580),
+    ((2 ** 70, "sg8", 5), 16693249119682490946),
+    ((np.int64(11), "chain"), 12382300729988755091),
+    ((True, "chain"), derive_seed(1, "chain")),
+]
+
+
+@pytest.mark.parametrize("args, expected", INT_SEED_STREAMS)
+def test_int_seed_streams_unchanged(args, expected):
+    assert derive_seed(*args) == expected
+    assert derive_rng(*args).getstate() == random.Random(expected).getstate()
 
 
 # (w, d) of the tree pair, SHA-256 of four sampled chains to total 36; pinned from the

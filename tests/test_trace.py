@@ -2,10 +2,13 @@
 
 import contextlib
 import copy
+import functools
 import hashlib
 import io
 import json
 import math
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,8 +17,10 @@ from hypothesis import strategies as st
 
 import treegrow.cli
 import treegrow.sgtrees
-from treegrow._rand import derive_rng
+import treegrow.subtree_model
+from treegrow._rand import derive_rng, derive_seed
 from treegrow.cli import main, parse_rational_list, validate_trace
+from treegrow.compositions import PartitionKernel
 from treegrow.errors import DomainError, ParseError
 from treegrow.sgtrees import GrowthChain, WeightSequence, compute_tables, grow_chain
 from treegrow.subtree_model import SubtreeChain, SummableTheta, subtree_grow_chain
@@ -140,6 +145,61 @@ def test_golden_chains_on_supplied_tables(case):
     for step in steps(count):
         h.update(repr(step).encode())
     assert h.hexdigest() == digest
+
+
+# totals over the chains of GOLDEN_SUPPLIED_TABLES, counted inside chain steps: calls of the
+# names perfbench wraps in the sampling walk, and the 32-bit chunks the chains' streams hand out;
+# pinned before bernoulli and is_below decided each chunk inline
+GOLDEN_HOOK_COUNTS = {
+    "sg8": dict(steps=1400, sample_move=2972, step_probs=3216, bernoulli=3216, chunks=3216),
+    "subtree20": dict(steps=950, sample_move=5081, step_probs=5242, bernoulli=5242, chunks=6626),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_HOOK_COUNTS))
+def test_hook_counts_on_supplied_tables(case, monkeypatch):
+    """No work moves between the layers perfbench times: same calls, same bits, step for step."""
+    counts = Counter()
+    inside = [0]  # open chain steps; the warm-up and the seed draws of the step sources fall outside
+
+    def counted(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args):
+            counts[name] += inside[0] > 0
+            return fn(*args)
+        return wrapper
+
+    def step(fn):
+        @functools.wraps(fn)
+        def wrapper(*args):
+            inside[0] += 1
+            try:
+                return fn(*args)
+            finally:
+                inside[0] -= 1
+        return wrapper
+
+    class CountingRandom(random.Random):
+        def getrandbits(self, k):
+            if inside[0]:
+                assert k == 32
+                counts["chunks"] += 1
+            return super().getrandbits(k)
+
+    def counting_rng(*args):
+        return CountingRandom(derive_seed(*args))
+
+    monkeypatch.setattr(GrowthChain, "step", step(counted("steps", GrowthChain.step)))
+    monkeypatch.setattr(SubtreeChain, "step", step(SubtreeChain.step))
+    for name in ("sample_move", "step_probs"):
+        monkeypatch.setattr(PartitionKernel, name, counted(name, getattr(PartitionKernel, name)))
+    monkeypatch.setattr(treegrow.sgtrees, "bernoulli", counted("bernoulli", treegrow.sgtrees.bernoulli))
+    monkeypatch.setattr(treegrow.subtree_model, "derive_rng", counting_rng)
+    monkeypatch.setitem(globals(), "derive_rng", counting_rng)
+    steps, count, _ = GOLDEN_SUPPLIED_TABLES[case]
+    for _ in steps(count):
+        pass
+    assert dict(counts) == GOLDEN_HOOK_COUNTS[case]
 
 
 def test_no_trace_text_without_out(monkeypatch, capsys):
