@@ -23,7 +23,7 @@ from .sgtrees import (GrowthChain, PartitionTables, WeightSequence, check_tp2_ar
 from .subtree_model import (SubtreeChain, SummableTheta, apply_shuffle, bij_P, bij_P_inv,
                             check_equivariance, elementary_symmetric, inverse_shuffle,
                             nested_coupling_law, nested_subset_coupling,
-                            push, push_forward, sigma_rule, shuffle_invariance_check,
+                            push_forward, sigma_rule, shuffle_invariance_check,
                             subtree_grow_chain)
 from .oracle import (GofReport, comp_law, enumerate_plane_trees, enumerate_subtrees,
                      goodness_of_fit, janson_expectations,

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import __version__
 from ._rand import derive_rng
-from .compositions import as_fraction, check_ratio_chain
+from .compositions import CheckReport, as_fraction, check_ratio_chain
 from .errors import DomainError, HorizonError, ParseError, Refused, TreegrowError
 from .oracle import (PLANE_TREE_CAP, SUBTREE_CAP, cleared_weights, enumerate_plane_trees, enumerate_subtrees,
                      goodness_of_fit, sg_law, sg_masses, st_law, subset_law, kernel_interchange_check)
@@ -53,8 +53,7 @@ SUBSET_SUPPORT_CAP = 8
 # bits each, so memory grows like n^3 (and with the bit length of the
 # weights).  On a 2-CPU Xeon, n = 600 with --out peaks at 90 MB in 3.3-4.4 s
 # for w = 1,3,3,1, 101 MB in 2.6-2.9 s for w = 1 x 8 and 128 MB in 2.2-2.5 s
-# for the subtree model with theta = 1/2,1/3,1/4; n = 800 reached 758 MB and
-# 1.1 GB before the trace writer and reader became incremental.
+# for the subtree model with theta = 1/2,1/3,1/4.
 GROW_CAP = 600
 
 ALWAYS_READ = {"command", "model", "suite", "out", "config"}   # by every model, suite and listing
@@ -190,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     enum = sub.add_parser("enumerate", help="list small trees exhaustively")
     enum.add_argument("--plane-trees", dest="plane_trees", type=int)
     enum.add_argument("--subtrees", type=int)
-    enum.add_argument("--arith-trees", dest="arith_trees", type=int)
     enum.add_argument("--d", **FLAGS["d"])
     enum.add_argument("--dmax", type=positive_int)
     enum.add_argument("--dot", action="store_true", help="emit DOT per object")
@@ -357,29 +355,30 @@ def validate_trace(path: str, model: str, d: int = 1):
 # verify
 
 
+def _suite_result(report: CheckReport) -> dict:
+    """A suite's JSON result: the report's count, verdict and failures under the suite's name."""
+    return {"suite": report.name, "checked": report.checked, "ok": report.ok, "failures": report.failures}
+
+
 def _suite_tables(args) -> dict:
     w, d = _weights(args, (1,) * 8)
     n_max = _n_max(args, 7, PLANE_TREE_CAP)
     tables = compute_tables(w, d, N=n_max + d)
     # the trees of size n weigh L^n b_n on the integer weights L w_k
     scale, ints = cleared_weights(w, n_max + 1)
-    failures = []
-    checked = 0
+    report = CheckReport("tables")
     for n in range(1, n_max + 1, d):
-        checked += 1
         enumerated = Fraction(sum(sg_masses(w, d, n).values()), scale ** n)
-        if enumerated != tables.b_value(n):
-            failures.append({"n": n, "recursion": str(tables.b_value(n)),
-                             "enumeration": str(enumerated)})
+        b_n = tables.b_value(n)
+        report.record(enumerated == b_n, n=n, recursion=b_n, enumeration=enumerated)
     # Lagrange inversion, n b_n = [x^(n-1)] w(x)^n, uses neither the peel nor the enumeration
     power = [1] + [0] * n_max  # (L w)(x)^n up to x^n_max
     for n in range(1, n_max + 2):
         power = [sum(power[i] * ints[j - i] for i in range(j + 1)) for j in range(n_max + 1)]
         if n % d == 1 % d:
-            checked += 1
-            if Fraction(power[n - 1], n * scale ** n) != tables.b_value(n):
-                failures.append({"n": n, "kind": "lagrange-identity-mismatch"})
-    return {"suite": "tables", "checked": checked, "ok": not failures, "failures": failures}
+            report.record(Fraction(power[n - 1], n * scale ** n) == tables.b_value(n),
+                          n=n, kind="lagrange-identity-mismatch")
+    return _suite_result(report)
 
 
 def _suite_tp2(args) -> dict:
@@ -419,16 +418,11 @@ def _suite_kernel_interchange(args) -> dict:
 
 def _suite_bijection(args) -> dict:
     n_max = _n_max(args, 5, SUBTREE_CAP)
-    failures = []
-    checked = 0
+    report = CheckReport("bijection")
     for n in range(1, n_max + 1):
         for tau in enumerate_subtrees(n, dmax=3):
-            checked += 1
-            tree, decorations = bij_P(tau)
-            back = bij_P_inv(tree, decorations)
-            if back != tau:
-                failures.append({"n": n, "tau": format_tree(tau)})
-    return {"suite": "bijection", "checked": checked, "ok": not failures, "failures": failures}
+            report.record(bij_P_inv(*bij_P(tau)) == tau, n=n, tau=format_tree(tau))
+    return _suite_result(report)
 
 
 def _suite_subset_coupling(args) -> dict:
@@ -437,20 +431,17 @@ def _suite_subset_coupling(args) -> dict:
         raise HorizonError(f"--theta has support {theta.n_support}, above the cap {SUBSET_SUPPORT_CAP} "
                            f"of the subset-coupling suite")
     law = nested_coupling_law(theta)
-    failures = []
+    report = CheckReport("subset-coupling")
     thresholds = nested_thresholds(theta)
     for a, b in zip(thresholds, thresholds[1:]):
-        if a > b:
-            failures.append({"kind": "threshold-monotonicity", "lhs": str(a), "rhs": str(b)})
+        report.record(a <= b, kind="threshold-monotonicity", lhs=a, rhs=b)
     for k in range(0, theta.n_support + 1):
         marginal: Dict[frozenset, Fraction] = {}
         for seq, mass in law.items():
             key = frozenset(seq[:k])
             marginal[key] = marginal.get(key, Fraction(0)) + mass
-        target = subset_law(theta, k)
-        if marginal != target:
-            failures.append({"kind": "marginal-mismatch", "k": k})
-    return {"suite": "subset-coupling", "ok": not failures, "failures": failures}
+        report.record(marginal == subset_law(theta, k), kind="marginal-mismatch", k=k)
+    return {"suite": report.name, "ok": report.ok, "failures": report.failures}
 
 
 def _suite_shuffle_invariance(args) -> dict:
@@ -559,19 +550,19 @@ def cmd_verify(args) -> int:
 
 
 # Each listing of enumerate, in the order one is chosen, and the flags it reads
-LISTINGS = {"plane_trees": {"dot"}, "arith_trees": {"d", "dot"}, "subtrees": {"dmax", "dot"}}
+LISTINGS = {"plane_trees": {"d", "dot"}, "subtrees": {"dmax", "dot"}}
 
 
 def cmd_enumerate(args) -> int:
     listing = next((key for key in LISTINGS if getattr(args, key) is not None), None)
     if listing is None:
-        raise ParseError("pass --plane-trees, --subtrees or --arith-trees")
+        raise ParseError("pass --plane-trees or --subtrees")
     _refuse_unread(vars(args), LISTINGS[listing] | {listing},
                    f"enumerate --{listing.replace('_', '-')}")
     size = getattr(args, listing)
     if listing == "subtrees":
         trees = enumerate_subtrees(size, dmax=_given(args.dmax, 2))
-    else:   # plane trees have d = 1, and --plane-trees reads --d only as 1
+    else:
         trees = enumerate_plane_trees(size, _given(args.d, 1))
     for tree in trees:
         print(format_tree(tree))

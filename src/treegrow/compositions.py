@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, repeat
@@ -289,41 +288,33 @@ def cleared(values: Sequence[Fraction]) -> Tuple[int, List[int]]:
 Pairs = Dict[int, Tuple[int, int]]
 
 
-class StepRow(Mapping):
-    """The move probabilities of one step law, ``m -> (num, den)`` unreduced, formed on first read.
+class StepRow(dict):
+    """The move probabilities of one step law, ``m -> (num, den)`` unreduced, each stored on first read.
 
     Keeps the running sums ``cl`` and ``ch`` of both laws' masses, which end
     at their totals ``zl`` and ``zh``; the mass of support point m is
     ``cl[m] - cl[m-1]``.  The row at total ``t + d`` takes ``ch`` as its
     ``cl``.  Once the interleaving inequalities hold, the pair of support
     point m is ``(cl[m] zh - ch[m] zl, low_m zh)``, exactly the pair
-    ``move_rows`` returns; ``formed`` holds the pairs read so far.  ``ymax``
-    and ``bmax`` are the ratio maxima that certified the row, which the row
-    at total ``t + d`` extends.
+    ``move_rows`` returns; the dict holds the pairs read so far, and a read
+    off the support raises ``KeyError`` and stores nothing.  ``ymax`` and
+    ``bmax`` are the ratio maxima that certified the row, which the row at
+    total ``t + d`` extends.
     """
 
-    __slots__ = ("formed", "cl", "ch", "ymax", "bmax")
+    __slots__ = ("cl", "ch", "ymax", "bmax")
 
     def __init__(self, cl: List[int], ch: List[int], ymax: Tuple[int, int], bmax: Tuple[int, int]):
-        self.formed: Pairs = {}
         self.cl, self.ch, self.ymax, self.bmax = cl, ch, ymax, bmax
 
-    def __getitem__(self, m: int) -> Tuple[int, int]:
-        pair = self.formed.get(m)
-        if pair is None:
-            cl, ch = self.cl, self.ch
-            mass = m in range(len(cl)) and cl[m] - (cl[m - 1] if m else 0)
-            if not mass:
-                raise KeyError(m)  # off the support, before any other read
-            zl, zh = cl[-1], ch[-1]
-            pair = self.formed[m] = (cl[m] * zh - ch[m] * zl, mass * zh)
+    def __missing__(self, m: int) -> Tuple[int, int]:
+        cl, ch = self.cl, self.ch
+        mass = m in range(len(cl)) and cl[m] - (cl[m - 1] if m else 0)
+        if not mass:
+            raise KeyError(m)
+        zl, zh = cl[-1], ch[-1]
+        pair = self[m] = (cl[m] * zh - ch[m] * zl, mass * zh)
         return pair
-
-    def __iter__(self) -> Iterator[int]:
-        return (m for m, (below, c) in enumerate(zip([0, *self.cl], self.cl)) if c != below)
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self)
 
 
 class PartitionKernel:
@@ -474,15 +465,10 @@ class PartitionKernel:
                 if j != len(parts) - 1:
                     raise DomainError(f"parts {tuple(parts)} carry no mass past shift {j}")
                 return ("inc", j)
-            mt = (part - 1) // d
-            row = step_probs(j, remaining)
-            pair = row.formed.get(mt)
-            if pair is None:
-                try:
-                    pair = row[mt]
-                except KeyError:
-                    raise DomainError(f"part {part} carries no mass at total {remaining}, shift {j}") from None
-            qn, qd = pair
+            try:
+                qn, qd = step_probs(j, remaining)[(part - 1) // d]
+            except KeyError:
+                raise DomainError(f"part {part} carries no mass at total {remaining}, shift {j}") from None
             if qn == qd:
                 return ("inc", j)
             if decide(rng, qn, qd):
@@ -660,15 +646,21 @@ def sample_composition_chain(wp: WeightPair, cls: ArithClass, N: int, rng,
 
     Deterministic given the rng stream.  The chain starts at the unique
     composition of total s (the empty one when s = 0).  Pass precomputed
-    ``tables`` when sampling many chains from the same pair.
+    ``tables`` when sampling many chains from the same pair.  Tables,
+    built or supplied, that stop before the last total the chain reaches
+    are refused before any draw.
     """
     d, s = cls.d, cls.s
     if N < s:
         raise DomainError("horizon below the starting total")
+    last = N - (N - s) % d
     if tables is None:
-        tables = PairTables(wp, cls, total_horizon=min(wp.b.horizon, N + d))
+        tables = PairTables(wp, cls, total_horizon=last)
     elif tables.wp != wp or tables.cls != cls:
         raise DomainError("supplied tables were built for another weight pair or class")
+    elif tables.total_horizon < last:
+        raise HorizonError(f"the chain to total {N} reaches total {last}, "
+                           f"past the tables' horizon {tables.total_horizon}")
     c: Composition = (1,) * s
     total = s
     out = [c]

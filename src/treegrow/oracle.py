@@ -48,6 +48,8 @@ def enumerate_plane_trees(n: int, d: int = 1, max_n: Optional[int] = None) -> Li
 def _check_plane_tree_size(n: int, d: int, max_n: Optional[int]):
     if n < 1:
         raise DomainError("trees have at least one vertex")
+    if d < 1:
+        raise DomainError("d must be >= 1")
     cap = PLANE_TREE_CAP if max_n is None else max_n
     if n > cap:
         estimate = _catalan((n - 1) // d) if (n - 1) % d == 0 else 0
@@ -126,13 +128,10 @@ def _normalized(masses: Dict[object, int]) -> Dict:
 def cleared_weights(w, n: int) -> Tuple[int, List[int]]:
     """``L`` and the integers ``L w_k`` for the child counts k < n of an n-vertex tree.
 
-    ``L`` clears the denominators of ``w``.  The list stops at a declared
-    horizon, so a read past it is an IndexError.
+    ``L`` clears the denominators of ``w``.
     """
-    w = coerce_weights(w)
-    scale, entries = cleared(w.entries)
-    width = n if w.horizon is None else min(n, w.horizon + 1)
-    return scale, (entries + [0] * n)[:width]
+    scale, entries = cleared(coerce_weights(w).entries)
+    return scale, (entries + [0] * n)[:n]
 
 
 def tree_mass(w, tree: PlaneTree):
@@ -150,21 +149,18 @@ def sg_masses(w, d: int, n: int) -> Dict[PlaneTree, int]:
 
     The products run on the integers of ``cleared_weights``, so every tree
     carries the scale ``L^n``.  A tree with a degree above the radius of
-    ``w`` has no mass, so only trees within it are enumerated.  Under a
-    declared horizon below n - 1 every tree is, and a tree that reads ``w``
-    past the horizon fails as ``w`` does.
+    ``w`` has no mass, so only trees within it are enumerated.  The star
+    reads ``w_{n-1}``, the highest weight any tree of size n reads, so it
+    is read first: past a declared horizon it fails as ``w`` does.
     """
     w = coerce_weights(w)
     _check_plane_tree_size(n, d, None)
+    if (n - 1) % d == 0:
+        w[n - 1]  # past the declared horizon: raises HorizonError
     _, ints = cleared_weights(w, n)
-    short = w.horizon is not None and w.horizon < n - 1
     masses = {}
-    for tree in _plane_trees(n, d, None if short else w.radius):
-        try:
-            mass = tree_mass(ints, tree)
-        except IndexError:  # the tree reads w past its declared horizon: fail as w does
-            tree_mass(w, tree)
-            raise
+    for tree in _plane_trees(n, d, w.radius):
+        mass = tree_mass(ints, tree)
         if mass:
             masses[tree] = mass
     return masses

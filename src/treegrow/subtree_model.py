@@ -95,11 +95,6 @@ def left_packing(positions: Iterable[int]) -> PositionMap:
     return {pos: rank for rank, pos in enumerate(sorted(positions), start=1)}
 
 
-def push(tau: RootedSubtree) -> PlaneTree:
-    """Left-pack all children positions, producing the underlying plane tree."""
-    return bij_P(tau)[0]
-
-
 def bij_P(tau: RootedSubtree) -> Tuple[PlaneTree, Dict[Word, FrozenSet[int]]]:
     """Left-pack and remember the original children positions as decorations.
 

@@ -13,6 +13,7 @@ from treegrow.compositions import as_fraction
 from treegrow.errors import DomainError, ParseError
 from treegrow.oracle import sg_law
 from treegrow.sgtrees import WeightSequence
+from treegrow.treespace import ROOT, RootedSubtree
 
 
 def run(*argv):
@@ -224,7 +225,7 @@ class TestErrorBoundary:
         ["verify", "--suite", "stats", "--n-max", "0"],
         ["verify", "--suite", "stats", "--samples", "0"],
         ["verify", "--suite", "stats", "--d", "0"],
-        ["enumerate", "--arith-trees", "5", "--d", "0"],
+        ["enumerate", "--plane-trees", "5", "--d", "0"],
     ], ids=["verify-n-max", "verify-samples", "verify-d", "enumerate-d"])
     def test_zero_refused(self, argv, capsys):
         assert run(*argv) == 1
@@ -285,7 +286,7 @@ class TestErrorBoundary:
          "the subtree model has d = 1"),
         (["verify", "--suite", "stats", "--theta", "1,1", "--d", "2"], "the subtree model has d = 1"),
         (["verify"], "--suite is required"),
-        (["enumerate"], "pass --plane-trees, --subtrees or --arith-trees"),
+        (["enumerate"], "pass --plane-trees or --subtrees"),
         # a flag given on the command line that the command does not read
         (["grow", "--model", "sg", "--w", "1,1", "--theta", "1,2", "--n", "5"],
          "the sg model does not read --theta"),
@@ -310,19 +311,18 @@ class TestErrorBoundary:
          "the shuffle-invariance suite does not read --d"),
         (["verify", "--suite", "stats", "--theta", "1,1", "--w", "1,1"],
          "the stats suite with --theta does not read --w"),
-        (["enumerate", "--plane-trees", "3", "--d", "2"], "enumerate --plane-trees does not read --d"),
         (["enumerate", "--plane-trees", "3", "--subtrees", "2"],
          "enumerate --plane-trees does not read --subtrees"),
-        (["enumerate", "--arith-trees", "5", "--d", "2", "--dmax", "3"],
-         "enumerate --arith-trees does not read --dmax"),
+        (["enumerate", "--plane-trees", "5", "--d", "2", "--dmax", "3"],
+         "enumerate --plane-trees does not read --dmax"),
         (["enumerate", "--subtrees", "3", "--d", "2"], "enumerate --subtrees does not read --d"),
     ], ids=["grow-model", "grow-n", "sg-w", "sg-d", "subtree-theta", "subtree-d", "stats-subtree-d",
             "verify-suite", "enumerate-kind", "unread-sg-theta", "unread-sg-arith-theta", "unread-subtree-w",
             "unread-subtree-decimal", "decimal-without-out", "unread-tp2-theta", "unread-tables-seed",
             "unread-ratio-chain-samples", "unread-kernel-interchange-theta", "unread-bijection-w",
             "unread-subset-coupling-n-max",
-            "unread-shuffle-invariance-d", "unread-stats-theta-w", "unread-plane-trees-d",
-            "unread-plane-trees-subtrees", "unread-arith-trees-dmax", "unread-subtrees-d"])
+            "unread-shuffle-invariance-d", "unread-stats-theta-w",
+            "unread-plane-trees-subtrees", "unread-plane-trees-dmax", "unread-subtrees-d"])
     def test_missing_argument(self, argv, message, capsys):
         assert self.assert_one_line_error(capsys, run(*argv)) == f"error: {message}"
 
@@ -520,8 +520,15 @@ class TestEnumerate:
         assert "count: 5" in capsys.readouterr().out
 
     def test_arith(self, capsys):
-        assert run("enumerate", "--arith-trees", "5", "--d", "2") == 0
+        assert run("enumerate", "--plane-trees", "5", "--d", "2") == 0
         assert "count: 3" in capsys.readouterr().out
+
+    def test_plane_trees_read_d(self, capsys):
+        # --d 1 lists what no --d lists; --d 2 keeps the trees whose every degree is even
+        assert run("enumerate", "--plane-trees", "3", "--d", "1") == 0
+        assert capsys.readouterr().out == "e,1,1.1\ne,1,2\ncount: 2\n"
+        assert run("enumerate", "--plane-trees", "3", "--d", "2") == 0
+        assert capsys.readouterr().out == "e,1,2\ncount: 1\n"
 
     def test_cap_exceeded(self, capsys):
         assert run("enumerate", "--plane-trees", "12") == 1
@@ -563,6 +570,30 @@ class TestVerify:
         failures = json.loads(capsys.readouterr().out)["failures"]
         assert failures[-1] == {"n": n, "kind": "lagrange-identity-mismatch"}
         assert len(failures) == 1 + enumerated
+
+    @pytest.mark.parametrize("suite, argv, digest", [
+        ("tables", ["--w", "1,3,3,1"], "f8090fffe0f65c785a07511b9dff641e65e27c265eea57bed80ef14450964456"),
+        ("bijection", ["--n-max", "3"], "fe0a9a09e8ca3b8230d2fa4a2b901fc8f1d8d17d42f0c435b9575cb454d97122"),
+        ("subset-coupling", ["--theta", "3,2,1"],
+         "20b129d51cb077a908efb0d2b835c480675b3ef4286067ca57d106f0a968c967"),
+    ])
+    def test_planted_fault_report_bytes(self, suite, argv, digest, monkeypatch, capsys):
+        # a suite's report of a planted fault is pinned byte for byte: its count, failures and keys
+        if suite == "tables":   # b_5 one too large: both the enumeration and Lagrange disagree
+            b_value = treegrow.sgtrees.PartitionTables.b_value
+            monkeypatch.setattr(treegrow.sgtrees.PartitionTables, "b_value",
+                                lambda self, n: b_value(self, n) + (n == 5))
+        elif suite == "bijection":   # every 3-vertex subtree comes back as the root alone
+            inverse = treegrow.cli.bij_P_inv
+            monkeypatch.setattr(treegrow.cli, "bij_P_inv", lambda tree, decorations: (
+                RootedSubtree([ROOT]) if len(tree) == 3 else inverse(tree, decorations)))
+        else:   # reversed thresholds, and no 2-subset law
+            thresholds, subset_law = treegrow.cli.nested_thresholds, treegrow.cli.subset_law
+            monkeypatch.setattr(treegrow.cli, "nested_thresholds", lambda theta: thresholds(theta)[::-1])
+            monkeypatch.setattr(treegrow.cli, "subset_law", lambda theta, k: {} if k == 2 else subset_law(theta, k))
+        assert run("verify", "--suite", suite, *argv) == 3
+        out = capsys.readouterr().out
+        assert json.loads(out)["failures"] and hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("suite, default, extra", [
         ("tables", (1,) * 8, ()), ("tp2", (1,) * 8, ()), ("kernel-interchange", (1,) * 7, ()),

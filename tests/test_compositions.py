@@ -485,6 +485,29 @@ class TestChainSampling:
             sample_composition_chain(wp, ArithClass(2, 1), 1, random.Random(3),
                                      tables=PairTables(wp, ArithClass(3, 1)))
 
+    @pytest.mark.parametrize("b_len, supplied, message", [
+        (5, None, "pair tables to total 12 need b up to 12, have 5"),
+        (12, 5, "the chain to total 12 reaches total 12, past the tables' horizon 5"),
+    ], ids=["built", "supplied"])
+    def test_refuses_tables_short_of_the_last_total(self, b_len, supplied, message):
+        # tables to total 5 cannot take the chain to 12: refused before the first step, no bit drawn
+        wp = WeightPair([1, 2, 1], [1] * b_len)
+        tables = None if supplied is None else PairTables(wp, total_horizon=supplied)
+        rng = derive_rng(0, "chain")
+        state = rng.getstate()
+        with pytest.raises(HorizonError, match=message):
+            sample_composition_chain(wp, PLAIN, 12, rng, tables=tables)
+        assert rng.getstate() == state
+
+    def test_tables_to_the_last_total_suffice(self):
+        # with d = 2 the chain to 9 ends at total 8, so tables to 8 take it there and tables to 7 do not
+        wp = tree_pair([1, 0, 1], d=2)
+        cls = ArithClass(2, 0)
+        assert sum(sample_composition_chain(wp, cls, 9, random.Random(3),
+                                            tables=PairTables(wp, cls, total_horizon=8))[-1]) == 8
+        with pytest.raises(HorizonError, match="reaches total 8, past the tables' horizon 7"):
+            sample_composition_chain(wp, cls, 9, random.Random(3), tables=PairTables(wp, cls, total_horizon=7))
+
     def test_marginal_tv(self):
         # empirical law of the total-4 state over 1e5 chains vs the exact law
         wp = tree_pair(ONES)

@@ -89,7 +89,9 @@ def oracle_row(tables, ell, t):
 
 
 def fraction_row(tables, ell, t):
-    return {m: F(num, den) for m, (num, den) in tables.step_probs(ell, t).items()}
+    """The compiled row as Fractions, read at each support point of ``move_rows``."""
+    row = tables.step_probs(ell, t)
+    return {m: F(*row[m]) for m in exact_scan(tables, ell, t)}
 
 
 def all_rows(tables, horizon):
@@ -168,10 +170,14 @@ def test_rows_read_lazily_match_the_exact_scan(case, rnd):
         got = verdict(lambda: tables.step_probs(ell, t))
         expected = verdict(lambda: exact_scan(tables, ell, t))
         if got[0] == "value":
-            row = got[1]
-            for m in rnd.sample(sorted(row), rnd.randint(0, len(row))):
-                assert row[m] == expected[1][m]
-            got = "value", dict(row.items())
+            row, scan = got[1], exact_scan(tables, ell, t)
+            for m in rnd.sample(sorted(scan), rnd.randint(0, len(scan))):
+                assert row[m] == scan[m]
+            got = "value", {m: row[m] for m in scan}
+            for m in set(range(len(row.cl) + 1)) - scan.keys():
+                with pytest.raises(KeyError):
+                    row[m]
+            assert row.keys() == scan.keys()  # each read stored its own point, and an off-support read nothing
         assert got == expected, (ell, t)
 
 
@@ -240,14 +246,16 @@ def test_loose_b_bound_falls_back_to_the_exact_scan(monkeypatch):
     scans = []
     monkeypatch.setattr(treegrow.compositions, "move_rows", lambda *a: scans.append(a) or move_rows(*a))
     row = tables.step_probs(3, 6)
-    assert len(scans) == 1 and dict(row.items()) == move_rows(*scans[0]) == {5: (96, 96)}
+    assert len(scans) == 1 and row[5] == (96, 96) and dict(row) == move_rows(*scans[0]) == {5: (96, 96)}
 
 
 def test_full_iteration_forms_the_whole_row():
     tables = compute_tables(WeightSequence([1, 3, 3, 1]), 1, N=12)
-    row = tables.step_probs(0, 9)
-    assert not row.formed and len(row) == 9
-    assert dict(row.items()) == exact_scan(tables, 0, 9) and len(row.formed) == 9
+    row, scan = tables.step_probs(0, 9), exact_scan(tables, 0, 9)
+    assert not row and len(scan) == 9
+    for stored, m in enumerate(scan, 1):
+        assert row[m] == scan[m] and len(row) == stored  # a read stores its own point only
+    assert row == scan
 
 
 def test_kernel_row_reads_no_mass_from_the_masses():
@@ -257,9 +265,13 @@ def test_kernel_row_reads_no_mass_from_the_masses():
     for _ in range(2):
         with pytest.raises(DomainError, match="part 1 carries no mass at total 2, shift 0"):
             tables.kernel_row(2, (1, 1))
-        assert 0 not in row and 0 not in row.formed
+        assert 0 not in row
         assert tables.kernel_row(2, (2,)) == {("inc", 0): (1, 1)}
-        dict(row.items())
+        for m in exact_scan(tables, 0, 2):
+            row[m]
+    with pytest.raises(KeyError):
+        row[0]
+    assert 0 not in row  # an off-support read stores nothing
 
 
 def test_unreduced_threshold_decides_alike():
@@ -515,7 +527,7 @@ def test_sample_move_refuses_a_part_without_mass():
     state = rng.getstate()
     with pytest.raises(DomainError, match="part 1 carries no mass at total 2, shift 0"):
         tables.sample_move(2, [1, 1], bernoulli, rng, [])
-    assert 0 not in row.formed and rng.getstate() == state
+    assert 0 not in row and rng.getstate() == state
 
 
 def test_sample_move_refuses_parts_off_the_total_before_any_decision():

@@ -56,6 +56,15 @@ class TestEnumeration:
         with pytest.raises(DomainError, match=message):
             enumerate_subtrees(**kwargs)
 
+    @pytest.mark.parametrize("n", [1, 5, 11], ids=["one-vertex", "below-cap", "above-cap"])
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_plane_tree_enumeration_refuses_d_below_1(self, n, d):
+        # refused before the cap's size estimate, which divides by d
+        with pytest.raises(DomainError, match="d must be >= 1"):
+            enumerate_plane_trees(n, d)
+        with pytest.raises(DomainError, match="d must be >= 1"):
+            sg_masses([1, 1, 1], d, n)
+
     def test_catalan_counts(self):
         for n in range(1, 8):
             assert len(enumerate_plane_trees(n)) == catalan(n - 1)

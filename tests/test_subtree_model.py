@@ -15,7 +15,7 @@ from treegrow.subtree_model import (SubtreeChain, SummableTheta, apply_shuffle, 
                                     check_equivariance, coerce_theta, elementary_symmetric, inverse_shuffle,
                                     nested_coupling_law,
                                     nested_subset_coupling, nested_thresholds, pointwise_inverse,
-                                    push, push_forward, sigma_rule, shuffle_invariance_check,
+                                    push_forward, sigma_rule, shuffle_invariance_check,
                                     subtree_grow_chain)
 from treegrow.treespace import PlaneTree, RootedSubtree
 
@@ -112,17 +112,17 @@ class TestShuffleGroupoid:
 class TestPushAndBijection:
     def test_push_example(self):
         tau = RootedSubtree([(), (2,), (5,), (2, 3)])
-        assert push(tau) == PlaneTree([(), (1,), (2,), (1, 1)])
+        assert bij_P(tau)[0] == PlaneTree([(), (1,), (2,), (1, 1)])
 
     def test_push_fixes_plane_trees(self):
         for n in range(1, 6):
             for tree in enumerate_plane_trees(n):
-                assert push(RootedSubtree(tree.vertices)).vertices == tree.vertices
+                assert bij_P(RootedSubtree(tree.vertices))[0].vertices == tree.vertices
 
     def test_push_preserves_size(self):
         for n in range(1, 6):
             for tau in enumerate_subtrees(n, dmax=2):
-                assert len(push(tau)) == len(tau)
+                assert len(bij_P(tau)[0]) == len(tau)
 
     def test_bij_example(self):
         tau = RootedSubtree([(), (2,), (5,), (2, 3)])
