@@ -51,9 +51,10 @@ SUBSET_SUPPORT_CAP = 8
 
 # --n cap of grow.  The compiled step laws hold O(n^2) running sums of O(n)
 # bits each, so memory grows like n^3 (and with the bit length of the
-# weights).  On a 2-CPU Xeon, n = 600 with --out peaks at 90 MB in 3.3-4.4 s
-# for w = 1,3,3,1, 101 MB in 2.6-2.9 s for w = 1 x 8 and 128 MB in 2.2-2.5 s
-# for the subtree model with theta = 1/2,1/3,1/4.
+# weights).  On a 2-CPU Xeon, n = 600 with --out (seeds 0-2, interpreter start
+# included) peaks at 81-93 MB in 1.4-1.6 s for w = 1,3,3,1, 101-131 MB in
+# 2.3-4.2 s for w = 1 x 8 and 128-149 MB in 1.4-2.8 s for the subtree model
+# with theta = 1/2,1/3,1/4.
 GROW_CAP = 600
 
 ALWAYS_READ = {"command", "model", "suite", "out", "config"}   # by every model, suite and listing
@@ -218,6 +219,8 @@ def cmd_grow(args) -> int:
             raise ParseError("--w is required for tree models")
         if args.model == "sg" and d != 1:
             raise ParseError("the sg model has d = 1; use sg-arith")
+        if (args.n - 1) % d:  # trees of d-arithmetic weights have 1 mod d vertices
+            raise HorizonError(f"--n {args.n} holds no tree for --d {d}: tree sizes are 1 mod {d}")
         w = WeightSequence(parse_rational_list(args.w))
         chain = GrowthChain(w, d=d, horizon=args.n, rng=derive_rng(seed, "chain"))
     else:
@@ -242,38 +245,38 @@ def _grow(chain, args, d: int, handle) -> int:
 
     Each trace line carries the whole tree: its text is kept up to date by
     inserting the new words, so no step rebuilds or re-sorts the tree.
-    Returns the number of steps.
+    Each line is the text ``json.dumps(record, sort_keys=True)`` gives for
+    its record, formatted directly: every value is an int, a float or a
+    text of digits, ``.``, ``,``, ``/`` and ``e``, which JSON writes as it
+    is, and the encoder would spend most of its time scanning the tree text
+    for characters to escape.  Returns the number of steps.
     """
     text = GrowingText() if handle else None
-
-    def write(rec):
-        handle.write(json.dumps(rec, sort_keys=True) + "\n")
-
     if args.model == "subtree":
         if handle:
-            write({"step": 0, "n": 1, "new_vertex": "e", "subtree": "e"})
+            handle.write('{"n": 1, "new_vertex": "e", "step": 0, "subtree": "e"}\n')
         while chain.n < args.n:
             new = chain.step()
             label = word_to_text(new)
             if handle:
-                text.add(new)
-                write({"step": chain.n - 1, "n": chain.n, "new_vertex": label, "subtree": str(text)})
+                text.add(new, label)
+                handle.write(f'{{"n": {chain.n}, "new_vertex": "{label}", "step": {chain.n - 1}, '
+                             f'"subtree": "{text}"}}\n')
             print(f"step {chain.n - 1}: +{label}")
         return chain.n - 1
     if handle:
-        write({"step": 0, "n": 1, "new_vertices": ["e"], "tree": "e", "prob": "1"})
+        handle.write('{"n": 1, "new_vertices": ["e"], "prob": "1", "step": 0, "tree": "e"}\n')
     while chain.n + d <= args.n:
         step = chain.step()
         labels = [word_to_text(u) for u in step.new_vertices]
         if handle:
-            for u in step.new_vertices:
-                text.add(u)
+            for u, label in zip(step.new_vertices, labels):
+                text.add(u, label)
             prob = step.prob
-            rec = {"step": step.index, "n": step.n, "new_vertices": labels,
-                   "tree": str(text), "prob": exact_text(prob)}
-            if args.decimal:
-                rec["prob_decimal"] = float(prob)
-            write(rec)
+            quoted = ", ".join(f'"{label}"' for label in labels)
+            decimal = f', "prob_decimal": {float(prob)!r}' if args.decimal else ""
+            handle.write(f'{{"n": {step.n}, "new_vertices": [{quoted}], "prob": "{exact_text(prob)}"{decimal}, '
+                         f'"step": {step.index}, "tree": "{text}"}}\n')
         print(f"step {step.index}: +{','.join(labels)}")
     return chain.step_index
 
@@ -303,9 +306,12 @@ def validate_trace(path: str, model: str, d: int = 1):
     words, as ``grow`` writes it.  A step must add a right-leaning bouquet
     of ``d`` leaves (one leaf for sg) or, for the subtree model, one leaf
     under a present vertex.  From a valid first tree, such a step always
-    gives a valid tree, so no later tree is rebuilt: each line is read as a
-    set of words, every distinct token text is parsed once, and the child
-    counts and the canonical text carry over from line to line.
+    gives a valid tree, so no later tree is rebuilt.  A valid line's token
+    texts are the canonical texts of its words, so each line is read as a
+    set of token texts: it must hold every token of the line before, and
+    only its new tokens are parsed, each required to be the canonical text
+    of its word.  The child counts and the canonical text carry over from
+    line to line.
     """
     if model in ("sg", "sg-arith"):
         field, kind = "tree", "plane"
@@ -313,41 +319,42 @@ def validate_trace(path: str, model: str, d: int = 1):
         field, kind = "subtree", "subtree"
     else:
         raise DomainError(f"unknown model {model!r}: expected sg, sg-arith or subtree")
-    words: Dict[str, Word] = {}   # token text -> word
-    vertices = kids = canon = None
+    tokens = kids = canon = None   # the line before: its token texts, child counts and canonical text
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             text = json.loads(line)[field]
-            if vertices is None:
+            if tokens is None:
                 first = parse_tree(text, kind=kind)
-                vertices = set(first.vertices)
-                kids = {u: first.children_count(u) for u in vertices}
+                kids = {u: first.children_count(u) for u in first.vertices}
                 canon = GrowingText()
                 for u in first.sorted_vertices()[1:]:
-                    canon.add(u)
-            else:
+                    canon.add(u, word_to_text(u))
                 tokens = set(text.split(","))
-                for token in tokens.difference(words):
-                    words[token] = word_from_text(token)
-                after = set(map(words.__getitem__, tokens))
-                added = after - vertices
+            else:
+                before, tokens = tokens, set(text.split(","))
+                added: Dict[Word, str] = {}
+                for token in tokens - before:
+                    u = word_from_text(token)
+                    if word_to_text(u) != token:   # a second spelling, of a new word or a present one
+                        raise DomainError(f"{path}:{lineno}: the {field} is not the canonical text of its words")
+                    added[u] = token
+                kept = len(tokens) == len(before) + len(added)   # iff the line keeps every token of the one before
                 if kind == "plane":
-                    ok = vertices < after and adds_bouquet(kids, added, d)
+                    ok = kept and adds_bouquet(kids, added.keys(), d)
                 else:
-                    ok = vertices < after and len(added) == 1 and next(iter(added))[:-1] in vertices
+                    ok = kept and len(added) == 1 and next(iter(added))[:-1] in kids
                 if not ok:
                     raise DomainError(f"{path}:{lineno}: the {field} is not a {model} growth step "
                                       f"from the line before")
-                for u in added:
+                for u, token in added.items():
                     kids[u] = 0
-                    canon.add(u)
+                    canon.add(u, token)
                 kids[next(iter(added))[:-1]] += len(added)
-                vertices = after
             if str(canon) != text:
                 raise DomainError(f"{path}:{lineno}: the {field} is not the canonical text of its words")
-    if vertices is None:
+    if tokens is None:
         raise ParseError(f"{path}: empty trace")
 
 

@@ -204,11 +204,15 @@ class GrowingText:
         self._words: List[Word] = [ROOT]
         self._texts: List[str] = ["e"]
 
-    def add(self, u: Word):
-        """Insert a word that is not present yet."""
+    def add(self, u: Word, text: str):
+        """Insert a word that is not present yet, with its text ``word_to_text(u)``.
+
+        The caller passes the text it has already rendered, for a label or
+        to check a token, so each new word is rendered once.
+        """
         i = bisect_left(self._words, u)
         self._words.insert(i, u)
-        self._texts.insert(i, word_to_text(u))
+        self._texts.insert(i, text)
 
     def __str__(self) -> str:
         return ",".join(self._texts)

@@ -456,6 +456,19 @@ def draw_embeddings(tree_counts, cond_laws, n_subtree_states, rng):
     return counts
 
 
+def left_to_right_prob(factors):
+    """A step's probability as the plain product of its pairs, multiplied left to right and reduced once.
+
+    The reference for ``GrowthStep.prob``, which cancels pairs against
+    their neighbours before it multiplies.
+    """
+    num = den = 1
+    for p, q in factors:
+        num *= p
+        den *= q
+    return Fraction(num, den)
+
+
 def whole_tree_validate_trace(path, model, d=1):
     """Validate a grow trace by parsing every tree in full and comparing consecutive trees.
 

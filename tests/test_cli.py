@@ -108,8 +108,8 @@ class TestGrow:
 # (model flags, seed, SHA-256 of the trace) pinned from earlier implementations: the first
 # three from the table builders that the peeling recursion replaced, the last two from the
 # chain that kept child counts and subtree sizes in two maps.  A fixed seed must keep giving
-# the same trace.  The CI smoke step checks the "sg" and "subtree" digests on the installed
-# script too, so a re-pin changes .github/workflows/tests.yml as well.
+# the same trace.  The CI smoke step checks the "sg", "subtree", "sg-arith" and "sg-arith-d3"
+# digests on the installed script too, so a re-pin changes .github/workflows/tests.yml as well.
 GOLDEN_TRACES = {
     "sg": (["--model", "sg", "--w", "1,3,3,1", "--n", "40"], 11,
            "1f634eb8e5504515c9804d3967a70bb052cf8b8eb4601dede890483787c55847"),
@@ -446,6 +446,15 @@ class TestErrorBoundary:
         line = self.assert_one_line_error(capsys, code)
         assert line == "error: --n-max 4 holds no tree for --d 2: tree sizes are 1 mod 2"
 
+    @pytest.mark.parametrize("w, d, n", [("1,0,2,0,1", 2, 4), ("2,0,0,1", 3, 6)])
+    def test_grow_n_without_a_tree_refused(self, w, d, n, monkeypatch, capsys):
+        # the chain would stop one bouquet short of --n and exit 0
+        monkeypatch.setattr(treegrow.cli, "GrowthChain", lambda *a, **k: pytest.fail("chain built"))
+        monkeypatch.setattr(treegrow.sgtrees, "compute_tables", lambda *a, **k: pytest.fail("tables built"))
+        code = run("grow", "--model", "sg-arith", "--w", w, "--d", str(d), "--n", str(n))
+        line = self.assert_one_line_error(capsys, code)
+        assert line == f"error: --n {n} holds no tree for --d {d}: tree sizes are 1 mod {d}"
+
     def test_subset_coupling_support_above_cap_refused(self, monkeypatch, capsys):
         def no_law(theta):
             raise AssertionError("the coupling law was built for a refused --theta")
@@ -486,7 +495,7 @@ class TestErrorBoundary:
         (["sg", "--w", "1,-1,1"], 1, "error: weights must be non-negative"),
     ], ids=["janson", "internal-zero", "no-leaves", "arith-no-leaves", "negative"])
     def test_grow_refused_weights_message(self, argv, code, line, capsys):
-        assert run("grow", "--model", *argv, "--n", "10") == code
+        assert run("grow", "--model", *argv, "--n", "11") == code
         assert capsys.readouterr().err.splitlines() == [line]
 
     def test_refused_keeps_witness(self, capsys):

@@ -1,3 +1,6 @@
+import itertools
+import math
+import operator
 import random
 from fractions import Fraction as F
 
@@ -17,6 +20,12 @@ from treegrow.treespace import (PlaneTree, is_bouquet_addition, is_right_leaning
 
 ONES8 = WeightSequence([1] * 9)
 JANSON = WeightSequence(["2/5", "1/5", "2/5"])
+# binomial, truncated Poisson and truncated geometric offspring weights
+LOG_CONCAVE = [(1, 3, 3, 1), (1, 4, 6, 4, 1), (1, 1, F(1, 2), F(1, 6), F(1, 24)), (1, 1, 1)]
+# non-increasing ratios w_i / w_(i-1) make a log-concave sequence
+LOG_CONCAVE_DRAWN = st.lists(st.fractions(min_value=F(1, 5), max_value=5, max_denominator=5),
+                             min_size=1, max_size=4).map(
+    lambda ratios: tuple(itertools.accumulate(sorted(ratios, reverse=True), operator.mul, initial=F(1))))
 
 
 class TestLogConcavity:
@@ -458,6 +467,22 @@ class TestGrowthChain:
         chain = GrowthChain(ONES8, horizon=6, rng=derive_rng(9, "chain"))
         for record in chain.run():
             assert 0 < record.prob <= 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(st.sampled_from(LOG_CONCAVE), LOG_CONCAVE_DRAWN), st.integers(1, 3), st.integers(2, 60),
+           st.integers(0, 2 ** 32))
+    @example((1, 1, 1), 1, 60, 0)
+    def test_prob_is_the_left_to_right_product(self, progression, d, n, seed):
+        w = [0] * ((len(progression) - 1) * d + 1)
+        w[::d] = progression
+        chain = GrowthChain(WeightSequence(w), d=d, horizon=n, rng=derive_rng(seed, "chain"))
+        steps = chain.run()
+        for step in steps:
+            before = list(step.factors)
+            prob = step.prob
+            assert type(prob) is F and prob == helpers.left_to_right_prob(before)
+            assert prob.denominator > 0 and math.gcd(prob.numerator, prob.denominator) == 1
+            assert step.factors == before and all(a is b for a, b in zip(step.factors, before))
 
     def test_marginal_t5(self):
         # 1e5 chains; the empirical law of the 5-vertex tree vs the exact law

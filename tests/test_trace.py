@@ -46,7 +46,7 @@ THETA12 = ",".join(["1"] * 12)
     ("subtree", ["--theta", THETA12], 1),
 ], ids=["sg", "sg-arith-d3", "subtree", "subtree-theta12"])
 def test_lines_equal_format_tree(model, flags, d, tmp_path):
-    seed, n = 5, 200
+    seed, n = 5, 1 + 199 // d * d  # the largest size up to 200 with trees for d
     records = grow_records(tmp_path / "t.jsonl", ["--model", model, *flags, "--n", str(n)], seed)
     if model == "subtree":
         theta = parse_rational_list(flags[1])
@@ -62,6 +62,19 @@ def test_lines_equal_format_tree(model, flags, d, tmp_path):
         assert any(int(letter) >= 10 for word in lines[-1].split(",")[1:] for letter in word.split("."))
 
 
+@pytest.mark.parametrize("flags", [
+    ["--model", "sg", "--w", "1,1/2,1/6", "--n", "80", "--decimal"],
+    ["--model", "sg-arith", "--w", "1,0,2,0,1", "--d", "2", "--n", "61"],
+    ["--model", "subtree", "--theta", THETA12, "--n", "80"],
+], ids=["sg-decimal", "sg-arith", "subtree-theta12"])
+def test_lines_are_what_json_writes(flags, tmp_path):
+    # the writer formats each line itself; json.dumps with sorted keys must give the same text
+    path = tmp_path / "t.jsonl"
+    grow_records(path, flags, 3)
+    lines = path.read_text().splitlines()
+    assert lines == [json.dumps(json.loads(line), sort_keys=True) for line in lines]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(0, 4), max_size=60))
 @example([0] * 12)
@@ -74,7 +87,7 @@ def test_growing_text_matches_format_tree(picks):
         u = v + (kids[v],)
         kids[u] = 0
         order.append(u)
-        text.add(u)
+        text.add(u, word_to_text(u))
         assert str(text) == format_tree(PlaneTree(kids))
 
 
@@ -258,7 +271,7 @@ def traces(tmp_path_factory):
 def mutate(data, records, other, field, model):
     """Apply one drawn mutation in place to the records of a trace."""
     kind = data.draw(st.sampled_from(["drop", "duplicate", "swap", "splice-other", "graft",
-                                      "bad-token", "reorder", "duplicate-token", "no-root"]))
+                                      "bad-token", "reorder", "duplicate-token", "no-root", "new-token"]))
     if not records:
         return
     i = data.draw(st.integers(0, len(records) - 1))
@@ -300,11 +313,64 @@ def mutate(data, records, other, field, model):
         records[i][field] = ",".join(tokens)
     elif kind == "reorder":
         records[i][field] = ",".join(data.draw(st.permutations(tokens)))
+    elif kind == "new-token":
+        # the token of a word new on line i rewritten, on that line alone or from it on
+        rewrite = data.draw(st.sampled_from(sorted(NEW_TOKEN)))
+        rewrite_new_token(records, i, field, rewrite, data.draw(st.booleans()))
     elif kind == "duplicate-token":
         tokens.insert(data.draw(st.integers(0, len(tokens))), data.draw(st.sampled_from(tokens)))
         records[i][field] = ",".join(tokens)
     else:
         records[i][field] = ",".join(t for t in tokens if t != "e")
+
+
+def respell(token):
+    """A second spelling of a word's text: its first letter zero-padded."""
+    return "0" + token
+
+
+# rewrites of the token of a word new on its line, given the tokens of the line before
+NEW_TOKEN = {
+    "zero-padded": lambda token, before: respell(token),
+    "space-padded": lambda token, before: " " + token,  # word_from_text strips the space
+    "second-spelling": lambda token, before: respell(before[-1]),  # of a word present on the line before
+    "missing-parent": lambda token, before: token + ".1",
+}
+
+
+def rewrite_new_token(records, i, field, rewrite, persist):
+    """Rewrite the first token of line i that line i - 1 lacks, on line i alone or on every line from i on.
+
+    Does nothing when line i has no such token or (for a second spelling)
+    the line before has no word but the root.
+    """
+    if i == 0:
+        return
+    before = records[i - 1][field].split(",")
+    fresh = [t for t in records[i][field].split(",") if t not in before]
+    if not fresh or (rewrite == "second-spelling" and before[-1] == "e"):
+        return
+    target, replacement = fresh[0], NEW_TOKEN[rewrite](fresh[0], before)
+    for rec in records[i:] if persist else records[i:i + 1]:
+        rec[field] = ",".join(replacement if t == target else t for t in rec[field].split(","))
+
+
+@pytest.mark.parametrize("persist", [False, True], ids=["line", "onwards"])
+@pytest.mark.parametrize("rewrite", sorted(NEW_TOKEN))
+@pytest.mark.parametrize("model", sorted(MUTATION_BASES))
+def test_new_token_rewrite_refused(traces, model, rewrite, persist):
+    base, path = traces
+    _, d, field = MUTATION_BASES[model]
+    for i in (1, 2, -1):
+        records = copy.deepcopy(base[model][0])
+        rewrite_new_token(records, i % len(records), field, rewrite, persist)
+        if records == base[model][0]:
+            assert i == 1 and rewrite == "second-spelling"  # line 0 holds the root alone
+            continue
+        path.write_text("".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records))
+        for validate in (validate_trace, whole_tree_validate_trace):
+            with pytest.raises(DomainError):
+                validate(str(path), model, d)
 
 
 # rewrites of one line that keep its word set but not its canonical text
