@@ -248,26 +248,36 @@ def shift(wp: WeightPair, ell: int, cls: ArithClass = PLAIN) -> WeightPair:
     return shifted
 
 
-def peel_partition_values(a: Sequence[int], T: int,
-                          b: Optional[Callable[[int], int]] = None) -> List[List[int]]:
+def peel_partition_values(a: Sequence[int], T: int, b: Optional[Callable[[int], int]], d: int) -> List[List[int]]:
     """Partition values ``z[ell][t] = Z_ell(t)`` of every shift of ``a``, for totals t <= T.
 
     Peeling off the first part gives
     ``Z_ell(t) = a_ell [t = 0] + sum_{m : b_m != 0} b_m Z_{ell+1}(t - m)``,
     with ``Z_ell = 0`` past the last entry of ``a``.  ``b(m)`` is read once,
-    when the loop reaches total m; without it the part weights are the tree
-    masses ``b_m = Z_0(m - 1)``, known by then.  The tables pass integer
-    weights, so the recursion never leaves Python ints.
+    when the loop reaches total m; with ``b = None`` the part weights are
+    the tree masses ``b_m = Z_0(m - 1)``, known by then.  The tables pass
+    integer weights, so the recursion never leaves Python ints.
+
+    The count weights must lie on one residue class s mod d and the part
+    weights on 1 mod d (``DomainError`` otherwise).  Then ``Z_ell(t) = 0``
+    unless ``t = s - ell (mod d)``, so at each total only the shifts of
+    that class run the sum and the others stay 0; at d = 1 every shift runs.
     """
     r = len(a)
-    z: List[List[int]] = [[] for _ in range(r)]
+    support = [ell for ell in range(r) if a[ell]]
+    s = support[0] % d if support else 0
+    if any((ell - s) % d for ell in support):
+        raise DomainError(f"count weights must lie on one residue class mod {d}, got support {support}")
+    z: List[List[int]] = [[0] * (T + 1) for _ in range(r)]
     parts: List[Tuple[int, int]] = []
     for t in range(T + 1):
         if t:
             bt = z[0][t - 1] if b is None else b(t)
             if bt:
+                if (t - 1) % d:
+                    raise DomainError(f"part weights must vanish off 1 mod {d} (b_{t} != 0)")
                 parts.append((t, bt))
-        for ell in range(r):
+        for ell in range((s - t) % d, r, d):
             acc = a[ell] if t == 0 else 0
             if ell + 1 < r:
                 nxt = z[ell + 1]
@@ -275,7 +285,7 @@ def peel_partition_values(a: Sequence[int], T: int,
                     v = nxt[t - m]
                     if v:
                         acc += bm * v
-            z[ell].append(acc)
+            z[ell][t] = acc
     return z
 
 
@@ -530,7 +540,7 @@ class PairTables(PartitionKernel):
         self.wp = wp
         self.cls = cls
         self._b = [0] + [bm * b_scale ** (m - 1) for m, bm in enumerate(b, 1)]  # D^m b_m
-        self._z = peel_partition_values(a, n, self._b.__getitem__)
+        self._z = peel_partition_values(a, n, self._b.__getitem__, cls.d)
 
     def partition_value(self, ell: int, t: int) -> Fraction:
         return Fraction(self.partition_int(ell, t), self.scale(t))

@@ -94,6 +94,14 @@ def forest_fractions(w, T):
     return f
 
 
+def pair_minors_nonnegative(x, y, low):
+    """Whether every minor ``x_k y_k2 - x_k2 y_k`` with ``low <= k <= k2`` of two rows is non-negative.
+
+    The brute-force oracle of ``sgtrees.ratios_rise``, one minor at a time.
+    """
+    return all(x[k] * y[k2] >= x[k2] * y[k] for k in range(low, len(x)) for k2 in range(k, len(x)))
+
+
 def tp2_brute_force(tables):
     """``check_tp2_array(tables).as_dict()`` from ``forest_fractions`` and every minor.
 

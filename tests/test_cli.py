@@ -1,18 +1,21 @@
+import contextlib
 import hashlib
+import io
 import json
 import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import helpers
 import treegrow.cli
 import treegrow.sgtrees
 from treegrow.cli import GROW_CAP, STATS_SAMPLES_CAP, exact_text, main, validate_trace
 from treegrow.compositions import as_fraction
-from treegrow.errors import DomainError, ParseError
+from treegrow.errors import DomainError, ParseError, ZeroMassError
 from treegrow.oracle import sg_law
-from treegrow.sgtrees import WeightSequence
+from treegrow.sgtrees import WeightSequence, check_ratio_chain, compute_tables
 from treegrow.treespace import ROOT, RootedSubtree
 
 
@@ -135,7 +138,8 @@ def test_golden_trace(case, tmp_path, capsys):
 # (verify flags, exit code, SHA-256 of stdout) pinned from the implementation that compared
 # Fraction minors and normalized Fraction tree masses: the four verify-exact benchmark configs,
 # tp2 runs that fail (so failure order and both exact sides are pinned) and the tables suite
-# on fractional weights.
+# on fractional weights.  The CI smoke step also checks the tp2-1131 and ratio-chain-10201
+# digests on the installed script; re-pin a digest in both places.
 GOLDEN_VERIFY = {
     "kernel-interchange-1111": (["--suite", "kernel-interchange", "--w", "1,1,1,1", "--n-max", "9"], 0,
                                 "3aeb8cb55a429a92ec999456dc34b86c1f1824b874b75657d51fd3d1c8a56ed0"),
@@ -163,6 +167,31 @@ def test_golden_verify(case, capsys):
     flags, code, digest = GOLDEN_VERIFY[case]
     assert run("verify", *flags) == code
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 3), head=st.lists(st.sampled_from(["1", "2", "1/3"]), min_size=2, max_size=2),
+       rest=st.lists(st.sampled_from(["0", "0", "1", "1/2"]), max_size=3), n_max=st.integers(1, 4))
+@example(d=1, head=["1", "1"], rest=["0", "1"], n_max=4)   # --w 1,1,0,1
+@example(d=2, head=["1", "2"], rest=["0", "0", "1"], n_max=2)
+@example(d=1, head=["1", "1"], rest=["1", "0"], n_max=3)   # a trailing zero is no gap
+def test_ratio_chain_refuses_exactly_the_vanishing_chains(d, head, rest, n_max):
+    # w_0 w_d > 0, so the tables build: the refusal fires exactly when check_ratio_chain meets a zero mass
+    entries = ["0"] * ((len(head) + len(rest) - 1) * d + 1)
+    entries[::d] = head + rest
+    w = WeightSequence([F(v) for v in entries])
+    try:
+        check_ratio_chain(compute_tables(w, d, N=(n_max + 2) * d + 1), n_max=n_max)
+        vanishes = False
+    except ZeroMassError:
+        vanishes = True
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run("verify", "--suite", "ratio-chain", "--w", ",".join(entries), "--d", str(d),
+                   "--n-max", str(n_max))
+    refused = err.getvalue().startswith("error: --w has w_")
+    assert refused == vanishes
+    assert code in ((1,) if refused else (0, 3))  # 3: weights that fail the chain
 
 
 class TestErrorBoundary:
@@ -483,6 +512,16 @@ class TestErrorBoundary:
         monkeypatch.setattr(treegrow.cli, "compute_tables", no_work)
         assert run("verify", "--suite", "stats", "--w", "2/5,1/5,2/5", "--n-max", "10") == 2
         assert capsys.readouterr().err.count("index 1") == 1
+
+    def test_ratio_chain_internal_zero_refused_before_tables(self, monkeypatch, capsys):
+        def no_tables(*args, **kwargs):
+            raise AssertionError("tables were built for refused weights")
+
+        monkeypatch.setattr(treegrow.cli, "compute_tables", no_tables)
+        code = run("verify", "--suite", "ratio-chain", "--w", "1,1,0,1", "--n-max", "1000")
+        assert self.assert_one_line_error(capsys, code) == (
+            "error: --w has w_2 = 0 between positive weights: "
+            "the ratio chain divides by each of w_0, w_1, w_2, ... below the radius")
 
     @pytest.mark.parametrize("argv, code, line", [
         (["sg", "--w", "2/5,1/5,2/5"], 2,

@@ -12,8 +12,8 @@ from treegrow._rand import derive_rng
 from treegrow.compositions import (PLAIN, ArithClass, PairTables, WeightPair,
                                    apply_move, as_fraction, check_admissibility_inequalities,
                                    check_ratio_chain, composition_kernel, covering_successors,
-                                   iter_compositions, move_rows, sample_composition_chain,
-                                   satisfies_arith, shift)
+                                   iter_compositions, move_rows, peel_partition_values,
+                                   sample_composition_chain, satisfies_arith, shift)
 from treegrow.errors import DomainError, HorizonError, NotCoupleable, ZeroMassError
 from treegrow.oracle import comp_law, tv_distance
 from treegrow.sgtrees import WeightSequence, compute_tables, is_log_concave
@@ -103,6 +103,43 @@ class TestPartitionFunction:
                     m *= wp.b[p]
                 direct += m
             assert tables.partition_value(0, n) == direct
+
+
+@st.composite
+def residue_peels(draw):
+    """Count weights on one residue class s mod d, part weights on 1 mod d (or the tree masses), a total."""
+    d = draw(st.integers(1, 3))
+    tree_masses = draw(st.booleans())
+    s = 0 if tree_masses else draw(st.integers(0, d - 1))
+    a = [0] * draw(st.integers(1, 9))
+    for ell in range(s, len(a), d):
+        a[ell] = draw(st.integers(0, 4))
+    T = draw(st.integers(0, 16))
+    if tree_masses:
+        return a, T, None, d
+    b = [draw(st.integers(0, 4)) if (m - 1) % d == 0 else 0 for m in range(T + 1)]
+    return a, T, b.__getitem__, d
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=residue_peels())
+@example(case=([1, 0, 2, 0, 1], 12, None, 2))
+@example(case=([0, 3, 0, 0, 1], 10, [0, 1, 0, 0, 2, 0, 0, 1, 0, 0, 5].__getitem__, 3))
+def test_residue_peel_skips_only_zero_entries(case):
+    # d = 1 runs the sum at every entry; at d > 1 the entries it skips are zero
+    a, T, b, d = case
+    assert peel_partition_values(a, T, b, d) == peel_partition_values(a, T, b, 1)
+
+
+class TestResiduePeelRefusals:
+    def test_count_weights_on_two_residues(self):
+        with pytest.raises(DomainError, match="one residue class mod 2"):
+            peel_partition_values([1, 1, 1], 6, None, 2)
+
+    def test_part_weight_off_one_mod_d(self):
+        b = [0, 1, 0, 1, 1, 0, 0]  # b_3 != 0 with d = 3
+        with pytest.raises(DomainError, match=r"off 1 mod 3 \(b_3 "):
+            peel_partition_values([1, 0, 0, 1], 6, b.__getitem__, 3)
 
 
 class TestCompDistribution:

@@ -287,6 +287,35 @@ def test_tp2_minors_match_the_fraction_brute_force(wd, horizon):
     assert check_tp2_array(tables).as_dict() == helpers.tp2_brute_force(tables)
 
 
+@st.composite
+def row_pairs(draw):
+    """Two non-negative int rows of one length <= 8, zeros anywhere, and the first column checked."""
+    size = draw(st.integers(1, 8))
+    entry = st.integers(0, 6) | st.just(0)
+    return draw(st.lists(entry, min_size=size, max_size=size)), \
+        draw(st.lists(entry, min_size=size, max_size=size)), draw(st.integers(0, 1))
+
+
+@settings(max_examples=500, deadline=None)
+@given(pair=row_pairs())
+@example(pair=([0, 0, 1, 2], [0, 0, 1, 3], 0))        # leading zeros in both rows
+@example(pair=([1, 1, 2], [0, 1, 2], 0))              # leading zero of y alone: no minor meets it
+@example(pair=([0, 1, 2], [1, 1, 2], 0))              # leading zero of x alone, under a positive y
+@example(pair=([1, 2, 0, 0], [1, 3, 0, 0], 0))        # trailing zeros in both rows
+@example(pair=([1, 2, 0], [1, 3, 1], 0))              # trailing zero of x alone: no minor meets it
+@example(pair=([1, 2, 1], [1, 3, 0], 0))              # trailing zero of y alone, after a positive x
+@example(pair=([1, 0, 2], [1, 1, 3], 0))              # internal zero of x alone
+@example(pair=([1, 1, 1], [1, 0, 1], 0))              # internal zero of y alone
+@example(pair=([1, 0, 2], [1, 0, 3], 0))              # a column of two zeros between rising ratios
+@example(pair=([1, 0, 2], [2, 0, 3], 0))              # a column of two zeros between falling ratios
+@example(pair=([0, 1, 0], [0, 0, 1], 0))              # first y column after the last x column
+@example(pair=([1, 1], [5, 1], 1))                    # falling ratios in the unchecked first column
+@example(pair=([2, 1], [0, 1], 1))                    # exactly one zero in the unchecked first column
+def test_row_pair_scan_matches_every_minor(pair):
+    x, y, low = pair
+    assert treegrow.sgtrees.ratios_rise(x, y, low) == helpers.pair_minors_nonnegative(x, y, low)
+
+
 @pytest.mark.parametrize("w, d", [([1, 3, 3, 1], 1), (["1/2", "1/3", "1/7"], 1), ([1, 0, "2/3", 0, "1/5"], 2),
                                   ([2, 0, 0, 1], 3), (["1/3", 0, 0, "1/2", 0, 0, 1], 3)])
 @pytest.mark.parametrize("horizon", [1, 2, 7, 13])
