@@ -19,7 +19,7 @@ from ._rand import derive_rng
 from .compositions import CheckReport, as_fraction, check_ratio_chain
 from .errors import DomainError, HorizonError, ParseError, Refused, TreegrowError
 from .oracle import (PLANE_TREE_CAP, SUBTREE_CAP, cleared_weights, enumerate_plane_trees, enumerate_subtrees,
-                     goodness_of_fit, sg_law, sg_masses, st_law, subset_law, kernel_interchange_check)
+                     goodness_of_fit, sg_law, sg_word_masses, st_law, subset_law, kernel_interchange_check)
 from .sgtrees import (WeightSequence, check_tp2_array, compute_tables, growth_kernel,
                       is_log_concave, require_log_concave, GrowthChain)
 from .subtree_model import (SubtreeChain, SummableTheta, bij_P, bij_P_inv, nested_coupling_law,
@@ -29,13 +29,18 @@ from .treespace import (GrowingText, Word, adds_bouquet, format_tree, parse_tree
 
 # --n-max caps not set by the enumeration caps of oracle.  On a 2-CPU Xeon:
 # tp2 peels the forest arrays and decides each pair of their rows by one scan
-# of neighbouring columns, O(n^3) integer products in all (n-max 24 and 40
-# both take about 0.13 s with interpreter start, the check itself 1.5 and
-# 5.7 ms); ratio-chain compares O(n) ratios of ever longer integers (1000
-# takes about 1.2 s for w = 1,3,3,1 and 2.1 s for w = 1,0,2,0,1 at d = 2,
-# whose tables reach total 2003); shuffle-invariance sums over every
-# decorated plane tree, with 2^n decorations each.
-TP2_CAP = 40
+# of neighbouring columns, O(n^3) integer products in all (n-max 120 takes
+# 0.16-0.22 s for w = 1,3,3,1 and 1 x 8 and 0.29 s for 1/2,1/3,1/7, in
+# process with the peel); a pair that fails the scan lists each failing
+# minor, O(n^4) of them for weights far from log-concave (w = 1,1/1000,0,0,1
+# lists 35,370, a 15 MB report, in 0.67 s at 40 and 161,238, 104 MB, in 4.5 s
+# at 60), so weights whose w_0, w_d, ... is not log-concave keep the cap 40.
+# ratio-chain compares O(n) ratios of ever longer integers (1000 takes about
+# 1.2 s for w = 1,3,3,1 and 2.1 s for w = 1,0,2,0,1 at d = 2, whose tables
+# reach total 2003); shuffle-invariance sums over every decorated plane tree,
+# with 2^n decorations each.
+TP2_CAP = 120
+TP2_NOT_LOG_CONCAVE_CAP = 40
 RATIO_CHAIN_CAP = 1000
 SHUFFLE_CAP = 4
 
@@ -113,10 +118,16 @@ def _weights(args, default: Tuple[int, ...]):
 
     Without ``--w`` the entries of ``default`` sit on the multiples of d,
     with zeros between them, so that every ``--d`` has weights to check.
+    A ``--w`` with w_0 or w_d zero is refused before any table is built:
+    trees of some size would carry no mass.
     """
     d = _given(args.d, 1)
     if args.w is not None:
-        return WeightSequence(parse_rational_list(args.w)), d
+        w = WeightSequence(parse_rational_list(args.w))
+        zero = next((i for i in (0, d) if w[i] == 0), None)
+        if zero is not None:
+            raise DomainError(f"--w has w_{zero} = 0: need w_0 w_{d} > 0 for trees of every size to carry mass")
+        return w, d
     spread = [0] * ((len(default) - 1) * d + 1)
     spread[::d] = default
     return WeightSequence(spread), d
@@ -377,7 +388,7 @@ def _suite_tables(args) -> dict:
     scale, ints = cleared_weights(w, n_max + 1)
     report = CheckReport("tables")
     for n in range(1, n_max + 1, d):
-        enumerated = Fraction(sum(sg_masses(w, d, n).values()), scale ** n)
+        enumerated = Fraction(sum(sg_word_masses(w, d, n).values()), scale ** n)
         b_n = tables.b_value(n)
         report.record(enumerated == b_n, n=n, recursion=b_n, enumeration=enumerated)
     # Lagrange inversion, n b_n = [x^(n-1)] w(x)^n, uses neither the peel nor the enumeration
@@ -392,9 +403,9 @@ def _suite_tables(args) -> dict:
 
 def _suite_tp2(args) -> dict:
     w, d = _weights(args, (1,) * 8)
-    n_max = _n_max(args, 10, TP2_CAP)
     # log-concavity of w_0, w_d, ... is TP2 of its Toeplitz matrix (Karlin), so no minor of it is checked
     lc = is_log_concave(w.progression(d))
+    n_max = _n_max(args, 10, TP2_CAP if lc.ok else TP2_NOT_LOG_CONCAVE_CAP)
     array_report = check_tp2_array(compute_tables(w, d, N=n_max + 1))
     return {"suite": "tp2", "ok": lc.ok and array_report.ok, "log_concave": lc.ok, "witness": lc.witness,
             "array": array_report.as_dict()}
@@ -423,9 +434,9 @@ def _suite_kernel_interchange(args) -> dict:
     rows = growth_kernel(tables)
     results = []
     ok = True
-    masses_hi = sg_masses(w, d, 1)
+    masses_hi = sg_word_masses(w, d, 1)
     for n in range(1, n_max + 1, d):
-        masses_lo, masses_hi = masses_hi, sg_masses(w, d, n + d)
+        masses_lo, masses_hi = masses_hi, sg_word_masses(w, d, n + d)
         report = kernel_interchange_check(rows, masses_lo, masses_hi)
         ok = ok and report.ok
         results.append({"n": n, **report.as_dict()})

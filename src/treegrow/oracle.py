@@ -23,7 +23,7 @@ from .compositions import (ONE, PLAIN, ZERO, ArithClass, Composition, WeightPair
                            coerce_weights, iter_compositions)
 from .errors import DomainError, HorizonError, ZeroMassError
 from .subtree_model import coerce_theta
-from .treespace import PlaneTree, ROOT, RootedSubtree, compose_root
+from .treespace import CountWord, PlaneTree, ROOT, RootedSubtree, child_count_word, from_child_count_word
 
 PLANE_TREE_CAP = 10
 SUBTREE_CAP = 7
@@ -38,11 +38,13 @@ def _catalan(k: int) -> int:
 def enumerate_plane_trees(n: int, d: int = 1, max_n: Optional[int] = None) -> List[PlaneTree]:
     """All plane trees with n vertices, every degree a multiple of d, in canonical order.
 
+    The trees are the child-count words of ``_plane_words``, each built
+    and then sorted: canonical order is not the order of the words.
     Counts grow like Catalan numbers, so sizes beyond the cap are refused
     with an estimate instead of silently melting the machine.
     """
     _check_plane_tree_size(n, d, max_n)
-    return list(_plane_trees(n, d, None))
+    return sorted(map(from_child_count_word, _plane_words(n, d, None)), key=PlaneTree.sorted_vertices)
 
 
 def _check_plane_tree_size(n: int, d: int, max_n: Optional[int]):
@@ -57,21 +59,26 @@ def _check_plane_tree_size(n: int, d: int, max_n: Optional[int]):
 
 
 @functools.lru_cache(maxsize=None)
-def _plane_trees(n: int, d: int, degree: Optional[int]) -> Tuple[PlaneTree, ...]:
-    """The trees of ``enumerate_plane_trees`` with no degree above ``degree`` (None bounds nothing), in its order.
+def _plane_words(n: int, d: int, degree: Optional[int]) -> Tuple[CountWord, ...]:
+    """The child-count words of the size-n trees with every degree a multiple of d and none above ``degree``.
 
-    Children sizes come from the compositions of n - 1 in class (d, 0).  A
-    bound of n - 1 or more bounds nothing, so it reads the unbounded entry.
+    ``degree`` None bounds nothing, and a bound of n - 1 or more reads the
+    unbounded entry.  The root's children have the sizes of a composition
+    of n - 1 in class (d, 0), so each word is the root's count followed by
+    one word per child, concatenated: ``(k,) + L_1 + ... + L_k``.
     """
     if degree is not None and degree >= n - 1:
-        return _plane_trees(n, d, None)
+        return _plane_words(n, d, None)
     if n == 1:
-        return (PlaneTree([ROOT]),)
-    trees = [compose_root(subtrees)
-             for parts in iter_compositions(n - 1, ArithClass(d, 0))
-             if degree is None or len(parts) <= degree
-             for subtrees in itertools.product(*(_plane_trees(p, d, degree) for p in parts))]
-    return tuple(sorted(trees, key=PlaneTree.sorted_vertices))
+        return ((0,),)
+    words: List[CountWord] = []
+    for parts in iter_compositions(n - 1, ArithClass(d, 0)):
+        if degree is None or len(parts) <= degree:
+            heads = [(len(parts),)]
+            for part in parts:
+                heads = [head + word for head in heads for word in _plane_words(part, d, degree)]
+            words += heads
+    return tuple(words)
 
 
 def enumerate_subtrees(n: int, dmax: Optional[int] = None,
@@ -141,17 +148,18 @@ def tree_mass(w, tree: PlaneTree):
     Every child count is read, past a zero weight too, so a tree that reads
     ``w`` past a declared horizon fails whatever the order of its vertices.
     """
-    return math.prod(map(w.__getitem__, tree.child_counts()))
+    return math.prod(map(w.__getitem__, child_count_word(tree)))
 
 
-def sg_masses(w, d: int, n: int) -> Dict[PlaneTree, int]:
-    """The size-n trees with mass, in canonical order, each with its raw weight product.
+def sg_word_masses(w, d: int, n: int) -> Dict[CountWord, int]:
+    """The child-count words of the size-n trees with mass, each with its raw weight product.
 
     The products run on the integers of ``cleared_weights``, so every tree
     carries the scale ``L^n``.  A tree with a degree above the radius of
-    ``w`` has no mass, so only trees within it are enumerated.  The star
-    reads ``w_{n-1}``, the highest weight any tree of size n reads, so it
-    is read first: past a declared horizon it fails as ``w`` does.
+    ``w`` has no mass, so only trees within it are enumerated, in the
+    order of ``_plane_words``.  The star reads ``w_{n-1}``, the highest
+    weight any tree of size n reads, so it is read first: past a declared
+    horizon it fails as ``w`` does.
     """
     w = coerce_weights(w)
     _check_plane_tree_size(n, d, None)
@@ -159,11 +167,17 @@ def sg_masses(w, d: int, n: int) -> Dict[PlaneTree, int]:
         w[n - 1]  # past the declared horizon: raises HorizonError
     _, ints = cleared_weights(w, n)
     masses = {}
-    for tree in _plane_trees(n, d, w.radius):
-        mass = tree_mass(ints, tree)
+    for word in _plane_words(n, d, w.radius):
+        mass = math.prod(map(ints.__getitem__, word))
         if mass:
-            masses[tree] = mass
+            masses[word] = mass
     return masses
+
+
+def sg_masses(w, d: int, n: int) -> Dict[PlaneTree, int]:
+    """``sg_word_masses`` keyed by the trees, in canonical order."""
+    trees = [(from_child_count_word(word), mass) for word, mass in sg_word_masses(w, d, n).items()]
+    return dict(sorted(trees, key=lambda pair: pair[0].sorted_vertices()))
 
 
 def sg_law(w, d: int, n: int) -> Dict[PlaneTree, Fraction]:
@@ -262,38 +276,38 @@ class InterchangeReport:
 def kernel_interchange_check(row_fn: Callable, masses_lo: Mapping, masses_hi: Mapping) -> InterchangeReport:
     """Verify that pushing the lower tree law through the kernel gives the upper law exactly.
 
-    ``masses_lo`` and ``masses_hi`` map the trees of the lower and the upper
-    size to their masses, as ``sg_masses`` returns them; the masses of one
-    map share one scale, so each law is its masses divided by their total,
-    ``Z_lo`` or ``Z_hi``.  ``row_fn(tree)`` maps the word sets of its
-    targets to unreduced integer pairs ``(num, den)``, as
-    ``growth_kernel_row`` does.  The masses pushed to a target add up as an
-    unreduced pair ``(N, D)``, and the target passes when
-    ``N Z_hi == m D Z_lo``, m its own mass.  The first discrepancy reported
-    is the mismatching tree with the least ``repr``, with both
-    probabilities as Fractions.
+    Trees are their child-count words.  ``masses_lo`` and ``masses_hi`` map
+    the words of the lower and the upper size to their masses, as
+    ``sg_word_masses`` returns them; the masses of one map share one
+    scale, so each law is its masses divided by their total, ``Z_lo`` or
+    ``Z_hi``.  ``row_fn(word)`` maps the words of its targets to unreduced
+    integer pairs ``(num, den)``, as ``growth_word_row`` does.  The masses
+    pushed to a target add up as an unreduced pair ``(N, D)``, and the
+    target passes when ``N Z_hi == m D Z_lo``, m its own mass.  The first
+    discrepancy reported is the mismatching tree with the least ``repr``,
+    with both probabilities as Fractions; only the mismatching words are
+    built as trees.
     """
     z_lo, z_hi = sum(masses_lo.values()), sum(masses_hi.values())
     if not z_lo or not z_hi:
         raise ZeroMassError("the lower or the upper states carry no mass")
-    pushed: Dict[frozenset, Tuple[int, int]] = {}
-    for tree, mass in masses_lo.items():
-        for target, (num, den) in row_fn(tree).items():
+    pushed: Dict[CountWord, Tuple[int, int]] = {}
+    for word, mass in masses_lo.items():
+        for target, (num, den) in row_fn(word).items():
             acc, scale = pushed.get(target, (0, den))
             pushed[target] = ((acc + mass * num, den) if scale == den
                               else (acc * den + mass * num * scale, scale * den))
-    upper = {tree.vertices: mass for tree, mass in masses_hi.items()}
-    unreached = upper.keys() - pushed.keys()  # pushed nothing: they match when they carry no mass
-    bad = [key for key, (num, den) in pushed.items() if num * z_hi != upper.get(key, 0) * den * z_lo]
-    bad += [key for key in unreached if upper[key]]
+    unreached = masses_hi.keys() - pushed.keys()  # pushed nothing: they match when they carry no mass
+    bad = [key for key, (num, den) in pushed.items() if num * z_hi != masses_hi.get(key, 0) * den * z_lo]
+    bad += [key for key in unreached if masses_hi[key]]
     checked = len(pushed) + len(unreached)
     if not bad:
         return InterchangeReport(True, checked)
-    first, key = min(((PlaneTree(key), key) for key in bad), key=lambda pair: repr(pair[0]))
+    first, key = min(((from_child_count_word(key), key) for key in bad), key=lambda pair: repr(pair[0]))
     num, den = pushed.get(key, (0, 1))
     return InterchangeReport(False, checked, {
         "state": repr(first), "pushed": str(Fraction(num, den * z_lo)),
-        "target": str(Fraction(upper.get(key, 0), z_hi))})
+        "target": str(Fraction(masses_hi.get(key, 0), z_hi))})
 
 
 @dataclass

@@ -25,7 +25,8 @@ from .compositions import (CheckReport, PartitionKernel, WeightSequence, as_frac
                            coerce_weights, peel_partition_values)
 from .compositions import check_ratio_chain  # noqa: F401  (re-exported: it checks tree tables too)
 from .errors import DomainError, HorizonError, Refused
-from .treespace import PlaneTree, ROOT, Word
+from .treespace import (CountWord, PlaneTree, ROOT, Word, child_count_word, child_sizes,
+                        from_child_count_word)
 
 
 @dataclass(frozen=True)
@@ -203,57 +204,60 @@ def check_tp2_array(tables: PartitionTables) -> CheckReport:
     return report
 
 
-def growth_kernel_row(tables: PartitionTables, tree: PlaneTree,
-                      moves: Optional[Callable] = None) -> Dict[frozenset, Tuple[int, int]]:
-    """Exact one-step law of the growth chain from the given tree.
+def growth_word_row(tables: PartitionTables, word: CountWord,
+                    laws: Optional[Dict] = None) -> Dict[CountWord, Tuple[int, int]]:
+    """Exact one-step law of the growth chain from the tree of the given child-count word.
 
     Walks the tree from the root as ``GrowthChain.step`` does: the
     children's subtree sizes at a vertex take one move from
-    ``moves(t, parts)``, by default ``tables.kernel_row``; an increment
-    continues the walk at that child with the product so far, an append
-    plants the bouquet there.  Each target is keyed by its word set,
-    ``tree.vertices`` and the bouquet (``PlaneTree(key)`` is the tree), and
-    its probability is the unreduced integer pair ``(num, den)`` that
-    multiplies the ``factors`` of the step to it.  Rows sum to one and are
-    supported on right-leaning bouquet additions.
+    ``tables.kernel_row``; an increment continues the walk at that child
+    with the product so far, an append plants the bouquet there.  Each
+    target is keyed by its word: the vertex at position i gains d
+    children, d leaves that follow its subtree.  Its probability is the
+    unreduced integer pair ``(num, den)`` that multiplies the ``factors``
+    of the step to it.  Rows sum to one.  ``laws`` keeps each move law by
+    its parts, which fix its total, as the walk reads it: per move,
+    whether it increments, the offset to the child it continues at or to
+    the end of the subtree, and the pair.
     """
     d = tables.d
-    moves = tables.kernel_row if moves is None else moves
-    vertices = tree.vertices
-    size = dict.fromkeys(vertices, 1)
-    backwards: Dict[Word, List[int]] = {}  # children's subtree sizes, right to left
-    for u in sorted(vertices, reverse=True)[:-1]:  # each vertex after its descendants and right siblings
-        size[u[:-1]] += size[u]
-        backwards.setdefault(u[:-1], []).append(size[u])
-    out: Dict[frozenset, Tuple[int, int]] = {}
-    stack = [(ROOT, 1, 1)]
+    leaves = (0,) * d
+    laws = {} if laws is None else laws
+    sizes = child_sizes(word)
+    out: Dict[CountWord, Tuple[int, int]] = {}
+    stack = [(0, 1, 1)]
     while stack:
-        v, pn, pd = stack.pop()
-        for (kind, j), (qn, qd) in moves(size[v] - 1, backwards.get(v, [])[::-1]).items():
-            if kind == "inc":
-                stack.append((v + (j + 1,), pn * qn, pd * qd))
+        i, pn, pd = stack.pop()
+        parts = sizes[i]
+        law = laws.get(parts)
+        if law is None:
+            t = sum(parts)
+            law = laws[parts] = [(kind == "inc", 1 + (sum(parts[:j]) if kind == "inc" else t), qn, qd)
+                                 for (kind, j), (qn, qd) in tables.kernel_row(t, parts).items()]
+        for inc, offset, qn, qd in law:
+            if inc:
+                stack.append((i + offset, pn * qn, pd * qd))
             else:
-                out[vertices.union([v + (j + i,) for i in range(1, d + 1)])] = (pn * qn, pd * qd)
+                end = i + offset
+                out[word[:i] + (word[i] + d,) + word[i + 1:end] + leaves + word[end:]] = (pn * qn, pd * qd)
     return out
 
 
-def growth_kernel(tables: PartitionTables) -> Callable[[PlaneTree], Dict[frozenset, Tuple[int, int]]]:
-    """``tree -> growth_kernel_row(tables, tree)``, compiling each vertex's move law once per ``(t, parts)``.
+def growth_kernel_row(tables: PartitionTables, tree: PlaneTree) -> Dict[frozenset, Tuple[int, int]]:
+    """``growth_word_row`` from the given tree, each target keyed by its word set (``PlaneTree(key)`` is the tree)."""
+    row = growth_word_row(tables, child_count_word(tree))
+    return {from_child_count_word(word).vertices: pair for word, pair in row.items()}
+
+
+def growth_kernel(tables: PartitionTables) -> Callable[[CountWord], Dict[CountWord, Tuple[int, int]]]:
+    """``word -> growth_word_row(tables, word)``, compiling each vertex's move law once per parts.
 
     The memo lives in the returned function, so the tables keep no rows and
     two row functions share nothing.  Each law is still read off one
     ``sample_move`` walk by ``kernel_row``.
     """
-    laws: Dict[Tuple[int, Tuple[int, ...]], Dict[Tuple, Tuple[int, int]]] = {}
-
-    def moves(t: int, parts: List[int]) -> Dict[Tuple, Tuple[int, int]]:
-        key = (t, tuple(parts))
-        law = laws.get(key)
-        if law is None:
-            law = laws[key] = tables.kernel_row(t, parts)
-        return law
-
-    return lambda tree: growth_kernel_row(tables, tree, moves)
+    laws: Dict[Tuple[int, ...], List[Tuple[bool, int, int, int]]] = {}
+    return lambda word: growth_word_row(tables, word, laws)
 
 
 class GrowthStep:

@@ -8,6 +8,11 @@ children may sit at arbitrary positions.
 
 Both containers are immutable value types: they hash and compare by their
 vertex set and are safe to share between threads.
+
+A plane tree is also its *child-count word*: the child counts of its
+vertices in preorder, a tuple of n ints for n vertices (the Lukasiewicz
+word).  The exact oracles enumerate, weigh and push trees as these words
+and build a ``PlaneTree`` only to show one.
 """
 
 from __future__ import annotations
@@ -18,6 +23,9 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Set, Tuple
 from .errors import DomainError, ParseError
 
 Word = Tuple[int, ...]
+
+# A plane tree's child counts in preorder: one int per vertex (see child_count_word)
+CountWord = Tuple[int, ...]
 
 ROOT: Word = ()
 
@@ -94,10 +102,6 @@ class _WordSet:
             raise DomainError(f"vertex {word_to_text(u)} is not in the {self.kind}")
         return self._kids[u]
 
-    def child_counts(self):
-        """The child count of every vertex, in no particular order."""
-        return self._kids.values()
-
     def children_positions(self, u: Word) -> Tuple[int, ...]:
         u = tuple(u)
         if u not in self._vertices:
@@ -166,23 +170,64 @@ def adds_bouquet(kids: Mapping[Word, int], added: Set[Word], d: int) -> bool:
     return k is not None and {u[-1] for u in added} == set(range(k + 1, k + d + 1))
 
 
-def compose_root(subtrees: Sequence[PlaneTree]) -> PlaneTree:
-    """Graft the given trees, in order, below a new root.
+def child_count_word(tree: PlaneTree) -> CountWord:
+    """The child counts of the vertices of a plane tree in canonical order, which is preorder.
 
-    Plane trees are grafted as they are, unchecked: the root gets one child
-    per subtree, and ``(j,) + u`` the child count of u in subtree j.  Any
-    other word set goes through the checked constructor.
+    This is the tree's Lukasiewicz word: a plane tree is its child-count
+    word, and the word of a tree of n vertices holds n small ints.
     """
-    if all(type(sub) is PlaneTree for sub in subtrees):
-        kids = {(j,) + u: k for j, sub in enumerate(subtrees, start=1) for u, k in sub._kids.items()}
-        kids[ROOT] = len(subtrees)
-        tree = object.__new__(PlaneTree)
-        tree._vertices, tree._kids = frozenset(kids), kids
-        return tree
-    vertices = [ROOT]
-    for j, sub in enumerate(subtrees, start=1):
-        vertices.extend((j,) + u for u in sub.vertices)
-    return PlaneTree(vertices)
+    if not isinstance(tree, PlaneTree):
+        raise DomainError("only a plane tree has a child-count word")
+    kids = tree._kids
+    return tuple([kids[u] for u in sorted(tree._vertices)])
+
+
+def from_child_count_word(word: Sequence[int]) -> PlaneTree:
+    """The plane tree whose child-count word is ``word``; a sequence that is no tree's word is refused.
+
+    Child j of the vertex at position i sits after the vertex and the
+    subtrees of its j - 1 left siblings (``child_sizes``), so every vertex
+    is named in one pass and the tree needs no closure check.
+    """
+    if any(type(k) is not int for k in word):
+        raise DomainError(f"invalid child-count word {tuple(word)!r}: counts must be integers")
+    vertices = [ROOT] * len(word)
+    for i, parts in enumerate(child_sizes(word)):
+        start = i + 1
+        for j, size in enumerate(parts, start=1):
+            vertices[start] = vertices[i] + (j,)
+            start += size
+    kids = dict(zip(vertices, word))
+    tree = object.__new__(PlaneTree)
+    tree._vertices, tree._kids = frozenset(kids), kids
+    return tree
+
+
+def child_sizes(word: CountWord) -> List[Tuple[int, ...]]:
+    """For each position of a child-count word, the subtree sizes of that vertex's children, left to right.
+
+    One pass from the end: a vertex with k children closes the k subtrees
+    read last, and its own subtree, of one plus their sizes, opens.  The
+    subtree of the vertex at position i spans ``word[i:i + 1 + sum(parts)]``
+    and its child j starts at ``i + 1 + sum(parts[:j])``.  A sequence that
+    is not a tree's word is refused.
+    """
+    open_sizes: List[int] = []  # sizes of the subtrees read so far that have no parent yet, leftmost last
+    parts: List[Tuple[int, ...]] = [()] * len(word)
+    for i in range(len(word) - 1, -1, -1):
+        k = word[i]
+        if not 0 <= k <= len(open_sizes):
+            break
+        if k:
+            below = parts[i] = tuple(open_sizes[:-k - 1:-1])
+            del open_sizes[-k:]
+            open_sizes.append(1 + sum(below))
+        else:
+            open_sizes.append(1)
+    else:
+        if len(open_sizes) == 1:
+            return parts
+    raise DomainError(f"invalid child-count word {tuple(word)!r}: not the word of a plane tree")
 
 
 def format_tree(tree: _WordSet) -> str:

@@ -25,8 +25,8 @@ from treegrow.oracle import InterchangeReport, enumerate_plane_trees, enumerate_
 from treegrow.sgtrees import WeightSequence, compute_tables, growth_kernel
 from treegrow.subtree_model import (SubtreeChain, apply_shuffle, bij_P_inv, nested_coupling_law,
                                     push_forward, sigma_rule)
-from treegrow.treespace import (ROOT, PlaneTree, format_tree, is_bouquet_addition,
-                                is_right_leaning_leaf_addition, parse_tree, word_to_text)
+from treegrow.treespace import (ROOT, PlaneTree, child_count_word, format_tree, from_child_count_word,
+                                is_bouquet_addition, is_right_leaning_leaf_addition, parse_tree, word_to_text)
 
 
 def random_subtree(rng, n_max=5, positions=(1, 2, 3)):
@@ -274,8 +274,8 @@ def reference_kernel_row(tables, t, parts):
 
 
 def growth_law(rows, tree):
-    """The row of a row function such as ``growth_kernel(tables)``, read as Fractions keyed by the target trees."""
-    return {PlaneTree(key): Fraction(*pair) for key, pair in rows(tree).items()}
+    """The row from a tree of a word row function such as ``growth_kernel(tables)``, as Fractions keyed by trees."""
+    return {from_child_count_word(key): Fraction(*pair) for key, pair in rows(child_count_word(tree)).items()}
 
 
 def fraction_interchange(row_fn, law_lo, law_hi):

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import helpers
 import treegrow.cli
+import treegrow.compositions
 import treegrow.sgtrees
 from treegrow.cli import GROW_CAP, STATS_SAMPLES_CAP, exact_text, main, validate_trace
 from treegrow.compositions import as_fraction
@@ -138,8 +139,8 @@ def test_golden_trace(case, tmp_path, capsys):
 # (verify flags, exit code, SHA-256 of stdout) pinned from the implementation that compared
 # Fraction minors and normalized Fraction tree masses: the four verify-exact benchmark configs,
 # tp2 runs that fail (so failure order and both exact sides are pinned) and the tables suite
-# on fractional weights.  The CI smoke step also checks the tp2-1131 and ratio-chain-10201
-# digests on the installed script; re-pin a digest in both places.
+# on fractional weights.  The CI smoke step also checks the tp2-1131, ratio-chain-10201 and
+# kernel-interchange-1111 digests on the installed script; re-pin a digest in both places.
 GOLDEN_VERIFY = {
     "kernel-interchange-1111": (["--suite", "kernel-interchange", "--w", "1,1,1,1", "--n-max", "9"], 0,
                                 "3aeb8cb55a429a92ec999456dc34b86c1f1824b874b75657d51fd3d1c8a56ed0"),
@@ -269,7 +270,7 @@ class TestErrorBoundary:
 
     @pytest.mark.parametrize("argv", [
         ["tables", "--n-max", "11"],
-        ["tp2", "--n-max", "41"],
+        ["tp2", "--n-max", "121"],
         ["ratio-chain", "--n-max", "1001"],
         ["kernel-interchange", "--d", "2", "--n-max", "9"],
         ["bijection", "--n-max", "8"],
@@ -513,6 +514,33 @@ class TestErrorBoundary:
         assert run("verify", "--suite", "stats", "--w", "2/5,1/5,2/5", "--n-max", "10") == 2
         assert capsys.readouterr().err.count("index 1") == 1
 
+    def test_tp2_cap_is_lower_for_weights_that_are_not_log_concave(self, monkeypatch, capsys):
+        # a failing pair of rows lists every failing minor: O(n^4) of them
+        def no_tables(*args, **kwargs):
+            raise AssertionError("tables were built for a refused size")
+
+        monkeypatch.setattr(treegrow.cli, "compute_tables", no_tables)
+        line = self.assert_one_line_error(capsys, run("verify", "--suite", "tp2", "--w", "1,1,3,1", "--n-max", "41"))
+        assert line == "error: --n-max 41 is above the cap 40 of the tp2 suite"
+
+    @pytest.mark.parametrize("suite, argv, line", [
+        pytest.param(suite, argv, line, id=f"{suite}-{argv[1]}")
+        for argv, line in [
+            (["--w", "0,1,1"], "error: --w has w_0 = 0: need w_0 w_1 > 0 for trees of every size to carry mass"),
+            (["--w", "1,0,1"], "error: --w has w_1 = 0: need w_0 w_1 > 0 for trees of every size to carry mass"),
+            (["--w", "1,0,0,0,1", "--d", "2"],
+             "error: --w has w_2 = 0: need w_0 w_2 > 0 for trees of every size to carry mass")]
+        for suite in ["tables", "tp2", "ratio-chain", "kernel-interchange", "stats", "shuffle-invariance"]
+        if suite != "shuffle-invariance" or "--d" not in argv   # that suite reads no --d
+    ])
+    def test_zero_leaf_or_first_weight_refused_naming_w(self, suite, argv, line, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("tables or laws were built for refused weights")
+
+        for name in ("compute_tables", "sg_law", "sg_word_masses", "shuffle_invariance_check"):
+            monkeypatch.setattr(treegrow.cli, name, no_work)
+        assert self.assert_one_line_error(capsys, run("verify", "--suite", suite, *argv)) == line
+
     def test_ratio_chain_internal_zero_refused_before_tables(self, monkeypatch, capsys):
         def no_tables(*args, **kwargs):
             raise AssertionError("tables were built for refused weights")
@@ -562,6 +590,15 @@ class TestEnumerate:
         assert run("enumerate", "--plane-trees", "4") == 0
         out = capsys.readouterr().out
         assert "count: 5" in out
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["--plane-trees", "10"], "bb9152fb77962e414d1b663df7b85dd1789ab80e9b083d3c762571a2aeff60cc"),
+        (["--plane-trees", "9", "--d", "2"], "628180b925a35cc743c6baa789024066066a02100f5c4c8dcec1356f8e228c5a"),
+    ], ids=["10", "9-d2"])
+    def test_plane_tree_listing_bytes(self, argv, digest, capsys):
+        # the whole listing is pinned, so its canonical order is; the CI smoke step checks the first too
+        assert run("enumerate", *argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_subtrees(self, capsys):
         assert run("enumerate", "--subtrees", "3", "--dmax", "2") == 0
@@ -624,6 +661,8 @@ class TestVerify:
         ("bijection", ["--n-max", "3"], "fe0a9a09e8ca3b8230d2fa4a2b901fc8f1d8d17d42f0c435b9575cb454d97122"),
         ("subset-coupling", ["--theta", "3,2,1"],
          "20b129d51cb077a908efb0d2b835c480675b3ef4286067ca57d106f0a968c967"),
+        ("kernel-interchange", ["--w", "1,1,1,1", "--n-max", "5"],
+         "63d04eabd463269a2cce74e82ac5b856ee09c7ea148651747578c06e433bf5dd"),
     ])
     def test_planted_fault_report_bytes(self, suite, argv, digest, monkeypatch, capsys):
         # a suite's report of a planted fault is pinned byte for byte: its count, failures and keys
@@ -635,13 +674,25 @@ class TestVerify:
             inverse = treegrow.cli.bij_P_inv
             monkeypatch.setattr(treegrow.cli, "bij_P_inv", lambda tree, decorations: (
                 RootedSubtree([ROOT]) if len(tree) == 3 else inverse(tree, decorations)))
-        else:   # reversed thresholds, and no 2-subset law
+        elif suite == "subset-coupling":   # reversed thresholds, and no 2-subset law
             thresholds, subset_law = treegrow.cli.nested_thresholds, treegrow.cli.subset_law
             monkeypatch.setattr(treegrow.cli, "nested_thresholds", lambda theta: thresholds(theta)[::-1])
             monkeypatch.setattr(treegrow.cli, "subset_law", lambda theta, k: {} if k == 2 else subset_law(theta, k))
+        else:   # from the parts (1, 1) at total 2, the first increment and the append swap probabilities
+            kernel_row = treegrow.compositions.PartitionKernel.kernel_row
+
+            def swapped(self, t, parts):
+                row = kernel_row(self, t, parts)
+                if t == 2 and tuple(parts) == (1, 1):
+                    row[("inc", 0)], row[("append", 2)] = row[("append", 2)], row[("inc", 0)]
+                return row
+
+            monkeypatch.setattr(treegrow.compositions.PartitionKernel, "kernel_row", swapped)
         assert run("verify", "--suite", suite, *argv) == 3
         out = capsys.readouterr().out
-        assert json.loads(out)["failures"] and hashlib.sha256(out.encode()).hexdigest() == digest
+        report = json.loads(out)
+        failures = report["failures"] if "failures" in report else [lv for lv in report["levels"] if not lv["ok"]]
+        assert failures and hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("suite, default, extra", [
         ("tables", (1,) * 8, ()), ("tp2", (1,) * 8, ()), ("kernel-interchange", (1,) * 7, ()),

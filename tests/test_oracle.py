@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 import helpers
 from treegrow.compositions import ArithClass, WeightPair, iter_compositions
 from treegrow.errors import DomainError, HorizonError, ZeroMassError
-from treegrow.oracle import (_chi2_tail, _plane_trees, comp_law, enumerate_plane_trees, enumerate_subtrees,
+from treegrow.oracle import (_chi2_tail, _plane_words, comp_law, enumerate_plane_trees, enumerate_subtrees,
                              goodness_of_fit, janson_expectations, kernel_interchange_check, sg_law, sg_masses,
-                             st_law, subset_law, tree_mass, tv_distance)
-from treegrow.sgtrees import WeightSequence, compute_tables, growth_kernel_row
-from treegrow.treespace import ROOT, PlaneTree, format_tree
+                             sg_word_masses, st_law, subset_law, tree_mass, tv_distance)
+from treegrow.sgtrees import WeightSequence, compute_tables, growth_word_row
+from treegrow.treespace import ROOT, PlaneTree, child_count_word, format_tree, from_child_count_word
 
 
 def catalan(k):
@@ -249,31 +249,36 @@ class TestJanson:
 
 
 def fraction_rows(row_fn):
-    """A pair row function read as Fractions keyed by trees: the row form of ``helpers.fraction_interchange``."""
-    return lambda tree: {PlaneTree(key): F(*pair) for key, pair in row_fn(tree).items()}
+    """A word row function read as Fractions keyed by trees: the row form of ``helpers.fraction_interchange``."""
+    return lambda tree: helpers.growth_law(row_fn, tree)
+
+
+def canonical(word):
+    """The sort key of the tree of a child-count word in canonical order: its sorted vertices."""
+    return from_child_count_word(word).sorted_vertices()
 
 
 class TestInterchangeHarness:
     def test_passes_on_true_kernel(self):
         w = WeightSequence([1] * 7)
         tables = compute_tables(w, 1, N=6)
-        report = kernel_interchange_check(lambda t: growth_kernel_row(tables, t),
-                                          sg_masses(w, 1, 5), sg_masses(w, 1, 6))
+        report = kernel_interchange_check(lambda word: growth_word_row(tables, word),
+                                          sg_word_masses(w, 1, 5), sg_word_masses(w, 1, 6))
         assert report.ok and report.states_checked == catalan(5)
 
     def test_catches_corruption(self):
         w = WeightSequence([1] * 7)
         tables = compute_tables(w, 1, N=6)
 
-        def corrupted(tree):
-            row = dict(growth_kernel_row(tables, tree))
-            if len(tree) == 5 and tree.children_count(ROOT) == 1:
-                first = min(row, key=sorted)
+        def corrupted(word):
+            row = dict(growth_word_row(tables, word))
+            if len(word) == 5 and word[0] == 1:  # the root has one child
+                first = min(row, key=canonical)
                 num, den = row[first]
                 row[first] = (num, 2 * den)  # halve one entry
             return row
 
-        report = kernel_interchange_check(corrupted, sg_masses(w, 1, 5), sg_masses(w, 1, 6))
+        report = kernel_interchange_check(corrupted, sg_word_masses(w, 1, 5), sg_word_masses(w, 1, 6))
         assert not report.ok and report.states_checked == catalan(5)
         assert report.as_dict() == helpers.fraction_interchange(fraction_rows(corrupted), sg_law(w, 1, 5),
                                                                 sg_law(w, 1, 6)).as_dict()
@@ -281,15 +286,15 @@ class TestInterchangeHarness:
     def test_catches_a_stray_key(self):
         w = WeightSequence([1] * 7)
         tables = compute_tables(w, 1, N=6)
-        stray = frozenset({ROOT, (1,)})  # a tree of size 2 among the targets of size 6
+        stray = (1, 0)  # a tree of size 2 among the targets of size 6
 
-        def corrupted(tree):
-            row = dict(growth_kernel_row(tables, tree))
-            if tree.vertices == frozenset({ROOT, (1,), (2,), (3,), (4,)}):
+        def corrupted(word):
+            row = dict(growth_word_row(tables, word))
+            if word == (4, 0, 0, 0, 0):  # the star
                 row[stray] = (1, 9)
             return row
 
-        report = kernel_interchange_check(corrupted, sg_masses(w, 1, 5), sg_masses(w, 1, 6))
+        report = kernel_interchange_check(corrupted, sg_word_masses(w, 1, 5), sg_word_masses(w, 1, 6))
         assert not report.ok and report.states_checked == catalan(5) + 1
         assert report.first_discrepancy == {"state": "PlaneTree('e,1')", "pushed": "1/126", "target": "0"}
 
@@ -299,13 +304,13 @@ class TestInterchangeHarness:
         law_lo, law_hi = sg_law(w, 1, 6), sg_law(w, 1, 7)
         stray = PlaneTree([ROOT, (1,)])  # carries no mass at size 7
 
-        def corrupted(tree):
-            row = dict(growth_kernel_row(tables, tree))
-            if tree.children_count(ROOT) == 2:
-                for target in sorted(row, key=lambda key: repr(PlaneTree(key)))[:2]:
+        def corrupted(word):
+            row = dict(growth_word_row(tables, word))
+            if word[0] == 2:  # the root has two children
+                for target in sorted(row, key=lambda key: repr(from_child_count_word(key)))[:2]:
                     num, den = row[target]
                     row[target] = (3 * num, 4 * den)  # break two entries of each such row
-                row[stray.vertices] = (1, 9)
+                row[child_count_word(stray)] = (1, 9)
             return row
 
         pushed = {}
@@ -316,7 +321,7 @@ class TestInterchangeHarness:
         bad = [key for key in keys if pushed.get(key, F(0)) != law_hi.get(key, F(0))]
         assert len(bad) > 2 and stray in bad
         first = sorted(bad, key=repr)[0]
-        report = kernel_interchange_check(corrupted, sg_masses(w, 1, 6), sg_masses(w, 1, 7))
+        report = kernel_interchange_check(corrupted, sg_word_masses(w, 1, 6), sg_word_masses(w, 1, 7))
         assert not report.ok
         assert report.states_checked == len(keys) == len(law_hi) + 1
         assert report.first_discrepancy == {"state": repr(first), "pushed": str(pushed[first]),
@@ -324,7 +329,7 @@ class TestInterchangeHarness:
 
     def test_refuses_laws_without_mass(self):
         with pytest.raises(ZeroMassError):
-            kernel_interchange_check(lambda tree: {}, {PlaneTree([ROOT]): 0}, {PlaneTree([ROOT, (1,)]): 1})
+            kernel_interchange_check(lambda word: {}, {(0,): 0}, {(1, 0): 1})
 
 
 class TestGoodnessOfFit:
@@ -452,21 +457,21 @@ def interchange_cases(draw):
 def test_integer_decision_reports_as_the_fraction_push(case):
     w, d, n, corruption, pick = case
     tables = compute_tables(w, d, N=n + d)
-    lo = sorted(sg_masses(w, d, n), key=lambda tree: sorted(tree.vertices))
+    lo = sorted(sg_word_masses(w, d, n), key=canonical)
     victim = lo[pick % len(lo)]
-    stray = frozenset([ROOT] + [(i,) for i in range(1, n + d + 1)])  # a star one vertex too big
+    stray = (n + d,) + (0,) * (n + d)  # a star one vertex too big
 
-    def rows(tree):
-        row = dict(growth_kernel_row(tables, tree))
-        if tree == victim and corruption == "halve":
-            target = sorted(row, key=sorted)[pick % len(row)]
+    def rows(word):
+        row = dict(growth_word_row(tables, word))
+        if word == victim and corruption == "halve":
+            target = sorted(row, key=canonical)[pick % len(row)]
             num, den = row[target]
             row[target] = (num, 2 * den)
-        elif tree == victim and corruption == "stray":
+        elif word == victim and corruption == "stray":
             row[stray] = (1, 7)
         return row
 
-    report = kernel_interchange_check(rows, sg_masses(w, d, n), sg_masses(w, d, n + d))
+    report = kernel_interchange_check(rows, sg_word_masses(w, d, n), sg_word_masses(w, d, n + d))
     reference = helpers.fraction_interchange(fraction_rows(rows), sg_law(w, d, n), sg_law(w, d, n + d))
     assert report.as_dict() == reference.as_dict()
     assert report.ok == (corruption == "none")
@@ -518,8 +523,7 @@ def test_degree_bounded_law_is_the_full_enumeration_law(case):
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_bounded_enumeration_keeps_the_order_and_shares_the_cache(d):
     for n in range(1, 11):
-        full = _plane_trees(n, d, None)
-        assert _plane_trees(n, d, n - 1) is full and _plane_trees(n, d, 99) is full
+        full = _plane_words(n, d, None)
+        assert _plane_words(n, d, n - 1) is full and _plane_words(n, d, 99) is full
         for degree in range(n - 1):
-            assert list(_plane_trees(n, d, degree)) == [
-                tree for tree in full if all(tree.children_count(u) <= degree for u in tree.vertices)]
+            assert list(_plane_words(n, d, degree)) == [word for word in full if max(word) <= degree]

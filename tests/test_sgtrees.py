@@ -14,9 +14,10 @@ from treegrow.compositions import iter_compositions
 from treegrow.errors import DomainError, HorizonError, Refused, ZeroMassError
 from treegrow.oracle import enumerate_plane_trees, sg_law, tv_distance
 from treegrow.sgtrees import (GrowthChain, WeightSequence, check_ratio_chain, check_tp2_array,
-                              compute_tables, grow_chain, growth_kernel, growth_kernel_row, is_log_concave,
-                              tilt)
-from treegrow.treespace import (PlaneTree, is_bouquet_addition, is_right_leaning_leaf_addition)
+                              compute_tables, grow_chain, growth_kernel, growth_kernel_row, growth_word_row,
+                              is_log_concave, tilt)
+from treegrow.treespace import (PlaneTree, child_count_word, from_child_count_word, is_bouquet_addition,
+                                is_right_leaning_leaf_addition)
 
 ONES8 = WeightSequence([1] * 9)
 JANSON = WeightSequence(["2/5", "1/5", "2/5"])
@@ -378,7 +379,8 @@ class TestGrowthKernel:
         rows = growth_kernel(tables)
         for n in range(1, 10, d):
             for tree in enumerate_plane_trees(n, d):
-                assert list(rows(tree).items()) == list(growth_kernel_row(tables, tree).items())
+                word = child_count_word(tree)
+                assert list(rows(word).items()) == list(growth_word_row(tables, word).items())
 
     def test_row_functions_share_no_memo(self, monkeypatch):
         tables = compute_tables(ONES8, 1, N=9)
@@ -386,11 +388,11 @@ class TestGrowthKernel:
         kernel_row = tables.kernel_row
         monkeypatch.setattr(tables, "kernel_row", lambda t, parts: compiled.append(t) or kernel_row(t, parts))
         first, second = growth_kernel(tables), growth_kernel(tables)
-        tree = PlaneTree([(), (1,), (2,), (1, 1), (2, 1), (2, 2)])
-        row = first(tree)
+        word = child_count_word(PlaneTree([(), (1,), (2,), (1, 1), (2, 1), (2, 2)]))
+        row = first(word)
         once = len(compiled)
-        assert once > 0 and first(tree) == row and len(compiled) == once  # first compiled every law it reads
-        assert second(tree) == row and len(compiled) == 2 * once  # second compiles them again
+        assert once > 0 and first(word) == row and len(compiled) == once  # first compiled every law it reads
+        assert second(word) == row and len(compiled) == 2 * once  # second compiles them again
 
     @pytest.mark.parametrize("entries,d,top", [
         ([1] * 8, 1, 6), ([1, 3, 3, 1], 1, 6), ([1, 0, 1], 2, 7), ([2, 0, 0, 1], 3, 7),
@@ -428,6 +430,30 @@ class TestGrowthKernel:
                 for tree2, p in helpers.growth_law(rows, tree).items():
                     if p:
                         assert is_bouquet_addition(tree, tree2, 2)
+
+
+@st.composite
+def drawn_trees(draw):
+    """A tree with mass under all-ones weights on the multiples of d in {1, 2, 3}, of at most 10 vertices."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    trees = enumerate_plane_trees(draw(st.sampled_from(range(1, 10 - d + 1, d))), d)
+    return d, trees[draw(st.integers(0, len(trees) - 1))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn_trees())
+def test_word_row_is_the_tree_row(case):
+    """Each target of the word row is a bouquet addition of the tree, with the pair of the tree row."""
+    d, tree = case
+    word = child_count_word(tree)
+    assert from_child_count_word(word) == tree and child_count_word(from_child_count_word(word)) == word
+    tables = compute_tables(WeightSequence([1] + ([0] * (d - 1) + [1]) * 9), d, N=len(tree) + d)
+    word_row, tree_row = growth_word_row(tables, word), growth_kernel_row(tables, tree)
+    assert len(word_row) == len(tree_row) and sum(F(*pair) for pair in word_row.values()) == 1
+    for target, pair in word_row.items():
+        bigger = PlaneTree(from_child_count_word(target).vertices)  # through the checked constructor
+        assert child_count_word(bigger) == target and is_bouquet_addition(tree, bigger, d)
+        assert tree_row[bigger.vertices] == pair
 
 
 class TestGrowthChain:

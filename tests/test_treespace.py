@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 import helpers
 from treegrow.errors import DomainError, ParseError
 from treegrow.oracle import enumerate_plane_trees, enumerate_subtrees
-from treegrow.treespace import (PlaneTree, RootedSubtree, compose_root, format_tree,
-                                is_bouquet_addition, is_right_leaning_leaf_addition,
+from treegrow.treespace import (PlaneTree, RootedSubtree, child_count_word, child_sizes, format_tree,
+                                from_child_count_word, is_bouquet_addition, is_right_leaning_leaf_addition,
                                 parse_tree, to_dot, word_from_text, word_to_text)
 
 
@@ -170,32 +170,84 @@ class TestGrowthPredicates:
 
 
 class TestRootDecomposition:
+    """A tree's child-count word is its root's count followed by its subtrees' words: how trees are enumerated."""
+
     def test_compose_empty(self):
-        assert compose_root([]) == pt(())
+        assert child_count_word(pt(())) == (0,) and from_child_count_word((0,)) == pt(())
 
     def test_compose_two_leaves(self):
-        assert compose_root([pt(()), pt(())]) == pt((), (1,), (2,))
+        assert from_child_count_word((2,) + (0,) + (0,)) == pt((), (1,), (2,))
 
     def test_compose_path(self):
-        assert compose_root([pt((), (1,))]) == pt((), (1,), (1, 1))
+        assert from_child_count_word((1,) + (1, 0)) == pt((), (1,), (1, 1))
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.integers(1, 5), st.integers(0, 41)), max_size=4))
     def test_graft_is_the_checked_tree(self, picks):
-        """Plane trees grafted as they are give the tree the checked constructor builds from their words."""
+        """Concatenated words give the tree the checked constructor builds from the grafted words."""
         subtrees = [enumerate_plane_trees(n)[i % len(enumerate_plane_trees(n))] for n, i in picks]
-        grafted = compose_root(subtrees)
-        words = [()] + [(j,) + u for j, sub in enumerate(subtrees, start=1) for u in sub.vertices]
-        checked = PlaneTree(words)
-        assert type(grafted) is PlaneTree
-        assert grafted == checked and hash(grafted) == hash(checked) and repr(grafted) == repr(checked)
-        assert {u: grafted.children_count(u) for u in checked.vertices} == \
+        word = (len(subtrees),) + sum((child_count_word(sub) for sub in subtrees), ())
+        built = from_child_count_word(word)
+        checked = PlaneTree([()] + [(j,) + u for j, sub in enumerate(subtrees, start=1) for u in sub.vertices])
+        assert type(built) is PlaneTree and child_count_word(checked) == word
+        assert built == checked and hash(built) == hash(checked) and repr(built) == repr(checked)
+        assert {u: built.children_count(u) for u in checked.vertices} == \
             {u: checked.children_count(u) for u in checked.vertices}
-        assert sorted(grafted.child_counts()) == sorted(checked.child_counts())
 
     def test_other_word_sets_are_checked(self):
-        with pytest.raises(DomainError, match="not closed under left siblings"):
-            compose_root([RootedSubtree([(), (2,)])])
+        with pytest.raises(DomainError, match="only a plane tree"):
+            child_count_word(rs((), (2,)))
+
+
+class TestChildCountWords:
+    def test_preorder(self):
+        tree = pt((), (1,), (2,), (1, 1), (1, 2), (2, 1))
+        assert child_count_word(tree) == (2, 2, 0, 0, 1, 0)
+        assert child_sizes((2, 2, 0, 0, 1, 0)) == [(3, 2), (1, 1), (), (), (1,), ()]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 10), st.integers(1, 3), st.integers(0, 4861))
+    def test_round_trip(self, n, d, pick):
+        """word -> tree -> word is the identity, and the tree is the one the checked constructor builds."""
+        trees = enumerate_plane_trees(n, d)
+        if not trees:
+            return
+        tree = trees[pick % len(trees)]
+        word = child_count_word(tree)
+        built = from_child_count_word(word)
+        checked = PlaneTree(tree.sorted_vertices())
+        assert type(built) is PlaneTree and child_count_word(built) == word and len(word) == n
+        assert built == checked and hash(built) == hash(checked) and repr(built) == repr(checked)
+        assert {u: built.children_count(u) for u in checked.vertices} == \
+            {u: checked.children_count(u) for u in checked.vertices}
+        sizes = child_sizes(word)
+        for i, u in enumerate(checked.sorted_vertices()):
+            kids = [v for v in checked.vertices if v[:-1] == u and v]
+            assert sizes[i] == tuple(sum(1 for x in checked.vertices if x[:len(v)] == v) for v in sorted(kids))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 3), max_size=8))
+    @example([])
+    @example([0, 0])
+    @example([2, 0])
+    @example([1, 0, 0])
+    def test_exactly_the_words_of_trees_are_accepted(self, counts):
+        """A sequence is a tree's word iff each proper prefix has more children than vertices past the root."""
+        partial = [sum(counts[:i]) - i for i in range(1, len(counts) + 1)]
+        is_word = bool(counts) and partial[-1] == -1 and all(p >= 0 for p in partial[:-1])
+        if is_word:
+            assert child_count_word(from_child_count_word(counts)) == tuple(counts)
+            assert len(child_sizes(counts)) == len(counts)
+        else:
+            with pytest.raises(DomainError, match="invalid child-count word"):
+                from_child_count_word(counts)
+            with pytest.raises(DomainError, match="invalid child-count word"):
+                child_sizes(counts)
+
+    @pytest.mark.parametrize("counts", [(1.0, 0), (True, 0), (-1,)], ids=["float", "bool", "negative"])
+    def test_counts_must_be_non_negative_ints(self, counts):
+        with pytest.raises(DomainError, match="invalid child-count word"):
+            from_child_count_word(counts)
 
 
 class TestSerialization:
