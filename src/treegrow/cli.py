@@ -6,12 +6,12 @@ because the log-concavity hypothesis fails, 3 verification failure.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
 from . import __version__
@@ -83,12 +83,9 @@ def parse_rational_list(text: str) -> List[Fraction]:
 
 def positive_int(text: str) -> int:
     """An integer of at least 1: the cast of every size and count option, flag or config key."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = None
-    if value is None or value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
     return value
 
 
@@ -150,6 +147,29 @@ def parse_config_file(path: str) -> Dict[str, str]:
     return values
 
 
+def _flag_name(key: str) -> str:
+    """The command-line name of the flag ``key``: ``n_max`` is ``--n-max``."""
+    return "--" + key.replace("_", "-")
+
+
+def flag_value(key: str, text: str):
+    """``text`` as a value of the flag ``key``: the flag's ``type``, then its ``choices``.
+
+    The one check of a value, given on the command line or in a config file.
+    """
+    spec = FLAGS[key]
+    cast = spec.get("type", str)
+    try:
+        value = cast(text)
+    except ValueError:
+        value = None
+    if value is None or ("choices" in spec and value not in spec["choices"]):
+        expected = (f"one of {', '.join(spec['choices'])}" if "choices" in spec
+                    else "a positive integer" if cast is positive_int else "an integer")
+        raise ParseError(f"{_flag_name(key)}: expected {expected}, got {text!r}")
+    return value
+
+
 def _refuse_unread(given: Dict[str, object], reads, what: str):
     """Refuse a flag that ``what`` does not read, if the command line gave it.
 
@@ -158,55 +178,28 @@ def _refuse_unread(given: Dict[str, object], reads, what: str):
     """
     for key, value in given.items():
         if value is not None and key not in reads | ALWAYS_READ and (key != "d" or value != 1):
-            raise ParseError(f"{what} does not read --{key.replace('_', '-')}")
+            raise ParseError(f"{what} does not read {_flag_name(key)}")
 
 
 def _fill_from_config(args):
     """Give each flag of the command left unset by the command line its ``--config`` value.
 
-    A key that no value flag in ``FLAGS`` takes is refused; one the command has no flag for stays unread.
+    A key that no value flag of grow or verify takes is refused; one the command has no flag for stays unread.
     """
     if not args.config:
         return
     cfg = parse_config_file(args.config)
+    settable = (COMMANDS["grow"][2] | COMMANDS["verify"][2]) - {"config"}
     for key in cfg:
-        if key not in FLAGS or "action" in FLAGS[key]:   # a switch is set on the command line only
+        if key not in settable or FLAGS[key].get("switch"):   # a switch is set on the command line only
             raise ParseError(f"{args.config}: {key!r} is not a flag a config file can set")
     values = vars(args)
-    for key, spec in FLAGS.items():
-        if key in cfg and key in values and values[key] is None:
-            try:   # the checks of the parser
-                value = spec.get("type", str)(cfg[key])
-                if "choices" in spec and value not in spec["choices"]:
-                    raise ValueError(value)
-            except (ValueError, argparse.ArgumentTypeError):
-                raise ParseError(f"{args.config}: bad value for {key}: {cfg[key]!r}") from None
-            values[key] = value
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="treegrow",
-                                     description="grow exactly-coupled random trees and verify the machinery")
-    parser.add_argument("--version", action="version", version=f"treegrow {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, text, keys in (
-            ("grow", "sample one nested growth trace", {"model", "out"}.union(*MODELS.values())),
-            ("verify", "run an exact or statistical verification suite",
-             {"suite", "out"}.union(*(reads for _, reads in SUITES.values())))):
-        command = sub.add_parser(name, help=text)
-        for key, spec in FLAGS.items():
-            if key in keys:
-                command.add_argument("--" + key.replace("_", "-"), **spec)
-        command.add_argument("--config", help="key=value config file; flags win")
-
-    enum = sub.add_parser("enumerate", help="list small trees exhaustively")
-    enum.add_argument("--plane-trees", dest="plane_trees", type=int)
-    enum.add_argument("--subtrees", type=int)
-    enum.add_argument("--d", **FLAGS["d"])
-    enum.add_argument("--dmax", type=positive_int)
-    enum.add_argument("--dot", action="store_true", help="emit DOT per object")
-    return parser
+    for key, text in cfg.items():
+        if key in values and values[key] is None:
+            try:
+                values[key] = flag_value(key, text)
+            except ParseError:
+                raise ParseError(f"{args.config}: bad value for {key}: {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -536,20 +529,26 @@ SUITES = {
     "stats": (_suite_stats, {"w", "theta", "d", "n_max", "seed", "samples"}),
 }
 
-# Each flag of grow and verify but --config, in parser order.  A command takes the entries that its
-# selector, the read sets of its models or suites, or --out name; its config values go through them.
+# Each flag of every command, in the order -h lists them.  A command takes the entries that its selector,
+# the read sets of its models, suites or listings, --out or --config name (COMMANDS); a value is checked
+# by flag_value, whether the command line or a config file gives it.  A switch is True when given.
 FLAGS = {
     "model": {"choices": MODELS, "help": "the chain to grow"},
     "suite": {"choices": SUITES, "help": "the suite to run"},
+    "plane_trees": {"type": int, "help": "list the plane trees of this size"},
+    "subtrees": {"type": int, "help": "list the subtrees of this size"},
     "w": {"help": "offspring weights, comma-separated exact rationals"},
     "theta": {"help": "type weights of the subtree model, comma-separated exact rationals"},
     "d": {"type": positive_int, "help": "bouquet size: the span of d-arithmetic weights"},
+    "dmax": {"type": positive_int, "help": "largest child count of a listed subtree"},
     "n": {"type": positive_int, "help": f"target number of vertices, at most {GROW_CAP}"},
     "n_max": {"type": positive_int, "help": "largest size checked; refused above the suite's cap"},
     "seed": {"type": int, "help": "master seed"},
     "samples": {"type": positive_int, "help": "sample count for the stats suite"},
     "out": {"help": "grow's trace file (JSON lines), or a copy of verify's JSON report"},
-    "decimal": {"action": "store_true", "default": None, "help": "add lossy decimal probabilities to the trace"},
+    "decimal": {"switch": True, "help": "add lossy decimal probabilities to the trace"},
+    "dot": {"switch": True, "help": "emit DOT per object"},
+    "config": {"help": "key=value config file; flags win"},
 }
 
 
@@ -584,8 +583,7 @@ def cmd_enumerate(args) -> int:
     listing = next((key for key in LISTINGS if getattr(args, key) is not None), None)
     if listing is None:
         raise ParseError("pass --plane-trees or --subtrees")
-    _refuse_unread(vars(args), LISTINGS[listing] | {listing},
-                   f"enumerate --{listing.replace('_', '-')}")
+    _refuse_unread(vars(args), LISTINGS[listing] | {listing}, f"enumerate {_flag_name(listing)}")
     size = getattr(args, listing)
     if listing == "subtrees":
         trees = enumerate_subtrees(size, dmax=_given(args.dmax, 2))
@@ -599,17 +597,82 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
+# Each command: its function, its help line and the flags it takes
+COMMANDS = {
+    "grow": (cmd_grow, "sample one nested growth trace", {"model", "out", "config"}.union(*MODELS.values())),
+    "verify": (cmd_verify, "run an exact or statistical verification suite",
+               {"suite", "out", "config"}.union(*(reads for _, reads in SUITES.values()))),
+    "enumerate": (cmd_enumerate, "list small trees exhaustively", set(LISTINGS).union(*LISTINGS.values())),
+}
+
+
+def parse_command_line(argv: List[str]):
+    """The namespace of one command line, or the text that ``-h``, ``--help`` or ``--version`` asks for.
+
+    ``argv[0]`` names the command and the rest are its flags, each by its
+    full name, as ``--flag value`` or ``--flag=value``.  The namespace
+    holds ``command`` and every flag of the command, None where not given.
+    A usage error raises ParseError.
+    """
+    if not argv:
+        raise ParseError(f"no command: expected one of {', '.join(COMMANDS)}")
+    command = argv[0]
+    if command in ("-h", "--help"):
+        return _help()
+    if command == "--version":
+        return f"treegrow {__version__}"
+    if command not in COMMANDS:
+        raise ParseError(f"unknown command {command!r}: expected one of {', '.join(COMMANDS)}")
+    keys = COMMANDS[command][2]
+    by_name = {_flag_name(key): key for key in keys}
+    values = dict.fromkeys(keys)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return _help(command)
+        name, eq, text = token.partition("=")
+        key = by_name.get(name)
+        if key is None:
+            raise ParseError(f"{command} has no flag {name}" if token.startswith("-")
+                             else f"{command} takes no argument {token!r}")
+        if FLAGS[key].get("switch"):
+            if eq:
+                raise ParseError(f"{name} takes no value")
+            values[key] = True
+            continue
+        if not eq:
+            text = next(tokens, None)
+            if text is None or text.startswith("--"):
+                raise ParseError(f"{name} needs a value")
+        values[key] = flag_value(key, text)
+    return SimpleNamespace(command=command, **values)
+
+
+def _help(command: Optional[str] = None) -> str:
+    """The text of ``-h``: the commands, or the flags of ``command`` with their help."""
+    if command is None:
+        lines = [f"usage: treegrow [-h] [--version] {{{','.join(COMMANDS)}}} ...", "",
+                 "grow exactly-coupled random trees and verify the machinery", ""]
+        lines += [f"  {name:<10} {text}" for name, (_, text, _) in COMMANDS.items()]
+        lines += ["", "treegrow COMMAND -h lists the flags of a command"]
+        return "\n".join(lines)
+    _, text, keys = COMMANDS[command]
+    lines = [f"usage: treegrow {command} [-h] [--flag value | --flag=value] ...", "", text, ""]
+    for key, spec in FLAGS.items():
+        if key in keys:
+            value = ("" if spec.get("switch") else
+                     f" {{{','.join(spec['choices'])}}}" if "choices" in spec else f" {key.upper()}")
+            lines += [f"  {_flag_name(key)}{value}", f"      {spec['help']}"]
+    return "\n".join(lines)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; exit code 2 is reserved here for
-        # refused growth hypotheses, so usage problems map to 1
-        return 1 if exc.code else 0
-    commands = {"grow": cmd_grow, "verify": cmd_verify, "enumerate": cmd_enumerate}
-    try:
-        return commands[args.command](args)
+        args = parse_command_line(sys.argv[1:] if argv is None else argv)
+        if isinstance(args, str):
+            print(args)
+            return 0
+        return COMMANDS[args.command][0](args)
     except Refused as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2

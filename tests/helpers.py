@@ -604,6 +604,13 @@ def tree_rule_breaks(words, plane):
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
+def run_fresh(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter on this checkout's src."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=300)
+
+
 def run_without_scipy(code: str) -> subprocess.CompletedProcess:
     """Run ``code`` in a fresh interpreter on this checkout's src, where ``import scipy`` raises ImportError.
 
@@ -613,6 +620,4 @@ def run_without_scipy(code: str) -> subprocess.CompletedProcess:
     prelude = ("import sys\nsys.modules['scipy'] = None\n"
                "try:\n    import scipy.stats\nexcept ImportError:\n    pass\n"
                "else:\n    sys.exit('scipy is not blocked')\n")
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", prelude + code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path), timeout=300)
+    return run_fresh(prelude + code)

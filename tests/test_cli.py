@@ -258,8 +258,32 @@ class TestErrorBoundary:
         ["enumerate", "--plane-trees", "5", "--d", "0"],
     ], ids=["verify-n-max", "verify-samples", "verify-d", "enumerate-d"])
     def test_zero_refused(self, argv, capsys):
-        assert run(*argv) == 1
-        assert "expected a positive integer, got '0'" in capsys.readouterr().err
+        assert "expected a positive integer, got '0'" in self.assert_one_line_error(capsys, run(*argv))
+
+    @pytest.mark.parametrize("argv, line", [
+        (["grow", "--bogus", "1"], "error: grow has no flag --bogus"),
+        # a flag is named in full: no prefix of it, and no flag of another command
+        (["verify", "--suite", "tp2", "--w", "1,3,3,1", "--n", "6"], "error: verify has no flag --n"),
+        (["grow", "--model", "sg", "--w", "1,1", "--n", "4", "--se", "3"], "error: grow has no flag --se"),
+        (["grow", "--suite", "tp2"], "error: grow has no flag --suite"),
+        (["enumerate", "--plane_trees", "3"], "error: enumerate has no flag --plane_trees"),
+        (["grow", "--model", "sg", "--w", "1,1", "--n"], "error: --n needs a value"),
+        (["grow", "--out", "--n", "4"], "error: --out needs a value"),
+        (["grow", "--model", "sg", "--w", "1,1", "--n", "4", "--decimal=1"], "error: --decimal takes no value"),
+        (["grow", "sg"], "error: grow takes no argument 'sg'"),
+        (["grow", "--model", "tree", "--w", "1,1", "--n", "4"],
+         "error: --model: expected one of sg, sg-arith, subtree, got 'tree'"),
+        (["verify", "--suite=bogus"], "error: --suite: expected one of tables, tp2, ratio-chain, kernel-interchange, "
+                                      "bijection, subset-coupling, shuffle-invariance, stats, got 'bogus'"),
+        (["grow", "--seed", "x"], "error: --seed: expected an integer, got 'x'"),
+        ([], "error: no command: expected one of grow, verify, enumerate"),
+        (["bogus"], "error: unknown command 'bogus': expected one of grow, verify, enumerate"),
+        (["--bogus"], "error: unknown command '--bogus': expected one of grow, verify, enumerate"),
+    ], ids=["unknown-flag", "verify-n", "grow-se", "other-command", "underscore", "no-value-at-end",
+            "flag-for-value", "switch-value", "argument", "bad-model", "bad-suite", "bad-seed",
+            "no-command", "unknown-command", "unknown-top-flag"])
+    def test_usage_error(self, argv, line, capsys):
+        assert self.assert_one_line_error(capsys, run(*argv)) == line
 
     @pytest.mark.parametrize("key", ["n_max", "samples", "d"])
     def test_zero_refused_in_config(self, key, tmp_path, capsys):
@@ -380,7 +404,9 @@ class TestErrorBoundary:
     @pytest.mark.parametrize("command, text, key", [
         (["verify"], "suite = tables\nn_mx = 3\n", "n_mx"),
         (["grow"], "model = sg\nw = 1,1\nn = 4\nout = t.jsonl\ndecimal = 1\n", "decimal"),
-    ], ids=["typo", "switch"])
+        (["grow"], "model = sg\nw = 1,1\nn = 4\nplane_trees = 5\n", "plane_trees"),
+        (["verify"], "suite = tables\nconfig = other.cfg\n", "config"),
+    ], ids=["typo", "switch", "enumerate-only", "config"])
     def test_config_key_no_flag_takes_refused(self, command, text, key, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(text)
@@ -574,6 +600,53 @@ class TestErrorBoundary:
 def test_every_flag_a_model_or_suite_reads_has_a_flags_entry():
     read = set().union(*treegrow.cli.MODELS.values(), *(reads for _, reads in treegrow.cli.SUITES.values()))
     assert read <= set(treegrow.cli.FLAGS)
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("command", ["grow", "verify", "enumerate"])
+    def test_help_lists_every_flag(self, command, capsys):
+        for flag in ("-h", "--help"):
+            assert run(command, flag) == 0
+            out = capsys.readouterr().out
+            for key in treegrow.cli.COMMANDS[command][2]:
+                name = "--" + key.replace("_", "-")
+                assert f"  {name}" in out and treegrow.cli.FLAGS[key]["help"] in out
+
+    def test_help_and_version(self, capsys):
+        assert run("-h") == 0
+        out = capsys.readouterr().out
+        assert all(f"  {command} " in out for command in ("grow", "verify", "enumerate"))
+        assert run("--version") == 0
+        assert capsys.readouterr().out == f"treegrow {treegrow.__version__}\n"
+
+    def test_flag_equals_value(self, tmp_path, capsys):
+        outs = []
+        for argv in (["--suite", "tp2", "--w", "1,3,3,1", "--n-max", "6"],
+                     ["--suite=tp2", "--w=1,3,3,1", "--n-max=6"]):
+            assert run("verify", *argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+    def test_namespace_holds_every_flag_of_the_command(self):
+        args = treegrow.cli.parse_command_line(["enumerate", "--plane-trees", "4", "--dot"])
+        assert vars(args) == {"command": "enumerate", "plane_trees": 4, "subtrees": None, "d": None,
+                              "dmax": None, "dot": True}
+
+    def test_no_argparse_or_locale_imported(self):
+        # the parse reads FLAGS: neither importing the CLI nor running a command loads argparse or locale
+        result = helpers.run_fresh(
+            "import json, sys\n"
+            "before = set(sys.modules)\n"
+            "import treegrow.cli\n"
+            "imported = set(sys.modules)\n"
+            "code = treegrow.cli.main(['verify', '--suite', 'tp2', '--w', '1,3,3,1', '--n-max', '6'])\n"
+            "ran = set(sys.modules)\n"
+            "print(json.dumps({'import': sorted(imported - before), 'main': sorted(ran - imported)}))\n"
+            "sys.exit(code)\n")
+        assert result.returncode == 0, result.stderr
+        loaded = json.loads(result.stdout.splitlines()[-1])
+        for step in ("import", "main"):
+            assert not {"argparse", "locale"} & set(loaded[step]), (step, loaded[step])
 
 
 def test_exact_text_past_the_int_digit_limit():
