@@ -56,12 +56,11 @@ STATS_SAMPLES_CAP = 100_000
 # at 7 and 1.8 s at 8, and each further entry multiplies that again.
 SUBSET_SUPPORT_CAP = 8
 
-# --n cap of grow.  The compiled step laws hold O(n^2) running sums of O(n)
-# bits each, so memory grows like n^3 (and with the bit length of the
-# weights).  On a 2-CPU Xeon, n = 600 with --out (seeds 0-2, interpreter start
-# included) peaks at 81-93 MB in 1.4-1.6 s for w = 1,3,3,1, 101-131 MB in
-# 2.3-4.2 s for w = 1 x 8 and 128-149 MB in 1.4-2.8 s for the subtree model
-# with theta = 1/2,1/3,1/4.
+# --n cap of grow.  The peel keeps, for the step laws to read, O(n^2) running sums of O(n) bits each, so
+# memory grows like n^3 (and with the bit length of the weights).  On a 2-CPU Xeon, n = 600 with --out
+# (seeds 0-2, two runs each, interpreter start included) peaks at 89-92 MB in 0.59-1.0 s for w = 1,3,3,1,
+# 100-135 MB in 1.1-2.3 s for w = 1 x 8 and 150-152 MB in 0.85-1.3 s for the subtree model with
+# theta = 1/2,1/3,1/4.
 GROW_CAP = 600
 
 ALWAYS_READ = {"command", "model", "suite", "out", "config"}   # by every model, suite and listing
@@ -486,7 +485,7 @@ def _suite_stats(args) -> dict:
             raise ParseError("the subtree model has d = 1")
         theta = SummableTheta(parse_rational_list(args.theta))
         model, d, n = "subtree", 1, _n_max(args, 4, SUBTREE_CAP)
-        law, tables = st_law(theta, n), compute_tables(WeightSequence(theta.e), 1, N=n)
+        law, tables = st_law(theta, n), compute_tables(WeightSequence(theta.e), 1, N=n, _keep_sums=True)
 
         def make(rng):
             return SubtreeChain(theta, horizon=n, seed=rng.getrandbits(63), tables=tables)
@@ -499,7 +498,7 @@ def _suite_stats(args) -> dict:
                 raise HorizonError(f"--d {d} leaves the stats suite no size to check")
             raise HorizonError(f"--n-max {n} holds no tree for --d {d}: tree sizes are 1 mod {d}")
         require_log_concave(w, d)
-        law, tables = sg_law(w, d, n), compute_tables(w, d, N=n)
+        law, tables = sg_law(w, d, n), compute_tables(w, d, N=n, _keep_sums=True)
 
         def make(rng):
             return GrowthChain(w, d=d, horizon=n, rng=rng, tables=tables)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import eq, ge, le, mul
@@ -71,18 +70,61 @@ def as_fraction(value) -> Fraction:
     raise DomainError(f"cannot interpret {value!r} as an exact rational")
 
 
-@dataclass(frozen=True)
-class ArithClass:
+class Record:
+    """A small value class: equality, ``repr`` and pickling over the fields its ``__slots__`` names.
+
+    ``__init__`` takes the fields in that order.  A record compares equal
+    only to one of its own class, and is unhashable unless frozen.
+    """
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__slots__)})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class FrozenRecord(Record):
+    """A ``Record`` whose fields cannot be assigned after ``__init__``, hashed by its fields."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(self._fields())
+
+
+class ArithClass(FrozenRecord):
     """Residue data (d, s): parts are 1 mod d and the part count is s mod d."""
 
-    d: int = 1
-    s: int = 0
+    __slots__ = ("d", "s")
 
-    def __post_init__(self):
-        if self.d < 1:
+    def __init__(self, d: int = 1, s: int = 0):
+        if d < 1:
             raise DomainError("d must be >= 1")
-        if not 0 <= self.s < self.d:
+        if not 0 <= s < d:
             raise DomainError("s must lie in {0, ..., d-1}")
+        super().__init__(d, s)
 
 
 PLAIN = ArithClass(1, 0)
@@ -248,20 +290,28 @@ def shift(wp: WeightPair, ell: int, cls: ArithClass = PLAIN) -> WeightPair:
     return shifted
 
 
-def peel_partition_values(a: Sequence[int], T: int, b: Optional[Callable[[int], int]], d: int) -> List[List[int]]:
+def peel_partition_values(a: Sequence[int], T: int, b: Optional[Callable[[int], int]], d: int,
+                          sums: Sequence[List[Optional[List[int]]]] = ()) -> List[List[int]]:
     """Partition values ``z[ell][t] = Z_ell(t)`` of every shift of ``a``, for totals t <= T.
 
     Peeling off the first part gives
-    ``Z_ell(t) = a_ell [t = 0] + sum_{m : b_m != 0} b_m Z_{ell+1}(t - m)``,
+    ``Z_ell(t) = a_ell [t = 0] + sum_{m = 1 mod d} b_m Z_{ell+1}(t - m)``,
     with ``Z_ell = 0`` past the last entry of ``a``.  ``b(m)`` is read once,
     when the loop reaches total m; with ``b = None`` the part weights are
     the tree masses ``b_m = Z_0(m - 1)``, known by then.  The tables pass
-    integer weights, so the recursion never leaves Python ints.
+    integer weights, so the recursion never leaves Python ints.  The sum
+    runs over the slices ``first_part_sums`` reads: ``b_1, b_{1+d}, ...``
+    against ``Z_{ell+1}(t - 1), Z_{ell+1}(t - 1 - d), ...``.
 
     The count weights must lie on one residue class s mod d and the part
     weights on 1 mod d (``DomainError`` otherwise).  Then ``Z_ell(t) = 0``
     unless ``t = s - ell (mod d)``, so at each total only the shifts of
     that class run the sum and the others stay 0; at d = 1 every shift runs.
+
+    Each list ``sums[ell]`` given, of length T + 1, keeps at index t the
+    running sums of that sum, cut at the last point with mass: the list
+    ``first_part_sums(ell, t)`` hands out.  Totals that run no sum keep
+    what the list held.
     """
     r = len(a)
     support = [ell for ell in range(r) if a[ell]]
@@ -269,23 +319,26 @@ def peel_partition_values(a: Sequence[int], T: int, b: Optional[Callable[[int], 
     if any((ell - s) % d for ell in support):
         raise DomainError(f"count weights must lie on one residue class mod {d}, got support {support}")
     z: List[List[int]] = [[0] * (T + 1) for _ in range(r)]
-    parts: List[Tuple[int, int]] = []
-    for t in range(T + 1):
-        if t:
-            bt = z[0][t - 1] if b is None else b(t)
+    for ell in range(s, r, d):
+        z[ell][0] = a[ell]
+    bs: List[int] = []  # b_1, b_{1+d}, ..., up to the current total
+    for t in range(1, T + 1):
+        bt = z[0][t - 1] if b is None else b(t)
+        if (t - 1) % d:
             if bt:
-                if (t - 1) % d:
-                    raise DomainError(f"part weights must vanish off 1 mod {d} (b_{t} != 0)")
-                parts.append((t, bt))
-        for ell in range((s - t) % d, r, d):
-            acc = a[ell] if t == 0 else 0
-            if ell + 1 < r:
-                nxt = z[ell + 1]
-                for m, bm in parts:
-                    v = nxt[t - m]
-                    if v:
-                        acc += bm * v
-            z[ell][t] = acc
+                raise DomainError(f"part weights must vanish off 1 mod {d} (b_{t} != 0)")
+        else:
+            bs.append(bt)
+        for ell in range((s - t) % d, r - 1, d):
+            masses = map(mul, bs, z[ell + 1][t - 1::-d])
+            if ell < len(sums):
+                running = list(accumulate(masses))
+                while len(running) > 1 and running[-2] == running[-1]:
+                    running.pop()
+                sums[ell][t] = running
+                z[ell][t] = running[-1]
+            else:
+                z[ell][t] = sum(masses)
     return z
 
 
@@ -296,6 +349,12 @@ def cleared(values: Sequence[Fraction]) -> Tuple[int, List[int]]:
 
 
 Pairs = Dict[int, Tuple[int, int]]
+
+# Shifts whose running sums the peel keeps for tables that a chain builds for its own walk.  A walk
+# compiles almost every row at shifts 0 and 1 and fewer beyond: at n = 600, seed 3, 598 and 552 of the
+# 599 rows for w = 1,3,3,1, and 598, 595, 580, 145, 15 and 11 at shifts 0 to 5 for w = 1 x 8, where
+# keeping every shift took peak RSS from 101 to 181 MB (grow --out) for no time gained.
+KEPT_SHIFTS = 2
 
 
 class StepRow(dict):
@@ -341,9 +400,13 @@ class PartitionKernel:
     monotone one-step move probabilities, the exact law of one move and
     the sampling walk shared by every chain in the package.  ``r`` is the
     largest index with a non-zero count weight: the shift ladder ends there.
+
+    Tables built with ``keep_sums`` have the peel keep the running sums of
+    the shifts below ``KEPT_SHIFTS`` in ``_sums``, which ``first_part_sums``
+    hands out; the sums of every other shift are formed on each call.
     """
 
-    def __init__(self, d: int, r: int, a_scale: int, b_scale: int, total_horizon: int):
+    def __init__(self, d: int, r: int, a_scale: int, b_scale: int, total_horizon: int, keep_sums: bool):
         self.d = d
         self.r = r
         self.a_scale = a_scale
@@ -351,6 +414,8 @@ class PartitionKernel:
         self.total_horizon = total_horizon
         self._z: List[List[int]] = []
         self._b: List[int] = []
+        self._sums: List[List[Optional[List[int]]]] = \
+            [[None] * (total_horizon + 1) for _ in range(KEPT_SHIFTS)] if keep_sums else []
         self._step_memo: Dict[Tuple[int, int], StepRow] = {}
 
     def max_a_index(self) -> int:
@@ -373,13 +438,17 @@ class PartitionKernel:
 
         The mass of first part m is ``b_m Z_{ell+1}(t - m)`` at the common
         scale of ``Z_ell(t)``.  The sums stop at the last point with mass,
-        so ``C_top`` is ``Z_ell(t)`` at that scale.
+        so ``C_top`` is ``Z_ell(t)`` at that scale.  A list the peel kept is
+        handed out itself, shared with the tables and every row that reads
+        it: it is not to be changed.
         """
         if t < 1:
             raise DomainError("first-part laws need a positive total")
         z = self.partition_int(ell, t)
         if z == 0:
             raise ZeroMassError(f"no mass at total {t} for shift {ell}")
+        if ell < len(self._sums):
+            return self._sums[ell][t]
         # z != 0 at t >= 1 puts ell + 1 on the shift ladder, and every read below inside the bounds
         nxt, b, d = self._z[ell + 1], self._b, self.d
         sums = list(accumulate(map(mul, b[1:t + 1:d], nxt[t - 1::-d])))
@@ -528,7 +597,8 @@ def move_rows(cl: Sequence[int], ch: Sequence[int]) -> Pairs:
 class PairTables(PartitionKernel):
     """Integer partition values for a generic weight pair, from the peeling recursion."""
 
-    def __init__(self, wp: WeightPair, cls: ArithClass = PLAIN, total_horizon: Optional[int] = None):
+    def __init__(self, wp: WeightPair, cls: ArithClass = PLAIN, total_horizon: Optional[int] = None,
+                 _keep_sums: bool = False):
         wp.check_nondegenerate(cls)
         n = wp.b.horizon if total_horizon is None else total_horizon
         if n > wp.b.horizon:
@@ -536,11 +606,11 @@ class PairTables(PartitionKernel):
         r = wp.a.radius
         a_scale, a = cleared(wp.a.entries[:r + 1])
         b_scale, b = cleared(wp.b.entries[1:n + 1])
-        super().__init__(cls.d, r, a_scale, b_scale, n)
+        super().__init__(cls.d, r, a_scale, b_scale, n, _keep_sums)
         self.wp = wp
         self.cls = cls
         self._b = [0] + [bm * b_scale ** (m - 1) for m, bm in enumerate(b, 1)]  # D^m b_m
-        self._z = peel_partition_values(a, n, self._b.__getitem__, cls.d)
+        self._z = peel_partition_values(a, n, self._b.__getitem__, cls.d, self._sums)
 
     def partition_value(self, ell: int, t: int) -> Fraction:
         return Fraction(self.partition_int(ell, t), self.scale(t))
@@ -558,13 +628,15 @@ def composition_kernel(tables: PairTables, c: Composition) -> Dict[Composition, 
     return {apply_move(c, move, tables.d): Fraction(*p) for move, p in tables.kernel_row(sum(c), c).items()}
 
 
-@dataclass
-class CheckReport:
+class CheckReport(Record):
     """Outcome of an exact verification suite: a count and a failure list."""
 
-    name: str
-    checked: int = 0
-    failures: List[dict] = field(default_factory=list)
+    __slots__ = ("name", "checked", "failures")
+
+    def __init__(self, name: str, checked: int = 0, failures: Optional[List[dict]] = None):
+        self.name = name
+        self.checked = checked
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:
@@ -665,7 +737,7 @@ def sample_composition_chain(wp: WeightPair, cls: ArithClass, N: int, rng,
         raise DomainError("horizon below the starting total")
     last = N - (N - s) % d
     if tables is None:
-        tables = PairTables(wp, cls, total_horizon=last)
+        tables = PairTables(wp, cls, total_horizon=last, _keep_sums=True)
     elif tables.wp != wp or tables.cls != cls:
         raise DomainError("supplied tables were built for another weight pair or class")
     elif tables.total_horizon < last:

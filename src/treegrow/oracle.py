@@ -15,12 +15,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from .compositions import (ONE, PLAIN, ZERO, ArithClass, Composition, WeightPair, as_fraction, cleared,
-                           coerce_weights, iter_compositions)
+from .compositions import (ONE, PLAIN, ZERO, ArithClass, Composition, Record, WeightPair, as_fraction,
+                           cleared, coerce_weights, iter_compositions)
 from .errors import DomainError, HorizonError, ZeroMassError
 from .subtree_model import coerce_theta
 from .treespace import CountWord, PlaneTree, ROOT, RootedSubtree, child_count_word, from_child_count_word
@@ -262,11 +261,15 @@ def janson_expectations(eps) -> Tuple[Fraction, Fraction]:
 # kernel interchange and goodness of fit
 
 
-@dataclass
-class InterchangeReport:
-    ok: bool
-    states_checked: int
-    first_discrepancy: Optional[dict] = None
+class InterchangeReport(Record):
+    """Outcome of one kernel interchange check: its verdict, its count and the first mismatch."""
+
+    __slots__ = ("ok", "states_checked", "first_discrepancy")
+
+    def __init__(self, ok: bool, states_checked: int, first_discrepancy: Optional[dict] = None):
+        self.ok = ok
+        self.states_checked = states_checked
+        self.first_discrepancy = first_discrepancy
 
     def as_dict(self):
         return {"ok": self.ok, "states_checked": self.states_checked,
@@ -310,17 +313,20 @@ def kernel_interchange_check(row_fn: Callable, masses_lo: Mapping, masses_hi: Ma
         "target": str(Fraction(masses_hi.get(key, 0), z_hi))})
 
 
-@dataclass
-class GofReport:
+class GofReport(Record):
     """Chi-square and exact total-variation comparison of counts against a law."""
 
-    sample_size: int
-    categories: int
-    chi_square: Optional[float]
-    dof: Optional[int]
-    p_value: Optional[float]
-    tv: Fraction
-    undersampled: bool
+    __slots__ = ("sample_size", "categories", "chi_square", "dof", "p_value", "tv", "undersampled")
+
+    def __init__(self, sample_size: int, categories: int, chi_square: Optional[float], dof: Optional[int],
+                 p_value: Optional[float], tv: Fraction, undersampled: bool):
+        self.sample_size = sample_size
+        self.categories = categories
+        self.chi_square = chi_square
+        self.dof = dof
+        self.p_value = p_value
+        self.tv = tv
+        self.undersampled = undersampled
 
     def as_dict(self):
         return {"sample_size": self.sample_size, "categories": self.categories,

@@ -15,13 +15,12 @@ spaces, and samples the growth chains.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ._rand import bernoulli
-from .compositions import (CheckReport, PartitionKernel, WeightSequence, as_fraction, cleared,
+from .compositions import (CheckReport, FrozenRecord, PartitionKernel, WeightSequence, as_fraction, cleared,
                            coerce_weights, peel_partition_values)
 from .compositions import check_ratio_chain  # noqa: F401  (re-exported: it checks tree tables too)
 from .errors import DomainError, HorizonError, Refused
@@ -29,10 +28,13 @@ from .treespace import (CountWord, PlaneTree, ROOT, Word, child_count_word, chil
                         from_child_count_word)
 
 
-@dataclass(frozen=True)
-class LogConcavity:
-    ok: bool
-    witness: Optional[int] = None
+class LogConcavity(FrozenRecord):
+    """Whether a sequence is log-concave, and the first index where it is not."""
+
+    __slots__ = ("ok", "witness")
+
+    def __init__(self, ok: bool, witness: Optional[int] = None):
+        super().__init__(ok, witness)
 
     def __bool__(self):
         return self.ok
@@ -88,7 +90,7 @@ class PartitionTables(PartitionKernel):
     for any weights.
     """
 
-    def __init__(self, w: WeightSequence, d: int, N: int):
+    def __init__(self, w: WeightSequence, d: int, N: int, _keep_sums: bool = False):
         w = coerce_weights(w)
         if d < 1:
             raise DomainError("d must be >= 1")
@@ -103,11 +105,11 @@ class PartitionTables(PartitionKernel):
             raise DomainError(f"need w_0 w_{d} > 0 for trees of every size to carry mass")
         r = w.radius
         scale, entries = cleared(w.entries[:r + 1])
-        super().__init__(d, r, scale, scale, N - 1)
+        super().__init__(d, r, scale, scale, N - 1, _keep_sums)
         self.w = w
         self.N = N
         self.log_concave = is_log_concave(w.progression(d))
-        self._z = peel_partition_values(entries, N - 1, None, d)
+        self._z = peel_partition_values(entries, N - 1, None, d, self._sums)
         self._b = [0] + self._z[0]
 
     def b_value(self, n: int) -> Fraction:
@@ -129,9 +131,14 @@ class PartitionTables(PartitionKernel):
         return Fraction(self.partition_int(ell, t), self.scale(t))
 
 
-def compute_tables(w, d: int = 1, N: int = 10) -> PartitionTables:
-    """Build the exact tables needed for laws and kernels up to N vertices."""
-    return PartitionTables(coerce_weights(w), d, N)
+def compute_tables(w, d: int = 1, N: int = 10, _keep_sums: bool = False) -> PartitionTables:
+    """Build the exact tables needed for laws and kernels up to N vertices.
+
+    ``_keep_sums`` has the peel keep the running sums that the step rows of
+    a chain's walk read (see ``PartitionKernel``): chains set it for the
+    tables they build, and every other caller leaves it off.
+    """
+    return PartitionTables(coerce_weights(w), d, N, _keep_sums)
 
 
 def ratios_rise(x: List[int], y: List[int], low: int) -> bool:
@@ -323,7 +330,7 @@ class GrowthChain:
         w = coerce_weights(w)
         if tables is None:
             require_log_concave(w, d)
-            tables = compute_tables(w, d, N=horizon)
+            tables = compute_tables(w, d, N=horizon, _keep_sums=True)
         else:
             if (tables.w is not w and tables.w != w) or tables.d != d:
                 require_log_concave(w, d)   # a refusal of w comes first, as without tables

@@ -632,21 +632,34 @@ class TestCommandLine:
         assert vars(args) == {"command": "enumerate", "plane_trees": 4, "subtrees": None, "d": None,
                               "dmax": None, "dot": True}
 
-    def test_no_argparse_or_locale_imported(self):
-        # the parse reads FLAGS: neither importing the CLI nor running a command loads argparse or locale
+    @staticmethod
+    def modules_loaded(argv):
+        """The modules a fresh interpreter loads to import the CLI, and then to run ``main(argv)``."""
         result = helpers.run_fresh(
             "import json, sys\n"
             "before = set(sys.modules)\n"
             "import treegrow.cli\n"
             "imported = set(sys.modules)\n"
-            "code = treegrow.cli.main(['verify', '--suite', 'tp2', '--w', '1,3,3,1', '--n-max', '6'])\n"
+            f"code = treegrow.cli.main({argv!r})\n"
             "ran = set(sys.modules)\n"
             "print(json.dumps({'import': sorted(imported - before), 'main': sorted(ran - imported)}))\n"
             "sys.exit(code)\n")
         assert result.returncode == 0, result.stderr
-        loaded = json.loads(result.stdout.splitlines()[-1])
+        return json.loads(result.stdout.splitlines()[-1])
+
+    def test_no_argparse_or_locale_imported(self):
+        # the parse reads FLAGS: neither importing the CLI nor running a command loads argparse or locale
+        loaded = self.modules_loaded(['verify', '--suite', 'tp2', '--w', '1,3,3,1', '--n-max', '6'])
         for step in ("import", "main"):
             assert not {"argparse", "locale"} & set(loaded[step]), (step, loaded[step])
+
+    @pytest.mark.parametrize("argv", [["grow", "--model", "subtree", "--theta", "1/2,1/3", "--n", "6"],
+                                      ["verify", "--suite", "stats", "--samples", "200"]], ids=["grow", "stats"])
+    def test_no_dataclasses_or_inspect_imported(self, argv):
+        # the value classes are plain classes with __slots__: dataclasses would pull in inspect, ast and dis
+        loaded = self.modules_loaded(argv)
+        for step in ("import", "main"):
+            assert not {"dataclasses", "inspect", "ast", "dis"} & set(loaded[step]), (step, loaded[step])
 
 
 def test_exact_text_past_the_int_digit_limit():
@@ -840,6 +853,31 @@ class TestVerify:
         assert code == 0 and report["ok"] is True
         (fit,) = report["runs"]
         assert (fit["categories"], fit["dof"], fit["chi_square"], fit["p_value"], fit["tv"]) == (1, 0, 0.0, 1.0, "0")
+
+    @pytest.mark.parametrize("argv, keeps", [
+        (["verify", "--suite", "ratio-chain", "--n-max", "30"], False),
+        (["verify", "--suite", "ratio-chain", "--w", "1,0,2,0,1", "--d", "2"], False),
+        (["verify", "--suite", "tables"], False),
+        (["verify", "--suite", "tp2", "--n-max", "12"], False),
+        (["verify", "--suite", "kernel-interchange", "--n-max", "4"], False),
+        (["verify", "--suite", "stats", "--samples", "50"], True),
+        (["verify", "--suite", "stats", "--theta", "1,1", "--samples", "50"], True),
+        (["grow", "--model", "sg", "--w", "1,3,3,1", "--n", "12"], True),
+        (["grow", "--model", "subtree", "--theta", "1/2,1/3", "--n", "12"], True),
+    ], ids=["ratio-chain", "ratio-chain-d2", "tables", "tp2", "kernel-interchange", "stats", "stats-theta",
+            "grow", "grow-subtree"])
+    def test_only_chains_keep_the_peels_sums(self, argv, keeps, monkeypatch, capsys):
+        # the inequality suites read a few rows or none: keeping the running sums would only cost them
+        init, built = treegrow.compositions.PartitionKernel.__init__, []
+
+        def recording(self, *args):
+            built.append(args[-1])
+            init(self, *args)
+
+        monkeypatch.setattr(treegrow.compositions.PartitionKernel, "__init__", recording)
+        assert run(*argv) == 0
+        capsys.readouterr()
+        assert built and set(built) == {keeps}
 
     def test_stats_theta_builds_one_table_set(self, monkeypatch, capsys):
         built = []

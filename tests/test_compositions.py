@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -9,14 +11,14 @@ import helpers
 import treegrow
 import treegrow.compositions
 from treegrow._rand import derive_rng
-from treegrow.compositions import (PLAIN, ArithClass, PairTables, WeightPair,
+from treegrow.compositions import (PLAIN, ArithClass, CheckReport, PairTables, WeightPair,
                                    apply_move, as_fraction, check_admissibility_inequalities,
                                    check_ratio_chain, composition_kernel, covering_successors,
                                    iter_compositions, move_rows, peel_partition_values,
                                    sample_composition_chain, satisfies_arith, shift)
 from treegrow.errors import DomainError, HorizonError, NotCoupleable, ZeroMassError
-from treegrow.oracle import comp_law, tv_distance
-from treegrow.sgtrees import WeightSequence, compute_tables, is_log_concave
+from treegrow.oracle import GofReport, InterchangeReport, comp_law, tv_distance
+from treegrow.sgtrees import LogConcavity, WeightSequence, compute_tables, is_log_concave
 
 ONES = [F(1)] * 14
 
@@ -66,6 +68,40 @@ class TestCoveringAndArith:
         for c in iter_compositions(6, cls):
             for c2 in covering_successors(c, 3):
                 assert satisfies_arith(c2, cls)
+
+
+@pytest.mark.parametrize("value, twin, other, text, frozen", [
+    (ArithClass(3, 2), ArithClass(d=3, s=2), ArithClass(3, 1), "ArithClass(d=3, s=2)", True),
+    (LogConcavity(False, 2), LogConcavity(ok=False, witness=2), LogConcavity(False), "LogConcavity(ok=False, witness=2)",
+     True),
+    (CheckReport("x", 1, [{"v": "1/2"}]), CheckReport(name="x", checked=1, failures=[{"v": "1/2"}]), CheckReport("x"),
+     "CheckReport(name='x', checked=1, failures=[{'v': '1/2'}])", False),
+    (InterchangeReport(True, 4), InterchangeReport(ok=True, states_checked=4, first_discrepancy=None),
+     InterchangeReport(True, 5), "InterchangeReport(ok=True, states_checked=4, first_discrepancy=None)", False),
+    (GofReport(9, 3, None, None, None, F(1, 3), True), GofReport(9, 3, None, None, None, F(1, 3), undersampled=True),
+     GofReport(9, 3, None, None, None, F(1, 4), True),
+     "GofReport(sample_size=9, categories=3, chi_square=None, dof=None, p_value=None, tv=Fraction(1, 3), "
+     "undersampled=True)", False),
+], ids=["ArithClass", "LogConcavity", "CheckReport", "InterchangeReport", "GofReport"])
+def test_value_classes_compare_and_show_their_fields(value, twin, other, text, frozen):
+    # plain __slots__ classes that keep what their dataclass forms gave: ==, repr, and hash only when frozen
+    assert value == twin and value != other and value != value._fields() and repr(value) == text
+    assert pickle.loads(pickle.dumps(value)) == value == copy.deepcopy(value)
+    if frozen:
+        assert hash(value) == hash(twin) and {value: 1}[twin] == 1
+        with pytest.raises(AttributeError):
+            setattr(value, value.__slots__[0], None)
+    else:
+        with pytest.raises(TypeError):
+            hash(value)
+        setattr(value, value.__slots__[0], None)
+        assert value != twin
+
+
+def test_check_reports_do_not_share_a_failure_list():
+    one, two = CheckReport("a"), CheckReport("a")
+    one.record(False, v=F(1, 2))
+    assert one.failures == [{"v": "1/2"}] and two.failures == [] and two.ok and not one.ok
 
 
 class TestPartitionFunction:
@@ -350,6 +386,14 @@ class TestAdmissibility:
         assert not report.ok
         first = report.failures[0]
         assert first["n"] == 0  # the n = 0 chain already requires log-concavity of the weights
+
+    def test_builds_tables_without_kept_sums(self, monkeypatch):
+        # the check reads no step row, so the peel keeps no running sums for it
+        wp, init, built = tree_pair(ONES, n_total=26), treegrow.compositions.PartitionKernel.__init__, []
+        monkeypatch.setattr(treegrow.compositions.PartitionKernel, "__init__",
+                            lambda self, *args: built.append(args[-1]) or init(self, *args))
+        assert check_admissibility_inequalities(wp, PLAIN, N=10).ok
+        assert built == [False]
 
     def test_single_part_vacuous(self):
         wp = WeightPair([1, 1], [F(j) for j in range(1, 30)])  # deliberately wild b

@@ -228,16 +228,145 @@ def test_move_rows_meets_the_fraction_oracle(laws):
 
 @pytest.mark.parametrize("entries, d", [([1, 3, 3, 1], 1), ([1, 0, 2, 0, 1], 2)])
 def test_consecutive_rows_share_one_list_of_sums(entries, d):
-    # the upper law of row (ell, t) is the lower law of row (ell, t + d): one list holds both
-    tables = compute_tables(WeightSequence(entries), d, N=20)
-    checked = 0
-    for ell in range(tables.r - 1):
-        for t in range(1, 20 - 2 * d):
-            if tables.partition_int(ell, t):  # for d = 2 one total in two carries mass
-                row = tables.step_probs(ell, t)
-                assert tables.step_probs(ell, t + d).cl is row.ch
-                checked += 1
-    assert checked >= 12
+    # the upper law of row (ell, t) is the lower law of row (ell, t + d): one list holds both,
+    # whether the peel kept it or first_part_sums formed it
+    for keep in (False, True):
+        tables = compute_tables(WeightSequence(entries), d, N=20, _keep_sums=keep)
+        checked = 0
+        for ell in range(tables.r - 1):
+            for t in range(1, 20 - 2 * d):
+                if tables.partition_int(ell, t):  # for d = 2 one total in two carries mass
+                    row = tables.step_probs(ell, t)
+                    assert tables.step_probs(ell, t + d).cl is row.ch
+                    checked += 1
+        assert checked >= 12
+
+
+@st.composite
+def kept_sum_weights(draw):
+    """Weights on multiples of d in {1, 2, 3} up to radius 7, with internal zeros, and N."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    progression = [draw(small_fraction), draw(small_fraction)]
+    progression += draw(st.lists(st.sampled_from([F(0), F(1, 9), F(2, 3), F(1), F(9)]), max_size=7 // d - 1))
+    entries = [F(0)] * ((len(progression) - 1) * d + 1)
+    entries[::d] = progression
+    return WeightSequence(entries), d, draw(st.integers(d + 2, 16))
+
+
+@st.composite
+def kept_sum_pairs(draw):
+    """Non-degenerate pairs for the class (d, s), d in {1, 2, 3}, with up to 7 // d + 1 count weights."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    s = draw(st.integers(0, d - 1))
+    count = draw(st.integers(2 if s == 0 else 1, 7 // d + 1))
+    a = [F(0)] * (s + (count - 1) * d + 1)
+    for i in range(count):
+        a[s + i * d] = draw(small_fraction)
+    horizon = draw(st.integers(d + 2, 14))
+    b = [draw(small_fraction) if m % d == 1 % d else F(0) for m in range(1, horizon + 1)]
+    return WeightPair(a, b), ArithClass(d, s)
+
+
+def sums_and_rows(tables, totals):
+    """Per ``(ell, t)``: ``first_part_sums`` and every pair of the step row, or what each raised."""
+
+    def pairs(ell, t):
+        row = tables.step_probs(ell, t)
+        return {m: row[m] for m in range(len(row.cl) + 1) if m in exact_scan(tables, ell, t)}
+
+    def caught(fn, *args):
+        try:
+            return "value", fn(*args)
+        except TreegrowError as exc:
+            return type(exc).__name__, exc.args, str(exc)
+
+    return {(ell, t): (caught(tables.first_part_sums, ell, t), caught(pairs, ell, t))
+            for ell in range(tables.r + 2) for t in range(-1, totals)}
+
+
+def assert_kept_sums_change_nothing(build, totals):
+    kept, formed = build(True), build(False)
+    assert len(kept._sums) == 2 and not formed._sums
+    got = sums_and_rows(kept, totals)
+    assert got == sums_and_rows(formed, totals)
+    return got
+
+
+@settings(max_examples=120, deadline=None)
+@given(kept_sum_weights())
+def test_kept_sums_give_the_formed_rows_on_tree_tables(case):
+    """Rows at shifts 0 and 1 read the peel's sums, the others form theirs: both give today's rows."""
+    w, d, N = case
+    got = assert_kept_sums_change_nothing(lambda keep: compute_tables(w, d, N, _keep_sums=keep), N - d)
+    assert any(kind == "value" for (ell, _), ((kind, *_), _) in got.items() if ell >= 2) or w.radius < 3 * d
+
+
+@settings(max_examples=120, deadline=None)
+@given(kept_sum_pairs())
+def test_kept_sums_give_the_formed_rows_on_pair_tables(case):
+    wp, cls = case
+    assert_kept_sums_change_nothing(lambda keep: PairTables(wp, cls, _keep_sums=keep), wp.b.horizon - cls.d + 1)
+
+
+def test_kept_sums_past_the_horizon_and_below_total_one_refuse_alike():
+    # the checks of first_part_sums run before a kept list is handed out
+    w = WeightSequence([1, 2, 1], horizon=9)
+    got = assert_kept_sums_change_nothing(lambda keep: compute_tables(w, 1, 8, _keep_sums=keep), 10)
+    assert got[0, 0][0][0] == "DomainError" and got[0, 9][0][0] == "HorizonError"
+    assert got[1, 7][0][0] == "value" and got[1, 8][0][0] == "HorizonError"  # w_9 read, w_10 past its horizon
+    assert got[2, 3][0][0] == got[3, 3][0][0] == "ZeroMassError"
+
+
+def steps_of(chain, count):
+    return [(step.parent, step.new_vertices, step.factors) for step in (chain.step() for _ in range(count))]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("entries, d, n", [([1, 3, 3, 1], 1, 60), ([1, 0, 2, 0, 1], 2, 61)], ids=["sg", "sg-arith"])
+def test_tree_chain_walks_alike_on_kept_and_formed_sums(entries, d, n, seed):
+    w = WeightSequence(entries)
+    walks = [steps_of(GrowthChain(w, d, n, derive_rng(seed, "chain"), tables=compute_tables(w, d, n, _keep_sums=keep)),
+                      (n - 1) // d) for keep in (True, False)]
+    assert walks[0] == walks[1]
+    assert steps_of(GrowthChain(w, d, n, derive_rng(seed, "chain")), (n - 1) // d) == walks[0]  # it keeps its own
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_subtree_chain_walks_alike_on_kept_and_formed_sums(seed):
+    theta = SummableTheta([F(1, 2), F(1, 3), F(1, 4)])
+    walks = []
+    for keep in (True, False, None):
+        tables = None if keep is None else compute_tables(WeightSequence(theta.e), 1, 40, _keep_sums=keep)
+        chain = SubtreeChain(theta, 40, seed, tables=tables)
+        steps, inner_step = [], chain.inner.step
+        chain.inner.step = lambda: steps.append(inner_step()) or steps[-1]
+        words = [chain.step() for _ in range(39)]
+        walks.append((words, [(step.parent, step.new_vertices, step.factors) for step in steps]))
+    assert walks[0] == walks[1] == walks[2]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("entries, d, ell", [([1, 3, 3, 1], 1, 0), ([1, 0, 2, 0, 1], 2, 1)], ids=["plain", "d2-s1"])
+def test_composition_chain_walks_alike_on_kept_and_formed_sums(entries, d, ell, seed):
+    # count weights w_ell, w_{ell+1}, ... and the tree masses as part weights: the pair of shift ell of a tree chain
+    trees = compute_tables(WeightSequence(entries), d, 32)
+    cls = ArithClass(d, -ell % d)
+    wp = WeightPair(entries[ell:], [trees.b_value(m) for m in range(1, 31)])
+    last = 30 - (30 - cls.s) % d
+    walks = []
+    for keep in (True, False):
+        tables, rng = PairTables(wp, cls, _keep_sums=keep), derive_rng(seed, "chain")
+        c, walk = (1,) * cls.s, []
+        while sum(c) + cls.d <= last:
+            factors = []
+            move = tables.sample_move(sum(c), c, bernoulli, rng, factors)
+            c = treegrow.compositions.apply_move(c, move, cls.d)
+            walk.append((move, factors))
+        walks.append(walk)
+    assert walks[0] == walks[1] and len(walks[0]) >= 14
+    formed = PairTables(wp, cls, total_horizon=last)
+    assert (sample_composition_chain(wp, cls, last, derive_rng(seed, "c"))
+            == sample_composition_chain(wp, cls, last, derive_rng(seed, "c"), tables=formed))
 
 
 def test_loose_b_bound_falls_back_to_the_exact_scan(monkeypatch):
