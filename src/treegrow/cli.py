@@ -18,8 +18,9 @@ from . import __version__
 from ._rand import derive_rng
 from .compositions import CheckReport, as_fraction, check_ratio_chain
 from .errors import DomainError, HorizonError, ParseError, Refused, TreegrowError
-from .oracle import (PLANE_TREE_CAP, SUBTREE_CAP, cleared_weights, enumerate_plane_trees, enumerate_subtrees,
-                     goodness_of_fit, sg_law, sg_word_masses, st_law, subset_law, kernel_interchange_check)
+from .oracle import (PLANE_TREE_CAP, SUBTREE_CAP, SUBTREE_POSITION_CAP, cleared_weights, enumerate_plane_trees,
+                     enumerate_subtrees, goodness_of_fit, sg_law, sg_word_masses, st_law, subset_law,
+                     kernel_interchange_check)
 from .sgtrees import (WeightSequence, check_tp2_array, compute_tables, growth_kernel,
                       is_log_concave, require_log_concave, GrowthChain)
 from .subtree_model import (SubtreeChain, SummableTheta, bij_P, bij_P_inv, nested_coupling_law,
@@ -484,6 +485,9 @@ def _suite_stats(args) -> dict:
         if _given(args.d, 1) != 1:
             raise ParseError("the subtree model has d = 1")
         theta = SummableTheta(parse_rational_list(args.theta))
+        if theta.n_support > SUBTREE_POSITION_CAP:
+            raise HorizonError(f"--theta has support {theta.n_support}, above the cap {SUBTREE_POSITION_CAP} "
+                               f"of the stats suite")
         model, d, n = "subtree", 1, _n_max(args, 4, SUBTREE_CAP)
         law, tables = st_law(theta, n), compute_tables(WeightSequence(theta.e), 1, N=n, _keep_sums=True)
 
@@ -585,7 +589,10 @@ def cmd_enumerate(args) -> int:
     _refuse_unread(vars(args), LISTINGS[listing] | {listing}, f"enumerate {_flag_name(listing)}")
     size = getattr(args, listing)
     if listing == "subtrees":
-        trees = enumerate_subtrees(size, dmax=_given(args.dmax, 2))
+        dmax = _given(args.dmax, 2)
+        if dmax > SUBTREE_POSITION_CAP:
+            raise HorizonError(f"--dmax {dmax} is above the cap {SUBTREE_POSITION_CAP} of enumerate --subtrees")
+        trees = enumerate_subtrees(size, dmax=dmax)
     else:
         trees = enumerate_plane_trees(size, _given(args.d, 1))
     for tree in trees:

@@ -130,22 +130,6 @@ class ArithClass(FrozenRecord):
 PLAIN = ArithClass(1, 0)
 
 
-def covering_successors(c: Composition, d: int = 1) -> List[Composition]:
-    """All compositions covering ``c``: one part incremented by d, or d parts 1 appended."""
-    if d < 1:
-        raise DomainError("d must be >= 1")
-    out = [c[:j] + (c[j] + d,) + c[j + 1:] for j in range(len(c))]
-    out.append(c + (1,) * d)
-    return out
-
-
-def satisfies_arith(c: Composition, cls: ArithClass) -> bool:
-    """True iff the part count is s mod d and every part is 1 mod d."""
-    if len(c) % cls.d != cls.s:
-        return False
-    return all(p % cls.d == 1 % cls.d for p in c)
-
-
 def iter_compositions(n: int, cls: ArithClass = PLAIN) -> Iterator[Composition]:
     """All compositions of n in the class, in lexicographic order.
 
@@ -272,22 +256,6 @@ class WeightPair:
 
     def __repr__(self):
         return f"WeightPair(a={list(self.a)!r}, b={list(self.b)[1:]!r})"
-
-
-def shift(wp: WeightPair, ell: int, cls: ArithClass = PLAIN) -> WeightPair:
-    """Drop the first ``ell`` count weights, keeping the part weights.
-
-    Fails if the shifted pair is degenerate for the correspondingly
-    shifted arithmetic class.
-    """
-    if ell < 0:
-        raise DomainError("shift must be non-negative")
-    if ell == 0:
-        return wp
-    shifted = WeightPair(wp.a.entries[ell:], wp.b.entries[1:])
-    new_cls = ArithClass(cls.d, (cls.s - ell) % cls.d)
-    shifted.check_nondegenerate(new_cls)
-    return shifted
 
 
 def peel_partition_values(a: Sequence[int], T: int, b: Optional[Callable[[int], int]], d: int,
@@ -614,18 +582,6 @@ class PairTables(PartitionKernel):
 
     def partition_value(self, ell: int, t: int) -> Fraction:
         return Fraction(self.partition_int(ell, t), self.scale(t))
-
-
-def composition_kernel(tables: PairTables, c: Composition) -> Dict[Composition, Fraction]:
-    """Exact one-step law on compositions of ``sum(c) + d`` given the current composition c.
-
-    The tables must reach total ``sum(c) + d``; share one ``PairTables``
-    across the rows of a pair.
-    """
-    cls = tables.cls
-    if not satisfies_arith(c, cls):
-        raise DomainError(f"composition {c} violates the (d={cls.d}, s={cls.s}) condition")
-    return {apply_move(c, move, tables.d): Fraction(*p) for move, p in tables.kernel_row(sum(c), c).items()}
 
 
 class CheckReport(Record):

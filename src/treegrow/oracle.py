@@ -18,11 +18,10 @@ import math
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from .compositions import (ONE, PLAIN, ZERO, ArithClass, Composition, Record, WeightPair, as_fraction,
-                           cleared, coerce_weights, iter_compositions)
+from .compositions import ONE, ZERO, ArithClass, Record, as_fraction, cleared, coerce_weights, iter_compositions
 from .errors import DomainError, HorizonError, ZeroMassError
 from .subtree_model import coerce_theta
-from .treespace import CountWord, PlaneTree, ROOT, RootedSubtree, child_count_word, from_child_count_word
+from .treespace import CountWord, PlaneTree, ROOT, RootedSubtree, from_child_count_word
 
 PLANE_TREE_CAP = 10
 SUBTREE_CAP = 7
@@ -34,7 +33,7 @@ def _catalan(k: int) -> int:
     return math.comb(2 * k, k) // (k + 1)
 
 
-def enumerate_plane_trees(n: int, d: int = 1, max_n: Optional[int] = None) -> List[PlaneTree]:
+def enumerate_plane_trees(n: int, d: int = 1) -> List[PlaneTree]:
     """All plane trees with n vertices, every degree a multiple of d, in canonical order.
 
     The trees are the child-count words of ``_plane_words``, each built
@@ -42,19 +41,18 @@ def enumerate_plane_trees(n: int, d: int = 1, max_n: Optional[int] = None) -> Li
     Counts grow like Catalan numbers, so sizes beyond the cap are refused
     with an estimate instead of silently melting the machine.
     """
-    _check_plane_tree_size(n, d, max_n)
+    _check_plane_tree_size(n, d)
     return sorted(map(from_child_count_word, _plane_words(n, d, None)), key=PlaneTree.sorted_vertices)
 
 
-def _check_plane_tree_size(n: int, d: int, max_n: Optional[int]):
+def _check_plane_tree_size(n: int, d: int):
     if n < 1:
         raise DomainError("trees have at least one vertex")
     if d < 1:
         raise DomainError("d must be >= 1")
-    cap = PLANE_TREE_CAP if max_n is None else max_n
-    if n > cap:
+    if n > PLANE_TREE_CAP:
         estimate = _catalan((n - 1) // d) if (n - 1) % d == 0 else 0
-        raise HorizonError(f"enumerating size {n} exceeds the cap {cap} (roughly {estimate} trees)")
+        raise HorizonError(f"enumerating size {n} exceeds the cap {PLANE_TREE_CAP} (roughly {estimate} trees)")
 
 
 @functools.lru_cache(maxsize=None)
@@ -81,8 +79,7 @@ def _plane_words(n: int, d: int, degree: Optional[int]) -> Tuple[CountWord, ...]
 
 
 def enumerate_subtrees(n: int, dmax: Optional[int] = None,
-                       positions: Optional[Iterable[int]] = None,
-                       max_n: Optional[int] = None) -> List[RootedSubtree]:
+                       positions: Optional[Iterable[int]] = None) -> List[RootedSubtree]:
     """All rooted subtrees with n vertices whose letters come from the given positions."""
     if n < 1:
         raise DomainError("subtrees have at least one vertex")
@@ -93,10 +90,10 @@ def enumerate_subtrees(n: int, dmax: Optional[int] = None,
     pos = tuple(sorted(set(int(p) for p in positions)))
     if any(p < 1 for p in pos):
         raise DomainError("positions must be positive")
-    cap = SUBTREE_CAP if max_n is None else max_n
-    if n > cap or (max_n is None and len(pos) > SUBTREE_POSITION_CAP):
-        raise HorizonError(
-            f"enumerating subtrees of size {n} over {len(pos)} positions exceeds the default caps")
+    if n > SUBTREE_CAP:
+        raise HorizonError(f"enumerating subtrees of size {n} exceeds the cap {SUBTREE_CAP}")
+    if len(pos) > SUBTREE_POSITION_CAP:
+        raise HorizonError(f"enumerating subtrees over {len(pos)} positions exceeds the cap {SUBTREE_POSITION_CAP}")
     return list(_subtrees(n, pos))
 
 
@@ -140,16 +137,6 @@ def cleared_weights(w, n: int) -> Tuple[int, List[int]]:
     return scale, (entries + [0] * n)[:n]
 
 
-def tree_mass(w, tree: PlaneTree):
-    """The product of ``w_k`` over the vertices, k the vertex's child count.
-
-    ``w`` is a ``WeightSequence`` or the integer list of ``cleared_weights``.
-    Every child count is read, past a zero weight too, so a tree that reads
-    ``w`` past a declared horizon fails whatever the order of its vertices.
-    """
-    return math.prod(map(w.__getitem__, child_count_word(tree)))
-
-
 def sg_word_masses(w, d: int, n: int) -> Dict[CountWord, int]:
     """The child-count words of the size-n trees with mass, each with its raw weight product.
 
@@ -161,7 +148,7 @@ def sg_word_masses(w, d: int, n: int) -> Dict[CountWord, int]:
     horizon it fails as ``w`` does.
     """
     w = coerce_weights(w)
-    _check_plane_tree_size(n, d, None)
+    _check_plane_tree_size(n, d)
     if (n - 1) % d == 0:
         w[n - 1]  # past the declared horizon: raises HorizonError
     _, ints = cleared_weights(w, n)
@@ -196,29 +183,6 @@ def st_law(theta, n: int) -> Dict[RootedSubtree, Fraction]:
             if u:
                 mass *= weight[u[-1]]
         masses[tau] = mass
-    return _normalized(masses)
-
-
-def comp_law(wp: WeightPair, n: int, cls: ArithClass = PLAIN) -> Dict[Composition, Fraction]:
-    """Composition law from raw products; a part weight past the horizon of ``wp.b`` raises HorizonError.
-
-    The count weights are cleared by ``La`` and each part weight ``b_p`` by
-    ``Lb^p``, so every composition of n carries the scale ``La Lb^n``.
-    """
-    _, a = cleared(wp.a.entries)
-    lb, b = cleared(wp.b.entries[1:])
-    b = [0] + [v * lb ** (p - 1) for p, v in enumerate(b, 1)]
-    masses = {}
-    for c in iter_compositions(n, cls):
-        mass = a[len(c)] if len(c) < len(a) else 0
-        for p in c:
-            if not mass:
-                break
-            if p >= len(b):
-                wp.b[p]  # past the declared horizon: raises HorizonError
-            mass *= b[p]
-        if mass:
-            masses[c] = mass
     return _normalized(masses)
 
 

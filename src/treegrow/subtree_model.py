@@ -10,10 +10,11 @@ offspring weights are the elementary symmetric functions of theta.
 the j-th inserted letter of an independent insertion ordering of u; it
 applies no shuffle, and the subtrees it grows are nested.
 
-The shuffle calculus (per-vertex injective position maps, their inverses
-and push-forwards) and an exact verifier for shuffling rules that leave
-product-decorated tree laws invariant stay as the check of a lemma the
-chain does not call: its embedding is the shuffled, unpacked plane tree.
+The shuffle calculus (per-vertex injective position maps and the push
+forward of decorations along them) and an exact verifier for shuffling
+rules that leave product-decorated tree laws invariant stay as the check
+of a lemma the chain does not call, run by the CLI's shuffle-invariance
+suite: the chain's embedding is the shuffled, unpacked plane tree.
 """
 
 from __future__ import annotations
@@ -69,18 +70,6 @@ def apply_shuffle(tau: RootedSubtree, g: Shuffle) -> RootedSubtree:
     return RootedSubtree(_image_map(tau, g).values())
 
 
-def inverse_shuffle(g: Shuffle, tau: RootedSubtree) -> Shuffle:
-    """The unique shuffle over ``g . tau`` undoing ``g`` vertex by vertex."""
-    _check_shuffle(tau, g)
-    image = _image_map(tau, g)
-    return {image[u]: {i2: i1 for i1, i2 in g[u].items()} for u in tau.vertices}
-
-
-def pointwise_inverse(g: Shuffle) -> Shuffle:
-    """Invert each per-vertex map in place (still indexed by the source tree)."""
-    return {u: {i2: i1 for i1, i2 in gu.items()} for u, gu in g.items()}
-
-
 def push_forward(g: Shuffle, tau: RootedSubtree, x: Mapping[Word, object]) -> Dict[Word, object]:
     """Transport a per-vertex tuple along the relabelling induced by ``g``."""
     _check_shuffle(tau, g)
@@ -123,16 +112,6 @@ def bij_P_inv(tree: PlaneTree, decorations: Mapping[Word, Iterable[int]]) -> Roo
 
 # ---------------------------------------------------------------------------
 # type weights and the nested coupling of subsets
-
-
-def elementary_symmetric(values: Sequence) -> List[Fraction]:
-    """Elementary symmetric functions e_0..e_n of the n given values."""
-    vals = [as_fraction(v) for v in values]
-    e = [ONE] + [ZERO] * len(vals)
-    for size, v in enumerate(vals, 1):
-        for k in range(size, 0, -1):
-            e[k] += v * e[k - 1]
-    return e
 
 
 class SummableTheta:
@@ -326,14 +305,6 @@ def subtree_grow_chain(theta, N: int, seed: int,
 # decoration-dependent shuffling rules and their invariance
 
 
-def _all_permutation_collections(tree: PlaneTree):
-    """Every grading-compatible collection of per-vertex permutations of the tree."""
-    vertices = tree.sorted_vertices()
-    choices = [list(itertools.permutations(range(1, tree.children_count(u) + 1))) for u in vertices]
-    for combo in itertools.product(*choices):
-        yield {u: {j + 1: perm[j] for j in range(len(perm))} for u, perm in zip(vertices, combo)}
-
-
 def _rule_collection(rule, tree: PlaneTree, x: Mapping[Word, object]) -> Shuffle:
     out: Shuffle = {}
     for u in tree.vertices:
@@ -343,39 +314,6 @@ def _rule_collection(rule, tree: PlaneTree, x: Mapping[Word, object]) -> Shuffle
             raise DomainError(f"rule returned {perm} at a vertex with {k} children")
         out[u] = {j + 1: perm[j] for j in range(k)}
     return out
-
-
-def check_equivariance(rule, instances) -> CheckReport:
-    """Exhaustively test a shuffling rule for equivariance and reversibility.
-
-    For every supplied (tree, decorations) instance and every collection
-    of per-vertex permutations pi, the rule evaluated on the permuted
-    decorated tree must be the push-forward of the rule on the original;
-    additionally the shuffle produced by the rule must be undone by the
-    rule evaluated on its own output.
-    """
-    report = CheckReport(name="equivariance")
-    for tree, x in instances:
-        sigma = _rule_collection(rule, tree, x)
-        for pi in _all_permutation_collections(tree):
-            permuted_tree = PlaneTree(apply_shuffle(tree, pi).vertices)
-            permuted_x = push_forward(pi, tree, x)
-            lhs = _rule_collection(rule, permuted_tree, permuted_x)
-            rhs = push_forward(pi, tree, sigma)
-            report.record(lhs == rhs, instance=repr(tree), check="rule-commutes-with-relabelling")
-        # reversibility through the rule on the shuffled output
-        shuffled_tree = PlaneTree(apply_shuffle(tree, sigma).vertices)
-        shuffled_x = push_forward(sigma, tree, x)
-        sigma_back = _rule_collection(rule, shuffled_tree, shuffled_x)
-        inv = inverse_shuffle(sigma, tree)
-        report.record(pointwise_inverse(sigma_back) == inv,
-                      instance=repr(tree), check="reverse-shuffle-identity")
-        back_tree = apply_shuffle(shuffled_tree, pointwise_inverse(sigma_back))
-        report.record(back_tree.vertices == tree.vertices, instance=repr(tree),
-                      check="unshuffle-restores-tree")
-        back_x = push_forward(pointwise_inverse(sigma_back), shuffled_tree, shuffled_x)
-        report.record(back_x == dict(x), instance=repr(tree), check="unshuffle-restores-decorations")
-    return report
 
 
 def shuffle_invariance_check(w, decoration_law: Mapping[object, Fraction], rule, n_max: int) -> CheckReport:

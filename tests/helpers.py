@@ -1,4 +1,9 @@
-"""Bulk exact-threshold trajectory sampling for the statistical batteries.
+"""Test oracles, views and checkers, and bulk exact-threshold trajectory sampling.
+
+The oracles, views and checkers here are read only by the tests: brute-force
+laws and masses, covering moves and shifts of compositions, composition
+kernel rows as Fractions, elementary symmetric functions, inverse shuffles
+and the equivariance checker of shuffling rules.
 
 The growth chains live on enumerable state spaces at desk scale, so their
 one-step kernels can be materialized exactly and trajectories sampled in
@@ -15,18 +20,162 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from typing import Dict, FrozenSet
+from typing import Dict, FrozenSet, List, Sequence
 
 import numpy as np
 
-from treegrow.compositions import CheckReport, PairTables, WeightPair, composition_kernel, iter_compositions
+from treegrow.compositions import (ONE, PLAIN, ZERO, ArithClass, CheckReport, Composition, PairTables, WeightPair,
+                                   apply_move, as_fraction, cleared, iter_compositions)
 from treegrow.errors import DomainError, NotCoupleable, ParseError, TreegrowError, ZeroMassError
-from treegrow.oracle import InterchangeReport, enumerate_plane_trees, enumerate_subtrees, tree_mass
+from treegrow.oracle import InterchangeReport, _normalized, enumerate_plane_trees, enumerate_subtrees
 from treegrow.sgtrees import WeightSequence, compute_tables, growth_kernel
-from treegrow.subtree_model import (SubtreeChain, apply_shuffle, bij_P_inv, nested_coupling_law,
-                                    push_forward, sigma_rule)
-from treegrow.treespace import (ROOT, PlaneTree, child_count_word, format_tree, from_child_count_word,
-                                is_bouquet_addition, is_right_leaning_leaf_addition, parse_tree, word_to_text)
+from treegrow.subtree_model import (Shuffle, SubtreeChain, _check_shuffle, _image_map, _rule_collection,
+                                    apply_shuffle, bij_P_inv, nested_coupling_law, push_forward, sigma_rule)
+from treegrow.treespace import (ROOT, PlaneTree, RootedSubtree, child_count_word, format_tree,
+                                from_child_count_word, is_bouquet_addition, is_right_leaning_leaf_addition,
+                                parse_tree, word_to_text)
+
+
+def covering_successors(c: Composition, d: int = 1) -> List[Composition]:
+    """All compositions covering ``c``: one part incremented by d, or d parts 1 appended."""
+    if d < 1:
+        raise DomainError("d must be >= 1")
+    out = [c[:j] + (c[j] + d,) + c[j + 1:] for j in range(len(c))]
+    out.append(c + (1,) * d)
+    return out
+
+
+def satisfies_arith(c: Composition, cls: ArithClass) -> bool:
+    """True iff the part count is s mod d and every part is 1 mod d."""
+    if len(c) % cls.d != cls.s:
+        return False
+    return all(p % cls.d == 1 % cls.d for p in c)
+
+
+def shift(wp: WeightPair, ell: int, cls: ArithClass = PLAIN) -> WeightPair:
+    """Drop the first ``ell`` count weights, keeping the part weights.
+
+    Fails if the shifted pair is degenerate for the correspondingly
+    shifted arithmetic class.
+    """
+    if ell < 0:
+        raise DomainError("shift must be non-negative")
+    if ell == 0:
+        return wp
+    shifted = WeightPair(wp.a.entries[ell:], wp.b.entries[1:])
+    new_cls = ArithClass(cls.d, (cls.s - ell) % cls.d)
+    shifted.check_nondegenerate(new_cls)
+    return shifted
+
+
+def composition_kernel(tables: PairTables, c: Composition) -> Dict[Composition, Fraction]:
+    """Exact one-step law on compositions of ``sum(c) + d`` given the current composition c.
+
+    The tables must reach total ``sum(c) + d``; share one ``PairTables``
+    across the rows of a pair.
+    """
+    cls = tables.cls
+    if not satisfies_arith(c, cls):
+        raise DomainError(f"composition {c} violates the (d={cls.d}, s={cls.s}) condition")
+    return {apply_move(c, move, tables.d): Fraction(*p) for move, p in tables.kernel_row(sum(c), c).items()}
+
+
+def comp_law(wp: WeightPair, n: int, cls: ArithClass = PLAIN) -> Dict[Composition, Fraction]:
+    """Composition law from raw products; a part weight past the horizon of ``wp.b`` raises HorizonError.
+
+    The count weights are cleared by ``La`` and each part weight ``b_p`` by
+    ``Lb^p``, so every composition of n carries the scale ``La Lb^n``.
+    """
+    _, a = cleared(wp.a.entries)
+    lb, b = cleared(wp.b.entries[1:])
+    b = [0] + [v * lb ** (p - 1) for p, v in enumerate(b, 1)]
+    masses = {}
+    for c in iter_compositions(n, cls):
+        mass = a[len(c)] if len(c) < len(a) else 0
+        for p in c:
+            if not mass:
+                break
+            if p >= len(b):
+                wp.b[p]  # past the declared horizon: raises HorizonError
+            mass *= b[p]
+        if mass:
+            masses[c] = mass
+    return _normalized(masses)
+
+
+def tree_mass(w, tree: PlaneTree):
+    """The product of ``w_k`` over the vertices, k the vertex's child count.
+
+    ``w`` is a ``WeightSequence`` or the integer list of ``cleared_weights``.
+    Every child count is read, past a zero weight too, so a tree that reads
+    ``w`` past a declared horizon fails whatever the order of its vertices.
+    """
+    return math.prod(map(w.__getitem__, child_count_word(tree)))
+
+
+def inverse_shuffle(g: Shuffle, tau: RootedSubtree) -> Shuffle:
+    """The unique shuffle over ``g . tau`` undoing ``g`` vertex by vertex."""
+    _check_shuffle(tau, g)
+    image = _image_map(tau, g)
+    return {image[u]: {i2: i1 for i1, i2 in g[u].items()} for u in tau.vertices}
+
+
+def pointwise_inverse(g: Shuffle) -> Shuffle:
+    """Invert each per-vertex map in place (still indexed by the source tree)."""
+    return {u: {i2: i1 for i1, i2 in gu.items()} for u, gu in g.items()}
+
+
+def elementary_symmetric(values: Sequence) -> List[Fraction]:
+    """Elementary symmetric functions e_0..e_n of the n given values."""
+    vals = [as_fraction(v) for v in values]
+    e = [ONE] + [ZERO] * len(vals)
+    for size, v in enumerate(vals, 1):
+        for k in range(size, 0, -1):
+            e[k] += v * e[k - 1]
+    return e
+
+
+def _all_permutation_collections(tree: PlaneTree):
+    """Every grading-compatible collection of per-vertex permutations of the tree."""
+    vertices = tree.sorted_vertices()
+    choices = [list(itertools.permutations(range(1, tree.children_count(u) + 1))) for u in vertices]
+    for combo in itertools.product(*choices):
+        yield {u: {j + 1: perm[j] for j in range(len(perm))} for u, perm in zip(vertices, combo)}
+
+
+def check_equivariance(rule, instances) -> CheckReport:
+    """Exhaustively test a shuffling rule for equivariance and reversibility.
+
+    For every supplied (tree, decorations) instance and every collection
+    of per-vertex permutations pi, the rule evaluated on the permuted
+    decorated tree must be the push-forward of the rule on the original;
+    additionally the shuffle produced by the rule must be undone by the
+    rule evaluated on its own output.
+    """
+    report = CheckReport(name="equivariance")
+    for tree, x in instances:
+        sigma = _rule_collection(rule, tree, x)
+        for pi in _all_permutation_collections(tree):
+            permuted_tree = PlaneTree(apply_shuffle(tree, pi).vertices)
+            permuted_x = push_forward(pi, tree, x)
+            lhs = _rule_collection(rule, permuted_tree, permuted_x)
+            rhs = push_forward(pi, tree, sigma)
+            report.record(lhs == rhs, instance=repr(tree), check="rule-commutes-with-relabelling")
+        # reversibility through the rule on the shuffled output
+        shuffled_tree = PlaneTree(apply_shuffle(tree, sigma).vertices)
+        shuffled_x = push_forward(sigma, tree, x)
+        sigma_back = _rule_collection(rule, shuffled_tree, shuffled_x)
+        inv = inverse_shuffle(sigma, tree)
+        report.record(pointwise_inverse(sigma_back) == inv,
+                      instance=repr(tree), check="reverse-shuffle-identity")
+        back_tree = apply_shuffle(shuffled_tree, pointwise_inverse(sigma_back))
+        report.record(back_tree.vertices == tree.vertices, instance=repr(tree),
+                      check="unshuffle-restores-tree")
+        back_x = push_forward(pointwise_inverse(sigma_back), shuffled_tree, shuffled_x)
+        report.record(back_x == dict(x), instance=repr(tree), check="unshuffle-restores-decorations")
+    return report
+
+
 
 
 def random_subtree(rng, n_max=5, positions=(1, 2, 3)):
@@ -355,7 +504,7 @@ class LevelKernels:
         self.states = {}
         self.index = {}
         for n in self.levels:
-            trees = [t for t in enumerate_plane_trees(n, d, max_n=n_max)
+            trees = [t for t in enumerate_plane_trees(n, d)
                      if all(w[t.children_count(u)] != 0 for u in t.vertices)]
             trees.sort(key=lambda t: sorted(t.vertices))
             self.states[n] = trees

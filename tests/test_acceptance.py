@@ -15,16 +15,17 @@ import numpy as np
 import helpers
 from treegrow._rand import derive_rng
 from treegrow.cli import main as cli_main
-from treegrow.compositions import ArithClass, PairTables, shift
+from treegrow.compositions import ArithClass, PairTables
 from treegrow.oracle import (enumerate_plane_trees, enumerate_subtrees, goodness_of_fit,
                              janson_expectations, sg_law, st_law, subset_law, tv_distance)
 from treegrow.sgtrees import (GrowthChain, WeightSequence, check_ratio_chain, check_tp2_array,
                               compute_tables, growth_kernel, is_log_concave)
 from treegrow.subtree_model import (SubtreeChain, SummableTheta, apply_shuffle, bij_P, bij_P_inv,
-                                    check_equivariance, inverse_shuffle, nested_coupling_law,
-                                    nested_thresholds, pointwise_inverse, push_forward,
+                                    nested_coupling_law, nested_thresholds, push_forward,
                                     sigma_rule, shuffle_invariance_check)
 from treegrow.treespace import is_bouquet_addition, is_right_leaning_leaf_addition
+
+from helpers import check_equivariance, inverse_shuffle, pointwise_inverse, shift
 
 
 def report(number, ok, detail):
@@ -218,7 +219,7 @@ def test_c08_subtree_model_exactness():
     tables = compute_tables(w, 1, N=6)
     for n in range(1, 7):
         total = F(0)
-        for tau in enumerate_subtrees(n, positions=theta.support, max_n=7):
+        for tau in enumerate_subtrees(n, positions=theta.support):
             m = F(1)
             for u in tau.vertices:
                 if u:

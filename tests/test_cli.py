@@ -15,7 +15,7 @@ import treegrow.sgtrees
 from treegrow.cli import GROW_CAP, STATS_SAMPLES_CAP, exact_text, main, validate_trace
 from treegrow.compositions import as_fraction
 from treegrow.errors import DomainError, ParseError, ZeroMassError
-from treegrow.oracle import sg_law
+from treegrow.oracle import SUBTREE_POSITION_CAP, sg_law
 from treegrow.sgtrees import WeightSequence, check_ratio_chain, compute_tables
 from treegrow.treespace import ROOT, RootedSubtree
 
@@ -328,6 +328,20 @@ class TestErrorBoundary:
         code = run("verify", "--suite", "stats", *model, "--samples", str(STATS_SAMPLES_CAP + 1))
         assert self.assert_one_line_error(capsys, code) == \
             f"error: --samples {STATS_SAMPLES_CAP + 1} is above the cap {STATS_SAMPLES_CAP} of the stats suite"
+
+    @pytest.mark.parametrize("argv, line", [
+        (["verify", "--suite", "stats", "--theta", "1,1,1,1"],
+         f"error: --theta has support 4, above the cap {SUBTREE_POSITION_CAP} of the stats suite"),
+        (["enumerate", "--subtrees", "4", "--dmax", "4"],
+         f"error: --dmax 4 is above the cap {SUBTREE_POSITION_CAP} of enumerate --subtrees"),
+    ], ids=["stats-theta", "enumerate-dmax"])
+    def test_subtree_positions_above_cap_refused(self, argv, line, monkeypatch, capsys):
+        def nothing_enumerated(*args, **kwargs):
+            raise AssertionError("subtrees were enumerated over a refused position set")
+
+        for name in ("enumerate_subtrees", "st_law"):
+            monkeypatch.setattr(treegrow.cli, name, nothing_enumerated)
+        assert self.assert_one_line_error(capsys, run(*argv)) == line
 
     @pytest.mark.parametrize("argv, message", [
         (["grow", "--n", "5"], "--model is required"),

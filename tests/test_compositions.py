@@ -13,12 +13,13 @@ import treegrow.compositions
 from treegrow._rand import derive_rng
 from treegrow.compositions import (PLAIN, ArithClass, CheckReport, PairTables, WeightPair,
                                    apply_move, as_fraction, check_admissibility_inequalities,
-                                   check_ratio_chain, composition_kernel, covering_successors,
-                                   iter_compositions, move_rows, peel_partition_values,
-                                   sample_composition_chain, satisfies_arith, shift)
+                                   check_ratio_chain, iter_compositions, move_rows, peel_partition_values,
+                                   sample_composition_chain)
 from treegrow.errors import DomainError, HorizonError, NotCoupleable, ZeroMassError
-from treegrow.oracle import GofReport, InterchangeReport, comp_law, tv_distance
+from treegrow.oracle import GofReport, InterchangeReport, tv_distance
 from treegrow.sgtrees import LogConcavity, WeightSequence, compute_tables, is_log_concave
+
+from helpers import comp_law, composition_kernel, covering_successors, satisfies_arith, shift
 
 ONES = [F(1)] * 14
 

@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 import helpers
 from treegrow.compositions import ArithClass, WeightPair, iter_compositions
 from treegrow.errors import DomainError, HorizonError, ZeroMassError
-from treegrow.oracle import (_chi2_tail, _plane_words, comp_law, enumerate_plane_trees, enumerate_subtrees,
+from treegrow.oracle import (_chi2_tail, _plane_words, enumerate_plane_trees, enumerate_subtrees,
                              goodness_of_fit, janson_expectations, kernel_interchange_check, sg_law, sg_masses,
-                             sg_word_masses, st_law, subset_law, tree_mass, tv_distance)
+                             sg_word_masses, st_law, subset_law, tv_distance)
 from treegrow.sgtrees import WeightSequence, compute_tables, growth_word_row
 from treegrow.treespace import ROOT, PlaneTree, child_count_word, format_tree, from_child_count_word
+
+from helpers import comp_law, tree_mass
 
 
 def catalan(k):
@@ -51,7 +53,9 @@ class TestEnumeration:
         ({"n": 0, "dmax": 2}, "subtrees have at least one vertex"),
         ({"n": 3}, "pass dmax or an explicit position set"),
         ({"n": 3, "positions": [2, 0]}, "positions must be positive"),
-    ], ids=["no-vertex", "no-positions", "position-0"])
+        ({"n": 8, "dmax": 2}, "enumerating subtrees of size 8 exceeds the cap 7"),
+        ({"n": 2, "dmax": 4}, "enumerating subtrees over 4 positions exceeds the cap 3"),
+    ], ids=["no-vertex", "no-positions", "position-0", "size-cap", "position-cap"])
     def test_subtree_enumeration_refusals(self, kwargs, message):
         with pytest.raises(DomainError, match=message):
             enumerate_subtrees(**kwargs)
@@ -116,7 +120,7 @@ class TestEnumeration:
         # offspring weights e(1,1) = (1, 2, 1)
         tables = compute_tables(WeightSequence([1, 2, 1]), 1, N=7)
         for n in range(1, 8):
-            count = len(enumerate_subtrees(n, dmax=2, max_n=7))
+            count = len(enumerate_subtrees(n, dmax=2))
             assert tables.b_value(n) == count
 
     def test_plane_counts_match_tree_masses(self):

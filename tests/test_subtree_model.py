@@ -12,14 +12,13 @@ from treegrow.oracle import (enumerate_plane_trees, enumerate_subtrees, sg_law, 
                              tv_distance)
 from treegrow.sgtrees import WeightSequence, compute_tables, is_log_concave
 from treegrow.subtree_model import (SubtreeChain, SummableTheta, apply_shuffle, bij_P, bij_P_inv,
-                                    check_equivariance, coerce_theta, elementary_symmetric, inverse_shuffle,
-                                    nested_coupling_law,
-                                    nested_subset_coupling, nested_thresholds, pointwise_inverse,
-                                    push_forward, sigma_rule, shuffle_invariance_check,
+                                    coerce_theta, nested_coupling_law, nested_subset_coupling,
+                                    nested_thresholds, push_forward, sigma_rule, shuffle_invariance_check,
                                     subtree_grow_chain)
 from treegrow.treespace import PlaneTree, RootedSubtree
 
-from helpers import literal_image, naive_subtree_chain, random_shuffle_for, random_subtree
+from helpers import (check_equivariance, elementary_symmetric, inverse_shuffle, literal_image,
+                     naive_subtree_chain, pointwise_inverse, random_shuffle_for, random_subtree)
 
 
 class TestShuffleGroupoid:
@@ -341,7 +340,7 @@ class TestStDistribution:
         tables = compute_tables(WeightSequence(theta.e), 1, N=6)
         for n in range(1, 7):
             total = F(0)
-            for tau in enumerate_subtrees(n, positions=theta.support, max_n=7):
+            for tau in enumerate_subtrees(n, positions=theta.support):
                 mass = F(1)
                 for u in tau.vertices:
                     if u:
@@ -429,6 +428,8 @@ class TestSubtreeChain:
 
     def test_chains_of_one_theta_share_its_preparation(self, monkeypatch):
         # type weights given as a list are prepared once, not once per chain
+        theta = ["5/7", "2/9", "1/11"]
+        tables = compute_tables(WeightSequence(SummableTheta(theta).e), 1, N=6)
         built = []
         init = SummableTheta.__init__
 
@@ -437,8 +438,6 @@ class TestSubtreeChain:
             init(self, values)
 
         monkeypatch.setattr(SummableTheta, "__init__", counting)
-        theta = ["5/7", "2/9", "1/11"]
-        tables = compute_tables(WeightSequence(elementary_symmetric(theta)), 1, N=6)
         for seed in range(100):
             chain = SubtreeChain(theta, horizon=6, seed=seed, tables=tables)
             while chain.n < 6:
