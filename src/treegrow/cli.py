@@ -29,10 +29,12 @@ from .treespace import (GrowingText, Word, adds_bouquet, format_tree, parse_tree
                         word_from_text, word_to_text)
 
 # --n-max caps not set by the enumeration caps of oracle.  On a 2-CPU Xeon:
-# tp2 peels the forest arrays and decides each pair of their rows by one scan
-# of neighbouring columns, O(n^3) integer products in all (n-max 120 takes
-# 0.16-0.22 s for w = 1,3,3,1 and 1 x 8 and 0.29 s for 1/2,1/3,1/7, in
-# process with the peel); a pair that fails the scan lists each failing
+# tp2 peels the forest arrays, O(n^3) integer products, and decides each
+# array by O(n^2) column comparisons, the scans of its adjacent rows, when
+# those pass, as for log-concave weights (in process with the peel, medians
+# of 7: 0.4-0.8 ms at n-max 24 and 31-35 ms at 120 for w = 1,3,3,1 and
+# 1 x 8, 0.5-0.6 and 51-57 ms for 1/2,1/3,1/7); otherwise every pair of rows
+# is scanned, and a pair that fails lists each failing
 # minor, O(n^4) of them for weights far from log-concave (w = 1,1/1000,0,0,1
 # lists 35,370, a 15 MB report, in 0.67 s at 40 and 161,238, 104 MB, in 4.5 s
 # at 60), so weights whose w_0, w_d, ... is not log-concave keep the cap 40.
@@ -586,8 +588,11 @@ def cmd_enumerate(args) -> int:
     listing = next((key for key in LISTINGS if getattr(args, key) is not None), None)
     if listing is None:
         raise ParseError("pass --plane-trees or --subtrees")
-    _refuse_unread(vars(args), LISTINGS[listing] | {listing}, f"enumerate {_flag_name(listing)}")
-    size = getattr(args, listing)
+    flag, size = _flag_name(listing), getattr(args, listing)
+    _refuse_unread(vars(args), LISTINGS[listing] | {listing}, f"enumerate {flag}")
+    cap = SUBTREE_CAP if listing == "subtrees" else PLANE_TREE_CAP
+    if size > cap:
+        raise HorizonError(f"{flag} {size} is above the cap {cap} of enumerate {flag}")
     if listing == "subtrees":
         dmax = _given(args.dmax, 2)
         if dmax > SUBTREE_POSITION_CAP:

@@ -276,16 +276,33 @@ def peel_partition_values(a: Sequence[int], T: int, b: Optional[Callable[[int], 
     unless ``t = s - ell (mod d)``, so at each total only the shifts of
     that class run the sum and the others stay 0; at d = 1 every shift runs.
 
+    A composition with k parts has a total of at least k, so ``Z_ell(t) = 0``
+    below the least part count k with ``a_{ell+k} != 0``.  The slice over
+    ``Z_{ell+1}`` stops there, and runs to the bottom when that count is
+    below d, where its class holds no lower total: at every shift when
+    ``a_s, a_{s+d}, ...`` are positive up to the last, as for the trees a
+    chain grows (``w_0 > 0``, log-concave).  The forest arrays' count
+    weights ``[0] * T + [1]`` are the other end, where it cuts about two
+    thirds of the products, all ``0 * x``.
+
     Each list ``sums[ell]`` given, of length T + 1, keeps at index t the
-    running sums of that sum, cut at the last point with mass: the list
-    ``first_part_sums(ell, t)`` hands out.  Totals that run no sum keep
-    what the list held.
+    running sums of that sum, cut at the last point with mass (``[0]`` at
+    a total with none): the list ``first_part_sums(ell, t)`` hands out.
+    Totals that run no sum keep what the list held.
     """
     r = len(a)
     support = [ell for ell in range(r) if a[ell]]
     s = support[0] % d if support else 0
     if any((ell - s) % d for ell in support):
         raise DomainError(f"count weights must lie on one residue class mod {d}, got support {support}")
+    stops: List[Optional[int]] = [T] * r  # T, an empty slice, where no count weight lies above the shift
+    above = None  # the least index past ell with a non-zero count weight
+    for ell in range(r - 2, -1, -1):
+        if a[ell + 1]:
+            above = ell + 1
+        if above is not None:
+            k = above - ell - 1  # the least part count of shift ell + 1
+            stops[ell] = k - 1 if k >= d else None
     z: List[List[int]] = [[0] * (T + 1) for _ in range(r)]
     for ell in range(s, r, d):
         z[ell][0] = a[ell]
@@ -298,9 +315,9 @@ def peel_partition_values(a: Sequence[int], T: int, b: Optional[Callable[[int], 
         else:
             bs.append(bt)
         for ell in range((s - t) % d, r - 1, d):
-            masses = map(mul, bs, z[ell + 1][t - 1::-d])
+            masses = map(mul, bs, z[ell + 1][t - 1:stops[ell]:-d])
             if ell < len(sums):
-                running = list(accumulate(masses))
+                running = list(accumulate(masses)) or [0]
                 while len(running) > 1 and running[-2] == running[-1]:
                     running.pop()
                 sums[ell][t] = running

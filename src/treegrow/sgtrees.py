@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ._rand import bernoulli
 from .compositions import (CheckReport, FrozenRecord, PartitionKernel, WeightSequence, as_fraction, cleared,
@@ -166,6 +166,64 @@ def ratios_rise(x: List[int], y: List[int], low: int) -> bool:
     return True
 
 
+def adjacent_rows_decide(F: List[List[int]], low: int) -> bool:
+    """Whether the non-negative array ``F`` is a double staircase whose adjacent rows all pass ``ratios_rise``.
+
+    From row and column ``low`` on, the positive entries of each row n
+    must form a non-empty interval ``[l_n, e_n]`` with both ends
+    non-decreasing in n.  On such a staircase, adjacent rows that pass
+    make every minor with ``low <= n <= n2`` and ``low <= k <= k2``
+    non-negative.  ``ratios_rise`` on the rows
+    n < n2 reads the window ``[l_{n2}, e_n]``, and nothing when it is
+    empty.  Every row m between them has ``l_m <= l_{n2}`` and
+    ``e_m >= e_n``, so is positive on the window; the scan of each
+    adjacent pair (m, m + 1) reads the window ``[l_{m+1}, e_m]``, which
+    holds it, so there ``F[m + 1][k] / F[m][k]`` does not decrease in k.
+    The product of these ratios over n <= m < n2 is ``F[n2][k] / F[n][k]``,
+    a product of positive non-decreasing functions, so it does not
+    decrease either, and the pair passes.  Off the staircase (a row with
+    no positive entry, a zero inside a row, an end that moves left) the
+    answer is False and every pair is scanned: a row with no positive
+    entry between two others hides a falling pair from both its scans.
+    """
+    rows = F[low:]
+    ends = []
+    for row in rows:
+        support = [k for k in range(low, len(row)) if row[k]]
+        if not support or support[-1] - support[0] + 1 != len(support):
+            return False
+        ends.append((support[0], support[-1]))
+    if any(l2 < l1 or e2 < e1 for (l1, e1), (l2, e2) in zip(ends, ends[1:])):
+        return False
+    return all(ratios_rise(x, y, low) for x, y in zip(rows, rows[1:]))
+
+
+def failing_minors(F: List[List[int]], low: int) -> Iterator[Tuple[int, int, int, int, int, int]]:
+    """The minors of ``F`` that fail, as ``(n, n2, k, k2, lhs, rhs)`` with ``lhs < rhs``.
+
+    The minor at ``low <= n <= n2`` and ``low <= k <= k2`` compares
+    ``lhs = F[n][k] F[n2][k2]`` with ``rhs = F[n][k2] F[n2][k]``; the
+    failures come in row-major order of ``(n, n2, k, k2)``.  An array that
+    ``adjacent_rows_decide`` accepts has none; otherwise each row pair is
+    decided by one ``ratios_rise`` scan, and only a pair that fails it
+    compares its minors one by one.
+    """
+    if adjacent_rows_decide(F, low):
+        return
+    for n in range(low, len(F)):
+        row = F[n]
+        for n2 in range(n, len(F)):
+            row2 = F[n2]
+            if ratios_rise(row, row2, low):
+                continue
+            for k in range(low, len(row)):
+                a, c = row[k], row2[k]
+                for k2 in range(k, len(row)):
+                    lhs, rhs = a * row2[k2], row[k2] * c
+                    if lhs < rhs:
+                        yield n, n2, k, k2, lhs, rhs
+
+
 def check_tp2_array(tables: PartitionTables) -> CheckReport:
     """Exactly verify all 2x2 minors of the forest arrays are non-negative.
 
@@ -175,39 +233,31 @@ def check_tp2_array(tables: PartitionTables) -> CheckReport:
     ``F_s(n, k) = f(nd + s, kd + s)``; rows and columns run over 1..N when
     d = 1 and over 0..N otherwise, N the largest the vertex horizon allows.
     Both products of the minor at rows n, n2 carry the scale
-    ``L^((n + n2) d + 2s)``, so they are compared as integers.  Each row
-    pair is decided by one ``ratios_rise`` scan; only a pair that fails it
-    compares its minors one by one, and a failing minor reports both sides
-    divided by the scale.  ``checked`` counts every minor so decided.
+    ``L^((n + n2) d + 2s)``, so they are compared as integers.  Since every
+    tree size 1 mod d carries mass, each array is a double staircase, and
+    when its adjacent rows pass their ``ratios_rise`` scans
+    (``adjacent_rows_decide``), every row pair does: O(N^2) column
+    comparisons decide the array.  Otherwise ``failing_minors`` scans every
+    row pair, and a failing minor reports both sides divided by the scale.
+    ``checked`` counts every minor so decided.
     """
     report = CheckReport(name="tp2-array")
     d = tables.d
     top = (tables.N - 1) // d
     low = 1 if d == 1 else 0
-    cols = range(low, top + 1)
-    minors_per_row_pair = len(cols) * (len(cols) + 1) // 2
+    size = top + 1 - low
+    minors_per_array = (size * (size + 1) // 2) ** 2
     T = top * d + d - 1
     b = tables._b + [0] * d  # T passes the horizon only at sizes off 1 mod d, where no tree has mass
     z = peel_partition_values([0] * T + [1], T, b.__getitem__, d)
     for s in range(d):
         F = [[z[T - k * d - s][n * d + s] for k in range(top + 1)] for n in range(top + 1)]
         where = {"s": s} if d > 1 else {}
-        for n in cols:
-            row = F[n]
-            for n2 in range(n, top + 1):
-                row2 = F[n2]
-                report.checked += minors_per_row_pair
-                if ratios_rise(row, row2, low):
-                    continue
-                for k in cols:
-                    a, c = row[k], row2[k]
-                    for k2 in range(k, top + 1):
-                        lhs, rhs = a * row2[k2], row[k2] * c
-                        if lhs < rhs:
-                            scale = tables.b_scale ** ((n + n2) * d + 2 * s)
-                            report.failures.append({**where, "n": n, "n2": n2, "k": k, "k2": k2,
-                                                    "lhs": str(Fraction(lhs, scale)),
-                                                    "rhs": str(Fraction(rhs, scale))})
+        report.checked += minors_per_array
+        for n, n2, k, k2, lhs, rhs in failing_minors(F, low):
+            scale = tables.b_scale ** ((n + n2) * d + 2 * s)
+            report.failures.append({**where, "n": n, "n2": n2, "k": k, "k2": k2,
+                                    "lhs": str(Fraction(lhs, scale)), "rhs": str(Fraction(rhs, scale))})
     return report
 
 

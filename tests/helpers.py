@@ -16,6 +16,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -264,12 +265,52 @@ def tp2_brute_force(tables):
     report = CheckReport(name="tp2-array")
     for s in range(d):
         where = {"s": s} if d > 1 else {}
-        for n, n2, k, k2 in itertools.product(range(low, top + 1), repeat=4):
-            if n <= n2 and k <= k2:
-                lhs = f[n * d + s][k * d + s] * f[n2 * d + s][k2 * d + s]
-                rhs = f[n * d + s][k2 * d + s] * f[n2 * d + s][k * d + s]
-                report.record(lhs >= rhs, **where, n=n, n2=n2, k=k, k2=k2, lhs=lhs, rhs=rhs)
+        F = [[f[n * d + s][k * d + s] for k in range(top + 1)] for n in range(top + 1)]
+        for n, n2, k, k2, lhs, rhs in array_minors(F, low):
+            report.record(lhs >= rhs, **where, n=n, n2=n2, k=k, k2=k2, lhs=lhs, rhs=rhs)
     return report.as_dict()
+
+
+def array_minors(F, low):
+    """Every minor of an array with ``low <= n <= n2`` and ``low <= k <= k2``, as ``(n, n2, k, k2, lhs, rhs)``.
+
+    ``lhs = F[n][k] F[n2][k2]`` and ``rhs = F[n][k2] F[n2][k]``, in
+    row-major order of ``(n, n2, k, k2)``: the brute force behind
+    ``sgtrees.failing_minors``, which yields those with ``lhs < rhs``.
+    """
+    for n in range(low, len(F)):
+        for n2 in range(n, len(F)):
+            for k in range(low, len(F[n])):
+                for k2 in range(k, len(F[n])):
+                    yield n, n2, k, k2, F[n][k] * F[n2][k2], F[n][k2] * F[n2][k]
+
+
+def unbounded_peel(a, T, b, d, sums=()):
+    """``compositions.peel_partition_values`` with every slice run to the bottom, without its refusals.
+
+    The reference for the slices that stop at the least part count: each
+    sum over ``Z_{ell+1}(t - 1), Z_{ell+1}(t - 1 - d), ...`` reaches total
+    0 or below, zeros included, and each kept list is cut at its last
+    point with mass.
+    """
+    r = len(a)
+    support = [ell for ell in range(r) if a[ell]]
+    s = support[0] % d if support else 0
+    z = [[0] * (T + 1) for _ in range(r)]
+    for ell in range(s, r, d):
+        z[ell][0] = a[ell]
+    bs = []
+    for t in range(1, T + 1):
+        if (t - 1) % d == 0:
+            bs.append(z[0][t - 1] if b is None else b(t))
+        for ell in range((s - t) % d, r - 1, d):
+            running = list(itertools.accumulate(map(operator.mul, bs, z[ell + 1][t - 1::-d])))
+            while len(running) > 1 and running[-2] == running[-1]:
+                running.pop()
+            if ell < len(sums):
+                sums[ell][t] = running
+            z[ell][t] = running[-1]
+    return z
 
 
 def running_sums(masses):

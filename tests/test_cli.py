@@ -139,8 +139,10 @@ def test_golden_trace(case, tmp_path, capsys):
 # (verify flags, exit code, SHA-256 of stdout) pinned from the implementation that compared
 # Fraction minors and normalized Fraction tree masses: the four verify-exact benchmark configs,
 # tp2 runs that fail (so failure order and both exact sides are pinned) and the tables suite
-# on fractional weights.  The CI smoke step also checks the tp2-1131, ratio-chain-10201 and
-# kernel-interchange-1111 digests on the installed script; re-pin a digest in both places.
+# on fractional weights.  tp2-1331-120 (at the cap) and tp2-10201-d2-60, which the arrays'
+# adjacent rows decide, were pinned from the scan of every row pair.  The CI smoke step also checks
+# the tp2-1131, tp2-1331-120, ratio-chain-10201 and kernel-interchange-1111 digests on the
+# installed script; re-pin a digest in both places.
 GOLDEN_VERIFY = {
     "kernel-interchange-1111": (["--suite", "kernel-interchange", "--w", "1,1,1,1", "--n-max", "9"], 0,
                                 "3aeb8cb55a429a92ec999456dc34b86c1f1824b874b75657d51fd3d1c8a56ed0"),
@@ -150,6 +152,10 @@ GOLDEN_VERIFY = {
                           "15aa67ff4f09f8419a3706301ccfc0a017f6b6eca043d621c1dab59daa40065c"),
     "tp2-1331": (["--suite", "tp2", "--w", "1,3,3,1", "--n-max", "24"], 0,
                  "6330ce9194121dd5cdc74a8c3af3ecddc6974b08967ca29146ec3e50731ef506"),
+    "tp2-1331-120": (["--suite", "tp2", "--w", "1,3,3,1", "--n-max", "120"], 0,
+                     "995b61110e7eb6e8865f1e294657f38d8878f5ee4d0852057e24bca9264ef053"),
+    "tp2-10201-d2-60": (["--suite", "tp2", "--w", "1,0,2,0,1", "--d", "2", "--n-max", "60"], 0,
+                        "c6d3ffa0319b22649c697036f3baea696b142759a3445799ed5179f19dacafa0"),
     "tp2-1131": (["--suite", "tp2", "--w", "1,1,3,1"], 3,
                  "5a0c7617b3461605b5aa6b2e48270a3aa0418419d343a07082743b85e007f41e"),
     "tp2-2/5,1/5,2/5": (["--suite", "tp2", "--w", "2/5,1/5,2/5"], 3,
@@ -340,6 +346,23 @@ class TestErrorBoundary:
             raise AssertionError("subtrees were enumerated over a refused position set")
 
         for name in ("enumerate_subtrees", "st_law"):
+            monkeypatch.setattr(treegrow.cli, name, nothing_enumerated)
+        assert self.assert_one_line_error(capsys, run(*argv)) == line
+
+    @pytest.mark.parametrize("argv, line", [
+        (["enumerate", "--plane-trees", "11"],
+         "error: --plane-trees 11 is above the cap 10 of enumerate --plane-trees"),
+        (["enumerate", "--plane-trees", "11", "--d", "2"],
+         "error: --plane-trees 11 is above the cap 10 of enumerate --plane-trees"),
+        (["enumerate", "--subtrees", "8"], "error: --subtrees 8 is above the cap 7 of enumerate --subtrees"),
+        (["enumerate", "--subtrees", "8", "--dmax", "2"],
+         "error: --subtrees 8 is above the cap 7 of enumerate --subtrees"),
+    ], ids=["plane-trees", "plane-trees-d2", "subtrees", "subtrees-dmax"])
+    def test_enumeration_size_above_cap_refused(self, argv, line, monkeypatch, capsys):
+        def nothing_enumerated(*args, **kwargs):
+            raise AssertionError("trees were enumerated for a refused size")
+
+        for name in ("enumerate_plane_trees", "enumerate_subtrees"):
             monkeypatch.setattr(treegrow.cli, name, nothing_enumerated)
         assert self.assert_one_line_error(capsys, run(*argv)) == line
 

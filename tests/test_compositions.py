@@ -168,6 +168,35 @@ def test_residue_peel_skips_only_zero_entries(case):
     assert peel_partition_values(a, T, b, d) == peel_partition_values(a, T, b, 1)
 
 
+@st.composite
+def peels_with_empty_lowest_shifts(draw):
+    """Count weights on a class s mod d that vanish on its lowest shifts, part weights on 1 mod d, kept sums or none."""
+    d = draw(st.integers(1, 3))
+    s = draw(st.integers(0, d - 1))
+    a = [0] * draw(st.integers(1, 14))
+    for ell in range(s + d * draw(st.integers(1, 4)), len(a), d):
+        a[ell] = draw(st.integers(0, 4))
+    T = draw(st.integers(0, 16))
+    b = [draw(st.integers(0, 4)) if (m - 1) % d == 0 else 0 for m in range(T + 1)]
+    return a, T, b.__getitem__, d, draw(st.integers(0, len(a)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=peels_with_empty_lowest_shifts())
+@example(case=([0] * 9 + [1], 9, [0, 1, 0, 2, 0, 3, 0, 4, 0, 5].__getitem__, 2, 10))   # a forest peel
+@example(case=([0, 0, 0, 0, 1], 6, [0, 1, 1, 1, 1, 1, 1].__getitem__, 1, 5))
+@example(case=([0, 0, 0], 4, [0, 1, 1, 1, 1].__getitem__, 1, 3))                      # no count weight at all
+def test_bounded_peel_matches_the_unbounded_sums(case):
+    # the slices stop where Z_{ell+1} has no mass left: same values, same kept running sums
+    a, T, b, d, kept = case
+    sums, ref_sums = ([[None] * (T + 1) for _ in range(kept)] for _ in range(2))
+    z = peel_partition_values(a, T, b, d, sums)
+    assert z == helpers.unbounded_peel(a, T, b, d, ref_sums)
+    assert sums == ref_sums
+    assert all(sums[ell][t] == [0] for ell in range(kept) for t in range(1, T + 1)
+               if sums[ell][t] is not None and z[ell][t] == 0)
+
+
 class TestResiduePeelRefusals:
     def test_count_weights_on_two_residues(self):
         with pytest.raises(DomainError, match="one residue class mod 2"):

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import helpers
 import treegrow.sgtrees
@@ -274,18 +274,68 @@ def tp2_weights(draw):
     return entries, d
 
 
-@settings(max_examples=150, deadline=None)
-@given(wd=tp2_weights(), horizon=st.integers(1, 11))
+FAILING_TP2 = [([1, 1, 3, 1], 1), (["2/5", "1/5", "2/5"], 1), ([1, 0, "1/10", 0, 1], 2),
+               (["1/2", "1/3", "1/7", "1/11"], 1)]
+
+
+def counting_ratios_rise(monkeypatch):
+    """The list of the arguments of each ``sgtrees.ratios_rise`` scan from here on."""
+    scan, calls = treegrow.sgtrees.ratios_rise, []
+
+    def counted(*args):
+        calls.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(treegrow.sgtrees, "ratios_rise", counted)
+    return calls
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(wd=tp2_weights(), horizon=st.integers(1, 30))
 # the failing inputs of the verify tp2 suite, at its default --n-max 10
-@example(wd=([1, 1, 3, 1], 1), horizon=11)
-@example(wd=(["2/5", "1/5", "2/5"], 1), horizon=11)
-@example(wd=([1, 0, "1/10", 0, 1], 2), horizon=11)
-@example(wd=(["1/2", "1/3", "1/7", "1/11"], 1), horizon=11)
-def test_tp2_minors_match_the_fraction_brute_force(wd, horizon):
+@example(wd=FAILING_TP2[0], horizon=11)
+@example(wd=FAILING_TP2[1], horizon=11)
+@example(wd=FAILING_TP2[2], horizon=11)
+@example(wd=FAILING_TP2[3], horizon=11)
+def test_tp2_minors_match_the_fraction_brute_force(wd, horizon, monkeypatch):
     # integer minors at a common scale: same count, same failures in the same order, same exact sides
     w, d = wd
     tables = compute_tables(WeightSequence(w), d, N=horizon)
-    assert check_tp2_array(tables).as_dict() == helpers.tp2_brute_force(tables)
+    with monkeypatch.context() as patch:
+        calls = counting_ratios_rise(patch)
+        report = check_tp2_array(tables).as_dict()
+    assert report == helpers.tp2_brute_force(tables)
+    # size rows per array: adjacent rows decide a log-concave input, and a failing one, such as the
+    # pinned inputs, scans every pair of rows of an array
+    size = (horizon - 1) // d + (d > 1)
+    if is_log_concave(tables.w.progression(d)):
+        assert len(calls) == d * max(size - 1, 0)
+    if not report["ok"]:
+        assert len(calls) >= size * (size + 1) // 2
+
+
+def test_adjacent_rows_decide_a_staircase():
+    # forest-like rows whose ratios rise: the adjacent scans decide, and no minor fails
+    F_ = [[1, 0, 0, 0], [1, 1, 0, 0], [1, 2, 1, 0], [1, 3, 3, 1]]
+    assert treegrow.sgtrees.adjacent_rows_decide(F_, 0)
+    assert list(treegrow.sgtrees.failing_minors(F_, 0)) == []
+
+
+@pytest.mark.parametrize("F_, low", [
+    ([[0, 2, 2], [0, 0, 0], [0, 3, 2]], 0),                       # a zero row hides a falling pair
+    ([[7, 7, 7, 7], [7, 1, 2, 2], [7, 0, 0, 0], [7, 1, 3, 1]], 1),   # the same after an unchecked row and column
+    ([[1, 1, 1], [1, 0, 1], [1, 1, 1]], 0),                       # a zero inside a row
+    ([[0, 1, 1], [1, 1, 1]], 0),                                  # left ends that decrease
+    ([[1, 1, 0], [1, 1, 1], [1, 1, 0]], 0),                       # right ends that decrease
+    ([[1, 2], [2, 1]], 0),                                        # a staircase whose adjacent rows fail
+], ids=["zero-row", "zero-row-low-1", "internal-zero", "left-ends-fall", "right-ends-fall", "falling-ratios"])
+def test_arrays_off_the_lemma_scan_every_row_pair(F_, low, monkeypatch):
+    assert not treegrow.sgtrees.adjacent_rows_decide(F_, low)
+    calls = counting_ratios_rise(monkeypatch)
+    failures = list(treegrow.sgtrees.failing_minors(F_, low))
+    assert failures == [minor for minor in helpers.array_minors(F_, low) if minor[4] < minor[5]] != []
+    size = len(F_) - low
+    assert len(calls) >= size * (size + 1) // 2
 
 
 @st.composite
