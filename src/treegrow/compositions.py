@@ -289,6 +289,12 @@ def peel_partition_values(a: Sequence[int], T: int, b: Optional[Callable[[int], 
     running sums of that sum, cut at the last point with mass (``[0]`` at
     a total with none): the list ``first_part_sums(ell, t)`` hands out.
     Totals that run no sum keep what the list held.
+
+    The top two shifts below the last one, R, are read off b, since
+    ``Z_R(t) = a_R [t = 0]``: ``Z_{R-1}(t) = a_{R-1} [t = 0] + a_R b_t``,
+    whose kept list is ``[0] * k + [a_R b_t]``, and, where no sums are
+    kept, ``Z_{R-2}(t) = a_{R-1} b_t + a_R sum_{m + m' = t} b_m b_m'``,
+    each mirrored pair ``b_m b_m'`` formed once.
     """
     r = len(a)
     support = [ell for ell in range(r) if a[ell]]
@@ -306,6 +312,8 @@ def peel_partition_values(a: Sequence[int], T: int, b: Optional[Callable[[int], 
     z: List[List[int]] = [[0] * (T + 1) for _ in range(r)]
     for ell in range(s, r, d):
         z[ell][0] = a[ell]
+    R = r - 1
+    summed = R - 1 if R - 2 < len(sums) else R - 2  # the shifts below run the sum over the slices
     bs: List[int] = []  # b_1, b_{1+d}, ..., up to the current total
     for t in range(1, T + 1):
         bt = z[0][t - 1] if b is None else b(t)
@@ -314,7 +322,8 @@ def peel_partition_values(a: Sequence[int], T: int, b: Optional[Callable[[int], 
                 raise DomainError(f"part weights must vanish off 1 mod {d} (b_{t} != 0)")
         else:
             bs.append(bt)
-        for ell in range((s - t) % d, r - 1, d):
+        low = (s - t) % d  # the least shift of this total's class
+        for ell in range(low, summed, d):
             masses = map(mul, bs, z[ell + 1][t - 1:stops[ell]:-d])
             if ell < len(sums):
                 running = list(accumulate(masses)) or [0]
@@ -324,6 +333,17 @@ def peel_partition_values(a: Sequence[int], T: int, b: Optional[Callable[[int], 
                 z[ell][t] = running[-1]
             else:
                 z[ell][t] = sum(masses)
+        if R >= 1 and (R - 1 - low) % d == 0:
+            last = z[R - 1][t] = a[R] * bt
+            if R - 1 < len(sums):
+                sums[R - 1][t] = [0] * (len(bs) - 1) + [last] if last else [0]
+        if summed == R - 2 >= 0 and (summed - low) % d == 0:
+            J, off = divmod(t - 2, d)  # b_m b_m' with m + m' = t pairs b_{1+jd} with b_{1+(J-j)d}
+            if off or J < 0:
+                pairs = 0
+            else:
+                pairs = 2 * sum(map(mul, bs[:(J + 1) // 2], bs[J:J // 2:-1])) + (0 if J % 2 else bs[J // 2] ** 2)
+            z[summed][t] = a[R] * pairs + a[R - 1] * bt
     return z
 
 

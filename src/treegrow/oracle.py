@@ -20,6 +20,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .compositions import ONE, ZERO, ArithClass, Record, as_fraction, cleared, coerce_weights, iter_compositions
 from .errors import DomainError, HorizonError, ZeroMassError
+from .sgtrees import add_spliced
 from .subtree_model import coerce_theta
 from .treespace import CountWord, PlaneTree, ROOT, RootedSubtree, from_child_count_word
 
@@ -249,21 +250,21 @@ def kernel_interchange_check(row_fn: Callable, masses_lo: Mapping, masses_hi: Ma
     scale, so each law is its masses divided by their total, ``Z_lo`` or
     ``Z_hi``.  ``row_fn(word)`` maps the words of its targets to unreduced
     integer pairs ``(num, den)``, as ``growth_word_row`` does.  The masses
-    pushed to a target add up as an unreduced pair ``(N, D)``, and the
-    target passes when ``N Z_hi == m D Z_lo``, m its own mass.  The first
-    discrepancy reported is the mismatching tree with the least ``repr``,
-    with both probabilities as Fractions; only the mismatching words are
-    built as trees.
+    pushed to a target add up as an unreduced pair ``(N, D)`` (see
+    ``add_spliced``), and the target passes when ``N Z_hi == m D Z_lo``, m
+    its own mass.  A row function with a ``push`` method, as
+    ``growth_kernel``'s, adds each word's row times its mass straight into
+    the sums itself.  The first discrepancy reported is the mismatching
+    tree with the least ``repr``, with both probabilities as Fractions;
+    only the mismatching words are built as trees.
     """
     z_lo, z_hi = sum(masses_lo.values()), sum(masses_hi.values())
     if not z_lo or not z_hi:
         raise ZeroMassError("the lower or the upper states carry no mass")
+    push = getattr(row_fn, "push", None) or (lambda word, mass, acc: add_spliced(acc, (), (), row_fn(word), mass, 1))
     pushed: Dict[CountWord, Tuple[int, int]] = {}
     for word, mass in masses_lo.items():
-        for target, (num, den) in row_fn(word).items():
-            acc, scale = pushed.get(target, (0, den))
-            pushed[target] = ((acc + mass * num, den) if scale == den
-                              else (acc * den + mass * num * scale, scale * den))
+        push(word, mass, pushed)
     unreached = masses_hi.keys() - pushed.keys()  # pushed nothing: they match when they carry no mass
     bad = [key for key, (num, den) in pushed.items() if num * z_hi != masses_hi.get(key, 0) * den * z_lo]
     bad += [key for key in unreached if masses_hi[key]]

@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ._rand import bernoulli
 from .compositions import (CheckReport, FrozenRecord, PartitionKernel, WeightSequence, as_fraction, cleared,
@@ -167,33 +167,28 @@ def ratios_rise(x: List[int], y: List[int], low: int) -> bool:
 
 
 def adjacent_rows_decide(F: List[List[int]], low: int) -> bool:
-    """Whether the non-negative array ``F`` is a double staircase whose adjacent rows all pass ``ratios_rise``.
+    """Whether no row of the non-negative array ``F`` is empty and its adjacent rows all pass ``ratios_rise``.
 
-    From row and column ``low`` on, the positive entries of each row n
-    must form a non-empty interval ``[l_n, e_n]`` with both ends
-    non-decreasing in n.  On such a staircase, adjacent rows that pass
-    make every minor with ``low <= n <= n2`` and ``low <= k <= k2``
-    non-negative.  ``ratios_rise`` on the rows
-    n < n2 reads the window ``[l_{n2}, e_n]``, and nothing when it is
-    empty.  Every row m between them has ``l_m <= l_{n2}`` and
-    ``e_m >= e_n``, so is positive on the window; the scan of each
-    adjacent pair (m, m + 1) reads the window ``[l_{m+1}, e_m]``, which
-    holds it, so there ``F[m + 1][k] / F[m][k]`` does not decrease in k.
-    The product of these ratios over n <= m < n2 is ``F[n2][k] / F[n][k]``,
-    a product of positive non-decreasing functions, so it does not
-    decrease either, and the pair passes.  Off the staircase (a row with
-    no positive entry, a zero inside a row, an end that moves left) the
-    answer is False and every pair is scanned: a row with no positive
-    entry between two others hides a falling pair from both its scans.
+    From row and column ``low`` on, let row n have its positive entries
+    between ``l_n`` and ``e_n``.  Then adjacent rows that pass make every
+    minor with ``low <= n <= n2`` and ``low <= k <= k2`` non-negative.
+    First, the ends do not decrease: were ``l_{m+1} < l_m``, the minor at
+    columns ``l_{m+1} < l_m`` of rows m, m + 1 would be ``0 - F[m][l_m]
+    F[m+1][l_{m+1}] < 0``, and likewise at columns ``e_{m+1} < e_m``.  So
+    the scan of each adjacent pair reads a window ``[l_{m+1}, e_m]`` that
+    holds ``[l_{n2}, e_n]`` for every n <= m < n2, and a column there with
+    exactly one zero in rows m, m + 1 would fail it.  Each column of
+    ``[l_{n2}, e_n]`` is thus positive in all rows from n to n2 or zero in
+    all.  A minor of rows n < n2 at columns k < k2 can only fail with
+    ``F[n][k2] F[n2][k] > 0``, which puts k and k2 in that window, on
+    columns positive in every row between; there the adjacent ratios
+    ``F[m+1][k] / F[m][k]`` do not decrease in k, and their product over
+    n <= m < n2, ``F[n2][k] / F[n][k]``, does not either.  A row with no
+    positive entry has no ends, and between two others it hides a falling
+    pair from both its scans, so then the answer is False.
     """
     rows = F[low:]
-    ends = []
-    for row in rows:
-        support = [k for k in range(low, len(row)) if row[k]]
-        if not support or support[-1] - support[0] + 1 != len(support):
-            return False
-        ends.append((support[0], support[-1]))
-    if any(l2 < l1 or e2 < e1 for (l1, e1), (l2, e2) in zip(ends, ends[1:])):
+    if not all(any(row[low:]) for row in rows):
         return False
     return all(ratios_rise(x, y, low) for x, y in zip(rows, rows[1:]))
 
@@ -234,7 +229,7 @@ def check_tp2_array(tables: PartitionTables) -> CheckReport:
     d = 1 and over 0..N otherwise, N the largest the vertex horizon allows.
     Both products of the minor at rows n, n2 carry the scale
     ``L^((n + n2) d + 2s)``, so they are compared as integers.  Since every
-    tree size 1 mod d carries mass, each array is a double staircase, and
+    tree size 1 mod d carries mass, no row of an array is empty, and
     when its adjacent rows pass their ``ratios_rise`` scans
     (``adjacent_rows_decide``), every row pair does: O(N^2) column
     comparisons decide the array.  Otherwise ``failing_minors`` scans every
@@ -261,43 +256,100 @@ def check_tp2_array(tables: PartitionTables) -> CheckReport:
     return report
 
 
-def growth_word_row(tables: PartitionTables, word: CountWord,
-                    laws: Optional[Dict] = None) -> Dict[CountWord, Tuple[int, int]]:
-    """Exact one-step law of the growth chain from the tree of the given child-count word.
+def add_spliced(acc: Dict[CountWord, Tuple[int, int]], head: CountWord, tail: CountWord,
+                row: Dict[CountWord, Tuple[int, int]], pn: int, pd: int) -> None:
+    """Add ``(pn, pd)`` times each pair of ``row`` into ``acc``, its target spliced to ``head + target + tail``.
 
-    Walks the tree from the root as ``GrowthChain.step`` does: the
-    children's subtree sizes at a vertex take one move from
-    ``tables.kernel_row``; an increment continues the walk at that child
-    with the product so far, an append plants the bouquet there.  Each
-    target is keyed by its word: the vertex at position i gains d
-    children, d leaves that follow its subtree.  Its probability is the
-    unreduced integer pair ``(num, den)`` that multiplies the ``factors``
-    of the step to it.  Rows sum to one.  ``laws`` keeps each move law by
-    its parts, which fix its total, as the walk reads it: per move,
-    whether it increments, the offset to the child it continues at or to
-    the end of the subtree, and the pair.
+    The pair of a target new to ``acc`` is the product ``(num pn, den pd)``;
+    one already there adds it unreduced: over one denominator the
+    numerators add, otherwise the two pairs cross-multiply.
     """
-    d = tables.d
-    leaves = (0,) * d
-    laws = {} if laws is None else laws
-    sizes = child_sizes(word)
-    out: Dict[CountWord, Tuple[int, int]] = {}
-    stack = [(0, 1, 1)]
-    while stack:
-        i, pn, pd = stack.pop()
-        parts = sizes[i]
-        law = laws.get(parts)
+    for target, (num, den) in row.items():
+        key = head + target + tail
+        num *= pn
+        den *= pd
+        old = acc.get(key)
+        if old is None:
+            acc[key] = (num, den)
+        else:
+            acc_num, scale = old
+            acc[key] = (acc_num + num, den) if scale == den else (acc_num * den + num * scale, scale * den)
+
+
+class GrowthRows:
+    """The row function of ``growth_kernel``: ``word -> `` the exact one-step law of the growth chain from that tree.
+
+    The walk of ``GrowthChain.step`` takes one move at the root from
+    ``tables.kernel_row``: an append plants the bouquet there, and an
+    increment continues the walk at that child, inside its subtree, whose
+    word is a subword.  So the row is the root's append, then, for each
+    increment, the row of the child's subword with each target spliced
+    back into the word and its pair multiplied by the move's.  Each target
+    is keyed by its word: the vertex at position i gains d children, d
+    leaves that follow its subtree.  Its probability is the unreduced
+    integer pair ``(num, den)`` that multiplies the ``factors`` of the step
+    to it, and rows sum to one.
+
+    ``laws`` keeps each move law by its parts, which fix its total, and
+    ``subtree_rows`` the row of each child subword, so every law and every
+    subtree row is formed once however many trees hold it (the subtree
+    rows of a path of n vertices hold O(n^3) letters: the rows are for
+    enumerable sizes).  Both memos live here, so the tables keep no rows
+    and two row functions share nothing.  ``push`` adds a mass times the
+    row of a word straight into an accumulation, building no row for
+    that word.
+    """
+
+    __slots__ = ("tables", "laws", "subtree_rows", "_leaves")
+
+    def __init__(self, tables: PartitionTables):
+        self.tables = tables
+        self.laws: Dict[Tuple[int, ...], List[Tuple[int, int, int, int]]] = {}
+        self.subtree_rows: Dict[CountWord, Dict[CountWord, Tuple[int, int]]] = {}
+        self._leaves = {(0,) * tables.d: (1, 1)}  # the row of a bouquet spliced after a subtree
+
+    def __call__(self, word: CountWord) -> Dict[CountWord, Tuple[int, int]]:
+        row: Dict[CountWord, Tuple[int, int]] = {}
+        self.push(word, 1, row)
+        return row
+
+    def push(self, word: CountWord, mass: int, acc: Dict[CountWord, Tuple[int, int]]) -> None:
+        """Add ``mass`` times the row of ``word`` into ``acc`` (see ``add_spliced``)."""
+        self._spread(word, child_sizes(word), mass, 1, acc)
+
+    def _spread(self, word, sizes, pn, pd, acc):
+        parts = sizes[0]
+        law = self.laws.get(parts)
         if law is None:
-            t = sum(parts)
-            law = laws[parts] = [(kind == "inc", 1 + (sum(parts[:j]) if kind == "inc" else t), qn, qd)
-                                 for (kind, j), (qn, qd) in tables.kernel_row(t, parts).items()]
-        for inc, offset, qn, qd in law:
-            if inc:
-                stack.append((i + offset, pn * qn, pd * qd))
+            law = self.laws[parts] = self._law(parts)
+        for start, end, qn, qd in law:
+            if start:
+                sub = word[start:end]
+                row = self.subtree_rows.get(sub)
+                if row is None:
+                    row = {}
+                    self._spread(sub, sizes[start:end], 1, 1, row)
+                    self.subtree_rows[sub] = row  # only once whole: a refused subtree is refused again
+                add_spliced(acc, word[:start], word[end:], row, pn * qn, pd * qd)
             else:
-                end = i + offset
-                out[word[:i] + (word[i] + d,) + word[i + 1:end] + leaves + word[end:]] = (pn * qn, pd * qd)
-    return out
+                add_spliced(acc, (word[0] + self.tables.d,) + word[1:], (), self._leaves, pn * qn, pd * qd)
+
+    def _law(self, parts):
+        """The root's moves from these parts as ``(start, end, num, den)``: the span of the child an
+        increment continues at, ``(0, 0)`` for the append, in the order the targets come."""
+        law = []
+        for (kind, j), (qn, qd) in self.tables.kernel_row(sum(parts), parts).items():
+            if kind == "inc":
+                start = 1 + sum(parts[:j])
+                law.append((start, start + parts[j], qn, qd))
+            else:
+                law.append((0, 0, qn, qd))
+        return law[::-1]
+
+
+def growth_word_row(tables: PartitionTables, word: CountWord) -> Dict[CountWord, Tuple[int, int]]:
+    """Exact one-step law of the growth chain from the tree of the given child-count word (see ``GrowthRows``)."""
+    return GrowthRows(tables)(word)
 
 
 def growth_kernel_row(tables: PartitionTables, tree: PlaneTree) -> Dict[frozenset, Tuple[int, int]]:
@@ -306,15 +358,12 @@ def growth_kernel_row(tables: PartitionTables, tree: PlaneTree) -> Dict[frozense
     return {from_child_count_word(word).vertices: pair for word, pair in row.items()}
 
 
-def growth_kernel(tables: PartitionTables) -> Callable[[CountWord], Dict[CountWord, Tuple[int, int]]]:
-    """``word -> growth_word_row(tables, word)``, compiling each vertex's move law once per parts.
+def growth_kernel(tables: PartitionTables) -> GrowthRows:
+    """The row function ``word -> growth_word_row(tables, word)``, forming each move law and subtree row once.
 
-    The memo lives in the returned function, so the tables keep no rows and
-    two row functions share nothing.  Each law is still read off one
-    ``sample_move`` walk by ``kernel_row``.
+    Each law is still read off one ``sample_move`` walk by ``kernel_row``.
     """
-    laws: Dict[Tuple[int, ...], List[Tuple[bool, int, int, int]]] = {}
-    return lambda word: growth_word_row(tables, word, laws)
+    return GrowthRows(tables)
 
 
 class GrowthStep:

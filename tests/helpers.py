@@ -21,7 +21,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Sequence
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,11 +29,11 @@ from treegrow.compositions import (ONE, PLAIN, ZERO, ArithClass, CheckReport, Co
                                    apply_move, as_fraction, cleared, iter_compositions)
 from treegrow.errors import DomainError, NotCoupleable, ParseError, TreegrowError, ZeroMassError
 from treegrow.oracle import InterchangeReport, _normalized, enumerate_plane_trees, enumerate_subtrees
-from treegrow.sgtrees import WeightSequence, compute_tables, growth_kernel
+from treegrow.sgtrees import PartitionTables, WeightSequence, compute_tables, growth_kernel
 from treegrow.subtree_model import (Shuffle, SubtreeChain, _check_shuffle, _image_map, _rule_collection,
                                     apply_shuffle, bij_P_inv, nested_coupling_law, push_forward, sigma_rule)
-from treegrow.treespace import (ROOT, PlaneTree, RootedSubtree, child_count_word, format_tree,
-                                from_child_count_word, is_bouquet_addition, is_right_leaning_leaf_addition,
+from treegrow.treespace import (ROOT, CountWord, PlaneTree, RootedSubtree, child_count_word, child_sizes,
+                                format_tree, from_child_count_word, is_bouquet_addition, is_right_leaning_leaf_addition,
                                 parse_tree, word_to_text)
 
 
@@ -461,6 +461,48 @@ def reference_kernel_row(tables, t, parts):
         remaining -= part
     row[("append", len(parts))] = (sn, sd)
     return row
+
+
+def reference_word_row(tables: PartitionTables, word: CountWord,
+                       laws: Optional[Dict] = None) -> Dict[CountWord, Tuple[int, int]]:
+    """Exact one-step law of the growth chain from the tree of the given child-count word.
+
+    Walks the tree from the root as ``GrowthChain.step`` does: the
+    children's subtree sizes at a vertex take one move from
+    ``tables.kernel_row``; an increment continues the walk at that child
+    with the product so far, an append plants the bouquet there.  Each
+    target is keyed by its word: the vertex at position i gains d
+    children, d leaves that follow its subtree.  Its probability is the
+    unreduced integer pair ``(num, den)`` that multiplies the ``factors``
+    of the step to it.  Rows sum to one.  ``laws`` keeps each move law by
+    its parts, which fix its total, as the walk reads it: per move,
+    whether it increments, the offset to the child it continues at or to
+    the end of the subtree, and the pair.
+
+    The stack walk that ``growth_word_row`` was before it spliced subtree
+    rows: the oracle of ``sgtrees.GrowthRows``, pairs and target order.
+    """
+    d = tables.d
+    leaves = (0,) * d
+    laws = {} if laws is None else laws
+    sizes = child_sizes(word)
+    out: Dict[CountWord, Tuple[int, int]] = {}
+    stack = [(0, 1, 1)]
+    while stack:
+        i, pn, pd = stack.pop()
+        parts = sizes[i]
+        law = laws.get(parts)
+        if law is None:
+            t = sum(parts)
+            law = laws[parts] = [(kind == "inc", 1 + (sum(parts[:j]) if kind == "inc" else t), qn, qd)
+                                 for (kind, j), (qn, qd) in tables.kernel_row(t, parts).items()]
+        for inc, offset, qn, qd in law:
+            if inc:
+                stack.append((i + offset, pn * qn, pd * qd))
+            else:
+                end = i + offset
+                out[word[:i] + (word[i] + d,) + word[i + 1:end] + leaves + word[end:]] = (pn * qn, pd * qd)
+    return out
 
 
 def growth_law(rows, tree):

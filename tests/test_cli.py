@@ -140,12 +140,15 @@ def test_golden_trace(case, tmp_path, capsys):
 # Fraction minors and normalized Fraction tree masses: the four verify-exact benchmark configs,
 # tp2 runs that fail (so failure order and both exact sides are pinned) and the tables suite
 # on fractional weights.  tp2-1331-120 (at the cap) and tp2-10201-d2-60, which the arrays'
-# adjacent rows decide, were pinned from the scan of every row pair.  The CI smoke step also checks
-# the tp2-1131, tp2-1331-120, ratio-chain-10201 and kernel-interchange-1111 digests on the
-# installed script; re-pin a digest in both places.
+# adjacent rows decide, were pinned from the scan of every row pair; kernel-interchange-10201-d2
+# from the stack walk of every row before rows were spliced from subtree rows.  The CI smoke step
+# also checks the tp2-1131, tp2-1331-120, ratio-chain-1331, ratio-chain-10201, kernel-interchange-1111
+# and kernel-interchange-10201-d2 digests on the installed script; re-pin a digest in both places.
 GOLDEN_VERIFY = {
     "kernel-interchange-1111": (["--suite", "kernel-interchange", "--w", "1,1,1,1", "--n-max", "9"], 0,
                                 "3aeb8cb55a429a92ec999456dc34b86c1f1824b874b75657d51fd3d1c8a56ed0"),
+    "kernel-interchange-10201-d2": (["--suite", "kernel-interchange", "--w", "1,0,2,0,1", "--d", "2", "--n-max", "8"],
+                                    0, "9ea999f5d92c3480f911333abca789cb57036fea26ace2d524002d5f796e4a27"),
     "ratio-chain-1331": (["--suite", "ratio-chain", "--w", "1,3,3,1", "--n-max", "200"], 0,
                          "f997b96d0caf0a4c3bc70d3cf65129c2405770c654ecb503a1132124176555ec"),
     "ratio-chain-10201": (["--suite", "ratio-chain", "--w", "1,0,2,0,1", "--d", "2", "--n-max", "150"], 0,

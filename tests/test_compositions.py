@@ -197,6 +197,42 @@ def test_bounded_peel_matches_the_unbounded_sums(case):
                if sums[ell][t] is not None and z[ell][t] == 0)
 
 
+@st.composite
+def top_shift_peels(draw):
+    """Count weights ending at a positive a_R, zero or not at R - 1 and R - 2 on their class, part weights, kept sums.
+
+    Tree masses need the count weights on multiples of d; given part weights
+    lie on 1 mod d.  Sums are kept at the lowest 0 to R + 1 shifts, so at
+    every shift, R - 1 and R - 2 included, in some draws.
+    """
+    d = draw(st.integers(1, 3))
+    tree_masses = draw(st.booleans())
+    R = d * draw(st.integers(0, 8 // d)) if tree_masses else draw(st.integers(0, 8))
+    a = [0] * (R + 1)
+    for ell in range(R % d, R, d):
+        a[ell] = draw(st.integers(0, 4) | st.just(0))
+    a[R] = draw(st.integers(1, 4))
+    T = draw(st.integers(0, 16))
+    b = None if tree_masses else [draw(st.integers(0, 4)) if (m - 1) % d == 0 else 0 for m in range(T + 1)].__getitem__
+    return a, T, b, d, draw(st.integers(0, R + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=top_shift_peels())
+@example(case=([2, 3], 8, None, 1, 0))                                    # R = 1: no shift R - 2
+@example(case=([2, 3], 8, None, 1, 2))
+@example(case=([1, 2, 3], 9, [0, 1, 2, 0, 3, 1, 4, 2, 1, 3].__getitem__, 1, 0))   # R = 2: no shift R - 3
+@example(case=([1, 0, 2], 9, None, 2, 3))
+@example(case=([1, 2, 0, 3], 10, None, 1, 0))      # a_{R-1} = 0 at d = 1: the slice of shift R - 2 stops above 0
+@example(case=([1, 2, 0, 3], 10, None, 1, 4))
+def test_top_shifts_read_off_b_match_the_unbounded_sums(case):
+    # Z_{R-1} in closed form and Z_{R-2} from mirrored pairs: the same values and kept running sums
+    a, T, b, d, kept = case
+    sums, ref_sums = ([[None] * (T + 1) for _ in range(kept)] for _ in range(2))
+    assert peel_partition_values(a, T, b, d, sums) == helpers.unbounded_peel(a, T, b, d, ref_sums)
+    assert sums == ref_sums
+
+
 class TestResiduePeelRefusals:
     def test_count_weights_on_two_residues(self):
         with pytest.raises(DomainError, match="one residue class mod 2"):

@@ -15,7 +15,7 @@ from treegrow.errors import DomainError, HorizonError, ZeroMassError
 from treegrow.oracle import (_chi2_tail, _plane_words, enumerate_plane_trees, enumerate_subtrees,
                              goodness_of_fit, janson_expectations, kernel_interchange_check, sg_law, sg_masses,
                              sg_word_masses, st_law, subset_law, tv_distance)
-from treegrow.sgtrees import WeightSequence, compute_tables, growth_word_row
+from treegrow.sgtrees import WeightSequence, compute_tables, growth_kernel, growth_word_row
 from treegrow.treespace import ROOT, PlaneTree, child_count_word, format_tree, from_child_count_word
 
 from helpers import comp_law, tree_mass
@@ -266,9 +266,22 @@ class TestInterchangeHarness:
     def test_passes_on_true_kernel(self):
         w = WeightSequence([1] * 7)
         tables = compute_tables(w, 1, N=6)
-        report = kernel_interchange_check(lambda word: growth_word_row(tables, word),
-                                          sg_word_masses(w, 1, 5), sg_word_masses(w, 1, 6))
+        report = kernel_interchange_check(growth_kernel(tables), sg_word_masses(w, 1, 5), sg_word_masses(w, 1, 6))
         assert report.ok and report.states_checked == catalan(5)
+
+    def test_a_faulty_subtree_row_fails_first_where_sources_hold_it(self):
+        # a source's own row is spliced from its root's law and its children's rows, never read from the memo
+        w = WeightSequence([1] * 9)
+        rows = growth_kernel(compute_tables(w, 1, N=9))
+        masses = [None] + [sg_word_masses(w, 1, n) for n in range(1, 10)]
+        assert all(kernel_interchange_check(rows, masses[n], masses[n + 1]).ok for n in range(1, 9))
+        subtree = (2, 0, 1, 0)
+        row = rows.subtree_rows[subtree]
+        target = min(row, key=canonical)
+        num, den = row[target]
+        row[target] = (num, 2 * den)  # halve one entry
+        verdicts = [kernel_interchange_check(rows, masses[n], masses[n + 1]).ok for n in range(1, 9)]
+        assert verdicts[:len(subtree)] == [True] * len(subtree) and not verdicts[len(subtree)]
 
     def test_catches_corruption(self):
         w = WeightSequence([1] * 7)

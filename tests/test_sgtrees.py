@@ -324,10 +324,10 @@ def test_adjacent_rows_decide_a_staircase():
 @pytest.mark.parametrize("F_, low", [
     ([[0, 2, 2], [0, 0, 0], [0, 3, 2]], 0),                       # a zero row hides a falling pair
     ([[7, 7, 7, 7], [7, 1, 2, 2], [7, 0, 0, 0], [7, 1, 3, 1]], 1),   # the same after an unchecked row and column
-    ([[1, 1, 1], [1, 0, 1], [1, 1, 1]], 0),                       # a zero inside a row
-    ([[0, 1, 1], [1, 1, 1]], 0),                                  # left ends that decrease
-    ([[1, 1, 0], [1, 1, 1], [1, 1, 0]], 0),                       # right ends that decrease
-    ([[1, 2], [2, 1]], 0),                                        # a staircase whose adjacent rows fail
+    ([[1, 1, 1], [1, 0, 1], [1, 1, 1]], 0),                       # a zero inside one row fails both its scans
+    ([[0, 1, 1], [1, 1, 1]], 0),                                  # a left end that decreases fails its scan
+    ([[1, 1, 0], [1, 1, 1], [1, 1, 0]], 0),                       # so does a right end
+    ([[1, 2], [2, 1]], 0),                                        # falling ratios
 ], ids=["zero-row", "zero-row-low-1", "internal-zero", "left-ends-fall", "right-ends-fall", "falling-ratios"])
 def test_arrays_off_the_lemma_scan_every_row_pair(F_, low, monkeypatch):
     assert not treegrow.sgtrees.adjacent_rows_decide(F_, low)
@@ -336,6 +336,32 @@ def test_arrays_off_the_lemma_scan_every_row_pair(F_, low, monkeypatch):
     assert failures == [minor for minor in helpers.array_minors(F_, low) if minor[4] < minor[5]] != []
     size = len(F_) - low
     assert len(calls) >= size * (size + 1) // 2
+
+
+@st.composite
+def arrays_without_empty_rows(draw):
+    """Non-negative int arrays of 2-5 rows and 1-5 columns, zeros anywhere but no row empty from row and column low on."""
+    low = draw(st.integers(0, 1))
+    size, width = draw(st.integers(2 + low, 5)), draw(st.integers(1 + low, 5))
+    entry = st.integers(0, 4) | st.just(0)
+    F_ = [draw(st.lists(entry, min_size=width, max_size=width)) for _ in range(size)]
+    for row in F_[low:]:
+        if not any(row[low:]):
+            row[draw(st.integers(low, width - 1))] = draw(st.integers(1, 4))
+    return F_, low
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=arrays_without_empty_rows())
+@example(case=([[1, 0, 1], [1, 0, 2], [1, 0, 3]], 0))           # a zero column inside every row
+@example(case=([[1, 1, 0], [1, 2, 1], [0, 1, 1]], 0))           # both ends move right
+@example(case=([[2, 1, 0, 0], [1, 1, 1, 0], [0, 1, 2, 1]], 0))  # a window that shrinks and moves
+@example(case=([[5, 0, 0], [9, 1, 0], [9, 1, 2]], 1))           # rising ratios after an unchecked row and column
+def test_adjacent_rows_decide_every_pair_without_an_empty_row(case):
+    F_, low = case
+    every_pair = all(treegrow.sgtrees.ratios_rise(F_[n], F_[n2], low)
+                     for n in range(low, len(F_)) for n2 in range(n, len(F_)))
+    assert treegrow.sgtrees.adjacent_rows_decide(F_, low) == every_pair
 
 
 @st.composite
@@ -422,15 +448,30 @@ class TestGrowthKernel:
                 growth_kernel_row(tables, tree)
         assert tables._step_memo and sizes() == built
 
-    @pytest.mark.parametrize("entries,d", [([1] * 9, 1), ([1, 0, 1, 0, 1, 0, 1, 0, 1], 2), ([1, 0, 0, 1, 0, 0, 1], 3)])
+    @pytest.mark.parametrize("entries,d", [([1] * 9, 1), ([1, 0, 1, 0, 1, 0, 1, 0, 1], 2), ([1, 0, 0, 1, 0, 0, 1], 3),
+                                           ([1, 3, 3, 1], 1)])
     def test_row_function_gives_the_rows(self, entries, d):
-        """The memo of ``growth_kernel`` changes no row, nor the order of its targets."""
+        """Rows spliced from memoized subtree rows are the stack walk's: the same pairs in the same target order.
+
+        A tree with a degree past the radius of w is refused by both, with the same message.
+        """
         tables = compute_tables(WeightSequence(entries), d, N=9 + d)
         rows = growth_kernel(tables)
+
+        def outcome(row_of, word):
+            try:
+                return list(row_of(word).items())
+            except DomainError as exc:
+                return str(exc)
+
         for n in range(1, 10, d):
             for tree in enumerate_plane_trees(n, d):
                 word = child_count_word(tree)
-                assert list(rows(word).items()) == list(growth_word_row(tables, word).items())
+                expected = outcome(lambda word: helpers.reference_word_row(tables, word), word)
+                assert outcome(rows, word) == expected
+                assert outcome(lambda word: growth_word_row(tables, word), word) == expected
+                pushed = {}
+                assert outcome(lambda word: rows.push(word, 1, pushed) or pushed, word) == expected
 
     def test_row_functions_share_no_memo(self, monkeypatch):
         tables = compute_tables(ONES8, 1, N=9)
