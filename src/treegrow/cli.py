@@ -11,6 +11,7 @@ import math
 import sys
 from collections import Counter
 from fractions import Fraction
+from operator import itemgetter
 from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
@@ -25,8 +26,7 @@ from .sgtrees import (WeightSequence, check_tp2_array, compute_tables, growth_ke
                       is_log_concave, require_log_concave, GrowthChain)
 from .subtree_model import (SubtreeChain, SummableTheta, bij_P, bij_P_inv, nested_coupling_law,
                             nested_thresholds, sigma_rule, shuffle_invariance_check)
-from .treespace import (GrowingText, Word, adds_bouquet, format_tree, parse_tree, to_dot,
-                        word_from_text, word_to_text)
+from .treespace import ROOT, GrowingText, Word, adds_bouquet, format_tree, to_dot, word_to_text
 
 # --n-max caps not set by the enumeration caps of oracle.  On a 2-CPU Xeon:
 # tp2 peels the forest arrays, O(n^3) integer products, and decides each
@@ -61,8 +61,8 @@ SUBSET_SUPPORT_CAP = 8
 
 # --n cap of grow.  The peel keeps, for the step laws to read, O(n^2) running sums of O(n) bits each, so
 # memory grows like n^3 (and with the bit length of the weights).  On a 2-CPU Xeon, n = 600 with --out
-# (seeds 0-2, two runs each, interpreter start included) peaks at 89-92 MB in 0.59-1.0 s for w = 1,3,3,1,
-# 100-135 MB in 1.1-2.3 s for w = 1 x 8 and 150-152 MB in 0.85-1.3 s for the subtree model with
+# (seeds 0-2, two runs each, interpreter start included) peaks at 89-92 MB in 0.51-0.74 s for w = 1,3,3,1,
+# 100-135 MB in 1.2-2.4 s for w = 1 x 8 and 149-152 MB in 0.75-0.84 s for the subtree model with
 # theta = 1/2,1/3,1/4.
 GROW_CAP = 600
 
@@ -308,62 +308,71 @@ def exact_text(q: Fraction) -> str:
 
 
 def validate_trace(path: str, model: str, d: int = 1):
-    """Re-validate a trace file: the first tree in full, then each line as a step from the one before.
+    """Re-validate a trace file line by line, each line by the step it records.
 
-    Every line must be the canonical text (:func:`format_tree`) of its
-    words, as ``grow`` writes it.  A step must add a right-leaning bouquet
-    of ``d`` leaves (one leaf for sg) or, for the subtree model, one leaf
-    under a present vertex.  From a valid first tree, such a step always
-    gives a valid tree, so no later tree is rebuilt.  A valid line's token
-    texts are the canonical texts of its words, so each line is read as a
-    set of token texts: it must hold every token of the line before, and
-    only its new tokens are parsed, each required to be the canonical text
-    of its word.  The child counts and the canonical text carry over from
-    line to line.
+    A line records ``n``, ``step`` and its new words (``new_vertices``, or
+    ``new_vertex`` for subtree): the first line step 0, the root alone, and
+    each later one the next step, a right-leaning bouquet of ``d`` leaves
+    (one leaf for sg) or one leaf under a present vertex (subtree), each new
+    word labelled by its canonical text, ``n`` being the size after it.  The
+    words join the child counts and the canonical text carried from line to
+    line, which the line's tree must equal, so no tree is split or parsed.
+    A line that is no JSON object of those fields is refused at ``path:lineno``.
     """
     if model in ("sg", "sg-arith"):
-        field, kind = "tree", "plane"
+        field, new_field = "tree", "new_vertices"
     elif model == "subtree":
-        field, kind = "subtree", "subtree"
+        field, new_field = "subtree", "new_vertex"
     else:
         raise DomainError(f"unknown model {model!r}: expected sg, sg-arith or subtree")
-    tokens = kids = canon = None   # the line before: its token texts, child counts and canonical text
+    read = itemgetter(field, "n", "step", new_field)
+    kids: Dict[Word, int] = {}   # the child counts of the words so far
+    words_of: Dict[str, Word] = {}   # the words so far but the root, by their canonical texts
+    canon = GrowingText()
+    step = 0
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
-            text = json.loads(line)[field]
-            if tokens is None:
-                first = parse_tree(text, kind=kind)
-                kids = {u: first.children_count(u) for u in first.vertices}
-                canon = GrowingText()
-                for u in first.sorted_vertices()[1:]:
-                    canon.add(u, word_to_text(u))
-                tokens = set(text.split(","))
+            try:
+                text, n, index, labels = read(json.loads(line))
+            except ValueError:
+                raise DomainError(f"{path}:{lineno}: not a JSON line") from None
+            except (KeyError, TypeError):
+                raise DomainError(f"{path}:{lineno}: not an object with {field}, n, step and {new_field}") from None
+            if model == "subtree":
+                labels = [labels]
+            if type(labels) is not list or {type(text), *map(type, labels)} != {str} or {type(n), type(index)} != {int}:
+                raise DomainError(f"{path}:{lineno}: the {field} and {new_field} must be text, n and step integers")
+            words = [_child_word(label, words_of) for label in labels]
+            if step:
+                ok = not any(map(kids.__contains__, words)) and (field == "subtree" or adds_bouquet(kids, words, d))
             else:
-                before, tokens = tokens, set(text.split(","))
-                added: Dict[Word, str] = {}
-                for token in tokens - before:
-                    u = word_from_text(token)
-                    if word_to_text(u) != token:   # a second spelling, of a new word or a present one
-                        raise DomainError(f"{path}:{lineno}: the {field} is not the canonical text of its words")
-                    added[u] = token
-                kept = len(tokens) == len(before) + len(added)   # iff the line keeps every token of the one before
-                if kind == "plane":
-                    ok = kept and adds_bouquet(kids, added.keys(), d)
-                else:
-                    ok = kept and len(added) == 1 and next(iter(added))[:-1] in kids
-                if not ok:
-                    raise DomainError(f"{path}:{lineno}: the {field} is not a {model} growth step "
-                                      f"from the line before")
-                for u, token in added.items():
-                    kids[u] = 0
-                    canon.add(u, token)
-                kids[next(iter(added))[:-1]] += len(added)
+                ok = labels == ["e"]
+            if not ok or index != step or n != len(kids) + len(words):
+                raise DomainError(f"{path}:{lineno}: the line records no {model} growth step from the line before")
+            for u, label in zip(words, labels):
+                kids[u] = 0
+                if u:
+                    kids[u[:-1]] += 1
+                    words_of[label] = u
+                    canon.add(u, label)
             if str(canon) != text:
                 raise DomainError(f"{path}:{lineno}: the {field} is not the canonical text of its words")
-    if tokens is None:
+            step += 1
+    if not step:
         raise ParseError(f"{path}: empty trace")
+
+
+def _child_word(label: str, words_of: Dict[str, Word]) -> Word:
+    """The word ``label`` is the canonical text of, a child of the root or of ``words_of``; else the root."""
+    head, dot, last = label.rpartition(".")
+    parent = words_of.get(head) if dot else ROOT
+    try:
+        letter = int(last)
+    except ValueError:
+        return ROOT
+    return parent + (letter,) if parent is not None and letter > 0 and str(letter) == last else ROOT
 
 
 # ---------------------------------------------------------------------------

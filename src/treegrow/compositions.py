@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from operator import eq, ge, le, mul
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -292,9 +292,10 @@ def peel_partition_values(a: Sequence[int], T: int, b: Optional[Callable[[int], 
 
     The top two shifts below the last one, R, are read off b, since
     ``Z_R(t) = a_R [t = 0]``: ``Z_{R-1}(t) = a_{R-1} [t = 0] + a_R b_t``,
-    whose kept list is ``[0] * k + [a_R b_t]``, and, where no sums are
-    kept, ``Z_{R-2}(t) = a_{R-1} b_t + a_R sum_{m + m' = t} b_m b_m'``,
-    each mirrored pair ``b_m b_m'`` formed once.
+    whose kept list is ``[0] * k + [a_R b_t]``, and, with ``m + m' = t``,
+    ``Z_{R-2}(t) = a_R sum b_m b_m' + a_{R-1} b_t``, each mirrored product formed once.
+    A kept list's masses are those products (none unless t = 2 mod d), first half, middle
+    square, reversed half, then ``a_{R-1} b_t``, with zeros for any missing products.
     """
     r = len(a)
     support = [ell for ell in range(r) if a[ell]]
@@ -313,8 +314,8 @@ def peel_partition_values(a: Sequence[int], T: int, b: Optional[Callable[[int], 
     for ell in range(s, r, d):
         z[ell][0] = a[ell]
     R = r - 1
-    summed = R - 1 if R - 2 < len(sums) else R - 2  # the shifts below run the sum over the slices
     bs: List[int] = []  # b_1, b_{1+d}, ..., up to the current total
+    cs: List[int] = []  # a_R b_1, a_R b_{1+d}, ...
     for t in range(1, T + 1):
         bt = z[0][t - 1] if b is None else b(t)
         if (t - 1) % d:
@@ -322,14 +323,12 @@ def peel_partition_values(a: Sequence[int], T: int, b: Optional[Callable[[int], 
                 raise DomainError(f"part weights must vanish off 1 mod {d} (b_{t} != 0)")
         else:
             bs.append(bt)
+            cs.append(a[R] * bt)
         low = (s - t) % d  # the least shift of this total's class
-        for ell in range(low, summed, d):
+        for ell in range(low, R - 2, d):
             masses = map(mul, bs, z[ell + 1][t - 1:stops[ell]:-d])
             if ell < len(sums):
-                running = list(accumulate(masses)) or [0]
-                while len(running) > 1 and running[-2] == running[-1]:
-                    running.pop()
-                sums[ell][t] = running
+                sums[ell][t] = running = cut_running_sums(list(accumulate(masses)))
                 z[ell][t] = running[-1]
             else:
                 z[ell][t] = sum(masses)
@@ -337,14 +336,24 @@ def peel_partition_values(a: Sequence[int], T: int, b: Optional[Callable[[int], 
             last = z[R - 1][t] = a[R] * bt
             if R - 1 < len(sums):
                 sums[R - 1][t] = [0] * (len(bs) - 1) + [last] if last else [0]
-        if summed == R - 2 >= 0 and (summed - low) % d == 0:
+        if R >= 2 and (R - 2 - low) % d == 0:
             J, off = divmod(t - 2, d)  # b_m b_m' with m + m' = t pairs b_{1+jd} with b_{1+(J-j)d}
-            if off or J < 0:
-                pairs = 0
+            half = [] if off else list(map(mul, bs[:(J + 1) // 2], cs[J:J // 2:-1]))
+            middle = [] if off or J % 2 else [bs[J // 2] * cs[J // 2]]
+            if R - 2 < len(sums):
+                products = repeat(0, len(bs) - 1) if off else chain(half, middle, reversed(half))
+                sums[R - 2][t] = running = cut_running_sums(list(accumulate(chain(products, [a[R - 1] * bt]))))
+                z[R - 2][t] = running[-1]
             else:
-                pairs = 2 * sum(map(mul, bs[:(J + 1) // 2], bs[J:J // 2:-1])) + (0 if J % 2 else bs[J // 2] ** 2)
-            z[summed][t] = a[R] * pairs + a[R - 1] * bt
+                z[R - 2][t] = 2 * sum(half) + sum(middle) + a[R - 1] * bt
     return z
+
+
+def cut_running_sums(running: List[int]) -> List[int]:
+    """Running sums cut at the last point with mass, or ``[0]`` for none: a kept list's shape."""
+    while len(running) > 1 and running[-2] == running[-1]:
+        running.pop()
+    return running or [0]
 
 
 def cleared(values: Sequence[Fraction]) -> Tuple[int, List[int]]:
@@ -456,10 +465,7 @@ class PartitionKernel:
             return self._sums[ell][t]
         # z != 0 at t >= 1 puts ell + 1 on the shift ladder, and every read below inside the bounds
         nxt, b, d = self._z[ell + 1], self._b, self.d
-        sums = list(accumulate(map(mul, b[1:t + 1:d], nxt[t - 1::-d])))
-        while len(sums) > 1 and sums[-2] == sums[-1]:
-            sums.pop()
-        return sums
+        return cut_running_sums(list(accumulate(map(mul, b[1:t + 1:d], nxt[t - 1::-d]))))
 
     def step_probs(self, ell: int, t: int) -> StepRow:
         """Probability that the reindexed first part increments between totals t and t+d.

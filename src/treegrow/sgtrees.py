@@ -465,7 +465,7 @@ class GrowthChain:
             parts = parts_of[v]
             kind, j = sample_move(t, parts, bernoulli, rng, factors)
             if kind == "append":
-                new = tuple([v + (i,) for i in range(j + 1, j + d + 1)])
+                new = (v + (j + 1,),) if d == 1 else tuple([v + (i,) for i in range(j + 1, j + d + 1)])
                 for u in new:
                     parts_of[u] = []
                 parts += [1] * d

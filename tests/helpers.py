@@ -712,9 +712,13 @@ def left_to_right_prob(factors):
 def whole_tree_validate_trace(path, model, d=1):
     """Validate a grow trace by parsing every tree in full and comparing consecutive trees.
 
-    The independent oracle for ``cli.validate_trace``, which checks the
-    first tree in full and every later line as a step from the one before.
-    Every line must be the canonical text of the tree it parses to.
+    The independent oracle for ``cli.validate_trace``, which reads each line
+    as the step it records from the line before.  Every line must be the
+    canonical text of the tree it parses to, the first tree the root
+    alone; each line's ``n`` must be its tree's size, its ``step`` its index
+    and its recorded words (``new_vertices``, or ``new_vertex`` for
+    subtree) the canonical texts of the words of its tree that the tree
+    before lacks.
     """
     with open(path, "r", encoding="utf-8") as handle:
         records = [json.loads(line) for line in handle if line.strip()]
@@ -725,6 +729,8 @@ def whole_tree_validate_trace(path, model, d=1):
     for rec, tree in zip(records, trees):
         if format_tree(tree) != rec[field]:
             raise DomainError(f"{path}: {rec[field]!r} is not the canonical text of its tree")
+    if trees[0].vertices != {ROOT}:
+        raise DomainError(f"{path}: the first tree is not the root alone")
     if kind == "plane":
         for before, after in zip(trees, trees[1:]):
             ok = (is_right_leaning_leaf_addition(before, after) if d == 1
@@ -735,6 +741,14 @@ def whole_tree_validate_trace(path, model, d=1):
         for before, after in zip(trees, trees[1:]):
             if not (before.vertices < after.vertices and len(after) == len(before) + 1):
                 raise DomainError(f"{path}: consecutive subtrees are not one-leaf inclusions")
+    befores = [frozenset()] + [tree.vertices for tree in trees[:-1]]
+    for index, (rec, before, tree) in enumerate(zip(records, befores, trees)):
+        recorded = rec["new_vertices"] if kind == "plane" else [rec["new_vertex"]]
+        added = sorted(word_to_text(u) for u in tree.vertices - before)
+        if type(rec["n"]) is not int or rec["n"] != len(tree) or type(rec["step"]) is not int or rec["step"] != index:
+            raise DomainError(f"{path}: line {index + 1} records n = {rec['n']!r} and step = {rec['step']!r}")
+        if type(recorded) is not list or sorted(recorded) != added:
+            raise DomainError(f"{path}: line {index + 1} records {recorded!r}, not its new words {added}")
 
 
 def literal_image(chain):

@@ -186,6 +186,7 @@ def peels_with_empty_lowest_shifts(draw):
 @example(case=([0] * 9 + [1], 9, [0, 1, 0, 2, 0, 3, 0, 4, 0, 5].__getitem__, 2, 10))   # a forest peel
 @example(case=([0, 0, 0, 0, 1], 6, [0, 1, 1, 1, 1, 1, 1].__getitem__, 1, 5))
 @example(case=([0, 0, 0], 4, [0, 1, 1, 1, 1].__getitem__, 1, 3))                      # no count weight at all
+@example(case=([0, 0, 0, 1, 0], 12, [0, 1, 0, 2, 0, 3, 0, 1, 0, 2, 0, 3, 0].__getitem__, 2, 3))  # R - 2 kept at odd t
 def test_bounded_peel_matches_the_unbounded_sums(case):
     # the slices stop where Z_{ell+1} has no mass left: same values, same kept running sums
     a, T, b, d, kept = case
@@ -212,7 +213,7 @@ def top_shift_peels(draw):
     for ell in range(R % d, R, d):
         a[ell] = draw(st.integers(0, 4) | st.just(0))
     a[R] = draw(st.integers(1, 4))
-    T = draw(st.integers(0, 16))
+    T = draw(st.integers(0, 40))
     b = None if tree_masses else [draw(st.integers(0, 4)) if (m - 1) % d == 0 else 0 for m in range(T + 1)].__getitem__
     return a, T, b, d, draw(st.integers(0, R + 1))
 
@@ -225,6 +226,12 @@ def top_shift_peels(draw):
 @example(case=([1, 0, 2], 9, None, 2, 3))
 @example(case=([1, 2, 0, 3], 10, None, 1, 0))      # a_{R-1} = 0 at d = 1: the slice of shift R - 2 stops above 0
 @example(case=([1, 2, 0, 3], 10, None, 1, 4))
+@example(case=([1, 1, 1], 40, None, 1, 2))          # the kept shifts of the grow workloads: R - 2 among them
+@example(case=([1, 3, 3, 1], 40, None, 1, 2))
+@example(case=([24, 26, 9, 1], 40, None, 1, 2))
+@example(case=([1, 0, 2, 0, 1], 40, None, 2, 3))    # sums kept at R - 2 for d = 2 and d = 3
+@example(case=([2, 0, 0, 1], 40, None, 3, 2))
+@example(case=([1, 0, 0, 2, 0, 0, 3], 40, [1 + m % 5 if m % 3 == 1 else 0 for m in range(41)].__getitem__, 3, 5))
 def test_top_shifts_read_off_b_match_the_unbounded_sums(case):
     # Z_{R-1} in closed form and Z_{R-2} from mirrored pairs: the same values and kept running sums
     a, T, b, d, kept = case

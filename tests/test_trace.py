@@ -8,6 +8,7 @@ import io
 import json
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -268,10 +269,14 @@ def traces(tmp_path_factory):
     return base, tmp / "mutated.jsonl"
 
 
+def new_words_key(field):
+    return "new_vertices" if field == "tree" else "new_vertex"
+
+
 def mutate(data, records, other, field, model):
     """Apply one drawn mutation in place to the records of a trace."""
-    kind = data.draw(st.sampled_from(["drop", "duplicate", "swap", "splice-other", "graft",
-                                      "bad-token", "reorder", "duplicate-token", "no-root", "new-token"]))
+    kind = data.draw(st.sampled_from(["drop", "duplicate", "swap", "splice-other", "graft", "bad-token",
+                                      "reorder", "duplicate-token", "no-root", "new-token", "recorded-field"]))
     if not records:
         return
     i = data.draw(st.integers(0, len(records) - 1))
@@ -316,12 +321,37 @@ def mutate(data, records, other, field, model):
     elif kind == "new-token":
         # the token of a word new on line i rewritten, on that line alone or from it on
         rewrite = data.draw(st.sampled_from(sorted(NEW_TOKEN)))
-        rewrite_new_token(records, i, field, rewrite, data.draw(st.booleans()))
+        rewrite_new_token(records, i, field, rewrite, data.draw(st.booleans()), data.draw(st.booleans()))
+    elif kind == "recorded-field":
+        # n or step moved, or the new words of another line, or one word of line i among them
+        key = data.draw(st.sampled_from(["n", "step", new_words_key(field)]))
+        if key in ("n", "step"):
+            records[i][key] += data.draw(st.sampled_from([-2, -1, 1, 2]))
+        elif data.draw(st.booleans()):
+            records[i][key] = copy.deepcopy(records[data.draw(st.integers(0, len(records) - 1))][key])
+        else:
+            label = data.draw(st.sampled_from(tokens))
+            records[i][key] = label if model == "subtree" else records[i][key][:-1] + [label]
     elif kind == "duplicate-token":
         tokens.insert(data.draw(st.integers(0, len(tokens))), data.draw(st.sampled_from(tokens)))
         records[i][field] = ",".join(tokens)
     else:
         records[i][field] = ",".join(t for t in tokens if t != "e")
+
+
+def restamp(records, field):
+    """Rewrite each line's n, step and new words to agree with its tree text and the line before.
+
+    So a mutated tree is judged by its words alone; a subtree line that
+    gains other than one token records them joined, which parses as no word.
+    """
+    before = set()
+    for index, rec in enumerate(records):
+        tokens = rec[field].split(",")
+        fresh = [t for t in tokens if t not in before]
+        rec["n"], rec["step"] = len(tokens), index
+        rec[new_words_key(field)] = fresh if field == "tree" else ",".join(fresh)
+        before = set(tokens)
 
 
 def respell(token):
@@ -335,14 +365,17 @@ NEW_TOKEN = {
     "space-padded": lambda token, before: " " + token,  # word_from_text strips the space
     "second-spelling": lambda token, before: respell(before[-1]),  # of a word present on the line before
     "missing-parent": lambda token, before: token + ".1",
+    "zero-letter": lambda token, before: token[:token.rfind(".") + 1] + "0",
 }
 
 
-def rewrite_new_token(records, i, field, rewrite, persist):
+def rewrite_new_token(records, i, field, rewrite, persist, relabel=False):
     """Rewrite the first token of line i that line i - 1 lacks, on line i alone or on every line from i on.
 
-    Does nothing when line i has no such token or (for a second spelling)
-    the line before has no word but the root.
+    With ``relabel``, line i records the rewritten token as its new word
+    too, so the line agrees with itself.  Does nothing when line i has no
+    such token or (for a second spelling) the line before has no word but
+    the root.
     """
     if i == 0:
         return
@@ -353,17 +386,22 @@ def rewrite_new_token(records, i, field, rewrite, persist):
     target, replacement = fresh[0], NEW_TOKEN[rewrite](fresh[0], before)
     for rec in records[i:] if persist else records[i:i + 1]:
         rec[field] = ",".join(replacement if t == target else t for t in rec[field].split(","))
+    if relabel:
+        key = new_words_key(field)
+        new = records[i][key]
+        records[i][key] = replacement if new == target else [replacement if t == target else t for t in new]
 
 
-@pytest.mark.parametrize("persist", [False, True], ids=["line", "onwards"])
+@pytest.mark.parametrize("persist, relabel", [(False, False), (True, False), (False, True), (True, True)],
+                         ids=["line", "onwards", "line-and-label", "onwards-and-label"])
 @pytest.mark.parametrize("rewrite", sorted(NEW_TOKEN))
 @pytest.mark.parametrize("model", sorted(MUTATION_BASES))
-def test_new_token_rewrite_refused(traces, model, rewrite, persist):
+def test_new_token_rewrite_refused(traces, model, rewrite, persist, relabel):
     base, path = traces
     _, d, field = MUTATION_BASES[model]
     for i in (1, 2, -1):
         records = copy.deepcopy(base[model][0])
-        rewrite_new_token(records, i % len(records), field, rewrite, persist)
+        rewrite_new_token(records, i % len(records), field, rewrite, persist, relabel)
         if records == base[model][0]:
             assert i == 1 and rewrite == "second-spelling"  # line 0 holds the root alone
             continue
@@ -420,7 +458,72 @@ def test_incremental_reader_matches_whole_tree_oracle(traces, data):
     records = copy.deepcopy(base[model][seed])
     for _ in range(data.draw(st.integers(1, 2))):
         mutate(data, records, base[model][1 - seed], field, model)
+    if data.draw(st.booleans()):
+        restamp(records, field)
     path.write_text("".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records))
     oracle = rejection(whole_tree_validate_trace, str(path), model, d)
     incremental = rejection(validate_trace, str(path), model, d)
     assert (oracle is None) == (incremental is None), (oracle, incremental)
+
+
+@pytest.mark.parametrize("key", ["n", "step", "new words"])
+@pytest.mark.parametrize("model", sorted(MUTATION_BASES))
+def test_recorded_step_disagreeing_with_the_tree_refused(traces, model, key):
+    # the tree text is left as grown: only the recorded n, step or new words are wrong
+    base, path = traces
+    _, d, field = MUTATION_BASES[model]
+    key = new_words_key(field) if key == "new words" else key
+    for i in (0, 2, -1):
+        records = copy.deepcopy(base[model][0])
+        if key in ("n", "step"):
+            records[i][key] += 1
+        else:
+            records[i][key] = records[i - 1 if i else 1][key]
+        path.write_text("".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records))
+        for validate in (validate_trace, whole_tree_validate_trace):
+            with pytest.raises(DomainError):
+                validate(str(path), model, d)
+
+
+# line 2 of a grown trace replaced by a line that is no trace record
+MALFORMED = {
+    "not-json": lambda rec, field, key: '{"n": 2, "step": 1',
+    "not-an-object": lambda rec, field, key: json.dumps([rec[field], rec["n"]]),
+    "no-tree": lambda rec, field, key: json.dumps({k: v for k, v in rec.items() if k != field}),
+    "no-n": lambda rec, field, key: json.dumps({k: v for k, v in rec.items() if k != "n"}),
+    "no-step": lambda rec, field, key: json.dumps({k: v for k, v in rec.items() if k != "step"}),
+    "no-new-words": lambda rec, field, key: json.dumps({k: v for k, v in rec.items() if k != key}),
+    "tree-not-a-string": lambda rec, field, key: json.dumps({**rec, field: rec[field].split(",")}),
+    "new-word-not-a-string": lambda rec, field, key: json.dumps({**rec, key: 1}),
+    "n-not-an-integer": lambda rec, field, key: json.dumps({**rec, "n": float(rec["n"])}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+@pytest.mark.parametrize("model", sorted(MUTATION_BASES))
+def test_malformed_line_refused_naming_its_line(traces, model, case):
+    base, path = traces
+    _, d, field = MUTATION_BASES[model]
+    lines = [json.dumps(rec, sort_keys=True) for rec in base[model][0]]
+    lines[1] = MALFORMED[case](base[model][0][1], field, new_words_key(field))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DomainError, match=f"^{re.escape(str(path))}:2: "):
+        validate_trace(str(path), model, d)
+
+
+@pytest.mark.parametrize("model", ["sg-arith", "subtree"])
+def test_a_present_word_recorded_again_refused(traces, model):
+    # line 2 re-adds a word of line 1: for subtree it is listed twice in the tree and counted in n;
+    # for sg-arith the root heads the bouquet
+    base, path = traces
+    _, d, field = MUTATION_BASES[model]
+    records = copy.deepcopy(base[model][0][:2])
+    if model == "subtree":
+        label = records[1]["new_vertex"]
+        records.append({"n": 3, "new_vertex": label, "step": 2, "subtree": f"{records[1]['subtree']},{label}"})
+    else:
+        records.append({**records[1], "n": 5, "new_vertices": ["e", "1.1"], "step": 2, "tree": "e,1,1.1,2"})
+    path.write_text("".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records))
+    for validate in (validate_trace, whole_tree_validate_trace):
+        with pytest.raises(DomainError):
+            validate(str(path), model, d)
