@@ -8,36 +8,40 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import takewhile
 from operator import itemgetter
 from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
 from . import __version__
 from ._rand import derive_rng
-from .compositions import CheckReport, as_fraction, check_ratio_chain
+from .compositions import CheckReport, as_fraction, check_ratio_chain, cleared
 from .errors import DomainError, HorizonError, ParseError, Refused, TreegrowError
-from .oracle import (PLANE_TREE_CAP, SUBTREE_CAP, SUBTREE_POSITION_CAP, cleared_weights, enumerate_plane_trees,
+from .oracle import (PLANE_TREE_CAP, SUBTREE_CAP, SUBTREE_POSITION_CAP, enumerate_plane_trees,
                      enumerate_subtrees, goodness_of_fit, sg_law, sg_word_masses, st_law, subset_law,
                      kernel_interchange_check)
 from .sgtrees import (WeightSequence, check_tp2_array, compute_tables, growth_kernel,
-                      is_log_concave, require_log_concave, GrowthChain)
+                      is_log_concave, packed_powers, require_log_concave, GrowthChain)
 from .subtree_model import (SubtreeChain, SummableTheta, bij_P, bij_P_inv, nested_coupling_law,
                             nested_thresholds, sigma_rule, shuffle_invariance_check)
 from .treespace import ROOT, GrowingText, Word, adds_bouquet, format_tree, to_dot, word_to_text
 
 # --n-max caps not set by the enumeration caps of oracle.  On a 2-CPU Xeon:
-# tp2 peels the forest arrays, O(n^3) integer products, and decides each
-# array by O(n^2) column comparisons, the scans of its adjacent rows, when
-# those pass, as for log-concave weights (in process with the peel, medians
-# of 7: 0.4-0.8 ms at n-max 24 and 31-35 ms at 120 for w = 1,3,3,1 and
-# 1 x 8, 0.5-0.6 and 51-57 ms for 1/2,1/3,1/7); otherwise every pair of rows
-# is scanned, and a pair that fails lists each failing
-# minor, O(n^4) of them for weights far from log-concave (w = 1,1/1000,0,0,1
-# lists 35,370, a 15 MB report, in 0.67 s at 40 and 161,238, 104 MB, in 4.5 s
-# at 60), so weights whose w_0, w_d, ... is not log-concave keep the cap 40.
+# tp2 reads the forest arrays off n packed powers of the weights, O(n^2)
+# slots, and decides each array by O(n^2) column comparisons, the scans of
+# its adjacent rows, when those pass, as for log-concave weights (in process,
+# medians of 7: 0.37-0.45 ms at n-max 24 for w = 1,3,3,1, 1 x 8 and
+# 1/2,1/3,1/7, and 7.3-7.8, 7.7-8.5 and 11.8-12.8 ms at 120, against
+# 0.7-0.8 ms and 36-42, 36-38 and 54-56 ms with the peel of the forest
+# arrays); otherwise every pair of rows is scanned, and a pair that fails
+# lists each failing minor, O(n^4) of them for weights far from log-concave
+# (w = 1,1/1000,0,0,1 lists 35,370, a 15 MB report, in 0.78-0.84 s at 40,
+# and 161,238, 104 MB, at 60), so weights whose w_0, w_d, ... is not
+# log-concave keep the cap 40.
 # ratio-chain compares O(n) ratios of ever longer integers (1000 takes about
 # 1.2 s for w = 1,3,3,1 and 2.1 s for w = 1,0,2,0,1 at d = 2, whose tables
 # reach total 2003); shuffle-invariance sums over every decorated plane tree,
@@ -307,6 +311,11 @@ def exact_text(q: Fraction) -> str:
             sys.set_int_max_str_digits(limit)
 
 
+# The tree field and the new-words field of a trace line, by model
+TRACE_FIELDS = {"sg": ("tree", "new_vertices"), "sg-arith": ("tree", "new_vertices"),
+                "subtree": ("subtree", "new_vertex")}
+
+
 def validate_trace(path: str, model: str, d: int = 1):
     """Re-validate a trace file line by line, each line by the step it records.
 
@@ -317,51 +326,65 @@ def validate_trace(path: str, model: str, d: int = 1):
     word labelled by its canonical text, ``n`` being the size after it.  The
     words join the child counts and the canonical text carried from line to
     line, which the line's tree must equal, so no tree is split or parsed.
-    A line that is no JSON object of those fields is refused at ``path:lineno``.
+    A line that is no JSON object of those fields, or not UTF-8 text, is
+    refused at ``path:lineno``, the first such line in the file.
     """
-    if model in ("sg", "sg-arith"):
-        field, new_field = "tree", "new_vertices"
-    elif model == "subtree":
-        field, new_field = "subtree", "new_vertex"
-    else:
+    if model not in TRACE_FIELDS:
         raise DomainError(f"unknown model {model!r}: expected sg, sg-arith or subtree")
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            steps = _check_trace_lines(handle, path, model, d)
+    except UnicodeDecodeError:
+        steps = None
+    if steps is None:
+        # the file is decoded a block at a time, ahead of the lines checked: check the lines before the
+        # first that is not UTF-8, where errors="surrogateescape" reads a byte as U+DC80 to U+DCFF, then refuse it
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+            lines = list(takewhile(lambda line: not re.search("[\udc80-\udcff]", line), handle))
+        _check_trace_lines(lines, path, model, d)
+        raise DomainError(f"{path}:{len(lines) + 1}: not valid UTF-8 text")
+    if not steps:
+        raise ParseError(f"{path}: empty trace")
+
+
+def _check_trace_lines(lines, path: str, model: str, d: int) -> int:
+    """Check the lines of a trace as ``validate_trace`` does, numbered from 1; returns the steps read."""
+    field, new_field = TRACE_FIELDS[model]
     read = itemgetter(field, "n", "step", new_field)
     kids: Dict[Word, int] = {}   # the child counts of the words so far
     words_of: Dict[str, Word] = {}   # the words so far but the root, by their canonical texts
     canon = GrowingText()
     step = 0
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                text, n, index, labels = read(json.loads(line))
-            except ValueError:
-                raise DomainError(f"{path}:{lineno}: not a JSON line") from None
-            except (KeyError, TypeError):
-                raise DomainError(f"{path}:{lineno}: not an object with {field}, n, step and {new_field}") from None
-            if model == "subtree":
-                labels = [labels]
-            if type(labels) is not list or {type(text), *map(type, labels)} != {str} or {type(n), type(index)} != {int}:
-                raise DomainError(f"{path}:{lineno}: the {field} and {new_field} must be text, n and step integers")
-            words = [_child_word(label, words_of) for label in labels]
-            if step:
-                ok = not any(map(kids.__contains__, words)) and (field == "subtree" or adds_bouquet(kids, words, d))
-            else:
-                ok = labels == ["e"]
-            if not ok or index != step or n != len(kids) + len(words):
-                raise DomainError(f"{path}:{lineno}: the line records no {model} growth step from the line before")
-            for u, label in zip(words, labels):
-                kids[u] = 0
-                if u:
-                    kids[u[:-1]] += 1
-                    words_of[label] = u
-                    canon.add(u, label)
-            if str(canon) != text:
-                raise DomainError(f"{path}:{lineno}: the {field} is not the canonical text of its words")
-            step += 1
-    if not step:
-        raise ParseError(f"{path}: empty trace")
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            text, n, index, labels = read(json.loads(line))
+        except ValueError:
+            raise DomainError(f"{path}:{lineno}: not a JSON line") from None
+        except (KeyError, TypeError):
+            raise DomainError(f"{path}:{lineno}: not an object with {field}, n, step and {new_field}") from None
+        if model == "subtree":
+            labels = [labels]
+        if type(labels) is not list or {type(text), *map(type, labels)} != {str} or {type(n), type(index)} != {int}:
+            raise DomainError(f"{path}:{lineno}: the {field} and {new_field} must be text, n and step integers")
+        words = [_child_word(label, words_of) for label in labels]
+        if step:
+            ok = not any(map(kids.__contains__, words)) and (field == "subtree" or adds_bouquet(kids, words, d))
+        else:
+            ok = labels == ["e"]
+        if not ok or index != step or n != len(kids) + len(words):
+            raise DomainError(f"{path}:{lineno}: the line records no {model} growth step from the line before")
+        for u, label in zip(words, labels):
+            kids[u] = 0
+            if u:
+                kids[u[:-1]] += 1
+                words_of[label] = u
+                canon.add(u, label)
+        if str(canon) != text:
+            raise DomainError(f"{path}:{lineno}: the {field} is not the canonical text of its words")
+        step += 1
+    return step
 
 
 def _child_word(label: str, words_of: Dict[str, Word]) -> Word:
@@ -389,19 +412,20 @@ def _suite_tables(args) -> dict:
     n_max = _n_max(args, 7, PLANE_TREE_CAP)
     tables = compute_tables(w, d, N=n_max + d)
     # the trees of size n weigh L^n b_n on the integer weights L w_k
-    scale, ints = cleared_weights(w, n_max + 1)
+    scale, ints = cleared(w.progression(d))
     report = CheckReport("tables")
     for n in range(1, n_max + 1, d):
         enumerated = Fraction(sum(sg_word_masses(w, d, n).values()), scale ** n)
         b_n = tables.b_value(n)
         report.record(enumerated == b_n, n=n, recursion=b_n, enumeration=enumerated)
-    # Lagrange inversion, n b_n = [x^(n-1)] w(x)^n, uses neither the peel nor the enumeration
-    power = [1] + [0] * n_max  # (L w)(x)^n up to x^n_max
-    for n in range(1, n_max + 2):
-        power = [sum(power[i] * ints[j - i] for i in range(j + 1)) for j in range(n_max + 1)]
+    # Lagrange inversion, n b_n = [y^(n-1)] w(y)^n, uses neither the peel nor the enumeration: with x = y^d,
+    # slot (n - 1) / d of the n-th power of L w_0 + L w_d x + L w_2d x^2 + ...
+    width, powers = packed_powers(ints, n_max + 1, n_max // d + 1)
+    for n, power in enumerate(powers, start=1):
         if n % d == 1 % d:
-            report.record(Fraction(power[n - 1], n * scale ** n) == tables.b_value(n),
-                          n=n, kind="lagrange-identity-mismatch")
+            j = (n - 1) // d
+            report.record(Fraction(int.from_bytes(power[j * width:(j + 1) * width], "little"), n * scale ** n)
+                          == tables.b_value(n), n=n, kind="lagrange-identity-mismatch")
     return _suite_result(report)
 
 
@@ -410,7 +434,7 @@ def _suite_tp2(args) -> dict:
     # log-concavity of w_0, w_d, ... is TP2 of its Toeplitz matrix (Karlin), so no minor of it is checked
     lc = is_log_concave(w.progression(d))
     n_max = _n_max(args, 10, TP2_CAP if lc.ok else TP2_NOT_LOG_CONCAVE_CAP)
-    array_report = check_tp2_array(compute_tables(w, d, N=n_max + 1))
+    array_report = check_tp2_array(w, d, n_max + 1)
     return {"suite": "tp2", "ok": lc.ok and array_report.ok, "log_concave": lc.ok, "witness": lc.witness,
             "array": array_report.as_dict()}
 

@@ -20,7 +20,7 @@ import math
 import re
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
-from operator import eq, ge, le, mul
+from operator import mul
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ._rand import bernoulli
@@ -276,15 +276,6 @@ def peel_partition_values(a: Sequence[int], T: int, b: Optional[Callable[[int], 
     unless ``t = s - ell (mod d)``, so at each total only the shifts of
     that class run the sum and the others stay 0; at d = 1 every shift runs.
 
-    A composition with k parts has a total of at least k, so ``Z_ell(t) = 0``
-    below the least part count k with ``a_{ell+k} != 0``.  The slice over
-    ``Z_{ell+1}`` stops there, and runs to the bottom when that count is
-    below d, where its class holds no lower total: at every shift when
-    ``a_s, a_{s+d}, ...`` are positive up to the last, as for the trees a
-    chain grows (``w_0 > 0``, log-concave).  The forest arrays' count
-    weights ``[0] * T + [1]`` are the other end, where it cuts about two
-    thirds of the products, all ``0 * x``.
-
     Each list ``sums[ell]`` given, of length T + 1, keeps at index t the
     running sums of that sum, cut at the last point with mass (``[0]`` at
     a total with none): the list ``first_part_sums(ell, t)`` hands out.
@@ -302,14 +293,6 @@ def peel_partition_values(a: Sequence[int], T: int, b: Optional[Callable[[int], 
     s = support[0] % d if support else 0
     if any((ell - s) % d for ell in support):
         raise DomainError(f"count weights must lie on one residue class mod {d}, got support {support}")
-    stops: List[Optional[int]] = [T] * r  # T, an empty slice, where no count weight lies above the shift
-    above = None  # the least index past ell with a non-zero count weight
-    for ell in range(r - 2, -1, -1):
-        if a[ell + 1]:
-            above = ell + 1
-        if above is not None:
-            k = above - ell - 1  # the least part count of shift ell + 1
-            stops[ell] = k - 1 if k >= d else None
     z: List[List[int]] = [[0] * (T + 1) for _ in range(r)]
     for ell in range(s, r, d):
         z[ell][0] = a[ell]
@@ -326,7 +309,7 @@ def peel_partition_values(a: Sequence[int], T: int, b: Optional[Callable[[int], 
             cs.append(a[R] * bt)
         low = (s - t) % d  # the least shift of this total's class
         for ell in range(low, R - 2, d):
-            masses = map(mul, bs, z[ell + 1][t - 1:stops[ell]:-d])
+            masses = map(mul, bs, z[ell + 1][t - 1::-d])
             if ell < len(sums):
                 sums[ell][t] = running = cut_running_sums(list(accumulate(masses)))
                 z[ell][t] = running[-1]
@@ -431,16 +414,23 @@ class PartitionKernel:
         self._sums: List[List[Optional[List[int]]]] = \
             [[None] * (total_horizon + 1) for _ in range(KEPT_SHIFTS)] if keep_sums else []
         self._step_memo: Dict[Tuple[int, int], StepRow] = {}
+        self.truncation: Optional[int] = None
 
     def max_a_index(self) -> int:
         return self.r
 
     def partition_int(self, ell: int, t: int) -> int:
-        """``A D^t Z_ell(t)``, bounds-checked like ``partition_value``."""
+        """``A D^t Z_ell(t)``, bounds-checked like ``partition_value``.
+
+        A value that reads a weight past ``truncation``, the declared
+        horizon of tree weights, raises ``HorizonError``.
+        """
         if ell < 0 or t < 0:
             raise DomainError("partition values need a non-negative shift and total")
         if t > self.total_horizon:
             raise HorizonError(f"partition value at total {t} beyond horizon {self.total_horizon}")
+        if self.truncation is not None and ell + t > self.truncation:
+            raise HorizonError(f"w_{ell + t} requested beyond declared truncation horizon {self.truncation}")
         return self._z[ell][t] if ell <= self.r else 0
 
     def scale(self, t: int) -> int:
@@ -660,34 +650,45 @@ def check_ratio_chain(tables: PartitionKernel, n_max: int) -> CheckReport:
     level down, because at the last shift only single-part compositions
     carry mass.  Every side is a quotient of table integers times the
     common factor ``D^-d``, so each check is one cross-multiplication, and
-    only a failure forms the exact values of both sides.
+    only a failure forms the exact values of both sides.  The ratios are
+    read off each shift's row of the tables, in the order and with the
+    refusals of ``partition_int``: a read past the declared truncation of
+    the weights raises ``HorizonError`` before the ratio is formed.
     """
     report = CheckReport(name="ratio-chain")
-    d, z, b = tables.d, tables.partition_int, tables._b
+    d, b, truncation, failures = tables.d, tables._b, tables.truncation, report.failures
     scale = tables.b_scale ** d
     if (n_max + 1) * d + 1 >= len(b):
         raise HorizonError(f"the ratio chain to n={n_max} reads b_{(n_max + 1) * d + 1}, past the tables")
 
-    def check(holds: Callable[[int, int], bool], lhs: Tuple[int, int], rhs: Tuple[int, int], **where):
-        # each side is an integer pair (p, q) standing for p / (q D^d); holds compares them cross-multiplied
-        report.checked += 1
-        if not holds(lhs[0] * rhs[1], rhs[0] * lhs[1]):
-            report.failures.append({**where, "lhs": str(Fraction(lhs[0], lhs[1] * scale)),
-                                    "rhs": str(Fraction(rhs[0], rhs[1] * scale))})
+    def side(p: int, q: int) -> str:
+        return str(Fraction(p, q * scale))   # the pair (p, q) stands for p / (q D^d)
 
     r = tables.r // d
+    ladder = [(q, s, q * d + s, tables._z[q * d + s]) for s in range(d) for q in range(r)]   # ladder[:r]: s = 0
     for n in range(n_max + 1):
-        ratios = []
-        for q, s in [(q, s) for s in range(d) for q in range(r)] if n >= 1 else [(q, 0) for q in range(r)]:
-            num, den = z(q * d + s, (n + 1) * d - s), z(q * d + s, n * d - s)
+        shifts = ladder if n >= 1 else ladder[:r]
+        report.checked += len(shifts) + (n >= 1)
+        hi = None
+        for q, s, ell, row in shifts:
+            t = (n + 1) * d - s
+            if truncation is not None and ell + t > truncation:
+                raise HorizonError(f"w_{ell + t} requested beyond declared truncation horizon {truncation}")
+            num, den = row[t], row[t - d]
             if den == 0:
                 raise ZeroMassError(f"vanishing partition value at n={n}, shift ({q},{s})")
-            ratios.append(((q, s), (num, den)))
-        for (hi, lhs), (lo, rhs) in zip(ratios, ratios[1:]):
-            check(ge, lhs, rhs, n=n, hi=hi, lo=lo)
-        check(le, ratios[0][1], (b[(n + 1) * d + 1], b[n * d + 1]), n=n, kind="upper-endpoint")
+            if hi is None:
+                first = num, den
+            elif hp * den < num * hq:
+                failures.append({"n": n, "hi": hi, "lo": (q, s), "lhs": side(hp, hq), "rhs": side(num, den)})
+            hi, hp, hq = (q, s), num, den
+        up, here = b[(n + 1) * d + 1], b[n * d + 1]
+        if first[0] * here > up * first[1]:
+            failures.append({"n": n, "kind": "upper-endpoint", "lhs": side(*first), "rhs": side(up, here)})
         if n >= 1:
-            check(eq, ratios[-1][1], (b[n * d + 1], b[(n - 1) * d + 1]), n=n, kind="lower-endpoint")
+            down = b[(n - 1) * d + 1]
+            if hp * down != here * hq:
+                failures.append({"n": n, "kind": "lower-endpoint", "lhs": side(hp, hq), "rhs": side(here, down)})
     return report
 
 

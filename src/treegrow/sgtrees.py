@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
-from typing import Dict, Iterator, List, Optional, Tuple
+from operator import mod, mul
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ._rand import bernoulli
 from .compositions import (CheckReport, FrozenRecord, PartitionKernel, WeightSequence, as_fraction, cleared,
@@ -91,21 +93,11 @@ class PartitionTables(PartitionKernel):
     """
 
     def __init__(self, w: WeightSequence, d: int, N: int, _keep_sums: bool = False):
-        w = coerce_weights(w)
-        if d < 1:
-            raise DomainError("d must be >= 1")
-        if N < 1:
-            raise DomainError("the vertex horizon must be at least 1")
-        if w.horizon is not None and N - 1 > w.horizon:
-            raise HorizonError(
-                f"tables to {N} vertices need w up to index {N - 1}, truncation horizon is {w.horizon}")
-        if not w.is_d_arithmetic(d):
-            raise DomainError(f"weights must be supported on multiples of d={d}")
-        if w[0] == 0 or w[d] == 0:
-            raise DomainError(f"need w_0 w_{d} > 0 for trees of every size to carry mass")
+        w = tree_weights(w, d, N)
         r = w.radius
         scale, entries = cleared(w.entries[:r + 1])
         super().__init__(d, r, scale, scale, N - 1, _keep_sums)
+        self.truncation = w.horizon
         self.w = w
         self.N = N
         self.log_concave = is_log_concave(w.progression(d))
@@ -121,14 +113,25 @@ class PartitionTables(PartitionKernel):
 
     # -- PartitionKernel surface ----------------------------------------------
 
-    def partition_int(self, ell: int, t: int) -> int:
-        z = super().partition_int(ell, t)
-        if self.w.horizon is not None and ell + t > self.w.horizon:
-            raise HorizonError(f"w_{ell + t} requested beyond declared truncation horizon {self.w.horizon}")
-        return z
-
     def partition_value(self, ell: int, t: int) -> Fraction:
         return Fraction(self.partition_int(ell, t), self.scale(t))
+
+
+def tree_weights(w, d: int, N: int) -> WeightSequence:
+    """``w`` as a weight sequence, refused as the tree tables and forest arrays to N vertices and span d refuse it."""
+    w = coerce_weights(w)
+    if d < 1:
+        raise DomainError("d must be >= 1")
+    if N < 1:
+        raise DomainError("the vertex horizon must be at least 1")
+    if w.horizon is not None and N - 1 > w.horizon:
+        raise HorizonError(
+            f"tables to {N} vertices need w up to index {N - 1}, truncation horizon is {w.horizon}")
+    if not w.is_d_arithmetic(d):
+        raise DomainError(f"weights must be supported on multiples of d={d}")
+    if w[0] == 0 or w[d] == 0:
+        raise DomainError(f"need w_0 w_{d} > 0 for trees of every size to carry mass")
+    return w
 
 
 def compute_tables(w, d: int = 1, N: int = 10, _keep_sums: bool = False) -> PartitionTables:
@@ -219,38 +222,93 @@ def failing_minors(F: List[List[int]], low: int) -> Iterator[Tuple[int, int, int
                         yield n, n2, k, k2, lhs, rhs
 
 
-def check_tp2_array(tables: PartitionTables) -> CheckReport:
-    """Exactly verify all 2x2 minors of the forest arrays are non-negative.
+def packed_powers(u: Sequence[int], T: int, slots: int) -> Tuple[int, Iterator[bytes]]:
+    """The slot width W in bytes and the powers ``u^1, ..., u^T`` of a polynomial, one packed int each.
 
-    ``f(t, k)`` weighs the ordered k-tree forests with t vertices: the peel
-    with count weights ``e_T`` and the tree masses as part weights gives
-    ``z[T - k][t] = L^t f(t, k)``.  There is one array per residue s mod d,
-    ``F_s(n, k) = f(nd + s, kd + s)``; rows and columns run over 1..N when
-    d = 1 and over 0..N otherwise, N the largest the vertex horizon allows.
-    Both products of the minor at rows n, n2 carry the scale
-    ``L^((n + n2) d + 2s)``, so they are compared as integers.  Since every
-    tree size 1 mod d carries mass, no row of an array is empty, and
-    when its adjacent rows pass their ``ratios_rise`` scans
-    (``adjacent_rows_decide``), every row pair does: O(N^2) column
-    comparisons decide the array.  Otherwise ``failing_minors`` scans every
-    row pair, and a failing minor reports both sides divided by the scale.
-    ``checked`` counts every minor so decided.
+    Kronecker substitution: a polynomial with non-negative integer
+    coefficients is the int ``u(2^(8W))``, each coefficient in a slot of W
+    bytes, and each power is one int, the power before times ``u(2^(8W))``.
+    Each is masked to its first ``slots`` slots, which the slots above never
+    reach, and handed out as its ``slots * W`` little-endian bytes: the
+    coefficient of ``x^j`` is bytes ``jW`` to ``(j + 1)W``.  Every
+    coefficient of ``u^t`` lies between 0 and ``u(1)^t``, and W is the byte
+    length of ``u(1)^T``, so no slot carries into the next.
     """
+    width = ((sum(u) ** T).bit_length() + 7) // 8
+    size = slots * width
+    terms = [(c, 8 * width * j) for j, c in enumerate(u[:slots]) if c]
+    mask = (1 << 8 * size) - 1
+
+    def powers():
+        power = 1
+        for _ in range(T):
+            # times u(2^(8W)): one shifted multiple of the power per weight, each a product by a small int,
+            # which at n-max 120 takes a half to a fifth of the time of one product of the two packed ints
+            power = sum([(power * c if c > 1 else power) << at for c, at in terms]) & mask
+            yield power.to_bytes(size, "little")
+
+    return width, powers()
+
+
+def forest_arrays(u: Sequence[int], d: int, top: int) -> List[List[List[int]]]:
+    """The forest arrays ``F_s[n][k] = L^(nd+s) f(nd + s, kd + s)``, n, k <= top, of each residue s < d.
+
+    ``u = L w_0, L w_d, L w_2d, ...`` are the cleared weights along their
+    progression.  By Kemperman's formula (see ``check_tp2_array``), row n of
+    ``F_s`` is read off the coefficients of ``x^0, ..., x^n`` in
+    ``u(x)^(nd + s)``, ``x = y^d``, divided by ``nd + s``.  Each division is
+    checked to be exact: an ``ArithmeticError`` would mean a carry between slots.
+    """
+    width, powers = packed_powers(u, top * d + d - 1, top + 1)
+    arrays: List[List[List[int]]] = [[[1] + [0] * top]] + [[] for _ in range(1, d)]   # f(0, k) = [k = 0]
+    for t, data in enumerate(powers, start=1):
+        n, s = divmod(t, d)
+        # column k reads slot n - k, times kd + s: the slots n, n - 1, ..., 0 against s, s + d, ..., t
+        coefficients = [int.from_bytes(data[i:i + width], "little") for i in range(n * width, -1, -width)]
+        counts = list(map(mul, range(s, t + 1, d), coefficients))
+        if any(map(mod, counts, repeat(t))):
+            raise ArithmeticError(f"a forest count of size {t} is not an integer: a slot carried")
+        arrays[s].append([c // t for c in counts] + [0] * (top - n))
+    return arrays
+
+
+def check_tp2_array(w, d: int, N: int) -> CheckReport:
+    """Exactly verify all 2x2 minors of the forest arrays of the weights ``w`` are non-negative.
+
+    There is one array per residue s mod d, ``F_s(n, k) = f(nd + s, kd + s)``,
+    where ``f(t, k)`` weighs the ordered k-tree forests with t vertices;
+    rows and columns run over 1..N' when d = 1 and over 0..N' otherwise, N'
+    the largest that the vertex horizon N allows.  No tables are built:
+    Kemperman's formula (Lagrange inversion; Pitman, *Combinatorial
+    Stochastic Processes*, 2006, section 6.1) gives every forest count
+    from the powers of the cleared weights ``L w``,
+    ``L^t f(t, k) = (k / t) [y^(t - k)] (L w)(y)^t``, and ``forest_arrays``
+    reads them off ``packed_powers``: each power is one int with a slot
+    per coefficient, each slot as wide as ``(L w)(1)^T``, T the last power,
+    which bounds every coefficient of every power, so no slot carries, and
+    each division by t is checked to be exact.  Both products of the minor
+    at rows n, n2 carry the scale ``L^((n + n2) d + 2s)``, so they are
+    compared as integers.  Since every tree size 1 mod d carries mass, no
+    row of an array is empty, and when its adjacent rows pass their
+    ``ratios_rise`` scans (``adjacent_rows_decide``), every row pair does:
+    O(N^2) column comparisons decide the array.  Otherwise
+    ``failing_minors`` scans every row pair, and a failing minor reports
+    both sides divided by the scale.  ``checked`` counts every minor so
+    decided.  The weights are refused as ``compute_tables`` refuses them
+    (``tree_weights``).
+    """
+    w = tree_weights(w, d, N)
     report = CheckReport(name="tp2-array")
-    d = tables.d
-    top = (tables.N - 1) // d
+    top = (N - 1) // d
     low = 1 if d == 1 else 0
     size = top + 1 - low
     minors_per_array = (size * (size + 1) // 2) ** 2
-    T = top * d + d - 1
-    b = tables._b + [0] * d  # T passes the horizon only at sizes off 1 mod d, where no tree has mass
-    z = peel_partition_values([0] * T + [1], T, b.__getitem__, d)
-    for s in range(d):
-        F = [[z[T - k * d - s][n * d + s] for k in range(top + 1)] for n in range(top + 1)]
+    L, u = cleared(w.progression(d))
+    for s, F in enumerate(forest_arrays(u, d, top)):
         where = {"s": s} if d > 1 else {}
         report.checked += minors_per_array
         for n, n2, k, k2, lhs, rhs in failing_minors(F, low):
-            scale = tables.b_scale ** ((n + n2) * d + 2 * s)
+            scale = L ** ((n + n2) * d + 2 * s)
             report.failures.append({**where, "n": n, "n2": n2, "k": k, "k2": k2,
                                     "lhs": str(Fraction(lhs, scale)), "rhs": str(Fraction(rhs, scale))})
     return report

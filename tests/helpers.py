@@ -26,7 +26,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 import numpy as np
 
 from treegrow.compositions import (ONE, PLAIN, ZERO, ArithClass, CheckReport, Composition, PairTables, WeightPair,
-                                   apply_move, as_fraction, cleared, iter_compositions)
+                                   apply_move, as_fraction, cleared, iter_compositions, peel_partition_values)
 from treegrow.errors import DomainError, NotCoupleable, ParseError, TreegrowError, ZeroMassError
 from treegrow.oracle import InterchangeReport, _normalized, enumerate_plane_trees, enumerate_subtrees
 from treegrow.sgtrees import PartitionTables, WeightSequence, compute_tables, growth_kernel
@@ -233,7 +233,7 @@ def forest_fractions(w, T):
 
     The Lukasiewicz recursion on the first vertex, whose i children join
     the remaining trees, ``f(t, k) = sum_i w_i f(t - 1, k + i - 1)``, on
-    the rational weights: the oracle of the peel-built forest arrays of
+    the rational weights: the oracle of the forest arrays of
     ``check_tp2_array``.
     """
     f = [[Fraction(0)] * (T + 1) for _ in range(T + 1)]
@@ -252,14 +252,23 @@ def pair_minors_nonnegative(x, y, low):
     return all(x[k] * y[k2] >= x[k2] * y[k] for k in range(low, len(x)) for k2 in range(k, len(x)))
 
 
-def tp2_brute_force(tables):
-    """``check_tp2_array(tables).as_dict()`` from ``forest_fractions`` and every minor.
+def forest_peel(w, d, T):
+    """``z[T - k][t] = L^t f(t, k)`` for t, k <= T, L clearing ``w``: the peel that once built the forest arrays.
+
+    ``compositions.peel_partition_values`` with count weights ``e_T`` and
+    the tree masses ``L^m b_m`` of ``w`` as part weights.  The oracle of
+    ``sgtrees.forest_arrays``.
+    """
+    return peel_partition_values([0] * T + [1], T, compute_tables(w, d, N=T + 1)._b.__getitem__, d)
+
+
+def tp2_brute_force(w, d, N):
+    """``check_tp2_array(w, d, N).as_dict()`` from ``forest_fractions`` and every minor.
 
     Each minor of ``F_s(n, k) = f(nd + s, kd + s)`` is compared and
     recorded, failures with both exact sides, in row-major order.
     """
-    w, d = tables.w, tables.d
-    top = (tables.N - 1) // d
+    top = (N - 1) // d
     low = 1 if d == 1 else 0
     f = forest_fractions(w, top * d + d - 1)
     report = CheckReport(name="tp2-array")
@@ -288,10 +297,10 @@ def array_minors(F, low):
 def unbounded_peel(a, T, b, d, sums=()):
     """``compositions.peel_partition_values`` with every slice run to the bottom, without its refusals.
 
-    The reference for the slices that stop at the least part count: each
-    sum over ``Z_{ell+1}(t - 1), Z_{ell+1}(t - 1 - d), ...`` reaches total
-    0 or below, zeros included, and each kept list is cut at its last
-    point with mass.
+    The reference for the top shifts that the peel reads off b: each sum
+    over ``Z_{ell+1}(t - 1), Z_{ell+1}(t - 1 - d), ...`` reaches total 0 or
+    below, zeros included, at every shift and total, and each kept list
+    is cut at its last point with mass.
     """
     r = len(a)
     support = [ell for ell in range(r) if a[ell]]

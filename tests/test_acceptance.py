@@ -158,7 +158,7 @@ def test_c05_inequality_suites():
         tables = compute_tables(w, d, N=22 * d + 1)
         chain_report = check_ratio_chain(tables, n_max=20)
         assert chain_report.ok, (entries, chain_report.failures[:2])
-        tp2_report = check_tp2_array(compute_tables(w, d, N=20 * d + 1))
+        tp2_report = check_tp2_array(w, d, 20 * d + 1)
         assert tp2_report.ok, (entries, tp2_report.failures[:2])
     janson = is_log_concave(["2/5", "1/5", "2/5"])
     assert not janson.ok and janson.witness == 1

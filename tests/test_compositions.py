@@ -188,7 +188,7 @@ def peels_with_empty_lowest_shifts(draw):
 @example(case=([0, 0, 0], 4, [0, 1, 1, 1, 1].__getitem__, 1, 3))                      # no count weight at all
 @example(case=([0, 0, 0, 1, 0], 12, [0, 1, 0, 2, 0, 3, 0, 1, 0, 2, 0, 3, 0].__getitem__, 2, 3))  # R - 2 kept at odd t
 def test_bounded_peel_matches_the_unbounded_sums(case):
-    # the slices stop where Z_{ell+1} has no mass left: same values, same kept running sums
+    # Z_{ell+1} without mass at its low totals: same values, same kept running sums, each cut at its last mass
     a, T, b, d, kept = case
     sums, ref_sums = ([[None] * (T + 1) for _ in range(kept)] for _ in range(2))
     z = peel_partition_values(a, T, b, d, sums)
@@ -510,10 +510,10 @@ def assert_ratio_chain_matches_reference(tables, n_max):
     """``check_ratio_chain`` gives the report of the Fraction reference, or raises the error it raises."""
     try:
         want = helpers.ratio_chain_reference(tables, n_max)
-    except ZeroMassError as exc:
-        with pytest.raises(ZeroMassError) as got:
+    except (ZeroMassError, HorizonError) as exc:
+        with pytest.raises(DomainError) as got:
             check_ratio_chain(tables, n_max)
-        assert got.value.args == exc.args
+        assert type(got.value) is type(exc) and got.value.args == exc.args
         return
     assert check_ratio_chain(tables, n_max).as_dict() == want
 
@@ -529,6 +529,20 @@ class TestRatioChainOnIntegers:
         # tables reaching exactly total (n_max + 1) d + 1, or a little further
         w = on_multiples([w0, wd, *rest], d)
         assert_ratio_chain_matches_reference(compute_tables(w, d, N=(n_max + 1) * d + 1 + extra), n_max)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3), POSITIVE, POSITIVE, st.lists(WEIGHT, max_size=3), st.integers(1, 8),
+           st.integers(0, 2), st.integers(0, 6))
+    @example(1, 1, 1, [1, 1], 4, 0, 0)        # truncated at w_5: the read of Z_2(4) at n = 3 is refused
+    @example(3, 1, 2, [1], 3, 1, 1)           # truncated at w_14: Z_3(12) at n = 3, s = 0, is refused first
+    @example(2, 1, 1, [0, 1], 4, 0, 0)        # an internal zero: the vanishing value comes first, at n = 0
+    def test_truncated_tree_tables_match_the_fraction_reference(self, d, w0, wd, rest, n_max, extra, beyond):
+        # weights declared up to index N - 1 or beyond (N - 1 at least): a ratio that reads a weight past
+        # the declared horizon raises HorizonError, at the same first read as the reference
+        entries = on_multiples([w0, wd, *rest], d)
+        N = (n_max + 1) * d + 1 + extra
+        w = WeightSequence(entries, horizon=max(N - 1, len(entries) - 1) + beyond)
+        assert_ratio_chain_matches_reference(compute_tables(w, d, N=N), n_max)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 2), st.lists(POSITIVE, min_size=2, max_size=5),

@@ -5,12 +5,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import helpers
 import treegrow.sgtrees
 from treegrow._rand import derive_rng
-from treegrow.compositions import iter_compositions
+from treegrow.compositions import cleared, iter_compositions
 from treegrow.errors import DomainError, HorizonError, Refused, ZeroMassError
 from treegrow.oracle import enumerate_plane_trees, sg_law, tv_distance
 from treegrow.sgtrees import (GrowthChain, WeightSequence, check_ratio_chain, check_tp2_array,
@@ -243,12 +243,10 @@ class TestInequalitySuites:
         assert report.ok
 
     def test_tp2_all_ones(self):
-        tables = compute_tables(WeightSequence([1] * 12), 1, N=11)
-        assert check_tp2_array(tables).ok
+        assert check_tp2_array(WeightSequence([1] * 12), 1, 11).ok
 
     def test_tp2_binomial(self):
-        tables = compute_tables(WeightSequence([1, 3, 3, 1]), 1, N=11)
-        assert check_tp2_array(tables).ok
+        assert check_tp2_array(WeightSequence([1, 3, 3, 1]), 1, 11).ok
 
     def test_tp2_spot_value(self):
         f = helpers.forest_fractions(ONES8, 4)
@@ -257,8 +255,21 @@ class TestInequalitySuites:
         assert lhs == rhs == 2
 
     def test_tp2_arithmetic(self):
-        tables = compute_tables(WeightSequence([1, 0, 1]), 2, N=21)
-        assert check_tp2_array(tables).ok
+        assert check_tp2_array(WeightSequence([1, 0, 1]), 2, 21).ok
+
+    @pytest.mark.parametrize("w, d, N", [
+        ([1, 1, 1], 2, 5),                          # weights off the multiples of d
+        ([1, 0, 1], 1, 5), ([0, 0, 1], 2, 5),       # w_0 w_d = 0
+        (WeightSequence([1, 1], horizon=3), 1, 6),  # truncated before w_(N-1)
+        ([1, 1], 0, 5), ([1, 1], 1, 0),             # d or N below 1
+    ], ids=["off-multiples", "w_d-zero", "w_0-zero", "truncated", "d-0", "N-0"])
+    def test_tp2_refuses_as_the_tables_do(self, w, d, N):
+        # the forest arrays build no tables, yet refuse the weights with the tables' type and text
+        with pytest.raises(DomainError) as want:
+            compute_tables(w, d, N=N)
+        with pytest.raises(DomainError) as got:
+            check_tp2_array(w, d, N)
+        assert type(got.value) is type(want.value) and got.value.args == want.value.args
 
 
 tp2_entry = st.sampled_from([F(1, 10), F(1, 7), F(1, 3), F(2, 5), F(1, 2), F(1), F(3, 2), F(3), F(4)])
@@ -299,16 +310,15 @@ def counting_ratios_rise(monkeypatch):
 @example(wd=FAILING_TP2[3], horizon=11)
 def test_tp2_minors_match_the_fraction_brute_force(wd, horizon, monkeypatch):
     # integer minors at a common scale: same count, same failures in the same order, same exact sides
-    w, d = wd
-    tables = compute_tables(WeightSequence(w), d, N=horizon)
+    w, d = WeightSequence(wd[0]), wd[1]
     with monkeypatch.context() as patch:
         calls = counting_ratios_rise(patch)
-        report = check_tp2_array(tables).as_dict()
-    assert report == helpers.tp2_brute_force(tables)
+        report = check_tp2_array(w, d, horizon).as_dict()
+    assert report == helpers.tp2_brute_force(w, d, horizon)
     # size rows per array: adjacent rows decide a log-concave input, and a failing one, such as the
     # pinned inputs, scans every pair of rows of an array
     size = (horizon - 1) // d + (d > 1)
-    if is_log_concave(tables.w.progression(d)):
+    if is_log_concave(w.progression(d)):
         assert len(calls) == d * max(size - 1, 0)
     if not report["ok"]:
         assert len(calls) >= size * (size + 1) // 2
@@ -393,27 +403,40 @@ def test_row_pair_scan_matches_every_minor(pair):
     assert treegrow.sgtrees.ratios_rise(x, y, low) == helpers.pair_minors_nonnegative(x, y, low)
 
 
+def cleared_forest_arrays(w, d, top):
+    """``sgtrees.forest_arrays`` of the weights ``w``, and the ``L`` that clears them."""
+    L, u = cleared(w.progression(d))
+    return L, treegrow.sgtrees.forest_arrays(u, d, top)
+
+
 @pytest.mark.parametrize("w, d", [([1, 3, 3, 1], 1), (["1/2", "1/3", "1/7"], 1), ([1, 0, "2/3", 0, "1/5"], 2),
                                   ([2, 0, 0, 1], 3), (["1/3", 0, 0, "1/2", 0, 0, 1], 3)])
 @pytest.mark.parametrize("horizon", [1, 2, 7, 13])
-def test_tp2_arrays_are_the_scaled_forest_fractions(w, d, horizon, monkeypatch):
-    # the peel run inside check_tp2_array holds z[T - k][t] = L^t f(t, k) for every t, k <= T,
-    # also where T passes the vertex horizon (horizon 1 with d = 3 reads b_2)
-    peel, runs = treegrow.sgtrees.peel_partition_values, []
+def test_tp2_arrays_are_the_scaled_forest_fractions(w, d, horizon):
+    # F_s[n][k] = L^(nd+s) f(nd + s, kd + s) for every n, k <= top, also where nd + s passes the
+    # vertex horizon (horizon 1 with d = 3 reads the forests of 2 vertices)
+    w, top = WeightSequence(w), (horizon - 1) // d
+    L, arrays = cleared_forest_arrays(w, d, top)
+    f = helpers.forest_fractions(w, top * d + d - 1)
+    assert arrays == [[[f[n * d + s][k * d + s] * L ** (n * d + s) for k in range(top + 1)] for n in range(top + 1)]
+                      for s in range(d)]
 
-    def recording(*args):
-        runs.append(peel(*args))
-        return runs[-1]
 
-    tables = compute_tables(WeightSequence(w), d, N=horizon)
-    monkeypatch.setattr(treegrow.sgtrees, "peel_partition_values", recording)
-    check_tp2_array(tables)
-    (z,) = runs
-    T = len(z) - 1
-    f = helpers.forest_fractions(tables.w, T)
-    assert T == (horizon - 1) // d * d + d - 1
-    assert [[z[T - k][t] for k in range(T + 1)] for t in range(T + 1)] == \
-        [[f[t][k] * tables.b_scale ** t for k in range(T + 1)] for t in range(T + 1)]
+@settings(max_examples=100, deadline=None)
+@given(wd=tp2_weights(), T=st.integers(0, 40))
+# slots wider than the weights: L = 42 and L = 1000, so (L w)(1)^T has hundreds of bits
+@example(wd=([F(1, 2), F(1, 3), F(1, 7)], 1), T=40)
+@example(wd=([1, F(1, 1000), 0, 0, 1], 1), T=40)
+def test_packed_powers_give_the_forest_peel(wd, T):
+    # every forest count from the packed powers is the peel's with count weights e_T and the tree masses
+    # as part weights, z[T - k][t] = L^t f(t, k); the arrays stop at the last full level below T + 1
+    w, d = WeightSequence(wd[0]), wd[1]
+    top = (T + 1) // d - 1
+    assume(top >= 0)
+    _, arrays = cleared_forest_arrays(w, d, top)
+    z = helpers.forest_peel(w, d, top * d + d - 1)
+    assert arrays == [[[z[top * d + d - 1 - k * d - s][n * d + s] for k in range(top + 1)] for n in range(top + 1)]
+                      for s in range(d)]
 
 
 class TestGrowthKernel:

@@ -511,6 +511,24 @@ def test_malformed_line_refused_naming_its_line(traces, model, case):
         validate_trace(str(path), model, d)
 
 
+@pytest.mark.parametrize("earlier", [False, True], ids=["second-line", "after-a-malformed-line"])
+@pytest.mark.parametrize("model", ["sg", "subtree"])
+def test_line_not_utf8_refused_naming_its_line(traces, model, earlier, tmp_path):
+    # a two-line trace whose second line holds the byte 0xff; the text is decoded ahead of the lines
+    # checked, yet a fault on an earlier line is still the one named
+    base, _ = traces
+    _, d, field = MUTATION_BASES[model]
+    lines = [json.dumps(rec, sort_keys=True).encode() for rec in base[model][0][:2]]
+    lines[1] = lines[1].replace(b'"n"', b'"n\xff"')
+    if earlier:
+        lines.insert(1, b'{"n": 2, "step": 1')
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    message = "not a JSON line" if earlier else "not valid UTF-8 text"
+    with pytest.raises(DomainError, match=f"^{re.escape(str(path))}:2: {message}$"):
+        validate_trace(str(path), model, d)
+
+
 @pytest.mark.parametrize("model", ["sg-arith", "subtree"])
 def test_a_present_word_recorded_again_refused(traces, model):
     # line 2 re-adds a word of line 1: for subtree it is listed twice in the tree and counted in n;
