@@ -18,7 +18,7 @@ import random
 
 from .errors import DomainError
 
-_CHUNK = 32  # bits appended per refinement of a lazy uniform
+CHUNK = 32  # bits appended per refinement of a lazy uniform
 
 
 def derive_seed(master_seed, *tokens) -> int:
@@ -81,8 +81,8 @@ class LazyUniform:
                 return True
             if bits * den >= scaled:
                 return False
-            self._bits = bits = (bits << _CHUNK) | self._rng.getrandbits(_CHUNK)
-            self._k = k = k + _CHUNK
+            self._bits = bits = (bits << CHUNK) | self._rng.getrandbits(CHUNK)
+            self._k = k = k + CHUNK
 
 
 def bernoulli(rng: random.Random, num: int, den: int) -> bool:
@@ -97,9 +97,9 @@ def bernoulli(rng: random.Random, num: int, den: int) -> bool:
         return False
     if num >= den:
         return True
-    bits, scaled = rng.getrandbits(_CHUNK), num << _CHUNK
+    bits, scaled = rng.getrandbits(CHUNK), num << CHUNK
     if (bits + 1) * den <= scaled:
         return True
     if bits * den >= scaled:
         return False
-    return LazyUniform(rng, bits, _CHUNK).is_below(num, den)
+    return LazyUniform(rng, bits, CHUNK).is_below(num, den)

@@ -23,7 +23,7 @@ from itertools import accumulate, chain, repeat
 from operator import mul
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ._rand import bernoulli
+from ._rand import CHUNK, LazyUniform
 from .errors import DomainError, HorizonError, NotCoupleable, ZeroMassError
 
 Composition = Tuple[int, ...]
@@ -363,9 +363,9 @@ class StepRow(dict):
     ``cl``.  Once the interleaving inequalities hold, the pair of support
     point m is ``(cl[m] zh - ch[m] zl, low_m zh)``, exactly the pair
     ``move_rows`` returns; the dict holds the pairs read so far, and a read
-    off the support raises ``KeyError`` and stores nothing.  ``ymax`` and
-    ``bmax`` are the ratio maxima that certified the row, which the row at
-    total ``t + d`` extends.
+    off the support raises ``KeyError`` and stores nothing.  ``pair(m)``
+    forms the pair without storing it.  ``ymax`` and ``bmax`` are the ratio
+    maxima that certified the row, which the row at total ``t + d`` extends.
     """
 
     __slots__ = ("cl", "ch", "ymax", "bmax")
@@ -374,13 +374,16 @@ class StepRow(dict):
         self.cl, self.ch, self.ymax, self.bmax = cl, ch, ymax, bmax
 
     def __missing__(self, m: int) -> Tuple[int, int]:
+        pair = self[m] = self.pair(m)
+        return pair
+
+    def pair(self, m: int) -> Tuple[int, int]:
         cl, ch = self.cl, self.ch
         mass = m in range(len(cl)) and cl[m] - (cl[m - 1] if m else 0)
         if not mass:
             raise KeyError(m)
         zl, zh = cl[-1], ch[-1]
-        pair = self[m] = (cl[m] * zh - ch[m] * zl, mass * zh)
-        return pair
+        return cl[m] * zh - ch[m] * zl, mass * zh
 
 
 class PartitionKernel:
@@ -401,6 +404,8 @@ class PartitionKernel:
     Tables built with ``keep_sums`` have the peel keep the running sums of
     the shifts below ``KEPT_SHIFTS`` in ``_sums``, which ``first_part_sums``
     hands out; the sums of every other shift are formed on each call.
+    ``_decisions`` maps each ``(shift, total, part)`` the walk has read to
+    its decision (see ``decision``).
     """
 
     def __init__(self, d: int, r: int, a_scale: int, b_scale: int, total_horizon: int, keep_sums: bool):
@@ -414,6 +419,7 @@ class PartitionKernel:
         self._sums: List[List[Optional[List[int]]]] = \
             [[None] * (total_horizon + 1) for _ in range(KEPT_SHIFTS)] if keep_sums else []
         self._step_memo: Dict[Tuple[int, int], StepRow] = {}
+        self._decisions: Dict[Tuple[int, int, int], Tuple[int, int, Optional[int]]] = {}
         self.truncation: Optional[int] = None
 
     def max_a_index(self) -> int:
@@ -523,21 +529,43 @@ class PartitionKernel:
         row[last] = (sn, sd)
         return row
 
+    def decision(self, key: Tuple[int, int, int]) -> Tuple[int, int, Optional[int]]:
+        """The decision ``(qn, qd, cut)`` of a part at a shift and remaining total, ``key = (ell, t, part)``.
+
+        ``(qn, qd)`` is the part's step-row pair (``StepRow.pair``, not stored in the row), ``cut`` is
+        ``(qn << 32) // qd`` when ``0 < qn < qd``, else None; kept in ``_decisions``.  A part off the
+        row's support is refused and stores nothing.
+        """
+        ell, t, part = key
+        try:
+            qn, qd = self.step_probs(ell, t).pair((part - 1) // self.d)
+        except KeyError:
+            raise DomainError(f"part {part} carries no mass at total {t}, shift {ell}") from None
+        entry = self._decisions[key] = qn, qd, (qn << CHUNK) // qd if 0 < qn < qd else None
+        return entry
+
     def sample_move(self, t: int, parts: Sequence[int], decide, rng, factors: List[Tuple[int, int]]) -> Tuple:
         """Walk the peeling recursion once and return the move.
 
         The move is ``("inc", j)`` to increment part j by d, or
         ``("append", len(parts))`` to append d parts equal to 1.  Part j
         moves if ``decide(rng, num, den)`` says so, asked wherever its step
-        probability ``num/den`` (not reduced) is below 1; the chains pass
-        ``bernoulli``.  The pair of each decision that was not certain is
-        appended to ``factors``; their product is the probability of the
-        move.  Parts that do not sum to t, or a part off its step row's
-        support, are refused.
+        probability ``num/den`` (not reduced) is below 1.  The pair of each
+        decision that was not certain is appended to ``factors``; their
+        product is the probability of the move.  Parts that do not sum to
+        t, or a part off its step row's support, are refused.
+
+        The chains pass ``decide=None``: a part then moves when one 32-bit
+        chunk ``bits`` of ``rng`` is below the cut ``c = (num << 32) // den`` of
+        its ``decision``, stays when above, and asks ``LazyUniform(rng, bits,
+        32)`` at ``bits = c``.  So does ``bernoulli``, from the same chunks:
+        ``(bits+1) den <= num 2^32`` holds exactly when ``bits < c``, and
+        ``bits den >= num 2^32`` when ``bits > c``, or at ``bits = c`` when
+        ``den`` divides ``num 2^32``, where that ``LazyUniform`` says no at once.
         """
         if sum(parts) != t:
             raise DomainError("parts do not sum to the stated total")
-        d, r, step_probs = self.d, self.r, self.step_probs
+        r, decisions = self.r, self._decisions
         j, remaining = 0, t
         for part in parts:
             if r - j <= 1:
@@ -545,13 +573,18 @@ class PartitionKernel:
                 if j != len(parts) - 1:
                     raise DomainError(f"parts {tuple(parts)} carry no mass past shift {j}")
                 return ("inc", j)
-            try:
-                qn, qd = step_probs(j, remaining)[(part - 1) // d]
-            except KeyError:
-                raise DomainError(f"part {part} carries no mass at total {remaining}, shift {j}") from None
+            key = j, remaining, part
+            qn, qd, cut = decisions.get(key) or self.decision(key)
             if qn == qd:
                 return ("inc", j)
-            if decide(rng, qn, qd):
+            if decide is not None:
+                moves = decide(rng, qn, qd)
+            elif cut is None:
+                moves = False
+            else:
+                bits = rng.getrandbits(CHUNK)
+                moves = bits < cut or bits == cut and LazyUniform(rng, bits, CHUNK).is_below(qn, qd)
+            if moves:
                 factors.append((qn, qd))
                 return ("inc", j)
             if qn:
@@ -747,7 +780,7 @@ def sample_composition_chain(wp: WeightPair, cls: ArithClass, N: int, rng,
     total = s
     out = [c]
     while total + d <= N:
-        move = tables.sample_move(total, c, bernoulli, rng, [])
+        move = tables.sample_move(total, c, None, rng, [])
         c = apply_move(c, move, d)
         total += d
         out.append(c)

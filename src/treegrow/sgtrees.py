@@ -21,7 +21,6 @@ from math import gcd
 from operator import mod, mul
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ._rand import bernoulli
 from .compositions import (CheckReport, FrozenRecord, PartitionKernel, WeightSequence, as_fraction, cleared,
                            coerce_weights, peel_partition_values)
 from .compositions import check_ratio_chain  # noqa: F401  (re-exported: it checks tree tables too)
@@ -521,7 +520,7 @@ class GrowthChain:
         factors = []
         while True:
             parts = parts_of[v]
-            kind, j = sample_move(t, parts, bernoulli, rng, factors)
+            kind, j = sample_move(t, parts, None, rng, factors)
             if kind == "append":
                 new = (v + (j + 1,),) if d == 1 else tuple([v + (i,) for i in range(j + 1, j + d + 1)])
                 for u in new:

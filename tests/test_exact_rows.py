@@ -18,13 +18,13 @@ from math import prod
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
 from treegrow._rand import LazyUniform, bernoulli, derive_rng, derive_seed
 import treegrow.compositions
-from treegrow.compositions import (ArithClass, PairTables, WeightPair, check_admissibility_inequalities,
+from treegrow.compositions import (ArithClass, PairTables, PartitionKernel, StepRow, WeightPair, check_admissibility_inequalities,
                                    iter_compositions, move_rows, sample_composition_chain)
 from treegrow.errors import DomainError, NotCoupleable, TreegrowError, ZeroMassError
 from treegrow.oracle import sg_law
@@ -677,3 +677,100 @@ def test_a_decision_of_probability_zero_is_asked_without_a_factor():
     state = rng.getstate()
     assert tables.sample_move(2, (1, 1), bernoulli, rng, factors) in {("inc", 1), ("append", 2)}
     assert factors == [(1, 2)] and rng.getstate() != state
+
+
+class OnePairKernel(PartitionKernel):
+    """A kernel whose step row at shift 0 and total 1 gives part 1 the pair ``(qn, qd)``, ``0 <= qn <= qd``.
+
+    The row is a real ``StepRow``: with ``cl = [1]`` and ``ch = [qd - qn, qd]``
+    its pair at 0 is ``(qd - (qd - qn), qd)``.
+    """
+
+    def __init__(self, qn, qd):
+        super().__init__(1, 2, 1, 1, 2, False)
+        self.row = StepRow([1], [qd - qn, qd], None, None)
+
+    def step_probs(self, ell, t):
+        assert (ell, t) == (0, 1)
+        return self.row
+
+
+class ScriptedRandom(random.Random):
+    """A seeded stream whose first 32-bit chunk is ``first``; counts the chunks handed out."""
+
+    def __init__(self, seed, first):
+        super().__init__(seed)
+        self.script, self.chunks = [first], 0
+
+    def getrandbits(self, k):
+        assert k == 32
+        self.chunks += 1
+        return self.script.pop() if self.script else super().getrandbits(k)
+
+
+@st.composite
+def cut_cases(draw):
+    """``(seed, qn, qd, first)``: certain pairs, pairs with ``qd | qn 2^32``, and wide ones; the first
+    chunk is the cut, one off it, or drawn."""
+    kind = draw(st.sampled_from(["zero", "one", "exact", "wide"]))
+    qd = draw(st.integers(1, 1 << draw(st.sampled_from([8, 40, 200]))))
+    if kind == "exact":
+        # qd = g 2^s with s <= 32 and qn = x g, x < 2^s: qn 2^32 / qd = x 2^(32 - s)
+        s = draw(st.integers(1, 32))
+        x = draw(st.integers(1, (1 << s) - 1))
+        qd, qn = qd << s, x * qd
+    else:
+        qn = {"zero": 0, "one": qd}[kind] if kind != "wide" else draw(st.integers(1, qd))
+    cut = (qn << 32) // qd
+    first = draw(st.sampled_from([cut, cut - 1, cut + 1, None])) if 0 < qn < qd else None
+    if first is None or not 0 <= first < 1 << 32:
+        first = random.Random(draw(st.integers(0, 1 << 32))).getrandbits(32)
+    return draw(st.integers(0, 1 << 32)), qn, qd, first
+
+
+@settings(max_examples=500, deadline=None)
+@given(cut_cases())
+@example((5, 1, 3, (1 << 32) // 3))            # the first chunk is the cut and straddles 1/3: refined
+@example((5, 1, 4, 1 << 30))                   # the cut of 1/4 is exact: no at the cut, without a second chunk
+@example((5, 0, 7, 0))
+@example((5, 7, 7, 0))
+def test_cut_decides_as_bernoulli(case):
+    """The chains' test against the cut gives ``bernoulli``'s answer from the same number of chunks."""
+    seed, qn, qd, first = case
+    kernel, walk_rng, reference_rng = OnePairKernel(qn, qd), ScriptedRandom(seed, first), ScriptedRandom(seed, first)
+    factors = []
+    moved = kernel.sample_move(1, [1], None, walk_rng, factors) == ("inc", 0)
+    assert moved == bernoulli(reference_rng, qn, qd)
+    assert walk_rng.chunks == reference_rng.chunks and walk_rng.getstate() == reference_rng.getstate()
+    certain = qn in (0, qd)
+    assert kernel._decisions == {(0, 1, 1): (qn, qd, None if certain else (qn << 32) // qd)}
+    assert factors == ([] if certain else [(qn, qd)] if moved else [(qd - qn, qd)])
+    if certain:
+        assert walk_rng.chunks == 0
+    elif first == (qn << 32) // qd:
+        # the first chunk is the cut: it decides alone only when qd divides qn 2^32
+        assert (walk_rng.chunks == 1) == ((qn << 32) % qd == 0)
+
+
+class PairWalk:
+    """Tables whose ``sample_move`` decides every part with the given ``decide``."""
+
+    def __init__(self, tables, decide):
+        self.tables, self.decide = tables, decide
+
+    def sample_move(self, t, parts, decide, rng, factors):
+        return self.tables.sample_move(t, parts, self.decide, rng, factors)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("entries, d, N", [([1, 3, 3, 1], 1, 300), ([1, 0, 2, 0, 1], 2, 301)], ids=["1331", "10201-d2"])
+def test_chain_walk_is_the_bernoulli_walk_at_large_totals(entries, d, N, seed):
+    """From the same seed the cut test and ``bernoulli`` make the same moves with the same factors."""
+    tables = compute_tables(WeightSequence(entries), d, N, _keep_sums=True)
+    walks = []
+    for decide in (None, bernoulli):
+        chain = GrowthChain(entries, d, horizon=N, rng=derive_rng(seed, "chain"), tables=tables)
+        chain.tables = PairWalk(tables, decide)
+        walks.append([(step.parent, step.new_vertices, step.factors) for step in chain.run()])
+    assert walks[0] == walks[1] and len(walks[0]) == (N - 1) // d
+    assert max(len(parent) for parent, _, _ in walks[0]) >= 5

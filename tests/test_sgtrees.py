@@ -458,18 +458,18 @@ class TestGrowthKernel:
                        PlaneTree([(), (1,), (2,), (2, 1), (2, 2)]): F(1, 2)}
 
     def test_rows_leave_no_state_on_the_tables(self):
-        # only the step rows compiled on first use may grow
+        # only the step rows and the decisions of the walk, each formed on first use, may grow
         tables = compute_tables(ONES8, 1, N=9)
 
         def sizes():
             return {name: len(value) for name, value in vars(tables).items()
-                    if hasattr(value, "__len__") and name != "_step_memo"}
+                    if hasattr(value, "__len__") and name not in ("_step_memo", "_decisions")}
 
         built = sizes()
         for n in range(1, 9):
             for tree in enumerate_plane_trees(n):
                 growth_kernel_row(tables, tree)
-        assert tables._step_memo and sizes() == built
+        assert tables._step_memo and tables._decisions and sizes() == built
 
     @pytest.mark.parametrize("entries,d", [([1] * 9, 1), ([1, 0, 1, 0, 1, 0, 1, 0, 1], 2), ([1, 0, 0, 1, 0, 0, 1], 3),
                                            ([1, 3, 3, 1], 1)])

@@ -162,11 +162,13 @@ def test_golden_chains_on_supplied_tables(case):
 
 
 # totals over the chains of GOLDEN_SUPPLIED_TABLES, counted inside chain steps: calls of the
-# names perfbench wraps in the sampling walk, and the 32-bit chunks the chains' streams hand out;
-# pinned before bernoulli and is_below decided each chunk inline
+# names perfbench wraps in the sampling walk, the misses of the decision memo (each one step_probs
+# call), and the 32-bit chunks the chains' streams hand out; steps, sample_move and chunks pinned
+# before bernoulli and is_below decided each chunk inline, step_probs and decision when each part
+# read its decision from the memo
 GOLDEN_HOOK_COUNTS = {
-    "sg8": dict(steps=1400, sample_move=2972, step_probs=3216, bernoulli=3216, chunks=3216),
-    "subtree20": dict(steps=950, sample_move=5081, step_probs=5242, bernoulli=5242, chunks=6626),
+    "sg8": dict(steps=1400, sample_move=2972, step_probs=56, decision=56, chunks=3216),
+    "subtree20": dict(steps=950, sample_move=5081, step_probs=215, decision=215, chunks=6626),
 }
 
 
@@ -205,9 +207,8 @@ def test_hook_counts_on_supplied_tables(case, monkeypatch):
 
     monkeypatch.setattr(GrowthChain, "step", step(counted("steps", GrowthChain.step)))
     monkeypatch.setattr(SubtreeChain, "step", step(SubtreeChain.step))
-    for name in ("sample_move", "step_probs"):
+    for name in ("sample_move", "step_probs", "decision"):
         monkeypatch.setattr(PartitionKernel, name, counted(name, getattr(PartitionKernel, name)))
-    monkeypatch.setattr(treegrow.sgtrees, "bernoulli", counted("bernoulli", treegrow.sgtrees.bernoulli))
     monkeypatch.setattr(treegrow.subtree_model, "derive_rng", counting_rng)
     monkeypatch.setitem(globals(), "derive_rng", counting_rng)
     steps, count, _ = GOLDEN_SUPPLIED_TABLES[case]
