@@ -20,10 +20,8 @@ from .compositions import (ArithClass, Composition, PairTables, WeightPair,
 from .sgtrees import (GrowthChain, PartitionTables, WeightSequence, check_tp2_array,
                       compute_tables, grow_chain, growth_kernel, growth_kernel_row, growth_word_row,
                       is_log_concave, tilt)
-from .subtree_model import (SubtreeChain, SummableTheta, apply_shuffle, bij_P, bij_P_inv,
-                            nested_coupling_law, nested_subset_coupling,
-                            push_forward, sigma_rule, shuffle_invariance_check,
-                            subtree_grow_chain)
+from .subtree_model import (SubtreeChain, SummableTheta, bij_P, bij_P_inv, nested_coupling_law,
+                            nested_subset_coupling, subtree_grow_chain)
 from .oracle import (GofReport, enumerate_plane_trees, enumerate_subtrees,
                      goodness_of_fit, janson_expectations,
                      kernel_interchange_check, sg_law, sg_masses, sg_word_masses, st_law, subset_law,

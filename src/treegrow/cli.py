@@ -12,7 +12,6 @@ import re
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import takewhile
 from operator import itemgetter
 from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
@@ -27,7 +26,7 @@ from .oracle import (PLANE_TREE_CAP, SUBTREE_CAP, SUBTREE_POSITION_CAP, enumerat
 from .sgtrees import (WeightSequence, check_tp2_array, compute_tables, growth_kernel,
                       is_log_concave, packed_powers, require_log_concave, GrowthChain)
 from .subtree_model import (SubtreeChain, SummableTheta, bij_P, bij_P_inv, nested_coupling_law,
-                            nested_thresholds, sigma_rule, shuffle_invariance_check)
+                            nested_thresholds)
 from .treespace import ROOT, GrowingText, Word, adds_bouquet, format_tree, to_dot, word_to_text
 
 # --n-max caps not set by the enumeration caps of oracle.  On a 2-CPU Xeon:
@@ -44,12 +43,10 @@ from .treespace import ROOT, GrowingText, Word, adds_bouquet, format_tree, to_do
 # log-concave keep the cap 40.
 # ratio-chain compares O(n) ratios of ever longer integers (1000 takes about
 # 1.2 s for w = 1,3,3,1 and 2.1 s for w = 1,0,2,0,1 at d = 2, whose tables
-# reach total 2003); shuffle-invariance sums over every decorated plane tree,
-# with 2^n decorations each.
+# reach total 2003).
 TP2_CAP = 120
 TP2_NOT_LOG_CONCAVE_CAP = 40
 RATIO_CHAIN_CAP = 1000
-SHUFFLE_CAP = 4
 
 # --samples cap of the stats suite, which grows a chain per sample.  On a 2-CPU Xeon, medians
 # of 3 runs with interpreter start: 10,000 samples at the defaults take 0.42 s, 40,000 1.6 s and
@@ -331,20 +328,10 @@ def validate_trace(path: str, model: str, d: int = 1):
     """
     if model not in TRACE_FIELDS:
         raise DomainError(f"unknown model {model!r}: expected sg, sg-arith or subtree")
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            steps = _check_trace_lines(handle, path, model, d)
-    except UnicodeDecodeError:
-        steps = None
-    if steps is None:
-        # the file is decoded a block at a time, ahead of the lines checked: check the lines before the
-        # first that is not UTF-8, where errors="surrogateescape" reads a byte as U+DC80 to U+DCFF, then refuse it
-        with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
-            lines = list(takewhile(lambda line: not re.search("[\udc80-\udcff]", line), handle))
-        _check_trace_lines(lines, path, model, d)
-        raise DomainError(f"{path}:{len(lines) + 1}: not valid UTF-8 text")
-    if not steps:
-        raise ParseError(f"{path}: empty trace")
+    # errors="surrogateescape" reads each byte that is not UTF-8 as one of U+DC80 to U+DCFF, for the check to refuse
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+        if not _check_trace_lines(handle, path, model, d):
+            raise ParseError(f"{path}: empty trace")
 
 
 def _check_trace_lines(lines, path: str, model: str, d: int) -> int:
@@ -356,6 +343,8 @@ def _check_trace_lines(lines, path: str, model: str, d: int) -> int:
     canon = GrowingText()
     step = 0
     for lineno, line in enumerate(lines, start=1):
+        if not line.isascii() and re.search("[\udc80-\udcff]", line):
+            raise DomainError(f"{path}:{lineno}: not valid UTF-8 text")
         if not line.strip():
             continue
         try:
@@ -496,19 +485,7 @@ def _suite_subset_coupling(args) -> dict:
             key = frozenset(seq[:k])
             marginal[key] = marginal.get(key, Fraction(0)) + mass
         report.record(marginal == subset_law(theta, k), kind="marginal-mismatch", k=k)
-    return {"suite": report.name, "ok": report.ok, "failures": report.failures}
-
-
-def _suite_shuffle_invariance(args) -> dict:
-    n_max = _n_max(args, 4, SHUFFLE_CAP)
-    w, _ = _weights(args, (1, 2, 1))
-    nu = {(1, 2): Fraction(1, 2), (2, 1): Fraction(1, 2)}
-
-    def rule(tree, x, u):
-        return sigma_rule(tree.children_count(u), x[u])
-
-    report = shuffle_invariance_check(w, nu, rule, n_max)
-    return {"suite": "shuffle-invariance", **report.as_dict()}
+    return _suite_result(report)
 
 
 def _suite_stats(args) -> dict:
@@ -563,7 +540,6 @@ SUITES = {
     "kernel-interchange": (_suite_kernel_interchange, {"w", "d", "n_max"}),
     "bijection": (_suite_bijection, {"n_max"}),
     "subset-coupling": (_suite_subset_coupling, {"theta"}),
-    "shuffle-invariance": (_suite_shuffle_invariance, {"w", "n_max"}),
     "stats": (_suite_stats, {"w", "theta", "d", "n_max", "seed", "samples"}),
 }
 

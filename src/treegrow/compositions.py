@@ -354,17 +354,16 @@ Pairs = Dict[int, Tuple[int, int]]
 KEPT_SHIFTS = 2
 
 
-class StepRow(dict):
-    """The move probabilities of one step law, ``m -> (num, den)`` unreduced, each stored on first read.
+class StepRow:
+    """The move probabilities of one step law: ``pair(m)`` is support point m's ``(num, den)``, unreduced.
 
     Keeps the running sums ``cl`` and ``ch`` of both laws' masses, which end
     at their totals ``zl`` and ``zh``; the mass of support point m is
     ``cl[m] - cl[m-1]``.  The row at total ``t + d`` takes ``ch`` as its
     ``cl``.  Once the interleaving inequalities hold, the pair of support
     point m is ``(cl[m] zh - ch[m] zl, low_m zh)``, exactly the pair
-    ``move_rows`` returns; the dict holds the pairs read so far, and a read
-    off the support raises ``KeyError`` and stores nothing.  ``pair(m)``
-    forms the pair without storing it.  ``ymax`` and ``bmax`` are the ratio
+    ``move_rows`` returns; ``pair`` forms it on each call, and a point off
+    the support raises ``KeyError``.  ``ymax`` and ``bmax`` are the ratio
     maxima that certified the row, which the row at total ``t + d`` extends.
     """
 
@@ -372,10 +371,6 @@ class StepRow(dict):
 
     def __init__(self, cl: List[int], ch: List[int], ymax: Tuple[int, int], bmax: Tuple[int, int]):
         self.cl, self.ch, self.ymax, self.bmax = cl, ch, ymax, bmax
-
-    def __missing__(self, m: int) -> Tuple[int, int]:
-        pair = self[m] = self.pair(m)
-        return pair
 
     def pair(self, m: int) -> Tuple[int, int]:
         cl, ch = self.cl, self.ch
@@ -466,12 +461,12 @@ class PartitionKernel:
     def step_probs(self, ell: int, t: int) -> StepRow:
         """Probability that the reindexed first part increments between totals t and t+d.
 
-        Maps each support point of the law at total t to an integer pair
-        ``(num, den)`` with value ``num/den``, not reduced, formed on first
-        read.  Derived from the coupling that feeds one shared uniform
-        through both inverse cumulative functions; requires the
-        interleaving inequalities between the two laws, otherwise
-        NotCoupleable is raised with the failing support point.
+        The row's ``pair`` maps each support point of the law at total t to
+        an integer pair ``(num, den)`` with value ``num/den``, not reduced.
+        Derived from the coupling that feeds one shared uniform through both
+        inverse cumulative functions; requires the interleaving inequalities
+        between the two laws, otherwise NotCoupleable is raised with the
+        failing support point.
 
         With ``Y = Z_{ell+1}`` and ``s = t - 1 - m d``, the inequalities at
         m read ``Y(s+d)/Y(s) <= zh/zl`` and, where ``Y(s) > 0``,
@@ -532,9 +527,9 @@ class PartitionKernel:
     def decision(self, key: Tuple[int, int, int]) -> Tuple[int, int, Optional[int]]:
         """The decision ``(qn, qd, cut)`` of a part at a shift and remaining total, ``key = (ell, t, part)``.
 
-        ``(qn, qd)`` is the part's step-row pair (``StepRow.pair``, not stored in the row), ``cut`` is
-        ``(qn << 32) // qd`` when ``0 < qn < qd``, else None; kept in ``_decisions``.  A part off the
-        row's support is refused and stores nothing.
+        ``(qn, qd)`` is the part's step-row pair (``StepRow.pair``), ``cut`` is ``(qn << 32) // qd``
+        when ``0 < qn < qd``, else None; kept in ``_decisions``.  A part off the row's support is
+        refused and stores nothing.
         """
         ell, t, part = key
         try:

@@ -7,54 +7,37 @@ tree, while recording the original children positions as subset
 decorations, identifies this model with a weighted plane tree whose
 offspring weights are the elementary symmetric functions of theta.
 ``SubtreeChain`` grows that plane tree and sends plane child j of u to
-the j-th inserted letter of an independent insertion ordering of u; it
-applies no shuffle, and the subtrees it grows are nested.
+the j-th inserted letter of an independent insertion ordering of u; the
+subtrees it grows are nested.
 
-The shuffle calculus (per-vertex injective position maps and the push
-forward of decorations along them) and an exact verifier for shuffling
-rules that leave product-decorated tree laws invariant stay as the check
-of a lemma the chain does not call, run by the CLI's shuffle-invariance
-suite: the chain's embedding is the shuffled, unpacked plane tree.
+The pairs (plane tree, ordering prefixes) that embed to a subtree tau are
+one tree relabelled, so ``P(tau)`` is the product over the vertices u of
+``e_{k_u}`` times the probability that the first ``k_u`` letters of u's
+ordering are its child positions ``S_u``, over ``b_n``: ``st_law(tau)``
+exactly when the prefix sets of the nested coupling follow ``subset_law``.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from ._rand import LazyUniform, derive_rng
-from .compositions import ONE, ZERO, CheckReport, as_fraction
+from .compositions import ONE, ZERO, as_fraction
 from .errors import DomainError
 from .sgtrees import GrowthChain, PartitionTables, WeightSequence
 from .treespace import PlaneTree, ROOT, RootedSubtree, Word
 
 PositionMap = Dict[int, int]
-Shuffle = Dict[Word, PositionMap]
 
 
 # ---------------------------------------------------------------------------
-# shuffles: per-vertex injective repositioning of children
+# the left-packing bijection with decorated plane trees
 
 
-def _check_shuffle(tau: RootedSubtree, g: Shuffle):
-    for u in tau.vertices:
-        gu = g.get(u)
-        if gu is None:
-            raise DomainError(f"shuffle missing a map at vertex {u!r}")
-        positions = set(tau.children_positions(u))
-        if set(gu.keys()) != positions:
-            raise DomainError(f"shuffle map at {u!r} has domain {sorted(gu)} instead of {sorted(positions)}")
-        images = list(gu.values())
-        if len(set(images)) != len(images):
-            raise DomainError(f"shuffle map at {u!r} is not injective")
-        if any(i < 1 for i in images):
-            raise DomainError(f"shuffle map at {u!r} has non-positive images")
-
-
-def _image_map(tau, g: Shuffle) -> Dict[Word, Word]:
+def _image_map(tau, g: Mapping[Word, PositionMap]) -> Dict[Word, Word]:
     """The bijection u -> g.u obtained by repositioning along ancestral lines."""
     image: Dict[Word, Word] = {ROOT: ROOT}
     for u in tau.sorted_vertices():
@@ -62,21 +45,6 @@ def _image_map(tau, g: Shuffle) -> Dict[Word, Word]:
             p = u[:-1]
             image[u] = image[p] + (g[p][u[-1]],)
     return image
-
-
-def apply_shuffle(tau: RootedSubtree, g: Shuffle) -> RootedSubtree:
-    """Reposition the children of every vertex of ``tau`` through ``g``."""
-    _check_shuffle(tau, g)
-    return RootedSubtree(_image_map(tau, g).values())
-
-
-def push_forward(g: Shuffle, tau: RootedSubtree, x: Mapping[Word, object]) -> Dict[Word, object]:
-    """Transport a per-vertex tuple along the relabelling induced by ``g``."""
-    _check_shuffle(tau, g)
-    image = _image_map(tau, g)
-    if set(x.keys()) != set(tau.vertices):
-        raise DomainError("tuple is not indexed by the vertices of the subtree")
-    return {image[u]: x[u] for u in tau.vertices}
 
 
 def left_packing(positions: Iterable[int]) -> PositionMap:
@@ -97,7 +65,7 @@ def bij_P(tau: RootedSubtree) -> Tuple[PlaneTree, Dict[Word, FrozenSet[int]]]:
 
 def bij_P_inv(tree: PlaneTree, decorations: Mapping[Word, Iterable[int]]) -> RootedSubtree:
     """Rebuild the subtree whose left-packing produced the decorated tree."""
-    unpack: Shuffle = {}
+    unpack: Dict[Word, PositionMap] = {}
     for u in tree.vertices:
         if u not in decorations:
             raise DomainError(f"missing decoration at vertex {u!r}")
@@ -227,14 +195,6 @@ def nested_subset_coupling(theta, rng: random.Random) -> Tuple[int, ...]:
 # matching the two growths
 
 
-def sigma_rule(k: int, x: Sequence[int]) -> Tuple[int, ...]:
-    """Permutation of 1..k: position j goes to the rank of x_j among x_1..x_k."""
-    if k < 0 or k > len(x):
-        raise DomainError(f"need 0 <= k <= {len(x)}, got {k}")
-    packed = left_packing(x[:k])
-    return tuple(packed[x[j]] for j in range(k))
-
-
 class SubtreeChain:
     """Increasing sampler of the inhomogeneous subtree model.
 
@@ -300,59 +260,3 @@ def subtree_grow_chain(theta, N: int, seed: int,
         out.append(chain.subtree())
     return out
 
-
-# ---------------------------------------------------------------------------
-# decoration-dependent shuffling rules and their invariance
-
-
-def _rule_collection(rule, tree: PlaneTree, x: Mapping[Word, object]) -> Shuffle:
-    out: Shuffle = {}
-    for u in tree.vertices:
-        k = tree.children_count(u)
-        perm = tuple(rule(tree, x, u))
-        if sorted(perm) != list(range(1, k + 1)):
-            raise DomainError(f"rule returned {perm} at a vertex with {k} children")
-        out[u] = {j + 1: perm[j] for j in range(k)}
-    return out
-
-
-def shuffle_invariance_check(w, decoration_law: Mapping[object, Fraction], rule, n_max: int) -> CheckReport:
-    """Verify that shuffling by an equivariant rule preserves the decorated law.
-
-    Sums the exact product measure (tree law times independent per-vertex
-    decorations) over the full finite space of decorated trees of each
-    size up to ``n_max`` and compares it with its image under the rule's
-    shuffle, term by term.
-    """
-    from .oracle import sg_law
-
-    report = CheckReport(name="shuffle-invariance")
-    alphabet = list(decoration_law.keys())
-    if sum(decoration_law.values()) != 1:
-        raise DomainError("decoration law must be a probability law")
-    for n in range(1, n_max + 1):
-        tree_law = sg_law(w, 1, n)
-        original: Dict[Tuple, Fraction] = {}
-        image: Dict[Tuple, Fraction] = {}
-        for tree, tree_mass in tree_law.items():
-            vertices = tree.sorted_vertices()
-            for combo in itertools.product(alphabet, repeat=len(vertices)):
-                x = dict(zip(vertices, combo))
-                mass = tree_mass
-                for sym in combo:
-                    mass *= decoration_law[sym]
-                if mass == 0:
-                    continue
-                key = (tree.vertices, tuple(sorted(x.items())))
-                original[key] = original.get(key, ZERO) + mass
-                sigma = _rule_collection(rule, tree, x)
-                new_tree = apply_shuffle(tree, sigma)
-                new_x = push_forward(sigma, tree, x)
-                key2 = (new_tree.vertices, tuple(sorted(new_x.items())))
-                image[key2] = image.get(key2, ZERO) + mass
-        keys = set(original) | set(image)
-        for key in keys:
-            report.record(original.get(key, ZERO) == image.get(key, ZERO),
-                          n=n, state=str(key), original=original.get(key, ZERO),
-                          image=image.get(key, ZERO))
-    return report

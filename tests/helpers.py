@@ -2,8 +2,10 @@
 
 The oracles, views and checkers here are read only by the tests: brute-force
 laws and masses, covering moves and shifts of compositions, composition
-kernel rows as Fractions, elementary symmetric functions, inverse shuffles
-and the equivariance checker of shuffling rules.
+kernel rows as Fractions, elementary symmetric functions, and the shuffle
+calculus of subtrees (shuffles, push forwards and their inverses, the rank
+rule, the equivariance checker of shuffling rules and the exact checker of
+their invariance), which the subtree chain does not run.
 
 The growth chains live on enumerable state spaces at desk scale, so their
 one-step kernels can be materialized exactly and trajectories sampled in
@@ -21,18 +23,18 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from treegrow.compositions import (ONE, PLAIN, ZERO, ArithClass, CheckReport, Composition, PairTables, WeightPair,
                                    apply_move, as_fraction, cleared, iter_compositions, peel_partition_values)
 from treegrow.errors import DomainError, NotCoupleable, ParseError, TreegrowError, ZeroMassError
-from treegrow.oracle import InterchangeReport, _normalized, enumerate_plane_trees, enumerate_subtrees
+from treegrow.oracle import InterchangeReport, _normalized, enumerate_plane_trees, enumerate_subtrees, sg_law
 from treegrow.sgtrees import PartitionTables, WeightSequence, compute_tables, growth_kernel
-from treegrow.subtree_model import (Shuffle, SubtreeChain, _check_shuffle, _image_map, _rule_collection,
-                                    apply_shuffle, bij_P_inv, nested_coupling_law, push_forward, sigma_rule)
-from treegrow.treespace import (ROOT, CountWord, PlaneTree, RootedSubtree, child_count_word, child_sizes,
+from treegrow.subtree_model import (PositionMap, SubtreeChain, _image_map, bij_P_inv, left_packing,
+                                    nested_coupling_law)
+from treegrow.treespace import (ROOT, CountWord, PlaneTree, RootedSubtree, Word, child_count_word, child_sizes,
                                 format_tree, from_child_count_word, is_bouquet_addition, is_right_leaning_leaf_addition,
                                 parse_tree, word_to_text)
 
@@ -112,6 +114,101 @@ def tree_mass(w, tree: PlaneTree):
     ``w`` past a declared horizon fails whatever the order of its vertices.
     """
     return math.prod(map(w.__getitem__, child_count_word(tree)))
+
+
+# ---------------------------------------------------------------------------
+# the shuffle calculus: per-vertex injective repositioning of children
+
+Shuffle = Dict[Word, PositionMap]
+
+
+def _check_shuffle(tau: RootedSubtree, g: Shuffle):
+    for u in tau.vertices:
+        gu = g.get(u)
+        if gu is None:
+            raise DomainError(f"shuffle missing a map at vertex {u!r}")
+        positions = set(tau.children_positions(u))
+        if set(gu.keys()) != positions:
+            raise DomainError(f"shuffle map at {u!r} has domain {sorted(gu)} instead of {sorted(positions)}")
+        images = list(gu.values())
+        if len(set(images)) != len(images):
+            raise DomainError(f"shuffle map at {u!r} is not injective")
+        if any(i < 1 for i in images):
+            raise DomainError(f"shuffle map at {u!r} has non-positive images")
+
+
+def apply_shuffle(tau: RootedSubtree, g: Shuffle) -> RootedSubtree:
+    """Reposition the children of every vertex of ``tau`` through ``g``."""
+    _check_shuffle(tau, g)
+    return RootedSubtree(_image_map(tau, g).values())
+
+
+def push_forward(g: Shuffle, tau: RootedSubtree, x: Mapping[Word, object]) -> Dict[Word, object]:
+    """Transport a per-vertex tuple along the relabelling induced by ``g``."""
+    _check_shuffle(tau, g)
+    image = _image_map(tau, g)
+    if set(x.keys()) != set(tau.vertices):
+        raise DomainError("tuple is not indexed by the vertices of the subtree")
+    return {image[u]: x[u] for u in tau.vertices}
+
+
+def sigma_rule(k: int, x: Sequence[int]) -> Tuple[int, ...]:
+    """Permutation of 1..k: position j goes to the rank of x_j among x_1..x_k."""
+    if k < 0 or k > len(x):
+        raise DomainError(f"need 0 <= k <= {len(x)}, got {k}")
+    packed = left_packing(x[:k])
+    return tuple(packed[x[j]] for j in range(k))
+
+
+def _rule_collection(rule, tree: PlaneTree, x: Mapping[Word, object]) -> Shuffle:
+    out: Shuffle = {}
+    for u in tree.vertices:
+        k = tree.children_count(u)
+        perm = tuple(rule(tree, x, u))
+        if sorted(perm) != list(range(1, k + 1)):
+            raise DomainError(f"rule returned {perm} at a vertex with {k} children")
+        out[u] = {j + 1: perm[j] for j in range(k)}
+    return out
+
+
+def shuffle_invariance_check(w, decoration_law: Mapping[object, Fraction], rule, n_max: int) -> CheckReport:
+    """Verify that shuffling by an equivariant rule preserves the decorated law.
+
+    Sums the exact product measure (tree law times independent per-vertex
+    decorations) over the full finite space of decorated trees of each
+    size up to ``n_max`` and compares it with its image under the rule's
+    shuffle, term by term.
+    """
+    report = CheckReport(name="shuffle-invariance")
+    alphabet = list(decoration_law.keys())
+    if sum(decoration_law.values()) != 1:
+        raise DomainError("decoration law must be a probability law")
+    for n in range(1, n_max + 1):
+        tree_law = sg_law(w, 1, n)
+        original: Dict[Tuple, Fraction] = {}
+        image: Dict[Tuple, Fraction] = {}
+        for tree, tree_mass in tree_law.items():
+            vertices = tree.sorted_vertices()
+            for combo in itertools.product(alphabet, repeat=len(vertices)):
+                x = dict(zip(vertices, combo))
+                mass = tree_mass
+                for sym in combo:
+                    mass *= decoration_law[sym]
+                if mass == 0:
+                    continue
+                key = (tree.vertices, tuple(sorted(x.items())))
+                original[key] = original.get(key, ZERO) + mass
+                sigma = _rule_collection(rule, tree, x)
+                new_tree = apply_shuffle(tree, sigma)
+                new_x = push_forward(sigma, tree, x)
+                key2 = (new_tree.vertices, tuple(sorted(new_x.items())))
+                image[key2] = image.get(key2, ZERO) + mass
+        keys = set(original) | set(image)
+        for key in keys:
+            report.record(original.get(key, ZERO) == image.get(key, ZERO),
+                          n=n, state=str(key), original=original.get(key, ZERO),
+                          image=image.get(key, ZERO))
+    return report
 
 
 def inverse_shuffle(g: Shuffle, tau: RootedSubtree) -> Shuffle:
@@ -458,7 +555,7 @@ def reference_kernel_row(tables, t, parts):
             row[("inc", j)] = (sn, sd)
             return row
         try:
-            qn, qd = tables.step_probs(j, remaining)[(part - 1) // tables.d]
+            qn, qd = tables.step_probs(j, remaining).pair((part - 1) // tables.d)
         except KeyError:
             raise DomainError(f"part {part} carries no mass at total {remaining}, shift {j}") from None
         if qn == qd:

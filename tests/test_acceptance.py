@@ -20,12 +20,12 @@ from treegrow.oracle import (enumerate_plane_trees, enumerate_subtrees, goodness
                              janson_expectations, sg_law, st_law, subset_law, tv_distance)
 from treegrow.sgtrees import (GrowthChain, WeightSequence, check_ratio_chain, check_tp2_array,
                               compute_tables, growth_kernel, is_log_concave)
-from treegrow.subtree_model import (SubtreeChain, SummableTheta, apply_shuffle, bij_P, bij_P_inv,
-                                    nested_coupling_law, nested_thresholds, push_forward,
-                                    sigma_rule, shuffle_invariance_check)
+from treegrow.subtree_model import (SubtreeChain, SummableTheta, bij_P, bij_P_inv, nested_coupling_law,
+                                    nested_thresholds)
 from treegrow.treespace import is_bouquet_addition, is_right_leaning_leaf_addition
 
-from helpers import check_equivariance, inverse_shuffle, pointwise_inverse, shift
+from helpers import (apply_shuffle, check_equivariance, inverse_shuffle, pointwise_inverse, push_forward, shift,
+                     shuffle_invariance_check, sigma_rule)
 
 
 def report(number, ok, detail):

@@ -170,6 +170,9 @@ GOLDEN_VERIFY = {
                              "b933ea6e78042c818d94afb0110d131a7987fcd830b86db66c3ead1ed0c9a8e7"),
     "tables-2/5,1/5,2/5": (["--suite", "tables", "--w", "2/5,1/5,2/5", "--n-max", "10"], 0,
                            "2615e5ef5c835555cc9cc9a6a170cd7b844e66f2715080f69f2f21ff864efa12"),
+    "bijection": (["--suite", "bijection"], 0, "853e8557187d4a792c750d0c4d58e9445dfc7d5f6d20a259d47752b040c95043"),
+    "subset-coupling-1/2,1/3,1/4": (["--suite", "subset-coupling", "--theta", "1/2,1/3,1/4"], 0,
+                                    "3e58565789dbb8c74a4443585ec08f1182f70c9bde7f017a31b699316dd72aa0"),
 }
 
 
@@ -284,13 +287,16 @@ class TestErrorBoundary:
         (["grow", "--model", "tree", "--w", "1,1", "--n", "4"],
          "error: --model: expected one of sg, sg-arith, subtree, got 'tree'"),
         (["verify", "--suite=bogus"], "error: --suite: expected one of tables, tp2, ratio-chain, kernel-interchange, "
-                                      "bijection, subset-coupling, shuffle-invariance, stats, got 'bogus'"),
+                                      "bijection, subset-coupling, stats, got 'bogus'"),
+        (["verify", "--suite", "shuffle-invariance"], "error: --suite: expected one of tables, tp2, ratio-chain, "
+                                                      "kernel-interchange, bijection, subset-coupling, stats, "
+                                                      "got 'shuffle-invariance'"),
         (["grow", "--seed", "x"], "error: --seed: expected an integer, got 'x'"),
         ([], "error: no command: expected one of grow, verify, enumerate"),
         (["bogus"], "error: unknown command 'bogus': expected one of grow, verify, enumerate"),
         (["--bogus"], "error: unknown command '--bogus': expected one of grow, verify, enumerate"),
     ], ids=["unknown-flag", "verify-n", "grow-se", "other-command", "underscore", "no-value-at-end",
-            "flag-for-value", "switch-value", "argument", "bad-model", "bad-suite", "bad-seed",
+            "flag-for-value", "switch-value", "argument", "bad-model", "bad-suite", "removed-suite", "bad-seed",
             "no-command", "unknown-command", "unknown-top-flag"])
     def test_usage_error(self, argv, line, capsys):
         assert self.assert_one_line_error(capsys, run(*argv)) == line
@@ -309,7 +315,6 @@ class TestErrorBoundary:
         ["kernel-interchange", "--d", "2", "--n-max", "9"],
         ["bijection", "--n-max", "8"],
         ["subset-coupling", "--n-max", "1"],
-        ["shuffle-invariance", "--n-max", "9"],
         ["stats", "--theta", "1,1", "--n-max", "8"],
     ], ids=lambda argv: argv[0])
     def test_n_max_above_cap_refused(self, argv, capsys):
@@ -402,8 +407,6 @@ class TestErrorBoundary:
         (["verify", "--suite", "bijection", "--w", "1,1"], "the bijection suite does not read --w"),
         (["verify", "--suite", "subset-coupling", "--n-max", "3"],
          "the subset-coupling suite does not read --n-max"),
-        (["verify", "--suite", "shuffle-invariance", "--d", "2"],
-         "the shuffle-invariance suite does not read --d"),
         (["verify", "--suite", "stats", "--theta", "1,1", "--w", "1,1"],
          "the stats suite with --theta does not read --w"),
         (["enumerate", "--plane-trees", "3", "--subtrees", "2"],
@@ -416,7 +419,7 @@ class TestErrorBoundary:
             "unread-subtree-decimal", "decimal-without-out", "unread-tp2-theta", "unread-tables-seed",
             "unread-ratio-chain-samples", "unread-kernel-interchange-theta", "unread-bijection-w",
             "unread-subset-coupling-n-max",
-            "unread-shuffle-invariance-d", "unread-stats-theta-w",
+            "unread-stats-theta-w",
             "unread-plane-trees-subtrees", "unread-plane-trees-dmax", "unread-subtrees-d"])
     def test_missing_argument(self, argv, message, capsys):
         assert self.assert_one_line_error(capsys, run(*argv)) == f"error: {message}"
@@ -424,10 +427,9 @@ class TestErrorBoundary:
     @pytest.mark.parametrize("argv", [
         ["verify", "--suite", "bijection", "--d", "1", "--n-max", "3"],
         ["verify", "--suite", "subset-coupling", "--d", "1"],
-        ["verify", "--suite", "shuffle-invariance", "--d", "1", "--n-max", "3"],
         ["enumerate", "--plane-trees", "3", "--d", "1"],
         ["enumerate", "--subtrees", "3", "--d", "1"],
-    ], ids=["bijection", "subset-coupling", "shuffle-invariance", "plane-trees", "subtrees"])
+    ], ids=["bijection", "subset-coupling", "plane-trees", "subtrees"])
     def test_d_1_accepted_where_d_is_fixed_at_1(self, argv, capsys):
         assert run(*argv) == 0
 
@@ -597,14 +599,13 @@ class TestErrorBoundary:
             (["--w", "1,0,1"], "error: --w has w_1 = 0: need w_0 w_1 > 0 for trees of every size to carry mass"),
             (["--w", "1,0,0,0,1", "--d", "2"],
              "error: --w has w_2 = 0: need w_0 w_2 > 0 for trees of every size to carry mass")]
-        for suite in ["tables", "tp2", "ratio-chain", "kernel-interchange", "stats", "shuffle-invariance"]
-        if suite != "shuffle-invariance" or "--d" not in argv   # that suite reads no --d
+        for suite in ["tables", "tp2", "ratio-chain", "kernel-interchange", "stats"]
     ])
     def test_zero_leaf_or_first_weight_refused_naming_w(self, suite, argv, line, monkeypatch, capsys):
         def no_work(*args, **kwargs):
             raise AssertionError("tables or laws were built for refused weights")
 
-        for name in ("compute_tables", "sg_law", "sg_word_masses", "shuffle_invariance_check"):
+        for name in ("compute_tables", "sg_law", "sg_word_masses"):
             monkeypatch.setattr(treegrow.cli, name, no_work)
         assert self.assert_one_line_error(capsys, run("verify", "--suite", suite, *argv)) == line
 
@@ -752,8 +753,7 @@ class TestEnumerate:
 
 
 class TestVerify:
-    @pytest.mark.parametrize("suite", ["tables", "tp2", "ratio-chain", "bijection",
-                                       "subset-coupling", "shuffle-invariance"])
+    @pytest.mark.parametrize("suite", ["tables", "tp2", "ratio-chain", "bijection", "subset-coupling"])
     def test_suites_pass(self, suite, capsys):
         assert run("verify", "--suite", suite) == 0
         report = json.loads(capsys.readouterr().out)
@@ -787,7 +787,7 @@ class TestVerify:
         ("tables", ["--w", "1,3,3,1"], "f8090fffe0f65c785a07511b9dff641e65e27c265eea57bed80ef14450964456"),
         ("bijection", ["--n-max", "3"], "fe0a9a09e8ca3b8230d2fa4a2b901fc8f1d8d17d42f0c435b9575cb454d97122"),
         ("subset-coupling", ["--theta", "3,2,1"],
-         "20b129d51cb077a908efb0d2b835c480675b3ef4286067ca57d106f0a968c967"),
+         "079e500b1e040c63ccc7b60c6d8ef17b3469f7eeaae931e5d2607b294b395dc4"),
         ("kernel-interchange", ["--w", "1,1,1,1", "--n-max", "5"],
          "63d04eabd463269a2cce74e82ac5b856ee09c7ea148651747578c06e433bf5dd"),
     ])

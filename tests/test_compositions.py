@@ -312,7 +312,7 @@ class TestFirstPartLaw:
 class TestMonotoneStepKernel:
     def test_spec_overlap_value(self):
         tables = PairTables(tree_pair(ONES), total_horizon=4)
-        assert F(*tables.step_probs(0, 3)[0]) == F(3, 28)
+        assert F(*tables.step_probs(0, 3).pair(0)) == F(3, 28)
 
     def test_deterministic_shift(self):
         assert coupled({0: 1}, {1: 1}) == {0: F(1)}
@@ -328,7 +328,7 @@ class TestMonotoneStepKernel:
             row = tables.step_probs(0, n)
             pushed = {}
             for m, mass in mu_n.items():
-                q = F(*row[m])
+                q = F(*row.pair(m))
                 pushed[m] = pushed.get(m, F(0)) + mass * (1 - q)
                 pushed[m + 1] = pushed.get(m + 1, F(0)) + mass * q
             pushed = {m: p for m, p in pushed.items() if p}

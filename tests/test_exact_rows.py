@@ -91,7 +91,7 @@ def oracle_row(tables, ell, t):
 def fraction_row(tables, ell, t):
     """The compiled row as Fractions, read at each support point of ``move_rows``."""
     row = tables.step_probs(ell, t)
-    return {m: F(*row[m]) for m in exact_scan(tables, ell, t)}
+    return {m: F(*row.pair(m)) for m in exact_scan(tables, ell, t)}
 
 
 def all_rows(tables, horizon):
@@ -161,7 +161,7 @@ def verdict(fn):
 @settings(max_examples=150, deadline=None)
 @given(any_weights(), st.randoms(use_true_random=False))
 def test_rows_read_lazily_match_the_exact_scan(case, rnd):
-    """Every row, compiled in any order and read in any order, is ``move_rows`` pair for pair."""
+    """Every row, compiled in any order, is ``move_rows`` pair for pair; a read off its support raises."""
     w, d, N = case
     tables = compute_tables(w, d, N)
     keys = [(ell, t) for ell in range(tables.r) for t in range(1, N - d)]
@@ -171,13 +171,10 @@ def test_rows_read_lazily_match_the_exact_scan(case, rnd):
         expected = verdict(lambda: exact_scan(tables, ell, t))
         if got[0] == "value":
             row, scan = got[1], exact_scan(tables, ell, t)
-            for m in rnd.sample(sorted(scan), rnd.randint(0, len(scan))):
-                assert row[m] == scan[m]
-            got = "value", {m: row[m] for m in scan}
+            got = "value", {m: row.pair(m) for m in scan}
             for m in set(range(len(row.cl) + 1)) - scan.keys():
                 with pytest.raises(KeyError):
-                    row[m]
-            assert row.keys() == scan.keys()  # each read stored its own point, and an off-support read nothing
+                    row.pair(m)
         assert got == expected, (ell, t)
 
 
@@ -272,7 +269,7 @@ def sums_and_rows(tables, totals):
 
     def pairs(ell, t):
         row = tables.step_probs(ell, t)
-        return {m: row[m] for m in range(len(row.cl) + 1) if m in exact_scan(tables, ell, t)}
+        return {m: row.pair(m) for m in range(len(row.cl) + 1) if m in exact_scan(tables, ell, t)}
 
     def caught(fn, *args):
         try:
@@ -375,32 +372,27 @@ def test_loose_b_bound_falls_back_to_the_exact_scan(monkeypatch):
     scans = []
     monkeypatch.setattr(treegrow.compositions, "move_rows", lambda *a: scans.append(a) or move_rows(*a))
     row = tables.step_probs(3, 6)
-    assert len(scans) == 1 and row[5] == (96, 96) and dict(row) == move_rows(*scans[0]) == {5: (96, 96)}
+    assert len(scans) == 1 and row.pair(5) == (96, 96) and move_rows(*scans[0]) == {5: (96, 96)}
 
 
 def test_full_iteration_forms_the_whole_row():
     tables = compute_tables(WeightSequence([1, 3, 3, 1]), 1, N=12)
     row, scan = tables.step_probs(0, 9), exact_scan(tables, 0, 9)
-    assert not row and len(scan) == 9
-    for stored, m in enumerate(scan, 1):
-        assert row[m] == scan[m] and len(row) == stored  # a read stores its own point only
-    assert row == scan
+    assert len(scan) == 9 and {m: row.pair(m) for m in scan} == scan
+    with pytest.raises(KeyError):
+        row.pair(max(scan) + 1)
 
 
 def test_kernel_row_reads_no_mass_from_the_masses():
-    # w_2 = 0: a root with two children carries no mass, whichever entries of its row were read
+    # w_2 = 0: a root with two children carries no mass, before and after the row's decisions are memoized
     tables = compute_tables(WeightSequence([1, 1, 0, 0, 1]), 1, N=6)
-    row = tables.step_probs(0, 2)
     for _ in range(2):
         with pytest.raises(DomainError, match="part 1 carries no mass at total 2, shift 0"):
             tables.kernel_row(2, (1, 1))
-        assert 0 not in row
+        assert (0, 2, 1) not in tables._decisions   # a refused part stores no decision
         assert tables.kernel_row(2, (2,)) == {("inc", 0): (1, 1)}
-        for m in exact_scan(tables, 0, 2):
-            row[m]
     with pytest.raises(KeyError):
-        row[0]
-    assert 0 not in row  # an off-support read stores nothing
+        tables.step_probs(0, 2).pair(0)
 
 
 def test_unreduced_threshold_decides_alike():
@@ -651,12 +643,12 @@ def test_sampler_walk_is_the_kernel_row_on_compositions():
 def test_sample_move_refuses_a_part_without_mass():
     # w_2 = 0: the first of two parts at total 2 is off its step row's support, and no bit is drawn
     tables = compute_tables(WeightSequence([1, 1, 0, 0, 1]), 1, N=6)
-    row = tables.step_probs(0, 2)
+    tables.step_probs(0, 2)
     rng = derive_rng(0, "off-support")
     state = rng.getstate()
     with pytest.raises(DomainError, match="part 1 carries no mass at total 2, shift 0"):
         tables.sample_move(2, [1, 1], bernoulli, rng, [])
-    assert 0 not in row and rng.getstate() == state
+    assert (0, 2, 1) not in tables._decisions and rng.getstate() == state
 
 
 def test_sample_move_refuses_parts_off_the_total_before_any_decision():

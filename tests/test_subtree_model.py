@@ -1,7 +1,9 @@
+import ast
 import itertools
 import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -11,14 +13,14 @@ from treegrow.errors import DomainError, ZeroMassError
 from treegrow.oracle import (enumerate_plane_trees, enumerate_subtrees, sg_law, st_law, subset_law,
                              tv_distance)
 from treegrow.sgtrees import WeightSequence, compute_tables, is_log_concave
-from treegrow.subtree_model import (SubtreeChain, SummableTheta, apply_shuffle, bij_P, bij_P_inv,
-                                    coerce_theta, nested_coupling_law, nested_subset_coupling,
-                                    nested_thresholds, push_forward, sigma_rule, shuffle_invariance_check,
+from treegrow.subtree_model import (SubtreeChain, SummableTheta, bij_P, bij_P_inv, coerce_theta,
+                                    nested_coupling_law, nested_subset_coupling, nested_thresholds,
                                     subtree_grow_chain)
 from treegrow.treespace import PlaneTree, RootedSubtree
 
-from helpers import (check_equivariance, elementary_symmetric, inverse_shuffle, literal_image,
-                     naive_subtree_chain, pointwise_inverse, random_shuffle_for, random_subtree)
+from helpers import (apply_shuffle, check_equivariance, elementary_symmetric, inverse_shuffle, literal_image,
+                     naive_subtree_chain, pointwise_inverse, push_forward, random_shuffle_for, random_subtree,
+                     shuffle_invariance_check, sigma_rule)
 
 
 class TestShuffleGroupoid:
@@ -546,3 +548,22 @@ class TestShufflingRules:
         nu = dict(nested_coupling_law(["2", "1"]))
         report = shuffle_invariance_check(w, nu, rank_rule, 4)
         assert report.ok
+
+
+def imported_modules(source: str):
+    """The full name of every module an import in ``source`` reads, inside functions too."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["treegrow" if node.level else "", node.module or ""]))
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)   # from . import oracle
+
+
+def test_subtree_model_imports_nothing_from_the_oracle():
+    # oracle imports subtree_model, so an import the other way, even one deferred into a function, is a cycle
+    source = Path(treegrow.subtree_model.__file__).read_text(encoding="utf-8")
+    modules = set(imported_modules(source))
+    assert "treegrow.sgtrees" in modules
+    assert not {name for name in modules if name == "treegrow.oracle" or name.startswith("treegrow.oracle.")}
