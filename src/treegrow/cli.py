@@ -50,8 +50,8 @@ RATIO_CHAIN_CAP = 1000
 
 # --samples cap of the stats suite, which grows a chain per sample.  On a 2-CPU Xeon, medians
 # of 3 runs with interpreter start: 10,000 samples at the defaults take 0.42 s, 40,000 1.6 s and
-# 100,000 4.1 s (about 40 us a chain); 10,000 take 1.4 s at --n-max 10 and 2.1 s with --theta
-# 1/2,1/3,1/4 --n-max 7 (0.14 and 0.21 ms a chain): the cap holds runs under 30 s.
+# 100,000 4.1 s (about 40 us a chain); 10,000 take 1.4 s at --n-max 10 and 1.6 s with --theta
+# 1/2,1/3,1/4 --n-max 7 (0.14 and 0.16 ms a chain): the cap holds runs under 30 s.
 STATS_SAMPLES_CAP = 100_000
 
 # Largest --theta support of the subset-coupling suite, whose nested coupling

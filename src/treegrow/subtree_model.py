@@ -24,7 +24,7 @@ import random
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
-from ._rand import LazyUniform, derive_rng
+from ._rand import CHUNK, LazyUniform, derive_rng
 from .compositions import ONE, ZERO, as_fraction
 from .errors import DomainError
 from .sgtrees import GrowthChain, PartitionTables, WeightSequence
@@ -90,7 +90,9 @@ class SummableTheta:
     tree model, and the threshold ``ladder`` of the nested coupling.
 
     ``ladder`` holds, per level, the pivot and its thresholds as
-    ``(num, den)``.  Level m pivots on the m-th support point.  With
+    ``(num, den, cut)``, where ``cut = (num << 32) // den`` is the 32-bit
+    cut on which ``nested_subset_coupling`` decides when ``0 < num < den``,
+    and None otherwise.  Level m pivots on the m-th support point.  With
     ``S_m`` the support from that point on, its k-th threshold is
     ``theta_pivot e_{k-1}(S_{m+1}) / e_k(S_m)``, reduced; the last level
     holds the one remaining support point and no thresholds.  One backward
@@ -115,7 +117,9 @@ class SummableTheta:
             x, inner = self.value(pivot), e
             e = [hi + x * lo for hi, lo in zip(inner + [ZERO], [ZERO] + inner)]
             thresholds = (x * inner[k - 1] / e[k] for k in range(1, len(e)))
-            levels.append((pivot, tuple((p.numerator, p.denominator) for p in thresholds)))
+            levels.append((pivot, tuple(
+                (p.numerator, p.denominator, (p.numerator << CHUNK) // p.denominator if 0 < p < 1 else None)
+                for p in thresholds)))
         self.ladder = tuple(reversed(levels))
         self.e = tuple(e)
 
@@ -145,7 +149,7 @@ def _prepared_theta(values: Tuple[Fraction, ...]) -> SummableTheta:
 def nested_thresholds(theta) -> List[Fraction]:
     """Pivot inclusion probabilities p_1 <= ... <= p_N for the smallest support index."""
     thresholds = coerce_theta(theta).ladder[0][1]
-    return [Fraction(num, den) for num, den in thresholds] or [ONE]
+    return [Fraction(num, den) for num, den, _ in thresholds] or [ONE]
 
 
 def nested_coupling_law(theta) -> Dict[Tuple[int, ...], Fraction]:
@@ -161,7 +165,7 @@ def nested_coupling_law(theta) -> Dict[Tuple[int, ...], Fraction]:
     law: Dict[Tuple[int, ...], Fraction] = {(levels[-1][0],): ONE}
     for pivot, thresholds in levels[-2::-1]:
         inner, law, prev = law, {}, ZERO
-        for k, (num, den) in enumerate(thresholds, start=1):
+        for k, (num, den, _) in enumerate(thresholds, start=1):
             pk = Fraction(num, den)
             weight, prev = pk - prev, pk
             if weight:
@@ -173,21 +177,38 @@ def nested_coupling_law(theta) -> Dict[Tuple[int, ...], Fraction]:
 def nested_subset_coupling(theta, rng: random.Random) -> Tuple[int, ...]:
     """Sample the insertion ordering; prefix sets follow the subset laws.
 
-    Each level of the threshold ladder draws one uniform and inserts its
-    pivot at the first rank whose threshold the uniform lies below.
+    Each level of the threshold ladder inserts its pivot at the first rank
+    whose threshold one uniform lies below.  The level draws one 32-bit
+    chunk at its first threshold strictly inside (0, 1) and compares it with
+    each cut; a chunk equal to a cut goes on to one ``LazyUniform(rng,
+    chunk, 32)``, which answers every threshold with that cut.  As in
+    ``sample_move``, the answers and the bits drawn are those of one
+    ``LazyUniform(rng).is_below`` per level.
     """
     levels = coerce_theta(theta).ladder
     ranks = []
     for _, thresholds in levels[:-1]:
-        is_below = LazyUniform(rng).is_below
+        bits = lazy = None
+        rank = -1   # 0-based: the index at which the pivot enters the ordering of the later points
         # every level but the last has thresholds: when none says yes, rank ends at the last
-        for rank, (num, den) in enumerate(thresholds, start=1):
-            if is_below(num, den):
+        for num, den, cut in thresholds:
+            rank += 1
+            if cut is None:
+                if num > 0:
+                    break
+                continue
+            if bits is None:
+                bits = rng.getrandbits(CHUNK)
+            if bits < cut:
                 break
+            if bits == cut:
+                lazy = lazy or LazyUniform(rng, bits, CHUNK)
+                if lazy.is_below(num, den):
+                    break
         ranks.append(rank)
     seq = [levels[-1][0]]
-    for (pivot, _), rank in zip(levels[-2::-1], reversed(ranks)):
-        seq.insert(rank - 1, pivot)
+    for m in range(len(ranks) - 1, -1, -1):
+        seq.insert(ranks[m], levels[m][0])
     return tuple(seq)
 
 

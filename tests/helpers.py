@@ -2,10 +2,12 @@
 
 The oracles, views and checkers here are read only by the tests: brute-force
 laws and masses, covering moves and shifts of compositions, composition
-kernel rows as Fractions, elementary symmetric functions, and the shuffle
-calculus of subtrees (shuffles, push forwards and their inverses, the rank
-rule, the equivariance checker of shuffling rules and the exact checker of
-their invariance), which the subtree chain does not run.
+kernel rows as Fractions, elementary symmetric functions, the ordering
+draw with one ``LazyUniform`` per level that the cut-ladder draw must
+match, and the shuffle calculus of subtrees (shuffles, push forwards and
+their inverses, the rank rule, the equivariance checker of shuffling rules
+and the exact checker of their invariance), which the subtree chain does
+not run.
 
 The growth chains live on enumerable state spaces at desk scale, so their
 one-step kernels can be materialized exactly and trajectories sampled in
@@ -27,12 +29,13 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from treegrow._rand import LazyUniform
 from treegrow.compositions import (ONE, PLAIN, ZERO, ArithClass, CheckReport, Composition, PairTables, WeightPair,
                                    apply_move, as_fraction, cleared, iter_compositions, peel_partition_values)
 from treegrow.errors import DomainError, NotCoupleable, ParseError, TreegrowError, ZeroMassError
 from treegrow.oracle import InterchangeReport, _normalized, enumerate_plane_trees, enumerate_subtrees, sg_law
 from treegrow.sgtrees import PartitionTables, WeightSequence, compute_tables, growth_kernel
-from treegrow.subtree_model import (PositionMap, SubtreeChain, _image_map, bij_P_inv, left_packing,
+from treegrow.subtree_model import (PositionMap, SubtreeChain, _image_map, bij_P_inv, coerce_theta, left_packing,
                                     nested_coupling_law)
 from treegrow.treespace import (ROOT, CountWord, PlaneTree, RootedSubtree, Word, child_count_word, child_sizes,
                                 format_tree, from_child_count_word, is_bouquet_addition, is_right_leaning_leaf_addition,
@@ -533,6 +536,24 @@ class OracleUniform:
             self.bits = (self.bits << 32) | self.rng.getrandbits(32)
             self.k += 32
         return side
+
+
+def reference_nested_subset_coupling(theta, rng) -> Tuple[int, ...]:
+    """The insertion ordering drawn with one ``LazyUniform(rng)`` per level: the reference that
+    ``nested_subset_coupling``, which decides on the 32-bit cuts of the ladder, must draw alike."""
+    levels = coerce_theta(theta).ladder
+    ranks = []
+    for _, thresholds in levels[:-1]:
+        is_below = LazyUniform(rng).is_below
+        # every level but the last has thresholds: when none says yes, rank ends at the last
+        for rank, (num, den, _) in enumerate(thresholds, start=1):
+            if is_below(num, den):
+                break
+        ranks.append(rank)
+    seq = [levels[-1][0]]
+    for (pivot, _), rank in zip(levels[-2::-1], reversed(ranks)):
+        seq.insert(rank - 1, pivot)
+    return tuple(seq)
 
 
 def reference_kernel_row(tables, t, parts):

@@ -110,10 +110,12 @@ class TestGrow:
 
 
 # (model flags, seed, SHA-256 of the trace) pinned from earlier implementations: the first
-# three from the table builders that the peeling recursion replaced, the last two from the
-# chain that kept child counts and subtree sizes in two maps.  A fixed seed must keep giving
-# the same trace.  The CI smoke step checks the "sg", "subtree", "sg-arith" and "sg-arith-d3"
-# digests on the installed script too, so a re-pin changes .github/workflows/tests.yml as well.
+# three from the table builders that the peeling recursion replaced, "sg-arith-d3" and
+# "sg-ones8" from the chain that kept child counts and subtree sizes in two maps, and
+# "subtree-211" (the theta of c10 and the stats suite) from the ordering draw that opened one
+# LazyUniform per level.  A fixed seed must keep giving the same trace.  The CI smoke step checks
+# the "sg", "subtree", "subtree-211", "sg-arith" and "sg-arith-d3" digests on the installed script
+# too, so a re-pin changes .github/workflows/tests.yml as well.
 GOLDEN_TRACES = {
     "sg": (["--model", "sg", "--w", "1,3,3,1", "--n", "40"], 11,
            "1f634eb8e5504515c9804d3967a70bb052cf8b8eb4601dede890483787c55847"),
@@ -121,6 +123,8 @@ GOLDEN_TRACES = {
                  "33fab9a5d9b1998d0f773d9147ee04afff68009fbf898dc780fed89164b8d41b"),
     "subtree": (["--model", "subtree", "--theta", "1/2,1/3,1/4", "--n", "40"], 13,
                 "2fb880cd0d47de4baec7302df04f18965e9545cef4411b8dc2608a40d40acff2"),
+    "subtree-211": (["--model", "subtree", "--theta", "2,1,1", "--n", "60"], 16,
+                    "29efb2cb5fae7072d8f9e4fbd27119f080e0acd0f4d5eb3475184c4c36158035"),
     "sg-arith-d3": (["--model", "sg-arith", "--w", "2,0,0,1", "--d", "3", "--n", "40"], 14,
                     "1aac140aeb53ce8856ae388dbe463d3282c166bb0253a8fed9c0d4e67a168d09"),
     "sg-ones8": (["--model", "sg", "--w", "1,1,1,1,1,1,1,1", "--n", "40"], 15,

@@ -6,9 +6,12 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import helpers
 import treegrow.subtree_model
-from treegrow._rand import derive_rng
+from treegrow._rand import LazyUniform, derive_rng
 from treegrow.errors import DomainError, ZeroMassError
 from treegrow.oracle import (enumerate_plane_trees, enumerate_subtrees, sg_law, st_law, subset_law,
                              tv_distance)
@@ -198,37 +201,78 @@ THETAS = (["2", "1"], ["1", "1", "1"], ["1/2", "1/3", "1/4", "1/5"])
 ZERO_ENTRY_THETAS = (["0", "2", "0", "1/3", "1"], ["3"], ["0", "0", "7", "0"], ["1/2", "1/3", "1/4", "0", "5"])
 
 
-def scripted_coupling_law(theta, monkeypatch):
-    """The exact law of ``nested_subset_coupling``, read off every run of its uniforms.
+# level 1 holds two thresholds with one cut: 0 for the first theta, 2^32 - 1 for the second
+EQUAL_CUT_THETAS = (["1/1099511627776", "1", "1"], ["1", "1/1099511627776", "1/1099511627776"])
 
-    A scripted uniform keeps the interval ``(lo, hi]`` its answers leave
-    it.  It answers what that interval decides, and takes each undecided
-    answer from the script, then False.  Every script that differs from a
-    run's answers after its own end is run next, so each run is reached
-    once.  A run weighs the product of its uniforms' interval widths.
+
+def level_cuts(theta):
+    return [[cut for *_, cut in thresholds if cut is not None] for _, thresholds in theta.ladder[:-1]]
+
+
+def chunk_pieces(cuts):
+    """The 32-bit chunks that decide alike against the sorted distinct ``cuts``: ``(first chunk, count)``
+    of each cut alone and of each run of chunks between cuts."""
+    pieces, lo = [], 0
+    for cut in cuts:
+        if lo < cut:
+            pieces.append((lo, cut - lo))
+        pieces.append((cut, 1))
+        lo = cut + 1
+    if lo < 1 << 32:
+        pieces.append((lo, (1 << 32) - lo))
+    return pieces
+
+
+def scripted_coupling_law(theta, monkeypatch):
+    """The exact law of ``nested_subset_coupling``, read off every run of its chunks and uniforms.
+
+    A level's 32-bit chunk runs over the intervals its cuts make in
+    [0, 2^32), each weighing its size over 2^32.  A chunk at a cut goes on
+    to a scripted uniform on ``[c/2^32, (c+1)/2^32)``: it keeps the
+    interval ``(lo, hi]`` its answers leave it, answers what that interval
+    decides, and takes each undecided answer from the script.  A script
+    lists the choice at each choice point, then 0; every script that
+    differs from a run's choices after its own end is run next, so each
+    run is reached once.  A run weighs the product of its chunks' widths,
+    each uniform's refined over its starting width.
     """
     law, scripts = {}, [[]]
+    drawing = [chunk_pieces(sorted(set(cuts))) for cuts in level_cuts(theta) if cuts]
+
+    def choose(options):
+        choice = script[len(choices)] if len(choices) < len(script) else 0
+        choices.append((choice, options))
+        return choice
+
+    class ScriptedChunks:
+        def getrandbits(self, k):
+            assert k == 32
+            pieces = drawing[len(widths)]
+            chunk, count = pieces[choose(len(pieces))]
+            widths.append(F(count, 1 << 32))
+            return chunk
 
     class ScriptedUniform:
-        def __init__(self, rng):
-            self.lo, self.hi = F(0), F(1)
+        def __init__(self, rng, bits, k):
+            self.lo, self.hi = F(bits, 1 << k), F(bits + 1, 1 << k)
+            self.width = self.hi - self.lo
             uniforms.append(self)
 
         def is_below(self, num, den):
             p = F(num, den)
             if not self.lo < p < self.hi:
                 return self.hi <= p
-            below = script[len(answers)] if len(answers) < len(script) else False
-            answers.append(below)
+            below = bool(choose(2))
             self.lo, self.hi = (self.lo, p) if below else (p, self.hi)
             return below
 
     monkeypatch.setattr(treegrow.subtree_model, "LazyUniform", ScriptedUniform)
     while scripts:
-        script, answers, uniforms = scripts.pop(), [], []
-        seq = nested_subset_coupling(theta, None)
-        scripts.extend(answers[:i] + [True] for i in range(len(script), len(answers)))
-        law[seq] = law.get(seq, F(0)) + math.prod(u.hi - u.lo for u in uniforms)
+        script, choices, widths, uniforms = scripts.pop(), [], [], []
+        seq = nested_subset_coupling(theta, ScriptedChunks())
+        scripts.extend([c for c, _ in choices[:i]] + [other]
+                       for i in range(len(script), len(choices)) for other in range(1, choices[i][1]))
+        law[seq] = law.get(seq, F(0)) + math.prod(widths) * math.prod((u.hi - u.lo) / u.width for u in uniforms)
     return law
 
 
@@ -288,9 +332,10 @@ class TestNestedCoupling:
             e_m = elementary_symmetric([theta.value(i) for i in support[m:]])
             e_next = elementary_symmetric([theta.value(i) for i in support[m + 1:]])
             want = [theta.value(pivot) * e_next[k - 1] / e_m[k] for k in range(1, len(support) - m + 1)]
-            assert thresholds == tuple((p.numerator, p.denominator) for p in want)
+            assert thresholds == tuple((p.numerator, p.denominator, math.floor(p * (1 << 32)) if p < 1 else None)
+                                       for p in want)
 
-    @pytest.mark.parametrize("values", THETAS + ZERO_ENTRY_THETAS + (["2", "1", "1"],))
+    @pytest.mark.parametrize("values", THETAS + ZERO_ENTRY_THETAS + (["2", "1", "1"],) + EQUAL_CUT_THETAS)
     def test_sampler_law_is_the_joint_law_exactly(self, values, monkeypatch):
         theta = SummableTheta(values)
         assert scripted_coupling_law(theta, monkeypatch) == nested_coupling_law(theta)
@@ -310,6 +355,127 @@ class TestNestedCoupling:
         a = nested_subset_coupling(theta, derive_rng(5, "x"))
         b = nested_subset_coupling(theta, derive_rng(5, "x"))
         assert a == b
+
+
+class ChunkStub:
+    """An rng serving the given 32-bit chunks, None for one chunk of a seeded stream, then that stream.
+
+    ``getstate`` is where it stands.
+    """
+
+    def __init__(self, chunks, seed):
+        self.chunks, self.rest = list(chunks), random.Random(seed)
+
+    def getrandbits(self, k):
+        assert k == 32
+        chunk = self.chunks.pop(0) if self.chunks else None
+        return self.rest.getrandbits(k) if chunk is None else chunk
+
+    def getstate(self):
+        return len(self.chunks), self.rest.getstate()
+
+
+@st.composite
+def coupling_streams(draw):
+    """``(theta, rng, twin)``: two rngs in one state, seeded streams or stubs listing for each level a
+    chunk at cut - 1, cut or cut + 1 of one of its thresholds (a refinement reads the next listed chunk)."""
+    values = draw(st.one_of(
+        st.sampled_from(THETAS + ZERO_ENTRY_THETAS + (["2", "1", "1"],) + EQUAL_CUT_THETAS),
+        st.lists(st.sampled_from(["0", "1", "2", "1/3", "4/7", "9", "1/1099511627776"]), min_size=1, max_size=5)
+        .filter(lambda v: set(v) != {"0"})))
+    theta, seed = SummableTheta(values), draw(st.integers(0, 1 << 32))
+    if draw(st.booleans()):
+        return theta, random.Random(seed), random.Random(seed)
+    chunks = [min(max(draw(st.sampled_from(cuts)) + draw(st.sampled_from([-1, 0, 1])), 0), (1 << 32) - 1)
+              for cuts in level_cuts(theta) if cuts]
+    return theta, ChunkStub(chunks, seed), ChunkStub(chunks, seed)
+
+
+@settings(max_examples=400, deadline=None)
+@given(coupling_streams())
+def test_ordering_draws_as_one_lazy_uniform_per_level(case):
+    """The cut ladder gives the ordering of one ``LazyUniform`` per level and leaves the rng where it does."""
+    theta, rng, twin = case
+    assert nested_subset_coupling(theta, rng) == helpers.reference_nested_subset_coupling(theta, twin)
+    assert rng.getstate() == twin.getstate()
+
+
+@pytest.mark.parametrize("thresholds, rank, drawn", [
+    (((0, 1), (1, 1)), 2, 0),
+    (((1, 1), (1, 3)), 1, 0),
+    (((0, 1), (1, 2), (1, 1)), None, 1),
+    (((-1, 2), (1, 3), (0, 1), (1, 1)), None, 1),
+], ids=["0-1", "1-first", "0-then-half", "negative-third-0-1"])
+def test_thresholds_of_0_and_1_draw_nothing(thresholds, rank, drawn):
+    # a level's chunk is drawn at its first threshold strictly inside (0, 1), none before and no other
+    theta = SummableTheta(["1", "1"])
+    theta.ladder = ((1, tuple((num, den, (num << 32) // den if 0 < num < den else None) for num, den in thresholds)),
+                    (2, ()))
+    for seed in range(20):
+        rng, twin = random.Random(seed), random.Random(seed)
+        seq = nested_subset_coupling(theta, rng)
+        assert seq == helpers.reference_nested_subset_coupling(theta, twin) and rng.getstate() == twin.getstate()
+        fresh = random.Random(seed)
+        for _ in range(drawn):
+            fresh.getrandbits(32)
+        assert rng.getstate() == fresh.getstate() and (rank is None or seq.index(1) == rank - 1)
+
+
+def draw_on_chunks(theta, chunks, seed, monkeypatch):
+    """The ordering drawn on a ``ChunkStub``, checked against the reference, with the count of
+    chunks it read off the seeded stream and the thresholds each ``LazyUniform`` it made was asked."""
+    asked = []
+
+    class CountedUniform(LazyUniform):
+        def __init__(self, *args):
+            super().__init__(*args)
+            asked.append([])
+
+        def is_below(self, num, den):
+            asked[-1].append(F(num, den))
+            return super().is_below(num, den)
+
+    monkeypatch.setattr(treegrow.subtree_model, "LazyUniform", CountedUniform)
+    rng, twin = ChunkStub(chunks, seed), ChunkStub(chunks, seed)
+    seq = nested_subset_coupling(theta, rng)
+    assert seq == helpers.reference_nested_subset_coupling(theta, twin)
+    assert rng.getstate() == twin.getstate() and not rng.chunks
+    drawn, fresh = 0, random.Random(seed)
+    while fresh.getstate() != rng.rest.getstate():
+        fresh.getrandbits(32)
+        drawn += 1
+    return seq, drawn, asked
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_dyadic_cut_decides_at_the_tie(seed, monkeypatch):
+    # theta = 2,1,1: level 1 thresholds 1/2, 4/5, 1; a chunk at 2^31, the cut of 1/2, lies above 1/2
+    # and below 4/5 with no further bit; level 2's chunk at the cut of its own 1/2 goes on to rank 2
+    theta = SummableTheta(["2", "1", "1"])
+    assert level_cuts(theta) == [[1 << 31, (4 << 32) // 5], [1 << 31]]
+    assert draw_on_chunks(theta, [1 << 31, 1 << 31], seed, monkeypatch) == ((3, 1, 2), 0, [[F(1, 2)], [F(1, 2)]])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_non_dyadic_cut_is_refined(seed, monkeypatch):
+    # a chunk at the cut of 4/5 straddles it: the refined uniform reads one more chunk, which
+    # decides unless it equals 4/5's next 32 bits; level 2's chunk 0 then puts pivot 2 first
+    theta = SummableTheta(["2", "1", "1"])
+    seq, drawn, asked = draw_on_chunks(theta, [(4 << 32) // 5, None, 0], seed, monkeypatch)
+    assert seq in ((2, 1, 3), (2, 3, 1)) and drawn == 1 and asked == [[F(4, 5)]]
+
+
+@pytest.mark.parametrize("values", EQUAL_CUT_THETAS)
+@pytest.mark.parametrize("seed", range(12))
+def test_equal_cuts_share_one_refined_uniform(values, seed, monkeypatch):
+    # level 1's first two thresholds share a cut: a chunk at it makes one uniform, asked of both
+    # unless the first says yes
+    theta = SummableTheta(values)
+    (num1, den1, cut), (num2, den2, same), _ = theta.ladder[0][1]
+    assert cut == same
+    seq, drawn, asked = draw_on_chunks(theta, [cut, None, 0], seed, monkeypatch)
+    assert drawn == 1 and asked in ([[F(num1, den1)]], [[F(num1, den1), F(num2, den2)]])
+    assert len(asked[0]) == 2 or seq.index(theta.support[0]) == 0
 
 
 class TestStDistribution:
